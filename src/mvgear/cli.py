@@ -413,7 +413,7 @@ def _verify_checks(args, panel, alpha, cov, port) -> list[dict]:
     try:
         report = geometry.verify_bound(alpha, cov, w)
         check("bound_slack", report.slack >= -1e-10,
-              f"cos_phi = {report.cos_phi!r}, slack = {report.slack!r}")
+              f"cos_phi = {float(report.cos_phi)!r}, slack = {float(report.slack)!r}")
     except MvgearError as exc:
         check("bound_slack", False, f"{type(exc).__name__}: {exc}")
 

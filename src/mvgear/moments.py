@@ -272,7 +272,7 @@ def load_returns_csv(path) -> ReturnsPanel:
     simple returns as decimal fractions. A missing or blank cell is a hard
     error -- there is no imputation.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         rows = [row for row in reader if row]
     if len(rows) < 2:

@@ -23,6 +23,10 @@ from .errors import DimensionError, RankDeficientConstraints, SingularKkt
 
 RESIDUAL_TOL = 1e-10
 
+# Byte budget for one block of float64 samples in dominance_sample; it bounds
+# the sampler's working set whatever the sample count.
+SAMPLE_BLOCK_BYTES = 2 * 1024 * 1024
+
 
 @dataclass(frozen=True)
 class KktProblem:
@@ -97,6 +101,11 @@ def solve_kkt(problem: KktProblem) -> tuple[np.ndarray, np.ndarray]:
     return theta, nu
 
 
+def _row_quadratic(batch: np.ndarray, cov_entries: np.ndarray) -> np.ndarray:
+    """theta'Sigma theta for every row theta of ``batch``: one GEMM, one row dot."""
+    return np.einsum("ij,ij->i", batch @ cov_entries, batch)
+
+
 def project_to_gearing(g0: float):
     """Projector onto {theta : 1'theta = g0} for sample batches."""
 
@@ -113,7 +122,7 @@ def project_to_risk(cov_entries: np.ndarray, sigma0: float):
 
     def project(batch: np.ndarray) -> np.ndarray:
         batch = np.atleast_2d(batch)
-        risk = np.sqrt(np.einsum("ij,jk,ik->i", batch, cov_entries, batch))
+        risk = np.sqrt(_row_quadratic(batch, cov_entries))
         risk = np.where(risk == 0.0, 1.0, risk)
         return batch * (sigma0 / risk)[:, None]
 
@@ -126,7 +135,7 @@ def sharpe_objective(alpha: np.ndarray, cov_entries: np.ndarray):
     def objective(batch: np.ndarray) -> np.ndarray:
         batch = np.atleast_2d(batch)
         ret = batch @ alpha
-        var = np.einsum("ij,jk,ik->i", batch, cov_entries, batch)
+        var = _row_quadratic(batch, cov_entries)
         return ret / np.sqrt(np.maximum(var, 1e-300))
 
     return objective
@@ -142,10 +151,22 @@ def return_objective(alpha: np.ndarray):
 
 
 def dominance_sample(objective, projector, dim: int, count: int, seed: int) -> float:
-    """Best objective over ``count`` seeded samples projected to the set."""
+    """Best objective over ``count`` seeded samples projected to the set.
+
+    The samples are the rows of ``default_rng(seed).standard_normal((count,
+    dim))``, drawn in order but in blocks of ``SAMPLE_BLOCK_BYTES // (8 * dim)``
+    rows (at least one). Each block is projected and scored before the next
+    is drawn, so memory does not grow with ``count``; ``projector`` and
+    ``objective`` are called once per block and see every row exactly once.
+    """
     if count < 1:
         raise DimensionError(f"count must be >= 1, got {count}")
+    if dim < 1:
+        raise DimensionError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
-    batch = rng.standard_normal((count, dim))
-    values = np.asarray(objective(projector(batch)), dtype=float)
-    return float(values.max())
+    rows = max(1, SAMPLE_BLOCK_BYTES // (8 * dim))
+    peaks = []
+    for start in range(0, count, rows):
+        batch = rng.standard_normal((min(rows, count - start), dim))
+        peaks.append(np.asarray(objective(projector(batch)), dtype=float).max())
+    return float(np.max(peaks))

@@ -77,11 +77,15 @@ def portfolio_to_dict(portfolio: Portfolio) -> dict:
 
 
 def portfolio_from_dict(data: dict) -> Portfolio:
+    if not isinstance(data, dict):
+        raise InvalidPortfolio(
+            f"portfolio record must be a JSON object, got {type(data).__name__}"
+        )
     try:
         weights = np.asarray(data["weights"], dtype=float)
         program = Program(data["program"])
         params = dict(data.get("params") or {})
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidPortfolio(f"malformed portfolio record: {exc}") from exc
     assets = data.get("assets")
     return Portfolio(
@@ -98,4 +102,8 @@ def portfolio_from_dict(data: dict) -> Portfolio:
 
 def load_portfolio_json(path) -> Portfolio:
     with open(path, "r", encoding="utf-8") as handle:
-        return portfolio_from_dict(json.load(handle))
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise InvalidPortfolio(f"{path}: not a JSON document: {exc}") from exc
+    return portfolio_from_dict(data)

@@ -250,7 +250,9 @@ def test_verify_round_trip(micro_csv, tmp_path, solve_args):
     report = tmp_path / "v.json"
     assert run(["verify", "--input", micro_csv, "--portfolio", port,
                 "--samples", 20000, "--output", report]) == 0
-    doc = json.loads(report.read_text())
+    text = report.read_text()
+    assert "np.float64(" not in text
+    doc = json.loads(text)
     assert doc["passed"] is True
     assert all(c["passed"] for c in doc["checks"])
 
@@ -300,6 +302,19 @@ def test_verify_flags_tampered_weights(micro_csv, tmp_path, capsys):
     assert not doc["passed"]
     failed = {c["name"] for c in doc["checks"] if not c["passed"]}
     assert "weights_resolve" in failed
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+@pytest.mark.parametrize("content", [
+    "{not json", '["x"]', '{"program": "VII", "weights": {"a": 1}}',
+])
+def test_bad_portfolio_file_exits_3(micro_csv, tmp_path, capsys, command, content):
+    port = tmp_path / "p.json"
+    port.write_text(content)
+    assert run([command, "--input", micro_csv, "--portfolio", port]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("code=InvalidPortfolio")
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_seed_is_reproducible(micro_csv, tmp_path):

@@ -209,6 +209,12 @@ def test_load_returns_csv_roundtrip(tmp_path):
     npt.assert_allclose(panel.rows, [[0.1, 0.0], [0.3, 0.01]])
 
 
+def test_load_returns_csv_strips_utf8_bom(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"\xef\xbb\xbfA,B\n0.1,0.0\n0.3,0.01\n")
+    assert load_returns_csv(path).assets == ("A", "B")
+
+
 def test_load_returns_csv_missing_cell(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("a,b\n0.1,\n0.3,0.01\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,7 +16,13 @@ from mvgear import (
     solve_kkt,
 )
 
+from mvgear.oracle import SAMPLE_BLOCK_BYTES, _row_quadratic
+
 from conftest import random_instance, random_spd
+
+BLOCK_DIM = 20
+BLOCK_ROWS = SAMPLE_BLOCK_BYTES // (8 * BLOCK_DIM)
+BLOCK_COUNTS = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 100_007]
 
 
 def test_oracle_never_imports_production_solvers():
@@ -147,3 +155,63 @@ def test_risk_shell_projection():
     batch = projector(rng.standard_normal((100, 3)))
     risks = np.sqrt(np.einsum("ij,jk,ik->i", batch, cov.entries, batch))
     npt.assert_allclose(risks, 0.4, rtol=1e-12)
+
+
+def test_row_quadratic_matches_three_operand_einsum():
+    rng = np.random.default_rng(89)
+    cov = random_spd(rng, 100, kappa=1e4)
+    batch = rng.standard_normal((1000, 100))
+    reference = np.einsum("ij,jk,ik->i", batch, cov, batch)
+    rel = np.abs(_row_quadratic(batch, cov) - reference) / reference
+    assert rel.max() <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def sharpe_on_gearing_plane():
+    alpha, cov = random_instance(np.random.default_rng(97), BLOCK_DIM)
+    return sharpe_objective(alpha.entries, cov.entries), project_to_gearing(1.0)
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_dominance_blocks_score_one_unblocked_draw(sharpe_on_gearing_plane, count):
+    objective, projector = sharpe_on_gearing_plane
+    draw = np.random.default_rng(11).standard_normal((count, BLOCK_DIM))
+    reference = float(objective(projector(draw)).max())
+    value = dominance_sample(objective, projector, BLOCK_DIM, count, 11)
+    npt.assert_allclose(value, reference, rtol=1e-12)
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_dominance_projects_each_row_once(sharpe_on_gearing_plane, count):
+    objective, projector = sharpe_on_gearing_plane
+    seen = []
+
+    def counting(batch):
+        seen.append(len(batch))
+        return projector(batch)
+
+    dominance_sample(objective, counting, BLOCK_DIM, count, 3)
+    assert sum(seen) == count
+    assert max(seen) <= BLOCK_ROWS
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_dominance_same_seed_is_bit_identical(sharpe_on_gearing_plane, count):
+    objective, projector = sharpe_on_gearing_plane
+    a = dominance_sample(objective, projector, BLOCK_DIM, count, 5)
+    b = dominance_sample(objective, projector, BLOCK_DIM, count, 5)
+    assert a == b
+
+
+def test_dominance_memory_does_not_grow_with_count():
+    alpha, cov = random_instance(np.random.default_rng(101), 100)
+    objective = sharpe_objective(alpha.entries, cov.entries)
+    projector = project_to_gearing(1.0)
+    tracemalloc.start()
+    try:
+        dominance_sample(objective, projector, 100, 100_000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One unblocked 100k x 100 draw alone is 80 MB.
+    assert peak < 32e6
