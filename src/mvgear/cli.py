@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .solvers import Program
 
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 100_000
+# Most points a grid, or the two grids of a surface together, may have.
+MAX_GRID_POINTS = 1_000_000
 
 SURFACE_HEADER = ["alpha_p", "g0", "sigma_p", "is_gmv_line", "is_risky_line"]
 SWEEP_HEADER = [
@@ -73,8 +76,10 @@ def parse_grid(text: str) -> np.ndarray:
     span = (stop - start) / step
     if span < -0.5:
         raise CliError("BadGrid", f"grid {text!r} runs away from its stop value")
-    count = int(math.floor(span + 0.5 + 1e-9))
-    return start + step * np.arange(count + 1)
+    reach = span + 0.5 + 1e-9
+    if reach >= MAX_GRID_POINTS:
+        raise CliError("BadGrid", f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return start + step * np.arange(int(math.floor(reach)) + 1)
 
 
 def _build_parser() -> _Parser:
@@ -158,6 +163,18 @@ def _moments(args):
     panel = load_returns_csv(args.input)
     alpha, cov = estimate_moments(panel)
     return panel, alpha, cov
+
+
+def _load_portfolio(args, panel):
+    """The ``--portfolio`` file, refused if it names other assets than the panel."""
+    port = serialize.load_portfolio_json(args.portfolio)
+    if port.assets is not None and port.assets != panel.assets:
+        column, mine, theirs = next(
+            (j, a, b) for j, (a, b) in enumerate(zip_longest(port.assets, panel.assets), 1)
+            if a != b)
+        raise CliError("AssetMismatch", f"portfolio {args.portfolio} records {mine!r} "
+                                        f"for column {column}, the panel has {theirs!r}")
+    return port
 
 
 def _shrink_spec(args) -> ShrinkageSpec | None:
@@ -265,19 +282,21 @@ def _cmd_frontier(args) -> str:
 
 def _cmd_surface(args) -> str:
     _, alpha, cov = _moments(args)
-    points = solvers.pareto_surface(
-        alpha, cov, parse_grid(args.alpha_grid), parse_grid(args.g0)
-    )
+    alphas, gearings = parse_grid(args.alpha_grid), parse_grid(args.g0)
+    if alphas.size * gearings.size > MAX_GRID_POINTS:
+        raise CliError("BadGrid", f"surface of {alphas.size} x {gearings.size} points "
+                                  f"has more than {MAX_GRID_POINTS} points")
+    points = solvers.pareto_surface(alpha, cov, alphas, gearings)
     return serialize.csv_lines(SURFACE_HEADER, _surface_rows(points))
 
 
 def _cmd_bounds(args) -> str:
-    _, alpha, cov = _moments(args)
+    panel, alpha, cov = _moments(args)
     if (args.portfolio is None) == (args.theta is None):
         raise CliError("MissingParameter",
                        "bounds takes exactly one of --portfolio / --theta")
     if args.portfolio is not None:
-        theta = serialize.load_portfolio_json(args.portfolio).weights
+        theta = _load_portfolio(args, panel).weights
     else:
         try:
             theta = np.array([float(x) for x in args.theta.split(",")])
@@ -432,7 +451,7 @@ def _verify_checks(args, panel, alpha, cov, port) -> list[dict]:
 
 def _cmd_verify(args) -> tuple[str, bool]:
     panel, alpha, cov = _moments(args)
-    port = serialize.load_portfolio_json(args.portfolio)
+    port = _load_portfolio(args, panel)
     if port.dim != cov.dim:
         raise CliError("BadArguments",
                        f"portfolio has {port.dim} weights, panel has {cov.dim} assets")

@@ -16,6 +16,8 @@ clipping eigenvalues at a floor relative to the largest one.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -120,15 +122,32 @@ class AlphaVector:
 
 def _sign_fix_columns(vectors: np.ndarray) -> np.ndarray:
     """Make each column's first significantly nonzero component positive."""
+    mags = np.abs(vectors)
+    pivots = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    flip = vectors[pivots, np.arange(vectors.shape[1])] < 0
     fixed = vectors.copy()
-    for j in range(fixed.shape[1]):
-        col = fixed[:, j]
-        thresh = 1e-8 * np.max(np.abs(col))
-        idx = np.flatnonzero(np.abs(col) > thresh)
-        pivot = idx[0] if idx.size else 0
-        if col[pivot] < 0:
-            fixed[:, j] = -col
+    fixed[:, flip] *= -1.0
     return fixed
+
+
+def _symmetrized(entries) -> np.ndarray:
+    """Validated covariance entries, averaged with their transpose."""
+    mat = np.asarray(entries, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DimensionError(f"covariance must be square, got shape {mat.shape}")
+    if mat.shape[0] < 2:
+        raise DimensionError("covariance needs dimension >= 2")
+    if not np.all(np.isfinite(mat)):
+        raise NonFiniteData("covariance contains non-finite entries")
+    scale = np.max(np.abs(mat))
+    if scale == 0.0:
+        raise SingularCovariance("covariance is identically zero")
+    if np.max(np.abs(mat - mat.T)) > SYMMETRY_RTOL * scale:
+        raise AsymmetricCovariance(
+            "covariance asymmetry exceeds relative tolerance "
+            f"{SYMMETRY_RTOL:g}"
+        )
+    return 0.5 * (mat + mat.T)
 
 
 @dataclass(frozen=True)
@@ -146,26 +165,16 @@ class CovMatrix:
 
     @classmethod
     def from_entries(cls, entries) -> "CovMatrix":
-        mat = np.asarray(entries, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionError(f"covariance must be square, got shape {mat.shape}")
-        if mat.shape[0] < 2:
-            raise DimensionError("covariance needs dimension >= 2")
-        if not np.all(np.isfinite(mat)):
-            raise NonFiniteData("covariance contains non-finite entries")
-        scale = np.max(np.abs(mat))
-        if scale == 0.0:
-            raise SingularCovariance("covariance is identically zero")
-        if np.max(np.abs(mat - mat.T)) > SYMMETRY_RTOL * scale:
-            raise AsymmetricCovariance(
-                "covariance asymmetry exceeds relative tolerance "
-                f"{SYMMETRY_RTOL:g}"
-            )
-        sym = 0.5 * (mat + mat.T)
+        sym = _symmetrized(entries)
         try:
             ascending, vectors = np.linalg.eigh(sym)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
+        return cls._from_eigh(sym, ascending, vectors)
+
+    @classmethod
+    def _from_eigh(cls, sym, ascending, vectors) -> "CovMatrix":
+        """Wrap ``sym`` (from :func:`_symmetrized`) and the ``eigh`` of it."""
         order = np.argsort(ascending)[::-1]
         rho = ascending[order]
         vecs = _sign_fix_columns(vectors[:, order])
@@ -251,8 +260,10 @@ def estimate_moments(
             stacklevel=2,
         )
         sample = (vecs * np.maximum(rho, floor)) @ vecs.T
-        sample = 0.5 * (sample + sample.T)
-    return AlphaVector(alpha), CovMatrix.from_entries(sample)
+        return AlphaVector(alpha), CovMatrix.from_entries(0.5 * (sample + sample.T))
+    # ``sample`` is exactly symmetric, so ``_symmetrized`` returns its bits
+    # unchanged and the decomposition above is the decomposition of them.
+    return AlphaVector(alpha), CovMatrix._from_eigh(_symmetrized(sample), rho, vecs)
 
 
 def condition_number(cov: CovMatrix) -> float:
@@ -265,32 +276,57 @@ def spectral_decompose(cov: CovMatrix) -> tuple[np.ndarray, np.ndarray]:
     return cov.eigenvalues.copy(), cov.eigenvectors.copy()
 
 
-def load_returns_csv(path) -> ReturnsPanel:
-    """Read a returns panel from CSV.
+def _first_fault(path) -> str:
+    """Name the first fault of a CSV file that ``np.loadtxt`` rejected.
 
-    First row holds the asset names; every following row holds one period of
-    simple returns as decimal fractions. A missing or blank cell is a hard
-    error -- there is no imputation.
+    Re-reads the file and scans it cell by cell, so that the message names
+    the offending byte, or the row and column at fault; rows are numbered
+    as in the file with blank lines skipped and the header as row 1. Returns
+    an empty string if every cell is a number to ``float``.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if row]
-    if len(rows) < 2:
-        raise NonFiniteData(f"{path}: need a header row and at least one data row")
-    header = [name.strip() for name in rows[0]]
-    n = len(header)
-    data = np.empty((len(rows) - 1, n), dtype=float)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"byte 0x{raw[exc.start]:02x} at offset {exc.start} is not UTF-8"
+    lines = io.StringIO(text.removeprefix("\ufeff"), newline="")
+    rows = [row for row in csv.reader(lines) if row]
+    n = len(rows[0])
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != n:
-            raise NonFiniteData(f"{path}: row {i} has {len(row)} cells, expected {n}")
+            return f"row {i} has {len(row)} cells, expected {n}"
         for j, cell in enumerate(row):
-            text = cell.strip()
-            if not text:
-                raise NonFiniteData(f"{path}: missing cell at row {i}, column {j + 1}")
+            cell = cell.strip()
+            if not cell:
+                return f"missing cell at row {i}, column {j + 1}"
             try:
-                data[i - 2, j] = float(text)
-            except ValueError as exc:
-                raise NonFiniteData(
-                    f"{path}: cell at row {i}, column {j + 1} is not a number: {text!r}"
-                ) from exc
-    return ReturnsPanel(assets=tuple(header), rows=data)
+                float(cell)
+            except ValueError:
+                return f"cell at row {i}, column {j + 1} is not a number: {cell!r}"
+    return ""
+
+
+def load_returns_csv(path) -> ReturnsPanel:
+    """Read a returns panel from UTF-8 CSV.
+
+    First row holds the asset names; every following row holds one period of
+    simple returns as decimal fractions. A cell is an ASCII number, quoted or
+    not, with optional spaces around it; blank lines are skipped. A missing
+    or blank cell is a hard error -- there is no imputation.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        try:
+            header = next((row for row in csv.reader(handle) if row), None)
+            first = next((line for line in handle if line.strip("\r\n")), None)
+            data = None if first is None else np.loadtxt(
+                itertools.chain([first], handle), delimiter=",", comments=None,
+                quotechar='"', ndmin=2, dtype=float)
+        except ValueError as exc:
+            raise NonFiniteData(f"{path}: {_first_fault(path) or exc}") from exc
+    if data is None:
+        raise NonFiniteData(f"{path}: need a header row and at least one data row")
+    if data.shape[1] != len(header):
+        fault = _first_fault(path) or f"{data.shape[1]} columns for {len(header)} assets"
+        raise NonFiniteData(f"{path}: {fault}")
+    return ReturnsPanel(assets=tuple(name.strip() for name in header), rows=data)

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mvgear.cli import main, parse_grid
+from mvgear.cli import MAX_GRID_POINTS, main, parse_grid
 from mvgear.cli import CliError
 
 from conftest import write_micro_csv
@@ -44,6 +45,41 @@ def test_parse_grid_rejects_garbage():
         parse_grid("1:2")
 
 
+@pytest.mark.parametrize("text", ["0:1e-12:1", "0:1e-320:1", "-1e308:1:1e308"])
+def test_parse_grid_rejects_oversized_grid_before_allocating(text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CliError) as info:
+            parse_grid(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.code == "BadGrid"
+    assert peak < 1_000_000
+
+
+def test_parse_grid_accepts_grid_at_the_cap():
+    assert parse_grid(f"0:1:{MAX_GRID_POINTS - 1}").size == MAX_GRID_POINTS
+    with pytest.raises(CliError):
+        parse_grid(f"0:1:{MAX_GRID_POINTS}")
+
+
+def test_oversized_frontier_exits_2(micro_csv, capsys):
+    assert run(["frontier", "--input", micro_csv, "--alpha-grid", "0:1e-12:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("code=BadGrid")
+    assert len(err.splitlines()) == 1
+
+
+def test_surface_caps_the_product_of_its_grids(micro_csv, capsys):
+    # 1001 x 1001 points: each grid is small, their product is over the cap
+    assert run(["surface", "--input", micro_csv, "--g0", "0:0.001:1",
+                "--alpha-grid", "0:0.001:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("code=BadGrid")
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # estimate / solve
 # ---------------------------------------------------------------------------
@@ -75,6 +111,17 @@ def test_solve_is_byte_deterministic(micro_csv, tmp_path):
         assert run(["solve", "--input", micro_csv, "--program", "VI",
                     "--alpha0", 0.2, "--g0", 1, "--output", out]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_non_utf8_csv_exits_3(tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    # the offset counts from the start of the file, byte-order mark included
+    path.write_bytes(b"\xef\xbb\xbfa,b\n0.1,0.2\n0.3,0.4\xe9\n")
+    assert run(["estimate", "--input", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("code=NonFiniteData")
+    assert "byte 0xe9 at offset 22 is not UTF-8" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_solve_missing_parameter_exits_2(micro_csv, capsys):
@@ -183,6 +230,66 @@ def test_bounds_from_portfolio_file(micro_csv, tmp_path):
 def test_bounds_requires_exactly_one_source(micro_csv, capsys):
     assert run(["bounds", "--input", micro_csv]) == 2
     assert capsys.readouterr().err.startswith("code=MissingParameter")
+
+
+@pytest.fixture
+def five_asset_panels(tmp_path):
+    """The same returns with columns A..E, and with the columns reversed."""
+    rng = np.random.default_rng(2)
+    rows = rng.normal(0.0, 0.04, size=(60, 5)) + np.linspace(0.005, 0.02, 5)
+    names = ["A", "B", "C", "D", "E"]
+    forward, reverse = tmp_path / "fwd.csv", tmp_path / "rev.csv"
+    for path, order in ((forward, slice(None)), (reverse, slice(None, None, -1))):
+        lines = [",".join(names[order])]
+        lines += [",".join(repr(float(v)) for v in row[order]) for row in rows]
+        path.write_text("\n".join(lines) + "\n")
+    port = tmp_path / "p.json"
+    assert run(["solve", "--input", forward, "--program", "VII",
+                "--gamma", 10, "--g0", 1, "--output", port]) == 0
+    return forward, reverse, port
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_portfolio_on_reordered_panel_exits_2(five_asset_panels, capsys, command):
+    forward, reverse, port = five_asset_panels
+    assert run([command, "--input", forward, "--portfolio", port,
+                "--output", port.with_suffix(".out")]) == 0
+    capsys.readouterr()
+    assert run([command, "--input", reverse, "--portfolio", port]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("code=AssetMismatch")
+    assert "'A' for column 1, the panel has 'E'" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_portfolio_naming_fewer_assets_exits_2(five_asset_panels, capsys):
+    forward, _, port = five_asset_panels
+    doc = json.loads(port.read_text())
+    doc["assets"] = doc["assets"][:4]
+    port.write_text(json.dumps(doc))
+    assert run(["verify", "--input", forward, "--portfolio", port]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("code=AssetMismatch")
+    assert "None for column 5, the panel has 'E'" in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_portfolio_without_assets_skips_the_name_check(five_asset_panels, command):
+    _, reverse, port = five_asset_panels
+    doc = json.loads(port.read_text())
+    doc["assets"] = None
+    port.write_text(json.dumps(doc))
+    out = port.with_suffix(".out")
+    # the check is skipped; verify then audits the weights on the wrong columns
+    expected = 0 if command == "bounds" else 3
+    assert run([command, "--input", reverse, "--portfolio", port,
+                "--output", out]) == expected
+
+
+def test_bounds_theta_skips_the_name_check(five_asset_panels):
+    _, reverse, port = five_asset_panels
+    theta = ",".join(repr(w) for w in json.loads(port.read_text())["weights"])
+    assert run(["bounds", "--input", reverse, f"--theta={theta}"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import csv
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,7 +20,7 @@ from mvgear import (
     load_returns_csv,
     spectral_decompose,
 )
-from mvgear.moments import EIGEN_FLOOR_RATIO
+from mvgear.moments import EIGEN_FLOOR_RATIO, _sign_fix_columns
 
 from conftest import random_cov, random_spd
 
@@ -234,3 +237,174 @@ def test_load_returns_csv_non_numeric(tmp_path):
     path.write_text("a,b\n0.1,oops\n")
     with pytest.raises(NonFiniteData):
         load_returns_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# CSV ingestion against the per-cell reference reader
+# ---------------------------------------------------------------------------
+
+def reference_load(path) -> ReturnsPanel:
+    """The per-cell reader that ``np.loadtxt`` replaced: ``csv`` plus ``float``."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row]
+    if len(rows) < 2:
+        raise NonFiniteData(f"{path}: need a header row and at least one data row")
+    header = [name.strip() for name in rows[0]]
+    n = len(header)
+    data = np.empty((len(rows) - 1, n), dtype=float)
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != n:
+            raise NonFiniteData(f"{path}: row {i} has {len(row)} cells, expected {n}")
+        for j, cell in enumerate(row):
+            text = cell.strip()
+            if not text:
+                raise NonFiniteData(f"{path}: missing cell at row {i}, column {j + 1}")
+            try:
+                data[i - 2, j] = float(text)
+            except ValueError as exc:
+                raise NonFiniteData(
+                    f"{path}: cell at row {i}, column {j + 1} is not a number: {text!r}"
+                ) from exc
+    return ReturnsPanel(assets=tuple(header), rows=data)
+
+
+def _messy_csv(rng, t, n) -> str:
+    """CSV text of a random panel with quoted and padded cells, blank lines
+    and mixed line ends."""
+    values = rng.normal(0.0, 0.05, size=(t, n)) * 10.0 ** rng.integers(-3, 3, (t, n))
+    formats = ["{!r}", "{:.10g}", "{:.17g}", "{:.3e}", "{:+.6f}"]
+    pads = ["", " ", "  ", "\t", " \t "]
+    ends = ["\n", "\r\n", "\r"]
+    names = [f"asset {j}" if j % 3 else f'"A,{j}\r\n{j}"' for j in range(n)]
+    lines = [",".join(names)]
+    for row in values:
+        cells = []
+        for v in row:
+            text = formats[rng.integers(len(formats))].format(float(v))
+            pad, tail = pads[rng.integers(len(pads))], pads[rng.integers(len(pads))]
+            if rng.random() < 0.3:
+                cells.append(f'"{pad}{text}{tail}"')
+            else:
+                cells.append(f"{pad}{text}{tail}")
+        lines.append(",".join(cells))
+        if rng.random() < 0.1:
+            lines.append("")
+    return "".join(line + ends[rng.integers(len(ends))] for line in lines)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_loader_equals_per_cell_reference(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    text = _messy_csv(rng, int(rng.integers(2, 60)), int(rng.integers(2, 30)))
+    path = tmp_path / "r.csv"
+    path.write_bytes(text.encode("utf-8"))
+    panel, reference = load_returns_csv(path), reference_load(path)
+    assert panel.assets == reference.assets
+    assert np.array_equal(panel.rows, reference.rows)
+
+
+def test_loader_keeps_leading_blank_lines_and_bom(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"\xef\xbb\xbf\r\n\na,b\r\n\r\n0.1,0.2\r\n0.3,0.4\r\n\r\n")
+    panel = load_returns_csv(path)
+    assert panel.assets == ("a", "b")
+    assert np.array_equal(panel.rows, reference_load(path).rows)
+
+
+@pytest.mark.parametrize("body", [
+    "a,b\n0.1,\n0.3,0.01\n",                 # missing cell
+    "a,b\n0.1\n0.3,0.01\n",                  # short row
+    "a,b\n0.1,0.2,\n0.3,0.01\n",             # trailing comma
+    "a,b\n0.1,0.2\n   \n0.3,0.01\n",         # whitespace-only line
+    "a,b\n\n0.1,0.2\n\n0.3,oops\n",          # non-number, after blank lines
+    "a,b\n0.1,0.2\n0.3,0.1#x\n",             # no comment syntax
+    'a,b\n0.1,0.2\n"0.3,0.4"\n',             # quoted comma is inside one cell
+    "a,b\n0.1,0.2,0.5\n0.3,0.4,0.5\n",       # every row too long
+    "a,b\n",                                 # header only
+    "a,b\n\n\r\n",                           # header and blank lines only
+    "",                                      # empty file
+])
+def test_loader_error_messages_match_reference(tmp_path, body):
+    path = tmp_path / "r.csv"
+    path.write_text(body, newline="")
+    with pytest.raises(NonFiniteData) as expected:
+        reference_load(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteData) as got:
+            load_returns_csv(path)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "١", "0.٢"])
+def test_loader_rejects_what_only_python_float_accepts(tmp_path, cell):
+    path = tmp_path / "r.csv"
+    path.write_text(f"a,b\n0.1,0.2\n{cell},0.4\n", encoding="utf-8")
+    assert reference_load(path).rows[1, 0] == float(cell)
+    with pytest.raises(NonFiniteData, match=str(path)) as got:
+        load_returns_csv(path)
+    assert cell in str(got.value)
+
+
+# ---------------------------------------------------------------------------
+# One eigendecomposition per estimate
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_estimate_moments_decomposes_once(eigh_calls):
+    rng = np.random.default_rng(21)
+    rows = rng.normal(0.01, 0.02, size=(40, 6)) + np.linspace(0.0, 0.01, 6)
+    _, cov = estimate_moments(ReturnsPanel(tuple("abcdef"), rows))
+    assert len(eigh_calls) == 1
+    # the reused decomposition is bit for bit the one from_entries computes
+    again = CovMatrix.from_entries(cov.entries)
+    assert np.array_equal(again.entries, cov.entries)
+    assert np.array_equal(again.eigenvalues, cov.eigenvalues)
+    assert np.array_equal(again.eigenvectors, cov.eigenvectors)
+
+
+def test_estimate_moments_decomposes_twice_when_repairing(eigh_calls):
+    panel = ReturnsPanel(assets=("a", "b"), rows=np.array([[0.1, 0.0], [0.3, 0.0]]))
+    with pytest.warns(SpdRepairWarning):
+        estimate_moments(panel)
+    assert len(eigh_calls) == 2
+
+
+def reference_sign_fix(vectors: np.ndarray) -> np.ndarray:
+    """Column-by-column sign convention that ``_sign_fix_columns`` vectorizes."""
+    fixed = vectors.copy()
+    for j in range(fixed.shape[1]):
+        col = fixed[:, j]
+        thresh = 1e-8 * np.max(np.abs(col))
+        idx = np.flatnonzero(np.abs(col) > thresh)
+        pivot = idx[0] if idx.size else 0
+        if col[pivot] < 0:
+            fixed[:, j] = -col
+    return fixed
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sign_fix_matches_column_loop(order):
+    rng = np.random.default_rng(8)
+    vecs = rng.standard_normal((7, 9))
+    vecs[:3, 1] = [-1e-12, 1e-11, -3e-9]   # leading entries below the threshold
+    vecs[:2, 2] = [-1e-9, 0.0]
+    vecs[:, 3] = 0.0                         # no entry above the threshold
+    vecs[:, 4] = -vecs[:, 4] ** 2            # all negative
+    vecs = np.asarray(vecs, order=order)
+    fixed = _sign_fix_columns(vecs)
+    assert np.array_equal(fixed, reference_sign_fix(vecs))
+    assert fixed.flags.c_contiguous
+    assert fixed[3, 1] > 0 and fixed[2, 2] > 0
