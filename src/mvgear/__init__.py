@@ -15,6 +15,7 @@ from .errors import (
     InvalidKappa,
     InvalidPortfolio,
     InvalidPsi,
+    MissingParameter,
     MvgearError,
     NonFiniteData,
     NonPositiveParameter,

@@ -22,7 +22,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import diversity, geometry, oracle, robust, serialize, solvers
-from .errors import MvgearError
+from .errors import InvalidPortfolio, MissingParameter, MvgearError
 from .moments import estimate_moments, load_returns_csv
 from .robust import ShrinkageSpec, ShrinkMode
 from .solvers import Program
@@ -31,6 +31,9 @@ DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 100_000
 # Most points a grid, or the two grids of a surface together, may have.
 MAX_GRID_POINTS = 1_000_000
+
+# The programs ``solve`` and ``shrink-sweep`` run: every closed form.
+PROGRAM_CHOICES = [program.value for program in solvers.PROGRAMS]
 
 SURFACE_HEADER = ["alpha_p", "g0", "sigma_p", "is_gmv_line", "is_risky_line"]
 SWEEP_HEADER = [
@@ -96,8 +99,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="run one closed-form program")
     common(p)
-    p.add_argument("--program", required=True,
-                   choices=[pr.value for pr in Program if pr is not Program.QOQC])
+    p.add_argument("--program", required=True, choices=PROGRAM_CHOICES)
     p.add_argument("--sigma0", type=float)
     p.add_argument("--alpha0", type=float)
     p.add_argument("--gamma", type=float)
@@ -126,8 +128,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--mode", default="angle", choices=[m.value for m in ShrinkMode])
     p.add_argument("--grid", required=True, help="start:step:stop of k (or q)")
-    p.add_argument("--program",
-                   choices=[pr.value for pr in Program if pr is not Program.QOQC])
+    p.add_argument("--program", choices=PROGRAM_CHOICES)
     p.add_argument("--sigma0", type=float)
     p.add_argument("--alpha0", type=float)
     p.add_argument("--gamma", type=float)
@@ -148,15 +149,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require(args, names: list[str]) -> dict:
-    values = {}
-    for name in names:
-        value = getattr(args, name, None)
-        if value is None:
-            raise CliError("MissingParameter",
-                           f"program {args.program} requires --{name}")
-        values[name] = value
-    return values
+def _program_params(args, program: Program) -> dict:
+    """The flags ``program`` takes, refused unless its table entry is met."""
+    entry = solvers.PROGRAMS[program]
+    try:
+        if sum(getattr(args, name) is not None for name in entry.one_of) > 1:
+            raise MissingParameter(entry.one_of_text())
+        return entry.arguments(vars(args))
+    except MissingParameter as exc:
+        raise CliError("MissingParameter", str(exc)) from exc
 
 
 def _moments(args):
@@ -191,58 +192,6 @@ def _shrink_spec(args) -> ShrinkageSpec | None:
     return ShrinkageSpec(mode=mode, k=args.q)
 
 
-def _solve_program(program: Program, alpha, cov, params: dict):
-    if program is Program.GMV:
-        return solvers.gmv_portfolio(cov)
-    if program is Program.RISKY:
-        return solvers.optimal_risky_portfolio(alpha, cov)
-    if program is Program.I:
-        return solvers.solve_I(alpha, cov, sigma0=params["sigma0"])
-    if program is Program.II:
-        return solvers.solve_II(alpha, cov, alpha0=params["alpha0"])
-    if program is Program.III:
-        return solvers.solve_III(alpha, cov, gamma=params["gamma"])
-    if program is Program.IV:
-        return solvers.solve_IV(alpha, cov, g0=params.get("g0", 1.0))
-    if program is Program.V:
-        return solvers.solve_V(alpha, cov, sigma0=params.get("sigma0"),
-                               g0=params.get("g0"))
-    if program is Program.VI:
-        return solvers.solve_VI(alpha, cov, alpha0=params["alpha0"], g0=params["g0"])
-    if program is Program.VII:
-        return solvers.solve_VII(alpha, cov, gamma=params["gamma"], g0=params["g0"])
-    if program is Program.VIII:
-        return solvers.solve_VIII(alpha, cov, g0=params["g0"])
-    raise CliError("BadArguments", f"program {program} not solvable here")
-
-
-def _gather_params(args, program: Program) -> dict:
-    needed = {
-        Program.I: ["sigma0"],
-        Program.II: ["alpha0"],
-        Program.III: ["gamma"],
-        Program.IV: [],
-        Program.V: [],
-        Program.VI: ["alpha0", "g0"],
-        Program.VII: ["gamma", "g0"],
-        Program.VIII: ["g0"],
-        Program.GMV: [],
-        Program.RISKY: [],
-    }[program]
-    params = _require(args, needed)
-    if program is Program.IV and args.g0 is not None:
-        params["g0"] = args.g0
-    if program is Program.V:
-        if (args.sigma0 is None) == (args.g0 is None):
-            raise CliError("MissingParameter",
-                           "program V takes exactly one of --sigma0 / --g0")
-        if args.sigma0 is not None:
-            params["sigma0"] = args.sigma0
-        else:
-            params["g0"] = args.g0
-    return params
-
-
 def _cmd_estimate(args) -> str:
     panel, alpha, cov = _moments(args)
     doc = {
@@ -258,10 +207,10 @@ def _cmd_estimate(args) -> str:
 def _cmd_solve(args) -> str:
     panel, alpha, cov = _moments(args)
     program = Program(args.program)
-    params = _gather_params(args, program)
+    params = _program_params(args, program)
     spec = _shrink_spec(args)
     if spec is None:
-        port = _solve_program(program, alpha, cov, params)
+        port = solvers.solve(program, alpha, cov, **params)
     else:
         port = robust.solve_robust(program, alpha, cov, spec, **params)
     port = replace(port, assets=panel.assets)
@@ -310,17 +259,18 @@ def _cmd_bounds(args) -> str:
 def _cmd_shrink_sweep(args) -> str:
     _, alpha, cov = _moments(args)
     mode = ShrinkMode(args.mode)
+    grid = parse_grid(args.grid)
+    program = None if args.program is None else Program(args.program)
+    params = {} if program is None else _program_params(args, program)
     rows = []
-    for value in parse_grid(args.grid):
+    for value in grid:
         spec = ShrinkageSpec(mode=mode, k=float(value))
         shrunk = robust.shrink_covariance(cov, alpha, spec)
-        risky = robust.shrunk_risky_portfolio(alpha, cov, spec)
-        if args.program is None:
+        risky = solvers.solve(Program.RISKY, alpha, shrunk)
+        if program is None:
             optimal = risky
         else:
-            program = Program(args.program)
-            params = _gather_params(args, program)
-            optimal = robust.solve_robust(program, alpha, cov, spec, **params)
+            optimal = solvers.solve(program, alpha, shrunk, **params)
         weights_json = '"' + serialize.dumps(list(optimal.weights)) + '"'
         rows.append([
             float(value),
@@ -369,56 +319,52 @@ def _verify_checks(args, panel, alpha, cov, port) -> list[dict]:
     params = dict(port.params)
     shrink_mode = params.pop("shrink_mode", None)
     shrink_k = params.pop("shrink_k", None)
+    qoqc = port.program is Program.QOQC
+    entry = None if qoqc else solvers.PROGRAMS[port.program]
     try:
-        if port.program is Program.QOQC:
+        if qoqc:
             problem = diversity.QoqcProblem(
                 alpha=alpha.entries, cov=cov, gamma=params["gamma"],
                 g0=params["g0"], n0=params["n0"],
             )
             resolved = diversity.solve_qoqc(problem).weights
         elif shrink_mode == "max" and port.program is Program.VI:
-            resolved = robust.max_shrink_VI(alpha, params["alpha0"], params["g0"]).weights
+            resolved = robust.max_shrink_VI(alpha, **entry.arguments(params)).weights
         elif shrink_mode == "max" and port.program is Program.VII:
-            resolved = robust.max_shrink_VII(alpha, params["gamma"], params["g0"]).weights
+            resolved = robust.max_shrink_VII(alpha, **entry.arguments(params)).weights
+        elif shrink_mode == "max":
+            raise InvalidPortfolio(f"program {port.program.value} has no max-shrink form")
         elif shrink_mode is not None:
             spec = ShrinkageSpec(mode=ShrinkMode(shrink_mode), k=float(shrink_k))
-            solve_params = dict(params)
-            if port.program is Program.V and "sigma0" in solve_params:
-                solve_params.pop("g0", None)
-            resolved = robust.solve_robust(
-                port.program, alpha, cov, spec, **solve_params
-            ).weights
+            resolved = robust.solve_robust(port.program, alpha, cov, spec, **params).weights
         else:
-            solve_params = dict(params)
-            if port.program is Program.V and "sigma0" in solve_params:
-                solve_params.pop("g0", None)
-            resolved = _solve_program(port.program, alpha, cov, solve_params).weights
+            resolved = solvers.solve(port.program, alpha, cov, **params).weights
         err = float(np.abs(resolved - w).max())
         check("weights_resolve", err <= 1e-8, f"max weight deviation {err:g}")
     except MvgearError as exc:
         check("weights_resolve", False, f"{type(exc).__name__}: {exc}")
 
-    gearing_programs = {Program.IV, Program.V, Program.VI, Program.VII,
-                        Program.VIII, Program.QOQC}
-    if port.program in gearing_programs and "g0" in port.params:
+    # QOQC binds its gearing; its sphere and stationarity audits follow.
+    binds = ("gearing",) if qoqc else entry.binds
+    if "gearing" in binds and "g0" in port.params:
         g0 = float(port.params["g0"])
         check("gearing_constraint", abs(gearing - g0) <= 1e-10 * max(1.0, abs(g0)),
               f"1'theta = {gearing!r} vs g0 = {g0!r}")
-    if port.program in {Program.GMV, Program.RISKY}:
+    if "full_investment" in binds:
         check("gearing_constraint", abs(gearing - 1.0) <= 1e-10,
               f"1'theta = {gearing!r} vs 1")
-    if port.program in {Program.II, Program.VI} and "alpha0" in port.params:
+    if "return" in binds and "alpha0" in port.params:
         ret = float(alpha.entries @ w)
         target = float(port.params["alpha0"])
         check("return_constraint", abs(ret - target) <= 1e-10 * max(1.0, abs(target)),
               f"alpha'theta = {ret!r} vs alpha0 = {target!r}")
-    if port.program in {Program.I, Program.V} and "sigma0" in port.params \
-            and shrink_mode is None:
+    # A shrunk solution meets its risk bound on the shrunk covariance only.
+    if "risk" in binds and "sigma0" in port.params and shrink_mode is None:
         target = float(port.params["sigma0"])
         risk = float(np.sqrt(max(cov.quad(w), 0.0)))
         check("risk_constraint", abs(risk - target) <= 1e-10 * max(1.0, target),
               f"sigma_p = {risk!r} vs sigma0 = {target!r}")
-    if port.program is Program.QOQC:
+    if qoqc:
         sphere = float(w @ w)
         target = 1.0 / float(port.params["n0"])
         check("diversity_constraint", abs(sphere - target) <= 1e-8,
@@ -436,8 +382,7 @@ def _verify_checks(args, panel, alpha, cov, port) -> list[dict]:
     except MvgearError as exc:
         check("bound_slack", False, f"{type(exc).__name__}: {exc}")
 
-    if port.program in {Program.IV, Program.V, Program.VIII, Program.RISKY} \
-            and shrink_mode is None:
+    if not qoqc and entry.sharpe and shrink_mode is None:
         best = oracle.dominance_sample(
             oracle.sharpe_objective(alpha.entries, cov.entries),
             oracle.project_to_gearing(gearing if gearing != 0.0 else 1.0),

@@ -37,6 +37,10 @@ class NonPositiveParameter(MvgearError):
     """A program parameter is outside its admissible domain."""
 
 
+class MissingParameter(MvgearError):
+    """A program was asked to solve without a parameter it needs."""
+
+
 class ZeroVector(MvgearError):
     """An angle was requested for a zero-length vector."""
 

@@ -282,7 +282,7 @@ def _first_fault(path) -> str:
     Re-reads the file and scans it cell by cell, so that the message names
     the offending byte, or the row and column at fault; rows are numbered
     as in the file with blank lines skipped and the header as row 1. Returns
-    an empty string if every cell is a number to ``float``.
+    an empty string if every cell is a number to numpy.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -291,20 +291,38 @@ def _first_fault(path) -> str:
     except UnicodeDecodeError as exc:
         return f"byte 0x{raw[exc.start]:02x} at offset {exc.start} is not UTF-8"
     lines = io.StringIO(text.removeprefix("\ufeff"), newline="")
-    rows = [row for row in csv.reader(lines) if row]
-    n = len(rows[0])
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != n:
-            return f"row {i} has {len(row)} cells, expected {n}"
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if not cell:
-                return f"missing cell at row {i}, column {j + 1}"
-            try:
-                float(cell)
-            except ValueError:
-                return f"cell at row {i}, column {j + 1} is not a number: {cell!r}"
+    i = 0  # rows read so far
+    try:
+        for row in csv.reader(lines):
+            if not row:
+                continue
+            i += 1
+            if i == 1:
+                n = len(row)
+                continue
+            if len(row) != n:
+                return f"row {i} has {len(row)} cells, expected {n}"
+            for j, cell in enumerate(row):
+                cell = cell.strip()
+                if not cell:
+                    return f"missing cell at row {i}, column {j + 1}"
+                if not _is_number(cell):
+                    return f"cell at row {i}, column {j + 1} is not a number: {cell!r}"
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        return f"row {i + 1} cannot be read as CSV: {exc}"
     return ""
+
+
+def _is_number(cell: str) -> bool:
+    """Whether numpy parses ``cell``: ``float`` syntax without the digit-group
+    underscores and non-ASCII digits that only ``float`` takes."""
+    if not cell.isascii() or "_" in cell:
+        return False
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def load_returns_csv(path) -> ReturnsPanel:
@@ -322,7 +340,7 @@ def load_returns_csv(path) -> ReturnsPanel:
             data = None if first is None else np.loadtxt(
                 itertools.chain([first], handle), delimiter=",", comments=None,
                 quotechar='"', ndmin=2, dtype=float)
-        except ValueError as exc:
+        except (ValueError, csv.Error) as exc:
             raise NonFiniteData(f"{path}: {_first_fault(path) or exc}") from exc
     if data is None:
         raise NonFiniteData(f"{path}: need a header row and at least one data row")

@@ -36,7 +36,6 @@ from .errors import (
     NonPositiveParameter,
     ShrinkBrokeSPD,
     SingularCovariance,
-    ZeroB,
 )
 from .geometry import alpha_angle
 from .moments import CovMatrix, as_vector
@@ -142,19 +141,7 @@ def shrink_covariance(cov: CovMatrix, alpha, spec: ShrinkageSpec) -> CovMatrix:
 
 def shrunk_risky_portfolio(alpha, cov: CovMatrix, spec: ShrinkageSpec) -> Portfolio:
     """Fully-invested risky portfolio of the shrunk covariance."""
-    a = as_vector(alpha)
-    shrunk = shrink_covariance(cov, a, spec)
-    raw = shrunk.solve(a)
-    b = float(raw.sum())
-    if abs(b) <= solvers.ZERO_B_TOL:
-        raise ZeroB(f"1'Sigma~^-1 alpha = {b:g}; shrunk risky portfolio undefined")
-    return _portfolio(
-        raw / b,
-        Program.RISKY,
-        {"shrink_mode": spec.mode.value, "shrink_k": spec.k},
-        alpha=a,
-        cov=cov,
-    )
+    return solve_robust(Program.RISKY, alpha, cov, spec)
 
 
 def shrunk_gmv_portfolio(
@@ -176,44 +163,14 @@ def shrunk_gmv_portfolio(
 
 
 def solve_robust(
-    program: Program,
-    alpha,
-    cov: CovMatrix,
-    spec: ShrinkageSpec,
-    sigma0: float | None = None,
-    alpha0: float | None = None,
-    gamma: float | None = None,
-    g0: float | None = None,
+    program: Program, alpha, cov: CovMatrix, spec: ShrinkageSpec, **params
 ) -> Portfolio:
-    """Re-solve any closed-form program on the shrunk covariance."""
+    """Re-solve any closed-form program, with ``params`` as :func:`solvers.solve`
+    takes them, on the shrunk covariance; the result records the shrink and
+    reports alpha_p and sigma_p on the unshrunk covariance."""
     a = as_vector(alpha)
-    shrunk = shrink_covariance(cov, a, spec)
-    program = Program(program)
-    if program is Program.GMV:
-        base = solvers.gmv_portfolio(shrunk)
-    elif program is Program.RISKY:
-        base = solvers.optimal_risky_portfolio(a, shrunk)
-    elif program is Program.I:
-        base = solvers.solve_I(a, shrunk, sigma0=sigma0)
-    elif program is Program.II:
-        base = solvers.solve_II(a, shrunk, alpha0=alpha0)
-    elif program is Program.III:
-        base = solvers.solve_III(a, shrunk, gamma=gamma)
-    elif program is Program.IV:
-        base = solvers.solve_IV(a, shrunk, g0=1.0 if g0 is None else g0)
-    elif program is Program.V:
-        base = solvers.solve_V(a, shrunk, sigma0=sigma0, g0=g0)
-    elif program is Program.VI:
-        base = solvers.solve_VI(a, shrunk, alpha0=alpha0, g0=g0)
-    elif program is Program.VII:
-        base = solvers.solve_VII(a, shrunk, gamma=gamma, g0=g0)
-    elif program is Program.VIII:
-        base = solvers.solve_VIII(a, shrunk, g0=g0)
-    else:
-        raise NonPositiveParameter(f"program {program} has no shrunk variant")
-    params = dict(base.params)
-    params["shrink_mode"] = spec.mode.value
-    params["shrink_k"] = spec.k
+    base = solvers.solve(program, a, shrink_covariance(cov, a, spec), **params)
+    params = {**base.params, "shrink_mode": spec.mode.value, "shrink_k": spec.k}
     return _portfolio(base.weights, base.program, params, alpha=a, cov=cov)
 
 

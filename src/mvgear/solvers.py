@@ -24,12 +24,16 @@ minimized at alpha_p = g0 B / A with value g0^2 / A; sweeping (alpha_p, g0)
 produces the Pareto surface.
 
 Linear solves go through the spectral decomposition cached on CovMatrix
-rather than explicit inversion.
+rather than explicit inversion; each solve computes Sigma^-1 1 and
+Sigma^-1 alpha at most once. :data:`PROGRAMS` lists every closed form with
+its solver, its parameters and the constraints it binds; :func:`solve`
+runs a program from it.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +43,7 @@ from .errors import (
     DegenerateAlpha,
     DimensionError,
     InvalidPortfolio,
+    MissingParameter,
     NonFiniteData,
     NonPositiveParameter,
     ZeroB,
@@ -75,12 +80,14 @@ class Program(str, Enum):
 
 @dataclass(frozen=True)
 class FrontierScalars:
-    """The four quadratic forms in Sigma^-1 behind every closed form."""
+    """Sigma^-1 1, Sigma^-1 alpha and the forms A, B, C, D behind every closed form."""
 
     A: float
     B: float
     C: float
     D: float
+    si_ones: np.ndarray
+    si_alpha: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -139,7 +146,8 @@ def leverage(portfolio: Portfolio) -> tuple[float, float]:
     return float(w.sum()), float(np.abs(w).sum())
 
 
-def frontier_scalars(alpha, cov: CovMatrix) -> FrontierScalars:
+def _frontier(alpha, cov: CovMatrix) -> FrontierScalars:
+    """Frontier object of (alpha, Sigma), D unchecked: two spectral solves."""
     a = as_vector(alpha)
     if a.size != cov.dim:
         raise DimensionError(f"alpha length {a.size} != covariance dim {cov.dim}")
@@ -149,13 +157,19 @@ def frontier_scalars(alpha, cov: CovMatrix) -> FrontierScalars:
     big_a = float(ones @ si_ones)
     big_b = float(a @ si_ones)
     big_c = float(a @ si_alpha)
-    big_d = big_a * big_c - big_b**2
-    if big_d <= DEGENERATE_D_TOL:
+    return FrontierScalars(A=big_a, B=big_b, C=big_c, D=big_a * big_c - big_b**2,
+                           si_ones=si_ones, si_alpha=si_alpha)
+
+
+def frontier_scalars(alpha, cov: CovMatrix) -> FrontierScalars:
+    """Frontier object of (alpha, Sigma); raises DegenerateAlpha unless D > 0."""
+    scal = _frontier(alpha, cov)
+    if scal.D <= DEGENERATE_D_TOL:
         raise DegenerateAlpha(
-            f"D = AC - B^2 = {big_d:g} is not positive; "
+            f"D = AC - B^2 = {scal.D:g} is not positive; "
             "all assets share the same expected return"
         )
-    return FrontierScalars(A=big_a, B=big_b, C=big_c, D=big_d)
+    return scal
 
 
 def gmv_portfolio(cov: CovMatrix) -> Portfolio:
@@ -188,7 +202,7 @@ def solve_I(alpha, cov: CovMatrix, sigma0: float) -> Portfolio:
     sigma0 = _require_positive("sigma0", sigma0)
     a = as_vector(alpha)
     scal = frontier_scalars(a, cov)
-    w = (sigma0 / np.sqrt(scal.C)) * cov.solve(a)
+    w = (sigma0 / np.sqrt(scal.C)) * scal.si_alpha
     return _portfolio(w, Program.I, {"sigma0": sigma0}, alpha=a, cov=cov)
 
 
@@ -197,7 +211,7 @@ def solve_II(alpha, cov: CovMatrix, alpha0: float) -> Portfolio:
     alpha0 = _require_positive("alpha0", alpha0)
     a = as_vector(alpha)
     scal = frontier_scalars(a, cov)
-    w = (alpha0 / scal.C) * cov.solve(a)
+    w = (alpha0 / scal.C) * scal.si_alpha
     return _portfolio(w, Program.II, {"alpha0": alpha0}, alpha=a, cov=cov)
 
 
@@ -209,14 +223,19 @@ def solve_III(alpha, cov: CovMatrix, gamma: float) -> Portfolio:
     return _portfolio(w, Program.III, {"gamma": gamma}, alpha=a, cov=cov)
 
 
-def solve_IV(alpha, cov: CovMatrix, g0: float = 1.0) -> Portfolio:
-    """Sharpe maximization scaled to gearing g0 (g0 theta_alpha)."""
+def _geared_sharpe(program: Program, alpha, cov: CovMatrix, g0: float) -> Portfolio:
+    """g0 theta_alpha, the Sharpe maximum at gearing g0 (programs IV and VIII)."""
     g0 = float(g0)
     if g0 == 0.0:
         raise NonPositiveParameter("g0 must be nonzero for the Sharpe program")
     a = as_vector(alpha)
     w = g0 * optimal_risky_portfolio(a, cov).weights
-    return _portfolio(w, Program.IV, {"g0": g0}, alpha=a, cov=cov)
+    return _portfolio(w, program, {"g0": g0}, alpha=a, cov=cov)
+
+
+def solve_IV(alpha, cov: CovMatrix, g0: float = 1.0) -> Portfolio:
+    """Sharpe maximization scaled to gearing g0 (g0 theta_alpha)."""
+    return _geared_sharpe(Program.IV, alpha, cov, g0)
 
 
 def solve_V(
@@ -240,7 +259,7 @@ def solve_V(
     else:
         g0 = _require_positive("g0", g0)
         params = {"g0": float(g0)}
-    w = (g0 / scal.B) * cov.solve(a)
+    w = (g0 / scal.B) * scal.si_alpha
     return _portfolio(w, Program.V, params, alpha=a, cov=cov)
 
 
@@ -263,7 +282,7 @@ def solve_VI(alpha, cov: CovMatrix, alpha0: float, g0: float) -> Portfolio:
     scal = frontier_scalars(a, cov)
     lam1 = (alpha0 * scal.A - g0 * scal.B) / scal.D
     lam2 = (g0 * scal.C - alpha0 * scal.B) / scal.D
-    w = lam1 * cov.solve(a) + lam2 * cov.solve(np.ones(cov.dim))
+    w = lam1 * scal.si_alpha + lam2 * scal.si_ones
     inflection = g0 * scal.B / scal.A
     if alpha0 < inflection - 1e-12 * max(1.0, abs(inflection)):
         warnings.warn(
@@ -288,32 +307,106 @@ def solve_VII(alpha, cov: CovMatrix, gamma: float, g0: float) -> Portfolio:
     gamma = _require_positive("gamma", gamma)
     g0 = float(g0)
     a = as_vector(alpha)
-    ones = np.ones(cov.dim)
-    si_ones = cov.solve(ones)
-    si_alpha = cov.solve(a)
-    big_a = float(ones @ si_ones)
-    big_b = float(a @ si_ones)
-    w = (g0 - big_b / gamma) * si_ones / big_a + si_alpha / gamma
+    scal = _frontier(a, cov)
+    w = (g0 - scal.B / gamma) * scal.si_ones / scal.A + scal.si_alpha / gamma
     return _portfolio(w, Program.VII, {"gamma": gamma, "g0": g0}, alpha=a, cov=cov)
 
 
 def solve_VIII(alpha, cov: CovMatrix, g0: float) -> Portfolio:
     """Geared Sharpe maximization: theta = g0 Sigma^-1 alpha / (1'Sigma^-1 alpha)."""
-    g0 = float(g0)
-    if g0 == 0.0:
-        raise NonPositiveParameter("g0 must be nonzero for the Sharpe program")
-    a = as_vector(alpha)
-    w = g0 * optimal_risky_portfolio(a, cov).weights
-    return _portfolio(w, Program.VIII, {"g0": g0}, alpha=a, cov=cov)
+    return _geared_sharpe(Program.VIII, alpha, cov, g0)
 
 
-def frontier_variance(scalars: FrontierScalars, alpha_p: float, g0: float) -> float:
-    """Minimum portfolio variance at return alpha_p and gearing g0."""
+@dataclass(frozen=True)
+class ProgramSpec:
+    """One closed-form program: its solver, its parameters, what it binds.
+
+    ``binds`` names the constraints its solution meets with equality:
+    ``"gearing"`` (1'theta = g0), ``"full_investment"`` (1'theta = 1),
+    ``"return"`` (alpha'theta = alpha0), ``"risk"`` (sigma_p = sigma0).
+    ``sharpe`` marks the Sharpe family: no portfolio of its gearing beats
+    its Sharpe ratio.
+    """
+
+    program: Program
+    solver: Callable[..., Portfolio]
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    one_of: tuple[str, ...] = ()
+    binds: tuple[str, ...] = ()
+    sharpe: bool = False
+
+    def arguments(self, values: Mapping) -> dict:
+        """The solver's parameters among ``values`` (None means unset); raises
+        MissingParameter unless every required name and one of ``one_of`` is
+        set. The first of ``one_of`` wins: a solved V records both."""
+        given = {name: value for name, value in values.items() if value is not None}
+        for name in self.required:
+            if name not in given:
+                raise MissingParameter(f"program {self.program.value} requires --{name}")
+        chosen = [name for name in self.one_of if name in given][:1]
+        if self.one_of and not chosen:
+            raise MissingParameter(self.one_of_text())
+        optional = [name for name in self.optional if name in given]
+        return {name: given[name] for name in [*self.required, *optional, *chosen]}
+
+    def one_of_text(self) -> str:
+        flags = " / ".join(f"--{name}" for name in self.one_of)
+        return f"program {self.program.value} takes exactly one of {flags}"
+
+
+# In Program order, which is the order the CLI lists them in.
+PROGRAMS: dict[Program, ProgramSpec] = {spec.program: spec for spec in (
+    ProgramSpec(Program.I, solve_I, required=("sigma0",), binds=("risk",)),
+    ProgramSpec(Program.II, solve_II, required=("alpha0",), binds=("return",)),
+    ProgramSpec(Program.III, solve_III, required=("gamma",)),
+    ProgramSpec(Program.IV, solve_IV, optional=("g0",), binds=("gearing",), sharpe=True),
+    ProgramSpec(Program.V, solve_V, one_of=("sigma0", "g0"), binds=("gearing", "risk"),
+                sharpe=True),
+    ProgramSpec(Program.VI, solve_VI, required=("alpha0", "g0"),
+                binds=("gearing", "return")),
+    ProgramSpec(Program.VII, solve_VII, required=("gamma", "g0"), binds=("gearing",)),
+    ProgramSpec(Program.VIII, solve_VIII, required=("g0",), binds=("gearing",),
+                sharpe=True),
+    ProgramSpec(Program.GMV, lambda alpha, cov: gmv_portfolio(cov),
+                binds=("full_investment",)),
+    ProgramSpec(Program.RISKY, optimal_risky_portfolio, binds=("full_investment",),
+                sharpe=True),
+)}
+
+
+def solve(program: Program, alpha, cov: CovMatrix, **params) -> Portfolio:
+    """Solve closed-form ``program`` from its PROGRAMS entry, passing the
+    solver what :meth:`ProgramSpec.arguments` picks from ``params``."""
+    program = Program(program)
+    if program not in PROGRAMS:
+        raise NonPositiveParameter(f"program {program.value} has no closed form")
+    entry = PROGRAMS[program]
+    return entry.solver(alpha, cov, **entry.arguments(params))
+
+
+def frontier_variance(scalars: FrontierScalars, alpha_p, g0):
+    """Minimum portfolio variance at return alpha_p and gearing g0.
+
+    ``alpha_p`` and ``g0`` may be arrays that broadcast together. Squares
+    are taken with Python's float power (the C library's ``pow``), which
+    differs from numpy's ``x * x`` in the last bit for about one double in a
+    thousand, so that an array of points gives the bits each point gives
+    on its own.
+    """
     if scalars.D <= DEGENERATE_D_TOL:
         raise DegenerateAlpha(f"D = {scalars.D:g} is not positive")
     return (
-        alpha_p**2 * scalars.A - 2.0 * g0 * alpha_p * scalars.B + g0**2 * scalars.C
+        _pow2(alpha_p) * scalars.A - 2.0 * g0 * alpha_p * scalars.B
+        + _pow2(g0) * scalars.C
     ) / scalars.D
+
+
+def _pow2(x):
+    if np.ndim(x) == 0:
+        return x**2
+    x = np.asarray(x, dtype=float)
+    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -325,16 +418,15 @@ class FrontierPoint:
     sigma_p: float
     is_gmv_line: bool = False
     is_risky_line: bool = False
-    weights: Portfolio | None = None
 
 
-def pareto_surface(
-    alpha,
-    cov: CovMatrix,
-    alpha_p_grid,
-    g0_grid,
-    attach_weights: bool = False,
-) -> list[FrontierPoint]:
+def _on_line(alphas: np.ndarray, line: np.ndarray) -> np.ndarray:
+    """alpha_p within LINE_FLAG_RTOL of the line's return, per (alpha_p, g0)."""
+    tolerance = LINE_FLAG_RTOL * np.maximum(1.0, np.abs(line))
+    return np.abs(alphas[:, None] - line) <= tolerance
+
+
+def pareto_surface(alpha, cov: CovMatrix, alpha_p_grid, g0_grid) -> list[FrontierPoint]:
     """Evaluate the minimum-variance surface over an (alpha_p, g0) grid.
 
     Points on the GMV line (alpha_p = g0 B / A) and the geared-risky line
@@ -349,37 +441,15 @@ def pareto_surface(
     if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(gearings))):
         raise NonFiniteData("grids must be finite")
     scal = frontier_scalars(a, cov)
-    points: list[FrontierPoint] = []
-    for alpha_p in alphas:
-        for g0 in gearings:
-            var = frontier_variance(scal, float(alpha_p), float(g0))
-            gmv_return = g0 * scal.B / scal.A
-            on_gmv = abs(alpha_p - gmv_return) <= LINE_FLAG_RTOL * max(
-                1.0, abs(gmv_return)
-            )
-            if abs(scal.B) > ZERO_B_TOL:
-                risky_return = g0 * scal.C / scal.B
-                on_risky = abs(alpha_p - risky_return) <= LINE_FLAG_RTOL * max(
-                    1.0, abs(risky_return)
-                )
-            else:
-                on_risky = False
-            port = None
-            if attach_weights:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", InefficientBranchWarning)
-                    port = solve_VI(a, cov, alpha0=float(alpha_p), g0=float(g0))
-            points.append(
-                FrontierPoint(
-                    alpha_p=float(alpha_p),
-                    g0=float(g0),
-                    sigma_p=float(np.sqrt(max(var, 0.0))),
-                    is_gmv_line=bool(on_gmv),
-                    is_risky_line=bool(on_risky),
-                    weights=port,
-                )
-            )
-    return points
+    var = frontier_variance(scal, alphas[:, None], gearings)
+    on_gmv = _on_line(alphas, gearings * scal.B / scal.A)
+    if abs(scal.B) > ZERO_B_TOL:
+        on_risky = _on_line(alphas, gearings * scal.C / scal.B)
+    else:
+        on_risky = np.zeros(var.shape, dtype=bool)
+    columns = (np.repeat(alphas, gearings.size), np.tile(gearings, alphas.size),
+               np.sqrt(np.maximum(var, 0.0)).ravel(), on_gmv.ravel(), on_risky.ravel())
+    return [FrontierPoint(*point) for point in zip(*(c.tolist() for c in columns))]
 
 
 def implied_returns(target: Portfolio, cov: CovMatrix) -> AlphaVector:

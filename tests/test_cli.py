@@ -1,3 +1,4 @@
+import argparse
 import json
 import tracemalloc
 
@@ -5,8 +6,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mvgear.cli import MAX_GRID_POINTS, main, parse_grid
+from mvgear import cli, robust
+from mvgear.cli import MAX_GRID_POINTS, SWEEP_HEADER, main, parse_grid
 from mvgear.cli import CliError
+from mvgear.geometry import alpha_angle, kantorovich_bound
+from mvgear.moments import estimate_moments, load_returns_csv
+from mvgear.robust import ShrinkageSpec, ShrinkMode
+from mvgear.serialize import csv_lines, dumps
+from mvgear.solvers import PROGRAMS, Program
 
 from conftest import write_micro_csv
 
@@ -124,6 +131,29 @@ def test_non_utf8_csv_exits_3(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("row", [1, 3])
+def test_overlong_cell_exits_3(tmp_path, capsys, row):
+    # one cell over the csv module's field limit, in the header or in a data row
+    long = "x" * 200_000
+    lines = [f"{long},b" if row == 1 else "a,b", "0.1,0.2",
+             f"0.3,{long}" if row == 3 else "0.3,0.4"]
+    path = tmp_path / "r.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["estimate", "--input", path]) == 3
+    assert capsys.readouterr().err == (
+        f"code=NonFiniteData {path}: row {row} cannot be read as CSV: "
+        "field larger than field limit (131072)\n")
+
+
+@pytest.mark.parametrize("cell", ["1_0", "\u0663"])
+def test_cell_only_python_float_reads_exits_3(tmp_path, capsys, cell):
+    path = tmp_path / "r.csv"
+    path.write_text(f"a,b\n0.1,0.2\n0.3,{cell}\n", encoding="utf-8")
+    assert run(["estimate", "--input", path]) == 3
+    assert capsys.readouterr().err == (
+        f"code=NonFiniteData {path}: cell at row 3, column 2 is not a number: {cell!r}\n")
+
+
 def test_solve_missing_parameter_exits_2(micro_csv, capsys):
     assert run(["solve", "--input", micro_csv, "--program", "VII",
                 "--gamma", 1]) == 2
@@ -136,6 +166,70 @@ def test_solve_module_error_exits_3(micro_csv, capsys):
     assert run(["solve", "--input", micro_csv, "--program", "I",
                 "--sigma0", -0.5]) == 3
     assert capsys.readouterr().err.startswith("code=NonPositiveParameter")
+
+
+# The flags each program requires, as the CLI has always enforced them.
+REQUIRED_FLAGS = {
+    Program.I: ("sigma0",), Program.II: ("alpha0",), Program.III: ("gamma",),
+    Program.IV: (), Program.V: (), Program.VI: ("alpha0", "g0"),
+    Program.VII: ("gamma", "g0"), Program.VIII: ("g0",), Program.GMV: (),
+    Program.RISKY: (),
+}
+FLAG_VALUES = {"sigma0": 0.5, "alpha0": 0.2, "gamma": 1, "g0": 1}
+SWEEP_ARGS = ["--mode", "simple", "--grid", "0:0.5:1"]
+
+
+def flags(names):
+    return [arg for name in names for arg in (f"--{name}", FLAG_VALUES[name])]
+
+
+def test_program_table_requires_the_flags_the_cli_requires():
+    assert {p: e.required for p, e in PROGRAMS.items()} == REQUIRED_FLAGS
+    assert PROGRAMS[Program.IV].optional == ("g0",)
+    assert PROGRAMS[Program.V].one_of == ("sigma0", "g0")
+
+
+@pytest.mark.parametrize("command", ["solve", "shrink-sweep"])
+@pytest.mark.parametrize("program", list(PROGRAMS))
+def test_program_runs_with_its_table_flags(micro_csv, command, program):
+    entry = PROGRAMS[program]
+    extra = SWEEP_ARGS if command == "shrink-sweep" else []
+    assert run([command, "--input", micro_csv, "--program", program.value, *extra,
+                *flags(entry.required + entry.one_of[:1])]) == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "shrink-sweep"])
+@pytest.mark.parametrize("program,dropped", [
+    (program, name) for program, entry in PROGRAMS.items() for name in entry.required
+])
+def test_dropping_a_required_flag_exits_2(micro_csv, capsys, command, program, dropped):
+    entry = PROGRAMS[program]
+    kept = [name for name in entry.required if name != dropped]
+    extra = SWEEP_ARGS if command == "shrink-sweep" else []
+    assert run([command, "--input", micro_csv, "--program", program.value, *extra,
+                *flags(kept + list(entry.one_of[:1]))]) == 2
+    assert capsys.readouterr().err == (
+        f"code=MissingParameter program {program.value} requires --{dropped}\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "shrink-sweep"])
+@pytest.mark.parametrize("given", [(), ("sigma0", "g0")])
+def test_program_v_takes_exactly_one_of_sigma0_and_g0(micro_csv, capsys, command, given):
+    extra = SWEEP_ARGS if command == "shrink-sweep" else []
+    assert run([command, "--input", micro_csv, "--program", "V", *extra,
+                *flags(given)]) == 2
+    assert capsys.readouterr().err == (
+        "code=MissingParameter program V takes exactly one of --sigma0 / --g0\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "shrink-sweep"])
+def test_program_choices_are_the_table_keys(command):
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    choices = next(a.choices for a in commands[command]._actions if a.dest == "program")
+    assert choices == [program.value for program in PROGRAMS]
+    assert choices == ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "GMV", "RISKY"]
 
 
 def test_bad_subcommand_exits_2(capsys):
@@ -320,6 +414,56 @@ def test_shrink_sweep(tmp_path):
     assert len(weights) == 3
 
 
+@pytest.mark.parametrize("mode,grid,program", [
+    ("simple", "0:0.1:1", ["--program", "VII", "--gamma", 1, "--g0", 1]),
+    ("diagonal", "0:0.25:1", []),
+])
+def test_shrink_sweep_shrinks_once_per_point(tmp_path, monkeypatch, mode, grid, program):
+    csv = tmp_path / "r.csv"
+    rng = np.random.default_rng(2)
+    base = rng.multivariate_normal([0.01, 0.02, 0.015],
+                                   [[4.0, 1.0, 0.0], [1.0, 2.0, 0.3], [0.0, 0.3, 1.0]],
+                                   size=40)
+    csv.write_text("a,b,c\n" + "\n".join(",".join(repr(float(v)) for v in row)
+                                         for row in base) + "\n")
+    # the sweep as the library composes it, one shrink per call
+    alpha, cov = estimate_moments(load_returns_csv(csv))
+    rows = []
+    for k in parse_grid(grid):
+        spec = ShrinkageSpec(mode=ShrinkMode(mode), k=float(k))
+        shrunk = robust.shrink_covariance(cov, alpha, spec)
+        risky = robust.shrunk_risky_portfolio(alpha, cov, spec).weights
+        optimal = robust.solve_robust(Program.VII, alpha, cov, spec, gamma=1.0,
+                                      g0=1.0).weights if program else risky
+        rows.append([float(k), shrunk.condition_number, alpha_angle(alpha, risky),
+                     alpha_angle(alpha, optimal),
+                     kantorovich_bound(shrunk.condition_number),
+                     '"' + dumps(list(optimal)) + '"'])
+    real, calls = robust.shrink_covariance, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(robust, "shrink_covariance", counting)
+    out = tmp_path / "sweep.csv"
+    assert run(["shrink-sweep", "--input", csv, "--mode", mode, "--grid", grid,
+                *program, "--output", out]) == 0
+    assert len(calls) == len(rows)
+    assert out.read_text() == csv_lines(SWEEP_HEADER, rows)
+
+
+def test_shrink_sweep_without_a_risky_portfolio_exits_3(tmp_path, capsys):
+    # alpha = (0.1, -0.1) and Sigma = I: 1'Sigma~^-1 alpha = 0 at every shrink
+    csv = tmp_path / "r.csv"
+    csv.write_text("a,b\n1.1,0.9\n-0.9,-1.1\n1.1,-1.1\n-0.9,0.9\n0.1,-0.1\n")
+    assert run(["shrink-sweep", "--input", csv, "--mode", "simple",
+                "--grid", "0:0.5:1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("code=ZeroB")
+    assert len(err.splitlines()) == 1
+
+
 def test_qoqc_command(micro_csv, tmp_path):
     out = tmp_path / "q.json"
     assert run(["qoqc", "--input", micro_csv, "--gamma", 1, "--g0", 1,
@@ -392,6 +536,55 @@ def test_verify_qoqc_round_trip(micro_csv, tmp_path):
     assert json.loads(report.read_text())["passed"] is True
 
 
+FIELDS = ["gearing_field", "leverage_field", "alpha_p", "sigma_p", "weights_resolve"]
+GEARING, RETURN, RISK = "gearing_constraint", "return_constraint", "risk_constraint"
+SHRINK = ["--shrink-mode", "simple", "--q", 0.4]
+
+
+@pytest.mark.parametrize("command,expected", [
+    (["solve", "--program", "GMV"],
+     ["gearing_field", "leverage_field", "sigma_p", "weights_resolve", GEARING,
+      "bound_slack"]),
+    (["solve", "--program", "RISKY"],
+     FIELDS + [GEARING, "bound_slack", "sharpe_dominance"]),
+    (["solve", "--program", "I", "--sigma0", 0.5], FIELDS + [RISK, "bound_slack"]),
+    (["solve", "--program", "II", "--alpha0", 0.02], FIELDS + [RETURN, "bound_slack"]),
+    (["solve", "--program", "III", "--gamma", 2], FIELDS + ["bound_slack"]),
+    (["solve", "--program", "IV"], FIELDS + [GEARING, "bound_slack", "sharpe_dominance"]),
+    (["solve", "--program", "V", "--sigma0", 0.9],
+     FIELDS + [GEARING, RISK, "bound_slack", "sharpe_dominance"]),
+    (["solve", "--program", "V", "--g0", 1.5],
+     FIELDS + [GEARING, "bound_slack", "sharpe_dominance"]),
+    (["solve", "--program", "VI", "--alpha0", 0.02, "--g0", 1],
+     FIELDS + [GEARING, RETURN, "bound_slack"]),
+    (["solve", "--program", "VII", "--gamma", 1, "--g0", 1],
+     FIELDS + [GEARING, "bound_slack"]),
+    (["solve", "--program", "VIII", "--g0", 2],
+     FIELDS + [GEARING, "bound_slack", "sharpe_dominance"]),
+    (["solve", "--program", "VI", "--alpha0", 0.02, "--g0", 1, *SHRINK],
+     FIELDS + [GEARING, RETURN, "bound_slack"]),
+    (["solve", "--program", "VII", "--gamma", 1, "--g0", 1, *SHRINK],
+     FIELDS + [GEARING, "bound_slack"]),
+    (["solve", "--program", "V", "--sigma0", 0.9, *SHRINK],
+     FIELDS + [GEARING, "bound_slack"]),
+    (["qoqc", "--gamma", 1, "--g0", 1, "--n0", 2],
+     FIELDS + [GEARING, "diversity_constraint", "stationarity", "bound_slack"]),
+])
+def test_verify_audits_each_program(tmp_path, command, expected):
+    csv = tmp_path / "r.csv"
+    rng = np.random.default_rng(8)
+    base = rng.multivariate_normal(
+        [0.01, 0.02, 0.015],
+        [[4.0, 1.0, 0.0], [1.0, 2.0, 0.3], [0.0, 0.3, 1.0]], size=60)
+    csv.write_text("a,b,c\n" + "\n".join(
+        ",".join(repr(float(v)) for v in row) for row in base) + "\n")
+    port, report = tmp_path / "p.json", tmp_path / "v.json"
+    assert run([command[0], "--input", csv, *command[1:], "--output", port]) == 0
+    assert run(["verify", "--input", csv, "--portfolio", port, "--samples", 2000,
+                "--output", report]) == 0
+    assert [c["name"] for c in json.loads(report.read_text())["checks"]] == expected
+
+
 def test_verify_flags_tampered_weights(micro_csv, tmp_path, capsys):
     port = tmp_path / "p.json"
     assert run(["solve", "--input", micro_csv, "--program", "VII",
@@ -409,6 +602,32 @@ def test_verify_flags_tampered_weights(micro_csv, tmp_path, capsys):
     assert not doc["passed"]
     failed = {c["name"] for c in doc["checks"] if not c["passed"]}
     assert "weights_resolve" in failed
+
+
+@pytest.mark.parametrize("solve_args,edit,detail", [
+    (["--program", "VII", "--gamma", 1, "--g0", 1],
+     lambda params: params.pop("gamma"),
+     "MissingParameter: program VII requires --gamma"),
+    (["--program", "VI", "--alpha0", 0.2, "--g0", 1],
+     lambda params: params.update(shrink_mode="max") or params.pop("g0"),
+     "MissingParameter: program VI requires --g0"),
+    (["--program", "V", "--g0", 1],
+     lambda params: params.update(shrink_mode="max"),
+     "InvalidPortfolio: program V has no max-shrink form"),
+])
+def test_verify_fails_a_file_its_program_cannot_resolve(
+        micro_csv, tmp_path, capsys, solve_args, edit, detail):
+    port, report = tmp_path / "p.json", tmp_path / "v.json"
+    assert run(["solve", "--input", micro_csv, *solve_args, "--output", port]) == 0
+    doc = json.loads(port.read_text())
+    edit(doc["params"])
+    port.write_text(json.dumps(doc))
+    assert run(["verify", "--input", micro_csv, "--portfolio", port,
+                "--samples", 200, "--output", report]) == 3
+    assert capsys.readouterr().err.startswith("code=VerificationFailed")
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert checks["weights_resolve"] == {
+        "name": "weights_resolve", "passed": False, "detail": detail}
 
 
 @pytest.mark.parametrize("command", ["verify", "bounds"])

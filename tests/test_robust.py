@@ -8,6 +8,7 @@ from mvgear import (
     DegenerateAlpha,
     InvalidK,
     KktProblem,
+    MissingParameter,
     NonPositiveParameter,
     Program,
     ShrinkMode,
@@ -296,6 +297,24 @@ def test_solve_robust_delegates_to_shrunk_solver():
     direct = solve_VI(alpha, shrunk_cov, alpha0=0.12, g0=1.0)
     via = solve_robust(Program.VI, alpha, cov, spec, alpha0=0.12, g0=1.0)
     npt.assert_allclose(via.weights, direct.weights, atol=1e-13)
+
+
+def test_solve_robust_ignores_unset_and_unused_parameters():
+    rng = np.random.default_rng(32)
+    alpha, cov = random_instance(rng, 4)
+    spec = ShrinkageSpec.simple(0.4)
+    npt.assert_array_equal(
+        solve_robust(Program.IV, alpha, cov, spec, g0=None).weights,
+        solve_robust(Program.IV, alpha, cov, spec, g0=1.0).weights)
+    npt.assert_array_equal(
+        solve_robust(Program.VII, alpha, cov, spec, sigma0=None, alpha0=None,
+                     gamma=1.5, g0=1.0).weights,
+        solve_robust(Program.VII, alpha, cov, spec, gamma=1.5, g0=1.0).weights)
+    npt.assert_array_equal(
+        solve_robust(Program.GMV, alpha, cov, spec, sigma0=0.3, gamma=2.0).weights,
+        solve_robust(Program.GMV, alpha, cov, spec).weights)
+    with pytest.raises(MissingParameter, match="program VII requires --gamma"):
+        solve_robust(Program.VII, alpha, cov, spec, gamma=None, g0=1.0)
 
 
 def test_solve_robust_full_shrink_matches_max_shrink_vii():

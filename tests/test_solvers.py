@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +10,7 @@ from mvgear import (
     InefficientBranchWarning,
     InvalidPortfolio,
     KktProblem,
+    MissingParameter,
     NonPositiveParameter,
     Portfolio,
     Program,
@@ -34,6 +37,7 @@ from mvgear import (
     solve_kkt,
 )
 from mvgear import AlphaVector
+from mvgear.solvers import LINE_FLAG_RTOL, PROGRAMS, solve
 
 from conftest import random_instance
 
@@ -66,6 +70,112 @@ def test_scalars_diagonal():
 def test_scalars_constant_alpha_degenerate(micro_cov):
     with pytest.raises(DegenerateAlpha):
         frontier_scalars(AlphaVector([0.1, 0.1]), micro_cov)
+
+
+def test_scalars_carry_both_building_blocks():
+    rng = np.random.default_rng(3)
+    alpha, cov = random_instance(rng, 6)
+    s = frontier_scalars(alpha, cov)
+    assert np.array_equal(s.si_ones, cov.solve(np.ones(6)))
+    assert np.array_equal(s.si_alpha, cov.solve(alpha))
+    assert s.B == float(alpha.entries @ s.si_ones)
+
+
+# ---------------------------------------------------------------------------
+# The program table
+# ---------------------------------------------------------------------------
+
+TABLE_PARAMS = {
+    Program.I: {"sigma0": 0.4}, Program.II: {"alpha0": 0.08},
+    Program.III: {"gamma": 2.0}, Program.IV: {}, Program.V: {"sigma0": 0.3},
+    Program.VI: {"alpha0": 0.2, "g0": 1.0}, Program.VII: {"gamma": 1.5, "g0": 1.0},
+    Program.VIII: {"g0": 2.0}, Program.GMV: {}, Program.RISKY: {},
+}
+
+
+@pytest.mark.filterwarnings("ignore::mvgear.InefficientBranchWarning")
+def test_solve_runs_the_table_solver_of_every_program():
+    rng = np.random.default_rng(30)
+    alpha, cov = random_instance(rng, 4)
+    direct = {
+        Program.GMV: lambda: gmv_portfolio(cov),
+        Program.RISKY: lambda: optimal_risky_portfolio(alpha, cov),
+        Program.I: lambda: solve_I(alpha, cov, 0.4),
+        Program.II: lambda: solve_II(alpha, cov, 0.08),
+        Program.III: lambda: solve_III(alpha, cov, 2.0),
+        Program.IV: lambda: solve_IV(alpha, cov),
+        Program.V: lambda: solve_V(alpha, cov, sigma0=0.3),
+        Program.VI: lambda: solve_VI(alpha, cov, 0.2, 1.0),
+        Program.VII: lambda: solve_VII(alpha, cov, 1.5, 1.0),
+        Program.VIII: lambda: solve_VIII(alpha, cov, 2.0),
+    }
+    assert set(PROGRAMS) == set(direct) == set(Program) - {Program.QOQC}
+    for program, params in TABLE_PARAMS.items():
+        port = solve(program.value, alpha, cov, **params)
+        assert port.program is program
+        assert port.params == direct[program]().params
+        assert np.array_equal(port.weights, direct[program]().weights)
+
+
+def test_solve_refuses_programs_without_a_closed_form(micro_alpha, micro_cov):
+    with pytest.raises(NonPositiveParameter):
+        solve(Program.QOQC, micro_alpha, micro_cov, gamma=1.0, g0=1.0, n0=1.0)
+
+
+def test_table_arguments_pick_the_solver_parameters():
+    values = {"sigma0": 0.3, "g0": 1.2, "gamma": None, "alpha0": 0.1}
+    assert PROGRAMS[Program.V].arguments(values) == {"sigma0": 0.3}
+    assert PROGRAMS[Program.V].arguments({"g0": 1.2}) == {"g0": 1.2}
+    assert PROGRAMS[Program.IV].arguments(values) == {"g0": 1.2}
+    assert PROGRAMS[Program.IV].arguments({}) == {}
+    assert PROGRAMS[Program.VI].arguments(values) == {"alpha0": 0.1, "g0": 1.2}
+    assert PROGRAMS[Program.GMV].arguments(values) == {}
+    with pytest.raises(MissingParameter, match=r"^program VII requires --gamma$"):
+        PROGRAMS[Program.VII].arguments(values)
+    with pytest.raises(MissingParameter,
+                       match=r"^program V takes exactly one of --sigma0 / --g0$"):
+        PROGRAMS[Program.V].arguments({"sigma0": None, "alpha0": 0.1})
+
+
+def test_solve_filters_parameters_through_the_table(micro_alpha, micro_cov):
+    plain = solve(Program.VII, micro_alpha, micro_cov, gamma=2.0, g0=1.0)
+    extra = solve(Program.VII, micro_alpha, micro_cov, gamma=2.0, g0=1.0,
+                  sigma0=None, alpha0=0.3)
+    assert np.array_equal(extra.weights, plain.weights)
+    assert extra.params == plain.params
+    with pytest.raises(MissingParameter, match="program VI requires --alpha0"):
+        solve(Program.VI, micro_alpha, micro_cov, g0=1.0)
+
+
+@pytest.mark.filterwarnings("ignore::mvgear.InefficientBranchWarning")
+@pytest.mark.parametrize("program,solves", [
+    (Program.GMV, 1), (Program.RISKY, 1), (Program.I, 2), (Program.II, 2),
+    (Program.III, 1), (Program.IV, 1), (Program.V, 2), (Program.VI, 2),
+    (Program.VII, 2), (Program.VIII, 1),
+])
+def test_each_program_solves_each_product_once(monkeypatch, program, solves):
+    rng = np.random.default_rng(5)
+    alpha, cov = random_instance(rng, 4)
+    calls = []
+    real = CovMatrix.solve
+
+    def counting(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(CovMatrix, "solve", counting)
+    solve(program, alpha, cov, **TABLE_PARAMS[program])
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("program", list(PROGRAMS))
+def test_only_programs_that_divide_by_D_reject_a_flat_alpha(program):
+    alpha, cov = AlphaVector([0.1, 0.1]), CovMatrix.identity(2)  # D = 0 exactly
+    if program in (Program.I, Program.II, Program.V, Program.VI):
+        with pytest.raises(DegenerateAlpha):
+            solve(program, alpha, cov, **TABLE_PARAMS[program])
+    else:
+        assert solve(program, alpha, cov, **TABLE_PARAMS[program]).dim == 2
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +509,54 @@ def test_surface_slice_matches_parabola(micro_alpha, micro_cov):
         )
 
 
+def reference_surface(alpha, cov, alpha_p_grid, g0_grid):
+    """The per-point loop the vectorized surface replaced."""
+    scal = frontier_scalars(alpha, cov)
+    rows = []
+    for alpha_p in alpha_p_grid:
+        for g0 in g0_grid:
+            var = frontier_variance(scal, float(alpha_p), float(g0))
+            gmv_return = g0 * scal.B / scal.A
+            risky_return = g0 * scal.C / scal.B
+            rows.append((
+                float(alpha_p), float(g0), float(np.sqrt(max(var, 0.0))),
+                bool(abs(alpha_p - gmv_return)
+                     <= LINE_FLAG_RTOL * max(1.0, abs(gmv_return))),
+                bool(abs(alpha_p - risky_return)
+                     <= LINE_FLAG_RTOL * max(1.0, abs(risky_return))),
+            ))
+    return rows
+
+
+def test_surface_equals_the_per_point_loop_bit_for_bit():
+    rng = np.random.default_rng(12)
+    alpha, cov = random_instance(rng, 5)
+    scal = frontier_scalars(alpha, cov)
+    # numpy squares by x * x, Python's float power by the C library's pow():
+    # for about one double in a thousand they differ in the last bit, and the
+    # surface must follow pow() as the loop did
+    odd = [v for v in rng.uniform(-2.0, 3.0, 50_000).tolist() if v**2 != v * v][:10]
+    assert len(odd) == 10
+    gearings = np.concatenate([[0.0, 1.0], rng.uniform(-2.0, 3.0, 20), odd[:5]])
+    alphas = np.concatenate([rng.uniform(-0.5, 0.5, 200), odd[5:],
+                             gearings[:5] * scal.B / scal.A,
+                             gearings[:5] * scal.C / scal.B])
+    points = pareto_surface(alpha, cov, alphas, gearings)
+    got = [(p.alpha_p, p.g0, p.sigma_p, p.is_gmv_line, p.is_risky_line) for p in points]
+    assert got == reference_surface(alpha, cov, alphas, gearings)
+    assert sum(p.is_gmv_line for p in points) >= 5
+    assert sum(p.is_risky_line for p in points) >= 5
+
+
 def test_surface_constraint_audit():
     rng = np.random.default_rng(2)
     alpha, cov = random_instance(rng, 4)
-    points = pareto_surface(
-        alpha, cov, np.linspace(0.05, 0.3, 6), [0.5, 1.0, 2.0], attach_weights=True
-    )
+    points = pareto_surface(alpha, cov, np.linspace(0.05, 0.3, 6), [0.5, 1.0, 2.0])
     assert len(points) == 18
     for pt in points:
-        w = pt.weights.weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InefficientBranchWarning)
+            w = solve_VI(alpha, cov, alpha0=pt.alpha_p, g0=pt.g0).weights
         assert float(np.sum(w)) == pytest.approx(pt.g0, rel=1e-10, abs=1e-10)
         assert float(alpha.entries @ w) == pytest.approx(pt.alpha_p, rel=1e-10)
         assert np.sqrt(cov.quad(w)) == pytest.approx(pt.sigma_p, rel=1e-10)
