@@ -79,13 +79,8 @@ from .robust import (
     ShrinkMode,
     ShrinkageSpec,
     angle_floor,
-    implicit_shrunk_theta,
-    max_shrink_VI,
-    max_shrink_VII,
     robust_alpha,
     shrink_covariance,
-    shrunk_gmv_portfolio,
-    shrunk_risky_portfolio,
     solve_robust,
 )
 from .diversity import QoqcProblem, QoqcSolution, qoqc_portfolio, solve_qoqc

@@ -22,7 +22,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import diversity, geometry, oracle, robust, serialize, solvers
-from .errors import InvalidPortfolio, MissingParameter, MvgearError
+from .errors import MissingParameter, MvgearError
 from .moments import estimate_moments, load_returns_csv
 from .robust import ShrinkageSpec, ShrinkMode
 from .solvers import Program
@@ -34,6 +34,10 @@ MAX_GRID_POINTS = 1_000_000
 
 # The programs ``solve`` and ``shrink-sweep`` run: every closed form.
 PROGRAM_CHOICES = [program.value for program in solvers.PROGRAMS]
+
+# What a QOQC record carries: its problem's parameters, then the multipliers
+# its stationarity audit reads.
+QOQC_PARAMS = ("gamma", "g0", "n0", "lambda1", "lambda2")
 
 SURFACE_HEADER = ["alpha_p", "g0", "sigma_p", "is_gmv_line", "is_risky_line"]
 SWEEP_HEADER = [
@@ -104,7 +108,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha0", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--g0", type=float)
-    p.add_argument("--shrink-mode", choices=[m.value for m in ShrinkMode])
+    p.add_argument("--shrink-mode", dest="mode", choices=[m.value for m in ShrinkMode])
     p.add_argument("--k", type=float, help="angle-targeted shrink parameter")
     p.add_argument("--q", type=float, help="plain convex shrink weight")
 
@@ -179,10 +183,9 @@ def _load_portfolio(args, panel):
 
 
 def _shrink_spec(args) -> ShrinkageSpec | None:
-    mode = getattr(args, "shrink_mode", None)
-    if mode is None:
+    if args.mode is None:
         return None
-    mode = ShrinkMode(mode)
+    mode = ShrinkMode(args.mode)
     if mode is ShrinkMode.ANGLE_TARGETED:
         if args.k is None:
             raise CliError("MissingParameter", "angle-targeted shrink requires --k")
@@ -316,29 +319,36 @@ def _verify_checks(args, panel, alpha, cov, port) -> list[dict]:
         check("sigma_p", abs(risk - port.sigma_p) <= 1e-10 * max(1.0, risk),
               f"stored {port.sigma_p!r} vs recomputed {risk!r}")
 
-    params = dict(port.params)
-    shrink_mode = params.pop("shrink_mode", None)
-    shrink_k = params.pop("shrink_k", None)
+    def need(*names):
+        """The named params as floats; MissingParameter names the first one absent."""
+        for name in names:
+            if port.params.get(name) is None:
+                raise MissingParameter(f"program {port.program.value} requires --{name}")
+        return [float(port.params[name]) for name in names]
+
+    def audit(name, names, test):
+        """check(name, *test(*need(*names))), failed if a named param is absent."""
+        try:
+            check(name, *test(*need(*names)))
+        except (MvgearError, ZeroDivisionError) as exc:
+            check(name, False, f"{type(exc).__name__}: {exc}")
+
     qoqc = port.program is Program.QOQC
     entry = None if qoqc else solvers.PROGRAMS[port.program]
+    shrunk = True  # a shrink record that cannot be read skips the unshrunk audits
     try:
+        spec = ShrinkageSpec.from_params(port.params)
+        shrunk = spec is not None
         if qoqc:
-            problem = diversity.QoqcProblem(
-                alpha=alpha.entries, cov=cov, gamma=params["gamma"],
-                g0=params["g0"], n0=params["n0"],
-            )
+            gamma, g0, n0, _, _ = need(*QOQC_PARAMS)
+            problem = diversity.QoqcProblem(alpha=alpha.entries, cov=cov, gamma=gamma,
+                                            g0=g0, n0=n0)
             resolved = diversity.solve_qoqc(problem).weights
-        elif shrink_mode == "max" and port.program is Program.VI:
-            resolved = robust.max_shrink_VI(alpha, **entry.arguments(params)).weights
-        elif shrink_mode == "max" and port.program is Program.VII:
-            resolved = robust.max_shrink_VII(alpha, **entry.arguments(params)).weights
-        elif shrink_mode == "max":
-            raise InvalidPortfolio(f"program {port.program.value} has no max-shrink form")
-        elif shrink_mode is not None:
-            spec = ShrinkageSpec(mode=ShrinkMode(shrink_mode), k=float(shrink_k))
-            resolved = robust.solve_robust(port.program, alpha, cov, spec, **params).weights
+        elif shrunk:
+            resolved = robust.solve_robust(port.program, alpha, cov, spec,
+                                           **port.params).weights
         else:
-            resolved = solvers.solve(port.program, alpha, cov, **params).weights
+            resolved = solvers.solve(port.program, alpha, cov, **port.params).weights
         err = float(np.abs(resolved - w).max())
         check("weights_resolve", err <= 1e-8, f"max weight deviation {err:g}")
     except MvgearError as exc:
@@ -346,34 +356,38 @@ def _verify_checks(args, panel, alpha, cov, port) -> list[dict]:
 
     # QOQC binds its gearing; its sphere and stationarity audits follow.
     binds = ("gearing",) if qoqc else entry.binds
-    if "gearing" in binds and "g0" in port.params:
-        g0 = float(port.params["g0"])
-        check("gearing_constraint", abs(gearing - g0) <= 1e-10 * max(1.0, abs(g0)),
-              f"1'theta = {gearing!r} vs g0 = {g0!r}")
+    if "gearing" in binds and (qoqc or port.params.get("g0") is not None):
+        audit("gearing_constraint", ["g0"], lambda g0: (
+            abs(gearing - g0) <= 1e-10 * max(1.0, abs(g0)),
+            f"1'theta = {gearing!r} vs g0 = {g0!r}"))
     if "full_investment" in binds:
         check("gearing_constraint", abs(gearing - 1.0) <= 1e-10,
               f"1'theta = {gearing!r} vs 1")
-    if "return" in binds and "alpha0" in port.params:
+    if "return" in binds and port.params.get("alpha0") is not None:
         ret = float(alpha.entries @ w)
         target = float(port.params["alpha0"])
         check("return_constraint", abs(ret - target) <= 1e-10 * max(1.0, abs(target)),
               f"alpha'theta = {ret!r} vs alpha0 = {target!r}")
     # A shrunk solution meets its risk bound on the shrunk covariance only.
-    if "risk" in binds and "sigma0" in port.params and shrink_mode is None:
+    if "risk" in binds and port.params.get("sigma0") is not None and not shrunk:
         target = float(port.params["sigma0"])
         risk = float(np.sqrt(max(cov.quad(w), 0.0)))
         check("risk_constraint", abs(risk - target) <= 1e-10 * max(1.0, target),
               f"sigma_p = {risk!r} vs sigma0 = {target!r}")
     if qoqc:
-        sphere = float(w @ w)
-        target = 1.0 / float(port.params["n0"])
-        check("diversity_constraint", abs(sphere - target) <= 1e-8,
-              f"theta'theta = {sphere!r} vs 1/n0 = {target!r}")
-        grad = (-alpha.entries + float(port.params["gamma"]) * (cov.entries @ w)
-                - 2.0 * float(port.params["lambda1"]) * w
-                - float(port.params["lambda2"]) * np.ones(w.size))
-        res = float(np.abs(grad).max())
-        check("stationarity", res <= 1e-8, f"residual {res:g}")
+        def sphere(n0):
+            value, target = float(w @ w), 1.0 / n0
+            return (abs(value - target) <= 1e-8,
+                    f"theta'theta = {value!r} vs 1/n0 = {target!r}")
+
+        def stationarity(gamma, lam1, lam2):
+            grad = (-alpha.entries + gamma * (cov.entries @ w) - 2.0 * lam1 * w
+                    - lam2 * np.ones(w.size))
+            res = float(np.abs(grad).max())
+            return res <= 1e-8, f"residual {res:g}"
+
+        audit("diversity_constraint", ["n0"], sphere)
+        audit("stationarity", ["gamma", "lambda1", "lambda2"], stationarity)
 
     try:
         report = geometry.verify_bound(alpha, cov, w)
@@ -382,7 +396,7 @@ def _verify_checks(args, panel, alpha, cov, port) -> list[dict]:
     except MvgearError as exc:
         check("bound_slack", False, f"{type(exc).__name__}: {exc}")
 
-    if not qoqc and entry.sharpe and shrink_mode is None:
+    if not qoqc and entry.sharpe and not shrunk:
         best = oracle.dominance_sample(
             oracle.sharpe_objective(alpha.entries, cov.entries),
             oracle.project_to_gearing(gearing if gearing != 0.0 else 1.0),

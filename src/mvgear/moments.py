@@ -281,7 +281,9 @@ def _first_fault(path) -> str:
 
     Re-reads the file and scans it cell by cell, so that the message names
     the offending byte, or the row and column at fault; rows are numbered
-    as in the file with blank lines skipped and the header as row 1. Returns
+    as in the file with blank lines skipped and the header as row 1. A row
+    the ``csv`` module cannot read (a cell longer than its field size limit,
+    which numpy reads) is named only if no later row names a fault. Returns
     an empty string if every cell is a number to numpy.
     """
     with open(path, "rb") as handle:
@@ -290,27 +292,33 @@ def _first_fault(path) -> str:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         return f"byte 0x{raw[exc.start]:02x} at offset {exc.start} is not UTF-8"
-    lines = io.StringIO(text.removeprefix("\ufeff"), newline="")
-    i = 0  # rows read so far
-    try:
-        for row in csv.reader(lines):
-            if not row:
-                continue
+    rows = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    # rows read so far, header width (None if csv cannot read the header),
+    # and the first row csv cannot read
+    i, n, unreadable = 0, None, ""
+    while True:
+        try:
+            row = next(rows)
+        except StopIteration:
+            return unreadable
+        except csv.Error as exc:
             i += 1
-            if i == 1:
-                n = len(row)
-                continue
-            if len(row) != n:
-                return f"row {i} has {len(row)} cells, expected {n}"
-            for j, cell in enumerate(row):
-                cell = cell.strip()
-                if not cell:
-                    return f"missing cell at row {i}, column {j + 1}"
-                if not _is_number(cell):
-                    return f"cell at row {i}, column {j + 1} is not a number: {cell!r}"
-    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
-        return f"row {i + 1} cannot be read as CSV: {exc}"
-    return ""
+            unreadable = unreadable or f"row {i} cannot be read as CSV: {exc}"
+            continue
+        if not row:
+            continue
+        i += 1
+        if i == 1:
+            n = len(row)
+            continue
+        if n is not None and len(row) != n:
+            return f"row {i} has {len(row)} cells, expected {n}"
+        for j, cell in enumerate(row):
+            cell = cell.strip()
+            if not cell:
+                return f"missing cell at row {i}, column {j + 1}"
+            if not _is_number(cell):
+                return f"cell at row {i}, column {j + 1} is not a number: {cell!r}"
 
 
 def _is_number(cell: str) -> bool:

@@ -14,16 +14,35 @@ covariance toward the identity,
     Sigma~ = (k / cos phi) I + (1 - k / cos phi) Sigma,
 
 where cos phi is the current angle between alpha and Sigma^-1 alpha and the
-admissible range is k in [0, cos phi). Shrinking never worsens the
-condition number, never breaks the gearing constraints (the GMV/risky
-mix stays cash neutral), and in the full-shrink limit sends the GMV
-portfolio to the equal-weight vector e = 1/n and the risky portfolio to
-the return direction alpha / (1'alpha). The plain convex forms
+admissible range is k in [0, cos phi). The uncertainty-ball identity
+
+    theta~ = [ (k|alpha||theta|/sigma_p) I
+             + ((alpha'theta - k|alpha||theta|)/sigma_p) Sigma ]^-1 alpha,
+
+with the bracket evaluated at the unshrunk fully-invested risky portfolio,
+reduces once alpha'theta = |alpha||theta| cos phi is substituted and the
+result renormalized to gearing one to this shrink: the shrunk risky
+portfolio is ``solve_robust(Program.RISKY, alpha, cov,
+ShrinkageSpec.angle_targeted(k))``. The plain convex forms
 q I + (1-q) Sigma and q diag(Sigma) + (1-q) Sigma are exposed alongside.
+
+Shrinking never worsens the condition number and never breaks the gearing
+constraints (the GMV/risky mix stays cash neutral). :func:`solve_robust`
+re-solves any program on the shrunk covariance; its full-shrink limit
+(``ShrinkageSpec.simple(1.0)``) is the same program on Sigma~ = I, that is
+``solvers.solve(program, alpha, CovMatrix.identity(n), **params)``. With
+e = 1/n the equal-weight vector and alpha^ = alpha / (1'alpha):
+
+- GMV becomes e and RISKY becomes alpha^;
+- VII becomes g0 e + (alpha - mean(alpha) 1) / gamma: the geared
+  equal-weight portfolio plus a cash-neutral relative-return tilt;
+- VI becomes g0 e + w~ (alpha^ - e), with
+  w~ = (alpha0 mean(alpha) - g0 mean(alpha)^2) / var(alpha).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,9 +50,9 @@ import numpy as np
 
 from . import solvers
 from .errors import (
-    DegenerateAlpha,
     InvalidK,
-    NonPositiveParameter,
+    InvalidPortfolio,
+    MissingParameter,
     ShrinkBrokeSPD,
     SingularCovariance,
 )
@@ -52,20 +71,18 @@ class ShrinkMode(str, Enum):
 class ShrinkageSpec:
     """How far, and toward which target, to shrink the covariance.
 
-    ``k`` is the angle-targeted hyper-parameter in [0, k0) where
-    k0 = cos phi is the current alpha-angle of the risky portfolio; in the
-    SIMPLE and DIAGONAL modes ``k`` is the plain convex weight q in [0, 1].
-    ``k0`` may be pinned at construction; when left None it is recomputed
-    from the (alpha, Sigma) pair being shrunk.
+    ``k`` is the angle-targeted hyper-parameter in [0, k0), where
+    k0 = cos phi is the alpha-angle of the risky portfolio of the (alpha,
+    Sigma) pair being shrunk; in the SIMPLE and DIAGONAL modes ``k`` is the
+    plain convex weight q in [0, 1].
     """
 
     mode: ShrinkMode
     k: float
-    k0: float | None = None
 
     @classmethod
-    def angle_targeted(cls, k: float, k0: float | None = None) -> "ShrinkageSpec":
-        return cls(mode=ShrinkMode.ANGLE_TARGETED, k=float(k), k0=k0)
+    def angle_targeted(cls, k: float) -> "ShrinkageSpec":
+        return cls(mode=ShrinkMode.ANGLE_TARGETED, k=float(k))
 
     @classmethod
     def simple(cls, q: float) -> "ShrinkageSpec":
@@ -75,6 +92,25 @@ class ShrinkageSpec:
     def diagonal(cls, q: float) -> "ShrinkageSpec":
         return cls(mode=ShrinkMode.DIAGONAL, k=float(q))
 
+    @classmethod
+    def from_params(cls, params: Mapping) -> "ShrinkageSpec | None":
+        """The shrink a portfolio's params record, as :func:`solve_robust`
+        writes it (``shrink_mode``, ``shrink_k``); None if they record none."""
+        if "shrink_mode" not in params:
+            return None
+        try:
+            mode = ShrinkMode(params["shrink_mode"])
+        except ValueError:
+            modes = ", ".join(m.value for m in ShrinkMode)
+            raise InvalidPortfolio(f"unknown shrink mode {params['shrink_mode']!r}; "
+                                   f"expected one of {modes}") from None
+        k = params.get("shrink_k")
+        if k is None:
+            raise MissingParameter(f"shrink mode {mode.value} requires shrink_k")
+        if isinstance(k, bool) or not isinstance(k, (int, float)):
+            raise InvalidPortfolio(f"shrink_k must be a number, got {k!r}")
+        return cls(mode=mode, k=float(k))
+
 
 def angle_floor(alpha, cov: CovMatrix) -> float:
     """k0 = cos of the current angle between alpha and Sigma^-1 alpha."""
@@ -82,19 +118,9 @@ def angle_floor(alpha, cov: CovMatrix) -> float:
     return alpha_angle(a, cov.solve(a))
 
 
-def _convex_weight(spec: ShrinkageSpec, alpha, cov: CovMatrix | None) -> float:
+def _convex_weight(spec: ShrinkageSpec, alpha, cov: CovMatrix) -> float:
     if spec.mode is ShrinkMode.ANGLE_TARGETED:
-        if spec.k0 is not None:
-            k0 = float(spec.k0)
-        else:
-            if alpha is None or cov is None:
-                raise InvalidK(
-                    "angle-targeted shrinkage needs alpha and covariance "
-                    "(or a pinned k0) to evaluate cos phi"
-                )
-            k0 = angle_floor(alpha, cov)
-        if not 0.0 < k0 <= 1.0:
-            raise InvalidK(f"k0 = {k0} outside (0, 1]")
+        k0 = angle_floor(alpha, cov)
         if not 0.0 <= spec.k < k0:
             raise InvalidK(f"k = {spec.k} outside [0, k0 = {k0:g})")
         return spec.k / k0
@@ -139,31 +165,8 @@ def shrink_covariance(cov: CovMatrix, alpha, spec: ShrinkageSpec) -> CovMatrix:
         raise ShrinkBrokeSPD(f"shrunk covariance lost definiteness: {exc}") from exc
 
 
-def shrunk_risky_portfolio(alpha, cov: CovMatrix, spec: ShrinkageSpec) -> Portfolio:
-    """Fully-invested risky portfolio of the shrunk covariance."""
-    return solve_robust(Program.RISKY, alpha, cov, spec)
-
-
-def shrunk_gmv_portfolio(
-    cov: CovMatrix, spec: ShrinkageSpec, alpha=None
-) -> Portfolio:
-    """GMV portfolio of the shrunk covariance; full shrink gives 1/n weights.
-
-    ``alpha`` is only needed in ANGLE_TARGETED mode without a pinned k0.
-    """
-    shrunk = shrink_covariance(cov, alpha, spec)
-    raw = shrunk.solve(np.ones(cov.dim))
-    return _portfolio(
-        raw / raw.sum(),
-        Program.GMV,
-        {"shrink_mode": spec.mode.value, "shrink_k": spec.k},
-        alpha=as_vector(alpha) if alpha is not None else None,
-        cov=cov,
-    )
-
-
 def solve_robust(
-    program: Program, alpha, cov: CovMatrix, spec: ShrinkageSpec, **params
+    program: Program, alpha, cov: CovMatrix, spec: ShrinkageSpec, /, **params
 ) -> Portfolio:
     """Re-solve any closed-form program, with ``params`` as :func:`solvers.solve`
     takes them, on the shrunk covariance; the result records the shrink and
@@ -172,77 +175,3 @@ def solve_robust(
     base = solvers.solve(program, a, shrink_covariance(cov, a, spec), **params)
     params = {**base.params, "shrink_mode": spec.mode.value, "shrink_k": spec.k}
     return _portfolio(base.weights, base.program, params, alpha=a, cov=cov)
-
-
-def max_shrink_VII(alpha, gamma: float, g0: float) -> Portfolio:
-    """Geared mean-variance solution at the full-shrink limit Sigma~ = I.
-
-    theta = g0 e + (alpha - mean(alpha) 1) / gamma with e = 1/n: the geared
-    equal-weight portfolio plus a cash-neutral relative-return tilt.
-    """
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise NonPositiveParameter(f"gamma must be positive, got {gamma}")
-    a = as_vector(alpha)
-    n = a.size
-    w = float(g0) / n + (a - a.mean()) / gamma
-    return _portfolio(
-        w,
-        Program.VII,
-        {"gamma": gamma, "g0": float(g0), "shrink_mode": "max"},
-        alpha=a,
-    )
-
-
-def max_shrink_VI(alpha, alpha0: float, g0: float) -> Portfolio:
-    """Geared risk minimization at the full-shrink limit Sigma~ = I.
-
-    Identical to solve_VI with identity covariance, where the frontier
-    scalars collapse to A = n, B = 1'alpha, C = alpha'alpha and
-    D = n^2 var(alpha); equivalently g0 e + w~ (alpha^ - e) with
-    w~ = (alpha0 abar - g0 abar^2) / var(alpha).
-    """
-    a = as_vector(alpha)
-    n = a.size
-    big_a = float(n)
-    big_b = float(a.sum())
-    big_c = float(a @ a)
-    big_d = big_a * big_c - big_b**2
-    if big_d <= solvers.DEGENERATE_D_TOL:
-        raise DegenerateAlpha(
-            f"alpha variance {big_d / n**2:g} is not positive; "
-            "maximally shrunk risk minimization undefined"
-        )
-    alpha0 = float(alpha0)
-    g0 = float(g0)
-    lam1 = (alpha0 * big_a - g0 * big_b) / big_d
-    lam2 = (g0 * big_c - alpha0 * big_b) / big_d
-    w = lam1 * a + lam2 * np.ones(n)
-    return _portfolio(
-        w,
-        Program.VI,
-        {"alpha0": alpha0, "g0": g0, "shrink_mode": "max"},
-        alpha=a,
-    )
-
-
-def implicit_shrunk_theta(alpha, cov: CovMatrix, k: float) -> Portfolio:
-    """Shrunk risky portfolio from the uncertainty-ball covariance identity.
-
-    The implicit relation
-
-        theta~ = [ (k|alpha||theta|/sigma_p) I
-                 + ((alpha'theta - k|alpha||theta|)/sigma_p) Sigma ]^-1 alpha
-
-    with the bracket evaluated at the unshrunk fully-invested risky
-    portfolio reduces, once alpha'theta = |alpha||theta| cos(phi) is
-    substituted and the result is renormalized to gearing one, to the
-    angle-targeted shrink of the covariance. This computes that closed
-    reduction directly; no fixed-point iteration is involved.
-    """
-    k = float(k)
-    if k < 0.0:
-        raise InvalidK(f"k = {k} below 0")
-    a = as_vector(alpha)
-    port = shrunk_risky_portfolio(a, cov, ShrinkageSpec.angle_targeted(k))
-    return _portfolio(port.weights, Program.RISKY, {"k": k}, alpha=a, cov=cov)

@@ -76,7 +76,22 @@ def portfolio_to_dict(portfolio: Portfolio) -> dict:
     }
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a JSON number that is a finite double."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def portfolio_from_dict(data: dict) -> Portfolio:
+    """The portfolio a wire record holds, every field typed here.
+
+    Each param is a finite number or null, except ``shrink_mode``, a string.
+    ``gearing`` and ``leverage`` are finite numbers, ``alpha_p`` and
+    ``sigma_p`` finite numbers or null, ``assets`` null or a list of strings.
+    Anything else raises InvalidPortfolio.
+    """
     if not isinstance(data, dict):
         raise InvalidPortfolio(
             f"portfolio record must be a JSON object, got {type(data).__name__}"
@@ -84,14 +99,32 @@ def portfolio_from_dict(data: dict) -> Portfolio:
     try:
         weights = np.asarray(data["weights"], dtype=float)
         program = Program(data["program"])
-        params = dict(data.get("params") or {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidPortfolio(f"malformed portfolio record: {exc}") from exc
+    params = data.get("params") or {}
+    if not isinstance(params, dict):
+        raise InvalidPortfolio(f"params must be a JSON object, got {params!r}")
+    for name, value in params.items():
+        if name == "shrink_mode" and not isinstance(value, str):
+            raise InvalidPortfolio(f"param shrink_mode must be a string, got {value!r}")
+        if name != "shrink_mode" and not (value is None or _finite(value)):
+            raise InvalidPortfolio(
+                f"param {name} must be a finite number or null, got {value!r}")
+    for name in ("gearing", "leverage"):
+        if name in data and not _finite(data[name]):
+            raise InvalidPortfolio(f"{name} must be a finite number, got {data[name]!r}")
+    for name in ("alpha_p", "sigma_p"):
+        if not (data.get(name) is None or _finite(data[name])):
+            raise InvalidPortfolio(
+                f"{name} must be a finite number or null, got {data[name]!r}")
     assets = data.get("assets")
+    if assets is not None and not (
+            isinstance(assets, list) and all(isinstance(a, str) for a in assets)):
+        raise InvalidPortfolio(f"assets must be null or a list of strings, got {assets!r}")
     return Portfolio(
         weights=weights,
         program=program,
-        params=params,
+        params=dict(params),
         gearing=float(data.get("gearing", weights.sum())),
         leverage=float(data.get("leverage", np.abs(weights).sum())),
         alpha_p=None if data.get("alpha_p") is None else float(data["alpha_p"]),

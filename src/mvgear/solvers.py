@@ -375,7 +375,7 @@ PROGRAMS: dict[Program, ProgramSpec] = {spec.program: spec for spec in (
 )}
 
 
-def solve(program: Program, alpha, cov: CovMatrix, **params) -> Portfolio:
+def solve(program: Program, alpha, cov: CovMatrix, /, **params) -> Portfolio:
     """Solve closed-form ``program`` from its PROGRAMS entry, passing the
     solver what :meth:`ProgramSpec.arguments` picks from ``params``."""
     program = Program(program)

@@ -41,10 +41,7 @@ def random_spd(rng, n, kappa=None, scale=1.0):
     """Random SPD matrix with eigenvalue spread kappa (log-uniform inner)."""
     if kappa is None:
         kappa = float(np.exp(rng.uniform(0.0, np.log(50.0))))
-    if n == 2 or kappa <= 1.0:
-        inner = np.array([])
-    else:
-        inner = np.exp(rng.uniform(np.log(1.0 / kappa), 0.0, size=n - 2))
+    inner = np.exp(rng.uniform(np.log(1.0 / kappa), 0.0, size=n - 2))
     rho = np.concatenate([[1.0], np.sort(inner)[::-1], [1.0 / kappa]]) * scale
     q = random_orthogonal(rng, n)
     return (q * rho) @ q.T

@@ -23,14 +23,10 @@ from mvgear import (
     frontier_scalars,
     frontier_variance,
     gmv_portfolio,
-    implicit_shrunk_theta,
+    Program,
     kantorovich_bound,
-    max_shrink_VI,
-    max_shrink_VII,
     optimal_risky_portfolio,
     shrink_covariance,
-    shrunk_gmv_portfolio,
-    shrunk_risky_portfolio,
     solve_I,
     solve_II,
     solve_III,
@@ -41,6 +37,8 @@ from mvgear import (
     solve_VIII,
     solve_kkt,
     solve_qoqc,
+    solve_robust,
+    solvers,
     worst_case_constrained,
     worst_case_unconstrained,
 )
@@ -165,11 +163,14 @@ def test_criterion_03_oracle_equivalence():
         npt.assert_allclose(w7, oracle_weights(gamma * sigma, a, ones[None, :], [g0]),
                             atol=1e-8, rtol=0)
 
-        m6 = max_shrink_VI(alpha, alpha0=alpha0, g0=g0).weights
+        # each program at the full-shrink limit, Sigma~ = I
+        m6 = solvers.solve(Program.VI, alpha, CovMatrix.identity(n), alpha0=alpha0,
+                           g0=g0).weights
         npt.assert_allclose(m6, oracle_weights(np.eye(n), zero, both, [alpha0, g0]),
                             atol=1e-8, rtol=0)
 
-        m7 = max_shrink_VII(alpha, gamma=gamma, g0=g0).weights
+        m7 = solvers.solve(Program.VII, alpha, CovMatrix.identity(n), gamma=gamma,
+                           g0=g0).weights
         npt.assert_allclose(
             m7, oracle_weights(gamma * np.eye(n), a, ones[None, :], [g0]),
             atol=1e-8, rtol=0)
@@ -204,11 +205,13 @@ def test_criterion_04_constraint_audit():
             w = solve_VII(alpha, cov, gamma=1.0, g0=g_neutral).weights
             assert abs(w.sum() - g_neutral) <= 1e-10
 
-        w = max_shrink_VI(alpha, alpha0=alpha0, g0=g0).weights
+        w = solvers.solve(Program.VI, alpha, CovMatrix.identity(n), alpha0=alpha0,
+                          g0=g0).weights
         assert abs(w.sum() - g0) <= 1e-10
         assert abs(float(a @ w) - alpha0) <= 1e-10
 
-        w = max_shrink_VII(alpha, gamma=2.0, g0=g0).weights
+        w = solvers.solve(Program.VII, alpha, CovMatrix.identity(n), gamma=2.0,
+                          g0=g0).weights
         assert abs(w.sum() - g0) <= 1e-10
 
     for seed in range(10):
@@ -268,21 +271,21 @@ def test_criterion_07_shrinkage():
         alpha, cov = random_instance(rng, n)
         grid = np.linspace(0.0, 1.0, 11)
         try:
-            risky = [shrunk_risky_portfolio(alpha, cov, ShrinkageSpec.simple(float(q)))
-                     for q in grid]
+            risky = [solve_robust(Program.RISKY, alpha, cov,
+                                  ShrinkageSpec.simple(float(q))) for q in grid]
         except mvgear.ZeroB:
             continue
         # zero shrink is the identity
         npt.assert_allclose(risky[0].weights,
                             optimal_risky_portfolio(alpha, cov).weights,
                             atol=1e-10, rtol=0)
-        gmv0 = shrunk_gmv_portfolio(cov, ShrinkageSpec.simple(0.0))
+        gmv0 = solve_robust(Program.GMV, alpha, cov, ShrinkageSpec.simple(0.0))
         npt.assert_allclose(gmv0.weights, gmv_portfolio(cov).weights,
                             atol=1e-10, rtol=0)
         # full-shrink limits
         npt.assert_allclose(risky[-1].weights,
                             alpha.entries / alpha.entries.sum(), atol=1e-10, rtol=0)
-        gmv1 = shrunk_gmv_portfolio(cov, ShrinkageSpec.simple(1.0))
+        gmv1 = solve_robust(Program.GMV, alpha, cov, ShrinkageSpec.simple(1.0))
         npt.assert_allclose(gmv1.weights, np.full(n, 1.0 / n), atol=1e-10, rtol=0)
         # alignment is monotone along the grid
         cosines = [alpha_angle(alpha, p.weights) for p in risky]
@@ -301,7 +304,8 @@ def test_criterion_08_implicit_form():
         n = int(rng.integers(2, 7))
         alpha, cov = random_instance(rng, n)
         k = float(rng.uniform(0.1, 0.9)) * angle_floor(alpha, cov)
-        closed = implicit_shrunk_theta(alpha, cov, k=k).weights
+        closed = solve_robust(Program.RISKY, alpha, cov,
+                              ShrinkageSpec.angle_targeted(k)).weights
         iterated = damped_implicit_iteration(alpha, cov, k, iterations=200,
                                              damping=0.5)
         npt.assert_allclose(closed, iterated, atol=1e-8, rtol=0)

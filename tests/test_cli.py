@@ -432,7 +432,7 @@ def test_shrink_sweep_shrinks_once_per_point(tmp_path, monkeypatch, mode, grid, 
     for k in parse_grid(grid):
         spec = ShrinkageSpec(mode=ShrinkMode(mode), k=float(k))
         shrunk = robust.shrink_covariance(cov, alpha, spec)
-        risky = robust.shrunk_risky_portfolio(alpha, cov, spec).weights
+        risky = robust.solve_robust(Program.RISKY, alpha, cov, spec).weights
         optimal = robust.solve_robust(Program.VII, alpha, cov, spec, gamma=1.0,
                                       g0=1.0).weights if program else risky
         rows.append([float(k), shrunk.condition_number, alpha_angle(alpha, risky),
@@ -608,12 +608,12 @@ def test_verify_flags_tampered_weights(micro_csv, tmp_path, capsys):
     (["--program", "VII", "--gamma", 1, "--g0", 1],
      lambda params: params.pop("gamma"),
      "MissingParameter: program VII requires --gamma"),
-    (["--program", "VI", "--alpha0", 0.2, "--g0", 1],
-     lambda params: params.update(shrink_mode="max") or params.pop("g0"),
+    (["--program", "VI", "--alpha0", 0.2, "--g0", 1, *SHRINK],
+     lambda params: params.pop("g0"),
      "MissingParameter: program VI requires --g0"),
     (["--program", "V", "--g0", 1],
      lambda params: params.update(shrink_mode="max"),
-     "InvalidPortfolio: program V has no max-shrink form"),
+     "InvalidPortfolio: unknown shrink mode 'max'; expected one of angle, simple, diagonal"),
 ])
 def test_verify_fails_a_file_its_program_cannot_resolve(
         micro_csv, tmp_path, capsys, solve_args, edit, detail):
@@ -628,6 +628,127 @@ def test_verify_fails_a_file_its_program_cannot_resolve(
     checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
     assert checks["weights_resolve"] == {
         "name": "weights_resolve", "passed": False, "detail": detail}
+
+
+@pytest.mark.parametrize("name", ["gamma", "g0", "n0", "lambda1", "lambda2"])
+def test_verify_fails_a_qoqc_file_without_a_param(micro_csv, tmp_path, capsys, name):
+    port, report = tmp_path / "q.json", tmp_path / "v.json"
+    assert run(["qoqc", "--input", micro_csv, "--gamma", 1, "--g0", 1, "--n0", 1,
+                "--output", port]) == 0
+    doc = json.loads(port.read_text())
+    del doc["params"][name]
+    port.write_text(json.dumps(doc))
+    assert run(["verify", "--input", micro_csv, "--portfolio", port,
+                "--output", report]) == 3
+    assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
+    checks = json.loads(report.read_text())["checks"]
+    # every audit still runs; the re-solve and each audit that needs the name fail
+    assert [c["name"] for c in checks] == FIELDS + [
+        GEARING, "diversity_constraint", "stationarity", "bound_slack"]
+    needs = {"weights_resolve": {"gamma", "g0", "n0", "lambda1", "lambda2"},
+             GEARING: {"g0"}, "diversity_constraint": {"n0"},
+             "stationarity": {"gamma", "lambda1", "lambda2"}}
+    missing = f"MissingParameter: program QOQC requires --{name}"
+    for c in checks:
+        if name in needs.get(c["name"], ()):
+            assert c == {"name": c["name"], "passed": False, "detail": missing}
+        else:
+            assert c["passed"] is True
+
+
+def test_verify_fails_a_qoqc_file_with_zero_n0(micro_csv, tmp_path, capsys):
+    port, report = tmp_path / "q.json", tmp_path / "v.json"
+    assert run(["qoqc", "--input", micro_csv, "--gamma", 1, "--g0", 1, "--n0", 1,
+                "--output", port]) == 0
+    doc = json.loads(port.read_text())
+    doc["params"]["n0"] = 0
+    port.write_text(json.dumps(doc))
+    assert run(["verify", "--input", micro_csv, "--portfolio", port,
+                "--output", report]) == 3
+    assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert checks["weights_resolve"]["detail"].startswith("Infeasible: ")
+    assert checks["diversity_constraint"] == {
+        "name": "diversity_constraint", "passed": False,
+        "detail": "ZeroDivisionError: float division by zero"}
+
+
+def _solved_record(tmp_path, csv, edit):
+    """A solved shrunk program VII file with ``edit`` applied to its record."""
+    port = tmp_path / "p.json"
+    assert run(["solve", "--input", csv, "--program", "VII", "--gamma", 1, "--g0", 1,
+                *SHRINK, "--output", port]) == 0
+    doc = json.loads(port.read_text())
+    edit(doc)
+    port.write_text(json.dumps(doc))
+    return port
+
+
+MISTYPED = {
+    "params.gamma": lambda doc: doc["params"].update(gamma="abc"),
+    "params.g0": lambda doc: doc["params"].update(g0="abc"),
+    "params.g0 true": lambda doc: doc["params"].update(g0=True),
+    "params.g0 NaN": lambda doc: doc["params"].update(g0=float("nan")),
+    "params.shrink_k": lambda doc: doc["params"].update(shrink_k="x"),
+    "params.shrink_mode": lambda doc: doc["params"].update(shrink_mode=0.4),
+    "params list": lambda doc: doc.update(params=[["g0", 1]]),
+    "gearing": lambda doc: doc.update(gearing="x"),
+    "gearing null": lambda doc: doc.update(gearing=None),
+    "leverage": lambda doc: doc.update(leverage="x"),
+    "alpha_p": lambda doc: doc.update(alpha_p="x"),
+    "sigma_p": lambda doc: doc.update(sigma_p=[1.0]),
+    "assets": lambda doc: doc.update(assets=5),
+    "assets string": lambda doc: doc.update(assets="ab"),
+    "assets numbers": lambda doc: doc.update(assets=[1, 2]),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+@pytest.mark.parametrize("field", MISTYPED)
+def test_mistyped_portfolio_field_exits_3(micro_csv, tmp_path, capsys, command, field):
+    port = _solved_record(tmp_path, micro_csv, MISTYPED[field])
+    assert run([command, "--input", micro_csv, "--portfolio", port]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("code=InvalidPortfolio ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+@pytest.mark.parametrize("edit,detail", [
+    (lambda params: params.pop("shrink_k"),
+     "MissingParameter: shrink mode simple requires shrink_k"),
+    (lambda params: params.update(shrink_k=None),
+     "MissingParameter: shrink mode simple requires shrink_k"),
+    (lambda params: params.update(shrink_mode="bogus"),
+     "InvalidPortfolio: unknown shrink mode 'bogus'; expected one of angle, simple, diagonal"),
+    (lambda params: params.update(shrink_mode="max"),
+     "InvalidPortfolio: unknown shrink mode 'max'; expected one of angle, simple, diagonal"),
+])
+def test_unreadable_shrink_record_fails_weights_resolve(
+        micro_csv, tmp_path, capsys, command, edit, detail):
+    port = _solved_record(tmp_path, micro_csv, lambda doc: edit(doc["params"]))
+    report = tmp_path / "out.json"
+    if command == "bounds":
+        # bounds reads only the weights
+        assert run(["bounds", "--input", micro_csv, "--portfolio", port,
+                    "--output", report]) == 0
+        return
+    assert run(["verify", "--input", micro_csv, "--portfolio", port,
+                "--output", report]) == 3
+    assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert checks["weights_resolve"] == {
+        "name": "weights_resolve", "passed": False, "detail": detail}
+    assert all(c["passed"] for name, c in checks.items() if name != "weights_resolve")
+
+
+def test_verify_reads_params_named_like_solver_arguments(micro_csv, tmp_path):
+    # a param may share a name with an argument of solvers.solve or solve_robust
+    port = _solved_record(tmp_path, micro_csv, lambda doc: doc["params"].update(
+        program=1.0, alpha=2.0, cov=3.0, spec=4.0))
+    report = tmp_path / "v.json"
+    assert run(["verify", "--input", micro_csv, "--portfolio", port,
+                "--output", report]) == 0
 
 
 @pytest.mark.parametrize("command", ["verify", "bounds"])

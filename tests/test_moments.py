@@ -346,6 +346,18 @@ def test_loader_rejects_what_only_python_float_accepts(tmp_path, cell):
     assert str(got.value) == f"{path}: cell at row 3, column 1 is not a number: {cell!r}"
 
 
+def test_loader_names_a_fault_after_a_row_csv_cannot_read(tmp_path):
+    # row 3 holds a number numpy reads but that is over the csv module's field
+    # size limit; the fault is the cell in row 4
+    long = "0.1" + "0" * 199_997
+    path = tmp_path / "r.csv"
+    path.write_text(f"a,b\n0.1,0.2\n{long},0.3\noops,0.4\n")
+    assert len(long) == 200_000 and float(long) == 0.1
+    with pytest.raises(NonFiniteData) as got:
+        load_returns_csv(path)
+    assert str(got.value) == f"{path}: cell at row 4, column 1 is not a number: 'oops'"
+
+
 # ---------------------------------------------------------------------------
 # One eigendecomposition per estimate
 # ---------------------------------------------------------------------------

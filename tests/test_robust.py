@@ -16,21 +16,25 @@ from mvgear import (
     alpha_angle,
     angle_floor,
     gmv_portfolio,
-    implicit_shrunk_theta,
-    max_shrink_VI,
-    max_shrink_VII,
     optimal_risky_portfolio,
     robust_alpha,
     shrink_covariance,
-    shrunk_gmv_portfolio,
-    shrunk_risky_portfolio,
     solve_VI,
     solve_VII,
     solve_kkt,
     solve_robust,
+    solvers,
 )
 
+from mvgear.moments import as_vector
+
 from conftest import random_instance
+
+
+def full_shrink(program, alpha, **params):
+    """``program`` at the full-shrink limit: the same program on Sigma~ = I."""
+    return solvers.solve(program, alpha, CovMatrix.identity(as_vector(alpha).size),
+                         **params)
 
 
 def damped_implicit_iteration(alpha, cov, k, iterations=200, damping=0.5):
@@ -167,14 +171,13 @@ def test_angle_targeted_k_range():
         shrink_covariance(cov, alpha, ShrinkageSpec.simple(1.5))
 
 
-def test_angle_targeted_pinned_k0():
+def test_angle_targeted_weight_is_k_over_floor():
     rng = np.random.default_rng(13)
     alpha, cov = random_instance(rng, 3)
     k0 = angle_floor(alpha, cov)
-    spec = ShrinkageSpec.angle_targeted(0.5 * k0, k0=k0)
-    pinned = shrink_covariance(cov, None, spec)
-    recomputed = shrink_covariance(cov, alpha, ShrinkageSpec.angle_targeted(0.5 * k0))
-    npt.assert_allclose(pinned.entries, recomputed.entries, rtol=1e-14)
+    angle = shrink_covariance(cov, alpha, ShrinkageSpec.angle_targeted(0.5 * k0))
+    plain = shrink_covariance(cov, alpha, ShrinkageSpec.simple(0.5))
+    npt.assert_allclose(angle.entries, plain.entries, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +187,7 @@ def test_angle_targeted_pinned_k0():
 def test_shrunk_risky_zero_shrink():
     rng = np.random.default_rng(15)
     alpha, cov = random_instance(rng, 4)
-    port = shrunk_risky_portfolio(alpha, cov, ShrinkageSpec.angle_targeted(0.0))
+    port = solve_robust(Program.RISKY, alpha, cov, ShrinkageSpec.angle_targeted(0.0))
     npt.assert_allclose(
         port.weights, optimal_risky_portfolio(alpha, cov).weights, atol=1e-12
     )
@@ -193,7 +196,7 @@ def test_shrunk_risky_zero_shrink():
 def test_shrunk_risky_full_shrink_is_alpha_hat():
     rng = np.random.default_rng(17)
     alpha, cov = random_instance(rng, 5)
-    port = shrunk_risky_portfolio(alpha, cov, ShrinkageSpec.simple(1.0))
+    port = solve_robust(Program.RISKY, alpha, cov, ShrinkageSpec.simple(1.0))
     npt.assert_allclose(
         port.weights, alpha.entries / alpha.entries.sum(), rtol=1e-12
     )
@@ -202,25 +205,24 @@ def test_shrunk_risky_full_shrink_is_alpha_hat():
 def test_shrunk_risky_alignment_monotone_on_grid():
     alpha = AlphaVector([0.1, 0.2])
     cov = CovMatrix.from_entries(np.diag([4.0, 1.0]))
-    cosines = [
-        alpha_angle(alpha, shrunk_risky_portfolio(alpha, cov, ShrinkageSpec.simple(q)).weights)
-        for q in [0.0, 0.5, 1.0]
-    ]
+    ports = [solve_robust(Program.RISKY, alpha, cov, ShrinkageSpec.simple(q))
+             for q in [0.0, 0.5, 1.0]]
+    cosines = [alpha_angle(alpha, port.weights) for port in ports]
     assert cosines[0] <= cosines[1] + 1e-12 <= cosines[2] + 2e-12
 
 
 def test_shrunk_gmv_limits():
     rng = np.random.default_rng(19)
     alpha, cov = random_instance(rng, 4)
-    zero = shrunk_gmv_portfolio(cov, ShrinkageSpec.simple(0.0))
+    zero = solve_robust(Program.GMV, alpha, cov, ShrinkageSpec.simple(0.0))
     npt.assert_allclose(zero.weights, gmv_portfolio(cov).weights, atol=1e-12)
-    full = shrunk_gmv_portfolio(cov, ShrinkageSpec.simple(1.0))
+    full = solve_robust(Program.GMV, alpha, cov, ShrinkageSpec.simple(1.0))
     npt.assert_allclose(full.weights, np.full(4, 0.25), atol=1e-12)
 
 
-def test_shrunk_gmv_half_shrink_diagonal():
+def test_shrunk_gmv_half_shrink_diagonal(micro_alpha):
     cov = CovMatrix.from_entries(np.diag([4.0, 1.0]))
-    port = shrunk_gmv_portfolio(cov, ShrinkageSpec.simple(0.5))
+    port = solve_robust(Program.GMV, micro_alpha, cov, ShrinkageSpec.simple(0.5))
     expected = gmv_portfolio(CovMatrix.from_entries(np.diag([2.5, 1.0]))).weights
     npt.assert_allclose(port.weights, expected, rtol=1e-13)
     npt.assert_allclose(port.weights, [0.4 / 1.4, 1.0 / 1.4], rtol=1e-12)
@@ -231,8 +233,8 @@ def test_cash_neutrality_preserved_along_grid():
     alpha, cov = random_instance(rng, 5)
     for q in np.linspace(0.0, 1.0, 11):
         spec = ShrinkageSpec.simple(float(q))
-        gmv = shrunk_gmv_portfolio(cov, spec, alpha=alpha)
-        risky = shrunk_risky_portfolio(alpha, cov, spec)
+        gmv = solve_robust(Program.GMV, alpha, cov, spec)
+        risky = solve_robust(Program.RISKY, alpha, cov, spec)
         assert float(np.sum(gmv.weights - risky.weights)) == pytest.approx(
             0.0, abs=1e-12
         )
@@ -318,12 +320,13 @@ def test_solve_robust_ignores_unset_and_unused_parameters():
 
 
 def test_solve_robust_full_shrink_matches_max_shrink_vii():
+    # the geared equal-weight portfolio plus a cash-neutral relative-return tilt
     rng = np.random.default_rng(37)
     alpha, cov = random_instance(rng, 5)
     via = solve_robust(Program.VII, alpha, cov, ShrinkageSpec.simple(1.0),
                        gamma=1.5, g0=0.8)
-    closed = max_shrink_VII(alpha, gamma=1.5, g0=0.8)
-    npt.assert_allclose(via.weights, closed.weights, atol=1e-12)
+    a = alpha.entries
+    npt.assert_allclose(via.weights, 0.8 / 5 + (a - a.mean()) / 1.5, atol=1e-12)
 
 
 def test_solve_robust_vi_on_identity(micro_alpha, micro_cov):
@@ -333,44 +336,46 @@ def test_solve_robust_vi_on_identity(micro_alpha, micro_cov):
 
 
 # ---------------------------------------------------------------------------
-# Maximally shrunk closed forms
+# Maximally shrunk programs: each program on Sigma~ = I
 # ---------------------------------------------------------------------------
 
 def test_max_shrink_vii_flat_alpha_is_equal_weight():
-    port = max_shrink_VII(AlphaVector([0.07, 0.07, 0.07]), gamma=2.0, g0=1.5)
+    port = full_shrink(Program.VII, AlphaVector([0.07, 0.07, 0.07]), gamma=2.0, g0=1.5)
     npt.assert_allclose(port.weights, np.full(3, 0.5), atol=1e-15)
 
 
 def test_max_shrink_vii_worked_example(micro_alpha):
-    port = max_shrink_VII(micro_alpha, gamma=1.0, g0=1.0)
+    port = full_shrink(Program.VII, micro_alpha, gamma=1.0, g0=1.0)
     npt.assert_allclose(port.weights, [0.45, 0.55], rtol=1e-13)
 
 
 def test_max_shrink_vii_cash_neutral(micro_alpha):
-    port = max_shrink_VII(micro_alpha, gamma=1.0, g0=0.0)
+    port = full_shrink(Program.VII, micro_alpha, gamma=1.0, g0=0.0)
     npt.assert_allclose(port.weights, [-0.05, 0.05], atol=1e-15)
     assert port.gearing == pytest.approx(0.0, abs=1e-15)
 
 
 def test_max_shrink_vii_matches_solve_vii_on_identity(micro_alpha, micro_cov):
-    closed = max_shrink_VII(micro_alpha, gamma=1.0, g0=1.0)
+    cov = CovMatrix.from_entries(np.array([[0.04, 0.01], [0.01, 0.09]]))
+    closed = solve_robust(Program.VII, micro_alpha, cov, ShrinkageSpec.simple(1.0),
+                          gamma=1.0, g0=1.0)
     direct = solve_VII(micro_alpha, micro_cov, gamma=1.0, g0=1.0)
     npt.assert_allclose(closed.weights, direct.weights, rtol=1e-13)
 
 
 def test_max_shrink_vii_rejects_nonpositive_gamma(micro_alpha):
     with pytest.raises(NonPositiveParameter):
-        max_shrink_VII(micro_alpha, gamma=0.0, g0=1.0)
+        full_shrink(Program.VII, micro_alpha, gamma=0.0, g0=1.0)
 
 
 def test_max_shrink_vi_inflection_is_equal_weight():
     alpha = AlphaVector([0.05, 0.1, 0.15])
-    port = max_shrink_VI(alpha, alpha0=0.1 * 1.2, g0=1.2)
+    port = full_shrink(Program.VI, alpha, alpha0=0.1 * 1.2, g0=1.2)
     npt.assert_allclose(port.weights, np.full(3, 0.4), atol=1e-13)
 
 
 def test_max_shrink_vi_worked_example(micro_alpha):
-    port = max_shrink_VI(micro_alpha, alpha0=0.2, g0=1.0)
+    port = full_shrink(Program.VI, micro_alpha, alpha0=0.2, g0=1.0)
     npt.assert_allclose(port.weights, [0.0, 1.0], atol=1e-13)
     theta, _ = solve_kkt(KktProblem(
         quadratic=np.eye(2), linear=np.zeros(2),
@@ -379,30 +384,41 @@ def test_max_shrink_vi_worked_example(micro_alpha):
     npt.assert_allclose(port.weights, theta, atol=1e-10)
 
 
+@pytest.mark.filterwarnings("ignore::mvgear.InefficientBranchWarning")
 def test_max_shrink_vi_constraint_audit():
     rng = np.random.default_rng(41)
     for _ in range(20):
         alpha = AlphaVector(rng.uniform(0.01, 0.2, 5))
         alpha0 = float(rng.uniform(0.02, 0.3))
         g0 = float(rng.uniform(0.2, 2.0))
-        port = max_shrink_VI(alpha, alpha0=alpha0, g0=g0)
+        port = full_shrink(Program.VI, alpha, alpha0=alpha0, g0=g0)
         assert float(alpha.entries @ port.weights) == pytest.approx(alpha0, rel=1e-10)
         assert port.gearing == pytest.approx(g0, rel=1e-10)
+        # g0 e + w~ (alpha^ - e), w~ = (alpha0 abar - g0 abar^2) / var(alpha)
+        a = alpha.entries
+        tilt = (alpha0 * a.mean() - g0 * a.mean() ** 2) / a.var()
+        npt.assert_allclose(port.weights, g0 / 5 + tilt * (a / a.sum() - 1 / 5),
+                            rtol=1e-10, atol=1e-12)
 
 
 def test_max_shrink_vi_degenerate_alpha():
     with pytest.raises(DegenerateAlpha):
-        max_shrink_VI(AlphaVector([0.1, 0.1]), alpha0=0.1, g0=1.0)
+        full_shrink(Program.VI, AlphaVector([0.1, 0.1]), alpha0=0.1, g0=1.0)
 
 
 # ---------------------------------------------------------------------------
-# Implicit shrunk portfolio (uncertainty-ball identity)
+# Implicit shrunk portfolio (uncertainty-ball identity): the angle-targeted
+# shrink of the risky portfolio
 # ---------------------------------------------------------------------------
+
+def implicit(alpha, cov, k):
+    return solve_robust(Program.RISKY, alpha, cov, ShrinkageSpec.angle_targeted(k))
+
 
 def test_implicit_zero_k_is_risky():
     rng = np.random.default_rng(43)
     alpha, cov = random_instance(rng, 4)
-    port = implicit_shrunk_theta(alpha, cov, k=0.0)
+    port = implicit(alpha, cov, 0.0)
     npt.assert_allclose(
         port.weights, optimal_risky_portfolio(alpha, cov).weights, atol=1e-12
     )
@@ -410,7 +426,7 @@ def test_implicit_zero_k_is_risky():
 
 def test_implicit_identity_cov_any_k(micro_alpha, micro_cov):
     for k in [0.1, 0.4, 0.8]:
-        port = implicit_shrunk_theta(micro_alpha, micro_cov, k=k)
+        port = implicit(micro_alpha, micro_cov, k)
         npt.assert_allclose(
             port.weights, micro_alpha.entries / micro_alpha.entries.sum(), rtol=1e-12
         )
@@ -420,7 +436,7 @@ def test_implicit_matches_damped_fixed_point():
     rng = np.random.default_rng(47)
     alpha, cov = random_instance(rng, 4)
     k = 0.5 * angle_floor(alpha, cov)
-    port = implicit_shrunk_theta(alpha, cov, k=k)
+    port = implicit(alpha, cov, k)
     oracle = damped_implicit_iteration(alpha, cov, k)
     npt.assert_allclose(port.weights, oracle, atol=1e-8)
 
@@ -429,7 +445,7 @@ def test_implicit_rejects_k_at_or_above_floor():
     rng = np.random.default_rng(53)
     alpha, cov = random_instance(rng, 3)
     with pytest.raises(InvalidK):
-        implicit_shrunk_theta(alpha, cov, k=angle_floor(alpha, cov))
+        implicit(alpha, cov, angle_floor(alpha, cov))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +460,7 @@ def test_alignment_monotone_in_shrink():
         grid = np.linspace(0.0, 1.0, 11)
         try:
             ports = [
-                shrunk_risky_portfolio(alpha, cov, ShrinkageSpec.simple(float(q)))
+                solve_robust(Program.RISKY, alpha, cov, ShrinkageSpec.simple(float(q)))
                 for q in grid
             ]
         except Exception:
