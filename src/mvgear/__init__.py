@@ -34,10 +34,8 @@ from .moments import (
     CovMatrix,
     ReturnsPanel,
     SpdRepairWarning,
-    condition_number,
     estimate_moments,
     load_returns_csv,
-    spectral_decompose,
 )
 from .solvers import (
     FrontierPoint,
@@ -49,7 +47,6 @@ from .solvers import (
     frontier_variance,
     gmv_portfolio,
     implied_returns,
-    leverage,
     optimal_risky_portfolio,
     pareto_surface,
     solve_I,
@@ -60,6 +57,7 @@ from .solvers import (
     solve_VI,
     solve_VII,
     solve_VIII,
+    solve_QOQC,
 )
 from .geometry import (
     AngleDecomposition,
@@ -83,7 +81,7 @@ from .robust import (
     shrink_covariance,
     solve_robust,
 )
-from .diversity import QoqcProblem, QoqcSolution, qoqc_portfolio, solve_qoqc
+from .diversity import QoqcProblem, QoqcSolution, solve_qoqc
 from .oracle import (
     KktProblem,
     dominance_sample,

@@ -2,7 +2,7 @@
 Command-line front-end.
 
 Reads a CSV returns panel (header row of asset names, one row per period,
-decimal simple returns), runs any of the closed-form programs, and emits
+decimal simple returns), runs any program of the table, and emits
 plot-ready JSON/CSV artifacts. All output floats carry 17 significant
 digits, so identical configuration and input produce byte-identical files.
 
@@ -21,7 +21,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from . import diversity, geometry, oracle, robust, serialize, solvers
+from . import geometry, oracle, robust, serialize, solvers
 from .errors import MissingParameter, MvgearError
 from .moments import estimate_moments, load_returns_csv
 from .robust import ShrinkageSpec, ShrinkMode
@@ -32,12 +32,10 @@ DEFAULT_SAMPLES = 100_000
 # Most points a grid, or the two grids of a surface together, may have.
 MAX_GRID_POINTS = 1_000_000
 
-# The programs ``solve`` and ``shrink-sweep`` run: every closed form.
-PROGRAM_CHOICES = [program.value for program in solvers.PROGRAMS]
-
-# What a QOQC record carries: its problem's parameters, then the multipliers
-# its stationarity audit reads.
-QOQC_PARAMS = ("gamma", "g0", "n0", "lambda1", "lambda2")
+# The programs ``solve`` and ``shrink-sweep`` run: every closed form. QOQC
+# runs as the ``qoqc`` subcommand.
+PROGRAM_CHOICES = [program.value for program in solvers.PROGRAMS
+                   if program is not Program.QOQC]
 
 SURFACE_HEADER = ["alpha_p", "g0", "sigma_p", "is_gmv_line", "is_risky_line"]
 SWEEP_HEADER = [
@@ -56,6 +54,10 @@ class CliError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+class VerificationFailed(MvgearError):
+    """A ``verify`` report with a failed check; exit 3 once it is written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,16 +100,20 @@ def _build_parser() -> _Parser:
         p.add_argument("--output", default=None, help="artifact path (default stdout)")
         p.add_argument("--format", default=None, choices=["json", "csv"])
 
+    def program_flags(p, required):
+        """--program, and the flag of each parameter a program it names takes."""
+        p.add_argument("--program", required=required, choices=PROGRAM_CHOICES)
+        entries = [solvers.PROGRAMS[Program(choice)] for choice in PROGRAM_CHOICES]
+        for name in dict.fromkeys(name for e in entries
+                                  for name in (*e.required, *e.optional, *e.one_of)):
+            p.add_argument(f"--{name}", type=float)
+
     p = sub.add_parser("estimate", help="sample moments and spectral diagnostics")
     common(p)
 
     p = sub.add_parser("solve", help="run one closed-form program")
     common(p)
-    p.add_argument("--program", required=True, choices=PROGRAM_CHOICES)
-    p.add_argument("--sigma0", type=float)
-    p.add_argument("--alpha0", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--g0", type=float)
+    program_flags(p, required=True)
     p.add_argument("--shrink-mode", dest="mode", choices=[m.value for m in ShrinkMode])
     p.add_argument("--k", type=float, help="angle-targeted shrink parameter")
     p.add_argument("--q", type=float, help="plain convex shrink weight")
@@ -132,17 +138,14 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--mode", default="angle", choices=[m.value for m in ShrinkMode])
     p.add_argument("--grid", required=True, help="start:step:stop of k (or q)")
-    p.add_argument("--program", choices=PROGRAM_CHOICES)
-    p.add_argument("--sigma0", type=float)
-    p.add_argument("--alpha0", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--g0", type=float)
+    program_flags(p, required=False)
 
     p = sub.add_parser("qoqc", help="diversity-constrained program")
     common(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--g0", type=float, required=True)
     p.add_argument("--n0", type=float, required=True)
+    p.set_defaults(program=Program.QOQC.value, mode=None)
 
     p = sub.add_parser("verify", help="re-derive and audit a solved portfolio")
     common(p)
@@ -208,14 +211,11 @@ def _cmd_estimate(args) -> str:
 
 
 def _cmd_solve(args) -> str:
+    """``solve``, and ``qoqc``, whose parser sets its program."""
     panel, alpha, cov = _moments(args)
     program = Program(args.program)
     params = _program_params(args, program)
-    spec = _shrink_spec(args)
-    if spec is None:
-        port = solvers.solve(program, alpha, cov, **params)
-    else:
-        port = robust.solve_robust(program, alpha, cov, spec, **params)
+    port = robust.solve_robust(program, alpha, cov, _shrink_spec(args), **params)
     port = replace(port, assets=panel.assets)
     return serialize.dumps(serialize.portfolio_to_dict(port)) + "\n"
 
@@ -286,17 +286,77 @@ def _cmd_shrink_sweep(args) -> str:
     return serialize.csv_lines(SWEEP_HEADER, rows)
 
 
-def _cmd_qoqc(args) -> str:
-    panel, alpha, cov = _moments(args)
-    problem = diversity.QoqcProblem(
-        alpha=alpha.entries, cov=cov, gamma=args.gamma, g0=args.g0, n0=args.n0
+def _gearing_audit(alpha, cov, w, args, g0):
+    gearing = float(w.sum())
+    return (abs(gearing - g0) <= 1e-10 * max(1.0, abs(g0)),
+            f"1'theta = {gearing!r} vs g0 = {g0!r}")
+
+
+def _full_investment_audit(alpha, cov, w, args):
+    gearing = float(w.sum())
+    return abs(gearing - 1.0) <= 1e-10, f"1'theta = {gearing!r} vs 1"
+
+
+def _return_audit(alpha, cov, w, args, alpha0):
+    ret = float(alpha @ w)
+    return (abs(ret - alpha0) <= 1e-10 * max(1.0, abs(alpha0)),
+            f"alpha'theta = {ret!r} vs alpha0 = {alpha0!r}")
+
+
+def _risk_audit(alpha, cov, w, args, sigma0):
+    risk = float(np.sqrt(max(cov.quad(w), 0.0)))
+    return (abs(risk - sigma0) <= 1e-10 * max(1.0, sigma0),
+            f"sigma_p = {risk!r} vs sigma0 = {sigma0!r}")
+
+
+def _diversity_audit(alpha, cov, w, args, n0):
+    value, target = float(w @ w), 1.0 / n0
+    return abs(value - target) <= 1e-8, f"theta'theta = {value!r} vs 1/n0 = {target!r}"
+
+
+def _stationarity_audit(alpha, cov, w, args, gamma, lam1, lam2):
+    grad = (-alpha + gamma * (cov.entries @ w) - 2.0 * lam1 * w
+            - lam2 * np.ones(w.size))
+    res = float(np.abs(grad).max())
+    return res <= 1e-8, f"residual {res:g}"
+
+
+def _bound_audit(alpha, cov, w, args):
+    report = geometry.verify_bound(alpha, cov, w)
+    return (report.slack >= -1e-10,
+            f"cos_phi = {float(report.cos_phi)!r}, slack = {float(report.slack)!r}")
+
+
+def _sharpe_audit(alpha, cov, w, args):
+    gearing = float(w.sum())
+    best = oracle.dominance_sample(
+        oracle.sharpe_objective(alpha, cov.entries),
+        oracle.project_to_gearing(gearing if gearing != 0.0 else 1.0),
+        dim=w.size, count=args.samples, seed=args.seed,
     )
-    solution = diversity.solve_qoqc(problem)
-    port = replace(diversity.qoqc_portfolio(problem, solution), assets=panel.assets)
-    return serialize.dumps(serialize.portfolio_to_dict(port)) + "\n"
+    mine = float(alpha @ w) / float(np.sqrt(cov.quad(w)))
+    return best <= mine + 1e-9, f"best sampled {best!r} vs solved {mine!r}"
 
 
-def _verify_checks(args, panel, alpha, cov, port) -> list[dict]:
+# Each audit a table entry may name, in the order ``verify`` runs them: its
+# check, the params it reads, and its test of (alpha, Sigma, weights, flags,
+# *params). Every record also meets the angle bound, "bound".
+AUDITS = {
+    "gearing": ("gearing_constraint", ("g0",), _gearing_audit),
+    "full_investment": ("gearing_constraint", (), _full_investment_audit),
+    "return": ("return_constraint", ("alpha0",), _return_audit),
+    "risk": ("risk_constraint", ("sigma0",), _risk_audit),
+    "diversity": ("diversity_constraint", ("n0",), _diversity_audit),
+    "stationarity": ("stationarity", ("gamma", "lambda1", "lambda2"),
+                     _stationarity_audit),
+    "bound": ("bound_slack", (), _bound_audit),
+    "sharpe": ("sharpe_dominance", (), _sharpe_audit),
+}
+# A shrunk solution meets these on the shrunk covariance only.
+UNSHRUNK_AUDITS = {"risk", "stationarity", "sharpe"}
+
+
+def _verify_checks(args, alpha, cov, port) -> list[dict]:
     checks = []
 
     def check(name, passed, detail):
@@ -319,106 +379,53 @@ def _verify_checks(args, panel, alpha, cov, port) -> list[dict]:
         check("sigma_p", abs(risk - port.sigma_p) <= 1e-10 * max(1.0, risk),
               f"stored {port.sigma_p!r} vs recomputed {risk!r}")
 
-    def need(*names):
-        """The named params as floats; MissingParameter names the first one absent."""
-        for name in names:
-            if port.params.get(name) is None:
-                raise MissingParameter(f"program {port.program.value} requires --{name}")
-        return [float(port.params[name]) for name in names]
-
-    def audit(name, names, test):
-        """check(name, *test(*need(*names))), failed if a named param is absent."""
-        try:
-            check(name, *test(*need(*names)))
-        except (MvgearError, ZeroDivisionError) as exc:
-            check(name, False, f"{type(exc).__name__}: {exc}")
-
-    qoqc = port.program is Program.QOQC
-    entry = None if qoqc else solvers.PROGRAMS[port.program]
+    entry = solvers.PROGRAMS[port.program]
     shrunk = True  # a shrink record that cannot be read skips the unshrunk audits
     try:
         spec = ShrinkageSpec.from_params(port.params)
         shrunk = spec is not None
-        if qoqc:
-            gamma, g0, n0, _, _ = need(*QOQC_PARAMS)
-            problem = diversity.QoqcProblem(alpha=alpha.entries, cov=cov, gamma=gamma,
-                                            g0=g0, n0=n0)
-            resolved = diversity.solve_qoqc(problem).weights
-        elif shrunk:
-            resolved = robust.solve_robust(port.program, alpha, cov, spec,
-                                           **port.params).weights
-        else:
-            resolved = solvers.solve(port.program, alpha, cov, **port.params).weights
+        resolved = robust.solve_robust(port.program, alpha, cov, spec,
+                                       **port.params).weights
         err = float(np.abs(resolved - w).max())
         check("weights_resolve", err <= 1e-8, f"max weight deviation {err:g}")
     except MvgearError as exc:
         check("weights_resolve", False, f"{type(exc).__name__}: {exc}")
 
-    # QOQC binds its gearing; its sphere and stationarity audits follow.
-    binds = ("gearing",) if qoqc else entry.binds
-    if "gearing" in binds and (qoqc or port.params.get("g0") is not None):
-        audit("gearing_constraint", ["g0"], lambda g0: (
-            abs(gearing - g0) <= 1e-10 * max(1.0, abs(g0)),
-            f"1'theta = {gearing!r} vs g0 = {g0!r}"))
-    if "full_investment" in binds:
-        check("gearing_constraint", abs(gearing - 1.0) <= 1e-10,
-              f"1'theta = {gearing!r} vs 1")
-    if "return" in binds and port.params.get("alpha0") is not None:
-        ret = float(alpha.entries @ w)
-        target = float(port.params["alpha0"])
-        check("return_constraint", abs(ret - target) <= 1e-10 * max(1.0, abs(target)),
-              f"alpha'theta = {ret!r} vs alpha0 = {target!r}")
-    # A shrunk solution meets its risk bound on the shrunk covariance only.
-    if "risk" in binds and port.params.get("sigma0") is not None and not shrunk:
-        target = float(port.params["sigma0"])
-        risk = float(np.sqrt(max(cov.quad(w), 0.0)))
-        check("risk_constraint", abs(risk - target) <= 1e-10 * max(1.0, target),
-              f"sigma_p = {risk!r} vs sigma0 = {target!r}")
-    if qoqc:
-        def sphere(n0):
-            value, target = float(w @ w), 1.0 / n0
-            return (abs(value - target) <= 1e-8,
-                    f"theta'theta = {value!r} vs 1/n0 = {target!r}")
-
-        def stationarity(gamma, lam1, lam2):
-            grad = (-alpha.entries + gamma * (cov.entries @ w) - 2.0 * lam1 * w
-                    - lam2 * np.ones(w.size))
-            res = float(np.abs(grad).max())
-            return res <= 1e-8, f"residual {res:g}"
-
-        audit("diversity_constraint", ["n0"], sphere)
-        audit("stationarity", ["gamma", "lambda1", "lambda2"], stationarity)
-
-    try:
-        report = geometry.verify_bound(alpha, cov, w)
-        check("bound_slack", report.slack >= -1e-10,
-              f"cos_phi = {float(report.cos_phi)!r}, slack = {float(report.slack)!r}")
-    except MvgearError as exc:
-        check("bound_slack", False, f"{type(exc).__name__}: {exc}")
-
-    if not qoqc and entry.sharpe and not shrunk:
-        best = oracle.dominance_sample(
-            oracle.sharpe_objective(alpha.entries, cov.entries),
-            oracle.project_to_gearing(gearing if gearing != 0.0 else 1.0),
-            dim=w.size, count=args.samples, seed=args.seed,
-        )
-        mine = float(alpha.entries @ w) / float(np.sqrt(cov.quad(w)))
-        check("sharpe_dominance", best <= mine + 1e-9,
-              f"best sampled {best!r} vs solved {mine!r}")
+    # An audit is skipped when it reads a param the entry may go without and
+    # the record lacks it; any other param the record lacks fails the audit.
+    for name, (check_name, reads, test) in AUDITS.items():
+        if ((name != "bound" and name not in entry.audits)
+                or (shrunk and name in UNSHRUNK_AUDITS)):
+            continue
+        missing = [param for param in reads if port.params.get(param) is None]
+        if any(param in entry.optional + entry.one_of for param in missing):
+            continue
+        try:
+            if missing:
+                raise entry.missing(missing[0])
+            values = [float(port.params[param]) for param in reads]
+            check(check_name, *test(alpha.entries, cov, w, args, *values))
+        except (MvgearError, ZeroDivisionError) as exc:
+            check(check_name, False, f"{type(exc).__name__}: {exc}")
     return checks
 
 
-def _cmd_verify(args) -> tuple[str, bool]:
+def _cmd_verify(args) -> str:
+    """The audit report; a failed check writes it, then raises VerificationFailed."""
     panel, alpha, cov = _moments(args)
     port = _load_portfolio(args, panel)
     if port.dim != cov.dim:
         raise CliError("BadArguments",
                        f"portfolio has {port.dim} weights, panel has {cov.dim} assets")
-    checks = _verify_checks(args, panel, alpha, cov, port)
+    checks = _verify_checks(args, alpha, cov, port)
     passed = all(c["passed"] for c in checks)
     doc = {"passed": passed, "seed": args.seed, "samples": args.samples,
            "checks": checks}
-    return serialize.dumps(doc) + "\n", passed
+    text = serialize.dumps(doc) + "\n"
+    if not passed:
+        _emit(args, text)
+        raise VerificationFailed("one or more checks failed")
+    return text
 
 
 def _emit(args, text: str) -> None:
@@ -429,43 +436,28 @@ def _emit(args, text: str) -> None:
             handle.write(text)
 
 
-_JSON_COMMANDS = {"estimate", "solve", "bounds", "qoqc", "verify"}
+# Each subcommand's handler and the format of the artifact it emits.
+COMMANDS = {
+    "estimate": (_cmd_estimate, "json"),
+    "solve": (_cmd_solve, "json"),
+    "frontier": (_cmd_frontier, "csv"),
+    "surface": (_cmd_surface, "csv"),
+    "bounds": (_cmd_bounds, "json"),
+    "shrink-sweep": (_cmd_shrink_sweep, "csv"),
+    "qoqc": (_cmd_solve, "json"),
+    "verify": (_cmd_verify, "json"),
+}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        fmt = args.format
-        natural = "json" if args.command in _JSON_COMMANDS else "csv"
-        if fmt is not None and fmt != natural:
+        handler, natural = COMMANDS[args.command]
+        if args.format not in (None, natural):
             raise CliError("BadArguments",
                            f"command {args.command} emits {natural} artifacts")
-        if args.command == "estimate":
-            text = _cmd_estimate(args)
-        elif args.command == "solve":
-            text = _cmd_solve(args)
-        elif args.command == "frontier":
-            text = _cmd_frontier(args)
-        elif args.command == "surface":
-            text = _cmd_surface(args)
-        elif args.command == "bounds":
-            text = _cmd_bounds(args)
-        elif args.command == "shrink-sweep":
-            text = _cmd_shrink_sweep(args)
-        elif args.command == "qoqc":
-            text = _cmd_qoqc(args)
-        elif args.command == "verify":
-            text, ok = _cmd_verify(args)
-            _emit(args, text)
-            if not ok:
-                print("code=VerificationFailed one or more checks failed",
-                      file=sys.stderr)
-                return 3
-            return 0
-        else:  # pragma: no cover - argparse enforces the choices
-            raise CliError("BadArguments", f"unknown command {args.command}")
-        _emit(args, text)
+        _emit(args, handler(args))
     except CliError as exc:
         print(f"code={exc.code} {exc}", file=sys.stderr)
         return 2

@@ -32,6 +32,11 @@ Lagrangian literally, so stationarity reads
 
 which maps to the ridge form (nu I + gamma Sigma) theta = alpha + lambda2 1
 via nu = -2 lambda1; nu is surfaced in the diagnostics as ``ridge_shift``.
+
+QOQC is a table program like the closed forms: ``solvers.PROGRAMS`` runs it
+through ``solvers.solve_QOQC``, which wraps :func:`solve_qoqc`'s weights and
+multipliers in the shared Portfolio record. ``solvers`` imports this module,
+so this module imports nothing from ``solvers``.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from .errors import (
     ToleranceNotMet,
 )
 from .moments import CovMatrix, as_vector
-from .solvers import Program, _portfolio
 
 # Stated solution tolerances.
 SPHERE_TOL = 1e-8
@@ -238,19 +242,3 @@ def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
         diagnostics=diagnostics,
     )
 
-
-def qoqc_portfolio(problem: QoqcProblem, solution: QoqcSolution):
-    """Wrap a solution in the shared Portfolio record."""
-    return _portfolio(
-        solution.weights,
-        Program.QOQC,
-        {
-            "gamma": problem.gamma,
-            "g0": problem.g0,
-            "n0": problem.n0,
-            "lambda1": solution.lambda1,
-            "lambda2": solution.lambda2,
-        },
-        alpha=problem.alpha,
-        cov=problem.cov,
-    )

@@ -204,6 +204,7 @@ class CovMatrix:
 
     @property
     def condition_number(self) -> float:
+        """Ratio of extreme eigenvalues, rho_max / rho_min >= 1."""
         return float(self.eigenvalues[0] / self.eigenvalues[-1])
 
     def solve(self, x) -> np.ndarray:
@@ -264,16 +265,6 @@ def estimate_moments(
     # ``sample`` is exactly symmetric, so ``_symmetrized`` returns its bits
     # unchanged and the decomposition above is the decomposition of them.
     return AlphaVector(alpha), CovMatrix._from_eigh(_symmetrized(sample), rho, vecs)
-
-
-def condition_number(cov: CovMatrix) -> float:
-    """Ratio of extreme eigenvalues, rho_max / rho_min >= 1."""
-    return cov.condition_number
-
-
-def spectral_decompose(cov: CovMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues and matching orthonormal eigenvector columns."""
-    return cov.eigenvalues.copy(), cov.eigenvectors.copy()
 
 
 def _first_fault(path) -> str:

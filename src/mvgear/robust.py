@@ -28,7 +28,8 @@ q I + (1-q) Sigma and q diag(Sigma) + (1-q) Sigma are exposed alongside.
 
 Shrinking never worsens the condition number and never breaks the gearing
 constraints (the GMV/risky mix stays cash neutral). :func:`solve_robust`
-re-solves any program on the shrunk covariance; its full-shrink limit
+re-solves any table program (``solvers.PROGRAMS``, QOQC included) on the
+shrunk covariance; its full-shrink limit
 (``ShrinkageSpec.simple(1.0)``) is the same program on Sigma~ = I, that is
 ``solvers.solve(program, alpha, CovMatrix.identity(n), **params)``. With
 e = 1/n the equal-weight vector and alpha^ = alpha / (1'alpha):
@@ -166,11 +167,14 @@ def shrink_covariance(cov: CovMatrix, alpha, spec: ShrinkageSpec) -> CovMatrix:
 
 
 def solve_robust(
-    program: Program, alpha, cov: CovMatrix, spec: ShrinkageSpec, /, **params
+    program: Program, alpha, cov: CovMatrix, spec: ShrinkageSpec | None, /, **params
 ) -> Portfolio:
-    """Re-solve any closed-form program, with ``params`` as :func:`solvers.solve`
+    """Re-solve any table program, with ``params`` as :func:`solvers.solve`
     takes them, on the shrunk covariance; the result records the shrink and
-    reports alpha_p and sigma_p on the unshrunk covariance."""
+    reports alpha_p and sigma_p on the unshrunk covariance. With no ``spec``
+    this is :func:`solvers.solve` itself."""
+    if spec is None:
+        return solvers.solve(program, alpha, cov, **params)
     a = as_vector(alpha)
     base = solvers.solve(program, a, shrink_covariance(cov, a, spec), **params)
     params = {**base.params, "shrink_mode": spec.mode.value, "shrink_k": spec.k}

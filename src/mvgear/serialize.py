@@ -87,20 +87,26 @@ def _finite(value) -> bool:
 def portfolio_from_dict(data: dict) -> Portfolio:
     """The portfolio a wire record holds, every field typed here.
 
-    Each param is a finite number or null, except ``shrink_mode``, a string.
-    ``gearing`` and ``leverage`` are finite numbers, ``alpha_p`` and
-    ``sigma_p`` finite numbers or null, ``assets`` null or a list of strings.
-    Anything else raises InvalidPortfolio.
+    ``weights`` is a list of finite numbers. Each param is a finite number or
+    null, except ``shrink_mode``, a string. ``gearing`` and ``leverage`` are
+    finite numbers, ``alpha_p`` and ``sigma_p`` finite numbers or null,
+    ``assets`` null or a list of strings. Anything else raises InvalidPortfolio.
     """
     if not isinstance(data, dict):
         raise InvalidPortfolio(
             f"portfolio record must be a JSON object, got {type(data).__name__}"
         )
     try:
-        weights = np.asarray(data["weights"], dtype=float)
+        weights = data["weights"]
         program = Program(data["program"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidPortfolio(f"malformed portfolio record: {exc}") from exc
+    if not isinstance(weights, list):
+        raise InvalidPortfolio(f"weights must be a list, got {type(weights).__name__}")
+    for value in weights:
+        if not _finite(value):
+            raise InvalidPortfolio(f"weights must be finite numbers, got {value!r}")
+    weights = np.array(weights, dtype=float)
     params = data.get("params") or {}
     if not isinstance(params, dict):
         raise InvalidPortfolio(f"params must be a JSON object, got {params!r}")

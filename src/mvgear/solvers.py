@@ -1,5 +1,5 @@
 """
-Closed-form mean-variance portfolio programs.
+Mean-variance portfolio programs: the closed forms and the table of programs.
 
 All solutions are parameterized by the four frontier scalars
 
@@ -25,8 +25,9 @@ produces the Pareto surface.
 
 Linear solves go through the spectral decomposition cached on CovMatrix
 rather than explicit inversion; each solve computes Sigma^-1 1 and
-Sigma^-1 alpha at most once. :data:`PROGRAMS` lists every closed form with
-its solver, its parameters and the constraints it binds; :func:`solve`
+Sigma^-1 alpha at most once. :data:`PROGRAMS` lists every closed form, and
+the diversity-constrained program QOQC (:mod:`mvgear.diversity`), with its
+solver, its parameters and the audits its solution must pass; :func:`solve`
 runs a program from it.
 """
 
@@ -49,6 +50,7 @@ from .errors import (
     ZeroB,
     ZeroSum,
 )
+from .diversity import QoqcProblem, solve_qoqc
 from .moments import AlphaVector, CovMatrix, as_vector
 
 # B within this absolute tolerance of zero leaves the fully-invested risky
@@ -138,12 +140,6 @@ def _portfolio(
         alpha_p=alpha_p,
         sigma_p=sigma_p,
     )
-
-
-def leverage(portfolio: Portfolio) -> tuple[float, float]:
-    """(gearing, leverage) = (1'theta, 1'|theta|)."""
-    w = portfolio.weights
-    return float(w.sum()), float(np.abs(w).sum())
 
 
 def _frontier(alpha, cov: CovMatrix) -> FrontierScalars:
@@ -317,15 +313,32 @@ def solve_VIII(alpha, cov: CovMatrix, g0: float) -> Portfolio:
     return _geared_sharpe(Program.VIII, alpha, cov, g0)
 
 
+def solve_QOQC(alpha, cov: CovMatrix, gamma: float, g0: float, n0: float) -> Portfolio:
+    """Diversity-constrained mean-variance program (:mod:`mvgear.diversity`).
+
+    Solves max alpha'theta - (gamma/2) theta'Sigma theta s.t. 1'theta = g0,
+    theta'theta = 1/n0; the record carries the multipliers lambda1 and
+    lambda2 that certify stationarity.
+    """
+    problem = QoqcProblem(alpha=alpha, cov=cov, gamma=gamma, g0=g0, n0=n0)
+    solution = solve_qoqc(problem)
+    params = {"gamma": problem.gamma, "g0": problem.g0, "n0": problem.n0,
+              "lambda1": solution.lambda1, "lambda2": solution.lambda2}
+    return _portfolio(solution.weights, Program.QOQC, params, alpha=problem.alpha,
+                      cov=cov)
+
+
 @dataclass(frozen=True)
 class ProgramSpec:
-    """One closed-form program: its solver, its parameters, what it binds.
+    """One program: its solver, its parameters, what its solution must pass.
 
-    ``binds`` names the constraints its solution meets with equality:
+    ``audits`` names, in the order ``verify`` runs them, the checks its
+    solution passes:
     ``"gearing"`` (1'theta = g0), ``"full_investment"`` (1'theta = 1),
-    ``"return"`` (alpha'theta = alpha0), ``"risk"`` (sigma_p = sigma0).
-    ``sharpe`` marks the Sharpe family: no portfolio of its gearing beats
-    its Sharpe ratio.
+    ``"return"`` (alpha'theta = alpha0), ``"risk"`` (sigma_p = sigma0),
+    ``"diversity"`` (theta'theta = 1/n0), ``"stationarity"`` (the recorded
+    multipliers make the Lagrangian's gradient vanish) and ``"sharpe"`` (no
+    portfolio of its gearing beats its Sharpe ratio).
     """
 
     program: Program
@@ -333,8 +346,7 @@ class ProgramSpec:
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
     one_of: tuple[str, ...] = ()
-    binds: tuple[str, ...] = ()
-    sharpe: bool = False
+    audits: tuple[str, ...] = ()
 
     def arguments(self, values: Mapping) -> dict:
         """The solver's parameters among ``values`` (None means unset); raises
@@ -343,12 +355,15 @@ class ProgramSpec:
         given = {name: value for name, value in values.items() if value is not None}
         for name in self.required:
             if name not in given:
-                raise MissingParameter(f"program {self.program.value} requires --{name}")
+                raise self.missing(name)
         chosen = [name for name in self.one_of if name in given][:1]
         if self.one_of and not chosen:
             raise MissingParameter(self.one_of_text())
         optional = [name for name in self.optional if name in given]
         return {name: given[name] for name in [*self.required, *optional, *chosen]}
+
+    def missing(self, name: str) -> MissingParameter:
+        return MissingParameter(f"program {self.program.value} requires --{name}")
 
     def one_of_text(self) -> str:
         flags = " / ".join(f"--{name}" for name in self.one_of)
@@ -357,31 +372,29 @@ class ProgramSpec:
 
 # In Program order, which is the order the CLI lists them in.
 PROGRAMS: dict[Program, ProgramSpec] = {spec.program: spec for spec in (
-    ProgramSpec(Program.I, solve_I, required=("sigma0",), binds=("risk",)),
-    ProgramSpec(Program.II, solve_II, required=("alpha0",), binds=("return",)),
+    ProgramSpec(Program.I, solve_I, required=("sigma0",), audits=("risk",)),
+    ProgramSpec(Program.II, solve_II, required=("alpha0",), audits=("return",)),
     ProgramSpec(Program.III, solve_III, required=("gamma",)),
-    ProgramSpec(Program.IV, solve_IV, optional=("g0",), binds=("gearing",), sharpe=True),
-    ProgramSpec(Program.V, solve_V, one_of=("sigma0", "g0"), binds=("gearing", "risk"),
-                sharpe=True),
+    ProgramSpec(Program.IV, solve_IV, optional=("g0",), audits=("gearing", "sharpe")),
+    ProgramSpec(Program.V, solve_V, one_of=("sigma0", "g0"),
+                audits=("gearing", "risk", "sharpe")),
     ProgramSpec(Program.VI, solve_VI, required=("alpha0", "g0"),
-                binds=("gearing", "return")),
-    ProgramSpec(Program.VII, solve_VII, required=("gamma", "g0"), binds=("gearing",)),
-    ProgramSpec(Program.VIII, solve_VIII, required=("g0",), binds=("gearing",),
-                sharpe=True),
+                audits=("gearing", "return")),
+    ProgramSpec(Program.VII, solve_VII, required=("gamma", "g0"), audits=("gearing",)),
+    ProgramSpec(Program.VIII, solve_VIII, required=("g0",), audits=("gearing", "sharpe")),
     ProgramSpec(Program.GMV, lambda alpha, cov: gmv_portfolio(cov),
-                binds=("full_investment",)),
-    ProgramSpec(Program.RISKY, optimal_risky_portfolio, binds=("full_investment",),
-                sharpe=True),
+                audits=("full_investment",)),
+    ProgramSpec(Program.RISKY, optimal_risky_portfolio,
+                audits=("full_investment", "sharpe")),
+    ProgramSpec(Program.QOQC, solve_QOQC, required=("gamma", "g0", "n0"),
+                audits=("gearing", "diversity", "stationarity")),
 )}
 
 
 def solve(program: Program, alpha, cov: CovMatrix, /, **params) -> Portfolio:
-    """Solve closed-form ``program`` from its PROGRAMS entry, passing the
-    solver what :meth:`ProgramSpec.arguments` picks from ``params``."""
-    program = Program(program)
-    if program not in PROGRAMS:
-        raise NonPositiveParameter(f"program {program.value} has no closed form")
-    entry = PROGRAMS[program]
+    """Solve ``program`` from its PROGRAMS entry, passing the solver what
+    :meth:`ProgramSpec.arguments` picks from ``params``."""
+    entry = PROGRAMS[Program(program)]
     return entry.solver(alpha, cov, **entry.arguments(params))
 
 

@@ -12,7 +12,7 @@ from mvgear.cli import CliError
 from mvgear.geometry import alpha_angle, kantorovich_bound
 from mvgear.moments import estimate_moments, load_returns_csv
 from mvgear.robust import ShrinkageSpec, ShrinkMode
-from mvgear.serialize import csv_lines, dumps
+from mvgear.serialize import csv_lines, dumps, portfolio_to_dict
 from mvgear.solvers import PROGRAMS, Program
 
 from conftest import write_micro_csv
@@ -173,8 +173,10 @@ REQUIRED_FLAGS = {
     Program.I: ("sigma0",), Program.II: ("alpha0",), Program.III: ("gamma",),
     Program.IV: (), Program.V: (), Program.VI: ("alpha0", "g0"),
     Program.VII: ("gamma", "g0"), Program.VIII: ("g0",), Program.GMV: (),
-    Program.RISKY: (),
+    Program.RISKY: (), Program.QOQC: ("gamma", "g0", "n0"),
 }
+# The programs --program names: the table, less QOQC, which is its own command.
+CHOICES = [Program(choice) for choice in cli.PROGRAM_CHOICES]
 FLAG_VALUES = {"sigma0": 0.5, "alpha0": 0.2, "gamma": 1, "g0": 1}
 SWEEP_ARGS = ["--mode", "simple", "--grid", "0:0.5:1"]
 
@@ -190,7 +192,7 @@ def test_program_table_requires_the_flags_the_cli_requires():
 
 
 @pytest.mark.parametrize("command", ["solve", "shrink-sweep"])
-@pytest.mark.parametrize("program", list(PROGRAMS))
+@pytest.mark.parametrize("program", CHOICES)
 def test_program_runs_with_its_table_flags(micro_csv, command, program):
     entry = PROGRAMS[program]
     extra = SWEEP_ARGS if command == "shrink-sweep" else []
@@ -200,7 +202,7 @@ def test_program_runs_with_its_table_flags(micro_csv, command, program):
 
 @pytest.mark.parametrize("command", ["solve", "shrink-sweep"])
 @pytest.mark.parametrize("program,dropped", [
-    (program, name) for program, entry in PROGRAMS.items() for name in entry.required
+    (program, name) for program in CHOICES for name in PROGRAMS[program].required
 ])
 def test_dropping_a_required_flag_exits_2(micro_csv, capsys, command, program, dropped):
     entry = PROGRAMS[program]
@@ -228,8 +230,35 @@ def test_program_choices_are_the_table_keys(command):
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     choices = next(a.choices for a in commands[command]._actions if a.dest == "program")
-    assert choices == [program.value for program in PROGRAMS]
+    assert choices == cli.PROGRAM_CHOICES
+    assert choices == [program.value for program in PROGRAMS if program is not Program.QOQC]
     assert choices == ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "GMV", "RISKY"]
+
+
+# The flags each subcommand has always accepted.
+SUBCOMMAND_FLAGS = {
+    "estimate": set(),
+    "solve": {"--program", "--sigma0", "--alpha0", "--gamma", "--g0", "--shrink-mode",
+              "--k", "--q"},
+    "frontier": {"--g0", "--alpha-grid"},
+    "surface": {"--g0", "--alpha-grid"},
+    "bounds": {"--portfolio", "--theta", "--psi"},
+    "shrink-sweep": {"--mode", "--grid", "--program", "--sigma0", "--alpha0", "--gamma",
+                     "--g0"},
+    "qoqc": {"--gamma", "--g0", "--n0"},
+    "verify": {"--portfolio", "--seed", "--samples"},
+}
+
+
+def test_each_subcommand_accepts_its_flags():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(cli.COMMANDS) == set(SUBCOMMAND_FLAGS)
+    for command, sub in commands.items():
+        accepted = {flag for a in sub._actions for flag in a.option_strings}
+        assert accepted == {"-h", "--help", "--input", "--output", "--format",
+                            *SUBCOMMAND_FLAGS[command]}, command
 
 
 def test_bad_subcommand_exits_2(capsys):
@@ -585,6 +614,77 @@ def test_verify_audits_each_program(tmp_path, command, expected):
     assert [c["name"] for c in json.loads(report.read_text())["checks"]] == expected
 
 
+def test_table_audits_are_verify_audits_in_verify_order():
+    for program, entry in PROGRAMS.items():
+        assert [name for name in cli.AUDITS if name in entry.audits] == list(entry.audits)
+        assert "bound" not in entry.audits, program
+
+
+def _three_asset_csv(tmp_path):
+    """The panel ``test_verify_audits_each_program`` solves on."""
+    csv = tmp_path / "r.csv"
+    rng = np.random.default_rng(8)
+    base = rng.multivariate_normal(
+        [0.01, 0.02, 0.015],
+        [[4.0, 1.0, 0.0], [1.0, 2.0, 0.3], [0.0, 0.3, 1.0]], size=60)
+    csv.write_text("a,b,c\n" + "\n".join(
+        ",".join(repr(float(v)) for v in row) for row in base) + "\n")
+    return csv
+
+
+def test_verify_audits_a_shrunk_qoqc_record(tmp_path):
+    # the qoqc command takes no shrink flags; the library writes the record
+    csv = _three_asset_csv(tmp_path)
+    alpha, cov = estimate_moments(load_returns_csv(csv))
+    port = robust.solve_robust(Program.QOQC, alpha, cov, ShrinkageSpec.simple(0.4),
+                               gamma=1.0, g0=1.0, n0=2.0)
+    path, report = tmp_path / "q.json", tmp_path / "v.json"
+    path.write_text(dumps(portfolio_to_dict(port)))
+    assert run(["verify", "--input", csv, "--portfolio", path, "--output", report]) == 0
+    checks = json.loads(report.read_text())["checks"]
+    # stationarity holds on the shrunk covariance only, so it is skipped
+    assert [c["name"] for c in checks] == FIELDS + [
+        GEARING, "diversity_constraint", "bound_slack"]
+    assert all(c["passed"] for c in checks)
+
+
+def test_verify_fails_the_return_audit_of_a_vi_record_without_alpha0(tmp_path, capsys):
+    csv = _three_asset_csv(tmp_path)
+    port, report = tmp_path / "p.json", tmp_path / "v.json"
+    assert run(["solve", "--input", csv, "--program", "VI", "--alpha0", 0.02, "--g0", 1,
+                "--output", port]) == 0
+    doc = json.loads(port.read_text())
+    del doc["params"]["alpha0"]
+    port.write_text(json.dumps(doc))
+    assert run(["verify", "--input", csv, "--portfolio", port, "--output", report]) == 3
+    assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
+    checks = json.loads(report.read_text())["checks"]
+    assert [c["name"] for c in checks] == FIELDS + [GEARING, RETURN, "bound_slack"]
+    missing = "MissingParameter: program VI requires --alpha0"
+    for c in checks:
+        if c["name"] in ("weights_resolve", RETURN):
+            assert c == {"name": c["name"], "passed": False, "detail": missing}
+        else:
+            assert c["passed"] is True
+
+
+def test_verify_fails_a_sharpe_record_with_zero_weights(tmp_path, capsys):
+    csv = _three_asset_csv(tmp_path)
+    port, report = tmp_path / "p.json", tmp_path / "v.json"
+    assert run(["solve", "--input", csv, "--program", "RISKY", "--output", port]) == 0
+    doc = json.loads(port.read_text())
+    doc.update(weights=[0.0, 0.0, 0.0], gearing=0.0, leverage=0.0, alpha_p=0.0,
+               sigma_p=0.0)
+    port.write_text(json.dumps(doc))
+    assert run(["verify", "--input", csv, "--portfolio", port, "--samples", 200,
+                "--output", report]) == 3
+    assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert checks["sharpe_dominance"] == {
+        "name": "sharpe_dominance", "passed": False,
+        "detail": "ZeroDivisionError: float division by zero"}
+
+
 def test_verify_flags_tampered_weights(micro_csv, tmp_path, capsys):
     port = tmp_path / "p.json"
     assert run(["solve", "--input", micro_csv, "--program", "VII",
@@ -642,11 +742,10 @@ def test_verify_fails_a_qoqc_file_without_a_param(micro_csv, tmp_path, capsys, n
                 "--output", report]) == 3
     assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
     checks = json.loads(report.read_text())["checks"]
-    # every audit still runs; the re-solve and each audit that needs the name fail
+    # every audit still runs; the re-solve and each audit that reads the name fail
     assert [c["name"] for c in checks] == FIELDS + [
         GEARING, "diversity_constraint", "stationarity", "bound_slack"]
-    needs = {"weights_resolve": {"gamma", "g0", "n0", "lambda1", "lambda2"},
-             GEARING: {"g0"}, "diversity_constraint": {"n0"},
+    needs = {"weights_resolve": {"gamma", "g0", "n0"}, GEARING: {"g0"}, "diversity_constraint": {"n0"},
              "stationarity": {"gamma", "lambda1", "lambda2"}}
     missing = f"MissingParameter: program QOQC requires --{name}"
     for c in checks:
@@ -700,6 +799,11 @@ MISTYPED = {
     "assets": lambda doc: doc.update(assets=5),
     "assets string": lambda doc: doc.update(assets="ab"),
     "assets numbers": lambda doc: doc.update(assets=[1, 2]),
+    "weights strings": lambda doc: doc.update(weights=[str(w) for w in doc["weights"]]),
+    "weights booleans": lambda doc: doc.update(weights=[True, False]),
+    "weights null entry": lambda doc: doc.update(weights=[None, 1.0]),
+    "weights null": lambda doc: doc.update(weights=None),
+    "weights nested": lambda doc: doc.update(weights=[[w] for w in doc["weights"]]),
 }
 
 

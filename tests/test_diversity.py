@@ -9,7 +9,7 @@ from mvgear import (
     Infeasible,
     NonPositiveParameter,
     QoqcProblem,
-    qoqc_portfolio,
+    solve_QOQC,
     solve_qoqc,
 )
 from mvgear.diversity import GEARING_TOL, SPHERE_TOL, STATIONARITY_TOL
@@ -208,7 +208,8 @@ def test_portfolio_wrapper(micro_alpha, micro_cov):
     problem = QoqcProblem(alpha=micro_alpha.entries, cov=micro_cov,
                           gamma=1.0, g0=1.0, n0=1.0)
     sol = solve_qoqc(problem)
-    port = qoqc_portfolio(problem, sol)
+    port = solve_QOQC(micro_alpha, micro_cov, gamma=1.0, g0=1.0, n0=1.0)
+    assert np.array_equal(port.weights, sol.weights)
     assert port.program.value == "QOQC"
     assert port.params["n0"] == 1.0
     assert port.params["lambda1"] == pytest.approx(0.45, abs=1e-10)

@@ -15,10 +15,8 @@ from mvgear import (
     ReturnsPanel,
     SingularCovariance,
     SpdRepairWarning,
-    condition_number,
     estimate_moments,
     load_returns_csv,
-    spectral_decompose,
 )
 from mvgear.moments import EIGEN_FLOOR_RATIO, _sign_fix_columns
 
@@ -128,12 +126,12 @@ def test_unbiased_denominator_micro_panel():
 # ---------------------------------------------------------------------------
 
 def test_condition_number_identity():
-    assert condition_number(CovMatrix.identity(4)) == pytest.approx(1.0, abs=1e-14)
+    assert CovMatrix.identity(4).condition_number == pytest.approx(1.0, abs=1e-14)
 
 
 def test_condition_number_diagonal():
     cov = CovMatrix.from_entries(np.diag([4.0, 1.0]))
-    assert condition_number(cov) == pytest.approx(4.0, rel=1e-14)
+    assert cov.condition_number == pytest.approx(4.0, rel=1e-14)
 
 
 def test_condition_number_matches_characteristic_polynomial():
@@ -142,15 +140,15 @@ def test_condition_number_matches_characteristic_polynomial():
     mat = b.T @ b + 0.1 * np.eye(5)
     cov = CovMatrix.from_entries(mat)
     roots = np.sort(np.real(np.roots(np.poly(mat))))
-    assert condition_number(cov) == pytest.approx(roots[-1] / roots[0], rel=1e-6)
+    assert cov.condition_number == pytest.approx(roots[-1] / roots[0], rel=1e-6)
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 7.5, 1e3])
 def test_condition_number_scale_invariant(c):
     rng = np.random.default_rng(5)
     mat = random_spd(rng, 4, kappa=30.0)
-    kappa = condition_number(CovMatrix.from_entries(mat))
-    kappa_scaled = condition_number(CovMatrix.from_entries(c * mat))
+    kappa = CovMatrix.from_entries(mat).condition_number
+    kappa_scaled = CovMatrix.from_entries(c * mat).condition_number
     assert kappa_scaled == pytest.approx(kappa, rel=1e-12)
 
 
@@ -159,14 +157,16 @@ def test_condition_number_scale_invariant(c):
 # ---------------------------------------------------------------------------
 
 def test_spectral_decompose_diagonal():
-    rho, vecs = spectral_decompose(CovMatrix.from_entries(np.diag([4.0, 1.0])))
+    cov = CovMatrix.from_entries(np.diag([4.0, 1.0]))
+    rho, vecs = cov.eigenvalues, cov.eigenvectors
     npt.assert_allclose(rho, [4.0, 1.0])
     npt.assert_allclose(vecs[:, 0], [1.0, 0.0])
     npt.assert_allclose(vecs[:, 1], [0.0, 1.0])
 
 
 def test_spectral_decompose_classic_2x2():
-    rho, vecs = spectral_decompose(CovMatrix.from_entries([[2.0, 1.0], [1.0, 2.0]]))
+    cov = CovMatrix.from_entries([[2.0, 1.0], [1.0, 2.0]])
+    rho, vecs = cov.eigenvalues, cov.eigenvectors
     npt.assert_allclose(rho, [3.0, 1.0], rtol=1e-14)
     npt.assert_allclose(vecs[:, 0], [1.0, 1.0] / np.sqrt(2.0), rtol=1e-14)
     npt.assert_allclose(vecs[:, 1], [1.0, -1.0] / np.sqrt(2.0), rtol=1e-14)
@@ -175,7 +175,7 @@ def test_spectral_decompose_classic_2x2():
 def test_spectral_reconstruction_6x6():
     rng = np.random.default_rng(9)
     cov = random_cov(rng, 6, kappa=200.0)
-    rho, vecs = spectral_decompose(cov)
+    rho, vecs = cov.eigenvalues, cov.eigenvectors
     recon = (vecs * rho) @ vecs.T
     err = np.linalg.norm(recon - cov.entries) / np.linalg.norm(cov.entries)
     assert err < 1e-10

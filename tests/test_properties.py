@@ -1,4 +1,4 @@
-"""Property tests of the robust path over every closed-form program.
+"""Property tests of the robust path over every table program, QOQC included.
 
 Instances run from n = 2 to 200 assets and condition numbers from 1 to 1e6.
 Each tolerance is a multiple of kappa * eps, with kappa the condition number
@@ -27,13 +27,16 @@ PROPERTY = settings(max_examples=30, derandomize=True, database=None, deadline=N
 def instances(draw):
     """(alpha, cov, params, rng): a random instance and one value per parameter.
 
-    n = 200 and kappa = 1e6 are each drawn about half the time."""
+    n = 200 and kappa = 1e6 are each drawn about half the time. g0^2 <= n and
+    n0 <= n / g0^2, so QOQC's gearing plane meets its diversity sphere."""
     n = draw(st.just(200) | st.integers(2, 200))
     kappa = 10.0 ** (draw(st.just(600) | st.integers(0, 600)) / 100)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     alpha, cov = random_instance(rng, n, kappa=kappa, min_d_ratio=0.01)
     params = {"sigma0": draw(st.floats(0.1, 1.0)), "alpha0": draw(st.floats(0.02, 0.3)),
-              "gamma": draw(st.floats(0.5, 5.0)), "g0": draw(st.floats(0.25, 2.0))}
+              "gamma": draw(st.floats(0.5, 5.0)),
+              "g0": draw(st.floats(0.25, min(2.0, np.sqrt(n))))}
+    params["n0"] = draw(st.floats(1.0, min(n, n / params["g0"] ** 2)))
     return alpha, cov, params, rng
 
 

@@ -21,7 +21,6 @@ from mvgear import (
     frontier_variance,
     gmv_portfolio,
     implied_returns,
-    leverage,
     optimal_risky_portfolio,
     pareto_surface,
     project_to_gearing,
@@ -34,9 +33,11 @@ from mvgear import (
     solve_VI,
     solve_VII,
     solve_VIII,
+    solve_QOQC,
     solve_kkt,
+    solve_qoqc,
 )
-from mvgear import AlphaVector
+from mvgear import AlphaVector, QoqcProblem
 from mvgear.solvers import LINE_FLAG_RTOL, PROGRAMS, solve
 
 from conftest import random_instance
@@ -90,6 +91,7 @@ TABLE_PARAMS = {
     Program.III: {"gamma": 2.0}, Program.IV: {}, Program.V: {"sigma0": 0.3},
     Program.VI: {"alpha0": 0.2, "g0": 1.0}, Program.VII: {"gamma": 1.5, "g0": 1.0},
     Program.VIII: {"g0": 2.0}, Program.GMV: {}, Program.RISKY: {},
+    Program.QOQC: {"gamma": 1.0, "g0": 1.0, "n0": 1.5},
 }
 
 
@@ -108,8 +110,9 @@ def test_solve_runs_the_table_solver_of_every_program():
         Program.VI: lambda: solve_VI(alpha, cov, 0.2, 1.0),
         Program.VII: lambda: solve_VII(alpha, cov, 1.5, 1.0),
         Program.VIII: lambda: solve_VIII(alpha, cov, 2.0),
+        Program.QOQC: lambda: solve_QOQC(alpha, cov, 1.0, 1.0, 1.5),
     }
-    assert set(PROGRAMS) == set(direct) == set(Program) - {Program.QOQC}
+    assert set(PROGRAMS) == set(direct) == set(Program)
     for program, params in TABLE_PARAMS.items():
         port = solve(program.value, alpha, cov, **params)
         assert port.program is program
@@ -117,9 +120,18 @@ def test_solve_runs_the_table_solver_of_every_program():
         assert np.array_equal(port.weights, direct[program]().weights)
 
 
-def test_solve_refuses_programs_without_a_closed_form(micro_alpha, micro_cov):
-    with pytest.raises(NonPositiveParameter):
-        solve(Program.QOQC, micro_alpha, micro_cov, gamma=1.0, g0=1.0, n0=1.0)
+def test_solve_runs_qoqc_as_solve_qoqc_bit_for_bit():
+    rng = np.random.default_rng(31)
+    alpha, cov = random_instance(rng, 6)
+    port = solve(Program.QOQC, alpha, cov, gamma=2.0, g0=1.0, n0=3.0)
+    sol = solve_qoqc(QoqcProblem(alpha=alpha.entries, cov=cov, gamma=2.0, g0=1.0,
+                                 n0=3.0))
+    assert port.program is Program.QOQC
+    assert np.array_equal(port.weights, sol.weights)
+    assert port.params == {"gamma": 2.0, "g0": 1.0, "n0": 3.0,
+                           "lambda1": sol.lambda1, "lambda2": sol.lambda2}
+    assert port.alpha_p == float(alpha.entries @ sol.weights)
+    assert port.sigma_p == float(np.sqrt(cov.quad(sol.weights)))
 
 
 def test_table_arguments_pick_the_solver_parameters():
@@ -621,4 +633,4 @@ def test_leverage(weights, expected):
         weights=w, program=Program.RISKY, params={},
         gearing=float(w.sum()), leverage=float(np.abs(w).sum()),
     )
-    assert leverage(port) == pytest.approx(expected)
+    assert (port.gearing, port.leverage) == pytest.approx(expected)
