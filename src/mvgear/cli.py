@@ -21,7 +21,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from . import geometry, oracle, robust, serialize, solvers
+from . import diversity, geometry, oracle, robust, serialize, solvers
 from .errors import MissingParameter, MvgearError
 from .moments import estimate_moments, load_returns_csv
 from .robust import ShrinkageSpec, ShrinkMode
@@ -315,9 +315,7 @@ def _diversity_audit(alpha, cov, w, args, n0):
 
 
 def _stationarity_audit(alpha, cov, w, args, gamma, lam1, lam2):
-    grad = (-alpha + gamma * (cov.entries @ w) - 2.0 * lam1 * w
-            - lam2 * np.ones(w.size))
-    res = float(np.abs(grad).max())
+    res = diversity.stationarity_residual(alpha, cov, gamma, w, lam1, lam2)
     return res <= 1e-8, f"residual {res:g}"
 
 
@@ -393,9 +391,13 @@ def _verify_checks(args, alpha, cov, port) -> list[dict]:
 
     # An audit is skipped when it reads a param the entry may go without and
     # the record lacks it; any other param the record lacks fails the audit.
+    # Where g0 e is the only feasible point, no multipliers are certified.
+    g0, n0 = port.params.get("g0"), port.params.get("n0")
+    single_point = g0 is not None and bool(n0) and diversity.on_boundary(w.size, g0, n0)
     for name, (check_name, reads, test) in AUDITS.items():
         if ((name != "bound" and name not in entry.audits)
-                or (shrunk and name in UNSHRUNK_AUDITS)):
+                or (shrunk and name in UNSHRUNK_AUDITS)
+                or (single_point and name == "stationarity")):
             continue
         missing = [param for param in reads if port.params.get(param) is None]
         if any(param in entry.optional + entry.one_of for param in missing):

@@ -60,6 +60,8 @@ from .moments import CovMatrix, as_vector
 SPHERE_TOL = 1e-8
 GEARING_TOL = 1e-10
 STATIONARITY_TOL = 1e-8
+# Squared sphere radius 1/n0 - g0^2/n at or below which only g0 e is feasible.
+BOUNDARY_TOL = 1e-14
 # Outer root: bracket width target and iteration cap.
 ROOT_XTOL = 1e-12
 ROOT_MAXITER = 200
@@ -118,13 +120,15 @@ class QoqcSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _stationarity_residual(problem: QoqcProblem, theta, lam1, lam2) -> float:
-    grad = (
-        -problem.alpha
-        + problem.gamma * (problem.cov.entries @ theta)
-        - 2.0 * lam1 * theta
-        - lam2 * np.ones(problem.dim)
-    )
+def on_boundary(n: int, g0: float, n0: float) -> bool:
+    """Whether 1/n0 - g0^2/n <= 1e-14: the feasible set is the single point g0 e."""
+    return 1.0 / n0 - g0**2 / n <= BOUNDARY_TOL
+
+
+def stationarity_residual(alpha, cov: CovMatrix, gamma, theta, lam1, lam2) -> float:
+    """Max-norm of the Lagrangian gradient at theta with multipliers (lam1, lam2)."""
+    grad = (-alpha + gamma * (cov.entries @ theta) - 2.0 * lam1 * theta
+            - lam2 * np.ones(theta.size))
     return float(np.abs(grad).max())
 
 
@@ -153,7 +157,8 @@ def _boundary_solution(problem: QoqcProblem) -> QoqcSolution:
         lambda1=lam1,
         lambda2=lam2,
         objective=problem.objective(theta),
-        kkt_residual=_stationarity_residual(problem, theta, lam1, lam2),
+        kkt_residual=stationarity_residual(problem.alpha, problem.cov, problem.gamma,
+                                           theta, lam1, lam2),
         diagnostics={"boundary": True, "hard_case": False},
     )
 
@@ -161,9 +166,9 @@ def _boundary_solution(problem: QoqcProblem) -> QoqcSolution:
 def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
     """Solve the diversity-constrained program to its stated tolerances."""
     n = problem.dim
-    delta2 = 1.0 / problem.n0 - problem.g0**2 / n
-    if delta2 <= 1e-14:
+    if on_boundary(n, problem.g0, problem.n0):
         return _boundary_solution(problem)
+    delta2 = 1.0 / problem.n0 - problem.g0**2 / n
     delta = float(np.sqrt(delta2))
 
     e = np.ones(n) / n
@@ -222,7 +227,8 @@ def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
     theta = problem.g0 * e + basis @ u
 
     lam1, lam2 = _multipliers(problem, theta, nu)
-    residual = _stationarity_residual(problem, theta, lam1, lam2)
+    residual = stationarity_residual(problem.alpha, problem.cov, problem.gamma,
+                                     theta, lam1, lam2)
     sphere_err = abs(float(theta @ theta) - 1.0 / problem.n0)
     gearing_err = abs(float(theta.sum()) - problem.g0)
     if sphere_err > SPHERE_TOL or gearing_err > GEARING_TOL:

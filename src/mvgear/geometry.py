@@ -26,7 +26,7 @@ this module also provides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -42,8 +42,6 @@ from .moments import AlphaVector, CovMatrix, as_vector
 
 # cos(angle) at least this close to 1 counts as collinear with Sigma^-1 alpha.
 COLLINEAR_TOL = 1e-10
-# Bisection iterations when locating the smallest admissible psi.
-PSI_BISECTION_STEPS = 80
 
 
 def _clamp_cos(value: float) -> float:
@@ -63,12 +61,17 @@ def alpha_angle(alpha, theta) -> float:
     return _clamp_cos(float(a @ t) / (na * nt))
 
 
-def kantorovich_bound(kappa: float) -> float:
-    """Lower bound 2 sqrt(kappa) / (kappa + 1) on cos(phi); 1 iff kappa = 1."""
+def _checked_kappa(kappa: float) -> float:
+    """``kappa`` as a float, refused below 1 and rounded up to 1 within 1e-9."""
     kappa = float(kappa)
     if kappa < 1.0 - 1e-9:
         raise InvalidKappa(f"condition number {kappa} below 1")
-    kappa = max(kappa, 1.0)
+    return max(kappa, 1.0)
+
+
+def kantorovich_bound(kappa: float) -> float:
+    """Lower bound 2 sqrt(kappa) / (kappa + 1) on cos(phi); 1 iff kappa = 1."""
+    kappa = _checked_kappa(kappa)
     return 2.0 * np.sqrt(kappa) / (kappa + 1.0)
 
 
@@ -81,21 +84,17 @@ def bauer_householder_bound(kappa: float, psi: float) -> tuple[float, float]:
     psi = float(psi)
     if not (0.0 <= psi < np.pi / 2.0):
         raise InvalidPsi(f"psi = {psi} outside [0, pi/2)")
-    kappa = float(kappa)
-    if kappa < 1.0 - 1e-9:
-        raise InvalidKappa(f"condition number {kappa} below 1")
-    kappa = max(kappa, 1.0)
+    kappa = _checked_kappa(kappa)
     sin_psi = np.sin(psi)
     kappa_psi = kappa * (1.0 + sin_psi) / (1.0 - sin_psi)
     return float(kappa_psi), kantorovich_bound(kappa_psi)
 
 
 def smallest_valid_psi(alpha, cov: CovMatrix, theta) -> float:
-    """Smallest psi in [0, pi/2) admissible for the transformed pair.
+    """Smallest psi in [0, pi/2) admissible for the pair (alpha, theta).
 
-    The pair is x = Sigma^-1/2 alpha, y = Sigma^1/2 theta; psi is admissible
-    when cos(psi) <= cos(angle(x, y)). Located by bisection on the monotone
-    predicate for a deterministic grid-free answer.
+    That is the angle between x = Sigma^-1/2 alpha and y = Sigma^1/2 theta,
+    arccos of their cosine; a pair whose x and y are not acute has none.
     """
     x = cov.power_apply(as_vector(alpha), -0.5)
     y = cov.power_apply(as_vector(theta), 0.5)
@@ -104,16 +103,7 @@ def smallest_valid_psi(alpha, cov: CovMatrix, theta) -> float:
         raise InvalidPsi(
             "transformed vectors are not acute; no admissible psi in [0, pi/2)"
         )
-    lo, hi = 0.0, np.pi / 2.0
-    if np.cos(lo) <= target:
-        return 0.0
-    for _ in range(PSI_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if np.cos(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+    return float(np.arccos(target))
 
 
 @dataclass(frozen=True)
@@ -128,16 +118,7 @@ class BoundReport:
     bound_bh: float | None
     slack: float
 
-    def to_dict(self) -> dict:
-        return {
-            "cos_phi": self.cos_phi,
-            "kappa": self.kappa,
-            "bound_kantorovich": self.bound_kantorovich,
-            "psi": self.psi,
-            "kappa_psi": self.kappa_psi,
-            "bound_bh": self.bound_bh,
-            "slack": self.slack,
-        }
+    to_dict = asdict
 
 
 def verify_bound(alpha, cov: CovMatrix, theta, psi: float | None = None) -> BoundReport:
@@ -154,27 +135,13 @@ def verify_bound(alpha, cov: CovMatrix, theta, psi: float | None = None) -> Boun
     kappa = cov.condition_number
     bound_k = kantorovich_bound(kappa)
     unconstrained = abs(alpha_angle(cov.solve(a), t)) >= 1.0 - COLLINEAR_TOL
-    if psi is None and unconstrained:
-        return BoundReport(
-            cos_phi=cos_phi,
-            kappa=kappa,
-            bound_kantorovich=bound_k,
-            psi=None,
-            kappa_psi=None,
-            bound_bh=None,
-            slack=cos_phi - bound_k,
-        )
-    psi_used = smallest_valid_psi(a, cov, t) if psi is None else float(psi)
-    kappa_psi, bound_bh = bauer_householder_bound(kappa, psi_used)
-    return BoundReport(
-        cos_phi=cos_phi,
-        kappa=kappa,
-        bound_kantorovich=bound_k,
-        psi=psi_used,
-        kappa_psi=kappa_psi,
-        bound_bh=bound_bh,
-        slack=cos_phi - bound_bh,
-    )
+    kappa_psi = bound_bh = None
+    if psi is not None or not unconstrained:
+        psi = smallest_valid_psi(a, cov, t) if psi is None else float(psi)
+        kappa_psi, bound_bh = bauer_householder_bound(kappa, psi)
+    return BoundReport(cos_phi=cos_phi, kappa=kappa, bound_kantorovich=bound_k,
+                       psi=psi, kappa_psi=kappa_psi, bound_bh=bound_bh,
+                       slack=cos_phi - (bound_k if bound_bh is None else bound_bh))
 
 
 @dataclass(frozen=True)
@@ -188,7 +155,7 @@ class WorstCasePair:
 
 
 def worst_case_unconstrained(cov: CovMatrix) -> WorstCasePair:
-    """Pair attaining the Kantorovich bound.
+    """Pair attaining the Kantorovich bound: the constrained pair at eta = 1.
 
     alpha = sqrt(rho_1) q_1 + sqrt(rho_n) q_n and
     theta = q_1 / sqrt(rho_1) + q_n / sqrt(rho_n) give
@@ -196,16 +163,7 @@ def worst_case_unconstrained(cov: CovMatrix) -> WorstCasePair:
     Signs are fixed to (+, +). A flat spectrum collapses the pair to a common
     direction with cos = 1.
     """
-    rho = cov.eigenvalues
-    q1 = cov.eigenvectors[:, 0]
-    qn = cov.eigenvectors[:, -1]
-    alpha = np.sqrt(rho[0]) * q1 + np.sqrt(rho[-1]) * qn
-    theta = q1 / np.sqrt(rho[0]) + qn / np.sqrt(rho[-1])
-    return WorstCasePair(
-        alpha=AlphaVector(alpha),
-        theta=theta,
-        achieved_cos=alpha_angle(alpha, theta),
-    )
+    return replace(worst_case_constrained(cov, 1.0), eta=None)
 
 
 def worst_case_constrained(cov: CovMatrix, eta: float) -> WorstCasePair:

@@ -16,8 +16,8 @@ clipping eigenvalues at a floor relative to the largest one.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -267,6 +267,13 @@ def estimate_moments(
     return AlphaVector(alpha), CovMatrix._from_eigh(_symmetrized(sample), rho, vecs)
 
 
+# One record as the csv module reads it: fields split at commas, the record
+# ends at a line break; a field that opens with a quote runs, line breaks
+# included, to its closing quote ("" stands for a quote inside it).
+_CSV_FIELD = r'(?:"[^"]*(?:""[^"]*)*"?)?[^,\r\n]*'
+_CSV_RECORD = re.compile(rf"{_CSV_FIELD}(?:,{_CSV_FIELD})*(?:\r\n?|\n|\Z)")
+
+
 def _first_fault(path) -> str:
     """Name the first fault of a CSV file that ``np.loadtxt`` rejected.
 
@@ -274,24 +281,25 @@ def _first_fault(path) -> str:
     the offending byte, or the row and column at fault; rows are numbered
     as in the file with blank lines skipped and the header as row 1. A row
     the ``csv`` module cannot read (a cell longer than its field size limit,
-    which numpy reads) is named only if no later row names a fault. Returns
-    an empty string if every cell is a number to numpy.
+    which numpy reads) is named only if no later row names a fault; the
+    records are split before ``csv`` reads them, so such a row never shifts
+    the rows after it. Returns an empty string if every cell is a number to
+    numpy.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         return f"byte 0x{raw[exc.start]:02x} at offset {exc.start} is not UTF-8"
-    rows = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
-    # rows read so far, header width (None if csv cannot read the header),
-    # and the first row csv cannot read
-    i, n, unreadable = 0, None, ""
-    while True:
+    # end of the records read so far, rows read so far, header width (None if
+    # csv cannot read the header), and the first row csv cannot read
+    end, i, n, unreadable = 0, 0, None, ""
+    while end < len(text):
+        record = _CSV_RECORD.match(text, end)
+        end = record.end()
         try:
-            row = next(rows)
-        except StopIteration:
-            return unreadable
+            row = next(csv.reader([record.group()]), [])
         except csv.Error as exc:
             i += 1
             unreadable = unreadable or f"row {i} cannot be read as CSV: {exc}"
@@ -310,6 +318,7 @@ def _first_fault(path) -> str:
                 return f"missing cell at row {i}, column {j + 1}"
             if not _is_number(cell):
                 return f"cell at row {i}, column {j + 1} is not a number: {cell!r}"
+    return unreadable
 
 
 def _is_number(cell: str) -> bool:

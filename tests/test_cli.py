@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mvgear import cli, robust
+from mvgear import cli, diversity, robust
 from mvgear.cli import MAX_GRID_POINTS, SWEEP_HEADER, main, parse_grid
 from mvgear.cli import CliError
 from mvgear.geometry import alpha_angle, kantorovich_bound
@@ -630,6 +630,40 @@ def _three_asset_csv(tmp_path):
     csv.write_text("a,b,c\n" + "\n".join(
         ",".join(repr(float(v)) for v in row) for row in base) + "\n")
     return csv
+
+
+def test_verify_passes_a_qoqc_record_on_the_boundary(tmp_path):
+    # n0 = n/g0^2: g0 e is the only feasible point, and the multipliers the
+    # record carries certify nothing, so stationarity is not audited; the
+    # constraints still are
+    csv = _three_asset_csv(tmp_path)
+    port, report = tmp_path / "q.json", tmp_path / "v.json"
+    assert run(["qoqc", "--input", csv, "--gamma", 1, "--g0", 1, "--n0", 3,
+                "--output", port]) == 0
+    assert run(["verify", "--input", csv, "--portfolio", port,
+                "--output", report]) == 0
+    checks = json.loads(report.read_text())["checks"]
+    assert [c["name"] for c in checks] == FIELDS + [
+        GEARING, "diversity_constraint", "bound_slack"]
+    assert all(c["passed"] for c in checks)
+
+
+def test_verify_audits_stationarity_off_the_boundary(tmp_path):
+    csv = _three_asset_csv(tmp_path)
+    port, report = tmp_path / "q.json", tmp_path / "v.json"
+    assert run(["qoqc", "--input", csv, "--gamma", 1, "--g0", 1, "--n0", 2.999,
+                "--output", port]) == 0
+    assert run(["verify", "--input", csv, "--portfolio", port,
+                "--output", report]) == 0
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    _, alpha, cov = cli._moments(argparse.Namespace(input=csv))
+    doc = json.loads(port.read_text())
+    params = doc["params"]
+    residual = diversity.stationarity_residual(
+        alpha.entries, cov, params["gamma"], np.array(doc["weights"]),
+        params["lambda1"], params["lambda2"])
+    assert checks["stationarity"] == {
+        "name": "stationarity", "passed": True, "detail": f"residual {residual:g}"}
 
 
 def test_verify_audits_a_shrunk_qoqc_record(tmp_path):

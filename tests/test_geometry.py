@@ -187,7 +187,31 @@ def test_smallest_psi_matches_transformed_angle():
     x = cov.power_apply(alpha.entries, -0.5)
     y = cov.power_apply(theta, 0.5)
     psi = smallest_valid_psi(alpha, cov, theta)
-    assert psi == pytest.approx(np.arccos(alpha_angle(x, y)), abs=1e-12)
+    assert psi == np.arccos(alpha_angle(x, y))
+
+
+def _lowest_psi_by_bisection(target):
+    """Lowest psi on [0, pi/2] whose rounded cosine reaches ``target``."""
+    lo, hi = 0.0, np.pi / 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if np.cos(mid) <= target else (mid, hi)
+    return hi
+
+
+def test_smallest_psi_is_exact_for_a_near_collinear_pair():
+    # Near psi = 0 one ulp of cos spans ~1e5 ulps of psi, so a search on the
+    # rounded cosine stops well below the angle the bound must cover.
+    rng = np.random.default_rng(43)
+    alpha, cov = random_instance(rng, 5)
+    nudge = rng.standard_normal(5)
+    nudge *= 1e-3 * np.linalg.norm(alpha.entries) / np.linalg.norm(nudge)
+    theta = cov.solve(alpha.entries + nudge)
+    target = alpha_angle(cov.power_apply(alpha.entries, -0.5), cov.power_apply(theta, 0.5))
+    psi = smallest_valid_psi(alpha, cov, theta)
+    assert 0.0 < psi < 1e-3
+    assert psi == np.arccos(target)
+    assert psi - _lowest_psi_by_bisection(target) > 1e3 * np.spacing(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +260,10 @@ def test_worst_case_constrained_reduces_at_eta_one():
     cov = random_cov(rng, 4, kappa=25.0)
     base = worst_case_unconstrained(cov)
     pair = worst_case_constrained(cov, eta=1.0)
-    npt.assert_allclose(pair.alpha.entries, base.alpha.entries, rtol=1e-14)
-    npt.assert_allclose(pair.theta, base.theta, rtol=1e-14)
+    npt.assert_array_equal(pair.alpha.entries, base.alpha.entries)
+    npt.assert_array_equal(pair.theta, base.theta)
+    assert pair.achieved_cos == base.achieved_cos
+    assert (pair.eta, base.eta) == (1.0, None)
 
 
 def test_worst_case_constrained_2x2():

@@ -1,4 +1,5 @@
 import csv
+import io
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from mvgear import (
     estimate_moments,
     load_returns_csv,
 )
-from mvgear.moments import EIGEN_FLOOR_RATIO, _sign_fix_columns
+from mvgear.moments import _CSV_RECORD, EIGEN_FLOOR_RATIO, _sign_fix_columns
 
 from conftest import random_cov, random_spd
 
@@ -356,6 +357,37 @@ def test_loader_names_a_fault_after_a_row_csv_cannot_read(tmp_path):
     with pytest.raises(NonFiniteData) as got:
         load_returns_csv(path)
     assert str(got.value) == f"{path}: cell at row 4, column 1 is not a number: 'oops'"
+
+
+def test_loader_names_a_row_csv_cannot_read_that_spans_lines(tmp_path):
+    # row 3's quoted cell is over the csv module's field size limit and holds
+    # a line break; it is one row, and the rows after it are numbered from 4
+    long = "1" * 200_000
+    path = tmp_path / "r.csv"
+    path.write_text(f'a,b\n0.1,0.2\n0.3,"{long}\n2"\n0.4,0.5\n0.6,0.7\n')
+    with pytest.raises(NonFiniteData) as got:
+        load_returns_csv(path)
+    assert str(got.value) == (f"{path}: row 3 cannot be read as CSV: "
+                              "field larger than field limit (131072)")
+    path.write_text(f'a,b\n0.1,0.2\n0.3,"{long}\n2"\n0.4,0.5\noops,0.7\n')
+    with pytest.raises(NonFiniteData) as got:
+        load_returns_csv(path)
+    assert str(got.value) == f"{path}: cell at row 5, column 1 is not a number: 'oops'"
+
+
+@pytest.mark.parametrize("text", [
+    'a,b\r\n1,2\r\n', 'a,b\r1,2\r', '"a\nb",c\n1,2\n', '"a""\n",b\n1,2',
+    'a,b\n\n  \n1,"2"x\n', 'a,"b\n', '"a"b"\n",c\n', ',\n,,\r\n"',
+])
+def test_record_split_matches_the_csv_module(text):
+    records, end = [], 0
+    while end < len(text):
+        record = _CSV_RECORD.match(text, end)
+        end = record.end()
+        rows = list(csv.reader([record.group()]))
+        assert len(rows) <= 1
+        records += rows
+    assert records == list(csv.reader(io.StringIO(text, newline="")))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Print the SHA-256 of every artifact the benchmark's request scripts write.
 
-    python3 tools/artifact_digests.py --seed N [--root DIR]
+    python3 tools/artifact_digests.py --seed N [--root DIR] [--keep DIR]
 
 Builds the four workloads of ``perfbench/workloads.py`` at ``--seed`` in a
 temporary directory, runs each request once through ``mvgear.cli.main`` and
@@ -11,6 +11,11 @@ prints one ``sha256 workload index kind`` line per request, in script order.
     python3 tools/artifact_digests.py --seed 11 --root ../old > old.txt
     python3 tools/artifact_digests.py --seed 11 > new.txt
     diff old.txt new.txt
+
+``--keep`` builds the workloads in that directory instead and leaves them
+there: request ``index`` of ``workload`` writes its artifact to
+``DIR/workload/out/r{index:04d}-{kind}.{json,csv}``
+(``tools/artifact_drift.py`` reads them from there).
 
 OpenBLAS runs single-threaded, as in the benchmark, so that BLAS reductions
 sum in one order. A request that exits nonzero prints ``exit=CODE`` in place
@@ -35,6 +40,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--root", type=Path, default=ROOT)
+    parser.add_argument("--keep", default=None,
+                        help="build the workloads here and keep their artifacts")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -44,8 +51,9 @@ def main(argv=None) -> int:
 
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
+        directory = tmp if args.keep is None else args.keep
         for name in NAMES:
-            workload = make_workload(name, args.seed, os.path.join(tmp, name))
+            workload = make_workload(name, args.seed, os.path.join(directory, name))
             for index, request in enumerate(workload.script):
                 code = cli.main(list(request.argv))
                 if code == 0:
