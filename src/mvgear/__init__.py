@@ -19,7 +19,6 @@ from .errors import (
     MvgearError,
     NonFiniteData,
     NonPositiveParameter,
-    NoRoot,
     RankDeficientConstraints,
     ShrinkBrokeSPD,
     SingularCovariance,

@@ -91,6 +91,16 @@ def parse_grid(text: str) -> np.ndarray:
     return start + step * np.arange(int(math.floor(reach)) + 1)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mvgear", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -150,8 +160,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="re-derive and audit a solved portfolio")
     common(p)
     p.add_argument("--portfolio", required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED)
+    p.add_argument("--samples", type=_int_at_least(1), default=DEFAULT_SAMPLES)
 
     return parser
 

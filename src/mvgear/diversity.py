@@ -18,12 +18,17 @@ on the sphere |u| = Delta, Delta^2 = 1/n0 - g0^2/n:
     min  (1/2) u'H u - b'u,   H = gamma Z'Sigma Z,
                               b = Z'(alpha - gamma g0 Sigma e).
 
-The stationarity system (H + nu I) u = b admits a unique root of
-|u(nu)| = Delta on the branch nu > -lambda_min(H) (|u(nu)| is strictly
-decreasing there), and by trust-region optimality that root is the global
-maximizer; the classical hard case (b orthogonal to the bottom eigenspace)
-is handled by adding a bottom-eigenvector component. The root is located
-by safeguarded bisection/secant (Brent).
+Z is columns 2..n of the Householder reflector P = I - beta v v',
+v = 1 + sqrt(n) e_1, which maps 1 onto -sqrt(n) e_1, so Z'Sigma Z =
+(P Sigma P)[1:, 1:] is a rank-2 update of Sigma. The stationarity system
+(H + nu I) u = b admits a unique root of |u(nu)| = Delta on the branch
+nu > -lambda_min(H), and by trust-region optimality that root is the global
+maximizer. Newton's method on 1/|u(nu)| - 1/Delta finds it from just right
+of the pole (More & Sorensen 1983, "Computing a trust region step"):
+1/|u(nu)| is a -2 power mean of the terms nu + d_i, so it is concave and
+increasing there and the iterates rise monotonically to the root. The
+classical hard case (b orthogonal to the bottom eigenspace) is handled by
+adding a bottom-eigenvector component.
 
 Multiplier convention: the reported lambda1 comes from differentiating the
 Lagrangian literally, so stationarity reads
@@ -44,16 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import brentq
 
-from .errors import (
-    DimensionError,
-    Infeasible,
-    NonPositiveParameter,
-    NoRoot,
-    ToleranceNotMet,
-)
+from .errors import (DimensionError, Infeasible, NonFiniteData, NonPositiveParameter,
+                     ToleranceNotMet)
 from .moments import CovMatrix, as_vector
 
 # Stated solution tolerances.
@@ -62,11 +60,8 @@ GEARING_TOL = 1e-10
 STATIONARITY_TOL = 1e-8
 # Squared sphere radius 1/n0 - g0^2/n at or below which only g0 e is feasible.
 BOUNDARY_TOL = 1e-14
-# Outer root: bracket width target and iteration cap.
-ROOT_XTOL = 1e-12
+# Outer root: Newton step cap.
 ROOT_MAXITER = 200
-# Bracket growth cap before declaring no sign change.
-MAX_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -85,12 +80,16 @@ class QoqcProblem:
             raise DimensionError(
                 f"alpha length {a.size} != covariance dim {self.cov.dim}"
             )
+        if not np.isfinite(a).all():
+            raise NonFiniteData("alpha has a non-finite entry")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "g0", float(self.g0))
         object.__setattr__(self, "n0", float(self.n0))
         if not np.isfinite(self.gamma) or self.gamma <= 0.0:
             raise NonPositiveParameter(f"gamma must be positive, got {self.gamma}")
+        if not np.isfinite(self.g0):
+            raise NonPositiveParameter(f"g0 must be finite, got {self.g0}")
         n = self.cov.dim
         if not 1.0 <= self.n0 <= n:
             raise Infeasible(f"n0 = {self.n0} outside [1, n = {n}]")
@@ -132,17 +131,6 @@ def stationarity_residual(alpha, cov: CovMatrix, gamma, theta, lam1, lam2) -> fl
     return float(np.abs(grad).max())
 
 
-def _multipliers(problem: QoqcProblem, theta: np.ndarray, nu: float):
-    n = problem.dim
-    lam2 = float(
-        np.ones(n)
-        @ (-problem.alpha + problem.gamma * (problem.cov.entries @ theta) + nu * theta)
-        / n
-    )
-    lam1 = -nu / 2.0
-    return lam1, lam2
-
-
 def _boundary_solution(problem: QoqcProblem) -> QoqcSolution:
     # Unique feasible point; constraint gradients are parallel there, so the
     # multipliers are least-squares certificates only.
@@ -172,24 +160,26 @@ def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
     delta = float(np.sqrt(delta2))
 
     e = np.ones(n) / n
-    basis = null_space(np.ones((1, n)))
-    reduced_h = problem.gamma * (basis.T @ problem.cov.entries @ basis)
+    # Z = columns 2..n of P = I - beta v v'; entries 2..n of v are ones, so
+    # Z'x = x[1:] - beta (v'x) 1 and P Sigma P = Sigma - v w' - w v'.
+    v = np.ones(n)
+    v[0] += np.sqrt(n)
+    beta = 2.0 / float(v @ v)
+    sigma = problem.cov.entries
+    w = beta * (sigma @ v)
+    w -= (0.5 * beta * float(v @ w)) * v
+    reduced_h = problem.gamma * (sigma[1:, 1:] - w[1:, None] - w[None, 1:])
     reduced_h = 0.5 * (reduced_h + reduced_h.T)
-    b = basis.T @ (problem.alpha - problem.gamma * problem.g0 * (problem.cov.entries @ e))
+    r = problem.alpha - problem.gamma * problem.g0 * (sigma @ e)
+    b = r[1:] - beta * float(v @ r)
     d, u_vecs = np.linalg.eigh(reduced_h)
     bt = u_vecs.T @ b
-
-    def u_norm2(nu: float) -> float:
-        return float(np.sum((bt / (d + nu)) ** 2))
-
-    def h(nu: float) -> float:
-        return u_norm2(nu) - delta2
 
     scale = max(1.0, float(np.abs(d).max()))
     lo = -d[0] + 1e-13 * scale
     diagnostics: dict = {"boundary": False}
 
-    if h(lo) <= 0.0:
+    if float(np.sum((bt / (d + lo)) ** 2)) <= delta2:
         # Hard case: no pole at -lambda_min; fill the radius along the bottom
         # eigenvector (objective is invariant to its sign; + is fixed).
         nu = -float(d[0])
@@ -202,31 +192,37 @@ def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
         u = u_vecs @ u_red
         diagnostics["hard_case"] = True
     else:
-        hi = max(lo + scale, float(np.linalg.norm(b)) / delta - d[0])
-        doublings = 0
-        while h(hi) > 0.0:
-            doublings += 1
-            if doublings > MAX_DOUBLINGS:
-                raise NoRoot(
-                    "diversity constraint equation showed no sign change after "
-                    f"{MAX_DOUBLINGS} doublings (h({hi:g}) = {h(hi):g})"
+        # Newton on 1/|u(nu)| - 1/Delta from lo, left of the root; each step
+        # is (|u|/Delta - 1) |u|^2 / sum(u_i^2 / (d_i + nu)) > 0.
+        nu, iterations, step = float(lo), 0, np.inf
+        while step > np.finfo(float).eps * max(1.0, abs(nu)):
+            u_red = bt / (d + nu)
+            norm2 = float(u_red @ u_red)
+            if norm2 <= delta2:
+                break
+            if iterations == ROOT_MAXITER:
+                raise ToleranceNotMet(
+                    f"outer root search took {ROOT_MAXITER} Newton steps without "
+                    f"converging (nu = {nu:g}, |u|^2 - Delta^2 = {norm2 - delta2:g})"
                 )
-            hi = 2.0 * hi + scale
-        try:
-            nu = float(brentq(h, lo, hi, xtol=ROOT_XTOL, maxiter=ROOT_MAXITER))
-        except RuntimeError as exc:
-            raise ToleranceNotMet(f"outer root search failed to converge: {exc}") from exc
+            step = float((np.sqrt(norm2) / delta - 1.0) * norm2
+                         / (u_red @ (u_red / (d + nu))))
+            nu += step
+            iterations += 1
         u = u_vecs @ (bt / (d + nu))
         diagnostics["hard_case"] = False
-        diagnostics["bracket"] = (float(lo), float(hi))
+        diagnostics["iterations"] = iterations
 
     # Polish onto the sphere exactly (direction is unchanged, u is 1-orthogonal).
     norm_u = float(np.linalg.norm(u))
     if norm_u > 0.0:
         u *= delta / norm_u
-    theta = problem.g0 * e + basis @ u
+    theta = problem.g0 * e - (beta * float(u.sum())) * v  # g0 e + Z u
+    theta[1:] += u
 
-    lam1, lam2 = _multipliers(problem, theta, nu)
+    lam1 = -nu / 2.0
+    lam2 = float(np.ones(n) @ (-problem.alpha + problem.gamma * (sigma @ theta)
+                               + nu * theta) / n)
     residual = stationarity_residual(problem.alpha, problem.cov, problem.gamma,
                                      theta, lam1, lam2)
     sphere_err = abs(float(theta @ theta) - 1.0 / problem.n0)

@@ -77,10 +77,6 @@ class Infeasible(MvgearError):
     """The diversity-constrained problem has an empty feasible set."""
 
 
-class NoRoot(MvgearError):
-    """The outer scalar equation showed no sign change after bracket growth."""
-
-
 class ToleranceNotMet(MvgearError):
     """A solution was found but fails its stated residual tolerances."""
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, RankDeficientConstraints, SingularKkt
 
@@ -70,25 +69,24 @@ def solve_kkt(problem: KktProblem) -> tuple[np.ndarray, np.ndarray]:
     n = c.size
     m = d.size
     try:
-        scipy.linalg.cholesky(q, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(q)
+    except np.linalg.LinAlgError as exc:
         raise SingularKkt(f"quadratic term is not positive definite: {exc}") from exc
     if m > 0:
-        r = scipy.linalg.qr(e.T, mode="r", pivoting=True)[0]
-        diag = np.abs(np.diag(r))
-        if diag.size < m or diag.min() <= 1e-12 * max(1.0, diag.max()):
+        sv = np.linalg.svd(e, compute_uv=False)
+        if sv.size < m or sv.min() <= 1e-12 * max(1.0, sv.max()):
             raise RankDeficientConstraints(
-                f"constraint matrix rank below {m} (pivot ratio {diag.min():g})"
+                f"constraint matrix rank below {m} (smallest singular value {sv.min():g})"
             )
         bordered = np.block([[q, e.T], [e, np.zeros((m, m))]])
         rhs = np.concatenate([c, d])
         try:
-            sol = scipy.linalg.solve(bordered, rhs, assume_a="sym")
-        except scipy.linalg.LinAlgError as exc:
+            sol = np.linalg.solve(bordered, rhs)
+        except np.linalg.LinAlgError as exc:
             raise SingularKkt(f"bordered system solve failed: {exc}") from exc
         theta, nu = sol[:n], -sol[n:]
     else:
-        theta = scipy.linalg.solve(q, c, assume_a="pos")
+        theta = np.linalg.solve(q, c)
         nu = np.zeros(0)
     stationarity = q @ theta - c - (e.T @ nu if m else 0.0)
     feasibility = (e @ theta - d) if m else np.zeros(0)

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -509,6 +513,15 @@ def test_qoqc_infeasible_exits_3(micro_csv, capsys):
     assert capsys.readouterr().err.startswith("code=Infeasible")
 
 
+@pytest.mark.parametrize("g0", ["nan", "inf"])
+def test_qoqc_non_finite_g0_exits_3(micro_csv, capsys, g0):
+    assert run(["qoqc", "--input", micro_csv, "--gamma", 1, "--g0", g0,
+                "--n0", 1]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("code=NonPositiveParameter g0 must be finite")
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # verify round-trip
 # ---------------------------------------------------------------------------
@@ -900,6 +913,28 @@ def test_bad_portfolio_file_exits_3(micro_csv, tmp_path, capsys, command, conten
     err = capsys.readouterr().err
     assert err.startswith("code=InvalidPortfolio")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag,value,low", [
+    ("--seed", -1, 0), ("--samples", 0, 1), ("--samples", -5, 1)])
+def test_verify_refuses_a_negative_seed_or_no_samples(micro_csv, tmp_path, capsys,
+                                                      flag, value, low):
+    port = tmp_path / "p.json"
+    assert run(["solve", "--input", micro_csv, "--program", "VIII",
+                "--g0", 1, "--output", port]) == 0
+    assert run(["verify", "--input", micro_csv, "--portfolio", port,
+                flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err == f"code=BadArguments argument {flag}: must be at least {low}, got {value}\n"
+
+
+def test_importing_the_cli_imports_no_scipy():
+    code = ("import sys, mvgear.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": package_root})
+    assert out.stdout == "[]\n"
 
 
 def test_verify_seed_is_reproducible(micro_csv, tmp_path):

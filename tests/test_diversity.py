@@ -1,20 +1,24 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.linalg import null_space
+from scipy.optimize import brentq, minimize_scalar
 
 from mvgear import (
     AlphaVector,
     CovMatrix,
     Infeasible,
+    NonFiniteData,
     NonPositiveParameter,
     QoqcProblem,
+    ToleranceNotMet,
+    diversity,
     solve_QOQC,
     solve_qoqc,
 )
 from mvgear.diversity import GEARING_TOL, SPHERE_TOL, STATIONARITY_TOL
 
-from conftest import random_instance
+from conftest import random_cov, random_instance
 
 
 def manifold_grid_oracle(problem, samples=1_000_000):
@@ -49,6 +53,42 @@ def manifold_grid_oracle(problem, samples=1_000_000):
         options={"xatol": 1e-14},
     )
     return point(result.x)
+
+
+def reference_qoqc(problem):
+    """Weights by the earlier solver: a ``null_space`` basis, bracket doubling, ``brentq``.
+
+    Covers the case with a pole at -lambda_min only (no hard case, no
+    boundary); the stated tolerances are checked on the production solver.
+    """
+    n = problem.dim
+    delta2 = 1.0 / problem.n0 - problem.g0**2 / n
+    delta = float(np.sqrt(delta2))
+    e = np.ones(n) / n
+    basis = null_space(np.ones((1, n)))
+    reduced_h = problem.gamma * (basis.T @ problem.cov.entries @ basis)
+    reduced_h = 0.5 * (reduced_h + reduced_h.T)
+    b = basis.T @ (problem.alpha - problem.gamma * problem.g0 * (problem.cov.entries @ e))
+    d, u_vecs = np.linalg.eigh(reduced_h)
+    bt = u_vecs.T @ b
+
+    def h(nu):
+        return float(np.sum((bt / (d + nu)) ** 2)) - delta2
+
+    scale = max(1.0, float(np.abs(d).max()))
+    lo = -d[0] + 1e-13 * scale
+    assert h(lo) > 0.0
+    hi = max(lo + scale, float(np.linalg.norm(b)) / delta - d[0])
+    for _ in range(60):
+        if h(hi) <= 0.0:
+            break
+        hi = 2.0 * hi + scale
+    else:
+        raise AssertionError("no sign change after 60 doublings")
+    nu = brentq(h, lo, hi, xtol=1e-12, maxiter=200)
+    u = u_vecs @ (bt / (d + nu))
+    u *= delta / float(np.linalg.norm(u))
+    return problem.g0 * e + basis @ u
 
 
 def check_solution(problem, sol):
@@ -136,6 +176,19 @@ def test_nonpositive_gamma(micro_alpha, micro_cov):
                     gamma=-1.0, g0=1.0, n0=1.5)
 
 
+@pytest.mark.parametrize("g0", [np.nan, np.inf, -np.inf])
+def test_non_finite_g0(micro_alpha, micro_cov, g0):
+    with pytest.raises(NonPositiveParameter, match="g0 must be finite"):
+        QoqcProblem(alpha=micro_alpha.entries, cov=micro_cov,
+                    gamma=1.0, g0=g0, n0=1.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_alpha(micro_cov, bad):
+    with pytest.raises(NonFiniteData):
+        QoqcProblem(alpha=[bad, 0.2], cov=micro_cov, gamma=1.0, g0=1.0, n0=1.5)
+
+
 def test_boundary_returns_geared_equal_weight_exactly():
     rng = np.random.default_rng(107)
     alpha, cov = random_instance(rng, 4)
@@ -169,6 +222,68 @@ def test_hard_case_construction():
     sol = solve_qoqc(problem)
     assert sol.diagnostics["hard_case"]
     check_solution(problem, sol)
+
+
+def test_matches_reference_solver_on_seeded_instances():
+    # Over 800 such instances (this seed and three others) the largest gap
+    # was 3.1e-12 max|theta|; the reference's absolute root tolerance of
+    # 1e-12 dominates it.
+    rng = np.random.default_rng(113)
+    for _ in range(200):
+        n = int(np.exp(rng.uniform(np.log(2.0), np.log(200.0))))
+        alpha, cov = random_instance(rng, n, kappa=float(10.0 ** rng.uniform(0.0, 6.0)))
+        g0 = float(rng.uniform(0.25, min(2.0, np.sqrt(n))))
+        n0 = float(rng.uniform(1.0, min(n, n / g0**2)))
+        problem = QoqcProblem(alpha=alpha.entries, cov=cov,
+                              gamma=float(10.0 ** rng.uniform(-1.0, 1.5)), g0=g0, n0=n0)
+        sol = solve_qoqc(problem)
+        check_solution(problem, sol)
+        reference = reference_qoqc(problem)
+        npt.assert_allclose(sol.weights, reference, rtol=0.0,
+                            atol=1e-11 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("bottom", [1e-4, 1e-8, 1e-12])
+@pytest.mark.parametrize("ratio", [1.01, 4.0])
+def test_near_hard_case_converges(bottom, ratio):
+    # b has component `bottom` on the bottom eigenvector of Z'Sigma Z, and the
+    # rest of b alone overfills the sphere at the pole by `ratio`, so the root
+    # lies right of the steep pole term that Newton starts on. Over 21 seeds
+    # Newton took at most 13 steps. The weights are sensitive to nu here: the
+    # gap to the reference reached 2.6e-8 max|theta|, where the reference's
+    # stationarity residual was 4e-13 and this solver's 1e-16.
+    rng = np.random.default_rng(127)
+    for _ in range(4):
+        n = int(rng.integers(3, 40))
+        cov = random_cov(rng, n, kappa=float(10.0 ** rng.uniform(0.0, 4.0)))
+        gamma, g0 = 2.0, 1.0
+        n0 = float(rng.uniform(1.0, 0.9 * n))
+        delta = np.sqrt(1.0 / n0 - g0**2 / n)
+        z = null_space(np.ones((1, n)))
+        d, x = np.linalg.eigh(gamma * z.T @ cov.entries @ z)
+        bt = rng.standard_normal(n - 1)
+        bt *= ratio * delta / np.linalg.norm(bt[1:] / (d[1:] - d[0]))
+        bt[0] = bottom
+        alpha = gamma * g0 * cov.entries @ (np.ones(n) / n) + z @ (x @ bt) + 0.05
+        problem = QoqcProblem(alpha=alpha, cov=cov, gamma=gamma, g0=g0, n0=n0)
+        sol = solve_qoqc(problem)
+        check_solution(problem, sol)
+        assert not sol.diagnostics["hard_case"]
+        assert sol.diagnostics["iterations"] <= 20
+        reference = reference_qoqc(problem)
+        npt.assert_allclose(sol.weights, reference, rtol=0.0,
+                            atol=1e-7 * np.abs(reference).max())
+        assert sol.objective >= problem.objective(reference) - 1e-15
+
+
+def test_newton_step_cap_raises_tolerance_not_met(monkeypatch):
+    rng = np.random.default_rng(131)
+    alpha, cov = random_instance(rng, 6)
+    problem = QoqcProblem(alpha=alpha.entries, cov=cov, gamma=2.0, g0=1.0, n0=3.0)
+    assert solve_qoqc(problem).diagnostics["iterations"] > 1
+    monkeypatch.setattr(diversity, "ROOT_MAXITER", 1)
+    with pytest.raises(ToleranceNotMet, match="1 Newton steps"):
+        solve_qoqc(problem)
 
 
 def test_second_order_condition_on_generic_instances():

@@ -85,6 +85,15 @@ def test_rank_deficient_constraints_rejected():
         ))
 
 
+def test_more_constraints_than_unknowns_rejected():
+    with pytest.raises(RankDeficientConstraints):
+        solve_kkt(KktProblem(
+            quadratic=np.eye(2), linear=np.zeros(2),
+            eq_matrix=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+            eq_rhs=[1.0, 1.0, 2.0],
+        ))
+
+
 def test_indefinite_quadratic_rejected():
     with pytest.raises(SingularKkt):
         solve_kkt(KktProblem(
