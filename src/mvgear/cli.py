@@ -212,9 +212,9 @@ def _cmd_estimate(args) -> str:
     panel, alpha, cov = _moments(args)
     doc = {
         "assets": list(panel.assets),
-        "alpha": [float(a) for a in alpha.entries],
-        "covariance": [[float(v) for v in row] for row in cov.entries],
-        "eigenvalues": [float(r) for r in cov.eigenvalues],
+        "alpha": alpha.entries,
+        "covariance": cov.entries,
+        "eigenvalues": cov.eigenvalues,
         "condition_number": cov.condition_number,
     }
     return serialize.dumps(doc) + "\n"
@@ -284,7 +284,7 @@ def _cmd_shrink_sweep(args) -> str:
             optimal = risky
         else:
             optimal = solvers.solve(program, alpha, shrunk, **params)
-        weights_json = '"' + serialize.dumps(list(optimal.weights)) + '"'
+        weights_json = '"' + serialize.dumps(optimal.weights) + '"'
         rows.append([
             float(value),
             shrunk.condition_number,

@@ -227,12 +227,12 @@ def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
                                      theta, lam1, lam2)
     sphere_err = abs(float(theta @ theta) - 1.0 / problem.n0)
     gearing_err = abs(float(theta.sum()) - problem.g0)
-    if sphere_err > SPHERE_TOL or gearing_err > GEARING_TOL:
+    if not (sphere_err <= SPHERE_TOL and gearing_err <= GEARING_TOL):
         raise ToleranceNotMet(
             f"constraint residuals too large: |theta'theta - 1/n0| = {sphere_err:g}, "
             f"|1'theta - g0| = {gearing_err:g}"
         )
-    if residual > STATIONARITY_TOL:
+    if not residual <= STATIONARITY_TOL:
         raise ToleranceNotMet(f"stationarity residual {residual:g} > {STATIONARITY_TOL:g}")
     diagnostics["ridge_shift"] = float(nu)
     return QoqcSolution(

@@ -9,8 +9,11 @@ covariance. Every covariance handed to the solvers is wrapped in a
     Sigma = V diag(rho_1, ..., rho_n) V',   rho_1 >= ... >= rho_n > 0,
 
 so that all downstream linear solves reuse the same eigendata that the
-angle bounds need. Near-singular sample covariances are repaired by
-clipping eigenvalues at a floor relative to the largest one.
+angle bounds need. A shrink toward the identity, w I + (1 - w) Sigma, keeps
+V and maps each rho to w + (1 - w) rho (:meth:`CovMatrix.toward_identity`),
+so it costs O(n^2) and no second decomposition. Near-singular sample
+covariances are repaired by clipping eigenvalues at a floor relative to the
+largest one.
 """
 
 from __future__ import annotations
@@ -154,7 +157,7 @@ def _symmetrized(entries) -> np.ndarray:
 class CovMatrix:
     """Symmetric positive-definite covariance with cached spectrum.
 
-    ``eigenvalues`` are strictly descending; ``eigenvectors`` holds the
+    ``eigenvalues`` are descending; ``eigenvectors`` holds the
     matching orthonormal eigenvectors as columns, so that
     ``entries == eigenvectors @ diag(eigenvalues) @ eigenvectors.T``.
     """
@@ -184,7 +187,7 @@ class CovMatrix:
             )
         recon = (vecs * rho) @ vecs.T
         err = np.linalg.norm(recon - sym) / np.linalg.norm(sym)
-        if err > RECONSTRUCTION_RTOL:
+        if not err <= RECONSTRUCTION_RTOL:
             raise ConvergenceFailure(
                 f"spectral reconstruction error {err:g} exceeds {RECONSTRUCTION_RTOL:g}"
             )
@@ -196,7 +199,26 @@ class CovMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "CovMatrix":
-        return cls.from_entries(np.eye(n))
+        """I_n with the unit vectors as its eigenvectors; no decomposition."""
+        eye = _frozen_array(_symmetrized(np.eye(n)))
+        return cls(entries=eye, eigenvalues=_frozen_array(np.ones(n)), eigenvectors=eye)
+
+    def toward_identity(self, w: float) -> "CovMatrix":
+        """w I + (1 - w) Sigma for w in [0, 1], from the cached spectrum.
+
+        The eigenvectors are this matrix's own (shared, not copied) and each
+        eigenvalue maps to w + (1 - w) rho, so no ``eigh`` and no
+        reconstruction check run; w = 0 gives back this spectrum bit for bit
+        and w = 1 gives :meth:`identity`.
+        """
+        if w == 1.0:
+            return self.identity(self.dim)
+        entries = w * np.eye(self.dim) + (1.0 - w) * self.entries
+        return CovMatrix(
+            entries=_frozen_array(entries),
+            eigenvalues=_frozen_array(w + (1.0 - w) * self.eigenvalues),
+            eigenvectors=self.eigenvectors,
+        )
 
     @property
     def dim(self) -> int:

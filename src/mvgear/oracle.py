@@ -90,11 +90,9 @@ def solve_kkt(problem: KktProblem) -> tuple[np.ndarray, np.ndarray]:
         nu = np.zeros(0)
     stationarity = q @ theta - c - (e.T @ nu if m else 0.0)
     feasibility = (e @ theta - d) if m else np.zeros(0)
-    err = max(
-        float(np.abs(stationarity).max()),
-        float(np.abs(feasibility).max(initial=0.0)),
-    )
-    if err > RESIDUAL_TOL:
+    # np.max keeps a NaN from either residual, and ``not err <= tol`` fails it.
+    err = float(np.abs(np.concatenate([stationarity, feasibility])).max())
+    if not err <= RESIDUAL_TOL:
         raise SingularKkt(f"KKT residual {err:g} exceeds {RESIDUAL_TOL:g}")
     return theta, nu
 

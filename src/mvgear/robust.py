@@ -26,6 +26,10 @@ portfolio is ``solve_robust(Program.RISKY, alpha, cov,
 ShrinkageSpec.angle_targeted(k))``. The plain convex forms
 q I + (1-q) Sigma and q diag(Sigma) + (1-q) Sigma are exposed alongside.
 
+Both identity-target shrinks keep Sigma's eigenvectors and map each
+eigenvalue rho to w + (1 - w) rho, so they reuse the cached spectrum in
+O(n^2); only the diagonal target decomposes again.
+
 Shrinking never worsens the condition number and never breaks the gearing
 constraints (the GMV/risky mix stays cash neutral). :func:`solve_robust`
 re-solves any table program (``solvers.PROGRAMS``, QOQC included) on the
@@ -152,14 +156,14 @@ def shrink_covariance(cov: CovMatrix, alpha, spec: ShrinkageSpec) -> CovMatrix:
 
     ANGLE_TARGETED uses weight k / cos phi toward the identity; SIMPLE uses
     q toward the identity; DIAGONAL uses q toward diag(Sigma). All three
-    can only improve (or preserve) the condition number.
+    can only improve (or preserve) the condition number. The two identity
+    shrinks keep Sigma's eigenvectors and map its cached spectrum in O(n^2)
+    (:meth:`CovMatrix.toward_identity`); only DIAGONAL decomposes again.
     """
     w = _convex_weight(spec, alpha, cov)
-    if spec.mode is ShrinkMode.DIAGONAL:
-        target = np.diag(np.diag(cov.entries))
-    else:
-        target = np.eye(cov.dim)
-    entries = w * target + (1.0 - w) * cov.entries
+    if spec.mode is not ShrinkMode.DIAGONAL:
+        return cov.toward_identity(w)
+    entries = w * np.diag(np.diag(cov.entries)) + (1.0 - w) * cov.entries
     try:
         return CovMatrix.from_entries(entries)
     except SingularCovariance as exc:  # pragma: no cover - convexity forbids this

@@ -23,8 +23,30 @@ def fmt_float(value: float) -> str:
     return format(value, ".17g")
 
 
+def _float_rows(arr: np.ndarray) -> str:
+    """JSON text of a finite float array, one C-level format per row; only
+    one row at a time is held as Python floats."""
+    if arr.ndim == 1:
+        return "[" + ("%.17g, " * arr.size)[:-2] % tuple(arr.tolist()) + "]"
+    return "[" + ", ".join(map(_float_rows, arr)) + "]"
+
+
+def _float_array(arr: np.ndarray) -> str:
+    """What the element-wise path writes for a float array, or its error."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        fmt_float(arr[~finite][0])  # raises for the first non-finite value
+    return _float_rows(arr)
+
+
 def dumps(obj) -> str:
-    """JSON with fixed float formatting; dict order is preserved."""
+    """JSON with fixed float formatting; dict order is preserved.
+
+    A float ndarray is written row by row with ``%.17g``, which shares
+    CPython's float-to-text path with ``format(x, ".17g")``.
+    """
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        return _float_array(obj)
     if obj is None:
         return "null"
     if obj is True:

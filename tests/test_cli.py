@@ -423,8 +423,9 @@ def test_bounds_theta_skips_the_name_check(five_asset_panels):
 # shrink-sweep / qoqc
 # ---------------------------------------------------------------------------
 
-def test_shrink_sweep(tmp_path):
-    # moments with a real condition number so the sweep actually moves
+def sweep_csv(tmp_path):
+    """A 3-asset panel whose moments have a real condition number, so that a
+    shrink sweep actually moves."""
     csv = tmp_path / "r.csv"
     rng = np.random.default_rng(2)
     base = rng.multivariate_normal([0.01, 0.02, 0.015],
@@ -432,6 +433,11 @@ def test_shrink_sweep(tmp_path):
                                    size=40)
     csv.write_text("a,b,c\n" + "\n".join(",".join(repr(float(v)) for v in row)
                                          for row in base) + "\n")
+    return csv
+
+
+def test_shrink_sweep(tmp_path):
+    csv = sweep_csv(tmp_path)
     out = tmp_path / "sweep.csv"
     assert run(["shrink-sweep", "--input", csv, "--mode", "simple",
                 "--grid", "0:0.1:1", "--program", "VII", "--gamma", 1,
@@ -452,13 +458,7 @@ def test_shrink_sweep(tmp_path):
     ("diagonal", "0:0.25:1", []),
 ])
 def test_shrink_sweep_shrinks_once_per_point(tmp_path, monkeypatch, mode, grid, program):
-    csv = tmp_path / "r.csv"
-    rng = np.random.default_rng(2)
-    base = rng.multivariate_normal([0.01, 0.02, 0.015],
-                                   [[4.0, 1.0, 0.0], [1.0, 2.0, 0.3], [0.0, 0.3, 1.0]],
-                                   size=40)
-    csv.write_text("a,b,c\n" + "\n".join(",".join(repr(float(v)) for v in row)
-                                         for row in base) + "\n")
+    csv = sweep_csv(tmp_path)
     # the sweep as the library composes it, one shrink per call
     alpha, cov = estimate_moments(load_returns_csv(csv))
     rows = []
@@ -484,6 +484,32 @@ def test_shrink_sweep_shrinks_once_per_point(tmp_path, monkeypatch, mode, grid, 
                 *program, "--output", out]) == 0
     assert len(calls) == len(rows)
     assert out.read_text() == csv_lines(SWEEP_HEADER, rows)
+
+
+@pytest.mark.parametrize("mode,decompositions", [
+    ("simple", 1), ("angle", 1), ("diagonal", 12),
+])
+def test_shrink_sweep_decomposes_once_unless_diagonal(tmp_path, monkeypatch, mode,
+                                                      decompositions):
+    # the load decomposes Sigma; identity shrinks map its spectrum, and only
+    # each of the 11 diagonal shrinks decomposes again
+    csv = sweep_csv(tmp_path)
+    grid = "0:0.1:1"
+    if mode == "angle":
+        k0 = robust.angle_floor(*estimate_moments(load_returns_csv(csv)))
+        grid = f"0:{k0 / 11!r}:{10 * k0 / 11!r}"
+    assert parse_grid(grid).size == 11
+    real, calls = np.linalg.eigh, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert run(["shrink-sweep", "--input", csv, "--mode", mode, "--grid", grid,
+                "--program", "VII", "--gamma", 1, "--g0", 1,
+                "--output", tmp_path / "sweep.csv"]) == 0
+    assert len(calls) == decompositions
 
 
 def test_shrink_sweep_without_a_risky_portfolio_exits_3(tmp_path, capsys):

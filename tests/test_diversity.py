@@ -286,6 +286,31 @@ def test_newton_step_cap_raises_tolerance_not_met(monkeypatch):
         solve_qoqc(problem)
 
 
+def test_nan_stationarity_residual_raises_tolerance_not_met(monkeypatch):
+    rng = np.random.default_rng(131)
+    alpha, cov = random_instance(rng, 6)
+    problem = QoqcProblem(alpha=alpha.entries, cov=cov, gamma=2.0, g0=1.0, n0=3.0)
+    monkeypatch.setattr(diversity, "stationarity_residual", lambda *args: np.nan)
+    with pytest.raises(ToleranceNotMet, match="stationarity residual nan"):
+        solve_qoqc(problem)
+
+
+def test_nan_weights_raise_tolerance_not_met(monkeypatch):
+    # NaN eigenvectors of the reduced matrix make every weight NaN
+    rng = np.random.default_rng(131)
+    alpha, cov = random_instance(rng, 6)
+    problem = QoqcProblem(alpha=alpha.entries, cov=cov, gamma=2.0, g0=1.0, n0=3.0)
+    real = np.linalg.eigh
+
+    def nan_vectors(a):
+        d, u = real(a)
+        return d, np.full_like(u, np.nan)
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_vectors)
+    with pytest.raises(ToleranceNotMet, match="constraint residuals"):
+        solve_qoqc(problem)
+
+
 def test_second_order_condition_on_generic_instances():
     # Second-order optimality lives in the gearing-eliminated space:
     # gamma Z'Sigma Z + nu I must be PSD for the returned ridge shift nu.

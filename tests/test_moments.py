@@ -9,6 +9,7 @@ import pytest
 from mvgear import (
     AlphaVector,
     AsymmetricCovariance,
+    ConvergenceFailure,
     CovMatrix,
     DegenerateAlpha,
     DimensionError,
@@ -424,6 +425,80 @@ def test_estimate_moments_decomposes_twice_when_repairing(eigh_calls):
     with pytest.warns(SpdRepairWarning):
         estimate_moments(panel)
     assert len(eigh_calls) == 2
+
+
+def test_nan_reconstruction_raises_convergence_failure(monkeypatch):
+    real = np.linalg.eigh
+
+    def nan_vectors(a):
+        rho, vecs = real(a)
+        return rho, np.full_like(vecs, np.nan)
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_vectors)
+    with pytest.raises(ConvergenceFailure, match="reconstruction error nan"):
+        CovMatrix.from_entries(random_spd(np.random.default_rng(3), 4))
+
+
+# ---------------------------------------------------------------------------
+# The identity and the shrink toward it, on the cached spectrum
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def test_identity_decomposes_nothing(eigh_calls):
+    identity = CovMatrix.identity(5)
+    assert eigh_calls == []
+    assert np.array_equal(identity.entries, np.eye(5))
+    assert np.array_equal(identity.eigenvalues, np.ones(5))
+    assert np.array_equal(identity.eigenvectors, np.eye(5))
+    with pytest.raises(DimensionError):
+        CovMatrix.identity(1)
+
+
+def test_toward_identity_maps_the_spectrum_without_decomposing(eigh_calls):
+    cov = random_cov(np.random.default_rng(33), 6, kappa=1e3)
+    eigh_calls.clear()
+    w = 0.37
+    shrunk = cov.toward_identity(w)
+    assert eigh_calls == []
+    # the entries are the bits the convex combination has always had
+    assert np.array_equal(shrunk.entries, w * np.eye(6) + (1.0 - w) * cov.entries)
+    assert np.array_equal(shrunk.eigenvalues, w + (1.0 - w) * cov.eigenvalues)
+    assert shrunk.eigenvectors is cov.eigenvectors
+    assert not shrunk.entries.flags.writeable
+    assert not shrunk.eigenvalues.flags.writeable
+
+
+def test_toward_identity_at_zero_is_the_spectrum_bit_for_bit():
+    cov = random_cov(np.random.default_rng(31), 7, kappa=1e4)
+    shrunk = cov.toward_identity(0.0)
+    assert np.array_equal(shrunk.entries, cov.entries)
+    assert np.array_equal(shrunk.eigenvalues, cov.eigenvalues)
+    assert shrunk.eigenvectors is cov.eigenvectors
+
+
+def test_toward_identity_at_one_is_the_identity_bit_for_bit():
+    cov = random_cov(np.random.default_rng(32), 7, kappa=1e4)
+    shrunk, identity = cov.toward_identity(1.0), CovMatrix.identity(7)
+    for field in ("entries", "eigenvalues", "eigenvectors"):
+        assert np.array_equal(getattr(shrunk, field), getattr(identity, field))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 50, 200])
+def test_toward_identity_matches_a_fresh_decomposition(n):
+    # Each eigenvalue and kappa~ within 32 kappa~ eps relative of what eigh
+    # gives for the same entries (largest seen over n <= 200 and kappa <= 1e6:
+    # 7.6 kappa~ eps).
+    rng = np.random.default_rng(40 + n)
+    for w in [*10.0 ** rng.uniform(-8.0, -1.0, 3), *rng.uniform(0.0, 1.0, 3)]:
+        cov = random_cov(rng, n, kappa=10.0 ** rng.uniform(0.0, 6.0))
+        mapped = cov.toward_identity(float(w))
+        fresh = CovMatrix.from_entries(mapped.entries)
+        tolerance = 32.0 * fresh.condition_number * EPS
+        npt.assert_allclose(mapped.eigenvalues, fresh.eigenvalues, rtol=tolerance, atol=0)
+        assert mapped.condition_number == pytest.approx(fresh.condition_number,
+                                                        rel=tolerance, abs=0)
 
 
 def reference_sign_fix(vectors: np.ndarray) -> np.ndarray:

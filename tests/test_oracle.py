@@ -51,6 +51,21 @@ def test_gmv_on_identity():
     assert nu.shape == (1,)
 
 
+@pytest.mark.parametrize("part", [slice(0, 2), slice(2, 3)], ids=["weights", "multiplier"])
+def test_nan_solution_raises_singular_kkt(monkeypatch, part):
+    real = np.linalg.solve
+
+    def nan_solve(a, b):
+        sol = real(a, b)
+        sol[part] = np.nan
+        return sol
+
+    monkeypatch.setattr(np.linalg, "solve", nan_solve)
+    with pytest.raises(SingularKkt, match="KKT residual nan"):
+        solve_kkt(KktProblem(quadratic=np.eye(2), linear=np.zeros(2),
+                             eq_matrix=np.ones((1, 2)), eq_rhs=[1.0]))
+
+
 def test_encodes_geared_risk_minimization(micro_alpha, micro_cov):
     theta, _ = solve_kkt(KktProblem(
         quadratic=micro_cov.entries, linear=np.zeros(2),

@@ -1,10 +1,11 @@
-"""Property tests of the robust path over every table program, QOQC included.
+"""Property tests of the robust path over every table program, QOQC included,
+and of the condition number along the shrink toward the identity.
 
 Instances run from n = 2 to 200 assets and condition numbers from 1 to 1e6.
-Each tolerance is a multiple of kappa * eps, with kappa the condition number
-of the covariance the compared solves decompose, relative to the largest
-weight. Hypothesis runs derandomized with a bounded example count, so every
-run tests the same instances.
+Each weight tolerance is a multiple of kappa * eps, with kappa the condition
+number of the covariance the compared solves decompose, relative to the
+largest weight. Hypothesis runs derandomized with a bounded example count,
+so every run tests the same instances.
 """
 
 import warnings
@@ -13,7 +14,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvgear import AlphaVector, CovMatrix, ShrinkageSpec, solve_robust, solvers
+from mvgear import (AlphaVector, CovMatrix, ShrinkageSpec, shrink_covariance,
+                    solve_robust, solvers)
 
 from conftest import random_instance
 
@@ -89,3 +91,18 @@ def test_solve_is_permutation_equivariant(instance):
     moved = solve_all(lambda p: solvers.solve(p, moved_alpha, moved_cov, **params))
     assert_close(moved, {p: w[perm] for p, w in plain.items()}, 8.0 * cov.dim,
                  cov.condition_number)
+
+
+@PROPERTY
+@given(instances(), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
+def test_shrinking_toward_the_identity_never_raises_kappa(instance, weights):
+    # kappa~ = (q + (1-q) rho_1) / (q + (1-q) rho_n) falls as q grows; each
+    # computed value is within 8 eps of it (seven roundings), so a later one
+    # may exceed an earlier one by 16 eps relative at most
+    alpha, cov, _, _ = instance
+    kappas = [cov.condition_number] + [
+        shrink_covariance(cov, alpha, ShrinkageSpec.simple(q)).condition_number
+        for q in sorted(weights)]
+    for before, after in zip(kappas, kappas[1:]):
+        assert after <= before * (1.0 + 16.0 * EPS)
+    assert kappas[-1] >= 1.0

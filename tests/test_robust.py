@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -157,6 +159,33 @@ def test_condition_number_strictly_improves():
     alpha, cov = random_instance(rng, 5, kappa=50.0)
     shrunk = shrink_covariance(cov, alpha, ShrinkageSpec.simple(0.3))
     assert shrunk.condition_number < cov.condition_number - 1e-6
+
+
+@pytest.mark.parametrize("mode", [ShrinkMode.SIMPLE, ShrinkMode.ANGLE_TARGETED])
+@pytest.mark.parametrize("n", [2, 3, 10, 50, 200])
+def test_identity_shrinks_solve_like_a_fresh_decomposition(mode, n):
+    # The mapped spectrum and a fresh eigh of the same entries give every
+    # program's weights within 256 kappa~ eps of the largest weight (largest
+    # seen over n <= 200 and kappa <= 1e6: 70 kappa~ eps, program VI at n = 3).
+    rng = np.random.default_rng(60 + n)
+    params = {"sigma0": 0.5, "alpha0": 0.1, "gamma": 2.0, "g0": 1.0,
+              "n0": min(1.5, n)}
+    for _ in range(3):
+        alpha, cov = random_instance(rng, n, kappa=10.0 ** rng.uniform(0.0, 6.0),
+                                     min_d_ratio=0.01)
+        q = float(rng.uniform(0.0, 1.0))
+        k = q * angle_floor(alpha, cov) if mode is ShrinkMode.ANGLE_TARGETED else q
+        mapped = shrink_covariance(cov, alpha, ShrinkageSpec(mode=mode, k=k))
+        fresh = CovMatrix.from_entries(mapped.entries)
+        tolerance = 256.0 * fresh.condition_number * np.finfo(float).eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", solvers.InefficientBranchWarning)
+            for program in solvers.PROGRAMS:
+                got = solvers.solve(program, alpha, mapped, **params).weights
+                want = solvers.solve(program, alpha, fresh, **params).weights
+                npt.assert_allclose(got, want, rtol=0,
+                                    atol=tolerance * np.abs(want).max(),
+                                    err_msg=f"program {program.value}")
 
 
 def test_angle_targeted_k_range():
