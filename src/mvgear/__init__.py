@@ -37,9 +37,9 @@ from .moments import (
     load_returns_csv,
 )
 from .solvers import (
-    FrontierPoint,
     FrontierScalars,
     InefficientBranchWarning,
+    ParetoSurface,
     Portfolio,
     Program,
     frontier_scalars,

@@ -14,6 +14,7 @@ failure. Both error paths print one machine-parseable line to stderr:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -101,7 +102,9 @@ def _int_at_least(low: int):
     return integer
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="mvgear", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -230,16 +233,11 @@ def _cmd_solve(args) -> str:
     return serialize.dumps(serialize.portfolio_to_dict(port)) + "\n"
 
 
-def _surface_rows(points):
-    for pt in points:
-        yield [pt.alpha_p, pt.g0, pt.sigma_p, pt.is_gmv_line, pt.is_risky_line]
-
-
 def _cmd_frontier(args) -> str:
     _, alpha, cov = _moments(args)
     grid = parse_grid(args.alpha_grid)
-    points = solvers.pareto_surface(alpha, cov, grid, [args.g0])
-    return serialize.csv_lines(SURFACE_HEADER, _surface_rows(points))
+    surface = solvers.pareto_surface(alpha, cov, grid, [args.g0])
+    return serialize.csv_lines(SURFACE_HEADER, surface)
 
 
 def _cmd_surface(args) -> str:
@@ -248,8 +246,8 @@ def _cmd_surface(args) -> str:
     if alphas.size * gearings.size > MAX_GRID_POINTS:
         raise CliError("BadGrid", f"surface of {alphas.size} x {gearings.size} points "
                                   f"has more than {MAX_GRID_POINTS} points")
-    points = solvers.pareto_surface(alpha, cov, alphas, gearings)
-    return serialize.csv_lines(SURFACE_HEADER, _surface_rows(points))
+    surface = solvers.pareto_surface(alpha, cov, alphas, gearings)
+    return serialize.csv_lines(SURFACE_HEADER, surface)
 
 
 def _cmd_bounds(args) -> str:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import InvalidPortfolio
-from .solvers import Portfolio, Program
+from .solvers import ParetoSurface, Portfolio, Program
 
 
 def fmt_float(value: float) -> str:
@@ -31,12 +32,12 @@ def _float_rows(arr: np.ndarray) -> str:
     return "[" + ", ".join(map(_float_rows, arr)) + "]"
 
 
-def _float_array(arr: np.ndarray) -> str:
-    """What the element-wise path writes for a float array, or its error."""
+def _require_finite(arr: np.ndarray) -> np.ndarray:
+    """``arr``, or the element-wise path's error for its first non-finite value."""
     finite = np.isfinite(arr)
     if not finite.all():
         fmt_float(arr[~finite][0])  # raises for the first non-finite value
-    return _float_rows(arr)
+    return arr
 
 
 def dumps(obj) -> str:
@@ -46,7 +47,7 @@ def dumps(obj) -> str:
     CPython's float-to-text path with ``format(x, ".17g")``.
     """
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        return _float_array(obj)
+        return _float_rows(_require_finite(obj))
     if obj is None:
         return "null"
     if obj is True:
@@ -67,15 +68,33 @@ def dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+# A surface point's two line flags, indexed by 2 * on_gmv + on_risky.
+_FLAGS = (",0,0\n", ",0,1\n", ",1,0\n", ",1,1\n")
+
+
+def _surface_lines(surface: ParetoSurface) -> str:
+    """One CSV line per point, alpha_p-major: each grid value is formatted
+    once and every sigma_p by one C-level ``%.17g`` format."""
+    sigma = _require_finite(surface.sigma_p)
+    alphas = ["%.17g," % v for v in surface.alpha_p.tolist()]
+    gearings = ["%.17g," % v for v in surface.g0.tolist()]
+    codes = (2 * surface.on_gmv + surface.on_risky).ravel().tolist()
+    cells = zip(chain.from_iterable(map(repeat, alphas, repeat(len(gearings)))),
+                gearings * len(alphas), sigma.ravel().tolist(),
+                map(_FLAGS.__getitem__, codes))
+    return ("%s%s%.17g%s" * sigma.size) % tuple(chain.from_iterable(cells))
+
+
 def csv_lines(header: list[str], rows) -> str:
-    """CSV text with 17-significant-digit floats and newline terminators."""
+    """CSV text with 17-significant-digit floats and newline terminators, of
+    ``rows`` or of a ParetoSurface."""
+    if isinstance(rows, ParetoSurface):
+        return ",".join(header) + "\n" + _surface_lines(rows)
     out = [",".join(header)]
     for row in rows:
         cells = []
         for cell in row:
-            if isinstance(cell, bool):
-                cells.append("1" if cell else "0")
-            elif isinstance(cell, (float, np.floating)):
+            if isinstance(cell, (float, np.floating)):
                 cells.append(fmt_float(cell))
             else:
                 cells.append(str(cell))

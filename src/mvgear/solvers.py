@@ -405,7 +405,7 @@ def frontier_variance(scalars: FrontierScalars, alpha_p, g0):
     are taken with Python's float power (the C library's ``pow``), which
     differs from numpy's ``x * x`` in the last bit for about one double in a
     thousand, so that an array of points gives the bits each point gives
-    on its own.
+    on its own. A square that overflows is inf, as in numpy.
     """
     if scalars.D <= DEGENERATE_D_TOL:
         raise DegenerateAlpha(f"D = {scalars.D:g} is not positive")
@@ -415,22 +415,29 @@ def frontier_variance(scalars: FrontierScalars, alpha_p, g0):
     ) / scalars.D
 
 
+def _square(v: float) -> float:
+    try:
+        return v**2
+    except OverflowError:  # Python's float power raises where pow() overflows
+        return np.inf
+
+
 def _pow2(x):
     if np.ndim(x) == 0:
-        return x**2
+        return _square(x)
     x = np.asarray(x, dtype=float)
-    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
+    return np.array([_square(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 @dataclass(frozen=True)
-class FrontierPoint:
-    """One (alpha_p, g0, sigma_p) point of the Pareto surface."""
+class ParetoSurface:
+    """Grids alpha_p (m,), g0 (k,); finite sigma_p and line flags, all (m, k)."""
 
-    alpha_p: float
-    g0: float
-    sigma_p: float
-    is_gmv_line: bool = False
-    is_risky_line: bool = False
+    alpha_p: np.ndarray
+    g0: np.ndarray
+    sigma_p: np.ndarray
+    on_gmv: np.ndarray
+    on_risky: np.ndarray
 
 
 def _on_line(alphas: np.ndarray, line: np.ndarray) -> np.ndarray:
@@ -439,12 +446,12 @@ def _on_line(alphas: np.ndarray, line: np.ndarray) -> np.ndarray:
     return np.abs(alphas[:, None] - line) <= tolerance
 
 
-def pareto_surface(alpha, cov: CovMatrix, alpha_p_grid, g0_grid) -> list[FrontierPoint]:
+def pareto_surface(alpha, cov: CovMatrix, alpha_p_grid, g0_grid) -> ParetoSurface:
     """Evaluate the minimum-variance surface over an (alpha_p, g0) grid.
 
     Points on the GMV line (alpha_p = g0 B / A) and the geared-risky line
-    (alpha_p = g0 C / B) are flagged. Output is grid-row-major: the alpha_p
-    grid varies in the outer loop.
+    (alpha_p = g0 C / B) are flagged. Raises NonFiniteData naming the first
+    point, in alpha_p-major order, whose variance is not finite.
     """
     a = as_vector(alpha)
     alphas = np.atleast_1d(np.asarray(alpha_p_grid, dtype=float))
@@ -454,15 +461,18 @@ def pareto_surface(alpha, cov: CovMatrix, alpha_p_grid, g0_grid) -> list[Frontie
     if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(gearings))):
         raise NonFiniteData("grids must be finite")
     scal = frontier_scalars(a, cov)
-    var = frontier_variance(scal, alphas[:, None], gearings)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = frontier_variance(scal, alphas[:, None], gearings)
+    if not np.isfinite(var).all():
+        i, j = np.argwhere(~np.isfinite(var))[0]
+        raise NonFiniteData(f"variance at alpha_p = {float(alphas[i])!r}, "
+                            f"g0 = {float(gearings[j])!r} is {float(var[i, j])!r}")
     on_gmv = _on_line(alphas, gearings * scal.B / scal.A)
     if abs(scal.B) > ZERO_B_TOL:
         on_risky = _on_line(alphas, gearings * scal.C / scal.B)
     else:
         on_risky = np.zeros(var.shape, dtype=bool)
-    columns = (np.repeat(alphas, gearings.size), np.tile(gearings, alphas.size),
-               np.sqrt(np.maximum(var, 0.0)).ravel(), on_gmv.ravel(), on_risky.ravel())
-    return [FrontierPoint(*point) for point in zip(*(c.tolist() for c in columns))]
+    return ParetoSurface(alphas, gearings, np.sqrt(np.maximum(var, 0.0)), on_gmv, on_risky)
 
 
 def implied_returns(target: Portfolio, cov: CovMatrix) -> AlphaVector:

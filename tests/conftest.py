@@ -72,3 +72,72 @@ def random_instance(rng, n, kappa=None, scale=1.0, min_d_ratio=0.0):
             continue
         return AlphaVector(alpha), cov
     raise RuntimeError("could not draw an instance with B > 0 and D bounded away from 0")
+
+
+# ---------------------------------------------------------------------------
+# The Pareto surface point by point
+# ---------------------------------------------------------------------------
+
+def odd_surface_instance():
+    """(alpha, Sigma, alpha_p grid, g0 grid) whose grids hold values where
+    numpy's and Python's squares differ, g0 = 0, and points on both lines."""
+    from mvgear import frontier_scalars
+
+    rng = np.random.default_rng(12)
+    alpha, cov = random_instance(rng, 5)
+    scal = frontier_scalars(alpha, cov)
+    # numpy squares by x * x, Python's float power by the C library's pow():
+    # for about one double in a thousand they differ in the last bit, and the
+    # surface must follow pow() as the loop did
+    odd = [v for v in rng.uniform(-2.0, 3.0, 50_000).tolist() if v**2 != v * v][:10]
+    assert len(odd) == 10
+    gearings = np.concatenate([[0.0, 1.0], rng.uniform(-2.0, 3.0, 20), odd[:5]])
+    alphas = np.concatenate([rng.uniform(-0.5, 0.5, 200), odd[5:],
+                             gearings[:5] * scal.B / scal.A,
+                             gearings[:5] * scal.C / scal.B])
+    return alpha, cov, alphas, gearings
+
+
+def reference_surface(alpha, cov, alpha_p_grid, g0_grid):
+    """The per-point loop the vectorized surface replaced: one
+    (alpha_p, g0, sigma_p, on GMV line, on risky line) tuple per point."""
+    from mvgear import frontier_scalars
+    from mvgear.solvers import LINE_FLAG_RTOL, ZERO_B_TOL
+
+    scal = frontier_scalars(alpha, cov)
+    rows = []
+    for alpha_p in map(float, alpha_p_grid):
+        for g0 in map(float, g0_grid):
+            # frontier_variance's formula, squared by Python's float power
+            var = (alpha_p**2 * scal.A - 2.0 * g0 * alpha_p * scal.B
+                   + g0**2 * scal.C) / scal.D
+            gmv_return = g0 * scal.B / scal.A
+            rows.append((
+                alpha_p, g0, float(np.sqrt(max(var, 0.0))),
+                bool(abs(alpha_p - gmv_return)
+                     <= LINE_FLAG_RTOL * max(1.0, abs(gmv_return))),
+                abs(scal.B) > ZERO_B_TOL and bool(
+                    abs(alpha_p - g0 * scal.C / scal.B)
+                    <= LINE_FLAG_RTOL * max(1.0, abs(g0 * scal.C / scal.B))),
+            ))
+    return rows
+
+
+def surface_points(surface):
+    """A ParetoSurface as the reference's tuples, alpha_p-major."""
+    m, k = surface.sigma_p.shape
+    return [(float(surface.alpha_p[i]), float(surface.g0[j]),
+             float(surface.sigma_p[i, j]), bool(surface.on_gmv[i, j]),
+             bool(surface.on_risky[i, j])) for i in range(m) for j in range(k)]
+
+
+def reference_csv(rows):
+    """Surface CSV text as the per-cell writer made it: ``fmt_float`` for each
+    float, 1/0 for each flag, lines joined by newlines, one at the end."""
+    from mvgear.serialize import fmt_float
+
+    lines = ["alpha_p,g0,sigma_p,is_gmv_line,is_risky_line"]
+    for *floats, on_gmv, on_risky in rows:
+        lines.append(",".join([*map(fmt_float, floats), "1" if on_gmv else "0",
+                               "1" if on_risky else "0"]))
+    return "\n".join(lines) + "\n"

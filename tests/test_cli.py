@@ -10,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mvgear import cli, diversity, robust
+from mvgear import AlphaVector, CovMatrix, cli, diversity, robust
 from mvgear.cli import MAX_GRID_POINTS, SWEEP_HEADER, main, parse_grid
 from mvgear.cli import CliError
 from mvgear.geometry import alpha_angle, kantorovich_bound
@@ -19,7 +19,8 @@ from mvgear.robust import ShrinkageSpec, ShrinkMode
 from mvgear.serialize import csv_lines, dumps, portfolio_to_dict
 from mvgear.solvers import PROGRAMS, Program
 
-from conftest import write_micro_csv
+from conftest import (odd_surface_instance, reference_csv, reference_surface,
+                      write_micro_csv)
 
 
 @pytest.fixture
@@ -265,6 +266,45 @@ def test_each_subcommand_accepts_its_flags():
                             *SUBCOMMAND_FLAGS[command]}, command
 
 
+# Request sequences whose later requests would read an earlier one's flags
+# if parsing left state on the parser.
+PARSER_REUSE_CASES = {
+    "error_then_valid": [
+        ["solve", "--program", "VII", "--gamma", "x", "--g0", "1"],
+        ["solve", "--program", "VII", "--gamma", "10", "--g0", "1"],
+    ],
+    "program_then_none": [
+        ["solve", "--program", "VII", "--gamma", "10", "--g0", "1"],
+        ["shrink-sweep", "--mode", "simple", "--grid", "0:0.5:1"],
+    ],
+    "solve_then_qoqc": [
+        ["solve", "--program", "VII", "--gamma", "10", "--g0", "1",
+         "--shrink-mode", "simple", "--q", "0.5"],
+        ["qoqc", "--gamma", "10", "--g0", "1", "--n0", "2"],
+    ],
+}
+
+
+@pytest.mark.parametrize("case", PARSER_REUSE_CASES)
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys, case):
+    csv = sweep_csv(tmp_path)
+
+    def request(argv):
+        code = run([*argv, "--input", csv])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    requests = PARSER_REUSE_CASES[case]
+    fresh = []
+    for argv in requests:
+        cli._build_parser.cache_clear()
+        fresh.append(request(argv))
+    cli._build_parser.cache_clear()
+    assert [request(argv) for argv in requests] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [2 if case == "error_then_valid" else 0, 0]
+
+
 def test_bad_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
     assert capsys.readouterr().err.startswith("code=BadArguments")
@@ -328,6 +368,83 @@ def test_frontier_slice(micro_csv, tmp_path):
         assert sigma**2 == pytest.approx(
             (2 * a_p**2 - 0.6 * a_p + 0.05) / 0.01, rel=1e-10
         )
+
+
+@pytest.mark.parametrize("argv,point", [
+    (["surface", "--g0", "1", "--alpha-grid", "1e200"], "alpha_p = 1e+200, g0 = 1.0"),
+    (["frontier", "--g0", "1e300", "--alpha-grid", "0"], "alpha_p = 0.0, g0 = 1e+300"),
+    (["surface", "--g0", "1", "--alpha-grid", "1e153"], "alpha_p = 1e+153, g0 = 1.0"),
+])
+def test_non_finite_variance_exits_3_naming_the_point(micro_csv, capsys, argv, point):
+    # the square of 1e200 and of 1e300 overflows; 1e153 squares to a finite
+    # 1e306, which A = 2 and D = 0.01 carry over the largest double
+    assert run([*argv, "--input", micro_csv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"code=NonFiniteData variance at {point} is inf\n"
+
+
+def exponent_instance():
+    """The micro moments on grids whose ``%.17g`` text has a decimal exponent."""
+    edges = np.array([1e-5, 9.999999999999999e-05, 1e-4, 1e16, 9.999999999999998e16,
+                      1e17, -1e17])
+    return (AlphaVector(np.array([0.1, 0.2])), CovMatrix.identity(2), edges,
+            edges[[0, 3, 5]])
+
+
+def zero_b_instance():
+    """1'Sigma^-1 alpha = 0 exactly: no point is on the risky line."""
+    return (AlphaVector(np.array([0.1, -0.1])), CovMatrix.identity(2),
+            np.linspace(-0.3, 0.3, 13), np.array([-1.0, 0.0, 1.0, 2.0]))
+
+
+def signed_zero_instance():
+    """The odd squares, g0 = 0 and both lines, with -0.0 in both grids."""
+    alpha, cov, alphas, gearings = odd_surface_instance()
+    return alpha, cov, np.append(alphas, -0.0), np.append(gearings, -0.0)
+
+
+SURFACE_CASES = {"odd": odd_surface_instance, "signed_zero": signed_zero_instance,
+                 "zero_b": zero_b_instance, "exponent": exponent_instance}
+
+
+@pytest.mark.parametrize("case", SURFACE_CASES)
+def test_surface_text_equals_the_per_point_writer(monkeypatch, capsys, case):
+    alpha, cov, alphas, gearings = SURFACE_CASES[case]()
+    monkeypatch.setattr(cli, "_moments", lambda args: (None, alpha, cov))
+    monkeypatch.setattr(cli, "parse_grid", {"A": alphas, "G": gearings}.__getitem__)
+    assert run(["surface", "--input", "-", "--alpha-grid", "A", "--g0", "G"]) == 0
+    text = capsys.readouterr().out
+    assert text == reference_csv(reference_surface(alpha, cov, alphas, gearings))
+    for g0 in gearings.tolist():
+        assert run(["frontier", "--input", "-", "--alpha-grid", "A",
+                    "--g0", repr(g0)]) == 0
+        assert capsys.readouterr().out == reference_csv(
+            reference_surface(alpha, cov, alphas, [g0]))
+    if case == "signed_zero":
+        assert "\n-0,-0,0,1,1\n" in text
+    if case == "zero_b":
+        assert all(line.endswith(",0") for line in text.splitlines()[1:])
+    if case == "exponent":
+        assert "\n1e+17,1e+17," in text
+        assert "\n1.0000000000000001e-05,10000000000000000," in text
+
+
+def test_surface_on_a_panel_equals_the_per_point_writer(tmp_path):
+    csv = sweep_csv(tmp_path)
+    alpha, cov = estimate_moments(load_returns_csv(csv))
+    grids = {"surface": ("-0.1:0.002:0.298", "0:0.05:2"),
+             "frontier": ("-0.2:0.0004:0.2", "1")}
+    for command, (alpha_text, g0_text) in grids.items():
+        alphas = parse_grid(alpha_text)
+        gearings = parse_grid(g0_text)
+        out = tmp_path / f"{command}.csv"
+        assert run([command, "--input", csv, f"--alpha-grid={alpha_text}",
+                    "--g0", g0_text, "--output", out]) == 0
+        assert out.read_bytes().decode() == reference_csv(
+            reference_surface(alpha, cov, alphas, gearings))
+        assert (alphas.size, gearings.size) == {"surface": (200, 41),
+                                                "frontier": (1001, 1)}[command]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from mvgear import (
     InvalidPortfolio,
     KktProblem,
     MissingParameter,
+    NonFiniteData,
     NonPositiveParameter,
     Portfolio,
     Program,
@@ -38,9 +39,10 @@ from mvgear import (
     solve_qoqc,
 )
 from mvgear import AlphaVector, QoqcProblem
-from mvgear.solvers import LINE_FLAG_RTOL, PROGRAMS, solve
+from mvgear.solvers import PROGRAMS, solve
 
-from conftest import random_instance
+from conftest import (odd_surface_instance, random_instance, reference_surface,
+                      surface_points)
 
 
 def kkt_check(weights, q, c, e, d, tol=1e-8):
@@ -504,74 +506,72 @@ def test_frontier_variance_cash_neutral_branch(micro_alpha, micro_cov):
 
 def test_surface_single_gmv_point(micro_alpha, micro_cov):
     scal = frontier_scalars(micro_alpha, micro_cov)
-    points = pareto_surface(micro_alpha, micro_cov, [scal.B / scal.A], [1.0])
-    assert len(points) == 1
-    assert points[0].is_gmv_line
-    assert points[0].sigma_p == pytest.approx(np.sqrt(1.0 / scal.A), rel=1e-14)
+    surface = pareto_surface(micro_alpha, micro_cov, [scal.B / scal.A], [1.0])
+    assert surface.sigma_p.shape == (1, 1)
+    assert surface.on_gmv.shape == surface.on_risky.shape == (1, 1)
+    assert surface.on_gmv[0, 0]
+    assert surface.sigma_p[0, 0] == pytest.approx(np.sqrt(1.0 / scal.A), rel=1e-14)
 
 
 def test_surface_slice_matches_parabola(micro_alpha, micro_cov):
     scal = frontier_scalars(micro_alpha, micro_cov)
     grid = np.linspace(0.05, 0.3, 11)
-    points = pareto_surface(micro_alpha, micro_cov, grid, [1.0])
-    for pt, alpha_p in zip(points, grid):
-        assert pt.g0 == 1.0
-        assert pt.sigma_p**2 == pytest.approx(
+    surface = pareto_surface(micro_alpha, micro_cov, grid, [1.0])
+    assert surface.g0.tolist() == [1.0]
+    assert surface.alpha_p.tolist() == grid.tolist()
+    for sigma_p, alpha_p in zip(surface.sigma_p[:, 0], grid):
+        assert sigma_p**2 == pytest.approx(
             frontier_variance(scal, alpha_p, 1.0), rel=1e-12
         )
 
 
-def reference_surface(alpha, cov, alpha_p_grid, g0_grid):
-    """The per-point loop the vectorized surface replaced."""
-    scal = frontier_scalars(alpha, cov)
-    rows = []
-    for alpha_p in alpha_p_grid:
-        for g0 in g0_grid:
-            var = frontier_variance(scal, float(alpha_p), float(g0))
-            gmv_return = g0 * scal.B / scal.A
-            risky_return = g0 * scal.C / scal.B
-            rows.append((
-                float(alpha_p), float(g0), float(np.sqrt(max(var, 0.0))),
-                bool(abs(alpha_p - gmv_return)
-                     <= LINE_FLAG_RTOL * max(1.0, abs(gmv_return))),
-                bool(abs(alpha_p - risky_return)
-                     <= LINE_FLAG_RTOL * max(1.0, abs(risky_return))),
-            ))
-    return rows
-
-
 def test_surface_equals_the_per_point_loop_bit_for_bit():
-    rng = np.random.default_rng(12)
-    alpha, cov = random_instance(rng, 5)
-    scal = frontier_scalars(alpha, cov)
-    # numpy squares by x * x, Python's float power by the C library's pow():
-    # for about one double in a thousand they differ in the last bit, and the
-    # surface must follow pow() as the loop did
-    odd = [v for v in rng.uniform(-2.0, 3.0, 50_000).tolist() if v**2 != v * v][:10]
-    assert len(odd) == 10
-    gearings = np.concatenate([[0.0, 1.0], rng.uniform(-2.0, 3.0, 20), odd[:5]])
-    alphas = np.concatenate([rng.uniform(-0.5, 0.5, 200), odd[5:],
-                             gearings[:5] * scal.B / scal.A,
-                             gearings[:5] * scal.C / scal.B])
-    points = pareto_surface(alpha, cov, alphas, gearings)
-    got = [(p.alpha_p, p.g0, p.sigma_p, p.is_gmv_line, p.is_risky_line) for p in points]
-    assert got == reference_surface(alpha, cov, alphas, gearings)
-    assert sum(p.is_gmv_line for p in points) >= 5
-    assert sum(p.is_risky_line for p in points) >= 5
+    alpha, cov, alphas, gearings = odd_surface_instance()
+    surface = pareto_surface(alpha, cov, alphas, gearings)
+    assert surface.alpha_p.shape == (alphas.size,)
+    assert surface.g0.shape == (gearings.size,)
+    assert surface.sigma_p.dtype == float
+    assert surface.on_gmv.dtype == surface.on_risky.dtype == bool
+    assert surface_points(surface) == reference_surface(alpha, cov, alphas, gearings)
+    assert surface.on_gmv.sum() >= 5
+    assert surface.on_risky.sum() >= 5
+    assert (surface.on_gmv & surface.on_risky).any()
 
 
 def test_surface_constraint_audit():
     rng = np.random.default_rng(2)
     alpha, cov = random_instance(rng, 4)
-    points = pareto_surface(alpha, cov, np.linspace(0.05, 0.3, 6), [0.5, 1.0, 2.0])
+    surface = pareto_surface(alpha, cov, np.linspace(0.05, 0.3, 6), [0.5, 1.0, 2.0])
+    points = surface_points(surface)
     assert len(points) == 18
-    for pt in points:
+    for alpha_p, g0, sigma_p, _, _ in points:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InefficientBranchWarning)
-            w = solve_VI(alpha, cov, alpha0=pt.alpha_p, g0=pt.g0).weights
-        assert float(np.sum(w)) == pytest.approx(pt.g0, rel=1e-10, abs=1e-10)
-        assert float(alpha.entries @ w) == pytest.approx(pt.alpha_p, rel=1e-10)
-        assert np.sqrt(cov.quad(w)) == pytest.approx(pt.sigma_p, rel=1e-10)
+            w = solve_VI(alpha, cov, alpha0=alpha_p, g0=g0).weights
+        assert float(np.sum(w)) == pytest.approx(g0, rel=1e-10, abs=1e-10)
+        assert float(alpha.entries @ w) == pytest.approx(alpha_p, rel=1e-10)
+        assert np.sqrt(cov.quad(w)) == pytest.approx(sigma_p, rel=1e-10)
+
+
+@pytest.mark.parametrize("alphas,gearings,point", [
+    ([0.1, 1e200], [1.0], "alpha_p = 1e+200, g0 = 1.0"),
+    ([0.0], [0.5, 1e300], "alpha_p = 0.0, g0 = 1e+300"),
+    ([0.1, 1e153, 2e153], [1.0, 2.0], "alpha_p = 1e+153, g0 = 1.0"),
+])
+def test_surface_names_the_first_point_whose_variance_is_not_finite(
+        micro_alpha, micro_cov, alphas, gearings, point):
+    # A = 2 and D = 0.01: 1e153 squares to a finite 1e306, and A/D takes it over
+    with pytest.raises(NonFiniteData) as info:
+        pareto_surface(micro_alpha, micro_cov, alphas, gearings)
+    assert str(info.value) == f"variance at {point} is inf"
+
+
+def test_frontier_variance_overflows_to_inf(micro_alpha, micro_cov):
+    scal = frontier_scalars(micro_alpha, micro_cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert frontier_variance(scal, 1e200, 1.0) == np.inf
+        assert frontier_variance(scal, 0.0, 1e300) == np.inf
+        assert frontier_variance(scal, np.array([1e200, 0.1]), 1.0)[0] == np.inf
 
 
 # ---------------------------------------------------------------------------
