@@ -67,11 +67,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """``start:step:stop`` inclusive of endpoints within half a step."""
+    """``start:step:stop`` inclusive of endpoints within half a step; one
+    value ``x`` is the grid ``x:0:x``."""
     parts = text.split(":")
+    if len(parts) == 1:
+        parts = [parts[0], "0", parts[0]]
     try:
-        if len(parts) == 1:
-            return np.array([float(parts[0])])
         if len(parts) != 3:
             raise ValueError("expected start:step:stop")
         start, step, stop = (float(p) for p in parts)
@@ -236,6 +237,8 @@ def _cmd_solve(args) -> str:
 def _cmd_frontier(args) -> str:
     _, alpha, cov = _moments(args)
     grid = parse_grid(args.alpha_grid)
+    if not math.isfinite(args.g0):
+        raise CliError("BadGrid", f"gearing {args.g0!r} is not finite")
     surface = solvers.pareto_surface(alpha, cov, grid, [args.g0])
     return serialize.csv_lines(SURFACE_HEADER, surface)
 

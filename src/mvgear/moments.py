@@ -14,11 +14,16 @@ V and maps each rho to w + (1 - w) rho (:meth:`CovMatrix.toward_identity`),
 so it costs O(n^2) and no second decomposition. Near-singular sample
 covariances are repaired by clipping eigenvalues at a floor relative to the
 largest one.
+
+A process that loads the same file bytes again gets back the panel it parsed
+and, for that panel, the moments it estimated: one entry each, so a script of
+requests on one unchanged file parses it and decomposes its covariance once.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import re
 import warnings
@@ -43,6 +48,12 @@ RECONSTRUCTION_RTOL = 1e-10
 EIGEN_FLOOR_RATIO = 1e-10
 # Column means closer than this are considered degenerate (all equal).
 DEGENERATE_ALPHA_TOL = 1e-14
+
+
+# The memo of the last successful load, (file bytes, panel), and of the last
+# moments, (panel, spd_repair, alpha, covariance, repair warning text or None).
+_last_load: tuple[bytes, ReturnsPanel] | None = None
+_last_moments: tuple | None = None
 
 
 class SpdRepairWarning(UserWarning):
@@ -92,14 +103,6 @@ class ReturnsPanel:
             raise NonFiniteData("returns panel contains non-finite entries")
         object.__setattr__(self, "assets", tuple(str(a) for a in self.assets))
         object.__setattr__(self, "rows", _frozen_array(rows))
-
-    @property
-    def n_periods(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n_assets(self) -> int:
-        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -257,7 +260,24 @@ def estimate_moments(
     and the matrix reconstructed; a :class:`SpdRepairWarning` records the
     intervention. With repair disabled the same situation raises
     :class:`SingularCovariance`.
+
+    The last result is kept with its panel: a call on that same panel object
+    with the same ``spd_repair`` returns the same (read-only) pair without
+    decomposing again, and warns again if the repair did.
     """
+    global _last_moments
+    memo = _last_moments
+    if memo is None or memo[0] is not panel or memo[1] != bool(spd_repair):
+        memo = (panel, bool(spd_repair), *_estimate(panel, spd_repair))
+        _last_moments = memo
+    _, _, alpha, cov, repair = memo
+    if repair is not None:
+        warnings.warn(repair, SpdRepairWarning, stacklevel=2)
+    return alpha, cov
+
+
+def _estimate(panel: ReturnsPanel, spd_repair: bool):
+    """:func:`estimate_moments`' pair, and its repair warning's text or None."""
     alpha = panel.rows.mean(axis=0)
     if np.ptp(alpha) <= DEGENERATE_ALPHA_TOL:
         raise DegenerateAlpha(
@@ -276,17 +296,14 @@ def estimate_moments(
                 f"smallest eigenvalue {rho[0]:g} below floor {floor:g} "
                 "and SPD repair is disabled"
             )
-        warnings.warn(
-            f"sample covariance eigenvalues clipped at {floor:g} "
-            f"(smallest was {rho[0]:g})",
-            SpdRepairWarning,
-            stacklevel=2,
-        )
         sample = (vecs * np.maximum(rho, floor)) @ vecs.T
-        return AlphaVector(alpha), CovMatrix.from_entries(0.5 * (sample + sample.T))
+        cov = CovMatrix.from_entries(0.5 * (sample + sample.T))
+        return AlphaVector(alpha), cov, (
+            f"sample covariance eigenvalues clipped at {floor:g} "
+            f"(smallest was {rho[0]:g})")
     # ``sample`` is exactly symmetric, so ``_symmetrized`` returns its bits
     # unchanged and the decomposition above is the decomposition of them.
-    return AlphaVector(alpha), CovMatrix._from_eigh(_symmetrized(sample), rho, vecs)
+    return AlphaVector(alpha), CovMatrix._from_eigh(_symmetrized(sample), rho, vecs), None
 
 
 # One record as the csv module reads it: fields split at commas, the record
@@ -296,20 +313,18 @@ _CSV_FIELD = r'(?:"[^"]*(?:""[^"]*)*"?)?[^,\r\n]*'
 _CSV_RECORD = re.compile(rf"{_CSV_FIELD}(?:,{_CSV_FIELD})*(?:\r\n?|\n|\Z)")
 
 
-def _first_fault(path) -> str:
-    """Name the first fault of a CSV file that ``np.loadtxt`` rejected.
+def _first_fault(raw: bytes) -> str:
+    """Name the first fault of CSV bytes that ``np.loadtxt`` rejected.
 
-    Re-reads the file and scans it cell by cell, so that the message names
-    the offending byte, or the row and column at fault; rows are numbered
-    as in the file with blank lines skipped and the header as row 1. A row
+    Scans the bytes cell by cell, so that the message names the offending
+    byte, or the row and column at fault; rows are numbered as in the file
+    with blank lines skipped and the header as row 1. A row
     the ``csv`` module cannot read (a cell longer than its field size limit,
     which numpy reads) is named only if no later row names a fault; the
     records are split before ``csv`` reads them, so such a row never shifts
     the rows after it. Returns an empty string if every cell is a number to
     numpy.
     """
-    with open(path, "rb") as handle:
-        raw = handle.read()
     try:
         text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
@@ -362,8 +377,26 @@ def load_returns_csv(path) -> ReturnsPanel:
     simple returns as decimal fractions. A cell is an ASCII number, quoted or
     not, with optional spaces around it; blank lines are skipped. A missing
     or blank cell is a hard error -- there is no imputation.
+
+    The last panel read is kept with the bytes it was parsed from: a file
+    whose bytes equal them gives back that same panel, unparsed. A load that
+    raises leaves the memo as it was.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+    global _last_load
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    last = _last_load
+    if last is not None and last[0] == raw:
+        return last[1]
+    panel = _parse_returns(path, raw)
+    _last_load = (raw, panel)
+    return panel
+
+
+def _parse_returns(path, raw: bytes) -> ReturnsPanel:
+    """The panel :func:`load_returns_csv` reads from ``raw``, the bytes of
+    ``path`` (named in its errors)."""
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as handle:
         try:
             header = next((row for row in csv.reader(handle) if row), None)
             first = next((line for line in handle if line.strip("\r\n")), None)
@@ -371,10 +404,10 @@ def load_returns_csv(path) -> ReturnsPanel:
                 itertools.chain([first], handle), delimiter=",", comments=None,
                 quotechar='"', ndmin=2, dtype=float)
         except (ValueError, csv.Error) as exc:
-            raise NonFiniteData(f"{path}: {_first_fault(path) or exc}") from exc
+            raise NonFiniteData(f"{path}: {_first_fault(raw) or exc}") from exc
     if data is None:
         raise NonFiniteData(f"{path}: need a header row and at least one data row")
     if data.shape[1] != len(header):
-        fault = _first_fault(path) or f"{data.shape[1]} columns for {len(header)} assets"
+        fault = _first_fault(raw) or f"{data.shape[1]} columns for {len(header)} assets"
         raise NonFiniteData(f"{path}: {fault}")
     return ReturnsPanel(assets=tuple(name.strip() for name in header), rows=data)

@@ -186,9 +186,17 @@ def optimal_risky_portfolio(alpha, cov: CovMatrix) -> Portfolio:
     return _portfolio(w, Program.RISKY, {}, alpha=a, cov=cov)
 
 
-def _require_positive(name: str, value: float) -> float:
+def _require_finite(name: str, value: float) -> float:
+    """``value`` as a float, refused before any arithmetic if it is inf or nan."""
     value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
+    if not np.isfinite(value):
+        raise NonPositiveParameter(f"{name} must be finite, got {value}")
+    return value
+
+
+def _require_positive(name: str, value: float) -> float:
+    value = _require_finite(name, value)
+    if value <= 0.0:
         raise NonPositiveParameter(f"{name} must be positive, got {value}")
     return value
 
@@ -221,7 +229,7 @@ def solve_III(alpha, cov: CovMatrix, gamma: float) -> Portfolio:
 
 def _geared_sharpe(program: Program, alpha, cov: CovMatrix, g0: float) -> Portfolio:
     """g0 theta_alpha, the Sharpe maximum at gearing g0 (programs IV and VIII)."""
-    g0 = float(g0)
+    g0 = _require_finite("g0", g0)
     if g0 == 0.0:
         raise NonPositiveParameter("g0 must be nonzero for the Sharpe program")
     a = as_vector(alpha)
@@ -272,8 +280,8 @@ def solve_VI(alpha, cov: CovMatrix, alpha0: float, g0: float) -> Portfolio:
     minimum-variance return g0 B / A, the solution sits on the inefficient
     branch and an :class:`InefficientBranchWarning` is emitted.
     """
-    alpha0 = float(alpha0)
-    g0 = float(g0)
+    alpha0 = _require_finite("alpha0", alpha0)
+    g0 = _require_finite("g0", g0)
     a = as_vector(alpha)
     scal = frontier_scalars(a, cov)
     lam1 = (alpha0 * scal.A - g0 * scal.B) / scal.D
@@ -301,7 +309,7 @@ def solve_VII(alpha, cov: CovMatrix, gamma: float, g0: float) -> Portfolio:
         theta = (g0 - B/gamma) Sigma^-1 1 / A + Sigma^-1 alpha / gamma.
     """
     gamma = _require_positive("gamma", gamma)
-    g0 = float(g0)
+    g0 = _require_finite("g0", g0)
     a = as_vector(alpha)
     scal = _frontier(a, cov)
     w = (g0 - scal.B / gamma) * scal.si_ones / scal.A + scal.si_alpha / gamma

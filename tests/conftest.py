@@ -27,6 +27,29 @@ def micro_cov():
     return CovMatrix.identity(2)
 
 
+def forget_loads(monkeypatch):
+    """Empty the one-entry memo of ``load_returns_csv`` and ``estimate_moments``
+    for the rest of the test, so that the next request parses and decomposes."""
+    from mvgear import moments
+
+    monkeypatch.setattr(moments, "_last_load", None)
+    monkeypatch.setattr(moments, "_last_moments", None)
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """One entry per ``np.loadtxt`` call, that is per CSV parse, for the test."""
+    calls = []
+    real = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    return calls
+
+
 def write_micro_csv(path):
     path.write_text("\n".join(",".join(row) for row in MICRO_CSV_ROWS) + "\n")
     return path

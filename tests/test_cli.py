@@ -19,8 +19,8 @@ from mvgear.robust import ShrinkageSpec, ShrinkMode
 from mvgear.serialize import csv_lines, dumps, portfolio_to_dict
 from mvgear.solvers import PROGRAMS, Program
 
-from conftest import (odd_surface_instance, reference_csv, reference_surface,
-                      write_micro_csv)
+from conftest import (forget_loads, odd_surface_instance, reference_csv,
+                      reference_surface, write_micro_csv)
 
 
 @pytest.fixture
@@ -74,6 +74,44 @@ def test_parse_grid_accepts_grid_at_the_cap():
     assert parse_grid(f"0:1:{MAX_GRID_POINTS - 1}").size == MAX_GRID_POINTS
     with pytest.raises(CliError):
         parse_grid(f"0:1:{MAX_GRID_POINTS}")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "inf:1:inf",
+                                  "0:1:nan", "0:inf:1"])
+def test_parse_grid_refuses_a_non_finite_value_in_either_form(text):
+    with pytest.raises(CliError) as info:
+        parse_grid(text)
+    assert info.value.code == "BadGrid"
+
+
+# Each grid flag, with the other flags its subcommand needs.
+GRID_FLAGS = [
+    ("surface", "--alpha-grid", ["--g0", "1"]),
+    ("surface", "--g0", ["--alpha-grid", "0.1"]),
+    ("frontier", "--alpha-grid", []),
+    ("shrink-sweep", "--grid", ["--mode", "simple"]),
+]
+
+
+@pytest.mark.parametrize("command,flag,rest", GRID_FLAGS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "inf:1:inf", "0:0.1:nan"])
+def test_non_finite_grid_exits_2_with_one_line(micro_csv, capsys, command, flag, rest,
+                                               value):
+    assert run([command, "--input", micro_csv, f"{flag}={value}", *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("code=BadGrid ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("g0", ["nan", "inf", "-inf"])
+def test_frontier_non_finite_gearing_exits_2_like_the_surface(micro_csv, capsys, g0):
+    # frontier's --g0 is the surface's one-point gearing grid
+    assert run(["frontier", "--input", micro_csv, "--alpha-grid", "0.1",
+                f"--g0={g0}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("code=BadGrid ")
+    assert len(err.splitlines()) == 1
 
 
 def test_oversized_frontier_exits_2(micro_csv, capsys):
@@ -188,6 +226,48 @@ SWEEP_ARGS = ["--mode", "simple", "--grid", "0:0.5:1"]
 
 def flags(names):
     return [arg for name in names for arg in (f"--{name}", FLAG_VALUES[name])]
+
+
+# Each program parameter that is used in arithmetic without a sign check.
+NON_FINITE_CASES = [(Program.II, "alpha0"), (Program.IV, "g0"), (Program.V, "g0"),
+                    (Program.VI, "alpha0"), (Program.VI, "g0"), (Program.VII, "g0"),
+                    (Program.VIII, "g0")]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["solve", "shrink-sweep"])
+@pytest.mark.parametrize("program,name", NON_FINITE_CASES)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_program_parameter_exits_3_before_any_arithmetic(
+        micro_csv, capsys, command, program, name, value):
+    # a numpy RuntimeWarning raised as an error here would be a traceback
+    others = [n for n in REQUIRED_FLAGS[program] if n != name]
+    argv = [command, "--input", micro_csv, "--program", program.value,
+            *flags(others), f"--{name}", value]
+    if command == "shrink-sweep":
+        argv += SWEEP_ARGS
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"code=NonPositiveParameter {name} must be finite, got {value}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--program", "VII", "--gamma", "1", "--g0", "inf"],
+    ["--program", "VI", "--alpha0", "inf", "--g0", "1"],
+    ["--program", "IV", "--g0", "inf"],
+])
+def test_non_finite_program_parameter_prints_one_line_from_a_fresh_process(tmp_path,
+                                                                           argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvgear.cli", "solve", "--input",
+         str(write_micro_csv(tmp_path / "r.csv")), *argv],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("code=NonPositiveParameter ")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_program_table_requires_the_flags_the_cli_requires():
@@ -608,8 +688,9 @@ def test_shrink_sweep_shrinks_once_per_point(tmp_path, monkeypatch, mode, grid, 
 ])
 def test_shrink_sweep_decomposes_once_unless_diagonal(tmp_path, monkeypatch, mode,
                                                       decompositions):
-    # the load decomposes Sigma; identity shrinks map its spectrum, and only
-    # each of the 11 diagonal shrinks decomposes again
+    # a fresh load decomposes Sigma; identity shrinks map its spectrum, and
+    # only each of the 11 diagonal shrinks decomposes again; a warm request on
+    # the same bytes reuses the loaded spectrum and decomposes one time fewer
     csv = sweep_csv(tmp_path)
     grid = "0:0.1:1"
     if mode == "angle":
@@ -623,10 +704,15 @@ def test_shrink_sweep_decomposes_once_unless_diagonal(tmp_path, monkeypatch, mod
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    assert run(["shrink-sweep", "--input", csv, "--mode", mode, "--grid", grid,
-                "--program", "VII", "--gamma", 1, "--g0", 1,
-                "--output", tmp_path / "sweep.csv"]) == 0
+    forget_loads(monkeypatch)
+    argv = ["shrink-sweep", "--input", csv, "--mode", mode, "--grid", grid,
+            "--program", "VII", "--gamma", 1, "--g0", 1]
+    assert run([*argv, "--output", tmp_path / "fresh.csv"]) == 0
     assert len(calls) == decompositions
+    calls.clear()
+    assert run([*argv, "--output", tmp_path / "warm.csv"]) == 0
+    assert len(calls) == decompositions - 1
+    assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_shrink_sweep_without_a_risky_portfolio_exits_3(tmp_path, capsys):
@@ -1089,6 +1175,59 @@ def test_verify_seed_is_reproducible(micro_csv, tmp_path):
         assert run(["verify", "--input", micro_csv, "--portfolio", port,
                     "--seed", 7, "--samples", 5000, "--output", out]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The memo of the last load: a request on unchanged bytes reuses the panel
+# ---------------------------------------------------------------------------
+
+def memo_script(k0):
+    """One request of every subcommand, as (artifact name, argv): each
+    shrink-sweep mode, and bounds and verify of records written before them."""
+    vii = ["--program", "VII", "--gamma", 2, "--g0", 1]
+    return [
+        ("estimate.json", ["estimate"]),
+        ("vii.json", ["solve", *vii]),
+        ("vi.json", ["solve", "--program", "VI", "--alpha0", 0.3, "--g0", 1.5,
+                     "--shrink-mode", "diagonal", "--q", 0.3]),
+        ("frontier.csv", ["frontier", "--alpha-grid", "0:0.02:0.4", "--g0", 1.2]),
+        ("surface.csv", ["surface", "--alpha-grid", "0:0.04:0.4",
+                         "--g0", "0.5:0.25:1.5"]),
+        ("bounds.json", ["bounds", "--portfolio", "vii.json"]),
+        ("angle.csv", ["shrink-sweep", "--mode", "angle",
+                       "--grid", f"0:{k0 / 5!r}:{4 * k0 / 5!r}", *vii]),
+        ("simple.csv", ["shrink-sweep", "--mode", "simple", "--grid", "0:0.25:1"]),
+        ("diagonal.csv", ["shrink-sweep", "--mode", "diagonal", "--grid", "0:0.25:1",
+                          *vii]),
+        ("qoqc.json", ["qoqc", "--gamma", 2, "--g0", 1, "--n0", 2]),
+        ("verify_vii.json", ["verify", "--portfolio", "vii.json", "--samples", 2000]),
+        ("verify_vi.json", ["verify", "--portfolio", "vi.json", "--samples", 2000]),
+        ("verify_qoqc.json", ["verify", "--portfolio", "qoqc.json"]),
+    ]
+
+
+def test_cache_hits_write_the_bytes_misses_write(tmp_path, monkeypatch, loadtxt_calls):
+    csv = sweep_csv(tmp_path)
+    script = memo_script(robust.angle_floor(*estimate_moments(load_returns_csv(csv))))
+    names = [name for name, _ in script]
+
+    def run_script(directory, fresh):
+        directory.mkdir()
+        for name, argv in script:
+            if fresh:
+                forget_loads(monkeypatch)
+            argv = [directory / a if a in names else a for a in argv]
+            assert run([*argv, "--input", csv, "--output", directory / name]) == 0, name
+        return {name: (directory / name).read_bytes() for name in names}
+
+    loadtxt_calls.clear()
+    misses = run_script(tmp_path / "misses", fresh=True)
+    assert len(loadtxt_calls) == len(script)
+    loadtxt_calls.clear()
+    hits = run_script(tmp_path / "hits", fresh=False)
+    assert loadtxt_calls == []
+    assert hits == misses
+    assert all(json.loads(hits[name])["passed"] for name in hits if "verify" in name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 import warnings
 
 import numpy as np
@@ -20,9 +21,10 @@ from mvgear import (
     estimate_moments,
     load_returns_csv,
 )
+from mvgear import cli, moments
 from mvgear.moments import _CSV_RECORD, EIGEN_FLOOR_RATIO, _sign_fix_columns
 
-from conftest import random_cov, random_spd
+from conftest import forget_loads, random_cov, random_spd
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +439,100 @@ def test_nan_reconstruction_raises_convergence_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", nan_vectors)
     with pytest.raises(ConvergenceFailure, match="reconstruction error nan"):
         CovMatrix.from_entries(random_spd(np.random.default_rng(3), 4))
+
+
+# ---------------------------------------------------------------------------
+# One parse and one decomposition per unchanged input
+# ---------------------------------------------------------------------------
+
+# Two assets that move together: the sample covariance is singular and floored.
+FLOORED_CSV = "a,b\n0.1,0.2\n0.3,0.6\n-0.1,-0.2\n"
+
+
+def test_repeat_load_parses_and_decomposes_nothing(tmp_path, monkeypatch,
+                                                   loadtxt_calls, eigh_calls):
+    forget_loads(monkeypatch)
+    path, twin = tmp_path / "r.csv", tmp_path / "twin.csv"
+    path.write_text("a,b,c\n0.1,0.2,0.05\n0.3,-0.1,0.0\n-0.2,0.1,0.3\n0.0,0.4,-0.1\n")
+    twin.write_bytes(path.read_bytes())
+    panel = load_returns_csv(path)
+    alpha, cov = estimate_moments(panel)
+    assert (len(loadtxt_calls), len(eigh_calls)) == (1, 1)
+    for again in (path, twin):  # the key is the bytes, not the path
+        assert load_returns_csv(again) is panel
+        assert estimate_moments(panel) == (alpha, cov)
+        assert estimate_moments(panel)[1] is cov
+    assert (len(loadtxt_calls), len(eigh_calls)) == (1, 1)
+    # an equal panel that is another object is estimated afresh, bit for bit
+    alpha2, cov2 = estimate_moments(ReturnsPanel(panel.assets, panel.rows))
+    assert len(eigh_calls) == 2 and cov2 is not cov
+    assert np.array_equal(alpha2.entries, alpha.entries)
+    assert np.array_equal(cov2.eigenvectors, cov.eigenvectors)
+
+
+def test_rewritten_file_of_the_same_size_and_mtime_is_parsed_again(
+        tmp_path, monkeypatch, loadtxt_calls):
+    forget_loads(monkeypatch)
+    path = tmp_path / "r.csv"
+    path.write_text("a,b\n0.1,0.2\n0.3,0.4\n")
+    stamp = path.stat()
+    first = load_returns_csv(path)
+    path.write_text("a,b\n0.1,0.2\n0.3,0.5\n")
+    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stamp.st_size,
+                                                              stamp.st_mtime_ns)
+    second = load_returns_csv(path)
+    assert len(loadtxt_calls) == 2 and second is not first
+    assert second.rows[1, 1] == 0.5 and first.rows[1, 1] == 0.4
+
+
+def test_floored_panel_warns_on_every_load_hits_included(tmp_path, monkeypatch,
+                                                         eigh_calls):
+    forget_loads(monkeypatch)
+    path = tmp_path / "r.csv"
+    path.write_text(FLOORED_CSV)
+    messages, covs = [], []
+    for _ in range(3):
+        with pytest.warns(SpdRepairWarning) as record:
+            covs.append(estimate_moments(load_returns_csv(path))[1])
+        assert len(record) == 1 and record[0].filename == __file__
+        messages.append(str(record[0].message))
+    assert len(set(messages)) == 1 and messages[0].startswith("sample covariance")
+    assert covs[1] is covs[0] and covs[2] is covs[0]
+    assert len(eigh_calls) == 2  # one load: the sample, then the repaired matrix
+
+
+def test_floored_panel_without_repair_still_raises_after_a_repair(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text(FLOORED_CSV)
+    panel = load_returns_csv(path)
+    with pytest.warns(SpdRepairWarning):
+        estimate_moments(panel, spd_repair=True)
+    for _ in range(2):
+        with pytest.raises(SingularCovariance, match="SPD repair is disabled"):
+            estimate_moments(panel, spd_repair=False)
+    with pytest.warns(SpdRepairWarning):
+        estimate_moments(panel, spd_repair=True)
+
+
+def test_failing_csv_is_never_cached(tmp_path, monkeypatch, capsys, loadtxt_calls):
+    forget_loads(monkeypatch)
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("a,b\n0.1,0.2\n0.3,0.4\n")
+    bad.write_text("a,b\n0.1,0.2\n0.3,oops\n")
+    panel = load_returns_csv(good)
+    answers = []
+    for _ in range(3):
+        with pytest.raises(NonFiniteData) as info:
+            load_returns_csv(bad)
+        assert str(info.value) == f"{bad}: cell at row 3, column 2 is not a number: 'oops'"
+        assert cli.main(["estimate", "--input", str(bad)]) == 3
+        answers.append(capsys.readouterr())
+        assert moments._last_load[1] is panel
+    assert len(loadtxt_calls) == 1 + 2 * 3
+    assert answers[0].out == "" and answers.count(answers[0]) == 3
+    assert answers[0].err == f"code=NonFiniteData {info.value}\n"
+    assert load_returns_csv(good) is panel
 
 
 # ---------------------------------------------------------------------------

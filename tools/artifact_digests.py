@@ -17,6 +17,11 @@ there: request ``index`` of ``workload`` writes its artifact to
 ``DIR/workload/out/r{index:04d}-{kind}.{json,csv}``
 (``tools/artifact_drift.py`` reads them from there).
 
+All requests run in this one process, so every request after the first on a
+panel finds that panel and its moments in ``mvgear.moments``' one-entry memo:
+a digest diff against a tree that parsed every request afresh also shows that
+cache hits write the bytes a miss writes.
+
 OpenBLAS runs single-threaded, as in the benchmark, so that BLAS reductions
 sum in one order. A request that exits nonzero prints ``exit=CODE`` in place
 of the digest, and the tool then exits 1.
