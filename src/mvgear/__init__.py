@@ -85,8 +85,6 @@ from .oracle import (
     KktProblem,
     dominance_sample,
     project_to_gearing,
-    project_to_risk,
-    return_objective,
     sharpe_objective,
     solve_kkt,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from dataclasses import replace
 from itertools import zip_longest
@@ -62,6 +63,12 @@ class VerificationFailed(MvgearError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value such as -1e-3, -.5, -inf or -1e-3:1e-3:1e-2 is a value, not
+        # a flag; subparsers are built from this class and share the rule.
+        self._negative_number_matcher = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         raise CliError("BadArguments", message)
 

@@ -50,9 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionError, Infeasible, NonFiniteData, NonPositiveParameter,
-                     ToleranceNotMet)
-from .moments import CovMatrix, as_vector
+from .errors import DimensionError, Infeasible, NonFiniteData, ToleranceNotMet
+from .moments import CovMatrix, _require_finite, _require_positive, as_vector
 
 # Stated solution tolerances.
 SPHERE_TOL = 1e-8
@@ -83,13 +82,9 @@ class QoqcProblem:
         if not np.isfinite(a).all():
             raise NonFiniteData("alpha has a non-finite entry")
         object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "g0", float(self.g0))
+        object.__setattr__(self, "gamma", _require_positive("gamma", self.gamma))
+        object.__setattr__(self, "g0", _require_finite("g0", self.g0))
         object.__setattr__(self, "n0", float(self.n0))
-        if not np.isfinite(self.gamma) or self.gamma <= 0.0:
-            raise NonPositiveParameter(f"gamma must be positive, got {self.gamma}")
-        if not np.isfinite(self.g0):
-            raise NonPositiveParameter(f"g0 must be finite, got {self.g0}")
         n = self.cov.dim
         if not 1.0 <= self.n0 <= n:
             raise Infeasible(f"n0 = {self.n0} outside [1, n = {n}]")

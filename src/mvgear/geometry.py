@@ -19,7 +19,11 @@ mixed vector z, and the bound weakens to the Bauer-Householder form with
     cos(phi) >= 2 sqrt(kappa_psi) / (kappa_psi + 1),
 
 valid for any auxiliary angle psi in [0, pi/2) no smaller than the angle
-between the transformed pair x = Sigma^-1/2 alpha, y = Sigma^1/2 theta.
+between the transformed pair x = L^-1 alpha, y = L'theta, for any factor
+Sigma = L L'. L = Sigma^1/2 is the paper's choice, but x'y = alpha'theta,
+|x|^2 = alpha'Sigma^-1 alpha and |y|^2 = theta'Sigma theta whatever L, so
+the angle is the same. With x and y scaled to unit length it is
+2 atan2(|x - y|, |x + y|), which keeps its digits near psi = 0.
 Both bounds are attained by explicit two-eigenvector constructions, which
 this module also provides.
 """
@@ -90,20 +94,34 @@ def bauer_householder_bound(kappa: float, psi: float) -> tuple[float, float]:
     return float(kappa_psi), kantorovich_bound(kappa_psi)
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        raise ZeroVector("angle undefined for a zero vector")
+    return v / norm
+
+
 def smallest_valid_psi(alpha, cov: CovMatrix, theta) -> float:
     """Smallest psi in [0, pi/2) admissible for the pair (alpha, theta).
 
-    That is the angle between x = Sigma^-1/2 alpha and y = Sigma^1/2 theta,
-    arccos of their cosine; a pair whose x and y are not acute has none.
+    That is the angle between x = L^-1 alpha and y = L'theta, here with the
+    factor L = V diag(sqrt(rho)) of the cached spectrum. For unit x and y it
+    is 2 atan2(|x - y|, |x + y|) (Kahan 2006), accurate near psi = 0, where
+    arccos of their cosine loses half the digits. A pair whose x and y are
+    not acute has none.
     """
-    x = cov.power_apply(as_vector(alpha), -0.5)
-    y = cov.power_apply(as_vector(theta), 0.5)
-    target = alpha_angle(x, y)
-    if target <= 0.0:
+    a, t = as_vector(alpha), as_vector(theta)
+    for vec in (a, t):
+        if vec.size != cov.dim:
+            raise DimensionError(f"vector length {vec.size} != dimension {cov.dim}")
+    root = np.sqrt(cov.eigenvalues)
+    x = _unit((cov.eigenvectors.T @ a) / root)
+    y = _unit(root * (cov.eigenvectors.T @ t))
+    if not float(x @ y) > 0.0:
         raise InvalidPsi(
             "transformed vectors are not acute; no admissible psi in [0, pi/2)"
         )
-    return float(np.arccos(target))
+    return float(2.0 * np.arctan2(np.linalg.norm(x - y), np.linalg.norm(x + y)))
 
 
 @dataclass(frozen=True)

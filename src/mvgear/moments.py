@@ -37,6 +37,7 @@ from .errors import (
     DegenerateAlpha,
     DimensionError,
     NonFiniteData,
+    NonPositiveParameter,
     SingularCovariance,
 )
 
@@ -75,6 +76,22 @@ def as_vector(x) -> np.ndarray:
     if arr.ndim != 1:
         raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
     return arr
+
+
+# The checks of a program parameter, shared by ``solvers`` and ``diversity``.
+def _require_finite(name: str, value: float) -> float:
+    """``value`` as a float, refused before any arithmetic if it is inf or nan."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise NonPositiveParameter(f"{name} must be finite, got {value}")
+    return value
+
+
+def _require_positive(name: str, value: float) -> float:
+    value = _require_finite(name, value)
+    if value <= 0.0:
+        raise NonPositiveParameter(f"{name} must be positive, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -120,10 +137,6 @@ class AlphaVector:
         if not np.all(np.isfinite(arr)):
             raise NonFiniteData("alpha contains non-finite entries")
         object.__setattr__(self, "entries", _frozen_array(arr))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.size
 
 
 def _sign_fix_columns(vectors: np.ndarray) -> np.ndarray:
@@ -234,15 +247,12 @@ class CovMatrix:
 
     def solve(self, x) -> np.ndarray:
         """Sigma^-1 x through the cached spectrum (V diag(1/rho) V' x)."""
-        return self.power_apply(x, -1.0)
-
-    def power_apply(self, x, power: float) -> np.ndarray:
-        """Apply Sigma^power to a vector via the cached spectrum."""
         vec = as_vector(x)
         if vec.size != self.dim:
             raise DimensionError(f"vector length {vec.size} != dimension {self.dim}")
         coeffs = self.eigenvectors.T @ vec
-        return self.eigenvectors @ (self.eigenvalues**power * coeffs)
+        # 1/rho times coeffs, not coeffs / rho: every artifact's last bits rest on it
+        return self.eigenvectors @ (self.eigenvalues**-1.0 * coeffs)
 
     def quad(self, x) -> float:
         """Quadratic form x' Sigma x."""

@@ -113,18 +113,6 @@ def project_to_gearing(g0: float):
     return project
 
 
-def project_to_risk(cov_entries: np.ndarray, sigma0: float):
-    """Projector onto the risk shell {theta : theta'Sigma theta = sigma0^2}."""
-
-    def project(batch: np.ndarray) -> np.ndarray:
-        batch = np.atleast_2d(batch)
-        risk = np.sqrt(_row_quadratic(batch, cov_entries))
-        risk = np.where(risk == 0.0, 1.0, risk)
-        return batch * (sigma0 / risk)[:, None]
-
-    return project
-
-
 def sharpe_objective(alpha: np.ndarray, cov_entries: np.ndarray):
     """Vectorized alpha'theta / sqrt(theta'Sigma theta)."""
 
@@ -133,15 +121,6 @@ def sharpe_objective(alpha: np.ndarray, cov_entries: np.ndarray):
         ret = batch @ alpha
         var = _row_quadratic(batch, cov_entries)
         return ret / np.sqrt(np.maximum(var, 1e-300))
-
-    return objective
-
-
-def return_objective(alpha: np.ndarray):
-    """Vectorized alpha'theta."""
-
-    def objective(batch: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(batch) @ alpha
 
     return objective
 

@@ -51,7 +51,8 @@ from .errors import (
     ZeroSum,
 )
 from .diversity import QoqcProblem, solve_qoqc
-from .moments import AlphaVector, CovMatrix, as_vector
+from .moments import (AlphaVector, CovMatrix, _require_finite, _require_positive,
+                      as_vector)
 
 # B within this absolute tolerance of zero leaves the fully-invested risky
 # portfolio undefined.
@@ -184,21 +185,6 @@ def optimal_risky_portfolio(alpha, cov: CovMatrix) -> Portfolio:
         raise ZeroB(f"1'Sigma^-1 alpha = {b:g}; risky portfolio undefined")
     w = raw / b
     return _portfolio(w, Program.RISKY, {}, alpha=a, cov=cov)
-
-
-def _require_finite(name: str, value: float) -> float:
-    """``value`` as a float, refused before any arithmetic if it is inf or nan."""
-    value = float(value)
-    if not np.isfinite(value):
-        raise NonPositiveParameter(f"{name} must be finite, got {value}")
-    return value
-
-
-def _require_positive(name: str, value: float) -> float:
-    value = _require_finite(name, value)
-    if value <= 0.0:
-        raise NonPositiveParameter(f"{name} must be positive, got {value}")
-    return value
 
 
 def solve_I(alpha, cov: CovMatrix, sigma0: float) -> Portfolio:

@@ -220,7 +220,7 @@ REQUIRED_FLAGS = {
 }
 # The programs --program names: the table, less QOQC, which is its own command.
 CHOICES = [Program(choice) for choice in cli.PROGRAM_CHOICES]
-FLAG_VALUES = {"sigma0": 0.5, "alpha0": 0.2, "gamma": 1, "g0": 1}
+FLAG_VALUES = {"sigma0": 0.5, "alpha0": 0.2, "gamma": 1, "g0": 1, "n0": 2}
 SWEEP_ARGS = ["--mode", "simple", "--grid", "0:0.5:1"]
 
 
@@ -228,21 +228,25 @@ def flags(names):
     return [arg for name in names for arg in (f"--{name}", FLAG_VALUES[name])]
 
 
-# Each program parameter that is used in arithmetic without a sign check.
+# Each program parameter that is used in arithmetic without a sign check, and
+# QOQC's gamma and g0, with each command that runs it.
 NON_FINITE_CASES = [(Program.II, "alpha0"), (Program.IV, "g0"), (Program.V, "g0"),
                     (Program.VI, "alpha0"), (Program.VI, "g0"), (Program.VII, "g0"),
                     (Program.VIII, "g0")]
+NON_FINITE_RUNS = [*((program, name, command) for command in ("solve", "shrink-sweep")
+                     for program, name in NON_FINITE_CASES),
+                   (Program.QOQC, "gamma", "qoqc"), (Program.QOQC, "g0", "qoqc")]
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["solve", "shrink-sweep"])
-@pytest.mark.parametrize("program,name", NON_FINITE_CASES)
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("program,name,command", NON_FINITE_RUNS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_program_parameter_exits_3_before_any_arithmetic(
         micro_csv, capsys, command, program, name, value):
     # a numpy RuntimeWarning raised as an error here would be a traceback
     others = [n for n in REQUIRED_FLAGS[program] if n != name]
-    argv = [command, "--input", micro_csv, "--program", program.value,
+    program_flag = [] if command == "qoqc" else ["--program", program.value]
+    argv = [command, "--input", micro_csv, *program_flag,
             *flags(others), f"--{name}", value]
     if command == "shrink-sweep":
         argv += SWEEP_ARGS
@@ -250,6 +254,34 @@ def test_non_finite_program_parameter_exits_3_before_any_arithmetic(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"code=NonPositiveParameter {name} must be finite, got {value}\n"
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("solve", "--g0", "-1e-3"), ("solve", "--g0", "-.5e-1"),
+    ("frontier", "--alpha-grid", "-1e-3:1e-3:1e-2"),
+    ("surface", "--g0", "-1E-1:1e-1:1e-1"),
+])
+def test_negative_value_after_a_space_reads_as_with_equals(micro_csv, tmp_path,
+                                                          command, flag, value):
+    # argparse alone takes only -1 and -0.5 for values; -1e-3 read as a flag
+    args = {"solve": ["--program", "VII", "--gamma", "1"], "frontier": ["--g0", "1"],
+            "surface": ["--alpha-grid", "0.1:0.05:0.2"]}[command]
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert run([command, "--input", micro_csv, *args, flag, value,
+                "--output", spaced]) == 0
+    assert run([command, "--input", micro_csv, *args, f"{flag}={value}",
+                "--output", joined]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+@pytest.mark.parametrize("tail", [["--g0", "1", "--bogus"], ["--g0", "-x"],
+                                  ["--g0", "1", "-1"]])
+def test_unknown_flag_still_exits_2(micro_csv, capsys, tail):
+    assert run(["solve", "--input", micro_csv, "--program", "VII", "--gamma", "1",
+                *tail]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("code=BadArguments")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [

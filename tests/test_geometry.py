@@ -180,14 +180,29 @@ def test_verify_bound_explicit_psi(micro_alpha, micro_cov):
     assert report.bound_bh is not None
 
 
+EPS = np.finfo(float).eps
+
+
+def _reference_psi(alpha, cov_entries, theta):
+    """The angle between Sigma^-1/2 alpha and Sigma^1/2 theta, to 60 digits,
+    from cos psi = alpha'theta / sqrt(alpha'Sigma^-1 alpha theta'Sigma theta)."""
+    with mpmath.workdps(60):
+        sigma = mpmath.matrix(np.asarray(cov_entries).tolist())
+        a = mpmath.matrix(np.asarray(alpha).tolist())
+        t = mpmath.matrix(np.asarray(theta).tolist())
+        sigma_t = sigma * t
+        cos = mpmath.fdot(a, t) / mpmath.sqrt(
+            mpmath.fdot(a, mpmath.lu_solve(sigma, a)) * mpmath.fdot(t, sigma_t))
+        return mpmath.acos(cos)
+
+
 def test_smallest_psi_matches_transformed_angle():
     rng = np.random.default_rng(43)
     alpha, cov = random_instance(rng, 4)
     theta = solve_VI(alpha, cov, alpha0=0.15, g0=1.0).weights
-    x = cov.power_apply(alpha.entries, -0.5)
-    y = cov.power_apply(theta, 0.5)
     psi = smallest_valid_psi(alpha, cov, theta)
-    assert psi == np.arccos(alpha_angle(x, y))
+    reference = _reference_psi(alpha.entries, cov.entries, theta)
+    assert abs(psi - reference) <= cov.condition_number * EPS
 
 
 def _lowest_psi_by_bisection(target):
@@ -207,11 +222,33 @@ def test_smallest_psi_is_exact_for_a_near_collinear_pair():
     nudge = rng.standard_normal(5)
     nudge *= 1e-3 * np.linalg.norm(alpha.entries) / np.linalg.norm(nudge)
     theta = cov.solve(alpha.entries + nudge)
-    target = alpha_angle(cov.power_apply(alpha.entries, -0.5), cov.power_apply(theta, 0.5))
+    reference = _reference_psi(alpha.entries, cov.entries, theta)
     psi = smallest_valid_psi(alpha, cov, theta)
     assert 0.0 < psi < 1e-3
-    assert psi == np.arccos(target)
+    assert abs(psi - reference) <= cov.condition_number * EPS
+    target = float(mpmath.cos(reference))
     assert psi - _lowest_psi_by_bisection(target) > 1e3 * np.spacing(psi)
+
+
+@pytest.mark.parametrize("kappa", [10.0, 1e3, 1e6])
+@pytest.mark.parametrize("psi_order", range(1, 9))
+def test_smallest_psi_is_accurate_near_zero(kappa, psi_order):
+    # x and y at angle 10^-psi_order in the whitened coordinates of Sigma's
+    # spectrum; arccos of their cosine is off by up to ~5e6 kappa eps here.
+    rng = np.random.default_rng([psi_order, int(np.log10(kappa))])
+    cov = random_cov(rng, 8, kappa=kappa)
+    root = np.sqrt(cov.eigenvalues)
+    x, u = rng.standard_normal((2, 8))
+    x /= np.linalg.norm(x)
+    u -= (u @ x) * x
+    u /= np.linalg.norm(u)
+    y = np.cos(10.0**-psi_order) * x + np.sin(10.0**-psi_order) * u
+    alpha = cov.eigenvectors @ (root * x)
+    theta = cov.eigenvectors @ (y / root)
+    reference = _reference_psi(alpha, cov.entries, theta)
+    assert abs(reference * 10.0**psi_order - 1.0) < 1e-2
+    psi = smallest_valid_psi(alpha, cov, theta)
+    assert abs(psi - reference) <= cov.condition_number * EPS
 
 
 # ---------------------------------------------------------------------------

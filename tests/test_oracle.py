@@ -10,8 +10,6 @@ from mvgear import (
     SingularKkt,
     dominance_sample,
     project_to_gearing,
-    project_to_risk,
-    return_objective,
     sharpe_objective,
     solve_kkt,
 )
@@ -148,7 +146,7 @@ def test_dominance_deterministic():
 
 
 def test_dominance_single_sample():
-    value = dominance_sample(return_objective(np.array([1.0, 2.0])),
+    value = dominance_sample(lambda batch: batch @ np.array([1.0, 2.0]),
                              project_to_gearing(1.0), dim=2, count=1, seed=0)
     assert np.isfinite(value)
 
@@ -170,15 +168,6 @@ def test_sharpe_never_beats_risky_portfolio():
         dim=5, count=100_000, seed=0,
     )
     assert best <= mine + 1e-9
-
-
-def test_risk_shell_projection():
-    rng = np.random.default_rng(83)
-    _, cov = random_instance(rng, 3)
-    projector = project_to_risk(cov.entries, sigma0=0.4)
-    batch = projector(rng.standard_normal((100, 3)))
-    risks = np.sqrt(np.einsum("ij,jk,ik->i", batch, cov.entries, batch))
-    npt.assert_allclose(risks, 0.4, rtol=1e-12)
 
 
 def test_row_quadratic_matches_three_operand_einsum():
