@@ -105,18 +105,14 @@ def smallest_valid_psi(alpha, cov: CovMatrix, theta) -> float:
     """Smallest psi in [0, pi/2) admissible for the pair (alpha, theta).
 
     That is the angle between x = L^-1 alpha and y = L'theta, here with the
-    factor L = V diag(sqrt(rho)) of the cached spectrum. For unit x and y it
-    is 2 atan2(|x - y|, |x + y|) (Kahan 2006), accurate near psi = 0, where
+    factor L the covariance holds (:meth:`CovMatrix.whiten`,
+    :meth:`CovMatrix.risk_coordinates`). For unit x and y it is
+    2 atan2(|x - y|, |x + y|) (Kahan 2006), accurate near psi = 0, where
     arccos of their cosine loses half the digits. A pair whose x and y are
     not acute has none.
     """
-    a, t = as_vector(alpha), as_vector(theta)
-    for vec in (a, t):
-        if vec.size != cov.dim:
-            raise DimensionError(f"vector length {vec.size} != dimension {cov.dim}")
-    root = np.sqrt(cov.eigenvalues)
-    x = _unit((cov.eigenvectors.T @ a) / root)
-    y = _unit(root * (cov.eigenvectors.T @ t))
+    x = _unit(cov.whiten(alpha))
+    y = _unit(cov.risk_coordinates(theta))
     if not float(x @ y) > 0.0:
         raise InvalidPsi(
             "transformed vectors are not acute; no admissible psi in [0, pi/2)"

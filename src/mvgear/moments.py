@@ -11,9 +11,14 @@ covariance. Every covariance handed to the solvers is wrapped in a
 so that all downstream linear solves reuse the same eigendata that the
 angle bounds need. A shrink toward the identity, w I + (1 - w) Sigma, keeps
 V and maps each rho to w + (1 - w) rho (:meth:`CovMatrix.toward_identity`),
-so it costs O(n^2) and no second decomposition. Near-singular sample
-covariances are repaired by clipping eigenvalues at a floor relative to the
-largest one.
+so it costs O(n^2) and no second decomposition. A shrink toward the
+diagonal D = diag(Sigma) does the same through the correlation matrix
+R = D^-1/2 Sigma D^-1/2 = Q Lambda Q', decomposed once per covariance and
+kept with it: w D + (1 - w) Sigma = D^1/2 Q (w + (1 - w) Lambda) Q' D^1/2
+(:meth:`CovMatrix.toward_diagonal`). Its own eigenvalues, which only its
+condition number needs, cost one ``eigvalsh`` when first read. Near-singular
+sample covariances are repaired by clipping eigenvalues at a floor relative
+to the largest one.
 
 A process that loads the same file bytes again gets back the panel it parsed
 and, for that panel, the moments it estimated: one entry each, so a script of
@@ -28,6 +33,7 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,16 +177,22 @@ def _symmetrized(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Symmetric positive-definite covariance with cached spectrum.
+    """Symmetric positive-definite covariance, held with a factor.
 
-    ``eigenvalues`` are descending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns, so that
-    ``entries == eigenvectors @ diag(eigenvalues) @ eigenvectors.T``.
+    The factor is Sigma = S U diag(mu) U' S: ``basis`` U is orthogonal,
+    ``spectrum`` mu is descending and positive, and S = diag(``scale``) is a
+    positive diagonal scaling, the identity when ``scale`` is None. Unscaled,
+    U and mu are Sigma's own eigenvectors and eigenvalues. Scaled (see
+    :meth:`toward_diagonal`), they are the spectrum of S^-1 Sigma S^-1, and
+    Sigma's own ``eigenvalues`` and ``eigenvectors`` are computed when first
+    read. Either way :meth:`solve` and the factor L = S U diag(sqrt(mu)),
+    Sigma = L L', cost O(n^2).
     """
 
     entries: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    spectrum: np.ndarray
+    basis: np.ndarray
+    scale: np.ndarray | None = None
 
     @classmethod
     def from_entries(cls, entries) -> "CovMatrix":
@@ -207,34 +219,91 @@ class CovMatrix:
             raise ConvergenceFailure(
                 f"spectral reconstruction error {err:g} exceeds {RECONSTRUCTION_RTOL:g}"
             )
-        return cls(
-            entries=_frozen_array(sym),
-            eigenvalues=_frozen_array(rho),
-            eigenvectors=_frozen_array(vecs),
-        )
+        return cls(entries=_frozen_array(sym), spectrum=_frozen_array(rho),
+                   basis=_frozen_array(vecs))
 
     @classmethod
     def identity(cls, n: int) -> "CovMatrix":
         """I_n with the unit vectors as its eigenvectors; no decomposition."""
         eye = _frozen_array(_symmetrized(np.eye(n)))
-        return cls(entries=eye, eigenvalues=_frozen_array(np.ones(n)), eigenvectors=eye)
+        return cls(entries=eye, spectrum=_frozen_array(np.ones(n)), basis=eye)
 
     def toward_identity(self, w: float) -> "CovMatrix":
-        """w I + (1 - w) Sigma for w in [0, 1], from the cached spectrum.
+        """w I + (1 - w) Sigma for w in [0, 1], from Sigma's own spectrum.
 
-        The eigenvectors are this matrix's own (shared, not copied) and each
+        The eigenvectors are Sigma's own (shared, not copied) and each
         eigenvalue maps to w + (1 - w) rho, so no ``eigh`` and no
-        reconstruction check run; w = 0 gives back this spectrum bit for bit
-        and w = 1 gives :meth:`identity`.
+        reconstruction check run once Sigma's spectrum is known; w = 0 gives
+        back that spectrum bit for bit and w = 1 gives :meth:`identity`.
         """
         if w == 1.0:
             return self.identity(self.dim)
+        own = self._own
         entries = w * np.eye(self.dim) + (1.0 - w) * self.entries
-        return CovMatrix(
-            entries=_frozen_array(entries),
-            eigenvalues=_frozen_array(w + (1.0 - w) * self.eigenvalues),
-            eigenvectors=self.eigenvectors,
-        )
+        return CovMatrix(entries=_frozen_array(entries),
+                         spectrum=_frozen_array(w + (1.0 - w) * own.spectrum),
+                         basis=own.basis)
+
+    def toward_diagonal(self, w: float) -> "CovMatrix":
+        """w diag(Sigma) + (1 - w) Sigma for w in [0, 1], through the spectrum
+        of the correlation matrix.
+
+        With D = diag(Sigma) and R = D^-1/2 Sigma D^-1/2 = Q Lambda Q', the
+        shrunk matrix is D^1/2 (w I + (1 - w) R) D^1/2: the factor of
+        ``R.toward_identity(w)`` scaled by d^1/2, so it solves in O(n^2) (the
+        symmetric-definite pencil Sigma x = lambda D x; Golub & Van Loan,
+        *Matrix Computations*, 8.7). R is decomposed by :meth:`from_entries`,
+        with its checks, at the first 0 < w < 1, and its spectrum is kept
+        with this matrix. The entries are the convex combination's own bits;
+        the shrunk matrix's ``eigenvalues`` and ``eigenvectors`` are computed
+        when first read. w = 0 gives back this matrix, and w = 1 gives D with
+        its own spectrum: the sorted variances and the unit vectors.
+        """
+        if w == 0.0:
+            return self
+        diagonal = np.diag(self.entries)
+        entries = _frozen_array(w * np.diag(diagonal) + (1.0 - w) * self.entries)
+        if w == 1.0:
+            order = np.argsort(diagonal)[::-1]
+            return CovMatrix(entries=entries, spectrum=_frozen_array(diagonal[order]),
+                             basis=_frozen_array(np.eye(self.dim)[:, order]))
+        lam, basis = self._correlation
+        return CovMatrix(entries=entries, spectrum=_frozen_array(w + (1.0 - w) * lam),
+                         basis=basis, scale=_frozen_array(np.sqrt(diagonal)))
+
+    @cached_property
+    def _correlation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Lambda, Q) of R = D^-1/2 Sigma D^-1/2 = Q Lambda Q'."""
+        root = np.sqrt(np.diag(self.entries))
+        r = CovMatrix.from_entries(self.entries / np.outer(root, root))
+        return r.spectrum, r.basis
+
+    @property
+    def _own(self) -> "CovMatrix":
+        """This matrix factored by its own spectrum: itself unless scaled."""
+        return self if self.scale is None else self._decomposed
+
+    @cached_property
+    def _decomposed(self) -> "CovMatrix":
+        return CovMatrix.from_entries(self.entries)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Sigma's eigenvalues, descending; ``eigvalsh`` of the entries, on
+        first read, for a scaled matrix."""
+        if self.scale is None:
+            return self.spectrum
+        rho = np.linalg.eigvalsh(self.entries)[::-1]
+        if not rho[-1] > 0.0:
+            raise SingularCovariance(
+                f"smallest eigenvalue {rho[-1]:g} is not strictly positive"
+            )
+        return _frozen_array(rho)
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Sigma's orthonormal eigenvectors as columns, matching ``eigenvalues``."""
+        return self._own.basis
 
     @property
     def dim(self) -> int:
@@ -245,14 +314,29 @@ class CovMatrix:
         """Ratio of extreme eigenvalues, rho_max / rho_min >= 1."""
         return float(self.eigenvalues[0] / self.eigenvalues[-1])
 
-    def solve(self, x) -> np.ndarray:
-        """Sigma^-1 x through the cached spectrum (V diag(1/rho) V' x)."""
+    def _vector(self, x) -> np.ndarray:
         vec = as_vector(x)
         if vec.size != self.dim:
             raise DimensionError(f"vector length {vec.size} != dimension {self.dim}")
-        coeffs = self.eigenvectors.T @ vec
-        # 1/rho times coeffs, not coeffs / rho: every artifact's last bits rest on it
-        return self.eigenvectors @ (self.eigenvalues**-1.0 * coeffs)
+        return vec
+
+    def solve(self, x) -> np.ndarray:
+        """Sigma^-1 x = S^-1 U diag(1/mu) U' S^-1 x."""
+        vec, s = self._vector(x), self.scale
+        coeffs = self.basis.T @ (vec if s is None else vec / s)
+        # 1/mu times coeffs, not coeffs / mu: every artifact's last bits rest on it
+        out = self.basis @ (self.spectrum**-1.0 * coeffs)
+        return out if s is None else out / s
+
+    def whiten(self, x) -> np.ndarray:
+        """L^-1 x for the factor L = S U diag(sqrt(mu)); |L^-1 x|^2 = x'Sigma^-1 x."""
+        vec, s = self._vector(x), self.scale
+        return (self.basis.T @ (vec if s is None else vec / s)) / np.sqrt(self.spectrum)
+
+    def risk_coordinates(self, x) -> np.ndarray:
+        """L'x for the factor L = S U diag(sqrt(mu)); |L'x|^2 = x'Sigma x."""
+        vec, s = self._vector(x), self.scale
+        return np.sqrt(self.spectrum) * (self.basis.T @ (vec if s is None else s * vec))
 
     def quad(self, x) -> float:
         """Quadratic form x' Sigma x."""

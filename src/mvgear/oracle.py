@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import DimensionError, RankDeficientConstraints, SingularKkt
 
-RESIDUAL_TOL = 1e-10
+# The backward error a solve may leave, per unknown of the bordered system,
+# in units of eps; a backward-stable solve leaves about one.
+BACKWARD_TOL_PER_UNKNOWN = 8.0 * np.finfo(float).eps
 
 # Byte budget for one block of float64 samples in dominance_sample; it bounds
 # the sampler's working set whatever the sample count.
@@ -59,8 +61,13 @@ class KktProblem:
 def solve_kkt(problem: KktProblem) -> tuple[np.ndarray, np.ndarray]:
     """Solve the bordered system; returns (theta, multipliers).
 
-    Multipliers satisfy Q theta - c - E' nu = 0. Stationarity and
-    feasibility residuals are verified to 1e-10 in max-norm.
+    Multipliers satisfy Q theta - c - E' nu = 0. Each residual is checked as
+    a normwise backward error (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 7), in the max norm: stationarity relative to
+    |Q||theta| + |E'||nu| + |c|, feasibility relative to |E||theta| + |d|.
+    Both must be at most ``BACKWARD_TOL_PER_UNKNOWN * (n + m)``. An absolute
+    test would refuse a well-posed ill-conditioned problem, whose large
+    theta carries rounding in proportion.
     """
     q = problem.quadratic
     c = problem.linear
@@ -91,10 +98,27 @@ def solve_kkt(problem: KktProblem) -> tuple[np.ndarray, np.ndarray]:
     stationarity = q @ theta - c - (e.T @ nu if m else 0.0)
     feasibility = (e @ theta - d) if m else np.zeros(0)
     # np.max keeps a NaN from either residual, and ``not err <= tol`` fails it.
-    err = float(np.abs(np.concatenate([stationarity, feasibility])).max())
-    if not err <= RESIDUAL_TOL:
-        raise SingularKkt(f"KKT residual {err:g} exceeds {RESIDUAL_TOL:g}")
+    err = np.max([
+        _backward_error(stationarity, _norm(q) * _norm(theta) + _norm(e.T) * _norm(nu)
+                        + _norm(c)),
+        _backward_error(feasibility, _norm(e) * _norm(theta) + _norm(d)),
+    ])
+    tol = BACKWARD_TOL_PER_UNKNOWN * (n + m)
+    if not err <= tol:
+        raise SingularKkt(f"KKT residual {err:g} exceeds {tol:g}, relative to the data")
     return theta, nu
+
+
+def _norm(a: np.ndarray) -> float:
+    """Max norm of a vector, or the norm it induces on a matrix (max row sum);
+    0 for an empty one."""
+    rows = np.abs(a) if a.ndim == 1 else np.abs(a).sum(axis=1)
+    return float(rows.max(initial=0.0))
+
+
+def _backward_error(residual: np.ndarray, scale: float) -> float:
+    """|residual| / scale, 0 for a zero residual whatever the scale."""
+    return _norm(residual) / max(scale, np.finfo(float).tiny)
 
 
 def _row_quadratic(batch: np.ndarray, cov_entries: np.ndarray) -> np.ndarray:

@@ -28,7 +28,11 @@ q I + (1-q) Sigma and q diag(Sigma) + (1-q) Sigma are exposed alongside.
 
 Both identity-target shrinks keep Sigma's eigenvectors and map each
 eigenvalue rho to w + (1 - w) rho, so they reuse the cached spectrum in
-O(n^2); only the diagonal target decomposes again.
+O(n^2). The diagonal target does the same with the spectrum of the
+correlation matrix R = D^-1/2 Sigma D^-1/2, decomposed once per covariance:
+w D + (1 - w) Sigma = D^1/2 (w I + (1 - w) R) D^1/2. Only its condition
+number needs the shrunk matrix's own eigenvalues (one ``eigvalsh``, when
+first read).
 
 Shrinking never worsens the condition number and never breaks the gearing
 constraints (the GMV/risky mix stays cash neutral). :func:`solve_robust`
@@ -158,14 +162,15 @@ def shrink_covariance(cov: CovMatrix, alpha, spec: ShrinkageSpec) -> CovMatrix:
     q toward the identity; DIAGONAL uses q toward diag(Sigma). All three
     can only improve (or preserve) the condition number. The two identity
     shrinks keep Sigma's eigenvectors and map its cached spectrum in O(n^2)
-    (:meth:`CovMatrix.toward_identity`); only DIAGONAL decomposes again.
+    (:meth:`CovMatrix.toward_identity`); DIAGONAL maps the spectrum of
+    Sigma's correlation matrix, decomposed once per covariance, and solves
+    in O(n^2) too (:meth:`CovMatrix.toward_diagonal`).
     """
     w = _convex_weight(spec, alpha, cov)
     if spec.mode is not ShrinkMode.DIAGONAL:
         return cov.toward_identity(w)
-    entries = w * np.diag(np.diag(cov.entries)) + (1.0 - w) * cov.entries
     try:
-        return CovMatrix.from_entries(entries)
+        return cov.toward_diagonal(w)
     except SingularCovariance as exc:  # pragma: no cover - convexity forbids this
         raise ShrinkBrokeSPD(f"shrunk covariance lost definiteness: {exc}") from exc
 

@@ -715,36 +715,58 @@ def test_shrink_sweep_shrinks_once_per_point(tmp_path, monkeypatch, mode, grid, 
     assert out.read_text() == csv_lines(SWEEP_HEADER, rows)
 
 
-@pytest.mark.parametrize("mode,decompositions", [
-    ("simple", 1), ("angle", 1), ("diagonal", 12),
-])
-def test_shrink_sweep_decomposes_once_unless_diagonal(tmp_path, monkeypatch, mode,
-                                                      decompositions):
-    # a fresh load decomposes Sigma; identity shrinks map its spectrum, and
-    # only each of the 11 diagonal shrinks decomposes again; a warm request on
-    # the same bytes reuses the loaded spectrum and decomposes one time fewer
+def count_calls(monkeypatch, name):
+    """The argument tuples of every call to ``numpy.linalg.<name>`` from now on."""
+    real, calls = getattr(np.linalg, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode,fresh,warm", [
+    ("simple", (1, 0), (0, 0)), ("angle", (1, 0), (0, 0)), ("diagonal", (2, 9), (0, 9)),
+], ids=["simple", "angle", "diagonal"])
+def test_shrink_sweep_decomposes_each_covariance_once(tmp_path, monkeypatch, mode,
+                                                      fresh, warm):
+    # (eigh, eigvalsh) calls per request. A fresh load decomposes Sigma, and
+    # identity shrinks map its spectrum. Diagonal shrinks map the spectrum of
+    # Sigma's correlation matrix R, decomposed once, and each of the 9
+    # interior points reads its own eigenvalues for kappa~ (q = 0 is Sigma and
+    # q = 1 is D, whose spectra are known). A warm request on the same bytes
+    # reuses both decompositions and writes the same bytes.
     csv = sweep_csv(tmp_path)
     grid = "0:0.1:1"
     if mode == "angle":
         k0 = robust.angle_floor(*estimate_moments(load_returns_csv(csv)))
         grid = f"0:{k0 / 11!r}:{10 * k0 / 11!r}"
     assert parse_grid(grid).size == 11
-    real, calls = np.linalg.eigh, []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    eigh, eigvalsh = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "eigvalsh")
     forget_loads(monkeypatch)
     argv = ["shrink-sweep", "--input", csv, "--mode", mode, "--grid", grid,
             "--program", "VII", "--gamma", 1, "--g0", 1]
-    assert run([*argv, "--output", tmp_path / "fresh.csv"]) == 0
-    assert len(calls) == decompositions
-    calls.clear()
-    assert run([*argv, "--output", tmp_path / "warm.csv"]) == 0
-    assert len(calls) == decompositions - 1
+    for name, expected in (("fresh", fresh), ("warm", warm)):
+        eigh.clear(), eigvalsh.clear()
+        assert run([*argv, "--output", tmp_path / f"{name}.csv"]) == 0
+        assert (len(eigh), len(eigvalsh)) == expected, name
     assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_diagonal_shrunk_solve_and_verify_read_no_shrunk_spectrum(tmp_path, monkeypatch):
+    # the solves run through R's spectrum; only kappa~ needs the shrunk
+    # matrix's own eigenvalues, and neither solve nor verify reports it
+    csv = sweep_csv(tmp_path)
+    eigh, eigvalsh = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "eigvalsh")
+    forget_loads(monkeypatch)
+    out = tmp_path / "p.json"
+    assert run(["solve", "--input", csv, "--program", "VII", "--gamma", 1, "--g0", 1,
+                "--shrink-mode", "diagonal", "--q", 0.3, "--output", out]) == 0
+    assert (len(eigh), len(eigvalsh)) == (2, 0)
+    assert run(["verify", "--input", csv, "--portfolio", out]) == 0
+    assert (len(eigh), len(eigvalsh)) == (2, 0)
 
 
 def test_shrink_sweep_without_a_risky_portfolio_exits_3(tmp_path, capsys):

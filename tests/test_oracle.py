@@ -131,6 +131,58 @@ def test_residuals_within_tolerance_on_random_instances():
             assert np.abs(e @ theta - d).max() <= 1e-10
 
 
+def geared_mean_variance_at_scale():
+    """VII with gamma = g0 = 1 at n = 500, kappa = 1e8: well posed, |theta| ~ 3e6."""
+    rng = np.random.default_rng(500)
+    return KktProblem(quadratic=random_spd(rng, 500, kappa=1e8),
+                      linear=rng.uniform(0.02, 0.2, 500),
+                      eq_matrix=np.ones((1, 500)), eq_rhs=[1.0])
+
+
+def geared_mean_variance_micro():
+    return KktProblem(quadratic=np.array([[2.0, 0.5], [0.5, 1.0]]),
+                      linear=np.array([0.1, 0.2]), eq_matrix=np.ones((1, 2)),
+                      eq_rhs=[1.0])
+
+
+def test_ill_conditioned_problem_at_scale_is_accepted():
+    # rounding in a theta of 3e6 leaves an absolute stationarity residual
+    # above 1e-10, which a max-norm test refused; as a backward error it is
+    # below eps, and the solution meets its constraint
+    problem = geared_mean_variance_at_scale()
+    theta, nu = solve_kkt(problem)
+    q, c = problem.quadratic, problem.linear
+    assert np.abs(theta).max() > 1e6
+    assert np.abs(q @ theta - c - nu[0]).max() > 1e-10
+    assert theta.sum() == pytest.approx(1.0, rel=0, abs=1e-8)
+
+
+@pytest.mark.parametrize("make,part", [
+    (geared_mean_variance_micro, "weights"),
+    (geared_mean_variance_micro, "multiplier"),
+    (geared_mean_variance_at_scale, "weights"),
+])
+def test_a_solve_off_by_1e_8_is_refused(monkeypatch, make, part):
+    # each entry of the weights (or multipliers) moved by 1e-8 of the largest,
+    # with seeded signs; at kappa = 1e8 the multiplier itself is not resolved
+    # to 1e-8, so only the weights are moved there
+    problem = make()
+    n = problem.linear.size
+    block = slice(0, n) if part == "weights" else slice(n, None)
+    real = np.linalg.solve
+
+    def off_solve(a, b):
+        sol = real(a, b)
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], sol[block].size)
+        sol[block] += 1e-8 * np.abs(sol[block]).max() * signs
+        return sol
+
+    solve_kkt(problem)
+    monkeypatch.setattr(np.linalg, "solve", off_solve)
+    with pytest.raises(SingularKkt, match="KKT residual"):
+        solve_kkt(problem)
+
+
 # ---------------------------------------------------------------------------
 # Dominance sampling
 # ---------------------------------------------------------------------------

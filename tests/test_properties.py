@@ -1,5 +1,6 @@
 """Property tests of the robust path over every table program, QOQC included,
-and of the condition number along the shrink toward the identity.
+and of the condition number along the shrinks toward the identity and toward
+the diagonal.
 
 Instances run from n = 2 to 200 assets and condition numbers from 1 to 1e6.
 Each weight tolerance is a multiple of kappa * eps, with kappa the condition
@@ -11,10 +12,11 @@ so every run tests the same instances.
 import warnings
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from mvgear import (AlphaVector, CovMatrix, ShrinkageSpec, shrink_covariance,
+from mvgear import (AlphaVector, CovMatrix, Program, ShrinkageSpec, shrink_covariance,
                     solve_robust, solvers)
 
 from conftest import random_instance
@@ -34,7 +36,10 @@ def instances(draw):
     n = draw(st.just(200) | st.integers(2, 200))
     kappa = 10.0 ** (draw(st.just(600) | st.integers(0, 600)) / 100)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    alpha, cov = random_instance(rng, n, kappa=kappa, min_d_ratio=0.01)
+    try:
+        alpha, cov = random_instance(rng, n, kappa=kappa, min_d_ratio=0.01)
+    except RuntimeError:  # no draw met B > 0 and D >= 0.01 AC: not an instance
+        reject()
     params = {"sigma0": draw(st.floats(0.1, 1.0)), "alpha0": draw(st.floats(0.02, 0.3)),
               "gamma": draw(st.floats(0.5, 5.0)),
               "g0": draw(st.floats(0.25, min(2.0, np.sqrt(n))))}
@@ -42,11 +47,17 @@ def instances(draw):
     return alpha, cov, params, rng
 
 
-def solve_all(solve):
-    """{program: weights} of ``solve(program)`` for every PROGRAMS entry."""
+# The programs whose weights (Sigma, alpha) -> (c Sigma, c alpha) leaves as
+# they are: their parameters (gamma, g0) carry no unit of return or risk.
+SCALE_FREE = (Program.III, Program.IV, Program.VII, Program.VIII, Program.GMV,
+              Program.RISKY)
+
+
+def solve_all(solve, programs=solvers.PROGRAMS):
+    """{program: weights} of ``solve(program)`` for every one of ``programs``."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", solvers.InefficientBranchWarning)
-        return {program: solve(program).weights for program in solvers.PROGRAMS}
+        return {program: solve(program).weights for program in programs}
 
 
 def assert_close(got, want, multiple, kappa):
@@ -106,3 +117,57 @@ def test_shrinking_toward_the_identity_never_raises_kappa(instance, weights):
     for before, after in zip(kappas, kappas[1:]):
         assert after <= before * (1.0 + 16.0 * EPS)
     assert kappas[-1] >= 1.0
+
+
+@PROPERTY
+@given(instances(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_shrinking_toward_the_diagonal_never_raises_kappa(instance, weights):
+    # diag(Sigma) lies in [rho_n, rho_1] (Weyl), so the spectrum of
+    # q diag(Sigma) + (1-q) Sigma does too. kappa~ comes from eigvalsh of the
+    # shrunk entries and kappa from eigh of Sigma's: where q is too small to
+    # move the entries, the two drivers agree on rho_n only to ~eps rho_1,
+    # hence the kappa eps (largest seen: 0.23 kappa eps, at q = 1e-300)
+    alpha, cov, _, _ = instance
+    kappa = cov.condition_number
+    for q in weights:
+        shrunk = shrink_covariance(cov, alpha, ShrinkageSpec.diagonal(q))
+        assert 1.0 <= shrunk.condition_number <= kappa * (1.0 + 4.0 * kappa * EPS)
+
+
+@PROPERTY
+@given(instances())
+def test_full_diagonal_shrink_is_the_program_on_the_diagonal(instance):
+    # Sigma~ = D = diag(Sigma), held with its own spectrum (the sorted
+    # variances), so kappa~ = max(d) / min(d) and the solves are those of a
+    # fresh decomposition of D
+    alpha, cov, params, _ = instance
+    d = np.diag(cov.entries)
+    spec = ShrinkageSpec.diagonal(1.0)
+    shrunk = shrink_covariance(cov, alpha, spec)
+    assert shrunk.condition_number == pytest.approx(d.max() / d.min(), rel=2.0 * EPS,
+                                                    abs=0.0)
+    diagonal = CovMatrix.from_entries(np.diag(d))
+    got = solve_all(lambda p: solve_robust(p, alpha, cov, spec, **params))
+    want = solve_all(lambda p: solvers.solve(p, alpha, diagonal, **params))
+    assert_close(got, want, 4.0, d.max() / d.min())
+
+
+@PROPERTY
+@given(instances(), st.floats(0.0, 1.0), st.sampled_from([1e-4, 0.37, 3.0, 250.0]))
+def test_diagonal_shrink_is_scale_invariant(instance, q, c):
+    # (Sigma, alpha) -> (c Sigma, c alpha) leaves Sigma~'s correlation, and so
+    # kappa~ and every scale-free program's weights, as they are. Both sides
+    # decompose their own Sigma and R, and eigvalsh's error in each eigenvalue
+    # is ~n eps |Sigma~|, so they agree within 4 n kappa~ eps (largest seen:
+    # 0.57 n kappa~ eps for kappa~ and 0.62 n kappa~ eps for a weight, at n = 2)
+    alpha, cov, params, _ = instance
+    spec = ShrinkageSpec.diagonal(q)
+    scaled_alpha = AlphaVector(c * alpha.entries)
+    scaled_cov = CovMatrix.from_entries(c * cov.entries)
+    kappa = shrink_covariance(cov, alpha, spec).condition_number
+    moved = shrink_covariance(scaled_cov, scaled_alpha, spec).condition_number
+    assert moved == pytest.approx(kappa, rel=4.0 * cov.dim * kappa * EPS, abs=0.0)
+    plain = solve_all(lambda p: solve_robust(p, alpha, cov, spec, **params), SCALE_FREE)
+    scaled = solve_all(lambda p: solve_robust(p, scaled_alpha, scaled_cov, spec, **params),
+                       SCALE_FREE)
+    assert_close(scaled, plain, 4.0 * cov.dim, kappa)

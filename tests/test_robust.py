@@ -30,7 +30,7 @@ from mvgear import (
 
 from mvgear.moments import as_vector
 
-from conftest import random_instance
+from conftest import random_instance, random_spd
 
 
 def full_shrink(program, alpha, **params):
@@ -186,6 +186,53 @@ def test_identity_shrinks_solve_like_a_fresh_decomposition(mode, n):
                 npt.assert_allclose(got, want, rtol=0,
                                     atol=tolerance * np.abs(want).max(),
                                     err_msg=f"program {program.value}")
+
+
+def scaled_correlation_instance(rng, n, kappa):
+    """(AlphaVector, CovMatrix) with Sigma = S R S: a correlation R with
+    kappa(R) <= 100 and volatilities S spread so that kappa(Sigma) ~ kappa,
+    ill-conditioned in the diagonal that the shrink targets."""
+    r = random_spd(rng, n, kappa=100.0)
+    r = r / np.sqrt(np.outer(np.diag(r), np.diag(r)))
+    vol = np.exp(rng.uniform(0.0, 0.5 * np.log(kappa), n))
+    vol[:2] = 1.0, np.sqrt(kappa)
+    return (AlphaVector(rng.uniform(0.02, 0.2, n)),
+            CovMatrix.from_entries(vol[:, None] * r * vol[None, :]))
+
+
+@pytest.mark.parametrize("n", [50, 200, 500])
+def test_diagonal_shrink_matches_the_kkt_oracle(n):
+    # GMV, VI and VII on Sigma(q) = q diag(Sigma) + (1 - q) Sigma against the
+    # bordered KKT system of Sigma(q)'s entries, each weight within
+    # 8 n kappa~ eps of the largest (largest seen: 1.03 n kappa~ eps, VII at
+    # n = 200, q = 0.9, kappa~ = 1.9; the error has an O(n eps) floor, so the
+    # well-conditioned points are the tight ones)
+    rng = np.random.default_rng(90 + n)
+    ones, zeros = np.ones((1, n)), np.zeros(n)
+    for kappa in (1e2, 1e5, 1e8):
+        for alpha, cov in (random_instance(rng, n, kappa=kappa, min_d_ratio=0.01),
+                           scaled_correlation_instance(rng, n, kappa)):
+            a, alpha0 = alpha.entries, float(alpha.entries.mean())
+            for q in (0.1, 0.5, 0.9):
+                shrunk = shrink_covariance(cov, alpha, ShrinkageSpec.diagonal(q))
+                sigma = shrunk.entries
+                cases = {
+                    Program.GMV: ({}, KktProblem(sigma, zeros, ones, [1.0])),
+                    Program.VI: ({"alpha0": alpha0, "g0": 1.0},
+                                 KktProblem(sigma, zeros, np.vstack([a, ones]),
+                                            [alpha0, 1.0])),
+                    Program.VII: ({"gamma": 2.0, "g0": 1.0},
+                                  KktProblem(2.0 * sigma, a, ones, [1.0])),
+                }
+                tolerance = 8.0 * n * shrunk.condition_number * np.finfo(float).eps
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", solvers.InefficientBranchWarning)
+                    for program, (params, problem) in cases.items():
+                        want, _ = solve_kkt(problem)
+                        got = solvers.solve(program, alpha, shrunk, **params).weights
+                        npt.assert_allclose(got, want, rtol=0,
+                                            atol=tolerance * np.abs(want).max(),
+                                            err_msg=f"{program.value}, kappa {kappa}, q {q}")
 
 
 def test_angle_targeted_k_range():
