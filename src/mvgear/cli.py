@@ -39,6 +39,11 @@ MAX_GRID_POINTS = 1_000_000
 PROGRAM_CHOICES = [program.value for program in solvers.PROGRAMS
                    if program is not Program.QOQC]
 
+# The parameters of those programs, in table order: each is a flag of both.
+_PARAMETERS = tuple(dict.fromkeys(
+    name for program, entry in solvers.PROGRAMS.items() if program is not Program.QOQC
+    for name in (*entry.required, *entry.optional, *entry.one_of)))
+
 SURFACE_HEADER = ["alpha_p", "g0", "sigma_p", "is_gmv_line", "is_risky_line"]
 SWEEP_HEADER = [
     "k",
@@ -124,9 +129,7 @@ def _build_parser() -> _Parser:
     def program_flags(p, required):
         """--program, and the flag of each parameter a program it names takes."""
         p.add_argument("--program", required=required, choices=PROGRAM_CHOICES)
-        entries = [solvers.PROGRAMS[Program(choice)] for choice in PROGRAM_CHOICES]
-        for name in dict.fromkeys(name for e in entries
-                                  for name in (*e.required, *e.optional, *e.one_of)):
+        for name in _PARAMETERS:
             p.add_argument(f"--{name}", type=float)
 
     p = sub.add_parser("estimate", help="sample moments and spectral diagnostics")
@@ -177,9 +180,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _program_params(args, program: Program) -> dict:
-    """The flags ``program`` takes, refused unless its table entry is met."""
-    entry = solvers.PROGRAMS[program]
+def _program_params(args) -> dict:
+    """The flags ``--program`` takes, refused unless its table entry is met and
+    no other program parameter is given."""
+    entry = None if args.program is None else solvers.PROGRAMS[Program(args.program)]
+    takes = () if entry is None else (*entry.required, *entry.optional, *entry.one_of)
+    for name in _PARAMETERS:
+        if name not in takes and getattr(args, name, None) is not None:
+            raise CliError("BadArguments", f"--{name} needs --program" if entry is None
+                           else f"program {args.program} takes no --{name}")
+    if entry is None:
+        return {}
     try:
         if sum(getattr(args, name) is not None for name in entry.one_of) > 1:
             raise MissingParameter(entry.one_of_text())
@@ -207,16 +218,18 @@ def _load_portfolio(args, panel):
 
 
 def _shrink_spec(args) -> ShrinkageSpec | None:
-    if args.mode is None:
+    """The shrink --shrink-mode names and its --k (angle) or --q (others)."""
+    mode = None if args.mode is None else ShrinkMode(args.mode)
+    name = None if mode is None else "k" if mode is ShrinkMode.ANGLE_TARGETED else "q"
+    for other in ("k", "q"):
+        if other != name and getattr(args, other, None) is not None:
+            raise CliError("BadArguments", f"--{other} needs --shrink-mode" if mode is None
+                           else f"{mode.value} shrink takes --{name}, not --{other}")
+    if mode is None:
         return None
-    mode = ShrinkMode(args.mode)
-    if mode is ShrinkMode.ANGLE_TARGETED:
-        if args.k is None:
-            raise CliError("MissingParameter", "angle-targeted shrink requires --k")
-        return ShrinkageSpec.angle_targeted(args.k)
-    if args.q is None:
-        raise CliError("MissingParameter", f"{mode.value} shrink requires --q")
-    return ShrinkageSpec(mode=mode, k=args.q)
+    if getattr(args, name) is None:
+        raise CliError("MissingParameter", f"{mode.value} shrink requires --{name}")
+    return ShrinkageSpec(mode=mode, k=getattr(args, name))
 
 
 def _cmd_estimate(args) -> str:
@@ -233,10 +246,9 @@ def _cmd_estimate(args) -> str:
 
 def _cmd_solve(args) -> str:
     """``solve``, and ``qoqc``, whose parser sets its program."""
+    params, spec = _program_params(args), _shrink_spec(args)
     panel, alpha, cov = _moments(args)
-    program = Program(args.program)
-    params = _program_params(args, program)
-    port = robust.solve_robust(program, alpha, cov, _shrink_spec(args), **params)
+    port = robust.solve_robust(args.program, alpha, cov, spec, **params)
     port = replace(port, assets=panel.assets)
     return serialize.dumps(serialize.portfolio_to_dict(port)) + "\n"
 
@@ -278,20 +290,17 @@ def _cmd_bounds(args) -> str:
 
 
 def _cmd_shrink_sweep(args) -> str:
-    _, alpha, cov = _moments(args)
     mode = ShrinkMode(args.mode)
     grid = parse_grid(args.grid)
-    program = None if args.program is None else Program(args.program)
-    params = {} if program is None else _program_params(args, program)
+    params = _program_params(args)
+    _, alpha, cov = _moments(args)
     rows = []
     for value in grid:
         spec = ShrinkageSpec(mode=mode, k=float(value))
         shrunk = robust.shrink_covariance(cov, alpha, spec)
         risky = solvers.solve(Program.RISKY, alpha, shrunk)
-        if program is None:
-            optimal = risky
-        else:
-            optimal = solvers.solve(program, alpha, shrunk, **params)
+        optimal = (risky if args.program is None
+                   else solvers.solve(args.program, alpha, shrunk, **params))
         weights_json = '"' + serialize.dumps(optimal.weights) + '"'
         rows.append([
             float(value),

@@ -28,7 +28,8 @@ of the pole (More & Sorensen 1983, "Computing a trust region step"):
 1/|u(nu)| is a -2 power mean of the terms nu + d_i, so it is concave and
 increasing there and the iterates rise monotonically to the root. The
 classical hard case (b orthogonal to the bottom eigenspace) is handled by
-adding a bottom-eigenvector component.
+adding a bottom-eigenvector component, and so is a root within rounding of
+the pole, where nu no longer places that component on the sphere.
 
 Multiplier convention: the reported lambda1 comes from differentiating the
 Lagrangian literally, so stationarity reads
@@ -204,7 +205,13 @@ def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
                          / (u_red @ (u_red / (d + nu))))
             nu += step
             iterations += 1
-        u = u_vecs @ (bt / (d + nu))
+        u_red = bt / (d + nu)
+        tail = float(u_red[1:] @ u_red[1:])
+        if abs(float(u_red @ u_red) / delta2 - 1.0) > 1e-12 and tail < delta2:
+            # nu next to the pole is fixed only to eps |nu|: fill the radius
+            # along the bottom eigenvector, as the hard case does
+            u_red[0] = np.copysign(np.sqrt(delta2 - tail), bt[0])
+        u = u_vecs @ u_red
         diagnostics["hard_case"] = False
         diagnostics["iterations"] = iterations
 

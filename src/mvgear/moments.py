@@ -384,20 +384,21 @@ def _estimate(panel: ReturnsPanel, spd_repair: bool):
     if rho[-1] <= 0.0:
         raise SingularCovariance("sample covariance has no positive eigenvalue")
     floor = EIGEN_FLOOR_RATIO * rho[-1]
+    repair = None
     if rho[0] <= floor:
         if not spd_repair:
             raise SingularCovariance(
                 f"smallest eigenvalue {rho[0]:g} below floor {floor:g} "
                 "and SPD repair is disabled"
             )
-        sample = (vecs * np.maximum(rho, floor)) @ vecs.T
-        cov = CovMatrix.from_entries(0.5 * (sample + sample.T))
-        return AlphaVector(alpha), cov, (
-            f"sample covariance eigenvalues clipped at {floor:g} "
-            f"(smallest was {rho[0]:g})")
-    # ``sample`` is exactly symmetric, so ``_symmetrized`` returns its bits
-    # unchanged and the decomposition above is the decomposition of them.
-    return AlphaVector(alpha), CovMatrix._from_eigh(_symmetrized(sample), rho, vecs), None
+        repair = (f"sample covariance eigenvalues clipped at {floor:g} "
+                  f"(smallest was {rho[0]:g})")
+        rho = np.maximum(rho, floor)
+        sample = (vecs * rho) @ vecs.T
+    # ``_symmetrized`` returns the exactly symmetric sample's bits unchanged,
+    # and averages a floored one with its transpose; either way ``_from_eigh``
+    # checks that (rho, vecs) reconstructs the entries.
+    return AlphaVector(alpha), CovMatrix._from_eigh(_symmetrized(sample), rho, vecs), repair
 
 
 # One record as the csv module reads it: fields split at commas, the record

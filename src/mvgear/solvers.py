@@ -18,10 +18,12 @@ mean-variance program (VII) mix theta_0 and theta_alpha:
 
 The minimum-variance set at fixed gearing is the parabola
 
-    sigma_p^2 = (alpha_p^2 A - 2 g0 alpha_p B + g0^2 C) / D,
+    sigma_p^2 = (alpha_p^2 A - 2 g0 alpha_p B + g0^2 C) / D
+              = g0^2 / A + (A / D) (alpha_p - g0 B / A)^2,
 
 minimized at alpha_p = g0 B / A with value g0^2 / A; sweeping (alpha_p, g0)
-produces the Pareto surface.
+produces the Pareto surface. It is evaluated in Merton's (1972) completed
+square, whose non-negative terms do not cancel near that minimum.
 
 Linear solves go through the spectral decomposition cached on CovMatrix
 rather than explicit inversion; each solve computes Sigma^-1 1 and
@@ -393,34 +395,16 @@ def solve(program: Program, alpha, cov: CovMatrix, /, **params) -> Portfolio:
 
 
 def frontier_variance(scalars: FrontierScalars, alpha_p, g0):
-    """Minimum portfolio variance at return alpha_p and gearing g0.
+    """Minimum portfolio variance at return alpha_p and gearing g0, as
+    g0^2 / A + (A / D) (alpha_p - g0 B / A)^2.
 
-    ``alpha_p`` and ``g0`` may be arrays that broadcast together. Squares
-    are taken with Python's float power (the C library's ``pow``), which
-    differs from numpy's ``x * x`` in the last bit for about one double in a
-    thousand, so that an array of points gives the bits each point gives
-    on its own. A square that overflows is inf, as in numpy.
+    ``alpha_p`` and ``g0`` may be arrays that broadcast together; each point
+    gets the bits it gets on its own. A square that overflows is inf.
     """
     if scalars.D <= DEGENERATE_D_TOL:
         raise DegenerateAlpha(f"D = {scalars.D:g} is not positive")
-    return (
-        _pow2(alpha_p) * scalars.A - 2.0 * g0 * alpha_p * scalars.B
-        + _pow2(g0) * scalars.C
-    ) / scalars.D
-
-
-def _square(v: float) -> float:
-    try:
-        return v**2
-    except OverflowError:  # Python's float power raises where pow() overflows
-        return np.inf
-
-
-def _pow2(x):
-    if np.ndim(x) == 0:
-        return _square(x)
-    x = np.asarray(x, dtype=float)
-    return np.array([_square(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    offset = alpha_p - g0 * (scalars.B / scalars.A)
+    return g0 * g0 / scalars.A + scalars.A / scalars.D * (offset * offset)
 
 
 @dataclass(frozen=True)
@@ -462,11 +446,9 @@ def pareto_surface(alpha, cov: CovMatrix, alpha_p_grid, g0_grid) -> ParetoSurfac
         raise NonFiniteData(f"variance at alpha_p = {float(alphas[i])!r}, "
                             f"g0 = {float(gearings[j])!r} is {float(var[i, j])!r}")
     on_gmv = _on_line(alphas, gearings * scal.B / scal.A)
-    if abs(scal.B) > ZERO_B_TOL:
-        on_risky = _on_line(alphas, gearings * scal.C / scal.B)
-    else:
-        on_risky = np.zeros(var.shape, dtype=bool)
-    return ParetoSurface(alphas, gearings, np.sqrt(np.maximum(var, 0.0)), on_gmv, on_risky)
+    on_risky = (_on_line(alphas, gearings * scal.C / scal.B) if abs(scal.B) > ZERO_B_TOL
+                else np.zeros(var.shape, dtype=bool))
+    return ParetoSurface(alphas, gearings, np.sqrt(var), on_gmv, on_risky)
 
 
 def implied_returns(target: Portfolio, cov: CovMatrix) -> AlphaVector:

@@ -102,21 +102,18 @@ def random_instance(rng, n, kappa=None, scale=1.0, min_d_ratio=0.0):
 # ---------------------------------------------------------------------------
 
 def odd_surface_instance():
-    """(alpha, Sigma, alpha_p grid, g0 grid) whose grids hold values where
-    numpy's and Python's squares differ, g0 = 0, and points on both lines."""
+    """(alpha, Sigma, alpha_p grid, g0 grid) whose grids hold g0 = 0, points
+    on both lines, and points one ulp either side of the GMV line, where the
+    offset alpha_p - g0 B / A of the completed square is all rounding."""
     from mvgear import frontier_scalars
 
     rng = np.random.default_rng(12)
     alpha, cov = random_instance(rng, 5)
     scal = frontier_scalars(alpha, cov)
-    # numpy squares by x * x, Python's float power by the C library's pow():
-    # for about one double in a thousand they differ in the last bit, and the
-    # surface must follow pow() as the loop did
-    odd = [v for v in rng.uniform(-2.0, 3.0, 50_000).tolist() if v**2 != v * v][:10]
-    assert len(odd) == 10
-    gearings = np.concatenate([[0.0, 1.0], rng.uniform(-2.0, 3.0, 20), odd[:5]])
-    alphas = np.concatenate([rng.uniform(-0.5, 0.5, 200), odd[5:],
-                             gearings[:5] * scal.B / scal.A,
+    gearings = np.concatenate([[0.0, 1.0], rng.uniform(-2.0, 3.0, 25)])
+    on_gmv = gearings[:5] * scal.B / scal.A
+    alphas = np.concatenate([rng.uniform(-0.5, 0.5, 205), on_gmv,
+                             np.nextafter(on_gmv, -np.inf), np.nextafter(on_gmv, np.inf),
                              gearings[:5] * scal.C / scal.B])
     return alpha, cov, alphas, gearings
 
@@ -131,12 +128,12 @@ def reference_surface(alpha, cov, alpha_p_grid, g0_grid):
     rows = []
     for alpha_p in map(float, alpha_p_grid):
         for g0 in map(float, g0_grid):
-            # frontier_variance's formula, squared by Python's float power
-            var = (alpha_p**2 * scal.A - 2.0 * g0 * alpha_p * scal.B
-                   + g0**2 * scal.C) / scal.D
+            # frontier_variance's completed square, in its operation order
+            offset = alpha_p - g0 * (scal.B / scal.A)
+            var = g0 * g0 / scal.A + scal.A / scal.D * (offset * offset)
             gmv_return = g0 * scal.B / scal.A
             rows.append((
-                alpha_p, g0, float(np.sqrt(max(var, 0.0))),
+                alpha_p, g0, float(np.sqrt(var)),
                 bool(abs(alpha_p - gmv_return)
                      <= LINE_FLAG_RTOL * max(1.0, abs(gmv_return))),
                 abs(scal.B) > ZERO_B_TOL and bool(

@@ -341,6 +341,42 @@ def test_program_v_takes_exactly_one_of_sigma0_and_g0(micro_csv, capsys, command
         "code=MissingParameter program V takes exactly one of --sigma0 / --g0\n")
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["solve", "--program", "VII", "--gamma", 1, "--g0", 1, "--q", 0.5],
+     "--q needs --shrink-mode"),
+    (["solve", "--program", "VII", "--gamma", 1, "--g0", 1, "--k", 0.1],
+     "--k needs --shrink-mode"),
+    (["solve", "--program", "VII", "--gamma", 1, "--g0", 1, "--shrink-mode", "simple",
+      "--q", 0.5, "--k", 0.2], "simple shrink takes --q, not --k"),
+    (["solve", "--program", "VII", "--gamma", 1, "--g0", 1, "--shrink-mode", "angle",
+      "--k", 0.1, "--q", 0.2], "angle shrink takes --k, not --q"),
+    (["shrink-sweep", "--mode", "simple", "--grid", "0:0.5:1", "--gamma", 5],
+     "--gamma needs --program"),
+    (["solve", "--program", "III", "--gamma", 1, "--g0", 7], "program III takes no --g0"),
+])
+def test_a_flag_the_run_would_ignore_exits_2(micro_csv, tmp_path, capsys, argv, err):
+    out = tmp_path / "out"
+    assert run([*argv, "--input", micro_csv, "--output", out]) == 2
+    assert capsys.readouterr().err == f"code=BadArguments {err}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "shrink-sweep"])
+@pytest.mark.parametrize("program,name", [
+    (program, name) for program in CHOICES for name in FLAG_VALUES
+    if name != "n0" and name not in (*PROGRAMS[program].required,
+                                     *PROGRAMS[program].optional, *PROGRAMS[program].one_of)
+])
+def test_a_parameter_the_program_does_not_take_exits_2(micro_csv, capsys, command,
+                                                        program, name):
+    entry = PROGRAMS[program]
+    extra = SWEEP_ARGS if command == "shrink-sweep" else []
+    assert run([command, "--input", micro_csv, "--program", program.value, *extra,
+                *flags(entry.required + entry.one_of[:1] + (name,))]) == 2
+    assert capsys.readouterr().err == (
+        f"code=BadArguments program {program.value} takes no --{name}\n")
+
+
 @pytest.mark.parametrize("command", ["solve", "shrink-sweep"])
 def test_program_choices_are_the_table_keys(command):
     parser = cli._build_parser()

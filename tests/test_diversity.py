@@ -276,6 +276,30 @@ def test_near_hard_case_converges(bottom, ratio):
         assert sol.objective >= problem.objective(reference) - 1e-15
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_root_next_to_the_pole_solves(seed):
+    # b has component 1e-4, 1e-8 or 1e-12 on the bottom eigenvector of
+    # Z'Sigma Z, and the rest of b fills only half the radius at the pole, so
+    # the root sits that close to -lambda_min and nu is fixed only to eps |nu|.
+    # A uniform rescale onto the sphere then left stationarity residuals of
+    # 1.3e-8 to 7.2e-7 on all ten 1e-12 instances.
+    rng = np.random.default_rng(seed)
+    n, gamma, g0, n0 = 8, 1.0, 1.0, 2.0
+    a = rng.standard_normal((n, n))
+    cov = CovMatrix.from_entries(a @ a.T / n + 0.1 * np.eye(n))
+    delta = np.sqrt(1.0 / n0 - g0**2 / n)
+    z = null_space(np.ones((1, n)))
+    d, x = np.linalg.eigh(gamma * z.T @ cov.entries @ z)
+    bt = rng.standard_normal(n - 1)
+    bt *= 0.5 * delta / np.linalg.norm(bt[1:] / (d[1:] - d[0]))
+    bt[0] = [1e-4, 1e-8, 1e-12][seed % 3]
+    alpha = gamma * g0 * cov.entries @ (np.ones(n) / n) + z @ (x @ bt) + 0.01
+    problem = QoqcProblem(alpha=alpha, cov=cov, gamma=gamma, g0=g0, n0=n0)
+    sol = solve_qoqc(problem)
+    check_solution(problem, sol)
+    assert not sol.diagnostics["hard_case"]
+
+
 def test_newton_step_cap_raises_tolerance_not_met(monkeypatch):
     rng = np.random.default_rng(131)
     alpha, cov = random_instance(rng, 6)

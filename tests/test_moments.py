@@ -422,11 +422,16 @@ def test_estimate_moments_decomposes_once(eigh_calls):
     assert np.array_equal(again.eigenvectors, cov.eigenvectors)
 
 
-def test_estimate_moments_decomposes_twice_when_repairing(eigh_calls):
+def test_estimate_moments_decomposes_once_when_repairing(eigh_calls):
+    # the floored matrix is V max(rho, floor) V', so its spectrum is known
     panel = ReturnsPanel(assets=("a", "b"), rows=np.array([[0.1, 0.0], [0.3, 0.0]]))
     with pytest.warns(SpdRepairWarning):
-        estimate_moments(panel)
-    assert len(eigh_calls) == 2
+        _, cov = estimate_moments(panel)
+    assert len(eigh_calls) == 1
+    floor = EIGEN_FLOOR_RATIO * cov.eigenvalues[0]
+    assert cov.eigenvalues[-1] == floor
+    npt.assert_allclose((cov.eigenvectors * cov.eigenvalues) @ cov.eigenvectors.T,
+                        cov.entries, rtol=0, atol=1e-15 * cov.eigenvalues[0])
 
 
 def test_nan_reconstruction_raises_convergence_failure(monkeypatch):
@@ -499,7 +504,7 @@ def test_floored_panel_warns_on_every_load_hits_included(tmp_path, monkeypatch,
         messages.append(str(record[0].message))
     assert len(set(messages)) == 1 and messages[0].startswith("sample covariance")
     assert covs[1] is covs[0] and covs[2] is covs[0]
-    assert len(eigh_calls) == 2  # one load: the sample, then the repaired matrix
+    assert len(eigh_calls) == 1  # one load: the sample, floored in its own eigenbasis
 
 
 def test_floored_panel_without_repair_still_raises_after_a_repair(tmp_path):

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -41,8 +42,8 @@ from mvgear import (
 from mvgear import AlphaVector, QoqcProblem
 from mvgear.solvers import PROGRAMS, solve
 
-from conftest import (odd_surface_instance, random_instance, reference_surface,
-                      surface_points)
+from conftest import (odd_surface_instance, random_instance, random_spd,
+                      reference_surface, surface_points)
 
 
 def kkt_check(weights, q, c, e, d, tol=1e-8):
@@ -488,6 +489,37 @@ def test_collinearity_family():
         assert alpha_angle(member, risky) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [50, 200, 500])
+def test_unshrunk_closed_forms_match_the_kkt_oracle_at_scale(n):
+    # GMV, III, VI and VII against the bordered KKT system of the entries,
+    # which never reads the spectrum the closed forms solve through: each
+    # weight within 32 kappa eps of the largest. Largest seen: 6.3 kappa eps,
+    # VI at n = 500, kappa = 1e2, where the O(n eps) floor of both solvers
+    # dominates.
+    rng = np.random.default_rng(70 + n)
+    ones, zeros, none = np.ones((1, n)), np.zeros(n), np.zeros((0, n))
+    for kappa in (1e2, 1e5, 1e8):
+        cov = CovMatrix.from_entries(random_spd(rng, n, kappa=kappa))
+        a = 5e-3 * (1.0 + 0.5 * rng.standard_normal(n))
+        sigma, alpha0 = cov.entries, float(a.mean())
+        cases = {
+            Program.GMV: ({}, KktProblem(sigma, zeros, ones, [1.0])),
+            Program.III: ({"gamma": 2.0}, KktProblem(2.0 * sigma, a, none, [])),
+            Program.VI: ({"alpha0": alpha0, "g0": 1.0},
+                         KktProblem(sigma, zeros, np.vstack([a, ones]), [alpha0, 1.0])),
+            Program.VII: ({"gamma": 2.0, "g0": 1.0},
+                          KktProblem(2.0 * sigma, a, ones, [1.0])),
+        }
+        tolerance = 32.0 * cov.condition_number * np.finfo(float).eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InefficientBranchWarning)
+            for program, (params, problem) in cases.items():
+                want, _ = solve_kkt(problem)
+                got = solve(program, AlphaVector(a), cov, **params).weights
+                npt.assert_allclose(got, want, rtol=0, atol=tolerance * np.abs(want).max(),
+                                    err_msg=f"{program.value}, kappa {kappa}")
+
+
 # ---------------------------------------------------------------------------
 # Frontier parabola and surface
 # ---------------------------------------------------------------------------
@@ -572,6 +604,57 @@ def test_frontier_variance_overflows_to_inf(micro_alpha, micro_cov):
         assert frontier_variance(scal, 1e200, 1.0) == np.inf
         assert frontier_variance(scal, 0.0, 1e300) == np.inf
         assert frontier_variance(scal, np.array([1e200, 0.1]), 1.0)[0] == np.inf
+
+
+def test_frontier_variance_does_not_cancel_near_the_minimum_variance_line():
+    # alpha = 5e-4 (1 + s z) puts every return near one value, so D/B^2 ~ s^2
+    # and the expanded numerator alpha_p^2 A - 2 g0 alpha_p B + g0^2 C cancels
+    # down to g0^2 D / A: evaluated so, it was off by 3e4 eps at s = 1e-2 and
+    # by 7e15 eps at s = 1e-8. The completed square g0^2/A + (A/D) offset^2
+    # carries A's rounding in its first term and D's in its second, and
+    # D = AC - B^2 is itself accurate only to eps AC/D, which the bound's
+    # second term states. Over 30 instances the largest error at f <= 1 was
+    # 25 eps. At s = 1e-8 the computed D is rounding noise: where it is not
+    # positive, frontier_scalars raises DegenerateAlpha and no point is read.
+    eps = np.finfo(float).eps
+    fractions = [0.0, 1e-3, 1.0, 10.0]
+    evaluated = []
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        cov = CovMatrix.from_entries(random_spd(rng, 20, kappa=38.0, scale=1e-4))
+        z = rng.standard_normal(20)
+        with mpmath.workdps(60):
+            sigma = mpmath.matrix(cov.entries.tolist())
+            ones = mpmath.matrix([1] * 20)
+            si_ones = mpmath.lu_solve(sigma, ones)
+        for spread in [1e-2, 1e-4, 1e-6, 1e-8]:
+            alpha = 5e-4 * (1.0 + spread * z)
+            try:
+                scal = frontier_scalars(alpha, cov)
+            except DegenerateAlpha:
+                assert spread == 1e-8
+                continue
+            evaluated.append(spread)
+            gmv, risky = scal.B / scal.A, scal.C / scal.B
+            alphas = [gmv + f * (risky - gmv) for f in fractions]
+            surface = pareto_surface(alpha, cov, alphas, [1.0])
+            with mpmath.workdps(60):
+                a = mpmath.matrix(alpha.tolist())
+                big_a = mpmath.fdot(ones, si_ones)
+                big_b = mpmath.fdot(a, si_ones)
+                big_c = mpmath.fdot(a, mpmath.lu_solve(sigma, a))
+                for alpha_p, sigma_p in zip(alphas, surface.sigma_p[:, 0]):
+                    x = mpmath.mpf(alpha_p)
+                    exact = ((x * x * big_a - 2 * x * big_b + big_c)
+                             / (big_a * big_c - big_b * big_b))
+                    offset = alpha_p - gmv
+                    bound = 128 * eps * (1.0 / scal.A + scal.A / scal.D * offset**2
+                                         * (scal.A * scal.C / scal.D))
+                    assert abs(frontier_variance(scal, alpha_p, 1.0) - exact) <= bound
+                    assert abs(sigma_p - mpmath.sqrt(exact)) <= (
+                        bound / (2 * sigma_p) + eps * sigma_p)
+    assert evaluated.count(1e-2) == evaluated.count(1e-6) == 5
+    assert 1e-8 in evaluated
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""``tools/artifact_drift.py``: which differences are numbers, which are structure."""
+"""The benchmark's tools: which differences ``tools/artifact_drift.py`` reads as
+numbers and which as structure, and the flag checks every request passes."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,38 @@ def test_drift_reads_csv_cells_and_weights_json(tmp_path):
     assert len(leaves) == 4
     with pytest.raises(drift.Structural):
         drift._load(str(short))
+
+
+_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _flag_checks(args):
+    """What ``cli`` checks of a request's flags before it reads its panel."""
+    from mvgear import cli
+
+    if args.command in ("solve", "qoqc", "shrink-sweep"):
+        cli._program_params(args)
+    if args.command in ("solve", "qoqc"):
+        cli._shrink_spec(args)
+    for grid in ("alpha_grid", "grid") + (("g0",) if args.command == "surface" else ()):
+        if getattr(args, grid, None) is not None:
+            cli.parse_grid(getattr(args, grid))
+
+
+def test_every_benchmark_request_passes_the_flag_checks(tmp_path, monkeypatch):
+    # A request a flag check refused would exit 2 in the benchmark and lower
+    # its ok_ratio; this builds each workload's script and solves nothing.
+    from mvgear import cli
+
+    spec = importlib.util.spec_from_file_location("workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    commands = set()
+    for name in workloads.NAMES:
+        workload = workloads.make_workload(name, 11, str(tmp_path / name))
+        for argv in [workload.cold_start, *(r.argv for r in workload.script)]:
+            args = cli._build_parser().parse_args(argv)
+            _flag_checks(args)
+            commands.add(args.command)
+    assert commands == set(cli.COMMANDS)
