@@ -121,29 +121,41 @@ def _backward_error(residual: np.ndarray, scale: float) -> float:
     return _norm(residual) / max(scale, np.finfo(float).tiny)
 
 
-def _row_quadratic(batch: np.ndarray, cov_entries: np.ndarray) -> np.ndarray:
-    """theta'Sigma theta for every row theta of ``batch``: one GEMM, one row dot."""
-    return np.einsum("ij,ij->i", batch @ cov_entries, batch)
+def _row_quadratic(batch: np.ndarray, cov_entries: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """theta'Sigma theta for every row theta of ``batch``: one GEMM, into
+    ``out`` if given, and one row dot."""
+    return np.einsum("ij,ij->i", np.matmul(batch, cov_entries, out=out), batch)
 
 
 def project_to_gearing(g0: float):
-    """Projector onto {theta : 1'theta = g0} for sample batches."""
+    """Projector onto {theta : 1'theta = g0} for float sample batches; it
+    shifts the batch in place and returns it."""
 
     def project(batch: np.ndarray) -> np.ndarray:
         batch = np.atleast_2d(batch)
         shift = (g0 - batch.sum(axis=1)) / batch.shape[1]
-        return batch + shift[:, None]
+        batch += shift[:, None]
+        return batch
 
     return project
 
 
 def sharpe_objective(alpha: np.ndarray, cov_entries: np.ndarray):
-    """Vectorized alpha'theta / sqrt(theta'Sigma theta)."""
+    """Vectorized alpha'theta / sqrt(theta'Sigma theta).
+
+    Sigma theta is formed in a buffer the objective keeps, grown to the
+    largest batch it has seen, so a sampler's blocks reuse one array.
+    """
+    scratch = np.empty((0, cov_entries.shape[1]))
 
     def objective(batch: np.ndarray) -> np.ndarray:
+        nonlocal scratch
         batch = np.atleast_2d(batch)
+        if scratch.shape[0] < batch.shape[0]:
+            scratch = np.empty((batch.shape[0], cov_entries.shape[1]))
         ret = batch @ alpha
-        var = _row_quadratic(batch, cov_entries)
+        var = _row_quadratic(batch, cov_entries, out=scratch[:batch.shape[0]])
         return ret / np.sqrt(np.maximum(var, 1e-300))
 
     return objective
@@ -154,9 +166,10 @@ def dominance_sample(objective, projector, dim: int, count: int, seed: int) -> f
 
     The samples are the rows of ``default_rng(seed).standard_normal((count,
     dim))``, drawn in order but in blocks of ``SAMPLE_BLOCK_BYTES // (8 * dim)``
-    rows (at least one). Each block is projected and scored before the next
-    is drawn, so memory does not grow with ``count``; ``projector`` and
-    ``objective`` are called once per block and see every row exactly once.
+    rows (at least one), each into the same buffer. Each block is projected
+    and scored before the next is drawn, so memory does not grow with
+    ``count``; ``projector`` and ``objective`` are called once per block, see
+    every row exactly once, and may overwrite the block they are given.
     """
     if count < 1:
         raise DimensionError(f"count must be >= 1, got {count}")
@@ -164,8 +177,9 @@ def dominance_sample(objective, projector, dim: int, count: int, seed: int) -> f
         raise DimensionError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     rows = max(1, SAMPLE_BLOCK_BYTES // (8 * dim))
+    block = np.empty((min(rows, count), dim))
     peaks = []
     for start in range(0, count, rows):
-        batch = rng.standard_normal((min(rows, count - start), dim))
+        batch = rng.standard_normal(out=block[:min(rows, count - start)])
         peaks.append(np.asarray(objective(projector(batch)), dtype=float).max())
     return float(np.max(peaks))

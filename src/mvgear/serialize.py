@@ -44,10 +44,13 @@ def dumps(obj) -> str:
     """JSON with fixed float formatting; dict order is preserved.
 
     A float ndarray is written row by row with ``%.17g``, which shares
-    CPython's float-to-text path with ``format(x, ".17g")``.
+    CPython's float-to-text path with ``format(x, ".17g")``, and a list of
+    strings by one ``json.dumps``, whose separator is the ", " used here.
     """
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
         return _float_rows(_require_finite(obj))
+    if isinstance(obj, list) and all(isinstance(v, str) for v in obj):
+        return json.dumps(obj, ensure_ascii=False)
     if obj is None:
         return "null"
     if obj is True:
@@ -103,13 +106,14 @@ def csv_lines(header: list[str], rows) -> str:
 
 
 def portfolio_to_dict(portfolio: Portfolio) -> dict:
-    """Wire form: program, params, assets, weights, gearing, leverage, alpha_p, sigma_p."""
+    """Wire form: program, params, assets, weights, gearing, leverage, alpha_p,
+    sigma_p; ``weights`` stays a float array, which :func:`dumps` writes row-wise."""
     params = {k: portfolio.params[k] for k in sorted(portfolio.params)}
     return {
         "program": portfolio.program.value,
         "params": params,
         "assets": list(portfolio.assets) if portfolio.assets is not None else None,
-        "weights": [float(w) for w in portfolio.weights],
+        "weights": np.asarray(portfolio.weights, dtype=float),
         "gearing": portfolio.gearing,
         "leverage": portfolio.leverage,
         "alpha_p": portfolio.alpha_p,

@@ -16,9 +16,12 @@ from mvgear import (
     solve_QOQC,
     solve_qoqc,
 )
+from mvgear.cli import main
 from mvgear.diversity import GEARING_TOL, SPHERE_TOL, STATIONARITY_TOL
 
-from conftest import random_cov, random_instance
+from conftest import random_cov, random_instance, random_orthogonal
+
+EPS = np.finfo(float).eps
 
 
 def manifold_grid_oracle(problem, samples=1_000_000):
@@ -300,6 +303,187 @@ def test_root_next_to_the_pole_solves(seed):
     assert not sol.diagnostics["hard_case"]
 
 
+def second_order_gap(problem, sol):
+    """Smallest eigenvalue of gamma Z'Sigma Z + nu I; with stationarity and
+    the constraints, a value >= 0 certifies the global maximum (trust-region
+    optimality)."""
+    n = problem.dim
+    z = null_space(np.ones((1, n)))
+    reduced = problem.gamma * z.T @ problem.cov.entries @ z
+    return float(np.linalg.eigvalsh(
+        reduced + sol.diagnostics["ridge_shift"] * np.eye(n - 1)).min())
+
+
+def pole_instance(rng, cov, gamma, g0, n0, bottom, ratio):
+    """alpha whose reduced linear term has component ``bottom`` on the bottom
+    eigenvector of gamma Z'Sigma Z, the rest filling ``ratio`` times the
+    radius at the pole; the constant 0.05 is the multiplier's to absorb."""
+    n = cov.dim
+    delta = np.sqrt(1.0 / n0 - g0**2 / n)
+    z = null_space(np.ones((1, n)))
+    d, x = np.linalg.eigh(gamma * z.T @ cov.entries @ z)
+    bt = rng.standard_normal(n - 1)
+    bt *= ratio * delta / np.linalg.norm(bt[1:] / (d[1:] - d[0]))
+    bt[0] = bottom
+    return gamma * g0 * cov.entries @ (np.ones(n) / n) + z @ (x @ bt) + 0.05
+
+
+@pytest.mark.parametrize("n", [50, 200, 500])
+@pytest.mark.parametrize("kappa", [1e2, 1e5, 1e8])
+def test_matches_reference_solver_at_scale(n, kappa):
+    # Sigma's cached eigenpairs against the reference's own eigh of the
+    # reduced matrix; the largest gap seen was 0.26 kappa eps max|theta|
+    # (n = 500, kappa = 1e2), where the reference itself is off by 0.06.
+    rng = np.random.default_rng(n + int(np.log10(kappa)))
+    alpha, cov = random_instance(rng, n, kappa=kappa)
+    problem = QoqcProblem(alpha=alpha.entries, cov=cov,
+                          gamma=float(rng.uniform(1.0, 10.0)), g0=1.0, n0=n / 4)
+    sol = solve_qoqc(problem)
+    check_solution(problem, sol)
+    reference = reference_qoqc(problem)
+    npt.assert_allclose(sol.weights, reference, rtol=0.0,
+                        atol=4.0 * kappa * EPS * np.abs(reference).max())
+
+
+def small_r_alpha(rng, cov, gamma, g0, away):
+    """alpha with r = alpha - gamma g0 Sigma e of size 1e-6 (so the rest of
+    the reduced linear term underfills the sphere at the pole) plus a
+    constant, and no component along the unit vector ``away``."""
+    n = cov.dim
+    r = 1e-6 * rng.standard_normal(n)
+    r -= (r @ away) * away
+    return gamma * g0 * cov.entries @ (np.ones(n) / n) + r + 0.05
+
+
+@pytest.mark.parametrize("factor", ["exact", "tiny", "eigh"])
+@pytest.mark.parametrize("hard", [False, True])
+def test_bottom_eigenvectors_orthogonal_to_ones(hard, factor):
+    # Sigma's two bottom eigenvectors (e_1 - e_2)/sqrt(2) and
+    # (e_1 + e_2 - 2 e_3)/sqrt(6) lie in the complement of 1: they are
+    # eigenvectors of gamma Z'Sigma Z too, the first with its bottom
+    # eigenvalue gamma rho_n, and the secular root is not the pole. Held with
+    # that exact factor, c_1 = c_2 = 0. Moved by 1e-170 each, c_1^2 underflows
+    # and no rotation pairs them, so only the deflation of |c_i| <= 8 eps
+    # sqrt(n) keeps the root finder off a zero division. From eigh, c_1 and
+    # c_2 are rounding (1e-14 here).
+    rng = np.random.default_rng(137)
+    n, gamma, g0, n0 = 12, 2.0, 1.0, 3.0
+    pair = np.zeros((n, 2))
+    pair[:3, 0] = [np.sqrt(0.5), -np.sqrt(0.5), 0.0]
+    pair[:3, 1] = [1.0, 1.0, -2.0] / np.sqrt(6.0)
+    rest = rng.standard_normal((n, n - 2))
+    rest, _ = np.linalg.qr(rest - pair @ (pair.T @ rest))
+    if factor == "tiny":
+        pair[5:7, [0, 1]] = [[1e-170, 0.0], [0.0, 1e-170]]
+    basis = np.column_stack([rest[:, ::-1], pair[:, ::-1]])
+    rho = np.geomspace(1.0, 1e-3, n)
+    entries = (basis * rho) @ basis.T
+    entries = 0.5 * (entries + entries.T)
+    cov = (CovMatrix.from_entries(entries) if factor == "eigh"
+           else CovMatrix(entries=entries, spectrum=rho, basis=basis))
+    if factor != "eigh":
+        c = cov.eigenvectors.sum(axis=0)
+        npt.assert_array_equal(c[-2:], 1e-170 if factor == "tiny" else 0.0)
+    bottom = pair[:, 0]
+    alpha = (small_r_alpha(rng, cov, gamma, g0, bottom) if hard
+             else rng.uniform(0.02, 0.2, n))
+    problem = QoqcProblem(alpha=alpha, cov=cov, gamma=gamma, g0=g0, n0=n0)
+    sol = solve_qoqc(problem)
+    check_solution(problem, sol)
+    assert sol.diagnostics["hard_case"] == hard
+    assert second_order_gap(problem, sol) >= -1e-12
+    if hard:
+        assert sol.diagnostics["ridge_shift"] == pytest.approx(-gamma * 1e-3, rel=1e-9)
+    else:
+        reference = reference_qoqc(problem)
+        npt.assert_allclose(sol.weights, reference, rtol=0.0,
+                            atol=1e-11 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("hard", [False, True])
+def test_repeated_bottom_eigenvalue(hard):
+    # rho_n twice: one combination of its two eigenvectors lies in the
+    # complement of 1 and is the bottom eigenvector of gamma Z'Sigma Z, and the
+    # deflation finds it by rotating the pair.
+    rng = np.random.default_rng(139)
+    n, gamma, g0, n0 = 12, 2.0, 1.0, 3.0
+    q = random_orthogonal(rng, n)
+    rho = np.concatenate([[1e-3, 1e-3], np.geomspace(2e-3, 1.0, n - 2)])
+    cov = CovMatrix.from_entries((q * rho) @ q.T)
+    pair = q[:, :2]
+    bottom = pair @ np.array([pair[:, 1].sum(), -pair[:, 0].sum()])
+    bottom /= np.linalg.norm(bottom)
+    alpha = (small_r_alpha(rng, cov, gamma, g0, bottom) if hard
+             else rng.uniform(0.02, 0.2, n))
+    problem = QoqcProblem(alpha=alpha, cov=cov, gamma=gamma, g0=g0, n0=n0)
+    sol = solve_qoqc(problem)
+    check_solution(problem, sol)
+    assert sol.diagnostics["hard_case"] == hard
+    assert second_order_gap(problem, sol) >= -1e-12
+    if not hard:
+        reference = reference_qoqc(problem)
+        npt.assert_allclose(sol.weights, reference, rtol=0.0,
+                            atol=1e-11 * np.abs(reference).max())
+
+
+def test_hard_case_on_the_secular_root():
+    # generic Sigma: the bottom eigenvector of gamma Z'Sigma Z mixes all of
+    # Sigma's, and is (D - h_1 I)^-1 c in their basis
+    rng = np.random.default_rng(149)
+    n, gamma, g0, n0 = 30, 2.0, 1.0, 5.0
+    cov = random_cov(rng, n, kappa=1e3)
+    alpha = pole_instance(rng, cov, gamma, g0, n0, bottom=0.0, ratio=0.5)
+    problem = QoqcProblem(alpha=alpha, cov=cov, gamma=gamma, g0=g0, n0=n0)
+    sol = solve_qoqc(problem)
+    check_solution(problem, sol)
+    assert sol.diagnostics["hard_case"]
+    assert second_order_gap(problem, sol) >= -1e-12
+
+
+@pytest.mark.parametrize("n,kappa,seed", [(60, 1e5, 0), (120, 4e7, 1), (240, 5e7, 2)])
+@pytest.mark.parametrize("bottom", [0.0, 1e-12, 1e-8])
+def test_root_at_the_pole_of_an_ill_conditioned_covariance(n, kappa, seed, bottom):
+    # The bottom of gamma Sigma sits 1e-7 to 1e-10 below its neighbours, so
+    # (D - h_1 I)^-1 c is large. Before a was projected on the complement of
+    # c, rounding of its constant part in those entries left 1'theta off by
+    # up to 1e-7 (ToleranceNotMet) on such instances.
+    rng = np.random.default_rng(seed)
+    gamma, g0, n0 = 10.0, 1.0, n / 3
+    cov = random_cov(rng, n, kappa=kappa)
+    alpha = pole_instance(rng, cov, gamma, g0, n0, bottom=bottom, ratio=0.5)
+    problem = QoqcProblem(alpha=alpha, cov=cov, gamma=gamma, g0=g0, n0=n0)
+    sol = solve_qoqc(problem)
+    check_solution(problem, sol)
+    assert sol.kkt_residual <= 1e-13
+    assert second_order_gap(problem, sol) >= -1e-12
+
+
+def test_qoqc_request_decomposes_nothing_after_the_load(tmp_path, monkeypatch):
+    # The load decomposes Sigma once and keeps it; the solve and the verify
+    # re-solve then read its eigenpairs and run no second decomposition.
+    rng = np.random.default_rng(151)
+    n = 15
+    rows = 0.01 + 0.05 * rng.standard_normal((60, n))
+    csv = tmp_path / "returns.csv"
+    csv.write_text(",".join(f"a{i}" for i in range(n)) + "\n" + "\n".join(
+        ",".join(repr(float(v)) for v in row) for row in rows) + "\n")
+    port, report = tmp_path / "q.json", tmp_path / "v.json"
+    argv = ["qoqc", "--input", str(csv), "--gamma", "5", "--g0", "1", "--n0", "4",
+            "--output", str(port)]
+    assert main(argv) == 0
+    first = port.read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second decomposition")
+
+    for name in ("eigh", "eigvalsh", "svd", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert main(argv) == 0
+    assert port.read_bytes() == first
+    assert main(["verify", "--input", str(csv), "--portfolio", str(port),
+                 "--output", str(report)]) == 0
+
+
 def test_newton_step_cap_raises_tolerance_not_met(monkeypatch):
     rng = np.random.default_rng(131)
     alpha, cov = random_instance(rng, 6)
@@ -319,18 +503,13 @@ def test_nan_stationarity_residual_raises_tolerance_not_met(monkeypatch):
         solve_qoqc(problem)
 
 
-def test_nan_weights_raise_tolerance_not_met(monkeypatch):
-    # NaN eigenvectors of the reduced matrix make every weight NaN
+def test_nan_weights_raise_tolerance_not_met():
+    # NaN cached eigenvectors of Sigma make every weight NaN
     rng = np.random.default_rng(131)
     alpha, cov = random_instance(rng, 6)
-    problem = QoqcProblem(alpha=alpha.entries, cov=cov, gamma=2.0, g0=1.0, n0=3.0)
-    real = np.linalg.eigh
-
-    def nan_vectors(a):
-        d, u = real(a)
-        return d, np.full_like(u, np.nan)
-
-    monkeypatch.setattr(np.linalg, "eigh", nan_vectors)
+    nan_cov = CovMatrix(entries=cov.entries, spectrum=cov.spectrum,
+                        basis=np.full_like(cov.basis, np.nan))
+    problem = QoqcProblem(alpha=alpha.entries, cov=nan_cov, gamma=2.0, g0=1.0, n0=3.0)
     with pytest.raises(ToleranceNotMet, match="constraint residuals"):
         solve_qoqc(problem)
 

@@ -1,15 +1,18 @@
-"""The float-array path of ``serialize.dumps`` against its element-wise path.
+"""The array paths of ``serialize.dumps`` against its element-wise path.
 
 A float ndarray is written row by row with ``%.17g``; a list of Python floats
 goes through ``fmt_float`` one value at a time. Both must give the same bytes,
-and the same error for a non-finite value.
+and the same error for a non-finite value. A list of strings is written by
+one ``json.dumps``, and must give the bytes of one ``json.dumps`` per string.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from mvgear import InvalidPortfolio
-from mvgear.serialize import dumps
+from mvgear import InvalidPortfolio, Portfolio, Program
+from mvgear.serialize import dumps, portfolio_to_dict
 
 EDGES = [
     -0.0, 0.0,
@@ -81,3 +84,21 @@ def test_arrays_inside_documents():
            "counts": np.array([1, 2])}
     assert dumps(doc) == ('{"alpha": [0.10000000000000001, 0.20000000000000001], '
                           '"covariance": [[1, 0], [0, 1]], "n": 2, "counts": [1, 2]}')
+
+
+@pytest.mark.parametrize("names", [
+    [], ["EQT", "BND"], ["Ünïcödé", "日本株", "a\"b", "back\\slash", "tab\there", "\x00\x1f\u2028"],
+])
+def test_string_lists_match_the_element_wise_path(names):
+    element_wise = "[" + ", ".join(json.dumps(s, ensure_ascii=False) for s in names) + "]"
+    assert dumps(names) == element_wise
+    assert dumps(["x", 1.5]) == '["x", 1.5]'
+
+
+def test_a_record_writes_its_weights_as_the_element_wise_path_did():
+    weights = np.array(EDGES[2:12])
+    port = Portfolio(weights=weights, program=Program.VII, params={"gamma": 2.0, "g0": 1.0},
+                     gearing=float(weights.sum()), leverage=float(np.abs(weights).sum()),
+                     alpha_p=0.1, sigma_p=None, assets=tuple(f"A{i}" for i in range(10)))
+    record = portfolio_to_dict(port)
+    assert dumps(record) == dumps({**record, "weights": record["weights"].tolist()})
