@@ -308,8 +308,8 @@ def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
     delta = float(np.sqrt(delta2))
 
     # Sigma's eigenpairs in ascending order: d = gamma rho, c = V'1, a = V'r.
-    vecs = problem.cov.eigenvectors
-    d = problem.gamma * problem.cov.eigenvalues[::-1]
+    rho, vecs = problem.cov.eigenpairs
+    d = problem.gamma * rho[::-1]
     c = vecs.sum(axis=0)[::-1]
     a = (problem.alpha @ vecs)[::-1] - (problem.g0 / n) * d * c
     k, rotations = _deflate(d, c, a)

@@ -193,9 +193,9 @@ def worst_case_constrained(cov: CovMatrix, eta: float) -> WorstCasePair:
     if eta < 1.0 - 1e-12:
         raise InvalidEta(f"eta = {eta} below 1")
     eta = max(eta, 1.0)
-    rho = cov.eigenvalues
-    q1 = cov.eigenvectors[:, 0]
-    qn = cov.eigenvectors[:, -1]
+    rho, vecs = cov.eigenpairs
+    q1 = vecs[:, 0]
+    qn = vecs[:, -1]
     alpha = np.sqrt(eta * rho[0]) * q1 + np.sqrt(rho[-1]) * qn
     theta = q1 / np.sqrt(eta * rho[0]) + qn / np.sqrt(rho[-1])
     return WorstCasePair(

@@ -16,9 +16,10 @@ diagonal D = diag(Sigma) does the same through the correlation matrix
 R = D^-1/2 Sigma D^-1/2 = Q Lambda Q', decomposed once per covariance and
 kept with it: w D + (1 - w) Sigma = D^1/2 Q (w + (1 - w) Lambda) Q' D^1/2
 (:meth:`CovMatrix.toward_diagonal`). Its own eigenvalues, which only its
-condition number needs, cost one ``eigvalsh`` when first read. Near-singular
-sample covariances are repaired by clipping eigenvalues at a floor relative
-to the largest one.
+condition number needs, cost one ``eigvalsh`` when first read; its own
+eigenpairs, which QOQC and the worst-case pair need, cost one ``eigh``.
+Near-singular sample covariances are repaired by clipping eigenvalues at a
+floor relative to the largest one.
 
 A process that loads the same file bytes again gets back the panel it parsed
 and, for that panel, the moments it estimated: one entry each, so a script of
@@ -184,9 +185,9 @@ class CovMatrix:
     positive diagonal scaling, the identity when ``scale`` is None. Unscaled,
     U and mu are Sigma's own eigenvectors and eigenvalues. Scaled (see
     :meth:`toward_diagonal`), they are the spectrum of S^-1 Sigma S^-1, and
-    Sigma's own ``eigenvalues`` and ``eigenvectors`` are computed when first
-    read. Either way :meth:`solve` and the factor L = S U diag(sqrt(mu)),
-    Sigma = L L', cost O(n^2).
+    Sigma's own ``eigenvalues`` (one ``eigvalsh``) and :attr:`eigenpairs`
+    (one ``eigh``) are computed when first read. Either way :meth:`solve`
+    and the factor L = S U diag(sqrt(mu)), Sigma = L L', cost O(n^2).
     """
 
     entries: np.ndarray
@@ -255,7 +256,7 @@ class CovMatrix:
         *Matrix Computations*, 8.7). R is decomposed by :meth:`from_entries`,
         with its checks, at the first 0 < w < 1, and its spectrum is kept
         with this matrix. The entries are the convex combination's own bits;
-        the shrunk matrix's ``eigenvalues`` and ``eigenvectors`` are computed
+        the shrunk matrix's ``eigenvalues`` and ``eigenpairs`` are computed
         when first read. w = 0 gives back this matrix, and w = 1 gives D with
         its own spectrum: the sorted variances and the unit vectors.
         """
@@ -290,7 +291,7 @@ class CovMatrix:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Sigma's eigenvalues, descending; ``eigvalsh`` of the entries, on
-        first read, for a scaled matrix."""
+        first read, for a scaled matrix, whatever :attr:`eigenpairs` holds."""
         if self.scale is None:
             return self.spectrum
         rho = np.linalg.eigvalsh(self.entries)[::-1]
@@ -301,9 +302,12 @@ class CovMatrix:
         return _frozen_array(rho)
 
     @property
-    def eigenvectors(self) -> np.ndarray:
-        """Sigma's orthonormal eigenvectors as columns, matching ``eigenvalues``."""
-        return self._own.basis
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, V): Sigma's eigenvalues, descending, and its orthonormal
+        eigenvectors as columns, from one decomposition (one ``eigh`` of the
+        entries, on first read, for a scaled matrix)."""
+        own = self._own
+        return own.spectrum, own.basis
 
     @property
     def dim(self) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain, repeat
+from operator import getitem
 
 import numpy as np
 
@@ -26,10 +27,31 @@ def fmt_float(value: float) -> str:
 
 def _float_rows(arr: np.ndarray) -> str:
     """JSON text of a finite float array, one C-level format per row; only
-    one row at a time is held as Python floats."""
+    one row at a time is held as Python floats. A square matrix equal to its
+    transpose bit for bit (``==`` and the sign bit; the values are finite)
+    is written by :func:`_mirrored_rows`."""
     if arr.ndim == 1:
         return "[" + ("%.17g, " * arr.size)[:-2] % tuple(arr.tolist()) + "]"
+    if (arr.ndim == 2 and arr.shape[0] == arr.shape[1] and np.array_equal(arr, arr.T)
+            and np.array_equal(np.signbit(arr), np.signbit(arr.T))):
+        return _mirrored_rows(arr)
     return "[" + ", ".join(map(_float_rows, arr)) + "]"
+
+
+def _mirrored_rows(sym: np.ndarray) -> str:
+    """:func:`_float_rows` of a symmetric matrix from its upper triangle.
+
+    Each row's entries from the diagonal on are formatted by one C-level
+    format, so each distinct entry once; row i is then column i above the
+    diagonal followed by row i from the diagonal on. The n(n + 1)/2 cell
+    strings are all held until the text is joined.
+    """
+    # upper[j][k] is entry (j, j + k), so row i reads upper[j][i - j] for j < i
+    upper = [(("%.17g," * (sym.shape[0] - i)) % tuple(row[i:].tolist())).split(",")[:-1]
+             for i, row in enumerate(sym)]
+    return "[" + ", ".join(
+        "[" + ", ".join(chain(map(getitem, upper, range(i, 0, -1)), tail)) + "]"
+        for i, tail in enumerate(upper)) + "]"
 
 
 def _require_finite(arr: np.ndarray) -> np.ndarray:
@@ -44,9 +66,14 @@ def dumps(obj) -> str:
     """JSON with fixed float formatting; dict order is preserved.
 
     A float ndarray is written row by row with ``%.17g``, which shares
-    CPython's float-to-text path with ``format(x, ".17g")``, and a list of
-    strings by one ``json.dumps``, whose separator is the ", " used here.
+    CPython's float-to-text path with ``format(x, ".17g")``; a symmetric
+    matrix is written from its upper triangle (:func:`_float_rows`), with
+    the same bytes. A 0-d array is written as the scalar it holds, and a
+    list of strings by one ``json.dumps``, whose separator is the ", " used
+    here.
     """
+    if isinstance(obj, np.ndarray) and obj.ndim == 0:
+        return dumps(obj.item())
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
         return _float_rows(_require_finite(obj))
     if isinstance(obj, list) and all(isinstance(v, str) for v in obj):

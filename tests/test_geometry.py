@@ -237,14 +237,15 @@ def test_smallest_psi_is_accurate_near_zero(kappa, psi_order):
     # spectrum; arccos of their cosine is off by up to ~5e6 kappa eps here.
     rng = np.random.default_rng([psi_order, int(np.log10(kappa))])
     cov = random_cov(rng, 8, kappa=kappa)
-    root = np.sqrt(cov.eigenvalues)
+    rho, vecs = cov.eigenpairs
+    root = np.sqrt(rho)
     x, u = rng.standard_normal((2, 8))
     x /= np.linalg.norm(x)
     u -= (u @ x) * x
     u /= np.linalg.norm(u)
     y = np.cos(10.0**-psi_order) * x + np.sin(10.0**-psi_order) * u
-    alpha = cov.eigenvectors @ (root * x)
-    theta = cov.eigenvectors @ (y / root)
+    alpha = vecs @ (root * x)
+    theta = vecs @ (y / root)
     reference = _reference_psi(alpha, cov.entries, theta)
     assert abs(reference * 10.0**psi_order - 1.0) < 1e-2
     psi = smallest_valid_psi(alpha, cov, theta)

@@ -15,11 +15,15 @@ from mvgear import (
     DegenerateAlpha,
     DimensionError,
     NonFiniteData,
+    Program,
     ReturnsPanel,
+    ShrinkageSpec,
+    ShrinkMode,
     SingularCovariance,
     SpdRepairWarning,
     estimate_moments,
     load_returns_csv,
+    solve_robust,
 )
 from mvgear import cli, moments
 from mvgear.moments import _CSV_RECORD, EIGEN_FLOOR_RATIO, _sign_fix_columns
@@ -162,7 +166,7 @@ def test_condition_number_scale_invariant(c):
 
 def test_spectral_decompose_diagonal():
     cov = CovMatrix.from_entries(np.diag([4.0, 1.0]))
-    rho, vecs = cov.eigenvalues, cov.eigenvectors
+    rho, vecs = cov.eigenpairs
     npt.assert_allclose(rho, [4.0, 1.0])
     npt.assert_allclose(vecs[:, 0], [1.0, 0.0])
     npt.assert_allclose(vecs[:, 1], [0.0, 1.0])
@@ -170,7 +174,7 @@ def test_spectral_decompose_diagonal():
 
 def test_spectral_decompose_classic_2x2():
     cov = CovMatrix.from_entries([[2.0, 1.0], [1.0, 2.0]])
-    rho, vecs = cov.eigenvalues, cov.eigenvectors
+    rho, vecs = cov.eigenpairs
     npt.assert_allclose(rho, [3.0, 1.0], rtol=1e-14)
     npt.assert_allclose(vecs[:, 0], [1.0, 1.0] / np.sqrt(2.0), rtol=1e-14)
     npt.assert_allclose(vecs[:, 1], [1.0, -1.0] / np.sqrt(2.0), rtol=1e-14)
@@ -179,7 +183,7 @@ def test_spectral_decompose_classic_2x2():
 def test_spectral_reconstruction_6x6():
     rng = np.random.default_rng(9)
     cov = random_cov(rng, 6, kappa=200.0)
-    rho, vecs = cov.eigenvalues, cov.eigenvectors
+    rho, vecs = cov.eigenpairs
     recon = (vecs * rho) @ vecs.T
     err = np.linalg.norm(recon - cov.entries) / np.linalg.norm(cov.entries)
     assert err < 1e-10
@@ -197,8 +201,9 @@ def test_estimated_covariances_keep_invariants():
         assert np.max(np.abs(cov.entries - cov.entries.T)) <= 1e-12 * np.max(
             np.abs(cov.entries)
         )
-        assert cov.eigenvalues[-1] > 0
-        recon = (cov.eigenvectors * cov.eigenvalues) @ cov.eigenvectors.T
+        rho, vecs = cov.eigenpairs
+        assert rho[-1] > 0
+        recon = (vecs * rho) @ vecs.T
         assert (
             np.linalg.norm(recon - cov.entries) / np.linalg.norm(cov.entries) < 1e-10
         )
@@ -419,7 +424,7 @@ def test_estimate_moments_decomposes_once(eigh_calls):
     again = CovMatrix.from_entries(cov.entries)
     assert np.array_equal(again.entries, cov.entries)
     assert np.array_equal(again.eigenvalues, cov.eigenvalues)
-    assert np.array_equal(again.eigenvectors, cov.eigenvectors)
+    assert np.array_equal(again.eigenpairs[1], cov.eigenpairs[1])
 
 
 def test_estimate_moments_decomposes_once_when_repairing(eigh_calls):
@@ -430,8 +435,8 @@ def test_estimate_moments_decomposes_once_when_repairing(eigh_calls):
     assert len(eigh_calls) == 1
     floor = EIGEN_FLOOR_RATIO * cov.eigenvalues[0]
     assert cov.eigenvalues[-1] == floor
-    npt.assert_allclose((cov.eigenvectors * cov.eigenvalues) @ cov.eigenvectors.T,
-                        cov.entries, rtol=0, atol=1e-15 * cov.eigenvalues[0])
+    rho, vecs = cov.eigenpairs
+    npt.assert_allclose((vecs * rho) @ vecs.T, cov.entries, rtol=0, atol=1e-15 * rho[0])
 
 
 def test_nan_reconstruction_raises_convergence_failure(monkeypatch):
@@ -472,7 +477,7 @@ def test_repeat_load_parses_and_decomposes_nothing(tmp_path, monkeypatch,
     alpha2, cov2 = estimate_moments(ReturnsPanel(panel.assets, panel.rows))
     assert len(eigh_calls) == 2 and cov2 is not cov
     assert np.array_equal(alpha2.entries, alpha.entries)
-    assert np.array_equal(cov2.eigenvectors, cov.eigenvectors)
+    assert np.array_equal(cov2.eigenpairs[1], cov.eigenpairs[1])
 
 
 def test_rewritten_file_of_the_same_size_and_mtime_is_parsed_again(
@@ -552,7 +557,7 @@ def test_identity_decomposes_nothing(eigh_calls):
     assert eigh_calls == []
     assert np.array_equal(identity.entries, np.eye(5))
     assert np.array_equal(identity.eigenvalues, np.ones(5))
-    assert np.array_equal(identity.eigenvectors, np.eye(5))
+    assert np.array_equal(identity.eigenpairs[1], np.eye(5))
     with pytest.raises(DimensionError):
         CovMatrix.identity(1)
 
@@ -566,7 +571,7 @@ def test_toward_identity_maps_the_spectrum_without_decomposing(eigh_calls):
     # the entries are the bits the convex combination has always had
     assert np.array_equal(shrunk.entries, w * np.eye(6) + (1.0 - w) * cov.entries)
     assert np.array_equal(shrunk.eigenvalues, w + (1.0 - w) * cov.eigenvalues)
-    assert shrunk.eigenvectors is cov.eigenvectors
+    assert shrunk.eigenpairs[1] is cov.eigenpairs[1]
     assert not shrunk.entries.flags.writeable
     assert not shrunk.eigenvalues.flags.writeable
 
@@ -576,13 +581,13 @@ def test_toward_identity_at_zero_is_the_spectrum_bit_for_bit():
     shrunk = cov.toward_identity(0.0)
     assert np.array_equal(shrunk.entries, cov.entries)
     assert np.array_equal(shrunk.eigenvalues, cov.eigenvalues)
-    assert shrunk.eigenvectors is cov.eigenvectors
+    assert shrunk.eigenpairs[1] is cov.eigenpairs[1]
 
 
 def test_toward_identity_at_one_is_the_identity_bit_for_bit():
     cov = random_cov(np.random.default_rng(32), 7, kappa=1e4)
     shrunk, identity = cov.toward_identity(1.0), CovMatrix.identity(7)
-    for field in ("entries", "eigenvalues", "eigenvectors"):
+    for field in ("entries", "spectrum", "basis"):
         assert np.array_equal(getattr(shrunk, field), getattr(identity, field))
 
 
@@ -642,6 +647,27 @@ def test_toward_diagonal_decomposes_the_correlation_once(eigh_calls, eigvalsh_ca
     assert eigh_calls == [(6, 6)]
 
 
+def test_a_diagonal_shrunk_qoqc_solve_pairs_one_decomposition(eigh_calls, eigvalsh_calls):
+    # QOQC reads the shrunk matrix's eigenvalues and eigenvectors from its one
+    # eigh, and not the eigvalsh that kappa~ reads
+    rng = np.random.default_rng(39)
+    n = 30
+    cov = random_cov(rng, n, kappa=1e3)
+    alpha = AlphaVector(rng.uniform(0.02, 0.2, n))
+    cov.toward_diagonal(0.5)  # R's eigh, kept with cov
+    eigh_calls.clear()
+    spec = ShrinkageSpec(mode=ShrinkMode.DIAGONAL, k=0.3)
+    solve_robust(Program.QOQC, alpha, cov, spec, gamma=2.0, g0=1.0, n0=10.0)
+    assert (eigh_calls, eigvalsh_calls) == ([(n, n)], [])
+    shrunk = cov.toward_diagonal(0.3)
+    rho, vecs = shrunk.eigenpairs
+    residual = np.linalg.norm(shrunk.entries @ vecs - vecs * rho, axis=0)
+    assert residual.max() <= 8.0 * n * EPS * rho[0]
+    # kappa~ keeps eigvalsh's bits, whatever was read before it
+    assert np.array_equal(shrunk.eigenvalues, np.linalg.eigvalsh(shrunk.entries)[::-1])
+    assert shrunk.eigenpairs[0] is rho
+
+
 def test_toward_diagonal_endpoints_decompose_nothing(eigh_calls, eigvalsh_calls):
     cov = random_cov(np.random.default_rng(35), 7, kappa=1e4)
     eigh_calls.clear()
@@ -673,7 +699,7 @@ def test_toward_diagonal_matches_a_fresh_decomposition(n):
         npt.assert_allclose(shrunk.eigenvalues, fresh.eigenvalues, rtol=tolerance, atol=0)
         assert shrunk.condition_number == pytest.approx(fresh.condition_number,
                                                         rel=tolerance, abs=0)
-        assert np.array_equal(shrunk.eigenvectors, fresh.eigenvectors)
+        assert np.array_equal(shrunk.eigenpairs[1], fresh.eigenpairs[1])
         x = rng.standard_normal(n)
         want = fresh.solve(x)
         npt.assert_allclose(shrunk.solve(x), want, rtol=0,

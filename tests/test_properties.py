@@ -1,6 +1,7 @@
 """Property tests of the robust path over every table program, QOQC included,
-and of the condition number along the shrinks toward the identity and toward
-the diagonal.
+of the condition number along the shrinks toward the identity and toward the
+diagonal, of linearity in the gearing, and of the Kantorovich and
+Bauer-Householder bounds on the alpha-weight angle.
 
 Instances run from n = 2 to 200 assets and condition numbers from 1 to 1e6.
 Each weight tolerance is a multiple of kappa * eps, with kappa the condition
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from mvgear import (AlphaVector, CovMatrix, Program, ShrinkageSpec, shrink_covariance,
                     solve_robust, solvers)
+from mvgear.geometry import alpha_angle, kantorovich_bound, verify_bound
 
 from conftest import random_instance
 
@@ -54,7 +56,8 @@ SCALE_FREE = (Program.III, Program.IV, Program.VII, Program.VIII, Program.GMV,
 
 
 def solve_all(solve, programs=solvers.PROGRAMS):
-    """{program: weights} of ``solve(program)`` for every one of ``programs``."""
+    """{program: weights} of ``solve(program)`` for every one of ``programs``
+    (or {key: weights} of ``solve(key)`` for any other keys)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", solvers.InefficientBranchWarning)
         return {program: solve(program).weights for program in programs}
@@ -171,3 +174,47 @@ def test_diagonal_shrink_is_scale_invariant(instance, q, c):
     scaled = solve_all(lambda p: solve_robust(p, scaled_alpha, scaled_cov, spec, **params),
                        SCALE_FREE)
     assert_close(scaled, plain, 4.0 * cov.dim, kappa)
+
+
+# The geared programs and the parameter each takes besides g0.
+GEARED = ((Program.VI, "alpha0"), (Program.VII, "gamma"))
+
+
+@PROPERTY
+@given(instances())
+def test_geared_weights_are_affine_in_the_gearing(instance):
+    # VI and VII are lambda1 Sigma^-1 alpha + lambda2 Sigma^-1 1 with both
+    # multipliers affine in g0 and the two solves the same bits for every g0,
+    # so theta(g0) = theta(0) + g0 (theta(1) - theta(0)) up to the rounding of
+    # the multipliers (largest seen: 3.6 kappa eps of max|theta|)
+    alpha, cov, params, _ = instance
+    g0 = params["g0"]
+    for program, name in GEARED:
+        at = solve_all(lambda gearing: solvers.solve(program, alpha, cov, g0=gearing,
+                                                     **{name: params[name]}), (0.0, 1.0, g0))
+        line = at[0.0] + g0 * (at[1.0] - at[0.0])
+        assert_close({program: line}, {program: at[g0]}, 16.0, cov.condition_number)
+
+
+@PROPERTY
+@given(instances())
+def test_the_unconstrained_direction_meets_the_kantorovich_bound(instance):
+    # cos(alpha, Sigma^-1 alpha) >= 2 sqrt(kappa) / (kappa + 1); the solve's
+    # error is ~kappa eps relative (largest seen: the bound met exactly)
+    alpha, cov, _, _ = instance
+    kappa = cov.condition_number
+    assert alpha_angle(alpha, cov.solve(alpha)) >= kantorovich_bound(kappa) - 4.0 * kappa * EPS
+
+
+@PROPERTY
+@given(instances())
+def test_geared_solutions_meet_the_bauer_householder_bound(instance):
+    # alpha'theta > 0 for VI (= alpha0) and VII (g0 B/A + D/(A gamma), with
+    # B, D > 0 here), so psi exists; the slack is never below rounding
+    # (smallest seen: +1.5 kappa eps)
+    alpha, cov, params, _ = instance
+    kappa = cov.condition_number
+    geared = solve_all(lambda p: solvers.solve(p, alpha, cov, **params),
+                       [program for program, _ in GEARED])
+    for program, weights in geared.items():
+        assert verify_bound(alpha, cov, weights).slack >= -4.0 * kappa * EPS, program.value

@@ -1,17 +1,20 @@
 """The array paths of ``serialize.dumps`` against its element-wise path.
 
-A float ndarray is written row by row with ``%.17g``; a list of Python floats
-goes through ``fmt_float`` one value at a time. Both must give the same bytes,
-and the same error for a non-finite value. A list of strings is written by
-one ``json.dumps``, and must give the bytes of one ``json.dumps`` per string.
+A float ndarray is written row by row with ``%.17g``, and a symmetric matrix
+from its upper triangle; a list of Python floats goes through ``fmt_float``
+one value at a time. Both must give the same bytes, and the same error for a
+non-finite value. A list of strings is written by one ``json.dumps``, and
+must give the bytes of one ``json.dumps`` per string.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from mvgear import InvalidPortfolio, Portfolio, Program
+from mvgear import InvalidPortfolio, Portfolio, Program, SpdRepairWarning, serialize
+from mvgear.cli import main
 from mvgear.serialize import dumps, portfolio_to_dict
 
 EDGES = [
@@ -62,6 +65,16 @@ def test_empty_arrays(shape, text):
     assert dumps(np.zeros(shape)) == text == element_wise(np.zeros(shape))
 
 
+@pytest.mark.parametrize("value,text", [(1.5, "1.5"), (-0.0, "-0"), (0.1, "0.10000000000000001"),
+                                        (5e-324, "4.9406564584124654e-324")])
+def test_zero_dimensional_arrays(value, text):
+    assert dumps(np.array(value)) == text == element_wise(np.array(value))
+    assert dumps(np.array(value, dtype=np.float32)) == element_wise(np.array(value, np.float32))
+    assert dumps({"x": np.array(value)}) == '{"x": ' + text + "}"
+    with pytest.raises(InvalidPortfolio, match="^non-finite value nan cannot be serialized$"):
+        dumps(np.array(np.nan))
+
+
 @pytest.mark.parametrize("bad,name", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
 def test_non_finite_values_in_a_2d_array_raise(bad, name):
     arr = np.arange(12.0).reshape(3, 4)
@@ -77,6 +90,112 @@ def test_the_first_non_finite_value_in_row_order_is_named():
     with pytest.raises(InvalidPortfolio) as slow:
         element_wise(arr)
     assert str(fast.value) == str(slow.value) == "non-finite value -inf cannot be serialized"
+
+
+# ---------------------------------------------------------------------------
+# Symmetric matrices, written from their upper triangle
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def mirrored(monkeypatch):
+    """The shape of each array ``dumps`` writes from its upper triangle."""
+    shapes = []
+    real = serialize._mirrored_rows
+
+    def spy(arr):
+        shapes.append(arr.shape)
+        return real(arr)
+
+    monkeypatch.setattr(serialize, "_mirrored_rows", spy)
+    return shapes
+
+
+def symmetric(values, n):
+    """The n x n matrix with ``values``, cycled, on and above its diagonal,
+    mirrored below it."""
+    upper = np.triu_indices(n)
+    sym = np.zeros((n, n))
+    sym[upper] = np.resize(values, upper[0].size)
+    sym.T[upper] = sym[upper]
+    return sym
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 200])
+def test_symmetric_matrices_match_the_element_wise_path(n, mirrored):
+    rng = np.random.default_rng(n)
+    half = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-30, 30, (n, n))
+    sym = half + half.T
+    assert dumps(sym) == element_wise(sym)
+    assert mirrored == [(n, n)]
+
+
+def test_a_symmetric_matrix_of_edge_values_matches_the_element_wise_path(mirrored):
+    # every layout switch of %.17g, the subnormals and both zeros, on and off
+    # the diagonal
+    for n in (5, 6, 19):
+        sym = symmetric(EDGES, n)
+        assert dumps(sym) == element_wise(sym)
+    assert mirrored == [(5, 5), (6, 6), (19, 19)]
+
+
+def test_symmetric_views_match_the_element_wise_path(mirrored):
+    sym = symmetric(np.random.default_rng(5).standard_normal(78), 12)
+    frozen = sym.copy()
+    frozen.setflags(write=False)
+    views = [frozen, sym.astype(np.float32), sym.T, np.asfortranarray(sym),
+             symmetric(np.arange(300.0), 24)[::2, ::2]]
+    assert sym.T.flags.f_contiguous and not sym.T.flags.c_contiguous
+    for view in views:
+        assert dumps(view) == element_wise(view)
+    assert mirrored == [(12, 12)] * len(views)
+
+
+def one_ulp_off(sym):
+    sym[0, 1] = np.nextafter(sym[0, 1], np.inf)
+    return sym
+
+
+def zeros_swapped(sym):
+    sym[1, 2], sym[2, 1] = 0.0, -0.0
+    return sym
+
+
+@pytest.mark.parametrize("arr", [
+    one_ulp_off(symmetric(np.random.default_rng(6).standard_normal(21), 6)),
+    zeros_swapped(symmetric(np.random.default_rng(7).standard_normal(21), 6)),
+    np.arange(12.0).reshape(3, 4),
+    np.ones((4, 3)),
+], ids=["one-ulp", "signed-zeros", "wide", "tall"])
+def test_matrices_that_are_not_symmetric_bit_for_bit_take_the_full_path(arr, mirrored):
+    assert dumps(arr) == element_wise(arr)
+    assert mirrored == []
+
+
+def write_panel(path, rows):
+    header = ",".join(f"A{j}" for j in range(rows.shape[1]))
+    path.write_text(header + "\n" + "\n".join(",".join(map(repr, r)) for r in rows.tolist())
+                    + "\n")
+    return path
+
+
+@pytest.mark.parametrize("t,n", [(60, 20), (6, 12)], ids=["full-rank", "repaired"])
+def test_estimate_writes_its_covariance_from_the_upper_triangle(tmp_path, monkeypatch,
+                                                                mirrored, t, n):
+    # the repaired (T < n) covariance is V max(rho, floor) V', averaged with
+    # its transpose, so it is symmetric bit for bit too
+    rows = np.random.default_rng(t).normal(0.01, 0.02, (t, n)) + np.linspace(0.0, 0.01, n)
+    csv = write_panel(tmp_path / "returns.csv", rows)
+    fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", SpdRepairWarning)
+        assert main(["estimate", "--input", str(csv), "--output", str(fast)]) == 0
+    assert any(issubclass(w.category, SpdRepairWarning) for w in caught) == (t < n)
+    assert mirrored == [(n, n)]
+    monkeypatch.setattr(serialize, "_mirrored_rows", element_wise)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpdRepairWarning)
+        assert main(["estimate", "--input", str(csv), "--output", str(slow)]) == 0
+    assert fast.read_bytes() == slow.read_bytes()
 
 
 def test_arrays_inside_documents():
