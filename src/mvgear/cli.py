@@ -9,6 +9,12 @@ digits, so identical configuration and input produce byte-identical files.
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure. Both error paths print one machine-parseable line to stderr:
 ``code=NAME message``.
+
+``--output`` is rewritten in place and cut to the new length, never
+truncated to zero first: on ext4, a file truncated to zero and rewritten has
+its freed blocks discarded, and ``auto_da_alloc`` makes ``close`` allocate
+and flush the new ones at once. A request that fails before it emits leaves
+the old file untouched. Writes are neither atomic nor fsynced, as before.
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import replace
 from itertools import zip_longest
@@ -458,11 +466,23 @@ def _cmd_verify(args) -> str:
 
 
 def _emit(args, text: str) -> None:
+    """Write the artifact to stdout, or over ``--output`` in place: opened
+    without ``O_TRUNC`` and cut to the new length only when it was a longer
+    regular file (a pipe or a device cannot be cut)."""
     if args.output is None:
         sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        return
+    data = text.encode("utf-8")
+    fd = os.open(args.output, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        old = os.fstat(fd)
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 # Each subcommand's handler and the format of the artifact it emits.

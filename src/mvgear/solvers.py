@@ -216,10 +216,11 @@ def solve_III(alpha, cov: CovMatrix, gamma: float) -> Portfolio:
 
 
 def _geared_sharpe(program: Program, alpha, cov: CovMatrix, g0: float) -> Portfolio:
-    """g0 theta_alpha, the Sharpe maximum at gearing g0 (programs IV and VIII)."""
-    g0 = _require_finite("g0", g0)
-    if g0 == 0.0:
-        raise NonPositiveParameter("g0 must be nonzero for the Sharpe program")
+    """g0 theta_alpha, the Sharpe maximum at gearing g0 (programs IV and VIII).
+
+    A g0 <= 0 is refused: no maximum exists there, and g0 theta_alpha is the
+    Sharpe minimum (or zero)."""
+    g0 = _require_positive("g0", g0)
     a = as_vector(alpha)
     w = g0 * optimal_risky_portfolio(a, cov).weights
     return _portfolio(w, program, {"g0": g0}, alpha=a, cov=cov)

@@ -195,8 +195,8 @@ def test_criterion_04_constraint_audit():
         w = solve_VII(alpha, cov, gamma=float(rng.uniform(0.5, 5.0)), g0=g0).weights
         assert abs(w.sum() - g0) <= 1e-10
 
-        w = solve_VIII(alpha, cov, g0=g0).weights
-        assert abs(w.sum() - g0) <= 1e-10
+        w = solve_VIII(alpha, cov, g0=abs(g0)).weights
+        assert abs(w.sum() - abs(g0)) <= 1e-10
 
         w = solve_V(alpha, cov, g0=abs(g0)).weights
         assert abs(w.sum() - abs(g0)) <= 1e-10

@@ -1,10 +1,13 @@
 import argparse
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -1051,6 +1054,36 @@ def test_verify_fails_a_sharpe_record_with_zero_weights(tmp_path, capsys):
         "detail": "ZeroDivisionError: float division by zero"}
 
 
+@pytest.mark.parametrize("program", ["IV", "VIII"])
+@pytest.mark.parametrize("g0", [0.5, 1, 2])
+def test_verify_passes_a_geared_sharpe_record(tmp_path, program, g0):
+    csv = _three_asset_csv(tmp_path)
+    port, report = tmp_path / "p.json", tmp_path / "v.json"
+    assert run(["solve", "--input", csv, "--program", program, "--g0", g0,
+                "--output", port]) == 0
+    assert run(["verify", "--input", csv, "--portfolio", port, "--samples", 20000,
+                "--output", report]) == 0
+    checks = {c["name"]: c["passed"] for c in json.loads(report.read_text())["checks"]}
+    assert checks["sharpe_dominance"] and checks["bound_slack"] and all(checks.values())
+
+
+@pytest.mark.parametrize("command", ["solve", "shrink-sweep"])
+@pytest.mark.parametrize("program", ["IV", "VIII"])
+@pytest.mark.parametrize("g0", ["-1", "0"])
+def test_a_sharpe_program_refuses_a_gearing_that_is_not_positive(
+        tmp_path, capsys, command, program, g0):
+    # On 1'theta = g0 < 0, g0 theta_alpha is the Sharpe minimum and no maximum
+    # exists; at g0 = 0 it is the zero portfolio.
+    csv, out = _three_asset_csv(tmp_path), tmp_path / "out"
+    argv = [command, "--input", csv, "--program", program, f"--g0={g0}", "--output", out]
+    if command == "shrink-sweep":
+        argv += SWEEP_ARGS
+    assert run(argv) == 3
+    assert capsys.readouterr().err == (
+        f"code=NonPositiveParameter g0 must be positive, got {float(g0)}\n")
+    assert not out.exists()
+
+
 def test_verify_flags_tampered_weights(micro_csv, tmp_path, capsys):
     port = tmp_path / "p.json"
     assert run(["solve", "--input", micro_csv, "--program", "VII",
@@ -1318,6 +1351,137 @@ def test_cache_hits_write_the_bytes_misses_write(tmp_path, monkeypatch, loadtxt_
     assert loadtxt_calls == []
     assert hits == misses
     assert all(json.loads(hits[name])["passed"] for name in hits if "verify" in name)
+
+
+# ---------------------------------------------------------------------------
+# Writing the artifact: over --output in place, cut to the new length
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def write_calls(monkeypatch):
+    """The (path, flags) of each ``os.open`` and the length of each
+    ``os.ftruncate`` made during the test."""
+    calls = SimpleNamespace(opened=[], truncated=[])
+    real_open, real_ftruncate = os.open, os.ftruncate
+
+    def spy_open(path, flags, *args, **kwargs):
+        calls.opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    def spy_ftruncate(fd, length):
+        calls.truncated.append(length)
+        return real_ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
+    return calls
+
+
+def _panel_csv(path, names, periods):
+    rows = np.random.default_rng(len(names)).normal(0.001, 0.02, (periods, len(names)))
+    path.write_text(",".join(names) + "\n" + "\n".join(
+        ",".join(repr(float(v)) for v in row) for row in rows) + "\n", encoding="utf-8")
+    return path
+
+
+ASSET_NAMES = {"ascii": [f"A{i}" for i in range(8)],
+               "utf8": [f"Aktie-{i}-\u00c4\u00d6-\u682a\u5f0f-\U0001f642" for i in range(8)]}
+PREFILL = {"fresh": None, "shrink": b"\xff" * 2**20, "grow": b"0123456789"}
+
+
+@pytest.mark.parametrize("names", ASSET_NAMES)
+@pytest.mark.parametrize("prefill", PREFILL)
+def test_an_artifact_written_over_a_file_has_the_bytes_of_a_fresh_write(
+        tmp_path, write_calls, names, prefill):
+    csv = _panel_csv(tmp_path / "r.csv", ASSET_NAMES[names], periods=30)
+    fresh, out = tmp_path / "fresh.json", tmp_path / "out.json"
+    assert run(["estimate", "--input", csv, "--output", fresh]) == 0
+    expected = fresh.read_bytes()
+    if PREFILL[prefill] is not None:
+        out.write_bytes(PREFILL[prefill])
+    write_calls.truncated.clear()
+    assert run(["estimate", "--input", csv, "--output", out]) == 0
+    assert out.read_bytes() == expected
+    # cut to the byte length only when the old file was longer
+    assert write_calls.truncated == ([len(expected)] if prefill == "shrink" else [])
+    flags = [f for path, f in write_calls.opened if path in (str(fresh), str(out))]
+    assert len(flags) == 2 and not any(f & os.O_TRUNC for f in flags)
+    if names == "utf8":
+        assert len(expected) > len(expected.decode("utf-8"))
+
+
+def test_an_artifact_written_to_dev_null_exits_0(micro_csv, write_calls):
+    assert run(["estimate", "--input", micro_csv, "--output", os.devnull]) == 0
+    assert write_calls.truncated == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_fifo_receives_the_whole_artifact(tmp_path, write_calls):
+    # 80 assets: the artifact is larger than a pipe's buffer, so the write
+    # waits on the reader
+    csv = _panel_csv(tmp_path / "r.csv", [f"A{i}" for i in range(80)], periods=160)
+    fresh, fifo = tmp_path / "fresh.json", tmp_path / "fifo"
+    assert run(["estimate", "--input", csv, "--output", fresh]) == 0
+    expected = fresh.read_bytes()
+    assert len(expected) > 2**16
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    write_calls.truncated.clear()
+    assert run(["estimate", "--input", csv, "--output", fifo]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [expected]
+    assert write_calls.truncated == []
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["solve", "--program", "VII", "--gamma", 1], 2),
+    (["frontier", "--alpha-grid", "0:0:1"], 2),
+    (["solve", "--program", "VIII", "--g0=-1"], 3),
+    (["qoqc", "--gamma", 1, "--g0", 2, "--n0", 1], 3),
+])
+def test_a_request_that_fails_before_emitting_leaves_the_old_file(
+        micro_csv, tmp_path, capsys, write_calls, argv, code):
+    out = tmp_path / "old.json"
+    old = "old artifact \u2713\n".encode("utf-8") * 1000
+    out.write_bytes(old)
+    assert run([*argv, "--input", micro_csv, "--output", out]) == code
+    assert capsys.readouterr().err.startswith("code=")
+    assert out.read_bytes() == old
+    assert str(out) not in [path for path, _ in write_calls.opened]
+
+
+def test_a_failing_verify_report_replaces_a_longer_old_report(micro_csv, tmp_path, capsys):
+    port = tmp_path / "p.json"
+    assert run(["solve", "--input", micro_csv, "--program", "VII", "--gamma", 1,
+                "--g0", 1, "--output", port]) == 0
+    doc = json.loads(port.read_text())
+    doc["weights"] = [0.25, 0.75]
+    port.write_text(json.dumps(doc))
+    fresh, report = tmp_path / "fresh.json", tmp_path / "report.json"
+    report.write_bytes(b" " * 2**20)
+    for out in (fresh, report):
+        assert run(["verify", "--input", micro_csv, "--portfolio", port,
+                    "--samples", 2000, "--output", out]) == 3
+    assert capsys.readouterr().err.count("code=VerificationFailed") == 2
+    assert report.read_bytes() == fresh.read_bytes()
+    assert json.loads(report.read_text())["passed"] is False
+
+
+def test_a_new_artifact_gets_the_mode_open_gives(micro_csv, tmp_path):
+    out, reference = tmp_path / "m.json", tmp_path / "reference"
+    umask = os.umask(0o027)
+    try:
+        with open(reference, "w"):
+            pass
+        assert run(["estimate", "--input", micro_csv, "--output", out]) == 0
+    finally:
+        os.umask(umask)
+    assert (stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+            == 0o666 & ~0o027)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,13 @@ panel finds that panel and its moments in ``mvgear.moments``' one-entry memo:
 a digest diff against a tree that parsed every request afresh also shows that
 cache hits write the bytes a miss writes.
 
+After that pass the tool overwrites every artifact with junk longer than the
+artifact and runs each workload's script again, in the same process. The CLI
+rewrites ``--output`` in place and cuts it to the new length, so this second
+pass checks that an artifact written over a longer file has the bytes of a
+fresh write; a digest that differs from the first pass's is named on stderr,
+and the tool then exits 1. The printed lines are the first pass's alone.
+
 OpenBLAS runs single-threaded, as in the benchmark, so that BLAS reductions
 sum in one order. A request that exits nonzero prints ``exit=CODE`` in place
 of the digest, and the tool then exits 1.
@@ -41,6 +48,15 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _digest(cli, request) -> str:
+    """The SHA-256 of the artifact ``request`` writes, or ``exit=CODE``."""
+    code = cli.main(list(request.argv))
+    if code != 0:
+        return f"exit={code}"
+    with open(request.output, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -57,16 +73,27 @@ def main(argv=None) -> int:
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         directory = tmp if args.keep is None else args.keep
+        workloads, first = [], {}
         for name in NAMES:
             workload = make_workload(name, args.seed, os.path.join(directory, name))
+            workloads.append((name, workload))
             for index, request in enumerate(workload.script):
-                code = cli.main(list(request.argv))
-                if code == 0:
-                    with open(request.output, "rb") as handle:
-                        digest = hashlib.sha256(handle.read()).hexdigest()
-                else:
-                    digest, failed = f"exit={code}", True
+                digest = first[name, index] = _digest(cli, request)
+                failed |= digest.startswith("exit=")
                 print(digest, name, index, request.kind, flush=True)
+        for _, workload in workloads:
+            for request in workload.script:
+                if os.path.exists(request.output):
+                    junk = b"\xff" * (os.path.getsize(request.output) + 4096)
+                    with open(request.output, "wb") as handle:
+                        handle.write(junk)
+        for name, workload in workloads:
+            for index, request in enumerate(workload.script):
+                digest = _digest(cli, request)
+                if digest != first[name, index]:
+                    print(f"overwritten: {digest} {name} {index} {request.kind}, "
+                          f"fresh: {first[name, index]}", file=sys.stderr, flush=True)
+                    failed = True
     return 1 if failed else 0
 
 
