@@ -302,19 +302,23 @@ def _cmd_shrink_sweep(args) -> str:
     grid = parse_grid(args.grid)
     params = _program_params(args)
     _, alpha, cov = _moments(args)
+    risky_entry = solvers.PROGRAMS[Program.RISKY]
     rows = []
     for value in grid:
         spec = ShrinkageSpec(mode=mode, k=float(value))
         shrunk = robust.shrink_covariance(cov, alpha, spec)
-        risky = solvers.solve(Program.RISKY, alpha, shrunk)
+        # RISKY's table entry on the shrunk frontier, with no Portfolio built
+        frontier = solvers.FrontierScalars(alpha, shrunk)
+        frontier.check(risky_entry.refuses)
+        risky = frontier.weights(*risky_entry.coefficients(frontier))
         optimal = (risky if args.program is None
-                   else solvers.solve(args.program, alpha, shrunk, **params))
-        weights_json = '"' + serialize.dumps(optimal.weights) + '"'
+                   else solvers.solve(args.program, alpha, shrunk, **params).weights)
+        weights_json = '"' + serialize.dumps(optimal) + '"'
         rows.append([
             float(value),
             shrunk.condition_number,
-            geometry.alpha_angle(alpha, risky.weights),
-            geometry.alpha_angle(alpha, optimal.weights),
+            geometry.alpha_angle(alpha, risky),
+            geometry.alpha_angle(alpha, optimal),
             geometry.kantorovich_bound(shrunk.condition_number),
             weights_json,
         ])

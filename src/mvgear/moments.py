@@ -188,6 +188,12 @@ class CovMatrix:
     Sigma's own ``eigenvalues`` (one ``eigvalsh``) and :attr:`eigenpairs`
     (one ``eigh``) are computed when first read. Either way :meth:`solve`
     and the factor L = S U diag(sqrt(mu)), Sigma = L L', cost O(n^2).
+
+    :meth:`coordinates` and :meth:`from_coordinates` are the two halves of a
+    solve, one product with the basis each. Sigma^-1 1, its coordinates and
+    A = 1'Sigma^-1 1 (:attr:`inverse_ones`) are formed once per matrix, so a
+    frontier of (alpha, Sigma) (``solvers.FrontierScalars``) adds one product
+    for alpha.
     """
 
     entries: np.ndarray
@@ -324,13 +330,29 @@ class CovMatrix:
             raise DimensionError(f"vector length {vec.size} != dimension {self.dim}")
         return vec
 
-    def solve(self, x) -> np.ndarray:
-        """Sigma^-1 x = S^-1 U diag(1/mu) U' S^-1 x."""
+    def coordinates(self, x) -> np.ndarray:
+        """c = diag(1/mu) U' S^-1 x, the coordinates of Sigma^-1 x = S^-1 U c;
+        x'Sigma^-1 x = c' diag(mu) c, a sum of non-negative terms."""
         vec, s = self._vector(x), self.scale
         coeffs = self.basis.T @ (vec if s is None else vec / s)
         # 1/mu times coeffs, not coeffs / mu: every artifact's last bits rest on it
-        out = self.basis @ (self.spectrum**-1.0 * coeffs)
-        return out if s is None else out / s
+        return self.spectrum**-1.0 * coeffs
+
+    def from_coordinates(self, c) -> np.ndarray:
+        """S^-1 U c."""
+        out = self.basis @ c
+        return out if self.scale is None else out / self.scale
+
+    @cached_property
+    def inverse_ones(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(x, Sigma^-1 1, A): the coordinates of Sigma^-1 1, that vector and
+        A = x' diag(mu) x, formed on first read and kept with this matrix."""
+        x = self.coordinates(np.ones(self.dim))
+        return x, self.from_coordinates(x), float(x @ (self.spectrum * x))
+
+    def solve(self, x) -> np.ndarray:
+        """Sigma^-1 x = S^-1 U diag(1/mu) U' S^-1 x."""
+        return self.from_coordinates(self.coordinates(x))
 
     def whiten(self, x) -> np.ndarray:
         """L^-1 x for the factor L = S U diag(sqrt(mu)); |L^-1 x|^2 = x'Sigma^-1 x."""

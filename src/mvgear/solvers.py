@@ -1,7 +1,9 @@
 """
-Mean-variance portfolio programs: the closed forms and the table of programs.
+Mean-variance portfolio programs: the frontier object and the table of programs.
 
-All solutions are parameterized by the four frontier scalars
+Every closed form is theta = c_alpha Sigma^-1 alpha + c_1 Sigma^-1 1 (Merton
+1972, "An analytic derivation of the efficient portfolio frontier"), with
+c_alpha and c_1 taken from its parameters and the four frontier scalars
 
     A = 1'Sigma^-1 1,  B = alpha'Sigma^-1 1,  C = alpha'Sigma^-1 alpha,
     D = AC - B^2 > 0,
@@ -25,20 +27,23 @@ minimized at alpha_p = g0 B / A with value g0^2 / A; sweeping (alpha_p, g0)
 produces the Pareto surface. It is evaluated in Merton's (1972) completed
 square, whose non-negative terms do not cancel near that minimum.
 
-Linear solves go through the spectral decomposition cached on CovMatrix
-rather than explicit inversion; each solve computes Sigma^-1 1 and
-Sigma^-1 alpha at most once. :data:`PROGRAMS` lists every closed form, and
-the diversity-constrained program QOQC (:mod:`mvgear.diversity`), with its
-solver, its parameters and the audits its solution must pass; :func:`solve`
-runs a program from it.
+:class:`FrontierScalars`, the frontier object of (alpha, Sigma), forms every
+such portfolio in the coordinates of the covariance's cached factor, with no
+inverse: alpha adds one product with its basis, and each weight vector one
+more. :data:`PROGRAMS` gives each closed form as c_alpha and the gearing
+1'theta, with its parameters, the degeneracies it refuses and the audits its
+solution must pass, and the diversity-constrained program QOQC
+(:mod:`mvgear.diversity`) with its solver; :func:`solve` runs a program.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +52,7 @@ from .errors import (
     DimensionError,
     InvalidPortfolio,
     MissingParameter,
+    MvgearError,
     NonFiniteData,
     NonPositiveParameter,
     ZeroB,
@@ -83,16 +89,85 @@ class Program(str, Enum):
     QOQC = "QOQC"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrontierScalars:
-    """Sigma^-1 1, Sigma^-1 alpha and the forms A, B, C, D behind every closed form."""
+    """A, B, C, D of (alpha, Sigma) and the frontier portfolios.
 
-    A: float
-    B: float
-    C: float
-    D: float
-    si_ones: np.ndarray
-    si_alpha: np.ndarray
+    A, Sigma^-1 1 and its coordinates x are the covariance's own
+    (:attr:`CovMatrix.inverse_ones`). alpha is split about its mean m, so
+    that r = alpha - (B/A) 1 = (alpha - m 1) - (b/A) 1, with
+    b = (alpha - m 1)'Sigma^-1 1, is formed in asset coordinates; its
+    coordinates y are the one product alpha adds. Then B = m A + b,
+    D = A r'Sigma^-1 r and C = (B^2 + D)/A have no terms that cancel when
+    the returns lie close together, as AC - B^2 does. ``alpha`` is None for
+    a program that reads no returns (GMV).
+    """
+
+    alpha: np.ndarray | None
+    cov: CovMatrix
+
+    def __post_init__(self):
+        if self.alpha is not None:
+            a = as_vector(self.alpha)
+            if a.size != self.cov.dim:
+                raise DimensionError(
+                    f"alpha length {a.size} != covariance dim {self.cov.dim}")
+            object.__setattr__(self, "alpha", a)
+
+    @property
+    def A(self) -> float:
+        return self.cov.inverse_ones[2]
+
+    @cached_property
+    def _split(self) -> tuple[float, float, np.ndarray]:
+        """(m, b, y), formed on first read."""
+        m = float(self.alpha.sum()) / self.alpha.size
+        centred = self.alpha - m
+        b = float(centred @ self.cov.inverse_ones[1])
+        return m, b, self.cov.coordinates(centred - b / self.A)
+
+    @property
+    def B(self) -> float:
+        m, b, _ = self._split
+        return m * self.A + b
+
+    @cached_property
+    def D(self) -> float:
+        """D/A = r'Sigma^-1 r is the least (alpha - beta 1)'Sigma^-1 (alpha - beta 1)
+        over beta, so the rounding of B/A enters it only to second order."""
+        y = self._split[2]
+        return self.A * float(y @ (self.cov.spectrum * y))
+
+    @property
+    def C(self) -> float:
+        return (self.B * self.B + self.D) / self.A
+
+    def excess(self, alpha_p, g0):
+        """alpha_p - g0 B / A, the distance from the GMV line, as
+        (alpha_p - g0 m) - g0 b / A: at g0 = 1 it does not cancel."""
+        m, b, _ = self._split
+        return (alpha_p - g0 * m) - g0 * (b / self.A)
+
+    def check(self, refuses) -> None:
+        """Raise the first of the errors ``refuses`` names that applies:
+        DegenerateAlpha if D <= DEGENERATE_D_TOL, then ZeroB if |B| <= ZERO_B_TOL."""
+        if DegenerateAlpha in refuses and self.D <= DEGENERATE_D_TOL:
+            raise DegenerateAlpha(
+                f"D = AC - B^2 = {self.D:g} is not positive; "
+                "all assets share the same expected return"
+            )
+        if ZeroB in refuses and abs(self.B) <= ZERO_B_TOL:
+            raise ZeroB(f"B = 1'Sigma^-1 alpha = {self.B:g}; risky portfolio undefined")
+
+    def weights(self, c_alpha: float, gearing: float) -> np.ndarray:
+        """c_alpha Sigma^-1 alpha + c_1 Sigma^-1 1 with 1'theta = gearing, that is
+        c_1 = (gearing - c_alpha B)/A, formed as gearing theta_0 + c_alpha Sigma^-1 r
+        = S^-1 U ((gearing/A) x + c_alpha y), whose terms do not cancel: one
+        product with the basis. A zero c_alpha reads no alpha."""
+        coords = (gearing / self.A) * self.cov.inverse_ones[0]
+        if c_alpha != 0.0:
+            coords += c_alpha * self._split[2]
+        return self.cov.from_coordinates(coords)
 
 
 @dataclass(frozen=True)
@@ -145,90 +220,68 @@ def _portfolio(
     )
 
 
-def _frontier(alpha, cov: CovMatrix) -> FrontierScalars:
-    """Frontier object of (alpha, Sigma), D unchecked: two spectral solves."""
-    a = as_vector(alpha)
-    if a.size != cov.dim:
-        raise DimensionError(f"alpha length {a.size} != covariance dim {cov.dim}")
-    ones = np.ones(cov.dim)
-    si_ones = cov.solve(ones)
-    si_alpha = cov.solve(a)
-    big_a = float(ones @ si_ones)
-    big_b = float(a @ si_ones)
-    big_c = float(a @ si_alpha)
-    return FrontierScalars(A=big_a, B=big_b, C=big_c, D=big_a * big_c - big_b**2,
-                           si_ones=si_ones, si_alpha=si_alpha)
-
-
 def frontier_scalars(alpha, cov: CovMatrix) -> FrontierScalars:
     """Frontier object of (alpha, Sigma); raises DegenerateAlpha unless D > 0."""
-    scal = _frontier(alpha, cov)
-    if scal.D <= DEGENERATE_D_TOL:
-        raise DegenerateAlpha(
-            f"D = AC - B^2 = {scal.D:g} is not positive; "
-            "all assets share the same expected return"
+    frontier = FrontierScalars(alpha, cov)
+    frontier.check((DegenerateAlpha,))
+    return frontier
+
+
+def _on_ray(c_alpha: float, f: FrontierScalars) -> tuple[float, float]:
+    """c_alpha Sigma^-1 alpha, a multiple of theta_alpha, as (c_alpha, gearing)."""
+    return c_alpha, c_alpha * f.B
+
+
+def _geared_risky(f: FrontierScalars, g0: float = 1.0, sigma0: float | None = None):
+    """g0 theta_alpha (IV, V, VIII); a risk sigma0 fixes g0 = sigma0 B / sqrt(C)."""
+    if sigma0 is not None:
+        g0 = sigma0 * f.B / math.sqrt(f.C)
+    return g0 / f.B, g0
+
+
+def _geared_min_variance(f: FrontierScalars, alpha0: float, g0: float):
+    """VI: c_alpha = (alpha0 - g0 B/A) A/D; warns when alpha0 lies below the
+    minimum-variance return g0 B / A."""
+    inflection = g0 * f.B / f.A
+    if alpha0 < inflection - 1e-12 * max(1.0, abs(inflection)):
+        warnings.warn(
+            f"return target {alpha0:g} below the minimum-variance return "
+            f"{inflection:g} at gearing {g0:g}; solution is on the "
+            "inefficient branch",
+            InefficientBranchWarning,
+            stacklevel=3,
         )
-    return scal
+    return f.excess(alpha0, g0) * f.A / f.D, g0
 
 
 def gmv_portfolio(cov: CovMatrix) -> Portfolio:
     """Global minimum variance portfolio Sigma^-1 1 / (1'Sigma^-1 1)."""
-    raw = cov.solve(np.ones(cov.dim))
-    w = raw / raw.sum()
-    return _portfolio(w, Program.GMV, {}, cov=cov)
+    return solve(Program.GMV, None, cov)
 
 
 def optimal_risky_portfolio(alpha, cov: CovMatrix) -> Portfolio:
     """Fully-invested Sharpe-maximizing portfolio Sigma^-1 alpha / B."""
-    a = as_vector(alpha)
-    raw = cov.solve(a)
-    b = float(raw.sum())
-    if abs(b) <= ZERO_B_TOL:
-        raise ZeroB(f"1'Sigma^-1 alpha = {b:g}; risky portfolio undefined")
-    w = raw / b
-    return _portfolio(w, Program.RISKY, {}, alpha=a, cov=cov)
+    return solve(Program.RISKY, alpha, cov)
 
 
 def solve_I(alpha, cov: CovMatrix, sigma0: float) -> Portfolio:
     """Maximum return at risk bound sigma0: theta = (sigma0/sqrt(C)) Sigma^-1 alpha."""
-    sigma0 = _require_positive("sigma0", sigma0)
-    a = as_vector(alpha)
-    scal = frontier_scalars(a, cov)
-    w = (sigma0 / np.sqrt(scal.C)) * scal.si_alpha
-    return _portfolio(w, Program.I, {"sigma0": sigma0}, alpha=a, cov=cov)
+    return solve(Program.I, alpha, cov, sigma0=sigma0)
 
 
 def solve_II(alpha, cov: CovMatrix, alpha0: float) -> Portfolio:
     """Minimum variance at return target alpha0: theta = (alpha0/C) Sigma^-1 alpha."""
-    alpha0 = _require_positive("alpha0", alpha0)
-    a = as_vector(alpha)
-    scal = frontier_scalars(a, cov)
-    w = (alpha0 / scal.C) * scal.si_alpha
-    return _portfolio(w, Program.II, {"alpha0": alpha0}, alpha=a, cov=cov)
+    return solve(Program.II, alpha, cov, alpha0=alpha0)
 
 
 def solve_III(alpha, cov: CovMatrix, gamma: float) -> Portfolio:
     """Unconstrained mean-variance trade-off: theta = Sigma^-1 alpha / gamma."""
-    gamma = _require_positive("gamma", gamma)
-    a = as_vector(alpha)
-    w = cov.solve(a) / gamma
-    return _portfolio(w, Program.III, {"gamma": gamma}, alpha=a, cov=cov)
-
-
-def _geared_sharpe(program: Program, alpha, cov: CovMatrix, g0: float) -> Portfolio:
-    """g0 theta_alpha, the Sharpe maximum at gearing g0 (programs IV and VIII).
-
-    A g0 <= 0 is refused: no maximum exists there, and g0 theta_alpha is the
-    Sharpe minimum (or zero)."""
-    g0 = _require_positive("g0", g0)
-    a = as_vector(alpha)
-    w = g0 * optimal_risky_portfolio(a, cov).weights
-    return _portfolio(w, program, {"g0": g0}, alpha=a, cov=cov)
+    return solve(Program.III, alpha, cov, gamma=gamma)
 
 
 def solve_IV(alpha, cov: CovMatrix, g0: float = 1.0) -> Portfolio:
     """Sharpe maximization scaled to gearing g0 (g0 theta_alpha)."""
-    return _geared_sharpe(Program.IV, alpha, cov, g0)
+    return solve(Program.IV, alpha, cov, g0=g0)
 
 
 def solve_V(
@@ -241,19 +294,7 @@ def solve_V(
     """
     if (sigma0 is None) == (g0 is None):
         raise NonPositiveParameter("supply exactly one of sigma0 and g0")
-    a = as_vector(alpha)
-    scal = frontier_scalars(a, cov)
-    if abs(scal.B) <= ZERO_B_TOL:
-        raise ZeroB(f"B = {scal.B:g}; geared risky portfolio undefined")
-    if sigma0 is not None:
-        sigma0 = _require_positive("sigma0", sigma0)
-        g0 = sigma0 * scal.B / np.sqrt(scal.C)
-        params = {"sigma0": sigma0, "g0": float(g0)}
-    else:
-        g0 = _require_positive("g0", g0)
-        params = {"g0": float(g0)}
-    w = (g0 / scal.B) * scal.si_alpha
-    return _portfolio(w, Program.V, params, alpha=a, cov=cov)
+    return solve(Program.V, alpha, cov, sigma0=sigma0, g0=g0)
 
 
 def solve_VI(alpha, cov: CovMatrix, alpha0: float, g0: float) -> Portfolio:
@@ -269,25 +310,7 @@ def solve_VI(alpha, cov: CovMatrix, alpha0: float, g0: float) -> Portfolio:
     minimum-variance return g0 B / A, the solution sits on the inefficient
     branch and an :class:`InefficientBranchWarning` is emitted.
     """
-    alpha0 = _require_finite("alpha0", alpha0)
-    g0 = _require_finite("g0", g0)
-    a = as_vector(alpha)
-    scal = frontier_scalars(a, cov)
-    lam1 = (alpha0 * scal.A - g0 * scal.B) / scal.D
-    lam2 = (g0 * scal.C - alpha0 * scal.B) / scal.D
-    w = lam1 * scal.si_alpha + lam2 * scal.si_ones
-    inflection = g0 * scal.B / scal.A
-    if alpha0 < inflection - 1e-12 * max(1.0, abs(inflection)):
-        warnings.warn(
-            f"return target {alpha0:g} below the minimum-variance return "
-            f"{inflection:g} at gearing {g0:g}; solution is on the "
-            "inefficient branch",
-            InefficientBranchWarning,
-            stacklevel=2,
-        )
-    return _portfolio(
-        w, Program.VI, {"alpha0": alpha0, "g0": g0}, alpha=a, cov=cov
-    )
+    return solve(Program.VI, alpha, cov, alpha0=alpha0, g0=g0)
 
 
 def solve_VII(alpha, cov: CovMatrix, gamma: float, g0: float) -> Portfolio:
@@ -297,17 +320,12 @@ def solve_VII(alpha, cov: CovMatrix, gamma: float, g0: float) -> Portfolio:
 
         theta = (g0 - B/gamma) Sigma^-1 1 / A + Sigma^-1 alpha / gamma.
     """
-    gamma = _require_positive("gamma", gamma)
-    g0 = _require_finite("g0", g0)
-    a = as_vector(alpha)
-    scal = _frontier(a, cov)
-    w = (g0 - scal.B / gamma) * scal.si_ones / scal.A + scal.si_alpha / gamma
-    return _portfolio(w, Program.VII, {"gamma": gamma, "g0": g0}, alpha=a, cov=cov)
+    return solve(Program.VII, alpha, cov, gamma=gamma, g0=g0)
 
 
 def solve_VIII(alpha, cov: CovMatrix, g0: float) -> Portfolio:
     """Geared Sharpe maximization: theta = g0 Sigma^-1 alpha / (1'Sigma^-1 alpha)."""
-    return _geared_sharpe(Program.VIII, alpha, cov, g0)
+    return solve(Program.VIII, alpha, cov, g0=g0)
 
 
 def solve_QOQC(alpha, cov: CovMatrix, gamma: float, g0: float, n0: float) -> Portfolio:
@@ -327,7 +345,14 @@ def solve_QOQC(alpha, cov: CovMatrix, gamma: float, g0: float, n0: float) -> Por
 
 @dataclass(frozen=True)
 class ProgramSpec:
-    """One program: its solver, its parameters, what its solution must pass.
+    """One program: its closed form, its parameters, what its solution must pass.
+
+    A closed form is ``coefficients(frontier, **params)``, the pair
+    (c_alpha, gearing) of :meth:`FrontierScalars.weights`; a program audited
+    for its gearing records it as g0. Its parameters must be positive, or
+    finite if ``signed`` names them; ``refuses`` names what
+    :meth:`FrontierScalars.check` raises for it; one that does not
+    ``reads_alpha`` records no alpha_p. QOQC runs its own ``solver``.
 
     ``audits`` names, in the order ``verify`` runs them, the checks its
     solution passes:
@@ -339,10 +364,14 @@ class ProgramSpec:
     """
 
     program: Program
-    solver: Callable[..., Portfolio]
+    coefficients: Callable[..., tuple[float, float]] | None = None
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
     one_of: tuple[str, ...] = ()
+    signed: tuple[str, ...] = ()
+    refuses: tuple[type[MvgearError], ...] = ()
+    reads_alpha: bool = True
+    solver: Callable[..., Portfolio] | None = None
     audits: tuple[str, ...] = ()
 
     def arguments(self, values: Mapping) -> dict:
@@ -367,32 +396,53 @@ class ProgramSpec:
         return f"program {self.program.value} takes exactly one of {flags}"
 
 
-# In Program order, which is the order the CLI lists them in.
+# In Program order, which is the order the CLI lists them in. I, II, V and VI
+# refuse a flat alpha (D = 0); the multiples of theta_alpha refuse B = 0. IV,
+# V and VIII refuse g0 <= 0: no maximum exists there, and g0 theta_alpha is
+# the Sharpe minimum (or zero).
 PROGRAMS: dict[Program, ProgramSpec] = {spec.program: spec for spec in (
-    ProgramSpec(Program.I, solve_I, required=("sigma0",), audits=("risk",)),
-    ProgramSpec(Program.II, solve_II, required=("alpha0",), audits=("return",)),
-    ProgramSpec(Program.III, solve_III, required=("gamma",)),
-    ProgramSpec(Program.IV, solve_IV, optional=("g0",), audits=("gearing", "sharpe")),
-    ProgramSpec(Program.V, solve_V, one_of=("sigma0", "g0"),
-                audits=("gearing", "risk", "sharpe")),
-    ProgramSpec(Program.VI, solve_VI, required=("alpha0", "g0"),
+    ProgramSpec(Program.I, lambda f, sigma0: _on_ray(sigma0 / np.sqrt(f.C), f),
+                required=("sigma0",), refuses=(DegenerateAlpha,), audits=("risk",)),
+    ProgramSpec(Program.II, lambda f, alpha0: _on_ray(alpha0 / f.C, f),
+                required=("alpha0",), refuses=(DegenerateAlpha,), audits=("return",)),
+    ProgramSpec(Program.III, lambda f, gamma: _on_ray(1.0 / gamma, f), required=("gamma",)),
+    ProgramSpec(Program.IV, _geared_risky, optional=("g0",), refuses=(ZeroB,),
+                audits=("gearing", "sharpe")),
+    ProgramSpec(Program.V, _geared_risky, one_of=("sigma0", "g0"),
+                refuses=(DegenerateAlpha, ZeroB), audits=("gearing", "risk", "sharpe")),
+    ProgramSpec(Program.VI, _geared_min_variance, required=("alpha0", "g0"),
+                signed=("alpha0", "g0"), refuses=(DegenerateAlpha,),
                 audits=("gearing", "return")),
-    ProgramSpec(Program.VII, solve_VII, required=("gamma", "g0"), audits=("gearing",)),
-    ProgramSpec(Program.VIII, solve_VIII, required=("g0",), audits=("gearing", "sharpe")),
-    ProgramSpec(Program.GMV, lambda alpha, cov: gmv_portfolio(cov),
+    ProgramSpec(Program.VII, lambda f, gamma, g0: (1.0 / gamma, g0),
+                required=("gamma", "g0"), signed=("g0",), audits=("gearing",)),
+    ProgramSpec(Program.VIII, _geared_risky, required=("g0",), refuses=(ZeroB,),
+                audits=("gearing", "sharpe")),
+    ProgramSpec(Program.GMV, lambda f: (0.0, 1.0), reads_alpha=False,
                 audits=("full_investment",)),
-    ProgramSpec(Program.RISKY, optimal_risky_portfolio,
+    ProgramSpec(Program.RISKY, lambda f: (1.0 / f.B, 1.0), refuses=(ZeroB,),
                 audits=("full_investment", "sharpe")),
-    ProgramSpec(Program.QOQC, solve_QOQC, required=("gamma", "g0", "n0"),
+    ProgramSpec(Program.QOQC, solver=solve_QOQC, required=("gamma", "g0", "n0"),
                 audits=("gearing", "diversity", "stationarity")),
 )}
 
 
 def solve(program: Program, alpha, cov: CovMatrix, /, **params) -> Portfolio:
-    """Solve ``program`` from its PROGRAMS entry, passing the solver what
-    :meth:`ProgramSpec.arguments` picks from ``params``."""
+    """Solve ``program`` from its PROGRAMS entry, with the parameters
+    :meth:`ProgramSpec.arguments` picks from ``params``, checked as the entry
+    declares, on the frontier of (alpha, Sigma), checked for what it refuses."""
     entry = PROGRAMS[Program(program)]
-    return entry.solver(alpha, cov, **entry.arguments(params))
+    args = entry.arguments(params)
+    if entry.solver is not None:
+        return entry.solver(alpha, cov, **args)
+    args = {name: (_require_finite if name in entry.signed else _require_positive)(
+        name, value) for name, value in args.items()}
+    frontier = FrontierScalars(alpha if entry.reads_alpha else None, cov)
+    frontier.check(entry.refuses)
+    c_alpha, gearing = entry.coefficients(frontier, **args)
+    if "gearing" in entry.audits:
+        args["g0"] = gearing
+    return _portfolio(frontier.weights(c_alpha, gearing), entry.program, args,
+                      alpha=frontier.alpha, cov=cov)
 
 
 def frontier_variance(scalars: FrontierScalars, alpha_p, g0):
@@ -402,9 +452,8 @@ def frontier_variance(scalars: FrontierScalars, alpha_p, g0):
     ``alpha_p`` and ``g0`` may be arrays that broadcast together; each point
     gets the bits it gets on its own. A square that overflows is inf.
     """
-    if scalars.D <= DEGENERATE_D_TOL:
-        raise DegenerateAlpha(f"D = {scalars.D:g} is not positive")
-    offset = alpha_p - g0 * (scalars.B / scalars.A)
+    scalars.check((DegenerateAlpha,))
+    offset = scalars.excess(alpha_p, g0)
     return g0 * g0 / scalars.A + scalars.A / scalars.D * (offset * offset)
 
 

@@ -129,7 +129,7 @@ def reference_surface(alpha, cov, alpha_p_grid, g0_grid):
     for alpha_p in map(float, alpha_p_grid):
         for g0 in map(float, g0_grid):
             # frontier_variance's completed square, in its operation order
-            offset = alpha_p - g0 * (scal.B / scal.A)
+            offset = scal.excess(alpha_p, g0)
             var = g0 * g0 / scal.A + scal.A / scal.D * (offset * offset)
             gmv_return = g0 * scal.B / scal.A
             rows.append((

@@ -808,6 +808,32 @@ def test_diagonal_shrunk_solve_and_verify_read_no_shrunk_spectrum(tmp_path, monk
     assert (len(eigh), len(eigvalsh)) == (2, 0)
 
 
+def test_the_ones_column_is_formed_once_per_covariance(tmp_path, monkeypatch):
+    # Sigma^-1 1's coordinates are kept with each covariance: repeated solves
+    # on the memoised covariance form them once, and each sweep point forms
+    # them once for its shrunk covariance, shared by the risky column and the
+    # --program solve. Each solve forms one product for alpha.
+    csv = sweep_csv(tmp_path)
+    forget_loads(monkeypatch)
+    real, calls = CovMatrix.coordinates, []
+
+    def counting(self, x):
+        calls.append(bool(np.all(np.asarray(x) == 1.0)))
+        return real(self, x)
+
+    monkeypatch.setattr(CovMatrix, "coordinates", counting)
+    for program in (["VII", "--gamma", 1, "--g0", 1], ["RISKY"], ["VI", "--alpha0", 0.5,
+                                                                  "--g0", 1]):
+        assert run(["solve", "--input", csv, "--program", *program,
+                    "--output", tmp_path / "p.json"]) == 0
+    assert calls == [True, False, False, False]
+    calls.clear()
+    assert run(["shrink-sweep", "--input", csv, "--mode", "simple", "--grid", "0:0.5:1",
+                "--program", "VII", "--gamma", 1, "--g0", 1,
+                "--output", tmp_path / "s.csv"]) == 0
+    assert calls == [True, False, False] * 3
+
+
 def test_shrink_sweep_without_a_risky_portfolio_exits_3(tmp_path, capsys):
     # alpha = (0.1, -0.1) and Sigma = I: 1'Sigma~^-1 alpha = 0 at every shrink
     csv = tmp_path / "r.csv"

@@ -77,12 +77,19 @@ def test_scalars_constant_alpha_degenerate(micro_cov):
 
 
 def test_scalars_carry_both_building_blocks():
+    # Sigma^-1 1 has gearing A and Sigma^-1 alpha gearing B; the frontier forms
+    # them in the factor's coordinates, and agrees with the plain solves, and
+    # with B and C taken from them, within a few kappa eps (two roundings of
+    # sums of n = 6 terms apart)
     rng = np.random.default_rng(3)
     alpha, cov = random_instance(rng, 6)
     s = frontier_scalars(alpha, cov)
-    assert np.array_equal(s.si_ones, cov.solve(np.ones(6)))
-    assert np.array_equal(s.si_alpha, cov.solve(alpha))
-    assert s.B == float(alpha.entries @ s.si_ones)
+    tolerance = 8.0 * cov.condition_number * np.finfo(float).eps
+    si_ones, si_alpha = cov.solve(np.ones(6)), cov.solve(alpha)
+    for got, want in ((s.weights(0.0, s.A), si_ones), (s.weights(1.0, s.B), si_alpha)):
+        npt.assert_allclose(got, want, rtol=0, atol=tolerance * np.abs(want).max())
+    assert s.B == pytest.approx(float(alpha.entries @ si_ones), rel=tolerance, abs=0)
+    assert s.C == pytest.approx(float(alpha.entries @ si_alpha), rel=tolerance, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +169,44 @@ def test_solve_filters_parameters_through_the_table(micro_alpha, micro_cov):
         solve(Program.VI, micro_alpha, micro_cov, g0=1.0)
 
 
+def count_products(monkeypatch):
+    """The vectors each product with a covariance's basis is formed from, from
+    now on: ``("U'", x)`` for coordinates, ``("U", c)`` for from_coordinates."""
+    calls = []
+    for name, label in (("coordinates", "U'"), ("from_coordinates", "U")):
+        real = getattr(CovMatrix, name)
+
+        def counting(self, x, real=real, label=label):
+            calls.append((label, np.array(x, dtype=float)))
+            return real(self, x)
+
+        monkeypatch.setattr(CovMatrix, name, counting)
+    return calls
+
+
 @pytest.mark.filterwarnings("ignore::mvgear.InefficientBranchWarning")
-@pytest.mark.parametrize("program,solves", [
-    (Program.GMV, 1), (Program.RISKY, 1), (Program.I, 2), (Program.II, 2),
-    (Program.III, 1), (Program.IV, 1), (Program.V, 2), (Program.VI, 2),
-    (Program.VII, 2), (Program.VIII, 1),
+@pytest.mark.parametrize("program,products", [
+    (Program.GMV, 1), (Program.RISKY, 2), (Program.I, 2), (Program.II, 2),
+    (Program.III, 2), (Program.IV, 2), (Program.V, 2), (Program.VI, 2),
+    (Program.VII, 2), (Program.VIII, 2),
 ])
-def test_each_program_solves_each_product_once(monkeypatch, program, solves):
+def test_each_program_solves_each_product_once(monkeypatch, program, products):
+    # A solve forms one product for alpha (the coordinates of Sigma^-1 r,
+    # which GMV does not read) and one for its weights. The ones column,
+    # x and Sigma^-1 1, is formed once per covariance: by the first solve
+    # on it, and by no later one.
     rng = np.random.default_rng(5)
     alpha, cov = random_instance(rng, 4)
-    calls = []
-    real = CovMatrix.solve
-
-    def counting(self, x):
-        calls.append(x)
-        return real(self, x)
-
-    monkeypatch.setattr(CovMatrix, "solve", counting)
+    calls = count_products(monkeypatch)
     solve(program, alpha, cov, **TABLE_PARAMS[program])
-    assert len(calls) == solves
+    first = list(calls)
+    calls.clear()
+    solve(program, alpha, cov, **TABLE_PARAMS[program])
+    assert len(calls) == products
+    assert [label for label, _ in calls].count("U") == 1
+    assert not any(label == "U'" and np.all(x == 1.0) for label, x in calls)
+    assert len(first) == products + 2
+    assert sum(label == "U'" and np.all(x == 1.0) for label, x in first) == 1
 
 
 @pytest.mark.parametrize("program", list(PROGRAMS))
@@ -491,24 +517,30 @@ def test_collinearity_family():
 
 @pytest.mark.parametrize("n", [50, 200, 500])
 def test_unshrunk_closed_forms_match_the_kkt_oracle_at_scale(n):
-    # GMV, III, VI and VII against the bordered KKT system of the entries,
-    # which never reads the spectrum the closed forms solve through: each
-    # weight within 32 kappa eps of the largest. Largest seen: 6.3 kappa eps,
-    # VI at n = 500, kappa = 1e2, where the O(n eps) floor of both solvers
-    # dominates.
+    # Every linearly constrained QP of the table (GMV, II, III, VI, VII, and
+    # RISKY as VI at the risky return C/B) against the bordered KKT system of
+    # the entries, which never reads the spectrum the closed forms solve
+    # through: each weight within 32 kappa eps of the largest. Largest seen:
+    # 6.3 kappa eps, VI at n = 500, kappa = 1e2, where the O(n eps) floor of
+    # both solvers dominates.
     rng = np.random.default_rng(70 + n)
     ones, zeros, none = np.ones((1, n)), np.zeros(n), np.zeros((0, n))
     for kappa in (1e2, 1e5, 1e8):
         cov = CovMatrix.from_entries(random_spd(rng, n, kappa=kappa))
         a = 5e-3 * (1.0 + 0.5 * rng.standard_normal(n))
         sigma, alpha0 = cov.entries, float(a.mean())
+        scal = frontier_scalars(a, cov)
+        both = np.vstack([a, ones])
         cases = {
             Program.GMV: ({}, KktProblem(sigma, zeros, ones, [1.0])),
+            Program.II: ({"alpha0": alpha0},
+                         KktProblem(sigma, zeros, a[None, :], [alpha0])),
             Program.III: ({"gamma": 2.0}, KktProblem(2.0 * sigma, a, none, [])),
             Program.VI: ({"alpha0": alpha0, "g0": 1.0},
-                         KktProblem(sigma, zeros, np.vstack([a, ones]), [alpha0, 1.0])),
+                         KktProblem(sigma, zeros, both, [alpha0, 1.0])),
             Program.VII: ({"gamma": 2.0, "g0": 1.0},
                           KktProblem(2.0 * sigma, a, ones, [1.0])),
+            Program.RISKY: ({}, KktProblem(sigma, zeros, both, [scal.C / scal.B, 1.0])),
         }
         tolerance = 32.0 * cov.condition_number * np.finfo(float).eps
         with warnings.catch_warnings():
@@ -611,14 +643,16 @@ def test_frontier_variance_does_not_cancel_near_the_minimum_variance_line():
     # and the expanded numerator alpha_p^2 A - 2 g0 alpha_p B + g0^2 C cancels
     # down to g0^2 D / A: evaluated so, it was off by 3e4 eps at s = 1e-2 and
     # by 7e15 eps at s = 1e-8. The completed square g0^2/A + (A/D) offset^2
-    # carries A's rounding in its first term and D's in its second, and
-    # D = AC - B^2 is itself accurate only to eps AC/D, which the bound's
-    # second term states. Over 30 instances the largest error at f <= 1 was
-    # 25 eps. At s = 1e-8 the computed D is rounding noise: where it is not
-    # positive, frontier_scalars raises DegenerateAlpha and no point is read.
+    # carries A's rounding in its first term and D's in its second. D taken
+    # as AC - B^2 was accurate only to eps AC/D, rounding noise at s = 1e-8
+    # (where frontier_scalars raised DegenerateAlpha on some seeds); taken as
+    # A r'Sigma^-1 r it is accurate to a few eps at every spread, so the bound
+    # carries no AC/D factor and every instance must evaluate. The offset is
+    # taken about the mean m of alpha, (alpha_p - m) - (B/A - m): at
+    # s = 1e-8 the whole span from the GMV line to the risky line is below an
+    # ulp of alpha_p, and alpha_p - B/A with B/A rounded was off by an ulp.
     eps = np.finfo(float).eps
     fractions = [0.0, 1e-3, 1.0, 10.0]
-    evaluated = []
     for seed in range(5):
         rng = np.random.default_rng(seed)
         cov = CovMatrix.from_entries(random_spd(rng, 20, kappa=38.0, scale=1e-4))
@@ -629,12 +663,7 @@ def test_frontier_variance_does_not_cancel_near_the_minimum_variance_line():
             si_ones = mpmath.lu_solve(sigma, ones)
         for spread in [1e-2, 1e-4, 1e-6, 1e-8]:
             alpha = 5e-4 * (1.0 + spread * z)
-            try:
-                scal = frontier_scalars(alpha, cov)
-            except DegenerateAlpha:
-                assert spread == 1e-8
-                continue
-            evaluated.append(spread)
+            scal = frontier_scalars(alpha, cov)
             gmv, risky = scal.B / scal.A, scal.C / scal.B
             alphas = [gmv + f * (risky - gmv) for f in fractions]
             surface = pareto_surface(alpha, cov, alphas, [1.0])
@@ -648,13 +677,52 @@ def test_frontier_variance_does_not_cancel_near_the_minimum_variance_line():
                     exact = ((x * x * big_a - 2 * x * big_b + big_c)
                              / (big_a * big_c - big_b * big_b))
                     offset = alpha_p - gmv
-                    bound = 128 * eps * (1.0 / scal.A + scal.A / scal.D * offset**2
-                                         * (scal.A * scal.C / scal.D))
+                    bound = 128 * eps * (1.0 / scal.A + scal.A / scal.D * offset**2)
                     assert abs(frontier_variance(scal, alpha_p, 1.0) - exact) <= bound
                     assert abs(sigma_p - mpmath.sqrt(exact)) <= (
                         bound / (2 * sigma_p) + eps * sigma_p)
-    assert evaluated.count(1e-2) == evaluated.count(1e-6) == 5
-    assert 1e-8 in evaluated
+
+
+@pytest.mark.filterwarnings("ignore::mvgear.InefficientBranchWarning")
+def test_D_and_the_II_and_VI_weights_hold_near_a_flat_alpha():
+    # The instances above, against 60 digits: D, the II weights and the VI
+    # weights at g0 = 1 within 4 kappa eps at every spread down to 1e-8
+    # (largest seen: 0.9 kappa eps, II). Taken as alpha0 A - g0 B and
+    # g0 C - alpha0 B over D, VI's multipliers cancel to eps AC/D, and at
+    # s = 1e-8 its weights were off by up to 5e16 eps; the frontier forms VI as
+    # g0 theta_0 + c_alpha Sigma^-1 r, with alpha0 - g0 B/A taken about the
+    # mean m of alpha. A g0 other than 1 rounds g0 m, and VI's weights move
+    # by about eps/s per ulp of g0: that is the program's own conditioning.
+    eps = np.finfo(float).eps
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        cov = CovMatrix.from_entries(random_spd(rng, 20, kappa=38.0, scale=1e-4))
+        tolerance = 4.0 * cov.condition_number * eps
+        z = rng.standard_normal(20)
+        with mpmath.workdps(60):
+            sigma = mpmath.matrix(cov.entries.tolist())
+            si_ones = mpmath.lu_solve(sigma, mpmath.matrix([1] * 20))
+        for spread in [1e-2, 1e-4, 1e-6, 1e-8]:
+            alpha = 5e-4 * (1.0 + spread * z)
+            with mpmath.workdps(60):
+                si_alpha = mpmath.lu_solve(sigma, mpmath.matrix(alpha.tolist()))
+                big_a, big_b = sum(si_ones), sum(si_alpha)
+                big_c = mpmath.fdot(alpha.tolist(), si_alpha)
+                big_d = big_a * big_c - big_b * big_b
+                cases = [(Program.II, {"alpha0": 5e-4},
+                          [5e-4 / big_c * v for v in si_alpha])]
+                for target in (big_b / big_a, (big_b / big_a + big_c / big_b) / 2,
+                               big_c / big_b, 2 * big_b / big_a):
+                    x = mpmath.mpf(float(target))
+                    lam1, lam2 = (x * big_a - big_b) / big_d, (big_c - x * big_b) / big_d
+                    exact = [lam1 * u + lam2 * v for u, v in zip(si_alpha, si_ones)]
+                    cases.append((Program.VI, {"alpha0": float(x), "g0": 1.0}, exact))
+                scal = frontier_scalars(alpha, cov)
+                assert abs(scal.D - big_d) <= tolerance * big_d
+                for program, params, exact in cases:
+                    got = solve(program, alpha, cov, **params).weights
+                    err = max(abs(g - e) for g, e in zip(got, exact))
+                    assert err <= tolerance * max(abs(e) for e in exact), (program, spread)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,21 @@ def test_drift_reads_csv_cells_and_weights_json(tmp_path):
         drift._load(str(short))
 
 
+def test_drift_reads_an_array_leaf_normwise():
+    # a near-zero weight moved by rounding at the vector's scale is a large
+    # relative change of that weight, but a few eps of the vector; a scalar
+    # leaf reads the same both ways
+    old = {"weights": [0.5, 3e-17, -0.25], "sigma_p": 0.2}
+    new = {"weights": [0.5, 1e-16, -0.25], "sigma_p": 0.2000000001}
+    drifts = drift._drift(drift._numbers(old, new, ""))
+    abs_diff, rel_diff, norm, count = drifts["weights[*]"]
+    assert (abs_diff, count) == (1e-16 - 3e-17, 1)
+    assert rel_diff == pytest.approx(0.7)
+    assert norm == abs_diff / 0.5
+    assert drifts["sigma_p"][1] == drifts["sigma_p"][2]
+    assert set(drifts) == {"weights[*]", "sigma_p"}
+
+
 _WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 

@@ -8,13 +8,17 @@ Each tree runs in its own child process,
 ``tools/artifact_digests.py --keep``, with one OpenBLAS thread. For each
 artifact whose bytes differ it prints
 
-    workload index kind  max_abs A (LEAF)  max_rel R (LEAF)
+    workload index kind  max_abs A (LEAF)  max_rel R (LEAF)  normwise N (LEAF)
 
 over the numbers the two artifacts hold: the numeric leaves of a JSON
 artifact, every CSV cell (a ``weights_json`` cell is parsed as JSON), and
 the numbers written inside text, such as a ``verify`` check's detail. The
-relative difference is |a - b| / max(|a|, |b|). A closing table gives the
-same maxima per leaf over all artifacts.
+relative difference is |a - b| / max(|a|, |b|). The normwise difference of
+a leaf is its largest |a - b| over the whole leaf (every entry of an array,
+every cell of a CSV column) divided by its largest |a| or |b| in the same
+artifact, so that an ulp's move of a near-zero weight reads as an ulp of
+the vector, not as a large relative change. A closing table gives the same
+maxima per leaf over all artifacts.
 
 A structural difference is reported as ``STRUCTURE`` and makes the tool
 exit 1: a different exit code, JSON key, list length, CSV row or cell count,
@@ -82,6 +86,22 @@ def _numbers(old, new, where: str):
         raise Structural(f"{where}: {old!r} vs {new!r}")
 
 
+def _drift(leaves) -> dict[str, tuple[float, float, float, int]]:
+    """(max |a - b|, max relative, normwise, count) per leaf that moved, over
+    ``(leaf, a, b)`` triples: the differences of its entries that differ,
+    and the normwise one against the largest |a| or |b| of all its entries."""
+    scale, moved = {}, {}
+    for leaf, x, y in leaves:
+        scale[leaf] = max(scale.get(leaf, 0.0), abs(x), abs(y))
+        if x != y:
+            abs_diff = abs(x - y)
+            seen = moved.get(leaf, (0.0, 0.0, 0))
+            moved[leaf] = (max(seen[0], abs_diff),
+                           max(seen[1], abs_diff / max(abs(x), abs(y))), seen[2] + 1)
+    return {leaf: (abs_diff, rel_diff, abs_diff / scale[leaf], count)
+            for leaf, (abs_diff, rel_diff, count) in moved.items()}
+
+
 def _load(path: str):
     """A JSON artifact as its document, a CSV one as {column: [cells]}."""
     with open(path, encoding="utf-8", newline="") as handle:
@@ -135,24 +155,20 @@ def main(argv=None) -> int:
                 structural += 1
                 print(f"{label}  STRUCTURE {exc}")
                 continue
-            worst_abs, worst_rel = (0.0, "-"), (0.0, "-")
-            for leaf, x, y in leaves:
-                if x == y:
-                    continue
-                abs_diff = abs(x - y)
-                rel_diff = abs_diff / max(abs(x), abs(y))
-                worst_abs = max(worst_abs, (abs_diff, leaf))
-                worst_rel = max(worst_rel, (rel_diff, leaf))
+            worst = [(0.0, "-")] * 3
+            for leaf, maxima in _drift(leaves).items():
+                worst = [max(w, (m, leaf)) for w, m in zip(worst, maxima)]
                 key = f"{kind} {leaf}"
-                seen = per_leaf.get(key, (0.0, 0.0, 0))
-                per_leaf[key] = (max(seen[0], abs_diff), max(seen[1], rel_diff), seen[2] + 1)
-            print(f"{label}  max_abs {worst_abs[0]:.3g} ({worst_abs[1]})"
-                  f"  max_rel {worst_rel[0]:.3g} ({worst_rel[1]})")
+                seen = per_leaf.get(key, (0.0, 0.0, 0.0, 0))
+                per_leaf[key] = (*map(max, seen[:3], maxima[:3]), seen[3] + maxima[3])
+            print(f"{label}  max_abs {worst[0][0]:.3g} ({worst[0][1]})"
+                  f"  max_rel {worst[1][0]:.3g} ({worst[1][1]})"
+                  f"  normwise {worst[2][0]:.3g} ({worst[2][1]})")
     print(f"\n{differ} of {len(old)} artifacts differ, {structural} in structure")
     if per_leaf:
-        print(f"{'leaf':<48} {'max_abs':>10} {'max_rel':>10} {'count':>6}")
-        for key, (abs_diff, rel_diff, count) in sorted(per_leaf.items()):
-            print(f"{key:<48} {abs_diff:>10.3g} {rel_diff:>10.3g} {count:>6}")
+        print(f"{'leaf':<48} {'max_abs':>10} {'max_rel':>10} {'normwise':>10} {'count':>6}")
+        for key, (abs_diff, rel_diff, norm, count) in sorted(per_leaf.items()):
+            print(f"{key:<48} {abs_diff:>10.3g} {rel_diff:>10.3g} {norm:>10.3g} {count:>6}")
     return 1 if structural else 0
 
 
