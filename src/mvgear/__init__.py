@@ -42,21 +42,10 @@ from .solvers import (
     ParetoSurface,
     Portfolio,
     Program,
-    frontier_scalars,
     frontier_variance,
-    gmv_portfolio,
     implied_returns,
-    optimal_risky_portfolio,
     pareto_surface,
-    solve_I,
-    solve_II,
-    solve_III,
-    solve_IV,
-    solve_V,
-    solve_VI,
-    solve_VII,
-    solve_VIII,
-    solve_QOQC,
+    solve,
 )
 from .geometry import (
     AngleDecomposition,

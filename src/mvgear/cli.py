@@ -291,8 +291,9 @@ def _cmd_bounds(args) -> str:
         try:
             theta = np.array([float(x) for x in args.theta.split(",")])
         except ValueError as exc:
-            raise CliError("BadArguments",
-                           f"cannot parse --theta {args.theta!r}") from exc
+            raise CliError("BadArguments", f"cannot parse --theta {args.theta!r}") from exc
+        if not np.isfinite(theta).all():
+            raise CliError("BadArguments", f"--theta {args.theta!r} has a non-finite entry")
     report = geometry.verify_bound(alpha, cov, theta, psi=args.psi)
     return serialize.dumps(report.to_dict()) + "\n"
 
@@ -302,17 +303,15 @@ def _cmd_shrink_sweep(args) -> str:
     grid = parse_grid(args.grid)
     params = _program_params(args)
     _, alpha, cov = _moments(args)
-    risky_entry = solvers.PROGRAMS[Program.RISKY]
     rows = []
     for value in grid:
         spec = ShrinkageSpec(mode=mode, k=float(value))
         shrunk = robust.shrink_covariance(cov, alpha, spec)
-        # RISKY's table entry on the shrunk frontier, with no Portfolio built
+        # RISKY and --program on one shrunk frontier, with no Portfolio built
         frontier = solvers.FrontierScalars(alpha, shrunk)
-        frontier.check(risky_entry.refuses)
-        risky = frontier.weights(*risky_entry.coefficients(frontier))
+        risky, _ = solvers.program_weights(Program.RISKY, frontier)
         optimal = (risky if args.program is None
-                   else solvers.solve(args.program, alpha, shrunk, **params).weights)
+                   else solvers.program_weights(args.program, frontier, **params)[0])
         weights_json = '"' + serialize.dumps(optimal) + '"'
         rows.append([
             float(value),

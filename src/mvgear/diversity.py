@@ -73,10 +73,10 @@ Lagrangian literally, so stationarity reads
 which maps to the ridge form (nu I + gamma Sigma) theta = alpha + lambda2 1
 via nu = -2 lambda1; nu is surfaced in the diagnostics as ``ridge_shift``.
 
-QOQC is a table program like the closed forms: ``solvers.PROGRAMS`` runs it
-through ``solvers.solve_QOQC``, which wraps :func:`solve_qoqc`'s weights and
-multipliers in the shared Portfolio record. ``solvers`` imports this module,
-so this module imports nothing from ``solvers``.
+QOQC is a table program like the closed forms: ``solvers.solve`` runs it
+through its ``solvers.PROGRAMS`` entry, whose solver passes :func:`solve_qoqc`'s
+weights and multipliers on to the shared Portfolio record. ``solvers`` imports
+this module, so this module imports nothing from ``solvers``.
 """
 
 from __future__ import annotations

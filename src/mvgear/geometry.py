@@ -39,6 +39,7 @@ from .errors import (
     InvalidEta,
     InvalidKappa,
     InvalidPsi,
+    NonFiniteData,
     ToleranceNotMet,
     ZeroVector,
 )
@@ -49,6 +50,9 @@ COLLINEAR_TOL = 1e-10
 
 
 def _clamp_cos(value: float) -> float:
+    """``value`` clamped to [-1, 1]; a nan, which max(-1, nan) makes -1, raises."""
+    if np.isnan(value):
+        raise NonFiniteData("cosine is nan: a vector has a non-finite entry")
     return float(min(1.0, max(-1.0, value)))
 
 

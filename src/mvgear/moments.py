@@ -208,7 +208,13 @@ class CovMatrix:
             ascending, vectors = np.linalg.eigh(sym)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
-        return cls._from_eigh(sym, ascending, vectors)
+        cov = cls._from_eigh(sym, ascending, vectors)
+        if np.any(cov.spectrum[1:] == cov.spectrum[:-1]):
+            # eigh orders tied eigenvectors freely: sort them by their largest entry's row
+            order = np.lexsort((np.abs(cov.basis).argmax(axis=0), -cov.spectrum))
+            cov = cls(cov.entries, _frozen_array(cov.spectrum[order]),
+                      _frozen_array(cov.basis[:, order]))
+        return cov
 
     @classmethod
     def _from_eigh(cls, sym, ascending, vectors) -> "CovMatrix":
@@ -271,7 +277,7 @@ class CovMatrix:
         diagonal = np.diag(self.entries)
         entries = _frozen_array(w * np.diag(diagonal) + (1.0 - w) * self.entries)
         if w == 1.0:
-            order = np.argsort(diagonal)[::-1]
+            order = np.argsort(-diagonal, kind="stable")  # ties as in from_entries
             return CovMatrix(entries=entries, spectrum=_frozen_array(diagonal[order]),
                              basis=_frozen_array(np.eye(self.dim)[:, order]))
         lam, basis = self._correlation

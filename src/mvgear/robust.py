@@ -23,7 +23,7 @@ with the bracket evaluated at the unshrunk fully-invested risky portfolio,
 reduces once alpha'theta = |alpha||theta| cos phi is substituted and the
 result renormalized to gearing one to this shrink: the shrunk risky
 portfolio is ``solve_robust(Program.RISKY, alpha, cov,
-ShrinkageSpec.angle_targeted(k))``. The plain convex forms
+ShrinkageSpec(ShrinkMode.ANGLE_TARGETED, k))``. The plain convex forms
 q I + (1-q) Sigma and q diag(Sigma) + (1-q) Sigma are exposed alongside.
 
 Both identity-target shrinks keep Sigma's eigenvectors and map each
@@ -37,10 +37,10 @@ first read).
 Shrinking never worsens the condition number and never breaks the gearing
 constraints (the GMV/risky mix stays cash neutral). :func:`solve_robust`
 re-solves any table program (``solvers.PROGRAMS``, QOQC included) on the
-shrunk covariance; its full-shrink limit
-(``ShrinkageSpec.simple(1.0)``) is the same program on Sigma~ = I, that is
-``solvers.solve(program, alpha, CovMatrix.identity(n), **params)``. With
-e = 1/n the equal-weight vector and alpha^ = alpha / (1'alpha):
+shrunk covariance; its full-shrink limit (``ShrinkageSpec(ShrinkMode.SIMPLE,
+1.0)``) is the same program on Sigma~ = I, that is ``solvers.solve(program,
+alpha, CovMatrix.identity(n), **params)``. With e = 1/n the equal-weight
+vector and alpha^ = alpha / (1'alpha):
 
 - GMV becomes e and RISKY becomes alpha^;
 - VII becomes g0 e + (alpha - mean(alpha) 1) / gamma: the geared
@@ -51,6 +51,7 @@ e = 1/n the equal-weight vector and alpha^ = alpha / (1'alpha):
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -67,7 +68,7 @@ from .errors import (
 )
 from .geometry import alpha_angle
 from .moments import CovMatrix, as_vector
-from .solvers import Portfolio, Program, _portfolio
+from .solvers import FrontierScalars, Portfolio, Program, _portfolio
 
 
 class ShrinkMode(str, Enum):
@@ -88,18 +89,6 @@ class ShrinkageSpec:
 
     mode: ShrinkMode
     k: float
-
-    @classmethod
-    def angle_targeted(cls, k: float) -> "ShrinkageSpec":
-        return cls(mode=ShrinkMode.ANGLE_TARGETED, k=float(k))
-
-    @classmethod
-    def simple(cls, q: float) -> "ShrinkageSpec":
-        return cls(mode=ShrinkMode.SIMPLE, k=float(q))
-
-    @classmethod
-    def diagonal(cls, q: float) -> "ShrinkageSpec":
-        return cls(mode=ShrinkMode.DIAGONAL, k=float(q))
 
     @classmethod
     def from_params(cls, params: Mapping) -> "ShrinkageSpec | None":
@@ -127,9 +116,18 @@ def angle_floor(alpha, cov: CovMatrix) -> float:
     return alpha_angle(a, cov.solve(a))
 
 
+# k0 of the last (alpha, Sigma) shrunk toward its angle, Sigma held weakly: a
+# sweep shrinks one pair at every grid point, and k0 costs a solve with Sigma.
+_last_floor: tuple[weakref.ref, bytes, float] | None = None
+
+
 def _convex_weight(spec: ShrinkageSpec, alpha, cov: CovMatrix) -> float:
+    global _last_floor
     if spec.mode is ShrinkMode.ANGLE_TARGETED:
-        k0 = angle_floor(alpha, cov)
+        key = as_vector(alpha).tobytes()
+        if not (_last_floor and _last_floor[0]() is cov and _last_floor[1] == key):
+            _last_floor = weakref.ref(cov), key, angle_floor(alpha, cov)
+        k0 = _last_floor[2]
         if not 0.0 <= spec.k < k0:
             raise InvalidK(f"k = {spec.k} outside [0, k0 = {k0:g})")
         return spec.k / k0
@@ -185,6 +183,7 @@ def solve_robust(
     if spec is None:
         return solvers.solve(program, alpha, cov, **params)
     a = as_vector(alpha)
-    base = solvers.solve(program, a, shrink_covariance(cov, a, spec), **params)
-    params = {**base.params, "shrink_mode": spec.mode.value, "shrink_k": spec.k}
-    return _portfolio(base.weights, base.program, params, alpha=a, cov=cov)
+    frontier = FrontierScalars(a, shrink_covariance(cov, a, spec))
+    weights, args = solvers.program_weights(program, frontier, **params)
+    args.update(shrink_mode=spec.mode.value, shrink_k=spec.k)
+    return _portfolio(weights, Program(program), args, a, cov)

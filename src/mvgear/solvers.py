@@ -10,13 +10,27 @@ c_alpha and c_1 taken from its parameters and the four frontier scalars
 
 through two building blocks: the global minimum variance portfolio
 theta_0 = Sigma^-1 1 / A and the fully-invested optimal risky portfolio
-theta_alpha = Sigma^-1 alpha / B. Programs without a gearing constraint
-(I-IV) and the geared return/Sharpe maximizations (V, VIII) are scalar
-multiples of theta_alpha; the geared risk minimization (VI) and geared
-mean-variance program (VII) mix theta_0 and theta_alpha:
+theta_alpha = Sigma^-1 alpha / B. What each program of :data:`PROGRAMS` solves:
 
-    VI:  theta = (g0 - w) theta_0 + w theta_alpha,  w = (B/D)(alpha0 A - g0 B)
-    VII: theta = (g0 - m) theta_0 + m theta_alpha,  m = B / gamma
+    GMV    min theta'Sigma theta s.t. 1'theta = 1: theta_0
+    RISKY  max Sharpe ratio s.t. 1'theta = 1: theta_alpha
+    I      max alpha'theta s.t. sigma_p = sigma0: (sigma0 / sqrt(C)) Sigma^-1 alpha
+    II     min risk s.t. alpha'theta = alpha0: (alpha0 / C) Sigma^-1 alpha
+    III    max alpha'theta - (gamma/2) theta'Sigma theta: Sigma^-1 alpha / gamma
+    IV     max Sharpe ratio, scaled to gearing g0 (1 if not given): g0 theta_alpha
+    V      max alpha'theta at gearing g0, or at risk sigma0 (exactly one), which
+           fixes g0 = sigma0 B / sqrt(C): g0 theta_alpha
+    VI     min (1/2) theta'Sigma theta s.t. alpha'theta = alpha0, 1'theta = g0:
+           ((alpha0 A - g0 B)/D) Sigma^-1 alpha + ((g0 C - alpha0 B)/D) Sigma^-1 1
+           = (g0 - w) theta_0 + w theta_alpha, w = (B/D)(alpha0 A - g0 B); its
+           return constraint binds, so an alpha0 below g0 B / A puts it on the
+           inefficient branch, with an :class:`InefficientBranchWarning`
+    VII    max alpha'theta - (gamma/2) theta'Sigma theta s.t. 1'theta = g0:
+           (g0 - B/gamma) Sigma^-1 1 / A + Sigma^-1 alpha / gamma
+           = (g0 - m) theta_0 + m theta_alpha, m = B / gamma
+    VIII   max Sharpe ratio s.t. 1'theta = g0: g0 theta_alpha
+    QOQC   VII s.t. theta'theta = 1/n0 too (:mod:`mvgear.diversity`), recording
+           the multipliers lambda1 and lambda2 that certify stationarity
 
 The minimum-variance set at fixed gearing is the parabola
 
@@ -32,8 +46,8 @@ such portfolio in the coordinates of the covariance's cached factor, with no
 inverse: alpha adds one product with its basis, and each weight vector one
 more. :data:`PROGRAMS` gives each closed form as c_alpha and the gearing
 1'theta, with its parameters, the degeneracies it refuses and the audits its
-solution must pass, and the diversity-constrained program QOQC
-(:mod:`mvgear.diversity`) with its solver; :func:`solve` runs a program.
+solution must pass, and QOQC with its solver. :func:`solve` runs a program:
+its weights on a frontier object (:func:`program_weights`), then its record.
 """
 
 from __future__ import annotations
@@ -54,7 +68,6 @@ from .errors import (
     MissingParameter,
     MvgearError,
     NonFiniteData,
-    NonPositiveParameter,
     ZeroB,
     ZeroSum,
 )
@@ -199,32 +212,13 @@ class Portfolio:
         return self.weights.size
 
 
-def _portfolio(
-    weights: np.ndarray,
-    program: Program,
-    params: dict,
-    alpha=None,
-    cov: CovMatrix | None = None,
-) -> Portfolio:
-    w = np.asarray(weights, dtype=float)
-    alpha_p = float(as_vector(alpha) @ w) if alpha is not None else None
-    sigma_p = float(np.sqrt(max(cov.quad(w), 0.0))) if cov is not None else None
-    return Portfolio(
-        weights=w,
-        program=program,
-        params=dict(params),
-        gearing=float(w.sum()),
-        leverage=float(np.abs(w).sum()),
-        alpha_p=alpha_p,
-        sigma_p=sigma_p,
-    )
-
-
-def frontier_scalars(alpha, cov: CovMatrix) -> FrontierScalars:
-    """Frontier object of (alpha, Sigma); raises DegenerateAlpha unless D > 0."""
-    frontier = FrontierScalars(alpha, cov)
-    frontier.check((DegenerateAlpha,))
-    return frontier
+def _portfolio(w, program: Program, params: dict, alpha, cov: CovMatrix) -> Portfolio:
+    """The record of weights ``w``, with alpha_p (None if ``alpha`` is) and
+    sigma_p on ``cov``."""
+    return Portfolio(weights=w, program=program, params=dict(params),
+                     gearing=float(w.sum()), leverage=float(np.abs(w).sum()),
+                     alpha_p=None if alpha is None else float(as_vector(alpha) @ w),
+                     sigma_p=float(np.sqrt(max(cov.quad(w), 0.0))))
 
 
 def _on_ray(c_alpha: float, f: FrontierScalars) -> tuple[float, float]:
@@ -249,98 +243,18 @@ def _geared_min_variance(f: FrontierScalars, alpha0: float, g0: float):
             f"{inflection:g} at gearing {g0:g}; solution is on the "
             "inefficient branch",
             InefficientBranchWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return f.excess(alpha0, g0) * f.A / f.D, g0
 
 
-def gmv_portfolio(cov: CovMatrix) -> Portfolio:
-    """Global minimum variance portfolio Sigma^-1 1 / (1'Sigma^-1 1)."""
-    return solve(Program.GMV, None, cov)
-
-
-def optimal_risky_portfolio(alpha, cov: CovMatrix) -> Portfolio:
-    """Fully-invested Sharpe-maximizing portfolio Sigma^-1 alpha / B."""
-    return solve(Program.RISKY, alpha, cov)
-
-
-def solve_I(alpha, cov: CovMatrix, sigma0: float) -> Portfolio:
-    """Maximum return at risk bound sigma0: theta = (sigma0/sqrt(C)) Sigma^-1 alpha."""
-    return solve(Program.I, alpha, cov, sigma0=sigma0)
-
-
-def solve_II(alpha, cov: CovMatrix, alpha0: float) -> Portfolio:
-    """Minimum variance at return target alpha0: theta = (alpha0/C) Sigma^-1 alpha."""
-    return solve(Program.II, alpha, cov, alpha0=alpha0)
-
-
-def solve_III(alpha, cov: CovMatrix, gamma: float) -> Portfolio:
-    """Unconstrained mean-variance trade-off: theta = Sigma^-1 alpha / gamma."""
-    return solve(Program.III, alpha, cov, gamma=gamma)
-
-
-def solve_IV(alpha, cov: CovMatrix, g0: float = 1.0) -> Portfolio:
-    """Sharpe maximization scaled to gearing g0 (g0 theta_alpha)."""
-    return solve(Program.IV, alpha, cov, g0=g0)
-
-
-def solve_V(
-    alpha, cov: CovMatrix, sigma0: float | None = None, g0: float | None = None
-) -> Portfolio:
-    """Geared return maximization: theta = g0 theta_alpha.
-
-    Exactly one of ``sigma0`` and ``g0`` must be supplied; fixing the risk
-    fixes the gearing through g0 = sigma0 B / sqrt(C), and vice versa.
-    """
-    if (sigma0 is None) == (g0 is None):
-        raise NonPositiveParameter("supply exactly one of sigma0 and g0")
-    return solve(Program.V, alpha, cov, sigma0=sigma0, g0=g0)
-
-
-def solve_VI(alpha, cov: CovMatrix, alpha0: float, g0: float) -> Portfolio:
-    """Geared minimum variance at return target alpha0.
-
-    Solves min (1/2)theta'Sigma theta s.t. alpha'theta = alpha0, 1'theta = g0
-    through the multiplier expansion
-
-        theta = ((alpha0 A - g0 B)/D) Sigma^-1 alpha
-              + ((g0 C - alpha0 B)/D) Sigma^-1 1.
-
-    The return constraint is treated as binding; when alpha0 falls below the
-    minimum-variance return g0 B / A, the solution sits on the inefficient
-    branch and an :class:`InefficientBranchWarning` is emitted.
-    """
-    return solve(Program.VI, alpha, cov, alpha0=alpha0, g0=g0)
-
-
-def solve_VII(alpha, cov: CovMatrix, gamma: float, g0: float) -> Portfolio:
-    """Geared mean-variance program.
-
-    Solves max alpha'theta - (gamma/2) theta'Sigma theta s.t. 1'theta = g0:
-
-        theta = (g0 - B/gamma) Sigma^-1 1 / A + Sigma^-1 alpha / gamma.
-    """
-    return solve(Program.VII, alpha, cov, gamma=gamma, g0=g0)
-
-
-def solve_VIII(alpha, cov: CovMatrix, g0: float) -> Portfolio:
-    """Geared Sharpe maximization: theta = g0 Sigma^-1 alpha / (1'Sigma^-1 alpha)."""
-    return solve(Program.VIII, alpha, cov, g0=g0)
-
-
-def solve_QOQC(alpha, cov: CovMatrix, gamma: float, g0: float, n0: float) -> Portfolio:
-    """Diversity-constrained mean-variance program (:mod:`mvgear.diversity`).
-
-    Solves max alpha'theta - (gamma/2) theta'Sigma theta s.t. 1'theta = g0,
-    theta'theta = 1/n0; the record carries the multipliers lambda1 and
-    lambda2 that certify stationarity.
-    """
+def _solve_QOQC(alpha, cov: CovMatrix, gamma: float, g0: float, n0: float):
+    """QOQC's weights and the params its record carries: its own and the
+    multipliers of :func:`mvgear.diversity.solve_qoqc`."""
     problem = QoqcProblem(alpha=alpha, cov=cov, gamma=gamma, g0=g0, n0=n0)
     solution = solve_qoqc(problem)
-    params = {"gamma": problem.gamma, "g0": problem.g0, "n0": problem.n0,
-              "lambda1": solution.lambda1, "lambda2": solution.lambda2}
-    return _portfolio(solution.weights, Program.QOQC, params, alpha=problem.alpha,
-                      cov=cov)
+    return solution.weights, {"gamma": problem.gamma, "g0": problem.g0, "n0": problem.n0,
+                              "lambda1": solution.lambda1, "lambda2": solution.lambda2}
 
 
 @dataclass(frozen=True)
@@ -371,7 +285,7 @@ class ProgramSpec:
     signed: tuple[str, ...] = ()
     refuses: tuple[type[MvgearError], ...] = ()
     reads_alpha: bool = True
-    solver: Callable[..., Portfolio] | None = None
+    solver: Callable[..., tuple[np.ndarray, dict]] | None = None
     audits: tuple[str, ...] = ()
 
     def arguments(self, values: Mapping) -> dict:
@@ -421,28 +335,36 @@ PROGRAMS: dict[Program, ProgramSpec] = {spec.program: spec for spec in (
                 audits=("full_investment",)),
     ProgramSpec(Program.RISKY, lambda f: (1.0 / f.B, 1.0), refuses=(ZeroB,),
                 audits=("full_investment", "sharpe")),
-    ProgramSpec(Program.QOQC, solver=solve_QOQC, required=("gamma", "g0", "n0"),
+    ProgramSpec(Program.QOQC, solver=_solve_QOQC, required=("gamma", "g0", "n0"),
                 audits=("gearing", "diversity", "stationarity")),
 )}
 
 
-def solve(program: Program, alpha, cov: CovMatrix, /, **params) -> Portfolio:
-    """Solve ``program`` from its PROGRAMS entry, with the parameters
+def program_weights(program: Program, frontier: FrontierScalars, /, **params):
+    """The weights of ``program`` on ``frontier``, checked for what its PROGRAMS
+    entry refuses, and the params its record carries: those
     :meth:`ProgramSpec.arguments` picks from ``params``, checked as the entry
-    declares, on the frontier of (alpha, Sigma), checked for what it refuses."""
+    declares, and an audited gearing as g0 (QOQC's solver adds multipliers)."""
     entry = PROGRAMS[Program(program)]
     args = entry.arguments(params)
     if entry.solver is not None:
-        return entry.solver(alpha, cov, **args)
+        return entry.solver(frontier.alpha, frontier.cov, **args)
     args = {name: (_require_finite if name in entry.signed else _require_positive)(
         name, value) for name, value in args.items()}
-    frontier = FrontierScalars(alpha if entry.reads_alpha else None, cov)
     frontier.check(entry.refuses)
     c_alpha, gearing = entry.coefficients(frontier, **args)
     if "gearing" in entry.audits:
         args["g0"] = gearing
-    return _portfolio(frontier.weights(c_alpha, gearing), entry.program, args,
-                      alpha=frontier.alpha, cov=cov)
+    return frontier.weights(c_alpha, gearing), args
+
+
+def solve(program: Program, alpha, cov: CovMatrix, /, **params) -> Portfolio:
+    """Solve ``program`` (the module docstring says what each one solves):
+    :func:`program_weights` on the frontier of (alpha, Sigma), and its record."""
+    entry = PROGRAMS[Program(program)]
+    frontier = FrontierScalars(alpha if entry.reads_alpha else None, cov)
+    weights, args = program_weights(entry.program, frontier, **params)
+    return _portfolio(weights, entry.program, args, frontier.alpha, cov)
 
 
 def frontier_variance(scalars: FrontierScalars, alpha_p, g0):
@@ -481,14 +403,13 @@ def pareto_surface(alpha, cov: CovMatrix, alpha_p_grid, g0_grid) -> ParetoSurfac
     (alpha_p = g0 C / B) are flagged. Raises NonFiniteData naming the first
     point, in alpha_p-major order, whose variance is not finite.
     """
-    a = as_vector(alpha)
     alphas = np.atleast_1d(np.asarray(alpha_p_grid, dtype=float))
     gearings = np.atleast_1d(np.asarray(g0_grid, dtype=float))
     if alphas.size == 0 or gearings.size == 0:
         raise DimensionError("grids must be non-empty")
     if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(gearings))):
         raise NonFiniteData("grids must be finite")
-    scal = frontier_scalars(a, cov)
+    scal = FrontierScalars(alpha, cov)
     with np.errstate(over="ignore", invalid="ignore"):
         var = frontier_variance(scal, alphas[:, None], gearings)
     if not np.isfinite(var).all():

@@ -105,11 +105,11 @@ def odd_surface_instance():
     """(alpha, Sigma, alpha_p grid, g0 grid) whose grids hold g0 = 0, points
     on both lines, and points one ulp either side of the GMV line, where the
     offset alpha_p - g0 B / A of the completed square is all rounding."""
-    from mvgear import frontier_scalars
+    from mvgear import FrontierScalars
 
     rng = np.random.default_rng(12)
     alpha, cov = random_instance(rng, 5)
-    scal = frontier_scalars(alpha, cov)
+    scal = FrontierScalars(alpha, cov)
     gearings = np.concatenate([[0.0, 1.0], rng.uniform(-2.0, 3.0, 25)])
     on_gmv = gearings[:5] * scal.B / scal.A
     alphas = np.concatenate([rng.uniform(-0.5, 0.5, 205), on_gmv,
@@ -121,10 +121,10 @@ def odd_surface_instance():
 def reference_surface(alpha, cov, alpha_p_grid, g0_grid):
     """The per-point loop the vectorized surface replaced: one
     (alpha_p, g0, sigma_p, on GMV line, on risky line) tuple per point."""
-    from mvgear import frontier_scalars
+    from mvgear import FrontierScalars
     from mvgear.solvers import LINE_FLAG_RTOL, ZERO_B_TOL
 
-    scal = frontier_scalars(alpha, cov)
+    scal = FrontierScalars(alpha, cov)
     rows = []
     for alpha_p in map(float, alpha_p_grid):
         for g0 in map(float, g0_grid):

@@ -16,25 +16,17 @@ import pytest
 import mvgear
 from mvgear import (
     CovMatrix,
+    FrontierScalars,
     KktProblem,
+    Program,
     ShrinkageSpec,
+    ShrinkMode,
     alpha_angle,
     angle_floor,
-    frontier_scalars,
     frontier_variance,
-    gmv_portfolio,
-    Program,
     kantorovich_bound,
-    optimal_risky_portfolio,
     shrink_covariance,
-    solve_I,
-    solve_II,
-    solve_III,
-    solve_IV,
-    solve_V,
-    solve_VI,
-    solve_VII,
-    solve_VIII,
+    solve,
     solve_kkt,
     solve_qoqc,
     solve_robust,
@@ -127,39 +119,39 @@ def test_criterion_03_oracle_equivalence():
         zero = np.zeros(n)
         both = np.vstack([a, ones])
 
-        gmv = gmv_portfolio(cov).weights
+        gmv = solve(Program.GMV, None, cov).weights
         npt.assert_allclose(gmv, oracle_weights(sigma, zero, ones[None, :], [1.0]),
                             atol=1e-8, rtol=0)
 
-        w1 = solve_I(alpha, cov, sigma0=sigma0).weights
+        w1 = solve(Program.I, alpha, cov, sigma0=sigma0).weights
         npt.assert_allclose(
             w1, oracle_weights(sigma, zero, a[None, :], [float(a @ w1)]),
             atol=1e-8, rtol=0)
 
-        w2 = solve_II(alpha, cov, alpha0=alpha0).weights
+        w2 = solve(Program.II, alpha, cov, alpha0=alpha0).weights
         npt.assert_allclose(w2, oracle_weights(sigma, zero, a[None, :], [alpha0]),
                             atol=1e-8, rtol=0)
 
-        w3 = solve_III(alpha, cov, gamma=gamma).weights
+        w3 = solve(Program.III, alpha, cov, gamma=gamma).weights
         npt.assert_allclose(
             w3, oracle_weights(gamma * sigma, a, np.zeros((0, n)), []),
             atol=1e-8, rtol=0)
 
-        for w_risky in (solve_IV(alpha, cov, g0=g0).weights,
-                        solve_V(alpha, cov, g0=g0).weights,
-                        solve_VIII(alpha, cov, g0=g0).weights):
+        for w_risky in (solve(Program.IV, alpha, cov, g0=g0).weights,
+                        solve(Program.V, alpha, cov, g0=g0).weights,
+                        solve(Program.VIII, alpha, cov, g0=g0).weights):
             npt.assert_allclose(
                 w_risky,
                 oracle_weights(sigma, zero, both, [float(a @ w_risky), g0]),
                 atol=1e-8, rtol=0)
 
-        scal = frontier_scalars(alpha, cov)
+        scal = FrontierScalars(alpha, cov)
         target = float(g0 * scal.B / scal.A + rng.uniform(0.0, 0.1))
-        w6 = solve_VI(alpha, cov, alpha0=target, g0=g0).weights
+        w6 = solve(Program.VI, alpha, cov, alpha0=target, g0=g0).weights
         npt.assert_allclose(w6, oracle_weights(sigma, zero, both, [target, g0]),
                             atol=1e-8, rtol=0)
 
-        w7 = solve_VII(alpha, cov, gamma=gamma, g0=g0).weights
+        w7 = solve(Program.VII, alpha, cov, gamma=gamma, g0=g0).weights
         npt.assert_allclose(w7, oracle_weights(gamma * sigma, a, ones[None, :], [g0]),
                             atol=1e-8, rtol=0)
 
@@ -188,21 +180,21 @@ def test_criterion_04_constraint_audit():
         g0 = float(rng.choice([-1.0, 0.5, 1.0, 2.0]))
         alpha0 = float(rng.uniform(0.02, 0.3))
 
-        w = solve_VI(alpha, cov, alpha0=alpha0, g0=g0).weights
+        w = solve(Program.VI, alpha, cov, alpha0=alpha0, g0=g0).weights
         assert abs(w.sum() - g0) <= 1e-10
         assert abs(float(a @ w) - alpha0) <= 1e-10
 
-        w = solve_VII(alpha, cov, gamma=float(rng.uniform(0.5, 5.0)), g0=g0).weights
+        w = solve(Program.VII, alpha, cov, gamma=float(rng.uniform(0.5, 5.0)), g0=g0).weights
         assert abs(w.sum() - g0) <= 1e-10
 
-        w = solve_VIII(alpha, cov, g0=abs(g0)).weights
+        w = solve(Program.VIII, alpha, cov, g0=abs(g0)).weights
         assert abs(w.sum() - abs(g0)) <= 1e-10
 
-        w = solve_V(alpha, cov, g0=abs(g0)).weights
+        w = solve(Program.V, alpha, cov, g0=abs(g0)).weights
         assert abs(w.sum() - abs(g0)) <= 1e-10
 
         for g_neutral in (0.0,):
-            w = solve_VII(alpha, cov, gamma=1.0, g0=g_neutral).weights
+            w = solve(Program.VII, alpha, cov, gamma=1.0, g0=g_neutral).weights
             assert abs(w.sum() - g_neutral) <= 1e-10
 
         w = solvers.solve(Program.VI, alpha, CovMatrix.identity(n), alpha0=alpha0,
@@ -227,13 +219,13 @@ def test_criterion_04_constraint_audit():
 def test_criterion_05_frontier_consistency():
     rng = np.random.default_rng(5005)
     alpha, cov = random_instance(rng, 5)
-    scal = frontier_scalars(alpha, cov)
+    scal = FrontierScalars(alpha, cov)
     g0_grid = np.linspace(0.2, 2.0, 10)
     for g0 in g0_grid:
         inflection = g0 * scal.B / scal.A
         alpha_grid = np.linspace(inflection - 0.1, inflection + 0.1, 20)
         for alpha_p in alpha_grid:
-            w = solve_VI(alpha, cov, alpha0=float(alpha_p), g0=float(g0)).weights
+            w = solve(Program.VI, alpha, cov, alpha0=float(alpha_p), g0=float(g0)).weights
             var = frontier_variance(scal, float(alpha_p), float(g0))
             assert abs(cov.quad(w) - var) <= 1e-10 * max(1.0, abs(var))
         floor = frontier_variance(scal, float(inflection), float(g0))
@@ -256,9 +248,10 @@ def test_criterion_06_two_fund_separation():
         lam = float(rng.uniform(-0.5, 1.5))
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore", mvgear.InefficientBranchWarning)
-            mixed = solve_VI(alpha, cov, alpha0=lam * a0 + (1 - lam) * b0, g0=g0).weights
-            split = (lam * solve_VI(alpha, cov, alpha0=a0, g0=g0).weights
-                     + (1 - lam) * solve_VI(alpha, cov, alpha0=b0, g0=g0).weights)
+            mixed = solve(Program.VI, alpha, cov, alpha0=lam * a0 + (1 - lam) * b0,
+                          g0=g0).weights
+            split = (lam * solve(Program.VI, alpha, cov, alpha0=a0, g0=g0).weights
+                     + (1 - lam) * solve(Program.VI, alpha, cov, alpha0=b0, g0=g0).weights)
         npt.assert_allclose(mixed, split, atol=1e-10, rtol=0)
 
 
@@ -272,27 +265,27 @@ def test_criterion_07_shrinkage():
         grid = np.linspace(0.0, 1.0, 11)
         try:
             risky = [solve_robust(Program.RISKY, alpha, cov,
-                                  ShrinkageSpec.simple(float(q))) for q in grid]
+                                  ShrinkageSpec(ShrinkMode.SIMPLE, float(q))) for q in grid]
         except mvgear.ZeroB:
             continue
         # zero shrink is the identity
         npt.assert_allclose(risky[0].weights,
-                            optimal_risky_portfolio(alpha, cov).weights,
+                            solve(Program.RISKY, alpha, cov).weights,
                             atol=1e-10, rtol=0)
-        gmv0 = solve_robust(Program.GMV, alpha, cov, ShrinkageSpec.simple(0.0))
-        npt.assert_allclose(gmv0.weights, gmv_portfolio(cov).weights,
+        gmv0 = solve_robust(Program.GMV, alpha, cov, ShrinkageSpec(ShrinkMode.SIMPLE, 0.0))
+        npt.assert_allclose(gmv0.weights, solve(Program.GMV, None, cov).weights,
                             atol=1e-10, rtol=0)
         # full-shrink limits
         npt.assert_allclose(risky[-1].weights,
                             alpha.entries / alpha.entries.sum(), atol=1e-10, rtol=0)
-        gmv1 = solve_robust(Program.GMV, alpha, cov, ShrinkageSpec.simple(1.0))
+        gmv1 = solve_robust(Program.GMV, alpha, cov, ShrinkageSpec(ShrinkMode.SIMPLE, 1.0))
         npt.assert_allclose(gmv1.weights, np.full(n, 1.0 / n), atol=1e-10, rtol=0)
         # alignment is monotone along the grid
         cosines = [alpha_angle(alpha, p.weights) for p in risky]
         assert all(b >= a - 1e-12 for a, b in zip(cosines, cosines[1:]))
         # condition number never worsens
         for q in grid:
-            shrunk = shrink_covariance(cov, alpha, ShrinkageSpec.simple(float(q)))
+            shrunk = shrink_covariance(cov, alpha, ShrinkageSpec(ShrinkMode.SIMPLE, float(q)))
             assert shrunk.condition_number <= cov.condition_number + 1e-10
         done += 1
 
@@ -305,7 +298,7 @@ def test_criterion_08_implicit_form():
         alpha, cov = random_instance(rng, n)
         k = float(rng.uniform(0.1, 0.9)) * angle_floor(alpha, cov)
         closed = solve_robust(Program.RISKY, alpha, cov,
-                              ShrinkageSpec.angle_targeted(k)).weights
+                              ShrinkageSpec(ShrinkMode.ANGLE_TARGETED, k)).weights
         iterated = damped_implicit_iteration(alpha, cov, k, iterations=200,
                                              damping=0.5)
         npt.assert_allclose(closed, iterated, atol=1e-8, rtol=0)
@@ -341,13 +334,13 @@ def test_criterion_09_qoqc():
 def test_criterion_10_micro_instance():
     cov = CovMatrix.identity(2)
     alpha = mvgear.AlphaVector(np.array([0.1, 0.2]))
-    scal = frontier_scalars(alpha, cov)
+    scal = FrontierScalars(alpha, cov)
     assert abs(scal.A - 2.0) <= 1e-12
     assert abs(scal.B - 0.3) <= 1e-12
     assert abs(scal.C - 0.05) <= 1e-12
     assert abs(scal.D - 0.01) <= 1e-12
 
-    w6 = solve_VI(alpha, cov, alpha0=0.2, g0=1.0).weights
+    w6 = solve(Program.VI, alpha, cov, alpha0=0.2, g0=1.0).weights
     npt.assert_allclose(w6, [0.0, 1.0], atol=1e-12, rtol=0)
     npt.assert_allclose(
         w6,
@@ -355,14 +348,14 @@ def test_criterion_10_micro_instance():
                        np.vstack([alpha.entries, np.ones(2)]), [0.2, 1.0]),
         atol=1e-10, rtol=0)
 
-    w7 = solve_VII(alpha, cov, gamma=1.0, g0=1.0).weights
+    w7 = solve(Program.VII, alpha, cov, gamma=1.0, g0=1.0).weights
     npt.assert_allclose(w7, [0.45, 0.55], atol=1e-12, rtol=0)
     npt.assert_allclose(
         w7,
         oracle_weights(np.eye(2), alpha.entries, np.ones((1, 2)), [1.0]),
         atol=1e-10, rtol=0)
 
-    w_inflect = solve_VI(alpha, cov, alpha0=0.15, g0=1.0).weights
+    w_inflect = solve(Program.VI, alpha, cov, alpha0=0.15, g0=1.0).weights
     npt.assert_allclose(w_inflect, [0.5, 0.5], atol=1e-12, rtol=0)
     npt.assert_allclose(
         w_inflect,

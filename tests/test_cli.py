@@ -13,7 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mvgear import AlphaVector, CovMatrix, cli, diversity, robust
+from mvgear import AlphaVector, CovMatrix, cli, diversity, robust, solvers
 from mvgear.cli import MAX_GRID_POINTS, SWEEP_HEADER, main, parse_grid
 from mvgear.cli import CliError
 from mvgear.geometry import alpha_angle, kantorovich_bound
@@ -627,6 +627,15 @@ def test_bounds_requires_exactly_one_source(micro_csv, capsys):
     assert capsys.readouterr().err.startswith("code=MissingParameter")
 
 
+@pytest.mark.parametrize("theta", ["nan,0.5", "inf,1", "0.5,-inf"])
+def test_bounds_refuses_a_non_finite_theta(micro_csv, capsys, theta):
+    # max(-1, nan) is -1: such a theta was reported as cos_phi = -1
+    assert run(["bounds", "--input", micro_csv, f"--theta={theta}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("code=BadArguments")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.fixture
 def five_asset_panels(tmp_path):
     """The same returns with columns A..E, and with the columns reversed."""
@@ -811,8 +820,9 @@ def test_diagonal_shrunk_solve_and_verify_read_no_shrunk_spectrum(tmp_path, monk
 def test_the_ones_column_is_formed_once_per_covariance(tmp_path, monkeypatch):
     # Sigma^-1 1's coordinates are kept with each covariance: repeated solves
     # on the memoised covariance form them once, and each sweep point forms
-    # them once for its shrunk covariance, shared by the risky column and the
-    # --program solve. Each solve forms one product for alpha.
+    # them once for its shrunk covariance. Each solve forms one product for
+    # alpha, and a sweep point one: its risky column and its --program solve
+    # share one frontier object.
     csv = sweep_csv(tmp_path)
     forget_loads(monkeypatch)
     real, calls = CovMatrix.coordinates, []
@@ -831,7 +841,53 @@ def test_the_ones_column_is_formed_once_per_covariance(tmp_path, monkeypatch):
     assert run(["shrink-sweep", "--input", csv, "--mode", "simple", "--grid", "0:0.5:1",
                 "--program", "VII", "--gamma", 1, "--g0", 1,
                 "--output", tmp_path / "s.csv"]) == 0
-    assert calls == [True, False, False] * 3
+    assert calls == [True, False] * 3
+
+
+def test_an_angle_sweep_solves_for_k0_once(tmp_path, monkeypatch, capsys):
+    # k0 = cos(alpha, Sigma^-1 alpha) is the same at every point of a sweep:
+    # one solve with the unshrunk covariance, not one per point. A k at or
+    # past k0 still exits 3.
+    csv = sweep_csv(tmp_path)
+    forget_loads(monkeypatch)
+    alpha, cov = estimate_moments(load_returns_csv(csv))
+    k0 = robust.angle_floor(alpha, cov)
+    real, solved = CovMatrix.solve, []
+
+    def counting(self, x):
+        solved.append(self)
+        return real(self, x)
+
+    monkeypatch.setattr(CovMatrix, "solve", counting)
+    monkeypatch.setattr(robust, "_last_floor", None)
+    grid = f"0:{k0 / 11!r}:{10 * k0 / 11!r}"
+    assert parse_grid(grid).size == 11
+    assert run(["shrink-sweep", "--input", csv, "--mode", "angle", "--grid", grid,
+                "--output", tmp_path / "s.csv"]) == 0
+    assert estimate_moments(load_returns_csv(csv))[1] is cov
+    assert sum(matrix is cov for matrix in solved) == 1
+    for k in (k0, 1.5 * k0):
+        capsys.readouterr()
+        assert run(["shrink-sweep", "--input", csv, "--mode", "angle",
+                    "--grid", repr(k)]) == 3
+        assert capsys.readouterr().err.startswith("code=InvalidK")
+
+
+def test_shrink_sweep_builds_no_portfolio(tmp_path, monkeypatch):
+    # each point takes its two weight vectors from the table's weights step
+    csv = sweep_csv(tmp_path)
+    built, real = [], solvers.Portfolio.__post_init__
+
+    def counting(self):
+        built.append(self.program)
+        real(self)
+
+    monkeypatch.setattr(solvers.Portfolio, "__post_init__", counting)
+    for program in (["VII", "--gamma", 1, "--g0", 1], ["GMV"], []):
+        assert run(["shrink-sweep", "--input", csv, "--mode", "simple", "--grid", "0:0.5:1",
+                    *(["--program", *program] if program else []),
+                    "--output", tmp_path / "s.csv"]) == 0
+    assert built == []
 
 
 def test_shrink_sweep_without_a_risky_portfolio_exits_3(tmp_path, capsys):
@@ -1031,7 +1087,7 @@ def test_verify_audits_a_shrunk_qoqc_record(tmp_path):
     # the qoqc command takes no shrink flags; the library writes the record
     csv = _three_asset_csv(tmp_path)
     alpha, cov = estimate_moments(load_returns_csv(csv))
-    port = robust.solve_robust(Program.QOQC, alpha, cov, ShrinkageSpec.simple(0.4),
+    port = robust.solve_robust(Program.QOQC, alpha, cov, ShrinkageSpec(ShrinkMode.SIMPLE, 0.4),
                                gamma=1.0, g0=1.0, n0=2.0)
     path, report = tmp_path / "q.json", tmp_path / "v.json"
     path.write_text(dumps(portfolio_to_dict(port)))

@@ -10,10 +10,11 @@ from mvgear import (
     Infeasible,
     NonFiniteData,
     NonPositiveParameter,
+    Program,
     QoqcProblem,
     ToleranceNotMet,
     diversity,
-    solve_QOQC,
+    solve,
     solve_qoqc,
 )
 from mvgear.cli import main
@@ -551,7 +552,7 @@ def test_portfolio_wrapper(micro_alpha, micro_cov):
     problem = QoqcProblem(alpha=micro_alpha.entries, cov=micro_cov,
                           gamma=1.0, g0=1.0, n0=1.0)
     sol = solve_qoqc(problem)
-    port = solve_QOQC(micro_alpha, micro_cov, gamma=1.0, g0=1.0, n0=1.0)
+    port = solve(Program.QOQC, micro_alpha, micro_cov, gamma=1.0, g0=1.0, n0=1.0)
     assert np.array_equal(port.weights, sol.weights)
     assert port.program.value == "QOQC"
     assert port.params["n0"] == 1.0

@@ -8,17 +8,16 @@ from mvgear import (
     InvalidEta,
     InvalidKappa,
     InvalidPsi,
+    NonFiniteData,
+    Program,
     ZeroVector,
     alpha_angle,
     angle_decomposition,
     bauer_householder_bound,
-    gmv_portfolio,
     kantorovich_bound,
     minimax_degeneracy,
-    optimal_risky_portfolio,
     smallest_valid_psi,
-    solve_VI,
-    solve_VII,
+    solve,
     verify_bound,
     worst_case_constrained,
     worst_case_unconstrained,
@@ -42,6 +41,15 @@ def test_angle_collinear():
 def test_angle_kantorovich_equality_instance():
     # theta = Sigma^-1 alpha for Sigma = diag(4, 1), alpha = (2, 1)
     assert alpha_angle([2.0, 1.0], [0.5, 1.0]) == pytest.approx(0.8, abs=1e-14)
+
+
+@pytest.mark.parametrize("theta", [[np.nan, 0.5], [np.inf, 1.0], [0.5, -np.inf]])
+def test_angle_of_a_non_finite_vector_raises(theta):
+    # max(-1, nan) is -1, so a nan cosine used to read as a full reversal
+    with pytest.raises(NonFiniteData):
+        alpha_angle([0.1, 0.2], theta)
+    with pytest.raises(NonFiniteData):
+        alpha_angle(theta, [0.1, 0.2])
 
 
 def test_angle_zero_vector():
@@ -141,7 +149,7 @@ def test_verify_bound_risky_portfolio_kantorovich():
     rng = np.random.default_rng(31)
     for _ in range(50):
         alpha, cov = random_instance(rng, int(rng.integers(2, 8)))
-        report = verify_bound(alpha, cov, optimal_risky_portfolio(alpha, cov))
+        report = verify_bound(alpha, cov, solve(Program.RISKY, alpha, cov))
         assert report.psi is None
         assert report.slack >= -1e-10
 
@@ -164,7 +172,7 @@ def test_verify_bound_constrained_solutions():
         alpha, cov = random_instance(rng, n)
         gamma = float(rng.uniform(0.5, 10.0))
         g0 = float(rng.uniform(0.2, 2.0))
-        port = solve_VII(alpha, cov, gamma=gamma, g0=g0)
+        port = solve(Program.VII, alpha, cov, gamma=gamma, g0=g0)
         report = verify_bound(alpha, cov, port)
         assert report.psi is not None
         assert report.kappa_psi >= report.kappa - 1e-12
@@ -174,7 +182,7 @@ def test_verify_bound_constrained_solutions():
 
 
 def test_verify_bound_explicit_psi(micro_alpha, micro_cov):
-    port = solve_VI(micro_alpha, micro_cov, alpha0=0.2, g0=1.0)
+    port = solve(Program.VI, micro_alpha, micro_cov, alpha0=0.2, g0=1.0)
     report = verify_bound(micro_alpha, micro_cov, port, psi=0.9)
     assert report.psi == 0.9
     assert report.bound_bh is not None
@@ -199,7 +207,7 @@ def _reference_psi(alpha, cov_entries, theta):
 def test_smallest_psi_matches_transformed_angle():
     rng = np.random.default_rng(43)
     alpha, cov = random_instance(rng, 4)
-    theta = solve_VI(alpha, cov, alpha0=0.15, g0=1.0).weights
+    theta = solve(Program.VI, alpha, cov, alpha0=0.15, g0=1.0).weights
     psi = smallest_valid_psi(alpha, cov, theta)
     reference = _reference_psi(alpha.entries, cov.entries, theta)
     assert abs(psi - reference) <= cov.condition_number * EPS
@@ -352,26 +360,26 @@ def test_minimax_degeneracy_equals_kantorovich():
 # ---------------------------------------------------------------------------
 
 def test_decomposition_pure_risky(micro_alpha, micro_cov):
-    theta0 = gmv_portfolio(micro_cov)
-    theta_a = optimal_risky_portfolio(micro_alpha, micro_cov)
+    theta0 = solve(Program.GMV, None, micro_cov)
+    theta_a = solve(Program.RISKY, micro_alpha, micro_cov)
     g0 = 1.0
     dec = angle_decomposition(micro_alpha, theta0, theta_a, g0, w=g0)
     assert dec.cos_phi == pytest.approx(np.cos(dec.phi1), abs=1e-14)
 
 
 def test_decomposition_pure_gmv(micro_alpha, micro_cov):
-    theta0 = gmv_portfolio(micro_cov)
-    theta_a = optimal_risky_portfolio(micro_alpha, micro_cov)
+    theta0 = solve(Program.GMV, None, micro_cov)
+    theta_a = solve(Program.RISKY, micro_alpha, micro_cov)
     dec = angle_decomposition(micro_alpha, theta0, theta_a, g0=1.0, w=0.0)
     assert dec.cos_phi == pytest.approx(np.cos(dec.phi0), abs=1e-14)
 
 
 def test_decomposition_matches_program_vii(micro_alpha, micro_cov):
-    theta0 = gmv_portfolio(micro_cov)
-    theta_a = optimal_risky_portfolio(micro_alpha, micro_cov)
-    # mu = B / gamma = 0.3 reproduces the solve_VII(gamma=1, g0=1) mix
+    theta0 = solve(Program.GMV, None, micro_cov)
+    theta_a = solve(Program.RISKY, micro_alpha, micro_cov)
+    # mu = B / gamma = 0.3 reproduces the VII mix at gamma = 1, g0 = 1
     dec = angle_decomposition(micro_alpha, theta0, theta_a, g0=1.0, w=0.3)
-    port = solve_VII(micro_alpha, micro_cov, gamma=1.0, g0=1.0)
+    port = solve(Program.VII, micro_alpha, micro_cov, gamma=1.0, g0=1.0)
     assert dec.cos_phi == pytest.approx(
         alpha_angle(micro_alpha, port.weights), abs=1e-14
     )
@@ -382,8 +390,8 @@ def test_decomposition_random_mixes():
     rng = np.random.default_rng(71)
     for _ in range(30):
         alpha, cov = random_instance(rng, int(rng.integers(2, 7)))
-        theta0 = gmv_portfolio(cov).weights
-        theta_a = optimal_risky_portfolio(alpha, cov).weights
+        theta0 = solve(Program.GMV, None, cov).weights
+        theta_a = solve(Program.RISKY, alpha, cov).weights
         g0 = float(rng.uniform(0.2, 2.0))
         w = float(rng.uniform(-1.0, 2.0))
         if np.linalg.norm((g0 - w) * theta0 + w * theta_a) < 1e-9:

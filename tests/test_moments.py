@@ -751,3 +751,24 @@ def test_sign_fix_matches_column_loop(order):
     assert np.array_equal(fixed, reference_sign_fix(vecs))
     assert fixed.flags.c_contiguous
     assert fixed[3, 1] > 0 and fixed[2, 2] > 0
+
+
+def test_a_repeated_eigenvalue_gets_one_factor_however_it_is_formed():
+    # eigh returns the eigenvectors of a repeated eigenvalue in an order of its
+    # own (for a diagonal matrix, its unit vectors, not in row order); the
+    # factor orders them by the row of their largest entry, as the full
+    # diagonal shrink and the identity do. So a diagonal matrix decomposed
+    # afresh and the full diagonal shrink of a matrix with its diagonal are
+    # one factor, and every program solves to the same bits on both.
+    rng = np.random.default_rng(9)
+    d = rng.choice([2.0, 3.0, 3.0 + 2.0**-50, 5.0], size=40)
+    fresh = CovMatrix.from_entries(np.diag(d))
+    off = 0.01 * rng.standard_normal((40, 40))
+    off += off.T
+    np.fill_diagonal(off, 0.0)
+    shrunk = CovMatrix.from_entries(np.diag(d) + off).toward_diagonal(1.0)
+    assert np.array_equal(shrunk.entries, fresh.entries)
+    assert np.array_equal(fresh.spectrum, np.sort(d)[::-1])
+    assert np.array_equal(shrunk.spectrum, fresh.spectrum)
+    assert np.array_equal(shrunk.basis, fresh.basis)
+    assert np.array_equal(CovMatrix.from_entries(np.eye(6)).basis, np.eye(6))

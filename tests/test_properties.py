@@ -17,8 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from mvgear import (AlphaVector, CovMatrix, Program, ShrinkageSpec, shrink_covariance,
-                    solve_robust, solvers)
+from mvgear import (AlphaVector, CovMatrix, Program, ShrinkageSpec, ShrinkMode,
+                    shrink_covariance, solve_robust, solvers)
 from mvgear.geometry import alpha_angle, kantorovich_bound, verify_bound
 
 from conftest import random_instance
@@ -75,7 +75,7 @@ def assert_close(got, want, multiple, kappa):
 @given(instances())
 def test_zero_shrink_is_the_plain_solve(instance):
     alpha, cov, params, _ = instance
-    spec = ShrinkageSpec.simple(0.0)
+    spec = ShrinkageSpec(ShrinkMode.SIMPLE, 0.0)
     shrunk = solve_all(lambda p: solve_robust(p, alpha, cov, spec, **params))
     plain = solve_all(lambda p: solvers.solve(p, alpha, cov, **params))
     assert_close(shrunk, plain, 4.0, cov.condition_number)
@@ -86,7 +86,7 @@ def test_zero_shrink_is_the_plain_solve(instance):
 def test_full_shrink_is_the_program_on_the_identity(instance):
     # whatever Sigma is, Sigma~ = I and kappa~ = 1
     alpha, cov, params, _ = instance
-    spec = ShrinkageSpec.simple(1.0)
+    spec = ShrinkageSpec(ShrinkMode.SIMPLE, 1.0)
     identity = CovMatrix.identity(cov.dim)
     shrunk = solve_all(lambda p: solve_robust(p, alpha, cov, spec, **params))
     plain = solve_all(lambda p: solvers.solve(p, alpha, identity, **params))
@@ -115,7 +115,7 @@ def test_shrinking_toward_the_identity_never_raises_kappa(instance, weights):
     # may exceed an earlier one by 16 eps relative at most
     alpha, cov, _, _ = instance
     kappas = [cov.condition_number] + [
-        shrink_covariance(cov, alpha, ShrinkageSpec.simple(q)).condition_number
+        shrink_covariance(cov, alpha, ShrinkageSpec(ShrinkMode.SIMPLE, q)).condition_number
         for q in sorted(weights)]
     for before, after in zip(kappas, kappas[1:]):
         assert after <= before * (1.0 + 16.0 * EPS)
@@ -133,7 +133,7 @@ def test_shrinking_toward_the_diagonal_never_raises_kappa(instance, weights):
     alpha, cov, _, _ = instance
     kappa = cov.condition_number
     for q in weights:
-        shrunk = shrink_covariance(cov, alpha, ShrinkageSpec.diagonal(q))
+        shrunk = shrink_covariance(cov, alpha, ShrinkageSpec(ShrinkMode.DIAGONAL, q))
         assert 1.0 <= shrunk.condition_number <= kappa * (1.0 + 4.0 * kappa * EPS)
 
 
@@ -145,7 +145,7 @@ def test_full_diagonal_shrink_is_the_program_on_the_diagonal(instance):
     # fresh decomposition of D
     alpha, cov, params, _ = instance
     d = np.diag(cov.entries)
-    spec = ShrinkageSpec.diagonal(1.0)
+    spec = ShrinkageSpec(ShrinkMode.DIAGONAL, 1.0)
     shrunk = shrink_covariance(cov, alpha, spec)
     assert shrunk.condition_number == pytest.approx(d.max() / d.min(), rel=2.0 * EPS,
                                                     abs=0.0)
@@ -164,7 +164,7 @@ def test_diagonal_shrink_is_scale_invariant(instance, q, c):
     # is ~n eps |Sigma~|, so they agree within 4 n kappa~ eps (largest seen:
     # 0.57 n kappa~ eps for kappa~ and 0.62 n kappa~ eps for a weight, at n = 2)
     alpha, cov, params, _ = instance
-    spec = ShrinkageSpec.diagonal(q)
+    spec = ShrinkageSpec(ShrinkMode.DIAGONAL, q)
     scaled_alpha = AlphaVector(c * alpha.entries)
     scaled_cov = CovMatrix.from_entries(c * cov.entries)
     kappa = shrink_covariance(cov, alpha, spec).condition_number

@@ -12,17 +12,15 @@ from mvgear import (
     KktProblem,
     MissingParameter,
     NonPositiveParameter,
+    Portfolio,
     Program,
-    ShrinkMode,
     ShrinkageSpec,
+    ShrinkMode,
     alpha_angle,
     angle_floor,
-    gmv_portfolio,
-    optimal_risky_portfolio,
     robust_alpha,
     shrink_covariance,
-    solve_VI,
-    solve_VII,
+    solve,
     solve_kkt,
     solve_robust,
     solvers,
@@ -116,19 +114,19 @@ def test_robust_alpha_angle_decomposition():
 def test_shrink_zero_is_identity_map():
     rng = np.random.default_rng(5)
     alpha, cov = random_instance(rng, 4)
-    shrunk = shrink_covariance(cov, alpha, ShrinkageSpec.angle_targeted(0.0))
+    shrunk = shrink_covariance(cov, alpha, ShrinkageSpec(ShrinkMode.ANGLE_TARGETED, 0.0))
     npt.assert_allclose(shrunk.entries, cov.entries, rtol=0, atol=1e-15)
 
 
 def test_simple_full_shrink_reaches_identity(micro_alpha):
     cov = CovMatrix.from_entries(np.diag([4.0, 1.0]))
-    shrunk = shrink_covariance(cov, micro_alpha, ShrinkageSpec.simple(1.0))
+    shrunk = shrink_covariance(cov, micro_alpha, ShrinkageSpec(ShrinkMode.SIMPLE, 1.0))
     npt.assert_allclose(shrunk.entries, np.eye(2), atol=1e-15)
 
 
 def test_simple_half_shrink_diagonal(micro_alpha):
     cov = CovMatrix.from_entries(np.diag([4.0, 1.0]))
-    shrunk = shrink_covariance(cov, micro_alpha, ShrinkageSpec.simple(0.5))
+    shrunk = shrink_covariance(cov, micro_alpha, ShrinkageSpec(ShrinkMode.SIMPLE, 0.5))
     npt.assert_allclose(shrunk.entries, np.diag([2.5, 1.0]), atol=1e-15)
     assert shrunk.condition_number == pytest.approx(2.5, rel=1e-12)
 
@@ -136,7 +134,7 @@ def test_simple_half_shrink_diagonal(micro_alpha):
 def test_diagonal_mode_preserves_diagonal(micro_alpha):
     entries = np.array([[0.04, 0.01], [0.01, 0.09]])
     cov = CovMatrix.from_entries(entries)
-    shrunk = shrink_covariance(cov, micro_alpha, ShrinkageSpec.diagonal(0.5))
+    shrunk = shrink_covariance(cov, micro_alpha, ShrinkageSpec(ShrinkMode.DIAGONAL, 0.5))
     npt.assert_allclose(np.diag(shrunk.entries), np.diag(entries), atol=1e-15)
     assert shrunk.entries[0, 1] == pytest.approx(0.005, abs=1e-15)
 
@@ -157,7 +155,7 @@ def test_condition_number_never_worsens():
 def test_condition_number_strictly_improves():
     rng = np.random.default_rng(9)
     alpha, cov = random_instance(rng, 5, kappa=50.0)
-    shrunk = shrink_covariance(cov, alpha, ShrinkageSpec.simple(0.3))
+    shrunk = shrink_covariance(cov, alpha, ShrinkageSpec(ShrinkMode.SIMPLE, 0.3))
     assert shrunk.condition_number < cov.condition_number - 1e-6
 
 
@@ -214,7 +212,7 @@ def test_diagonal_shrink_matches_the_kkt_oracle(n):
                            scaled_correlation_instance(rng, n, kappa)):
             a, alpha0 = alpha.entries, float(alpha.entries.mean())
             for q in (0.1, 0.5, 0.9):
-                shrunk = shrink_covariance(cov, alpha, ShrinkageSpec.diagonal(q))
+                shrunk = shrink_covariance(cov, alpha, ShrinkageSpec(ShrinkMode.DIAGONAL, q))
                 sigma = shrunk.entries
                 cases = {
                     Program.GMV: ({}, KktProblem(sigma, zeros, ones, [1.0])),
@@ -240,19 +238,19 @@ def test_angle_targeted_k_range():
     alpha, cov = random_instance(rng, 3)
     k0 = angle_floor(alpha, cov)
     with pytest.raises(InvalidK):
-        shrink_covariance(cov, alpha, ShrinkageSpec.angle_targeted(k0))
+        shrink_covariance(cov, alpha, ShrinkageSpec(ShrinkMode.ANGLE_TARGETED, k0))
     with pytest.raises(InvalidK):
-        shrink_covariance(cov, alpha, ShrinkageSpec.angle_targeted(-0.01))
+        shrink_covariance(cov, alpha, ShrinkageSpec(ShrinkMode.ANGLE_TARGETED, -0.01))
     with pytest.raises(InvalidK):
-        shrink_covariance(cov, alpha, ShrinkageSpec.simple(1.5))
+        shrink_covariance(cov, alpha, ShrinkageSpec(ShrinkMode.SIMPLE, 1.5))
 
 
 def test_angle_targeted_weight_is_k_over_floor():
     rng = np.random.default_rng(13)
     alpha, cov = random_instance(rng, 3)
     k0 = angle_floor(alpha, cov)
-    angle = shrink_covariance(cov, alpha, ShrinkageSpec.angle_targeted(0.5 * k0))
-    plain = shrink_covariance(cov, alpha, ShrinkageSpec.simple(0.5))
+    angle = shrink_covariance(cov, alpha, ShrinkageSpec(ShrinkMode.ANGLE_TARGETED, 0.5 * k0))
+    plain = shrink_covariance(cov, alpha, ShrinkageSpec(ShrinkMode.SIMPLE, 0.5))
     npt.assert_allclose(angle.entries, plain.entries, rtol=1e-14)
 
 
@@ -263,16 +261,17 @@ def test_angle_targeted_weight_is_k_over_floor():
 def test_shrunk_risky_zero_shrink():
     rng = np.random.default_rng(15)
     alpha, cov = random_instance(rng, 4)
-    port = solve_robust(Program.RISKY, alpha, cov, ShrinkageSpec.angle_targeted(0.0))
+    port = solve_robust(Program.RISKY, alpha, cov,
+                        ShrinkageSpec(ShrinkMode.ANGLE_TARGETED, 0.0))
     npt.assert_allclose(
-        port.weights, optimal_risky_portfolio(alpha, cov).weights, atol=1e-12
+        port.weights, solve(Program.RISKY, alpha, cov).weights, atol=1e-12
     )
 
 
 def test_shrunk_risky_full_shrink_is_alpha_hat():
     rng = np.random.default_rng(17)
     alpha, cov = random_instance(rng, 5)
-    port = solve_robust(Program.RISKY, alpha, cov, ShrinkageSpec.simple(1.0))
+    port = solve_robust(Program.RISKY, alpha, cov, ShrinkageSpec(ShrinkMode.SIMPLE, 1.0))
     npt.assert_allclose(
         port.weights, alpha.entries / alpha.entries.sum(), rtol=1e-12
     )
@@ -281,7 +280,7 @@ def test_shrunk_risky_full_shrink_is_alpha_hat():
 def test_shrunk_risky_alignment_monotone_on_grid():
     alpha = AlphaVector([0.1, 0.2])
     cov = CovMatrix.from_entries(np.diag([4.0, 1.0]))
-    ports = [solve_robust(Program.RISKY, alpha, cov, ShrinkageSpec.simple(q))
+    ports = [solve_robust(Program.RISKY, alpha, cov, ShrinkageSpec(ShrinkMode.SIMPLE, q))
              for q in [0.0, 0.5, 1.0]]
     cosines = [alpha_angle(alpha, port.weights) for port in ports]
     assert cosines[0] <= cosines[1] + 1e-12 <= cosines[2] + 2e-12
@@ -290,16 +289,16 @@ def test_shrunk_risky_alignment_monotone_on_grid():
 def test_shrunk_gmv_limits():
     rng = np.random.default_rng(19)
     alpha, cov = random_instance(rng, 4)
-    zero = solve_robust(Program.GMV, alpha, cov, ShrinkageSpec.simple(0.0))
-    npt.assert_allclose(zero.weights, gmv_portfolio(cov).weights, atol=1e-12)
-    full = solve_robust(Program.GMV, alpha, cov, ShrinkageSpec.simple(1.0))
+    zero = solve_robust(Program.GMV, alpha, cov, ShrinkageSpec(ShrinkMode.SIMPLE, 0.0))
+    npt.assert_allclose(zero.weights, solve(Program.GMV, None, cov).weights, atol=1e-12)
+    full = solve_robust(Program.GMV, alpha, cov, ShrinkageSpec(ShrinkMode.SIMPLE, 1.0))
     npt.assert_allclose(full.weights, np.full(4, 0.25), atol=1e-12)
 
 
 def test_shrunk_gmv_half_shrink_diagonal(micro_alpha):
     cov = CovMatrix.from_entries(np.diag([4.0, 1.0]))
-    port = solve_robust(Program.GMV, micro_alpha, cov, ShrinkageSpec.simple(0.5))
-    expected = gmv_portfolio(CovMatrix.from_entries(np.diag([2.5, 1.0]))).weights
+    port = solve_robust(Program.GMV, micro_alpha, cov, ShrinkageSpec(ShrinkMode.SIMPLE, 0.5))
+    expected = solve(Program.GMV, None, CovMatrix.from_entries(np.diag([2.5, 1.0]))).weights
     npt.assert_allclose(port.weights, expected, rtol=1e-13)
     npt.assert_allclose(port.weights, [0.4 / 1.4, 1.0 / 1.4], rtol=1e-12)
 
@@ -308,7 +307,7 @@ def test_cash_neutrality_preserved_along_grid():
     rng = np.random.default_rng(23)
     alpha, cov = random_instance(rng, 5)
     for q in np.linspace(0.0, 1.0, 11):
-        spec = ShrinkageSpec.simple(float(q))
+        spec = ShrinkageSpec(ShrinkMode.SIMPLE, float(q))
         gmv = solve_robust(Program.GMV, alpha, cov, spec)
         risky = solve_robust(Program.RISKY, alpha, cov, spec)
         assert float(np.sum(gmv.weights - risky.weights)) == pytest.approx(
@@ -323,8 +322,8 @@ def test_cash_neutrality_preserved_along_grid():
 def test_solve_robust_zero_shrink_matches_plain():
     rng = np.random.default_rng(29)
     alpha, cov = random_instance(rng, 4)
-    spec = ShrinkageSpec.angle_targeted(0.0)
-    plain = solve_VII(alpha, cov, gamma=2.0, g0=1.0)
+    spec = ShrinkageSpec(ShrinkMode.ANGLE_TARGETED, 0.0)
+    plain = solve(Program.VII, alpha, cov, gamma=2.0, g0=1.0)
     shrunk = solve_robust(Program.VII, alpha, cov, spec, gamma=2.0, g0=1.0)
     npt.assert_allclose(shrunk.weights, plain.weights, atol=1e-12)
 
@@ -333,7 +332,7 @@ def test_solve_robust_zero_shrink_matches_plain():
 def test_zero_shrink_is_identity_on_every_program():
     rng = np.random.default_rng(30)
     alpha, cov = random_instance(rng, 4)
-    spec = ShrinkageSpec.simple(0.0)
+    spec = ShrinkageSpec(ShrinkMode.SIMPLE, 0.0)
     cases = [
         (Program.GMV, {}),
         (Program.RISKY, {}),
@@ -346,33 +345,39 @@ def test_zero_shrink_is_identity_on_every_program():
         (Program.VII, {"gamma": 1.5, "g0": 1.0}),
         (Program.VIII, {"g0": 2.0}),
     ]
-    import mvgear.solvers as plain
-
-    dispatch = {
-        Program.GMV: lambda: plain.gmv_portfolio(cov),
-        Program.RISKY: lambda: plain.optimal_risky_portfolio(alpha, cov),
-        Program.I: lambda: plain.solve_I(alpha, cov, 0.4),
-        Program.II: lambda: plain.solve_II(alpha, cov, 0.08),
-        Program.III: lambda: plain.solve_III(alpha, cov, 2.0),
-        Program.IV: lambda: plain.solve_IV(alpha, cov, 1.0),
-        Program.V: lambda: plain.solve_V(alpha, cov, g0=1.3),
-        Program.VI: lambda: plain.solve_VI(alpha, cov, 0.2, 1.0),
-        Program.VII: lambda: plain.solve_VII(alpha, cov, 1.5, 1.0),
-        Program.VIII: lambda: plain.solve_VIII(alpha, cov, 2.0),
-    }
     for program, params in cases:
         via = solve_robust(program, alpha, cov, spec, **params)
-        npt.assert_allclose(via.weights, dispatch[program]().weights,
+        npt.assert_allclose(via.weights, solve(program, alpha, cov, **params).weights,
                             atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("spec", [None, ShrinkageSpec(ShrinkMode.SIMPLE, 0.4),
+                                  ShrinkageSpec(ShrinkMode.ANGLE_TARGETED, 0.1)])
+def test_solve_robust_builds_one_record(monkeypatch, spec):
+    # The shrunk weights come from the table's weights step; only the record
+    # on the unshrunk covariance is a Portfolio.
+    rng = np.random.default_rng(38)
+    alpha, cov = random_instance(rng, 4)
+    built, real = [], Portfolio.__post_init__
+
+    def counting(self):
+        built.append(self.program)
+        real(self)
+
+    monkeypatch.setattr(Portfolio, "__post_init__", counting)
+    port = solve_robust(Program.VII, alpha, cov, spec, gamma=1.5, g0=1.0)
+    assert built == [Program.VII]
+    assert port.params["g0"] == 1.0
+    assert ("shrink_k" in port.params) == (spec is not None)
 
 
 @pytest.mark.filterwarnings("ignore::mvgear.InefficientBranchWarning")
 def test_solve_robust_delegates_to_shrunk_solver():
     rng = np.random.default_rng(31)
     alpha, cov = random_instance(rng, 4)
-    spec = ShrinkageSpec.simple(0.4)
+    spec = ShrinkageSpec(ShrinkMode.SIMPLE, 0.4)
     shrunk_cov = shrink_covariance(cov, alpha, spec)
-    direct = solve_VI(alpha, shrunk_cov, alpha0=0.12, g0=1.0)
+    direct = solve(Program.VI, alpha, shrunk_cov, alpha0=0.12, g0=1.0)
     via = solve_robust(Program.VI, alpha, cov, spec, alpha0=0.12, g0=1.0)
     npt.assert_allclose(via.weights, direct.weights, atol=1e-13)
 
@@ -380,7 +385,7 @@ def test_solve_robust_delegates_to_shrunk_solver():
 def test_solve_robust_ignores_unset_and_unused_parameters():
     rng = np.random.default_rng(32)
     alpha, cov = random_instance(rng, 4)
-    spec = ShrinkageSpec.simple(0.4)
+    spec = ShrinkageSpec(ShrinkMode.SIMPLE, 0.4)
     npt.assert_array_equal(
         solve_robust(Program.IV, alpha, cov, spec, g0=None).weights,
         solve_robust(Program.IV, alpha, cov, spec, g0=1.0).weights)
@@ -399,7 +404,7 @@ def test_solve_robust_full_shrink_matches_max_shrink_vii():
     # the geared equal-weight portfolio plus a cash-neutral relative-return tilt
     rng = np.random.default_rng(37)
     alpha, cov = random_instance(rng, 5)
-    via = solve_robust(Program.VII, alpha, cov, ShrinkageSpec.simple(1.0),
+    via = solve_robust(Program.VII, alpha, cov, ShrinkageSpec(ShrinkMode.SIMPLE, 1.0),
                        gamma=1.5, g0=0.8)
     a = alpha.entries
     npt.assert_allclose(via.weights, 0.8 / 5 + (a - a.mean()) / 1.5, atol=1e-12)
@@ -407,7 +412,7 @@ def test_solve_robust_full_shrink_matches_max_shrink_vii():
 
 def test_solve_robust_vi_on_identity(micro_alpha, micro_cov):
     port = solve_robust(Program.VI, micro_alpha, micro_cov,
-                        ShrinkageSpec.angle_targeted(0.0), alpha0=0.2, g0=1.0)
+                        ShrinkageSpec(ShrinkMode.ANGLE_TARGETED, 0.0), alpha0=0.2, g0=1.0)
     npt.assert_allclose(port.weights, [0.0, 1.0], atol=1e-13)
 
 
@@ -433,9 +438,9 @@ def test_max_shrink_vii_cash_neutral(micro_alpha):
 
 def test_max_shrink_vii_matches_solve_vii_on_identity(micro_alpha, micro_cov):
     cov = CovMatrix.from_entries(np.array([[0.04, 0.01], [0.01, 0.09]]))
-    closed = solve_robust(Program.VII, micro_alpha, cov, ShrinkageSpec.simple(1.0),
+    closed = solve_robust(Program.VII, micro_alpha, cov, ShrinkageSpec(ShrinkMode.SIMPLE, 1.0),
                           gamma=1.0, g0=1.0)
-    direct = solve_VII(micro_alpha, micro_cov, gamma=1.0, g0=1.0)
+    direct = solve(Program.VII, micro_alpha, micro_cov, gamma=1.0, g0=1.0)
     npt.assert_allclose(closed.weights, direct.weights, rtol=1e-13)
 
 
@@ -488,7 +493,7 @@ def test_max_shrink_vi_degenerate_alpha():
 # ---------------------------------------------------------------------------
 
 def implicit(alpha, cov, k):
-    return solve_robust(Program.RISKY, alpha, cov, ShrinkageSpec.angle_targeted(k))
+    return solve_robust(Program.RISKY, alpha, cov, ShrinkageSpec(ShrinkMode.ANGLE_TARGETED, k))
 
 
 def test_implicit_zero_k_is_risky():
@@ -496,7 +501,7 @@ def test_implicit_zero_k_is_risky():
     alpha, cov = random_instance(rng, 4)
     port = implicit(alpha, cov, 0.0)
     npt.assert_allclose(
-        port.weights, optimal_risky_portfolio(alpha, cov).weights, atol=1e-12
+        port.weights, solve(Program.RISKY, alpha, cov).weights, atol=1e-12
     )
 
 
@@ -536,7 +541,8 @@ def test_alignment_monotone_in_shrink():
         grid = np.linspace(0.0, 1.0, 11)
         try:
             ports = [
-                solve_robust(Program.RISKY, alpha, cov, ShrinkageSpec.simple(float(q)))
+                solve_robust(Program.RISKY, alpha, cov,
+                             ShrinkageSpec(ShrinkMode.SIMPLE, float(q)))
                 for q in grid
             ]
         except Exception:

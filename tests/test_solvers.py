@@ -8,6 +8,7 @@ import pytest
 from mvgear import (
     CovMatrix,
     DegenerateAlpha,
+    FrontierScalars,
     InefficientBranchWarning,
     InvalidPortfolio,
     KktProblem,
@@ -19,23 +20,11 @@ from mvgear import (
     ZeroB,
     alpha_angle,
     dominance_sample,
-    frontier_scalars,
     frontier_variance,
-    gmv_portfolio,
     implied_returns,
-    optimal_risky_portfolio,
     pareto_surface,
     project_to_gearing,
     sharpe_objective,
-    solve_I,
-    solve_II,
-    solve_III,
-    solve_IV,
-    solve_V,
-    solve_VI,
-    solve_VII,
-    solve_VIII,
-    solve_QOQC,
     solve_kkt,
     solve_qoqc,
 )
@@ -56,7 +45,7 @@ def kkt_check(weights, q, c, e, d, tol=1e-8):
 # ---------------------------------------------------------------------------
 
 def test_scalars_identity(micro_alpha, micro_cov):
-    s = frontier_scalars(micro_alpha, micro_cov)
+    s = FrontierScalars(micro_alpha, micro_cov)
     assert s.A == pytest.approx(2.0, abs=1e-14)
     assert s.B == pytest.approx(0.3, abs=1e-14)
     assert s.C == pytest.approx(0.05, abs=1e-14)
@@ -64,7 +53,7 @@ def test_scalars_identity(micro_alpha, micro_cov):
 
 
 def test_scalars_diagonal():
-    s = frontier_scalars(AlphaVector([0.1, 0.2]), CovMatrix.from_entries(np.diag([1.0, 4.0])))
+    s = FrontierScalars(AlphaVector([0.1, 0.2]), CovMatrix.from_entries(np.diag([1.0, 4.0])))
     assert s.A == pytest.approx(1.25, abs=1e-14)
     assert s.B == pytest.approx(0.15, abs=1e-14)
     assert s.C == pytest.approx(0.02, abs=1e-14)
@@ -73,7 +62,7 @@ def test_scalars_diagonal():
 
 def test_scalars_constant_alpha_degenerate(micro_cov):
     with pytest.raises(DegenerateAlpha):
-        frontier_scalars(AlphaVector([0.1, 0.1]), micro_cov)
+        FrontierScalars(AlphaVector([0.1, 0.1]), micro_cov).check((DegenerateAlpha,))
 
 
 def test_scalars_carry_both_building_blocks():
@@ -83,7 +72,7 @@ def test_scalars_carry_both_building_blocks():
     # sums of n = 6 terms apart)
     rng = np.random.default_rng(3)
     alpha, cov = random_instance(rng, 6)
-    s = frontier_scalars(alpha, cov)
+    s = FrontierScalars(alpha, cov)
     tolerance = 8.0 * cov.condition_number * np.finfo(float).eps
     si_ones, si_alpha = cov.solve(np.ones(6)), cov.solve(alpha)
     for got, want in ((s.weights(0.0, s.A), si_ones), (s.weights(1.0, s.B), si_alpha)):
@@ -105,29 +94,60 @@ TABLE_PARAMS = {
 }
 
 
+def stated_formula(program, alpha, sigma, **params):
+    """``program``'s closed form as the solvers module docstring states it,
+    from np.linalg.solve on the entries."""
+    ones = np.ones(alpha.size)
+    si_alpha, si_ones = np.linalg.solve(sigma, alpha), np.linalg.solve(sigma, ones)
+    a, b, c = ones @ si_ones, ones @ si_alpha, alpha @ si_alpha
+    d = a * c - b * b
+    return {
+        Program.GMV: lambda: si_ones / a,
+        Program.RISKY: lambda: si_alpha / b,
+        Program.I: lambda sigma0: sigma0 / np.sqrt(c) * si_alpha,
+        Program.II: lambda alpha0: alpha0 / c * si_alpha,
+        Program.III: lambda gamma: si_alpha / gamma,
+        Program.IV: lambda g0=1.0: g0 * si_alpha / b,
+        Program.V: lambda sigma0=None, g0=None: (
+            (g0 if sigma0 is None else sigma0 * b / np.sqrt(c)) * si_alpha / b),
+        Program.VI: lambda alpha0, g0: ((alpha0 * a - g0 * b) / d * si_alpha
+                                        + (g0 * c - alpha0 * b) / d * si_ones),
+        Program.VII: lambda gamma, g0: (g0 - b / gamma) * si_ones / a + si_alpha / gamma,
+        Program.VIII: lambda g0: g0 * si_alpha / b,
+    }[program](**params)
+
+
+CLOSED_FORMS = [(program, params) for program, params in TABLE_PARAMS.items()
+                if program is not Program.QOQC] + [
+    (Program.IV, {"g0": 0.5}), (Program.V, {"g0": 1.5}),
+    (Program.VI, {"alpha0": 0.05, "g0": 2.0})]
+
+
 @pytest.mark.filterwarnings("ignore::mvgear.InefficientBranchWarning")
-def test_solve_runs_the_table_solver_of_every_program():
-    rng = np.random.default_rng(30)
-    alpha, cov = random_instance(rng, 4)
-    direct = {
-        Program.GMV: lambda: gmv_portfolio(cov),
-        Program.RISKY: lambda: optimal_risky_portfolio(alpha, cov),
-        Program.I: lambda: solve_I(alpha, cov, 0.4),
-        Program.II: lambda: solve_II(alpha, cov, 0.08),
-        Program.III: lambda: solve_III(alpha, cov, 2.0),
-        Program.IV: lambda: solve_IV(alpha, cov),
-        Program.V: lambda: solve_V(alpha, cov, sigma0=0.3),
-        Program.VI: lambda: solve_VI(alpha, cov, 0.2, 1.0),
-        Program.VII: lambda: solve_VII(alpha, cov, 1.5, 1.0),
-        Program.VIII: lambda: solve_VIII(alpha, cov, 2.0),
-        Program.QOQC: lambda: solve_QOQC(alpha, cov, 1.0, 1.0, 1.5),
-    }
-    assert set(PROGRAMS) == set(direct) == set(Program)
-    for program, params in TABLE_PARAMS.items():
-        port = solve(program.value, alpha, cov, **params)
+@pytest.mark.parametrize("program,params", CLOSED_FORMS,
+                         ids=[p.value + "".join(f"-{k}={v}" for k, v in q.items())
+                              for p, q in CLOSED_FORMS])
+def test_each_closed_form_matches_its_stated_formula(program, params):
+    # Each table entry against the formula its program states, solved on the
+    # entries, on instances with D/(AC) >= 0.05 so that the (c_alpha, c_1)
+    # form of VI loses at most a factor 20 to cancellation: each weight within
+    # 4 kappa eps of the largest (largest seen: 0.22 kappa eps, III). The
+    # record names the program, keeps the parameters given and, where the
+    # gearing is audited, records it as g0.
+    rng = np.random.default_rng(34)
+    for n in (3, 6, 12, 24):
+        alpha, cov = random_instance(rng, n, kappa=1e3, min_d_ratio=0.05)
+        port = solve(program, alpha, cov, **params)
+        want = stated_formula(program, alpha.entries, cov.entries, **params)
+        tolerance = 4.0 * cov.condition_number * np.finfo(float).eps
+        npt.assert_allclose(port.weights, want, rtol=0, atol=tolerance * np.abs(want).max(),
+                            err_msg=f"n = {n}")
         assert port.program is program
-        assert port.params == direct[program]().params
-        assert np.array_equal(port.weights, direct[program]().weights)
+        assert {name: port.params[name] for name in params} == params
+        if "gearing" in PROGRAMS[program].audits:
+            assert port.params["g0"] == pytest.approx(want.sum(), rel=tolerance)
+        else:
+            assert "g0" not in port.params or "g0" in params
 
 
 def test_solve_runs_qoqc_as_solve_qoqc_bit_for_bit():
@@ -224,24 +244,24 @@ def test_only_programs_that_divide_by_D_reject_a_flat_alpha(program):
 # ---------------------------------------------------------------------------
 
 def test_gmv_identity(micro_cov):
-    npt.assert_allclose(gmv_portfolio(micro_cov).weights, [0.5, 0.5], atol=1e-15)
+    npt.assert_allclose(solve(Program.GMV, None, micro_cov).weights, [0.5, 0.5], atol=1e-15)
 
 
 def test_gmv_inverse_variance():
     cov = CovMatrix.from_entries(np.diag([1.0, 4.0]))
-    npt.assert_allclose(gmv_portfolio(cov).weights, [0.8, 0.2], rtol=1e-14)
+    npt.assert_allclose(solve(Program.GMV, None, cov).weights, [0.8, 0.2], rtol=1e-14)
 
 
 def test_gmv_matches_kkt_oracle():
     rng = np.random.default_rng(21)
     alpha, cov = random_instance(rng, 5)
-    port = gmv_portfolio(cov)
+    port = solve(Program.GMV, None, cov)
     kkt_check(port.weights, cov.entries, np.zeros(5), np.ones((1, 5)), [1.0])
     assert port.gearing == pytest.approx(1.0, abs=1e-14)
 
 
 def test_risky_identity(micro_alpha, micro_cov):
-    port = optimal_risky_portfolio(micro_alpha, micro_cov)
+    port = solve(Program.RISKY, micro_alpha, micro_cov)
     npt.assert_allclose(port.weights, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-14)
     assert port.program is Program.RISKY
 
@@ -249,7 +269,7 @@ def test_risky_identity(micro_alpha, micro_cov):
 def test_risky_dominates_sampled_sharpe():
     rng = np.random.default_rng(33)
     alpha, cov = random_instance(rng, 4)
-    port = optimal_risky_portfolio(alpha, cov)
+    port = solve(Program.RISKY, alpha, cov)
     mine = float(alpha.entries @ port.weights) / np.sqrt(cov.quad(port.weights))
     best = dominance_sample(
         sharpe_objective(alpha.entries, cov.entries),
@@ -263,7 +283,7 @@ def test_risky_dominates_sampled_sharpe():
 
 def test_risky_zero_b():
     with pytest.raises(ZeroB):
-        optimal_risky_portfolio(AlphaVector([-0.1, 0.1]), CovMatrix.identity(2))
+        solve(Program.RISKY, AlphaVector([-0.1, 0.1]), CovMatrix.identity(2))
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +291,13 @@ def test_risky_zero_b():
 # ---------------------------------------------------------------------------
 
 def test_solve_I_binds_risk(micro_alpha, micro_cov):
-    port = solve_I(micro_alpha, micro_cov, sigma0=0.7)
+    port = solve(Program.I, micro_alpha, micro_cov, sigma0=0.7)
     assert micro_cov.quad(port.weights) == pytest.approx(0.49, rel=1e-12)
-    assert alpha_angle(port.weights, optimal_risky_portfolio(micro_alpha, micro_cov).weights) == pytest.approx(1.0, abs=1e-12)
+    assert alpha_angle(port.weights, solve(Program.RISKY, micro_alpha, micro_cov).weights) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solve_II_worked_example(micro_alpha, micro_cov):
-    port = solve_II(micro_alpha, micro_cov, alpha0=0.05)
+    port = solve(Program.II, micro_alpha, micro_cov, alpha0=0.05)
     npt.assert_allclose(port.weights, [0.1, 0.2], rtol=1e-13)
     assert float(micro_alpha.entries @ port.weights) == pytest.approx(0.05, abs=1e-15)
     kkt_check(port.weights, micro_cov.entries, np.zeros(2),
@@ -286,53 +306,46 @@ def test_solve_II_worked_example(micro_alpha, micro_cov):
 
 def test_solve_III_unit_gamma(micro_alpha, micro_cov):
     npt.assert_allclose(
-        solve_III(micro_alpha, micro_cov, gamma=1.0).weights, [0.1, 0.2], atol=1e-15
+        solve(Program.III, micro_alpha, micro_cov, gamma=1.0).weights, [0.1, 0.2], atol=1e-15
     )
 
 
 def test_solve_IV_is_fully_invested_risky(micro_alpha, micro_cov):
     npt.assert_allclose(
-        solve_IV(micro_alpha, micro_cov).weights,
-        optimal_risky_portfolio(micro_alpha, micro_cov).weights,
+        solve(Program.IV, micro_alpha, micro_cov).weights,
+        solve(Program.RISKY, micro_alpha, micro_cov).weights,
         rtol=1e-14,
     )
 
 
 def test_solve_V_gearing_one_equals_risky(micro_alpha, micro_cov):
     npt.assert_allclose(
-        solve_V(micro_alpha, micro_cov, g0=1.0).weights,
-        optimal_risky_portfolio(micro_alpha, micro_cov).weights,
+        solve(Program.V, micro_alpha, micro_cov, g0=1.0).weights,
+        solve(Program.RISKY, micro_alpha, micro_cov).weights,
         rtol=1e-14,
     )
 
 
 def test_solve_V_linear_in_gearing(micro_alpha, micro_cov):
-    one = solve_V(micro_alpha, micro_cov, g0=1.0).weights
-    two = solve_V(micro_alpha, micro_cov, g0=2.0).weights
+    one = solve(Program.V, micro_alpha, micro_cov, g0=1.0).weights
+    two = solve(Program.V, micro_alpha, micro_cov, g0=2.0).weights
     npt.assert_allclose(two, 2.0 * one, rtol=1e-14)
 
 
 def test_solve_V_sigma_variant(micro_alpha, micro_cov):
-    port = solve_V(micro_alpha, micro_cov, sigma0=1.0)
+    port = solve(Program.V, micro_alpha, micro_cov, sigma0=1.0)
     assert port.params["g0"] == pytest.approx(0.3 / np.sqrt(0.05), rel=1e-12)
     assert micro_cov.quad(port.weights) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_solve_V_requires_exactly_one_parameter(micro_alpha, micro_cov):
-    with pytest.raises(NonPositiveParameter):
-        solve_V(micro_alpha, micro_cov)
-    with pytest.raises(NonPositiveParameter):
-        solve_V(micro_alpha, micro_cov, sigma0=0.5, g0=1.0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0])
 def test_nonpositive_parameters_rejected(micro_alpha, micro_cov, bad):
     with pytest.raises(NonPositiveParameter):
-        solve_I(micro_alpha, micro_cov, sigma0=bad)
+        solve(Program.I, micro_alpha, micro_cov, sigma0=bad)
     with pytest.raises(NonPositiveParameter):
-        solve_II(micro_alpha, micro_cov, alpha0=bad)
+        solve(Program.II, micro_alpha, micro_cov, alpha0=bad)
     with pytest.raises(NonPositiveParameter):
-        solve_III(micro_alpha, micro_cov, gamma=bad)
+        solve(Program.III, micro_alpha, micro_cov, gamma=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +353,12 @@ def test_nonpositive_parameters_rejected(micro_alpha, micro_cov, bad):
 # ---------------------------------------------------------------------------
 
 def test_solve_VI_gmv_inflection(micro_alpha, micro_cov):
-    port = solve_VI(micro_alpha, micro_cov, alpha0=0.15, g0=1.0)
+    port = solve(Program.VI, micro_alpha, micro_cov, alpha0=0.15, g0=1.0)
     npt.assert_allclose(port.weights, [0.5, 0.5], atol=1e-13)
 
 
 def test_solve_VI_worked_example(micro_alpha, micro_cov):
-    port = solve_VI(micro_alpha, micro_cov, alpha0=0.2, g0=1.0)
+    port = solve(Program.VI, micro_alpha, micro_cov, alpha0=0.2, g0=1.0)
     npt.assert_allclose(port.weights, [0.0, 1.0], atol=1e-13)
     assert port.gearing == pytest.approx(1.0, abs=1e-13)
     assert float(micro_alpha.entries @ port.weights) == pytest.approx(0.2, abs=1e-13)
@@ -356,9 +369,9 @@ def test_solve_VI_worked_example(micro_alpha, micro_cov):
 def test_solve_VI_constraints_and_frontier_consistency():
     rng = np.random.default_rng(7)
     alpha, cov = random_instance(rng, 4)
-    scal = frontier_scalars(alpha, cov)
+    scal = FrontierScalars(alpha, cov)
     for alpha0 in np.linspace(scal.B / scal.A, 3 * scal.B / scal.A, 20):
-        port = solve_VI(alpha, cov, alpha0=float(alpha0), g0=1.0)
+        port = solve(Program.VI, alpha, cov, alpha0=float(alpha0), g0=1.0)
         assert float(alpha.entries @ port.weights) == pytest.approx(alpha0, rel=1e-10)
         assert port.gearing == pytest.approx(1.0, rel=1e-10)
         var = frontier_variance(scal, float(alpha0), 1.0)
@@ -369,41 +382,40 @@ def test_solve_VI_table_form_equivalence():
     # (g0 - w) theta_0 + w theta_alpha with w = (B/D)(alpha0 A - g0 B)
     rng = np.random.default_rng(8)
     alpha, cov = random_instance(rng, 5)
-    scal = frontier_scalars(alpha, cov)
+    scal = FrontierScalars(alpha, cov)
     g0, alpha0 = 1.4, 0.12
     w = scal.B / scal.D * (alpha0 * scal.A - g0 * scal.B)
-    mixed = (g0 - w) * gmv_portfolio(cov).weights + w * optimal_risky_portfolio(
-        alpha, cov
-    ).weights
-    port = solve_VI(alpha, cov, alpha0=alpha0, g0=g0)
+    mixed = ((g0 - w) * solve(Program.GMV, None, cov).weights
+             + w * solve(Program.RISKY, alpha, cov).weights)
+    port = solve(Program.VI, alpha, cov, alpha0=alpha0, g0=g0)
     npt.assert_allclose(port.weights, mixed, rtol=1e-10)
 
 
 def test_solve_VI_cash_neutral_component(micro_alpha, micro_cov):
-    theta0 = gmv_portfolio(micro_cov).weights
-    theta_a = optimal_risky_portfolio(micro_alpha, micro_cov).weights
+    theta0 = solve(Program.GMV, None, micro_cov).weights
+    theta_a = solve(Program.RISKY, micro_alpha, micro_cov).weights
     assert float(np.sum(theta_a - theta0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_solve_VI_zero_gearing_is_cash_neutral(micro_alpha, micro_cov):
     with pytest.warns(InefficientBranchWarning):
-        port = solve_VI(micro_alpha, micro_cov, alpha0=-0.05, g0=0.0)
+        port = solve(Program.VI, micro_alpha, micro_cov, alpha0=-0.05, g0=0.0)
     assert port.gearing == pytest.approx(0.0, abs=1e-12)
     assert float(micro_alpha.entries @ port.weights) == pytest.approx(-0.05, abs=1e-13)
 
 
 def test_solve_VI_warns_on_inefficient_branch(micro_alpha, micro_cov):
     with pytest.warns(InefficientBranchWarning):
-        solve_VI(micro_alpha, micro_cov, alpha0=0.05, g0=1.0)
+        solve(Program.VI, micro_alpha, micro_cov, alpha0=0.05, g0=1.0)
 
 
 def test_solve_VI_at_inflection_is_geared_gmv():
     rng = np.random.default_rng(13)
     alpha, cov = random_instance(rng, 5)
-    scal = frontier_scalars(alpha, cov)
+    scal = FrontierScalars(alpha, cov)
     for g0 in [0.5, 1.0, 1.7, -1.0]:
-        port = solve_VI(alpha, cov, alpha0=g0 * scal.B / scal.A, g0=g0)
-        npt.assert_allclose(port.weights, g0 * gmv_portfolio(cov).weights,
+        port = solve(Program.VI, alpha, cov, alpha0=g0 * scal.B / scal.A, g0=g0)
+        npt.assert_allclose(port.weights, g0 * solve(Program.GMV, None, cov).weights,
                             atol=1e-12, rtol=0)
 
 
@@ -415,10 +427,10 @@ def test_two_fund_separation(micro_alpha, micro_cov):
         a0, b0 = rng.uniform(0.05, 0.25, size=2)
         lam = rng.uniform(-0.5, 1.5)
         g0 = 1.0
-        left = solve_VI(alpha, cov, alpha0=lam * a0 + (1 - lam) * b0, g0=g0).weights
-        right = lam * solve_VI(alpha, cov, alpha0=a0, g0=g0).weights + (
+        left = solve(Program.VI, alpha, cov, alpha0=lam * a0 + (1 - lam) * b0, g0=g0).weights
+        right = lam * solve(Program.VI, alpha, cov, alpha0=a0, g0=g0).weights + (
             1 - lam
-        ) * solve_VI(alpha, cov, alpha0=b0, g0=g0).weights
+        ) * solve(Program.VI, alpha, cov, alpha0=b0, g0=g0).weights
         npt.assert_allclose(left, right, atol=1e-10)
 
 
@@ -427,7 +439,7 @@ def test_two_fund_separation(micro_alpha, micro_cov):
 # ---------------------------------------------------------------------------
 
 def test_solve_VII_worked_example(micro_alpha, micro_cov):
-    port = solve_VII(micro_alpha, micro_cov, gamma=1.0, g0=1.0)
+    port = solve(Program.VII, micro_alpha, micro_cov, gamma=1.0, g0=1.0)
     npt.assert_allclose(port.weights, [0.45, 0.55], rtol=1e-13)
     kkt_check(port.weights, micro_cov.entries, micro_alpha.entries,
               np.ones((1, 2)), [1.0])
@@ -436,8 +448,8 @@ def test_solve_VII_worked_example(micro_alpha, micro_cov):
 
 
 def test_solve_VII_limits_to_gmv(micro_alpha, micro_cov):
-    port = solve_VII(micro_alpha, micro_cov, gamma=1e9, g0=1.0)
-    npt.assert_allclose(port.weights, gmv_portfolio(micro_cov).weights, atol=1e-6)
+    port = solve(Program.VII, micro_alpha, micro_cov, gamma=1e9, g0=1.0)
+    npt.assert_allclose(port.weights, solve(Program.GMV, None, micro_cov).weights, atol=1e-6)
 
 
 def test_solve_VII_relative_alpha_form():
@@ -445,15 +457,15 @@ def test_solve_VII_relative_alpha_form():
     rng = np.random.default_rng(14)
     alpha, cov = random_instance(rng, 5)
     gamma, g0 = 2.5, 1.2
-    theta0 = gmv_portfolio(cov).weights
+    theta0 = solve(Program.GMV, None, cov).weights
     outer = np.outer(alpha.entries, np.ones(5)) - np.outer(np.ones(5), alpha.entries)
     alt = g0 * theta0 + cov.solve(outer @ theta0) / gamma
-    port = solve_VII(alpha, cov, gamma=gamma, g0=g0)
+    port = solve(Program.VII, alpha, cov, gamma=gamma, g0=g0)
     npt.assert_allclose(port.weights, alt, atol=1e-10)
 
 
 def test_solve_VII_zero_gearing(micro_alpha, micro_cov):
-    port = solve_VII(micro_alpha, micro_cov, gamma=2.0, g0=0.0)
+    port = solve(Program.VII, micro_alpha, micro_cov, gamma=2.0, g0=0.0)
     assert port.gearing == pytest.approx(0.0, abs=1e-12)
 
 
@@ -463,8 +475,8 @@ def test_solve_VII_zero_gearing(micro_alpha, micro_cov):
 
 def test_solve_VIII_gearing_one(micro_alpha, micro_cov):
     npt.assert_allclose(
-        solve_VIII(micro_alpha, micro_cov, g0=1.0).weights,
-        optimal_risky_portfolio(micro_alpha, micro_cov).weights,
+        solve(Program.VIII, micro_alpha, micro_cov, g0=1.0).weights,
+        solve(Program.RISKY, micro_alpha, micro_cov).weights,
         rtol=1e-14,
     )
 
@@ -473,8 +485,8 @@ def test_solve_VIII_sharpe_scale_invariant(micro_alpha, micro_cov):
     def sharpe(w):
         return float(micro_alpha.entries @ w) / np.sqrt(micro_cov.quad(w))
 
-    s1 = sharpe(solve_VIII(micro_alpha, micro_cov, g0=1.0).weights)
-    s3 = sharpe(solve_VIII(micro_alpha, micro_cov, g0=3.0).weights)
+    s1 = sharpe(solve(Program.VIII, micro_alpha, micro_cov, g0=1.0).weights)
+    s3 = sharpe(solve(Program.VIII, micro_alpha, micro_cov, g0=3.0).weights)
     assert s3 == pytest.approx(s1, abs=1e-12)
 
 
@@ -482,7 +494,7 @@ def test_solve_VIII_dominance():
     rng = np.random.default_rng(55)
     alpha, cov = random_instance(rng, 5)
     g0 = 1.7
-    port = solve_VIII(alpha, cov, g0=g0)
+    port = solve(Program.VIII, alpha, cov, g0=g0)
     mine = float(alpha.entries @ port.weights) / np.sqrt(cov.quad(port.weights))
     best = dominance_sample(
         sharpe_objective(alpha.entries, cov.entries),
@@ -496,20 +508,20 @@ def test_solve_VIII_dominance():
 
 def test_solve_VIII_zero_gearing_rejected(micro_alpha, micro_cov):
     with pytest.raises(NonPositiveParameter):
-        solve_VIII(micro_alpha, micro_cov, g0=0.0)
+        solve(Program.VIII, micro_alpha, micro_cov, g0=0.0)
 
 
 def test_collinearity_family():
     rng = np.random.default_rng(77)
     alpha, cov = random_instance(rng, 6)
-    risky = optimal_risky_portfolio(alpha, cov).weights
+    risky = solve(Program.RISKY, alpha, cov).weights
     family = [
-        solve_I(alpha, cov, sigma0=0.4).weights,
-        solve_II(alpha, cov, alpha0=0.08).weights,
-        solve_III(alpha, cov, gamma=3.0).weights,
-        solve_IV(alpha, cov).weights,
-        solve_V(alpha, cov, g0=1.5).weights,
-        solve_VIII(alpha, cov, g0=2.0).weights,
+        solve(Program.I, alpha, cov, sigma0=0.4).weights,
+        solve(Program.II, alpha, cov, alpha0=0.08).weights,
+        solve(Program.III, alpha, cov, gamma=3.0).weights,
+        solve(Program.IV, alpha, cov).weights,
+        solve(Program.V, alpha, cov, g0=1.5).weights,
+        solve(Program.VIII, alpha, cov, g0=2.0).weights,
     ]
     for member in family:
         assert alpha_angle(member, risky) == pytest.approx(1.0, abs=1e-12)
@@ -529,7 +541,7 @@ def test_unshrunk_closed_forms_match_the_kkt_oracle_at_scale(n):
         cov = CovMatrix.from_entries(random_spd(rng, n, kappa=kappa))
         a = 5e-3 * (1.0 + 0.5 * rng.standard_normal(n))
         sigma, alpha0 = cov.entries, float(a.mean())
-        scal = frontier_scalars(a, cov)
+        scal = FrontierScalars(a, cov)
         both = np.vstack([a, ones])
         cases = {
             Program.GMV: ({}, KktProblem(sigma, zeros, ones, [1.0])),
@@ -557,19 +569,19 @@ def test_unshrunk_closed_forms_match_the_kkt_oracle_at_scale(n):
 # ---------------------------------------------------------------------------
 
 def test_frontier_variance_inflection(micro_alpha, micro_cov):
-    scal = frontier_scalars(micro_alpha, micro_cov)
+    scal = FrontierScalars(micro_alpha, micro_cov)
     assert frontier_variance(scal, 0.15, 1.0) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_frontier_variance_cash_neutral_branch(micro_alpha, micro_cov):
-    scal = frontier_scalars(micro_alpha, micro_cov)
+    scal = FrontierScalars(micro_alpha, micro_cov)
     assert frontier_variance(scal, 0.1, 0.0) == pytest.approx(
         0.1**2 * scal.A / scal.D, rel=1e-14
     )
 
 
 def test_surface_single_gmv_point(micro_alpha, micro_cov):
-    scal = frontier_scalars(micro_alpha, micro_cov)
+    scal = FrontierScalars(micro_alpha, micro_cov)
     surface = pareto_surface(micro_alpha, micro_cov, [scal.B / scal.A], [1.0])
     assert surface.sigma_p.shape == (1, 1)
     assert surface.on_gmv.shape == surface.on_risky.shape == (1, 1)
@@ -578,7 +590,7 @@ def test_surface_single_gmv_point(micro_alpha, micro_cov):
 
 
 def test_surface_slice_matches_parabola(micro_alpha, micro_cov):
-    scal = frontier_scalars(micro_alpha, micro_cov)
+    scal = FrontierScalars(micro_alpha, micro_cov)
     grid = np.linspace(0.05, 0.3, 11)
     surface = pareto_surface(micro_alpha, micro_cov, grid, [1.0])
     assert surface.g0.tolist() == [1.0]
@@ -611,7 +623,7 @@ def test_surface_constraint_audit():
     for alpha_p, g0, sigma_p, _, _ in points:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InefficientBranchWarning)
-            w = solve_VI(alpha, cov, alpha0=alpha_p, g0=g0).weights
+            w = solve(Program.VI, alpha, cov, alpha0=alpha_p, g0=g0).weights
         assert float(np.sum(w)) == pytest.approx(g0, rel=1e-10, abs=1e-10)
         assert float(alpha.entries @ w) == pytest.approx(alpha_p, rel=1e-10)
         assert np.sqrt(cov.quad(w)) == pytest.approx(sigma_p, rel=1e-10)
@@ -631,7 +643,7 @@ def test_surface_names_the_first_point_whose_variance_is_not_finite(
 
 
 def test_frontier_variance_overflows_to_inf(micro_alpha, micro_cov):
-    scal = frontier_scalars(micro_alpha, micro_cov)
+    scal = FrontierScalars(micro_alpha, micro_cov)
     with np.errstate(over="ignore", invalid="ignore"):
         assert frontier_variance(scal, 1e200, 1.0) == np.inf
         assert frontier_variance(scal, 0.0, 1e300) == np.inf
@@ -645,7 +657,7 @@ def test_frontier_variance_does_not_cancel_near_the_minimum_variance_line():
     # by 7e15 eps at s = 1e-8. The completed square g0^2/A + (A/D) offset^2
     # carries A's rounding in its first term and D's in its second. D taken
     # as AC - B^2 was accurate only to eps AC/D, rounding noise at s = 1e-8
-    # (where frontier_scalars raised DegenerateAlpha on some seeds); taken as
+    # (where the frontier raised DegenerateAlpha on some seeds); taken as
     # A r'Sigma^-1 r it is accurate to a few eps at every spread, so the bound
     # carries no AC/D factor and every instance must evaluate. The offset is
     # taken about the mean m of alpha, (alpha_p - m) - (B/A - m): at
@@ -663,7 +675,7 @@ def test_frontier_variance_does_not_cancel_near_the_minimum_variance_line():
             si_ones = mpmath.lu_solve(sigma, ones)
         for spread in [1e-2, 1e-4, 1e-6, 1e-8]:
             alpha = 5e-4 * (1.0 + spread * z)
-            scal = frontier_scalars(alpha, cov)
+            scal = FrontierScalars(alpha, cov)
             gmv, risky = scal.B / scal.A, scal.C / scal.B
             alphas = [gmv + f * (risky - gmv) for f in fractions]
             surface = pareto_surface(alpha, cov, alphas, [1.0])
@@ -717,7 +729,7 @@ def test_D_and_the_II_and_VI_weights_hold_near_a_flat_alpha():
                     lam1, lam2 = (x * big_a - big_b) / big_d, (big_c - x * big_b) / big_d
                     exact = [lam1 * u + lam2 * v for u, v in zip(si_alpha, si_ones)]
                     cases.append((Program.VI, {"alpha0": float(x), "g0": 1.0}, exact))
-                scal = frontier_scalars(alpha, cov)
+                scal = FrontierScalars(alpha, cov)
                 assert abs(scal.D - big_d) <= tolerance * big_d
                 for program, params, exact in cases:
                     got = solve(program, alpha, cov, **params).weights
@@ -730,14 +742,14 @@ def test_D_and_the_II_and_VI_weights_hold_near_a_flat_alpha():
 # ---------------------------------------------------------------------------
 
 def test_implied_returns_identity(micro_cov):
-    port = gmv_portfolio(micro_cov)
+    port = solve(Program.GMV, None, micro_cov)
     npt.assert_allclose(implied_returns(port, micro_cov).entries, [0.5, 0.5])
 
 
 def test_implied_returns_gmv_is_flat():
     rng = np.random.default_rng(19)
     _, cov = random_instance(rng, 5)
-    pi = implied_returns(gmv_portfolio(cov), cov).entries
+    pi = implied_returns(solve(Program.GMV, None, cov), cov).entries
     npt.assert_allclose(pi, np.full(5, 0.2), atol=1e-12)
 
 
