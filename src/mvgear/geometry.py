@@ -30,6 +30,7 @@ this module also provides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -47,6 +48,8 @@ from .moments import AlphaVector, CovMatrix, as_vector
 
 # cos(angle) at least this close to 1 counts as collinear with Sigma^-1 alpha.
 COLLINEAR_TOL = 1e-10
+# The smallest normal float: a squared norm below it has lost digits.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _clamp_cos(value: float) -> float:
@@ -56,14 +59,38 @@ def _clamp_cos(value: float) -> float:
     return float(min(1.0, max(-1.0, value)))
 
 
+def _square(v: np.ndarray) -> float:
+    """v'v as ``np.linalg.norm`` forms it (the same product, over v in memory
+    order), but without the warning ``dot`` gives when it overflows."""
+    x = v.ravel(order="K")
+    return float(np.vdot(x, x))
+
+
+def _binary_scaled(v: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """(u, |u|, e) with v = 2^e u, for a 1-D float vector v.
+
+    A norm squares without rescaling, so a finite nonzero v whose squared
+    norm overflows, or falls below the smallest normal float, is first
+    scaled by a power of two to a largest entry in [1/2, 1), which is
+    exact. Every other v is u itself, e = 0 and |u| has norm's bits.
+    """
+    square = _square(v)
+    if not _TINY <= square < math.inf and np.any(v) and np.isfinite(v).all():
+        e = int(np.frexp(np.abs(v).max())[1])
+        v = np.ldexp(v, -e)
+        return v, math.sqrt(_square(v)), e
+    return v, math.sqrt(square), 0
+
+
 def alpha_angle(alpha, theta) -> float:
-    """cos of the angle between alpha and theta, clamped to [-1, 1]."""
+    """cos of the angle between alpha and theta, clamped to [-1, 1]; the
+    same at every power-of-two scale of either vector."""
     a = as_vector(alpha)
     t = as_vector(theta)
     if a.size != t.size:
         raise DimensionError(f"vector lengths differ: {a.size} vs {t.size}")
-    na = float(np.linalg.norm(a))
-    nt = float(np.linalg.norm(t))
+    a, na, _ = _binary_scaled(a)
+    t, nt, _ = _binary_scaled(t)
     if na == 0.0 or nt == 0.0:
         raise ZeroVector("angle undefined for a zero vector")
     return _clamp_cos(float(a @ t) / (na * nt))
@@ -99,7 +126,7 @@ def bauer_householder_bound(kappa: float, psi: float) -> tuple[float, float]:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
+    v, norm, _ = _binary_scaled(v)
     if norm == 0.0:
         raise ZeroVector("angle undefined for a zero vector")
     return v / norm

@@ -11,13 +11,15 @@ covariance. Every covariance handed to the solvers is wrapped in a
 so that all downstream linear solves reuse the same eigendata that the
 angle bounds need. A shrink toward the identity, w I + (1 - w) Sigma, keeps
 V and maps each rho to w + (1 - w) rho (:meth:`CovMatrix.toward_identity`),
-so it costs O(n^2) and no second decomposition. A shrink toward the
+so it costs O(n) and no second decomposition. A shrink toward the
 diagonal D = diag(Sigma) does the same through the correlation matrix
 R = D^-1/2 Sigma D^-1/2 = Q Lambda Q', decomposed once per covariance and
 kept with it: w D + (1 - w) Sigma = D^1/2 Q (w + (1 - w) Lambda) Q' D^1/2
-(:meth:`CovMatrix.toward_diagonal`). Its own eigenvalues, which only its
-condition number needs, cost one ``eigvalsh`` when first read; its own
-eigenpairs, which QOQC and the worst-case pair need, cost one ``eigh``.
+(:meth:`CovMatrix.toward_diagonal`). Either shrink holds only its factor
+and forms no n x n array until its entries are read. Its own eigenvalues,
+which only the diagonal shrink's condition number needs, cost one
+``eigvalsh`` when first read; its own eigenpairs, which QOQC and the
+worst-case pair need, cost one ``eigh``.
 Near-singular sample covariances are repaired by clipping eigenvalues at a
 floor relative to the largest one.
 
@@ -69,7 +71,12 @@ class SpdRepairWarning(UserWarning):
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """A read-only copy of ``values``."""
+    return _frozen(np.array(values, dtype=dtype))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, made read-only: for an array no one else holds."""
     arr.setflags(write=False)
     return arr
 
@@ -176,7 +183,28 @@ def _symmetrized(entries) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """The (U, S) of a factor S U diag(mu) U' S: an orthogonal ``basis`` U and
+    a positive diagonal scaling S = diag(``scale``), the identity when
+    ``scale`` is None. Every shrink of one matrix toward the same target
+    changes only mu, so its matrices share one frame and the product
+    U'S^-1 1 kept with it (:attr:`ones`)."""
+
+    basis: np.ndarray
+    scale: np.ndarray | None = None
+
+    def project(self, vec: np.ndarray) -> np.ndarray:
+        """U'S^-1 vec, one product with the basis."""
+        s = self.scale
+        return self.basis.T @ (vec if s is None else vec / s)
+
+    @cached_property
+    def ones(self) -> np.ndarray:
+        """U'S^-1 1, formed on first read and shared by every matrix on this frame."""
+        return self.project(np.ones(self.basis.shape[0]))
+
+
 class CovMatrix:
     """Symmetric positive-definite covariance, held with a factor.
 
@@ -189,17 +217,44 @@ class CovMatrix:
     (one ``eigh``) are computed when first read. Either way :meth:`solve`
     and the factor L = S U diag(sqrt(mu)), Sigma = L L', cost O(n^2).
 
+    A shrink (:meth:`toward_identity`, :meth:`toward_diagonal`) holds only
+    its factor: it forms no n x n array until its ``entries`` are read, and
+    then forms them once, with the convex combination's own bits.
+
     :meth:`coordinates` and :meth:`from_coordinates` are the two halves of a
     solve, one product with the basis each. Sigma^-1 1, its coordinates and
-    A = 1'Sigma^-1 1 (:attr:`inverse_ones`) are formed once per matrix, so a
-    frontier of (alpha, Sigma) (``solvers.FrontierScalars``) adds one product
-    for alpha.
+    A = 1'Sigma^-1 1 (:attr:`inverse_ones`) are formed once per matrix from
+    U'S^-1 1, which is formed once per (U, S) pair and shared by every
+    shrink on it, so a frontier of (alpha, Sigma) (``solvers.FrontierScalars``)
+    adds one product for alpha.
     """
 
-    entries: np.ndarray
-    spectrum: np.ndarray
-    basis: np.ndarray
-    scale: np.ndarray | None = None
+    def __init__(self, entries, spectrum, basis, scale=None):
+        self.__dict__.update(entries=entries, spectrum=spectrum, _frame=_Frame(basis, scale))
+
+    @classmethod
+    def _factored(cls, spectrum, frame: _Frame, form) -> "CovMatrix":
+        """The matrix S U diag(``spectrum``) U' S of ``frame``, whose entries
+        ``form()`` returns when they are first read."""
+        cov = cls.__new__(cls)
+        cov.__dict__.update(spectrum=spectrum, _frame=frame, _form=form)
+        return cov
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CovMatrix is read-only: cannot set {name!r}")
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Sigma's entries; a shrink forms them here, on first read."""
+        return _frozen(self._form())
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self._frame.basis
+
+    @property
+    def scale(self) -> np.ndarray | None:
+        return self._frame.scale
 
     @classmethod
     def from_entries(cls, entries) -> "CovMatrix":
@@ -232,30 +287,36 @@ class CovMatrix:
             raise ConvergenceFailure(
                 f"spectral reconstruction error {err:g} exceeds {RECONSTRUCTION_RTOL:g}"
             )
+        # Copied, though new here: frozen in place, they left glibc's heap laid
+        # out so that each later n = 200 ``estimate`` re-faulted its ~3 MB of
+        # text (5.5x the page faults, 8% slower on a 2-core host).
         return cls(entries=_frozen_array(sym), spectrum=_frozen_array(rho),
                    basis=_frozen_array(vecs))
 
     @classmethod
     def identity(cls, n: int) -> "CovMatrix":
-        """I_n with the unit vectors as its eigenvectors; no decomposition."""
-        eye = _frozen_array(_symmetrized(np.eye(n)))
-        return cls(entries=eye, spectrum=_frozen_array(np.ones(n)), basis=eye)
+        """I_n with the unit vectors as its eigenvectors; no decomposition.
+        One frozen array is both its entries and its basis."""
+        if n < 2:
+            raise DimensionError("covariance needs dimension >= 2")
+        eye = _frozen(np.eye(n))
+        return cls(entries=eye, spectrum=_frozen(np.ones(n)), basis=eye)
 
     def toward_identity(self, w: float) -> "CovMatrix":
         """w I + (1 - w) Sigma for w in [0, 1], from Sigma's own spectrum.
 
-        The eigenvectors are Sigma's own (shared, not copied) and each
-        eigenvalue maps to w + (1 - w) rho, so no ``eigh`` and no
-        reconstruction check run once Sigma's spectrum is known; w = 0 gives
-        back that spectrum bit for bit and w = 1 gives :meth:`identity`.
+        The eigenvectors are Sigma's own (shared, not copied, with U'1) and
+        each eigenvalue maps to w + (1 - w) rho, so no ``eigh`` and no
+        reconstruction check run once Sigma's spectrum is known, and the
+        entries are formed only when read; w = 0 gives back that spectrum
+        bit for bit and w = 1 gives :meth:`identity`.
         """
         if w == 1.0:
             return self.identity(self.dim)
         own = self._own
-        entries = w * np.eye(self.dim) + (1.0 - w) * self.entries
-        return CovMatrix(entries=_frozen_array(entries),
-                         spectrum=_frozen_array(w + (1.0 - w) * own.spectrum),
-                         basis=own.basis)
+        return CovMatrix._factored(
+            _frozen(w + (1.0 - w) * own.spectrum), own._frame,
+            lambda: w * np.eye(self.dim) + (1.0 - w) * self.entries)
 
     def toward_diagonal(self, w: float) -> "CovMatrix":
         """w diag(Sigma) + (1 - w) Sigma for w in [0, 1], through the spectrum
@@ -266,30 +327,33 @@ class CovMatrix:
         ``R.toward_identity(w)`` scaled by d^1/2, so it solves in O(n^2) (the
         symmetric-definite pencil Sigma x = lambda D x; Golub & Van Loan,
         *Matrix Computations*, 8.7). R is decomposed by :meth:`from_entries`,
-        with its checks, at the first 0 < w < 1, and its spectrum is kept
-        with this matrix. The entries are the convex combination's own bits;
-        the shrunk matrix's ``eigenvalues`` and ``eigenpairs`` are computed
-        when first read. w = 0 gives back this matrix, and w = 1 gives D with
-        its own spectrum: the sorted variances and the unit vectors.
+        with its checks, at the first 0 < w < 1, and its spectrum and frame
+        (Q, d^1/2) are kept with this matrix. The entries, formed when first
+        read, are the convex combination's own bits; the shrunk matrix's
+        ``eigenvalues`` and ``eigenpairs`` are computed when first read.
+        w = 0 gives back this matrix, and w = 1 gives D with its own
+        spectrum: the sorted variances and the unit vectors.
         """
         if w == 0.0:
             return self
         diagonal = np.diag(self.entries)
-        entries = _frozen_array(w * np.diag(diagonal) + (1.0 - w) * self.entries)
+
+        def form():
+            return w * np.diag(diagonal) + (1.0 - w) * self.entries
+
         if w == 1.0:
             order = np.argsort(-diagonal, kind="stable")  # ties as in from_entries
-            return CovMatrix(entries=entries, spectrum=_frozen_array(diagonal[order]),
-                             basis=_frozen_array(np.eye(self.dim)[:, order]))
-        lam, basis = self._correlation
-        return CovMatrix(entries=entries, spectrum=_frozen_array(w + (1.0 - w) * lam),
-                         basis=basis, scale=_frozen_array(np.sqrt(diagonal)))
+            return CovMatrix._factored(_frozen(diagonal[order]),
+                                       _Frame(_frozen(np.eye(self.dim)[:, order])), form)
+        lam, frame = self._correlation
+        return CovMatrix._factored(_frozen(w + (1.0 - w) * lam), frame, form)
 
     @cached_property
-    def _correlation(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Lambda, Q) of R = D^-1/2 Sigma D^-1/2 = Q Lambda Q'."""
+    def _correlation(self) -> tuple[np.ndarray, _Frame]:
+        """(Lambda, (Q, D^1/2)) of R = D^-1/2 Sigma D^-1/2 = Q Lambda Q'."""
         root = np.sqrt(np.diag(self.entries))
         r = CovMatrix.from_entries(self.entries / np.outer(root, root))
-        return r.spectrum, r.basis
+        return r.spectrum, _Frame(r.basis, _frozen(root))
 
     @property
     def _own(self) -> "CovMatrix":
@@ -323,7 +387,7 @@ class CovMatrix:
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.spectrum.shape[0]
 
     @property
     def condition_number(self) -> float:
@@ -339,10 +403,8 @@ class CovMatrix:
     def coordinates(self, x) -> np.ndarray:
         """c = diag(1/mu) U' S^-1 x, the coordinates of Sigma^-1 x = S^-1 U c;
         x'Sigma^-1 x = c' diag(mu) c, a sum of non-negative terms."""
-        vec, s = self._vector(x), self.scale
-        coeffs = self.basis.T @ (vec if s is None else vec / s)
         # 1/mu times coeffs, not coeffs / mu: every artifact's last bits rest on it
-        return self.spectrum**-1.0 * coeffs
+        return self.spectrum**-1.0 * self._frame.project(self._vector(x))
 
     def from_coordinates(self, c) -> np.ndarray:
         """S^-1 U c."""
@@ -352,8 +414,10 @@ class CovMatrix:
     @cached_property
     def inverse_ones(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(x, Sigma^-1 1, A): the coordinates of Sigma^-1 1, that vector and
-        A = x' diag(mu) x, formed on first read and kept with this matrix."""
-        x = self.coordinates(np.ones(self.dim))
+        A = x' diag(mu) x, formed on first read and kept with this matrix.
+        x = diag(1/mu) U'S^-1 1 takes U'S^-1 1 from the frame, in O(n) once
+        any matrix on it has formed that product: :meth:`coordinates`' bits."""
+        x = self.spectrum**-1.0 * self._frame.ones
         return x, self.from_coordinates(x), float(x @ (self.spectrum * x))
 
     def solve(self, x) -> np.ndarray:
@@ -362,8 +426,7 @@ class CovMatrix:
 
     def whiten(self, x) -> np.ndarray:
         """L^-1 x for the factor L = S U diag(sqrt(mu)); |L^-1 x|^2 = x'Sigma^-1 x."""
-        vec, s = self._vector(x), self.scale
-        return (self.basis.T @ (vec if s is None else vec / s)) / np.sqrt(self.spectrum)
+        return self._frame.project(self._vector(x)) / np.sqrt(self.spectrum)
 
     def risk_coordinates(self, x) -> np.ndarray:
         """L'x for the factor L = S U diag(sqrt(mu)); |L'x|^2 = x'Sigma x."""

@@ -27,12 +27,13 @@ ShrinkageSpec(ShrinkMode.ANGLE_TARGETED, k))``. The plain convex forms
 q I + (1-q) Sigma and q diag(Sigma) + (1-q) Sigma are exposed alongside.
 
 Both identity-target shrinks keep Sigma's eigenvectors and map each
-eigenvalue rho to w + (1 - w) rho, so they reuse the cached spectrum in
-O(n^2). The diagonal target does the same with the spectrum of the
+eigenvalue rho to w + (1 - w) rho, so they reuse the cached spectrum, and
+U'1 with it. The diagonal target does the same with the spectrum of the
 correlation matrix R = D^-1/2 Sigma D^-1/2, decomposed once per covariance:
-w D + (1 - w) Sigma = D^1/2 (w I + (1 - w) R) D^1/2. Only its condition
-number needs the shrunk matrix's own eigenvalues (one ``eigvalsh``, when
-first read).
+w D + (1 - w) Sigma = D^1/2 (w I + (1 - w) R) D^1/2. A shrunk matrix forms
+no n x n array until its entries are read: QOQC's stationarity terms read
+them, and the diagonal target's condition number, the only reader of the
+shrunk matrix's own eigenvalues (one ``eigvalsh``, when first read).
 
 Shrinking never worsens the condition number and never breaks the gearing
 constraints (the GMV/risky mix stays cash neutral). :func:`solve_robust`
@@ -66,7 +67,7 @@ from .errors import (
     ShrinkBrokeSPD,
     SingularCovariance,
 )
-from .geometry import alpha_angle
+from .geometry import _binary_scaled, alpha_angle
 from .moments import CovMatrix, as_vector
 from .solvers import FrontierScalars, Portfolio, Program, _portfolio
 
@@ -141,10 +142,12 @@ def robust_alpha(alpha, theta, k: float) -> float:
     k = float(k)
     if not 0.0 <= k < 1.0:
         raise InvalidK(f"k = {k} outside [0, 1)")
-    a = as_vector(alpha)
-    t = as_vector(theta)
-    scale = float(np.linalg.norm(a) * np.linalg.norm(t))
-    direct = float(a @ t) - k * scale
+    # |alpha||theta| and alpha'theta of the power-of-two scaled vectors, scaled
+    # back by 2^(ea + et), so that neither norm overflows or underflows alone
+    a, na, ea = _binary_scaled(as_vector(alpha))
+    t, nt, et = _binary_scaled(as_vector(theta))
+    scale = float(np.ldexp(na * nt, ea + et))
+    direct = float(np.ldexp(float(a @ t), ea + et)) - k * scale
     via_angle = scale * (alpha_angle(a, t) - k)
     if abs(direct - via_angle) > 1e-12 * max(1.0, scale):
         raise InvalidK(
@@ -159,10 +162,11 @@ def shrink_covariance(cov: CovMatrix, alpha, spec: ShrinkageSpec) -> CovMatrix:
     ANGLE_TARGETED uses weight k / cos phi toward the identity; SIMPLE uses
     q toward the identity; DIAGONAL uses q toward diag(Sigma). All three
     can only improve (or preserve) the condition number. The two identity
-    shrinks keep Sigma's eigenvectors and map its cached spectrum in O(n^2)
+    shrinks keep Sigma's eigenvectors and map its cached spectrum in O(n)
     (:meth:`CovMatrix.toward_identity`); DIAGONAL maps the spectrum of
     Sigma's correlation matrix, decomposed once per covariance, and solves
-    in O(n^2) too (:meth:`CovMatrix.toward_diagonal`).
+    in O(n^2) too (:meth:`CovMatrix.toward_diagonal`). Neither forms the
+    shrunk entries until they are read.
     """
     w = _convex_weight(spec, alpha, cov)
     if spec.mode is not ShrinkMode.DIAGONAL:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mvgear import AlphaVector, CovMatrix, cli, diversity, robust, solvers
+from mvgear import AlphaVector, CovMatrix, cli, diversity, moments, robust, solvers
 from mvgear.cli import MAX_GRID_POINTS, SWEEP_HEADER, main, parse_grid
 from mvgear.cli import CliError
 from mvgear.geometry import alpha_angle, kantorovich_bound
@@ -636,6 +637,34 @@ def test_bounds_refuses_a_non_finite_theta(micro_csv, capsys, theta):
     assert len(err.splitlines()) == 1
 
 
+def bounds_text(csv, theta, capsys) -> str:
+    """The report ``bounds --theta`` prints, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["bounds", "--input", csv, "--theta=" + ",".join(repr(float(x)) for x in theta)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    return out.out
+
+
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600, 1e155, 1e200, 1e-200])
+def test_bounds_are_the_same_at_any_scale_of_theta(tmp_path, capsys, scale):
+    # The angle, psi and the slack depend on theta's direction alone. A theta
+    # whose squared norm overflows or underflows is scaled by a power of two
+    # first, which is exact: 2^600 theta gives theta's report itself, and any
+    # other scale one within 4 eps of it.
+    csv = sweep_csv(tmp_path)
+    theta = np.array([1.0, 1.0, 0.5])
+    text = bounds_text(csv, theta, capsys)
+    base = json.loads(text)
+    assert base["psi"] is not None
+    scaled = bounds_text(csv, theta * scale, capsys)
+    if np.log2(scale).is_integer():
+        assert scaled == text
+    for name, value in json.loads(scaled).items():
+        assert value == pytest.approx(base[name], rel=4 * np.finfo(float).eps, abs=0), name
+
+
 @pytest.fixture
 def five_asset_panels(tmp_path):
     """The same returns with columns A..E, and with the columns reversed."""
@@ -818,30 +847,30 @@ def test_diagonal_shrunk_solve_and_verify_read_no_shrunk_spectrum(tmp_path, monk
 
 
 def test_the_ones_column_is_formed_once_per_covariance(tmp_path, monkeypatch):
-    # Sigma^-1 1's coordinates are kept with each covariance: repeated solves
-    # on the memoised covariance form them once, and each sweep point forms
-    # them once for its shrunk covariance. Each solve forms one product for
-    # alpha, and a sweep point one: its risky column and its --program solve
-    # share one frontier object.
+    # U'1 is kept with the basis it was formed with: repeated solves on the
+    # memoised covariance form it once, and so does the whole sweep, whose
+    # points below w = 1 share that basis; only the identity at w = 1 forms
+    # its own. Each solve forms one product for alpha, and a sweep point one:
+    # its risky column and its --program solve share one frontier object.
     csv = sweep_csv(tmp_path)
     forget_loads(monkeypatch)
-    real, calls = CovMatrix.coordinates, []
+    real, calls = moments._Frame.project, []
 
     def counting(self, x):
         calls.append(bool(np.all(np.asarray(x) == 1.0)))
         return real(self, x)
 
-    monkeypatch.setattr(CovMatrix, "coordinates", counting)
+    monkeypatch.setattr(moments._Frame, "project", counting)
     for program in (["VII", "--gamma", 1, "--g0", 1], ["RISKY"], ["VI", "--alpha0", 0.5,
                                                                   "--g0", 1]):
         assert run(["solve", "--input", csv, "--program", *program,
                     "--output", tmp_path / "p.json"]) == 0
     assert calls == [True, False, False, False]
     calls.clear()
-    assert run(["shrink-sweep", "--input", csv, "--mode", "simple", "--grid", "0:0.5:1",
+    assert run(["shrink-sweep", "--input", csv, "--mode", "simple", "--grid", "0:0.25:1",
                 "--program", "VII", "--gamma", 1, "--g0", 1,
                 "--output", tmp_path / "s.csv"]) == 0
-    assert calls == [True, False] * 3
+    assert calls == [False] * 4 + [True, False]
 
 
 def test_an_angle_sweep_solves_for_k0_once(tmp_path, monkeypatch, capsys):
@@ -888,6 +917,38 @@ def test_shrink_sweep_builds_no_portfolio(tmp_path, monkeypatch):
                     *(["--program", *program] if program else []),
                     "--output", tmp_path / "s.csv"]) == 0
     assert built == []
+
+
+def one_digit_panel(path, n, t, seed):
+    """A t x n panel of returns in {-4, ..., 4}: two or three bytes a cell, so
+    that the file is well under one n x n float64 array."""
+    rows = np.random.default_rng(seed).integers(-4, 5, size=(t, n))
+    path.write_text(",".join(f"a{j}" for j in range(n)) + "\n"
+                    + "\n".join(",".join(map(str, row)) for row in rows) + "\n")
+    return path
+
+
+def test_a_sweep_point_forms_no_n_by_n_array(tmp_path, monkeypatch):
+    # An identity shrink holds only its factor, so once the panel and its
+    # moments are memoised a sweep below w = 1 allocates less than one n x n
+    # array in all: the file's bytes, the weights and the CSV text.
+    n = 300
+    csv = one_digit_panel(tmp_path / "r.csv", n, 320, seed=3)
+    forget_loads(monkeypatch)
+    alpha, cov = estimate_moments(load_returns_csv(csv))
+    k0 = robust.angle_floor(alpha, cov)
+    assert os.path.getsize(csv) < n * n * 8 // 2
+    for mode, grid in (("simple", "0:0.1:0.9"), ("angle", f"0:{k0 / 8!r}:{k0 / 2!r}")):
+        sweep = ["shrink-sweep", "--input", csv, "--mode", mode, "--grid", grid,
+                 "--program", "VII", "--gamma", 1, "--g0", 1, "--output", tmp_path / "s.csv"]
+        assert run(sweep) == 0
+        tracemalloc.start()
+        try:
+            assert run(sweep) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, mode
 
 
 def test_shrink_sweep_without_a_risky_portfolio_exits_3(tmp_path, capsys):

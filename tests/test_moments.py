@@ -23,6 +23,7 @@ from mvgear import (
     SpdRepairWarning,
     estimate_moments,
     load_returns_csv,
+    solve,
     solve_robust,
 )
 from mvgear import cli, moments
@@ -666,6 +667,59 @@ def test_a_diagonal_shrunk_qoqc_solve_pairs_one_decomposition(eigh_calls, eigval
     # kappa~ keeps eigvalsh's bits, whatever was read before it
     assert np.array_equal(shrunk.eigenvalues, np.linalg.eigvalsh(shrunk.entries)[::-1])
     assert shrunk.eigenpairs[0] is rho
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def repaired_cov(monkeypatch):
+    """The floored sample covariance of a T < n panel."""
+    forget_loads(monkeypatch)
+    rows = np.random.default_rng(42).normal(0.01, 0.05, size=(8, 12))
+    panel = ReturnsPanel(assets=tuple(f"a{j}" for j in range(12)), rows=rows)
+    with pytest.warns(SpdRepairWarning):
+        return estimate_moments(panel)[1]
+
+
+@pytest.mark.parametrize("repaired", [False, True])
+def test_a_shrink_forms_its_entries_when_read_with_the_eager_bits(monkeypatch, repaired):
+    # A shrink holds its factor alone; its entries are formed on first read,
+    # once, with the bits the eager convex combinations have always had.
+    cov = (repaired_cov(monkeypatch) if repaired
+           else random_cov(np.random.default_rng(43), 12, kappa=1e4))
+    n, variances = cov.dim, np.diag(np.diag(cov.entries))
+    for w in (0.0, 0.37, 1.0):
+        # the identity itself at w = 1, and Sigma itself at w = 0, are eager
+        identity = np.eye(n) if w == 1.0 else w * np.eye(n) + (1.0 - w) * cov.entries
+        for shrunk, eager, lazy in (
+                (cov.toward_identity(w), identity, w != 1.0),
+                (cov.toward_diagonal(w), w * variances + (1.0 - w) * cov.entries, w != 0.0)):
+            assert ("entries" not in vars(shrunk)) == lazy
+            assert shrunk.dim == n
+            assert same_bits(shrunk.entries, eager)
+            assert shrunk.entries is shrunk.entries and not shrunk.entries.flags.writeable
+
+
+def test_a_diagonal_shrunk_qoqc_solve_keeps_the_eager_weights():
+    # QOQC's stationarity terms read the shrunk matrix's entries, which it
+    # forms then: its weights and multipliers are those of the eagerly formed
+    # matrix on the same factor, bit for bit
+    rng = np.random.default_rng(44)
+    n, w = 30, 0.3
+    cov = random_cov(rng, n, kappa=1e3)
+    alpha = AlphaVector(rng.uniform(0.02, 0.2, n))
+    shrunk = cov.toward_diagonal(w)
+    assert "entries" not in vars(shrunk)
+    eager = CovMatrix(entries=w * np.diag(np.diag(cov.entries)) + (1.0 - w) * cov.entries,
+                      spectrum=shrunk.spectrum, basis=shrunk.basis, scale=shrunk.scale)
+    params = dict(gamma=2.0, g0=1.0, n0=10.0)
+    got = solve_robust(Program.QOQC, alpha, cov,
+                       ShrinkageSpec(mode=ShrinkMode.DIAGONAL, k=w), **params)
+    want = solve(Program.QOQC, alpha, eager, **params)
+    assert same_bits(got.weights, want.weights)
+    for name in ("lambda1", "lambda2"):
+        assert got.params[name] == want.params[name]
 
 
 def test_toward_diagonal_endpoints_decompose_nothing(eigh_calls, eigvalsh_calls):

@@ -107,6 +107,21 @@ def test_robust_alpha_angle_decomposition():
         )
 
 
+@pytest.mark.parametrize("scale", [2.0**700, 2.0**-700, 1e200, 1e-200])
+def test_robust_alpha_holds_when_a_norm_alone_overflows(scale):
+    # |alpha||theta| is finite though |theta| (or |alpha|) alone squares past
+    # the float range: exact for a power of two, within a few eps otherwise
+    rng = np.random.default_rng(4)
+    a, t = rng.standard_normal(4), rng.standard_normal(4)
+    want = robust_alpha(a, t, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = robust_alpha(a / scale, t * scale, 0.3)
+    if np.log2(scale).is_integer():
+        assert got == want
+    assert got == pytest.approx(want, rel=8 * np.finfo(float).eps, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # shrink_covariance
 # ---------------------------------------------------------------------------

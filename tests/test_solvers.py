@@ -28,7 +28,7 @@ from mvgear import (
     solve_kkt,
     solve_qoqc,
 )
-from mvgear import AlphaVector, QoqcProblem
+from mvgear import AlphaVector, QoqcProblem, moments
 from mvgear.solvers import PROGRAMS, solve
 
 from conftest import (odd_surface_instance, random_instance, random_spd,
@@ -191,17 +191,23 @@ def test_solve_filters_parameters_through_the_table(micro_alpha, micro_cov):
 
 def count_products(monkeypatch):
     """The vectors each product with a covariance's basis is formed from, from
-    now on: ``("U'", x)`` for coordinates, ``("U", c)`` for from_coordinates."""
+    now on: ``("U'", x)`` for U'S^-1 x (the frame's, which coordinates and
+    U'S^-1 1 go through), ``("U", c)`` for from_coordinates."""
     calls = []
-    for name, label in (("coordinates", "U'"), ("from_coordinates", "U")):
-        real = getattr(CovMatrix, name)
+    for owner, name, label in ((moments._Frame, "project", "U'"),
+                               (CovMatrix, "from_coordinates", "U")):
+        real = getattr(owner, name)
 
         def counting(self, x, real=real, label=label):
             calls.append((label, np.array(x, dtype=float)))
             return real(self, x)
 
-        monkeypatch.setattr(CovMatrix, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def ones_products(calls) -> int:
+    return sum(label == "U'" and np.all(x == 1.0) for label, x in calls)
 
 
 @pytest.mark.filterwarnings("ignore::mvgear.InefficientBranchWarning")
@@ -212,21 +218,31 @@ def count_products(monkeypatch):
 ])
 def test_each_program_solves_each_product_once(monkeypatch, program, products):
     # A solve forms one product for alpha (the coordinates of Sigma^-1 r,
-    # which GMV does not read) and one for its weights. The ones column,
-    # x and Sigma^-1 1, is formed once per covariance: by the first solve
-    # on it, and by no later one.
+    # which GMV does not read) and one for its weights. U'S^-1 1 is formed
+    # once per (basis, scale) pair: by the first solve on a covariance, and
+    # by no later solve on it or on any shrink that shares its basis. Each
+    # matrix forms its own Sigma^-1 1 from it, one product more.
     rng = np.random.default_rng(5)
     alpha, cov = random_instance(rng, 4)
     calls = count_products(monkeypatch)
-    solve(program, alpha, cov, **TABLE_PARAMS[program])
-    first = list(calls)
-    calls.clear()
-    solve(program, alpha, cov, **TABLE_PARAMS[program])
-    assert len(calls) == products
-    assert [label for label, _ in calls].count("U") == 1
-    assert not any(label == "U'" and np.all(x == 1.0) for label, x in calls)
-    assert len(first) == products + 2
-    assert sum(label == "U'" and np.all(x == 1.0) for label, x in first) == 1
+
+    def solved(matrix):
+        calls.clear()
+        solve(program, alpha, matrix, **TABLE_PARAMS[program])
+        return list(calls)
+
+    first = solved(cov)
+    assert len(first) == products + 2 and ones_products(first) == 1
+    again = solved(cov)
+    assert len(again) == products and ones_products(again) == 0
+    assert [label for label, _ in again].count("U") == 1
+    for w in (0.0, 0.3, 0.9):
+        shrunk = solved(cov.toward_identity(w))
+        assert len(shrunk) == products + 1 and ones_products(shrunk) == 0
+    first = solved(cov.toward_diagonal(0.3))
+    assert len(first) == products + 2 and ones_products(first) == 1
+    shrunk = solved(cov.toward_diagonal(0.6))
+    assert len(shrunk) == products + 1 and ones_products(shrunk) == 0
 
 
 @pytest.mark.parametrize("program", list(PROGRAMS))
