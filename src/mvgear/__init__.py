@@ -52,6 +52,7 @@ from .geometry import (
     BoundReport,
     WorstCasePair,
     alpha_angle,
+    alpha_angles,
     angle_decomposition,
     bauer_householder_bound,
     kantorovich_bound,
@@ -63,10 +64,12 @@ from .geometry import (
 )
 from .robust import (
     ShrinkMode,
+    ShrinkPath,
     ShrinkageSpec,
     angle_floor,
     robust_alpha,
     shrink_covariance,
+    shrink_sweep,
     solve_robust,
 )
 from .diversity import QoqcProblem, QoqcSolution, solve_qoqc

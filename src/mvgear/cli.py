@@ -303,25 +303,11 @@ def _cmd_shrink_sweep(args) -> str:
     grid = parse_grid(args.grid)
     params = _program_params(args)
     _, alpha, cov = _moments(args)
-    rows = []
-    for value in grid:
-        spec = ShrinkageSpec(mode=mode, k=float(value))
-        shrunk = robust.shrink_covariance(cov, alpha, spec)
-        # RISKY and --program on one shrunk frontier, with no Portfolio built
-        frontier = solvers.FrontierScalars(alpha, shrunk)
-        risky, _ = solvers.program_weights(Program.RISKY, frontier)
-        optimal = (risky if args.program is None
-                   else solvers.program_weights(args.program, frontier, **params)[0])
-        weights_json = '"' + serialize.dumps(optimal) + '"'
-        rows.append([
-            float(value),
-            shrunk.condition_number,
-            geometry.alpha_angle(alpha, risky),
-            geometry.alpha_angle(alpha, optimal),
-            geometry.kantorovich_bound(shrunk.condition_number),
-            weights_json,
-        ])
-    return serialize.csv_lines(SWEEP_HEADER, rows)
+    path = robust.shrink_sweep(alpha, cov, mode, grid, args.program, **params)
+    cells = zip(path.k.tolist(), path.kappa_tilde.tolist(), path.cos_phi_risky.tolist(),
+                path.cos_phi_optimal.tolist(), path.bound_kantorovich.tolist())
+    return serialize.csv_lines(SWEEP_HEADER, [[*row, '"' + serialize.dumps(weights) + '"']
+                                              for row, weights in zip(cells, path.weights)])
 
 
 def _gearing_audit(alpha, cov, w, args, g0):

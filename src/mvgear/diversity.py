@@ -102,6 +102,8 @@ SECULAR_MAXITER = 50
 EPS = np.finfo(float).eps
 # Deflation tolerance, in units of the largest d (clusters) or of sqrt(n) (c).
 DEFLATION_TOL = 8.0 * EPS
+# The largest gamma rho whose square, which the secular equation forms, is finite.
+ROOT_MAX = math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -310,6 +312,8 @@ def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
     # Sigma's eigenpairs in ascending order: d = gamma rho, c = V'1, a = V'r.
     rho, vecs = problem.cov.eigenpairs
     d = problem.gamma * rho[::-1]
+    if not d[-1] <= ROOT_MAX:
+        raise NonFiniteData(f"gamma rho_max = {d[-1]:g} squares past the float range")
     c = vecs.sum(axis=0)[::-1]
     a = (problem.alpha @ vecs)[::-1] - (problem.g0 / n) * d * c
     k, rotations = _deflate(d, c, a)

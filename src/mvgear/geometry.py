@@ -44,12 +44,10 @@ from .errors import (
     ToleranceNotMet,
     ZeroVector,
 )
-from .moments import AlphaVector, CovMatrix, as_vector
+from .moments import _TINY, AlphaVector, CovMatrix, _binary_scaled, as_vector
 
 # cos(angle) at least this close to 1 counts as collinear with Sigma^-1 alpha.
 COLLINEAR_TOL = 1e-10
-# The smallest normal float: a squared norm below it has lost digits.
-_TINY = float(np.finfo(float).tiny)
 
 
 def _clamp_cos(value: float) -> float:
@@ -57,29 +55,6 @@ def _clamp_cos(value: float) -> float:
     if np.isnan(value):
         raise NonFiniteData("cosine is nan: a vector has a non-finite entry")
     return float(min(1.0, max(-1.0, value)))
-
-
-def _square(v: np.ndarray) -> float:
-    """v'v as ``np.linalg.norm`` forms it (the same product, over v in memory
-    order), but without the warning ``dot`` gives when it overflows."""
-    x = v.ravel(order="K")
-    return float(np.vdot(x, x))
-
-
-def _binary_scaled(v: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """(u, |u|, e) with v = 2^e u, for a 1-D float vector v.
-
-    A norm squares without rescaling, so a finite nonzero v whose squared
-    norm overflows, or falls below the smallest normal float, is first
-    scaled by a power of two to a largest entry in [1/2, 1), which is
-    exact. Every other v is u itself, e = 0 and |u| has norm's bits.
-    """
-    square = _square(v)
-    if not _TINY <= square < math.inf and np.any(v) and np.isfinite(v).all():
-        e = int(np.frexp(np.abs(v).max())[1])
-        v = np.ldexp(v, -e)
-        return v, math.sqrt(_square(v)), e
-    return v, math.sqrt(square), 0
 
 
 def alpha_angle(alpha, theta) -> float:
@@ -94,6 +69,24 @@ def alpha_angle(alpha, theta) -> float:
     if na == 0.0 or nt == 0.0:
         raise ZeroVector("angle undefined for a zero vector")
     return _clamp_cos(float(a @ t) / (na * nt))
+
+
+def alpha_angles(alpha, thetas: np.ndarray) -> np.ndarray:
+    """cos of the angle between alpha and each row of ``thetas``, clamped to
+    [-1, 1], from one product with alpha and the rows' norms: what
+    :func:`alpha_angle` gives for each row, to rounding, and nan where it
+    raises (a zero or non-finite row). A row whose squared norm over- or
+    underflows is scaled by a power of two first, so each cosine is the same
+    at every power-of-two scale of its row."""
+    a, na, _ = _binary_scaled(as_vector(alpha))
+    with np.errstate(all="ignore"):  # a zero or non-finite row reads nan
+        squares = np.add.reduce(thetas * thetas, axis=1)
+        norms, dots = np.sqrt(squares), thetas @ a
+        if not (squares.min() >= _TINY and squares.max() < math.inf):
+            for i in (~((squares >= _TINY) & (squares < math.inf))).nonzero()[0]:
+                t, norms[i], _ = _binary_scaled(thetas[i])
+                dots[i] = t @ a
+        return (dots / (na * norms)).clip(-1.0, 1.0)
 
 
 def _checked_kappa(kappa: float) -> float:
@@ -278,15 +271,16 @@ def angle_decomposition(
     t0 = as_vector(theta0)
     ta = as_vector(theta_alpha)
     theta = (g0 - w) * t0 + w * ta
-    if float(np.linalg.norm(theta)) == 0.0:
+    # each norm scaled by a power of two where its square would over- or underflow
+    _, norm_t, e_t = _binary_scaled(theta)
+    if norm_t == 0.0:
         raise ZeroVector("mixed portfolio has zero length")
     cos_phi = alpha_angle(a, theta)
     cos0 = alpha_angle(a, t0)
     cos1 = alpha_angle(a, ta)
-    norm_t = float(np.linalg.norm(theta))
-    recomposed = (g0 - w) * (np.linalg.norm(t0) / norm_t) * cos0 + w * (
-        np.linalg.norm(ta) / norm_t
-    ) * cos1
+    (_, norm0, e0), (_, norm1, e1) = _binary_scaled(t0), _binary_scaled(ta)
+    recomposed = ((g0 - w) * math.ldexp(norm0 / norm_t, e0 - e_t) * cos0
+                  + w * math.ldexp(norm1 / norm_t, e1 - e_t) * cos1)
     residual = abs(cos_phi - float(recomposed))
     if residual >= 1e-10:
         raise ToleranceNotMet(f"angle decomposition residual {residual:g} >= 1e-10")

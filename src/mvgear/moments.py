@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -58,12 +59,16 @@ RECONSTRUCTION_RTOL = 1e-10
 EIGEN_FLOOR_RATIO = 1e-10
 # Column means closer than this are considered degenerate (all equal).
 DEGENERATE_ALPHA_TOL = 1e-14
+# The smallest normal float: a squared norm below it has lost digits.
+_TINY = float(np.finfo(float).tiny)
 
 
 # The memo of the last successful load, (file bytes, panel), and of the last
 # moments, (panel, spd_repair, alpha, covariance, repair warning text or None).
 _last_load: tuple[bytes, ReturnsPanel] | None = None
 _last_moments: tuple | None = None
+# The identity of the last dimension asked for (CovMatrix.identity).
+_last_identity: CovMatrix | None = None
 
 
 class SpdRepairWarning(UserWarning):
@@ -90,6 +95,36 @@ def as_vector(x) -> np.ndarray:
     if arr.ndim != 1:
         raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
     return arr
+
+
+def _square(v: np.ndarray) -> float:
+    """v'v as ``np.linalg.norm`` forms it (the same product, over v in memory
+    order), but without the warning ``dot`` gives when it overflows."""
+    x = v.ravel(order="K")
+    return float(np.vdot(x, x))
+
+
+def _binary_scaled(v: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """(u, |u|, e) with v = 2^e u, for a float array v and its 2-norm
+    (Frobenius for a matrix).
+
+    A norm squares without rescaling, so a finite nonzero v whose squared
+    norm overflows, or falls below the smallest normal float, is first
+    scaled by a power of two to a largest entry in [1/2, 1), which is
+    exact. Every other v is u itself, e = 0 and |u| has norm's bits.
+    """
+    square = _square(v)
+    if not _TINY <= square < math.inf and np.any(v) and np.isfinite(v).all():
+        e = int(np.frexp(np.abs(v).max())[1])
+        v = np.ldexp(v, -e)
+        return v, math.sqrt(_square(v)), e
+    return v, math.sqrt(square), 0
+
+
+def _dots(u: np.ndarray, v: np.ndarray):
+    """u'v of two vectors, or of each pair of rows of two (k, n) stacks, as a
+    (k, 1) column."""
+    return float(u @ v) if u.ndim == 1 else np.add.reduce(u * v, axis=1, keepdims=True)
 
 
 # The checks of a program parameter, shared by ``solvers`` and ``diversity``.
@@ -219,7 +254,10 @@ class CovMatrix:
 
     A shrink (:meth:`toward_identity`, :meth:`toward_diagonal`) holds only
     its factor: it forms no n x n array until its ``entries`` are read, and
-    then forms them once, with the convex combination's own bits.
+    then forms them once, with the convex combination's own bits. Shrinks
+    on one frame can also be held as one stack (:meth:`stack`), whose
+    ``spectrum`` is (k, n), one row per matrix: a frontier object on a stack
+    (``solvers.FrontierScalars``) solves all k at once.
 
     :meth:`coordinates` and :meth:`from_coordinates` are the two halves of a
     solve, one product with the basis each. Sigma^-1 1, its coordinates and
@@ -282,7 +320,10 @@ class CovMatrix:
                 f"smallest eigenvalue {rho[-1]:g} is not strictly positive"
             )
         recon = (vecs * rho) @ vecs.T
-        err = np.linalg.norm(recon - sym) / np.linalg.norm(sym)
+        # norms scaled by powers of two only when a plain square over- or underflows
+        _, num, e_num = _binary_scaled(recon - sym)
+        _, den, e_den = _binary_scaled(sym)
+        err = math.ldexp(num / den, e_num - e_den)
         if not err <= RECONSTRUCTION_RTOL:
             raise ConvergenceFailure(
                 f"spectral reconstruction error {err:g} exceeds {RECONSTRUCTION_RTOL:g}"
@@ -296,11 +337,28 @@ class CovMatrix:
     @classmethod
     def identity(cls, n: int) -> "CovMatrix":
         """I_n with the unit vectors as its eigenvectors; no decomposition.
-        One frozen array is both its entries and its basis."""
+        One frozen array is both its entries and its basis, and its U'1 is 1,
+        formed by no product. The identity of the last dimension asked for is
+        kept, so a full shrink at the same n allocates nothing n x n."""
+        global _last_identity
         if n < 2:
             raise DimensionError("covariance needs dimension >= 2")
-        eye = _frozen(np.eye(n))
-        return cls(entries=eye, spectrum=_frozen(np.ones(n)), basis=eye)
+        if _last_identity is None or _last_identity.dim != n:
+            eye, ones = _frozen(np.eye(n)), _frozen(np.ones(n))
+            _last_identity = cls(entries=eye, spectrum=ones, basis=eye)
+            _last_identity._frame.__dict__["ones"] = ones
+        return _last_identity
+
+    def stack(self, w) -> "CovMatrix":
+        """The matrices S U diag(w_j + (1 - w_j) mu) U' S of this matrix's
+        factor S U diag(mu) U' S, one for each weight w_j of ``w``, held as one
+        stack on its frame, with no entries: row j of its (k, n) ``spectrum``
+        is w_j + (1 - w_j) mu. So ``toward_identity(0).stack(w)`` holds
+        :meth:`toward_identity` at each w_j < 1, ``on_correlation.stack(w)``
+        :meth:`toward_diagonal` at each w_j in (0, 1), and ``stack(0)`` this
+        matrix: each spectrum bit for bit."""
+        w = np.asarray(w, dtype=float)[:, None]
+        return CovMatrix._factored(_frozen(w + (1.0 - w) * self.spectrum), self._frame, None)
 
     def toward_identity(self, w: float) -> "CovMatrix":
         """w I + (1 - w) Sigma for w in [0, 1], from Sigma's own spectrum.
@@ -336,24 +394,40 @@ class CovMatrix:
         """
         if w == 0.0:
             return self
-        diagonal = np.diag(self.entries)
-
-        def form():
-            return w * np.diag(diagonal) + (1.0 - w) * self.entries
-
         if w == 1.0:
-            order = np.argsort(-diagonal, kind="stable")  # ties as in from_entries
-            return CovMatrix._factored(_frozen(diagonal[order]),
-                                       _Frame(_frozen(np.eye(self.dim)[:, order])), form)
-        lam, frame = self._correlation
-        return CovMatrix._factored(_frozen(w + (1.0 - w) * lam), frame, form)
+            return self._diagonal
+        corr = self.on_correlation
+        return CovMatrix._factored(_frozen(w + (1.0 - w) * corr.spectrum), corr._frame,
+                                   lambda: self._toward_diagonal_entries(w))
 
     @cached_property
-    def _correlation(self) -> tuple[np.ndarray, _Frame]:
-        """(Lambda, (Q, D^1/2)) of R = D^-1/2 Sigma D^-1/2 = Q Lambda Q'."""
+    def _diagonal(self) -> "CovMatrix":
+        """:meth:`toward_diagonal` at 1, kept: D with its own spectrum."""
+        diagonal = np.diag(self.entries)
+        order = np.argsort(-diagonal, kind="stable")  # ties as in from_entries
+        return CovMatrix._factored(_frozen(diagonal[order]),
+                                   _Frame(_frozen(np.eye(self.dim)[:, order])),
+                                   lambda: self._toward_diagonal_entries(1.0))
+
+    def _toward_diagonal_entries(self, w: float) -> np.ndarray:
+        """w diag(Sigma) + (1 - w) Sigma, formed."""
+        return w * np.diag(np.diag(self.entries)) + (1.0 - w) * self.entries
+
+    def toward_diagonal_condition(self, w: float) -> float:
+        """The condition number of :meth:`toward_diagonal` at w in (0, 1),
+        from one ``eigvalsh`` of its entries, which are formed and not kept."""
+        rho = _descending_eigenvalues(self._toward_diagonal_entries(w))
+        return float(rho[0] / rho[-1])
+
+    @cached_property
+    def on_correlation(self) -> "CovMatrix":
+        """This matrix factored through its correlation matrix: with
+        D = diag(Sigma) and R = D^-1/2 Sigma D^-1/2 = Q Lambda Q', it is
+        D^1/2 Q Lambda Q' D^1/2, whose :meth:`stack` at w is the stack of
+        :meth:`toward_diagonal` at w. R is decomposed once, here."""
         root = np.sqrt(np.diag(self.entries))
         r = CovMatrix.from_entries(self.entries / np.outer(root, root))
-        return r.spectrum, _Frame(r.basis, _frozen(root))
+        return CovMatrix(self.entries, r.spectrum, r.basis, _frozen(root))
 
     @property
     def _own(self) -> "CovMatrix":
@@ -370,12 +444,7 @@ class CovMatrix:
         first read, for a scaled matrix, whatever :attr:`eigenpairs` holds."""
         if self.scale is None:
             return self.spectrum
-        rho = np.linalg.eigvalsh(self.entries)[::-1]
-        if not rho[-1] > 0.0:
-            raise SingularCovariance(
-                f"smallest eigenvalue {rho[-1]:g} is not strictly positive"
-            )
-        return _frozen_array(rho)
+        return _descending_eigenvalues(self.entries)
 
     @property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -387,7 +456,7 @@ class CovMatrix:
 
     @property
     def dim(self) -> int:
-        return self.spectrum.shape[0]
+        return self.spectrum.shape[-1]
 
     @property
     def condition_number(self) -> float:
@@ -407,18 +476,20 @@ class CovMatrix:
         return self.spectrum**-1.0 * self._frame.project(self._vector(x))
 
     def from_coordinates(self, c) -> np.ndarray:
-        """S^-1 U c."""
-        out = self.basis @ c
+        """S^-1 U c; each row of a (k, n) ``c`` alike, by one product."""
+        out = self.basis @ c if c.ndim == 1 else c @ self.basis.T
         return out if self.scale is None else out / self.scale
 
     @cached_property
-    def inverse_ones(self) -> tuple[np.ndarray, np.ndarray, float]:
+    def inverse_ones(self) -> tuple[np.ndarray, np.ndarray | None, float]:
         """(x, Sigma^-1 1, A): the coordinates of Sigma^-1 1, that vector and
         A = x' diag(mu) x, formed on first read and kept with this matrix.
         x = diag(1/mu) U'S^-1 1 takes U'S^-1 1 from the frame, in O(n) once
-        any matrix on it has formed that product: :meth:`coordinates`' bits."""
+        any matrix on it has formed that product: :meth:`coordinates`' bits.
+        A stack gets x per row, A as a (k, 1) column, and no vector."""
         x = self.spectrum**-1.0 * self._frame.ones
-        return x, self.from_coordinates(x), float(x @ (self.spectrum * x))
+        vector = self.from_coordinates(x) if x.ndim == 1 else None
+        return x, vector, _dots(x, self.spectrum * x)
 
     def solve(self, x) -> np.ndarray:
         """Sigma^-1 x = S^-1 U diag(1/mu) U' S^-1 x."""
@@ -437,6 +508,20 @@ class CovMatrix:
         """Quadratic form x' Sigma x."""
         vec = as_vector(x)
         return float(vec @ self.entries @ vec)
+
+
+def _descending_eigenvalues(entries: np.ndarray) -> np.ndarray:
+    """The eigenvalues of symmetric ``entries``, descending, by one ``eigvalsh``;
+    raises SingularCovariance unless the smallest is positive."""
+    try:
+        rho = np.linalg.eigvalsh(entries)[::-1]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceFailure(f"eigenvalues failed: {exc}") from exc
+    if not rho[-1] > 0.0:
+        raise SingularCovariance(
+            f"smallest eigenvalue {rho[-1]:g} is not strictly positive"
+        )
+    return _frozen_array(rho)
 
 
 def estimate_moments(
@@ -473,9 +558,17 @@ def _estimate(panel: ReturnsPanel, spd_repair: bool):
             "all column means equal within "
             f"{DEGENERATE_ALPHA_TOL:g}; frontier scalars would degenerate"
         )
-    sample = np.cov(panel.rows, rowvar=False, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sample = np.cov(panel.rows, rowvar=False, ddof=1)
+    # two reductions, no array: a NaN or an infinity reaches the max or the min
+    if not (np.isfinite(sample.max()) and np.isfinite(sample.min())):
+        raise NonFiniteData("sample covariance overflows: the returns are too large "
+                            "to square")
     sample = 0.5 * (sample + sample.T)
-    rho, vecs = np.linalg.eigh(sample)
+    try:
+        rho, vecs = np.linalg.eigh(sample)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     if rho[-1] <= 0.0:
         raise SingularCovariance("sample covariance has no positive eigenvalue")
     floor = EIGEN_FLOOR_RATIO * rho[-1]

@@ -48,10 +48,14 @@ vector and alpha^ = alpha / (1'alpha):
   equal-weight portfolio plus a cash-neutral relative-return tilt;
 - VI becomes g0 e + w~ (alpha^ - e), with
   w~ = (alpha0 mean(alpha) - g0 mean(alpha)^2) / var(alpha).
+
+:func:`shrink_sweep` solves a grid of shrinks as one batch per frame: the
+points whose shrunk matrices share a basis and scaling.
 """
 
 from __future__ import annotations
 
+import warnings
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -59,17 +63,19 @@ from enum import Enum
 
 import numpy as np
 
-from . import solvers
+from . import serialize, solvers
 from .errors import (
     InvalidK,
     InvalidPortfolio,
     MissingParameter,
+    MvgearError,
     ShrinkBrokeSPD,
     SingularCovariance,
 )
-from .geometry import _binary_scaled, alpha_angle
-from .moments import CovMatrix, as_vector
-from .solvers import FrontierScalars, Portfolio, Program, _portfolio
+from .geometry import alpha_angle, alpha_angles, kantorovich_bound
+from .moments import CovMatrix, _binary_scaled, as_vector
+from .solvers import (FrontierScalars, InefficientBranchWarning, Portfolio, Program,
+                      _portfolio)
 
 
 class ShrinkMode(str, Enum):
@@ -122,13 +128,18 @@ def angle_floor(alpha, cov: CovMatrix) -> float:
 _last_floor: tuple[weakref.ref, bytes, float] | None = None
 
 
-def _convex_weight(spec: ShrinkageSpec, alpha, cov: CovMatrix) -> float:
+def _floor(alpha, cov: CovMatrix) -> float:
+    """:func:`angle_floor`, kept for the last pair it was asked for."""
     global _last_floor
+    key = as_vector(alpha).tobytes()
+    if not (_last_floor and _last_floor[0]() is cov and _last_floor[1] == key):
+        _last_floor = weakref.ref(cov), key, angle_floor(alpha, cov)
+    return _last_floor[2]
+
+
+def _convex_weight(spec: ShrinkageSpec, alpha, cov: CovMatrix) -> float:
     if spec.mode is ShrinkMode.ANGLE_TARGETED:
-        key = as_vector(alpha).tobytes()
-        if not (_last_floor and _last_floor[0]() is cov and _last_floor[1] == key):
-            _last_floor = weakref.ref(cov), key, angle_floor(alpha, cov)
-        k0 = _last_floor[2]
+        k0 = _floor(alpha, cov)
         if not 0.0 <= spec.k < k0:
             raise InvalidK(f"k = {spec.k} outside [0, k0 = {k0:g})")
         return spec.k / k0
@@ -171,8 +182,14 @@ def shrink_covariance(cov: CovMatrix, alpha, spec: ShrinkageSpec) -> CovMatrix:
     w = _convex_weight(spec, alpha, cov)
     if spec.mode is not ShrinkMode.DIAGONAL:
         return cov.toward_identity(w)
+    return _kept_definite(cov.toward_diagonal, w)
+
+
+def _kept_definite(shrink, w):
+    """``shrink(w)``, its SingularCovariance (which convexity forbids) raised
+    as ShrinkBrokeSPD."""
     try:
-        return cov.toward_diagonal(w)
+        return shrink(w)
     except SingularCovariance as exc:  # pragma: no cover - convexity forbids this
         raise ShrinkBrokeSPD(f"shrunk covariance lost definiteness: {exc}") from exc
 
@@ -191,3 +208,144 @@ def solve_robust(
     weights, args = solvers.program_weights(program, frontier, **params)
     args.update(shrink_mode=spec.mode.value, shrink_k=spec.k)
     return _portfolio(weights, Program(program), args, a, cov)
+
+
+@dataclass(frozen=True)
+class ShrinkPath:
+    """A shrink sweep, an entry per grid point: the shrink parameter, the
+    shrunk covariance's condition number, the alpha-angles of the shrunk
+    RISKY portfolio and of the swept program's, the Kantorovich bound, and
+    the swept program's weights, a row per point."""
+
+    k: np.ndarray
+    kappa_tilde: np.ndarray
+    cos_phi_risky: np.ndarray
+    cos_phi_optimal: np.ndarray
+    bound_kantorovich: np.ndarray
+    weights: np.ndarray
+
+
+def _raised(fn, *args) -> MvgearError | None:
+    """The error ``fn(*args)`` raises, if any."""
+    try:
+        fn(*args)
+    except MvgearError as exc:
+        return exc
+    return None
+
+
+def _frame_groups(cov: CovMatrix, mode: ShrinkMode, w: np.ndarray):
+    """(fits, stack) of each frame a shrink toward ``mode``'s target takes,
+    which weights of ``w`` it holds and ``stack(v)``, their shrinks: toward
+    the identity, w < 1 on Sigma's frame and w = 1 on the identity's; toward
+    the diagonal, w = 0 on Sigma's, 0 < w < 1 on R's with d^1/2 and w = 1 on
+    the sorted unit vectors."""
+    if mode is not ShrinkMode.DIAGONAL:
+        return ((w < 1.0, cov.toward_identity(0.0).stack),
+                (w == 1.0, lambda v: CovMatrix.identity(cov.dim).stack(v)))
+    return ((w == 0.0, cov.stack),
+            ((0.0 < w) & (w < 1.0), lambda v: cov.on_correlation.stack(v)),
+            (w == 1.0, lambda v: cov.toward_diagonal(1.0).stack(0.0 * v)))
+
+
+def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
+                 /, **params) -> ShrinkPath:
+    """The shrunk RISKY portfolio and ``program``'s (RISKY's if None) at each
+    shrink parameter of ``grid``: :func:`solve_robust`'s weights to
+    rounding, and each shrunk covariance's condition number bit for bit.
+
+    Points whose shrinks share a frame (:func:`_frame_groups`) run as one
+    stack (:meth:`CovMatrix.stack`) and one frontier object: one product with
+    the basis for alpha and one for all their weights. The cosines come from
+    one product with alpha (:func:`geometry.alpha_angles`); the condition
+    number is the stack's spectrum ratio, or one ``eigvalsh`` per point
+    inside (0, 1) toward the diagonal. Each point raises and warns what
+    solving it alone would, in grid order: InvalidK, R's decomposition,
+    RISKY's refusals, the parameter check, ``program``'s refusals, VI's
+    warning, the non-finite weights ``serialize.dumps`` refuses, the
+    eigenvalues, the angles.
+    """
+    a, ks, mode = as_vector(alpha), np.asarray(grid, dtype=float), ShrinkMode(mode)
+    entry = solvers.PROGRAMS[Program(program or Program.RISKY)]
+    risky = solvers.PROGRAMS[Program.RISKY]
+    if entry.coefficients is None:
+        raise ValueError(f"program {entry.program.value} has no closed form to sweep")
+    errors, notes, everywhere = {}, {}, np.arange(ks.size)
+
+    def refuse(positions, fails, error):
+        """error(i), if any, at positions[i] wherever fails[i], unless a check
+        failed there before."""
+        for i in fails.nonzero()[0]:
+            if positions[i] not in errors and (exc := error(i)) is not None:
+                errors[positions[i]] = exc
+
+    def refusals(positions, f, refuses):
+        for fails, value, error in f.refusals(refuses):
+            refuse(positions, fails.ravel(), lambda i: error(value.flat[i]))
+
+    def raise_first():
+        """Each point's warning, then the first error, in grid order."""
+        for j in sorted(errors.keys() | notes.keys()):
+            if j in notes:
+                warnings.warn(notes[j], InefficientBranchWarning, stacklevel=3)
+            if j in errors:
+                raise errors[j]
+
+    if mode is ShrinkMode.ANGLE_TARGETED:
+        k0 = _floor(a, cov)
+        w, valid = ks / k0, (0.0 <= ks) & (ks < k0)
+    else:
+        w, valid = ks, (0.0 <= ks) & (ks <= 1.0)
+    refuse(everywhere, ~valid, lambda i: _raised(
+        _convex_weight, ShrinkageSpec(mode, float(ks[i])), a, cov))
+    columns = 1 if program is None else 2
+    thetas, kappa, scaled = np.empty((columns, ks.size, cov.dim)), np.empty(ks.size), []
+    with np.errstate(all="ignore"):
+        groups = []
+        for fits, stack in _frame_groups(cov, mode, w):
+            positions = (valid & fits).nonzero()[0]
+            if positions.size == 0:
+                continue
+            try:
+                f = FrontierScalars(a, _kept_definite(stack, w[positions]))
+            except MvgearError as exc:  # R's decomposition, at its group's first point
+                refuse(positions, np.ones(positions.size, bool), lambda i: exc)
+                continue
+            refusals(positions, f, risky.refuses)
+            groups.append((positions, f))
+        try:
+            args = entry.checked(params) if program is not None else {}
+        except MvgearError as exc:  # at the first point, unless it failed before
+            refuse(everywhere, everywhere == 0, lambda i: exc)
+            raise_first()
+        for positions, f in groups:
+            coefficients = [risky.coefficients(f)]
+            if program is not None:
+                refusals(positions, f, entry.refuses)
+                if entry.warns is not None:
+                    below, value, text = entry.warns(f, **args)
+                    notes.update((positions[i], text(value.flat[i]))
+                                 for i in below.ravel().nonzero()[0]
+                                 if positions[i] not in errors)
+                coefficients.append(entry.coefficients(f, **args))
+            coords = np.concatenate([f.coordinates(*c) for c in coefficients])
+            thetas[:, positions] = f.cov.from_coordinates(coords).reshape(columns, -1, cov.dim)
+            if f.cov.scale is None:
+                kappa[positions] = f.cov.spectrum[:, 0] / f.cov.spectrum[:, -1]
+            else:
+                scaled.extend(positions.tolist())
+        # a non-finite row has a nan cosine: dumps refuses it before kappa~ and the angles
+        cosines = alpha_angles(a, thetas.reshape(-1, cov.dim)).reshape(columns, -1)
+        optimal, unclear = thetas[-1], np.isnan(cosines)
+        refuse(everywhere, unclear[-1], lambda i: _raised(serialize.dumps, optimal[i]))
+        for j in scaled:
+            if j not in errors:
+                try:
+                    kappa[j] = cov.toward_diagonal_condition(float(w[j]))
+                except MvgearError as exc:
+                    errors[j] = exc
+        for rows, nan in zip(thetas, unclear):
+            refuse(everywhere, nan, lambda i: _raised(alpha_angle, a, rows[i]))
+    raise_first()
+    bound = np.array([kantorovich_bound(value) for value in kappa.tolist()])
+    return ShrinkPath(ks, kappa, cosines[0], cosines[-1], bound, optimal)

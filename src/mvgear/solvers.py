@@ -52,7 +52,6 @@ its weights on a frontier object (:func:`program_weights`), then its record.
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -72,7 +71,7 @@ from .errors import (
     ZeroSum,
 )
 from .diversity import QoqcProblem, solve_qoqc
-from .moments import (AlphaVector, CovMatrix, _require_finite, _require_positive,
+from .moments import (AlphaVector, CovMatrix, _dots, _require_finite, _require_positive,
                       as_vector)
 
 # B within this absolute tolerance of zero leaves the fully-invested risky
@@ -114,6 +113,11 @@ class FrontierScalars:
     D = A r'Sigma^-1 r and C = (B^2 + D)/A have no terms that cancel when
     the returns lie close together, as AC - B^2 does. ``alpha`` is None for
     a program that reads no returns (GMV).
+
+    On a stack of k matrices on one frame (:meth:`CovMatrix.stack`), A, b,
+    B, C and D are (k, 1) columns, one entry per matrix, and every closed
+    form of :data:`PROGRAMS` runs unchanged. alpha's coordinates for all k
+    come from one product, U'S^-1 (alpha - m 1), and b from them in O(kn).
     """
 
     alpha: np.ndarray | None
@@ -136,8 +140,14 @@ class FrontierScalars:
         """(m, b, y), formed on first read."""
         m = float(self.alpha.sum()) / self.alpha.size
         centred = self.alpha - m
-        b = float(centred @ self.cov.inverse_ones[1])
-        return m, b, self.cov.coordinates(centred - b / self.A)
+        x, ones_inverse, A = self.cov.inverse_ones
+        if ones_inverse is not None:
+            b = float(centred @ ones_inverse)
+            return m, b, self.cov.coordinates(centred - b / A)
+        # a stack: c_j = diag(1/mu_j) U'S^-1 (alpha - m 1), b_j = c_j' diag(mu_j) x_j
+        c = self.cov.coordinates(centred)
+        b = _dots(c, self.cov.spectrum * x)
+        return m, b, c - (b / A) * x
 
     @property
     def B(self) -> float:
@@ -149,7 +159,7 @@ class FrontierScalars:
         """D/A = r'Sigma^-1 r is the least (alpha - beta 1)'Sigma^-1 (alpha - beta 1)
         over beta, so the rounding of B/A enters it only to second order."""
         y = self._split[2]
-        return self.A * float(y @ (self.cov.spectrum * y))
+        return self.A * _dots(y, self.cov.spectrum * y)
 
     @property
     def C(self) -> float:
@@ -161,26 +171,45 @@ class FrontierScalars:
         m, b, _ = self._split
         return (alpha_p - g0 * m) - g0 * (b / self.A)
 
+    def refusals(self, refuses):
+        """The tests of :meth:`check` that ``refuses`` names, in its order, as
+        (fails, value, error): whether it fails (one bool per matrix of a
+        stack), the D or B it reads, and the exception ``error(value)``."""
+        if DegenerateAlpha in refuses:
+            yield self.D <= DEGENERATE_D_TOL, self.D, _degenerate_alpha
+        if ZeroB in refuses:
+            yield abs(self.B) <= ZERO_B_TOL, self.B, _zero_b
+
     def check(self, refuses) -> None:
         """Raise the first of the errors ``refuses`` names that applies:
         DegenerateAlpha if D <= DEGENERATE_D_TOL, then ZeroB if |B| <= ZERO_B_TOL."""
-        if DegenerateAlpha in refuses and self.D <= DEGENERATE_D_TOL:
-            raise DegenerateAlpha(
-                f"D = AC - B^2 = {self.D:g} is not positive; "
-                "all assets share the same expected return"
-            )
-        if ZeroB in refuses and abs(self.B) <= ZERO_B_TOL:
-            raise ZeroB(f"B = 1'Sigma^-1 alpha = {self.B:g}; risky portfolio undefined")
+        for fails, value, error in self.refusals(refuses):
+            if fails:
+                raise error(value)
+
+    def coordinates(self, c_alpha, gearing) -> np.ndarray:
+        """The coordinates (gearing/A) x + c_alpha y of :meth:`weights`, a row
+        per matrix of a stack."""
+        coords = (gearing / self.A) * self.cov.inverse_ones[0]
+        if isinstance(c_alpha, np.ndarray) or c_alpha != 0.0:
+            coords += c_alpha * self._split[2]
+        return coords
 
     def weights(self, c_alpha: float, gearing: float) -> np.ndarray:
         """c_alpha Sigma^-1 alpha + c_1 Sigma^-1 1 with 1'theta = gearing, that is
         c_1 = (gearing - c_alpha B)/A, formed as gearing theta_0 + c_alpha Sigma^-1 r
         = S^-1 U ((gearing/A) x + c_alpha y), whose terms do not cancel: one
         product with the basis. A zero c_alpha reads no alpha."""
-        coords = (gearing / self.A) * self.cov.inverse_ones[0]
-        if c_alpha != 0.0:
-            coords += c_alpha * self._split[2]
-        return self.cov.from_coordinates(coords)
+        return self.cov.from_coordinates(self.coordinates(c_alpha, gearing))
+
+
+def _degenerate_alpha(d) -> DegenerateAlpha:
+    return DegenerateAlpha(f"D = AC - B^2 = {d:g} is not positive; "
+                           "all assets share the same expected return")
+
+
+def _zero_b(b) -> ZeroB:
+    return ZeroB(f"B = 1'Sigma^-1 alpha = {b:g}; risky portfolio undefined")
 
 
 @dataclass(frozen=True)
@@ -229,23 +258,24 @@ def _on_ray(c_alpha: float, f: FrontierScalars) -> tuple[float, float]:
 def _geared_risky(f: FrontierScalars, g0: float = 1.0, sigma0: float | None = None):
     """g0 theta_alpha (IV, V, VIII); a risk sigma0 fixes g0 = sigma0 B / sqrt(C)."""
     if sigma0 is not None:
-        g0 = sigma0 * f.B / math.sqrt(f.C)
+        g0 = sigma0 * f.B / np.sqrt(f.C)
     return g0 / f.B, g0
 
 
 def _geared_min_variance(f: FrontierScalars, alpha0: float, g0: float):
-    """VI: c_alpha = (alpha0 - g0 B/A) A/D; warns when alpha0 lies below the
-    minimum-variance return g0 B / A."""
-    inflection = g0 * f.B / f.A
-    if alpha0 < inflection - 1e-12 * max(1.0, abs(inflection)):
-        warnings.warn(
-            f"return target {alpha0:g} below the minimum-variance return "
-            f"{inflection:g} at gearing {g0:g}; solution is on the "
-            "inefficient branch",
-            InefficientBranchWarning,
-            stacklevel=4,
-        )
+    """VI: c_alpha = (alpha0 - g0 B/A) A/D."""
     return f.excess(alpha0, g0) * f.A / f.D, g0
+
+
+def _inefficient_branch(f: FrontierScalars, alpha0: float, g0: float):
+    """Whether VI's alpha0 lies below the minimum-variance return g0 B / A
+    (one bool per matrix of a stack), that return, and the
+    InefficientBranchWarning's text at it."""
+    inflection = g0 * f.B / f.A
+    below = alpha0 < inflection - 1e-12 * np.maximum(1.0, abs(inflection))
+    return below, inflection, lambda value: (
+        f"return target {alpha0:g} below the minimum-variance return {value:g} "
+        f"at gearing {g0:g}; solution is on the inefficient branch")
 
 
 def _solve_QOQC(alpha, cov: CovMatrix, gamma: float, g0: float, n0: float):
@@ -265,8 +295,10 @@ class ProgramSpec:
     (c_alpha, gearing) of :meth:`FrontierScalars.weights`; a program audited
     for its gearing records it as g0. Its parameters must be positive, or
     finite if ``signed`` names them; ``refuses`` names what
-    :meth:`FrontierScalars.check` raises for it; one that does not
-    ``reads_alpha`` records no alpha_p. QOQC runs its own ``solver``.
+    :meth:`FrontierScalars.check` raises for it; ``warns``, if set, tells
+    where its solution takes an InefficientBranchWarning, as
+    :func:`_inefficient_branch` does; one that does not ``reads_alpha``
+    records no alpha_p. QOQC runs its own ``solver``.
 
     ``audits`` names, in the order ``verify`` runs them, the checks its
     solution passes:
@@ -284,6 +316,7 @@ class ProgramSpec:
     one_of: tuple[str, ...] = ()
     signed: tuple[str, ...] = ()
     refuses: tuple[type[MvgearError], ...] = ()
+    warns: Callable | None = None
     reads_alpha: bool = True
     solver: Callable[..., tuple[np.ndarray, dict]] | None = None
     audits: tuple[str, ...] = ()
@@ -301,6 +334,11 @@ class ProgramSpec:
             raise MissingParameter(self.one_of_text())
         optional = [name for name in self.optional if name in given]
         return {name: given[name] for name in [*self.required, *optional, *chosen]}
+
+    def checked(self, params: Mapping) -> dict:
+        """:meth:`arguments`, each positive, or finite if ``signed`` names it."""
+        return {name: (_require_finite if name in self.signed else _require_positive)(
+            name, value) for name, value in self.arguments(params).items()}
 
     def missing(self, name: str) -> MissingParameter:
         return MissingParameter(f"program {self.program.value} requires --{name}")
@@ -326,7 +364,7 @@ PROGRAMS: dict[Program, ProgramSpec] = {spec.program: spec for spec in (
                 refuses=(DegenerateAlpha, ZeroB), audits=("gearing", "risk", "sharpe")),
     ProgramSpec(Program.VI, _geared_min_variance, required=("alpha0", "g0"),
                 signed=("alpha0", "g0"), refuses=(DegenerateAlpha,),
-                audits=("gearing", "return")),
+                warns=_inefficient_branch, audits=("gearing", "return")),
     ProgramSpec(Program.VII, lambda f, gamma, g0: (1.0 / gamma, g0),
                 required=("gamma", "g0"), signed=("g0",), audits=("gearing",)),
     ProgramSpec(Program.VIII, _geared_risky, required=("g0",), refuses=(ZeroB,),
@@ -346,12 +384,14 @@ def program_weights(program: Program, frontier: FrontierScalars, /, **params):
     :meth:`ProgramSpec.arguments` picks from ``params``, checked as the entry
     declares, and an audited gearing as g0 (QOQC's solver adds multipliers)."""
     entry = PROGRAMS[Program(program)]
-    args = entry.arguments(params)
     if entry.solver is not None:
-        return entry.solver(frontier.alpha, frontier.cov, **args)
-    args = {name: (_require_finite if name in entry.signed else _require_positive)(
-        name, value) for name, value in args.items()}
+        return entry.solver(frontier.alpha, frontier.cov, **entry.arguments(params))
+    args = entry.checked(params)
     frontier.check(entry.refuses)
+    if entry.warns is not None:
+        below, value, text = entry.warns(frontier, **args)
+        if below:
+            warnings.warn(text(value), InefficientBranchWarning, stacklevel=3)
     c_alpha, gearing = entry.coefficients(frontier, **args)
     if "gearing" in entry.audits:
         args["g0"] = gearing

@@ -17,10 +17,11 @@ import pytest
 from mvgear import AlphaVector, CovMatrix, cli, diversity, moments, robust, solvers
 from mvgear.cli import MAX_GRID_POINTS, SWEEP_HEADER, main, parse_grid
 from mvgear.cli import CliError
+from mvgear.errors import MvgearError
 from mvgear.geometry import alpha_angle, kantorovich_bound
 from mvgear.moments import estimate_moments, load_returns_csv
 from mvgear.robust import ShrinkageSpec, ShrinkMode
-from mvgear.serialize import csv_lines, dumps, portfolio_to_dict
+from mvgear.serialize import dumps, fmt_float, portfolio_to_dict
 from mvgear.solvers import PROGRAMS, Program
 
 from conftest import (forget_loads, odd_surface_instance, reference_csv,
@@ -165,6 +166,34 @@ def test_solve_is_byte_deterministic(micro_csv, tmp_path):
         assert run(["solve", "--input", micro_csv, "--program", "VI",
                     "--alpha0", 0.2, "--g0", 1, "--output", out]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e150, 1e152, 1e155])
+@pytest.mark.parametrize("argv", [
+    ["estimate"], ["solve", "--program", "VII", "--gamma", "1", "--g0", "1"],
+    ["qoqc", "--gamma", "1", "--g0", "1", "--n0", "2"],
+    ["shrink-sweep", "--mode", "simple", "--grid", "0:0.5:1"],
+], ids=["estimate", "solve", "qoqc", "shrink-sweep"])
+def test_returns_near_the_float_limit_exit_with_one_line(tmp_path, monkeypatch, capsys,
+                                                         scale, argv):
+    # A 3-asset, 8-period panel times 1e150, 1e152 or 1e155: the sample
+    # covariance nears or passes the largest float. The load decomposes what
+    # is finite, refuses what is not (NonFiniteData), and no request ends in
+    # a traceback or a numpy warning: exit 0, or 2 or 3 with one code= line.
+    rows = np.random.default_rng(5).standard_normal((8, 3)) * scale
+    path = tmp_path / "r.csv"
+    path.write_text("a,b,c\n" + "\n".join(",".join(map(repr, row.tolist())) for row in rows)
+                    + "\n")
+    forget_loads(monkeypatch)
+    code = run([argv[0], "--input", path, *argv[1:], "--output", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("code=")
+    if scale == 1e155:
+        assert err == "code=NonFiniteData sample covariance overflows: the returns are too " \
+                      "large to square\n"
 
 
 def test_non_utf8_csv_exits_3(tmp_path, capsys):
@@ -762,22 +791,27 @@ def test_shrink_sweep(tmp_path):
 @pytest.mark.parametrize("mode,grid,program", [
     ("simple", "0:0.1:1", ["--program", "VII", "--gamma", 1, "--g0", 1]),
     ("diagonal", "0:0.25:1", []),
+    ("angle", "0:0.125:0.625", ["--program", "VI", "--alpha0", 0.3, "--g0", 1]),
 ])
 def test_shrink_sweep_shrinks_once_per_point(tmp_path, monkeypatch, mode, grid, program):
+    # The sweep against the library's composition, one shrink and solve per
+    # point: k, kappa~ and the bound bit for bit; the weights and both
+    # cosines, which the batched pass forms in other products, within
+    # kappa eps, normwise for the weights. No point calls shrink_covariance.
     csv = sweep_csv(tmp_path)
-    # the sweep as the library composes it, one shrink per call
     alpha, cov = estimate_moments(load_returns_csv(csv))
+    name = program[1] if program else "RISKY"
+    params = {key.lstrip("-"): float(value)
+              for key, value in zip(program[2::2], program[3::2])}
     rows = []
     for k in parse_grid(grid):
         spec = ShrinkageSpec(mode=ShrinkMode(mode), k=float(k))
         shrunk = robust.shrink_covariance(cov, alpha, spec)
         risky = robust.solve_robust(Program.RISKY, alpha, cov, spec).weights
-        optimal = robust.solve_robust(Program.VII, alpha, cov, spec, gamma=1.0,
-                                      g0=1.0).weights if program else risky
+        optimal = robust.solve_robust(name, alpha, cov, spec, **params).weights
         rows.append([float(k), shrunk.condition_number, alpha_angle(alpha, risky),
                      alpha_angle(alpha, optimal),
-                     kantorovich_bound(shrunk.condition_number),
-                     '"' + dumps(list(optimal)) + '"'])
+                     kantorovich_bound(shrunk.condition_number), optimal])
     real, calls = robust.shrink_covariance, []
 
     def counting(*args, **kwargs):
@@ -788,8 +822,18 @@ def test_shrink_sweep_shrinks_once_per_point(tmp_path, monkeypatch, mode, grid, 
     out = tmp_path / "sweep.csv"
     assert run(["shrink-sweep", "--input", csv, "--mode", mode, "--grid", grid,
                 *program, "--output", out]) == 0
-    assert len(calls) == len(rows)
-    assert out.read_text() == csv_lines(SWEEP_HEADER, rows)
+    assert calls == []
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(SWEEP_HEADER) and len(lines) == len(rows) + 1
+    tolerance = cov.condition_number * np.finfo(float).eps
+    for line, (k, kappa, cos_risky, cos_optimal, bound, weights) in zip(lines[1:], rows):
+        cells = line.split(",", 5)
+        assert [cells[0], cells[1], cells[4]] == [fmt_float(k), fmt_float(kappa),
+                                                  fmt_float(bound)]
+        assert abs(float(cells[2]) - cos_risky) <= tolerance
+        assert abs(float(cells[3]) - cos_optimal) <= tolerance
+        swept = np.array(json.loads(cells[5].strip('"')))
+        assert np.abs(swept - weights).max() <= tolerance * np.abs(weights).max()
 
 
 def count_calls(monkeypatch, name):
@@ -848,12 +892,14 @@ def test_diagonal_shrunk_solve_and_verify_read_no_shrunk_spectrum(tmp_path, monk
 
 def test_the_ones_column_is_formed_once_per_covariance(tmp_path, monkeypatch):
     # U'1 is kept with the basis it was formed with: repeated solves on the
-    # memoised covariance form it once, and so does the whole sweep, whose
-    # points below w = 1 share that basis; only the identity at w = 1 forms
-    # its own. Each solve forms one product for alpha, and a sweep point one:
-    # its risky column and its --program solve share one frontier object.
+    # memoised covariance form it once, and the whole sweep forms it never:
+    # its points below w = 1 share that basis, and the identity's U'1 is 1.
+    # Each solve forms one product for alpha, and a sweep one per frame
+    # group: the four points below w = 1 share one, and the identity's point
+    # takes one.
     csv = sweep_csv(tmp_path)
     forget_loads(monkeypatch)
+    monkeypatch.setattr(moments, "_last_identity", None)
     real, calls = moments._Frame.project, []
 
     def counting(self, x):
@@ -866,11 +912,12 @@ def test_the_ones_column_is_formed_once_per_covariance(tmp_path, monkeypatch):
         assert run(["solve", "--input", csv, "--program", *program,
                     "--output", tmp_path / "p.json"]) == 0
     assert calls == [True, False, False, False]
-    calls.clear()
-    assert run(["shrink-sweep", "--input", csv, "--mode", "simple", "--grid", "0:0.25:1",
-                "--program", "VII", "--gamma", 1, "--g0", 1,
-                "--output", tmp_path / "s.csv"]) == 0
-    assert calls == [False] * 4 + [True, False]
+    sweep = ["shrink-sweep", "--input", csv, "--mode", "simple", "--grid", "0:0.25:1",
+             "--program", "VII", "--gamma", 1, "--g0", 1, "--output", tmp_path / "s.csv"]
+    for _ in range(2):
+        calls.clear()
+        assert run(sweep) == 0
+        assert calls == [False, False]
 
 
 def test_an_angle_sweep_solves_for_k0_once(tmp_path, monkeypatch, capsys):
@@ -929,16 +976,17 @@ def one_digit_panel(path, n, t, seed):
 
 
 def test_a_sweep_point_forms_no_n_by_n_array(tmp_path, monkeypatch):
-    # An identity shrink holds only its factor, so once the panel and its
-    # moments are memoised a sweep below w = 1 allocates less than one n x n
-    # array in all: the file's bytes, the weights and the CSV text.
+    # An identity shrink holds only its factor, and the identity of the last
+    # dimension is kept, so once the panel and its moments are memoised a
+    # sweep up to w = 1 allocates less than one n x n array in all: the
+    # file's bytes, the weights and the CSV text.
     n = 300
     csv = one_digit_panel(tmp_path / "r.csv", n, 320, seed=3)
     forget_loads(monkeypatch)
     alpha, cov = estimate_moments(load_returns_csv(csv))
     k0 = robust.angle_floor(alpha, cov)
     assert os.path.getsize(csv) < n * n * 8 // 2
-    for mode, grid in (("simple", "0:0.1:0.9"), ("angle", f"0:{k0 / 8!r}:{k0 / 2!r}")):
+    for mode, grid in (("simple", "0:0.1:1"), ("angle", f"0:{k0 / 8!r}:{k0 / 2!r}")):
         sweep = ["shrink-sweep", "--input", csv, "--mode", mode, "--grid", grid,
                  "--program", "VII", "--gamma", 1, "--g0", 1, "--output", tmp_path / "s.csv"]
         assert run(sweep) == 0
@@ -949,6 +997,110 @@ def test_a_sweep_point_forms_no_n_by_n_array(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8, mode
+
+
+def count_sweep_work(monkeypatch):
+    """The work each shrink-sweep request does from now on: products with a
+    basis (U'S^-1 of alpha, of 1, and S^-1 U of coordinates), and the
+    covariances, frontier objects and shrink_covariance calls it builds."""
+    work = {"alpha": 0, "ones": 0, "weights": 0, "cov": 0, "frontier": 0, "shrink": 0}
+    project, back = moments._Frame.project, CovMatrix.from_coordinates
+    factored, init = CovMatrix.__dict__["_factored"].__func__, CovMatrix.__init__
+    frontier, shrink = solvers.FrontierScalars.__post_init__, robust.shrink_covariance
+
+    def counted(key, real):
+        def call(*args, **kwargs):
+            work[key] += 1
+            return real(*args, **kwargs)
+        return call
+
+    def projected(self, x):
+        work["ones" if np.all(np.asarray(x) == 1.0) else "alpha"] += 1
+        return project(self, x)
+
+    monkeypatch.setattr(moments._Frame, "project", projected)
+    monkeypatch.setattr(CovMatrix, "from_coordinates", counted("weights", back))
+    monkeypatch.setattr(CovMatrix, "_factored", classmethod(counted("cov", factored)))
+    monkeypatch.setattr(CovMatrix, "__init__", counted("cov", init))
+    monkeypatch.setattr(solvers.FrontierScalars, "__post_init__",
+                        counted("frontier", frontier))
+    monkeypatch.setattr(robust, "shrink_covariance", counted("shrink", shrink))
+    return work
+
+
+@pytest.mark.parametrize("mode,groups", [("angle", 1), ("simple", 2), ("diagonal", 3)])
+@pytest.mark.parametrize("program", [[], ["--program", "VII", "--gamma", 1, "--g0", 1]])
+def test_a_sweep_solves_each_frame_group_with_two_products(tmp_path, monkeypatch, mode,
+                                                           groups, program):
+    # Points whose shrinks share a basis and scaling form one group: one
+    # stack, one frontier object, one product with the basis for alpha and one
+    # for every weight column of the group. Angle shrinks stay below w = 1;
+    # simple ones add the identity at w = 1; diagonal ones take Sigma's frame
+    # at 0, R's inside (0, 1) and the sorted unit vectors at 1. No per-point
+    # covariance, frontier object or shrink_covariance call: at most two
+    # matrices per group, a shrink and its stack.
+    csv = sweep_csv(tmp_path)
+    grid = "0:0.1:1"
+    if mode == "angle":
+        k0 = robust.angle_floor(*estimate_moments(load_returns_csv(csv)))
+        grid = f"0:{k0 / 11!r}:{10 * k0 / 11!r}"
+    argv = ["shrink-sweep", "--input", csv, "--mode", mode, "--grid", grid, *program,
+            "--output", tmp_path / "s.csv"]
+    assert run(argv) == 0  # the load, k0 and R's decomposition, once per covariance
+    work = count_sweep_work(monkeypatch)
+    assert run(argv) == 0
+    assert parse_grid(grid).size == 11
+    cov = work.pop("cov")
+    assert work == {"alpha": groups, "ones": 0, "weights": groups, "frontier": groups,
+                    "shrink": 0}
+    assert cov <= 2 * groups
+
+
+def flat_sum_csv(path):
+    """24 periods of 3 assets in eighths, whose column means 1/4, 1/4 and
+    -1/2 sum to exactly 0: 1'Sigma~^-1 alpha = 0 at the full shrink to the
+    identity, and only there."""
+    rows = np.random.default_rng(3).integers(-8, 9, size=(24, 3)) / 8.0
+    rows[-1] = np.array([6.0, 6.0, -12.0]) - rows[:-1].sum(axis=0)
+    path.write_text("a,b,c\n" + "\n".join(",".join(map(repr, row.tolist())) for row in rows)
+                    + "\n")
+    return path
+
+
+@pytest.mark.parametrize("grid,points,err", [
+    ("0:0.1:1", 10, "code=ZeroB B = 1'Sigma^-1 alpha = 0; risky portfolio undefined\n"),
+    ("0:0.15:1.2", 7, "code=InvalidK q = 1.05 outside [0, 1]\n"),
+    ("1.2:-0.15:0", 0, "code=InvalidK q = 1.2 outside [0, 1]\n"),
+])
+def test_a_failing_point_deep_in_the_grid_raises_after_each_earlier_warning(
+        tmp_path, capsys, grid, points, err):
+    # Each point raises what solving it alone would, in grid order, and VI's
+    # warning comes once per point below its inflection, with its text, up to
+    # the point that fails: ZeroB at the full shrink, the last point, or
+    # InvalidK at the first q past 1, which the points before it warn ahead of.
+    csv = flat_sum_csv(tmp_path / "r.csv")
+    alpha, cov = estimate_moments(load_returns_csv(csv))
+    expected = []
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for q in parse_grid(grid):
+            try:
+                spec = ShrinkageSpec(ShrinkMode.SIMPLE, float(q))
+                robust.solve_robust(Program.RISKY, alpha, cov, spec)
+                robust.solve_robust(Program.VI, alpha, cov, spec, alpha0=-5.0, g0=1.0)
+            except MvgearError as exc:
+                expected.append(f"code={type(exc).__name__} {exc}\n")
+                break
+    assert expected == [err]
+    notes = [str(w.message) for w in seen]
+    assert len(notes) == points and len(set(notes)) == points
+    with warnings.catch_warnings(record=True) as swept:
+        warnings.simplefilter("always")
+        assert run(["shrink-sweep", "--input", csv, "--mode", "simple", "--grid", grid,
+                    "--program", "VI", "--alpha0", -5, "--g0", 1]) == 3
+    assert capsys.readouterr().err == err
+    assert [w.category for w in swept] == [solvers.InefficientBranchWarning] * points
+    assert [str(w.message) for w in swept] == notes
 
 
 def test_shrink_sweep_without_a_risky_portfolio_exits_3(tmp_path, capsys):

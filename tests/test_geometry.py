@@ -12,6 +12,7 @@ from mvgear import (
     Program,
     ZeroVector,
     alpha_angle,
+    alpha_angles,
     angle_decomposition,
     bauer_householder_bound,
     kantorovich_bound,
@@ -398,3 +399,37 @@ def test_decomposition_random_mixes():
             continue
         dec = angle_decomposition(alpha, theta0, theta_a, g0, w)
         assert dec.residual < 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("power", [-600, 600])
+def test_decomposition_is_the_same_at_any_scale_of_the_funds(micro_alpha, power):
+    # theta0 and theta_alpha times 2^-600 or 2^600: their squares leave the
+    # float range, and each norm is scaled by a power of two first, so the
+    # cosine and the residual are the scale-1 ones, with no ZeroVector.
+    alpha, cov = random_instance(np.random.default_rng(13), 3)
+    theta0 = solve(Program.GMV, None, cov).weights
+    theta_a = solve(Program.RISKY, alpha, cov).weights
+    plain = angle_decomposition(alpha, theta0, theta_a, g0=1.0, w=0.3)
+    scaled = angle_decomposition(alpha, theta0 * 2.0**power, theta_a * 2.0**power,
+                                 g0=1.0, w=0.3)
+    assert scaled == plain
+
+
+@pytest.mark.filterwarnings("error")
+def test_alpha_angles_are_each_rows_alpha_angle():
+    # Each row's cosine is alpha_angle's to rounding, at any power-of-two
+    # scale of the row; a zero or non-finite row, where alpha_angle raises,
+    # reads nan.
+    rng = np.random.default_rng(21)
+    alpha = rng.standard_normal(7)
+    rows = rng.standard_normal((4, 7))
+    thetas = np.vstack([rows, rows[:2] * 2.0**600, rows[2:] * 2.0**-600,
+                        np.zeros(7), np.full(7, np.inf)])
+    cos = alpha_angles(alpha, thetas)
+    expected = [alpha_angle(alpha, row) for row in rows]
+    npt.assert_allclose(cos[:8], expected * 2, rtol=0, atol=4 * np.finfo(float).eps)
+    assert np.isnan(cos[8:]).all()
+    for row in thetas[8:]:
+        with pytest.raises((ZeroVector, NonFiniteData)), np.errstate(invalid="ignore"):
+            alpha_angle(alpha, row)

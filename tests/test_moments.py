@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -826,3 +827,42 @@ def test_a_repeated_eigenvalue_gets_one_factor_however_it_is_formed():
     assert np.array_equal(shrunk.spectrum, fresh.spectrum)
     assert np.array_equal(shrunk.basis, fresh.basis)
     assert np.array_equal(CovMatrix.from_entries(np.eye(6)).basis, np.eye(6))
+
+
+# ---------------------------------------------------------------------------
+# The identity of the last dimension, and reconstruction norms at any scale
+# ---------------------------------------------------------------------------
+
+def test_the_identity_of_the_last_dimension_is_kept(monkeypatch, micro_alpha):
+    # One identity per dimension, the last asked for, with its U'1 once formed:
+    # a full shrink at that n allocates no n x n array after the first.
+    monkeypatch.setattr(moments, "_last_identity", None)
+    eye = CovMatrix.identity(300)
+    assert CovMatrix.identity(300) is eye and CovMatrix.identity(3) is not eye
+    assert CovMatrix.identity(3) is CovMatrix.identity(3)
+    assert not eye.entries.flags.writeable and eye.basis is eye.entries
+    rng = np.random.default_rng(4)
+    alpha = rng.standard_normal(300)
+    cov = CovMatrix.from_entries(np.diag(rng.uniform(1.0, 2.0, 300)))
+    spec = ShrinkageSpec(ShrinkMode.SIMPLE, 1.0)
+    first = solve_robust(Program.VII, alpha, cov, spec, gamma=1.0, g0=1.0)
+    tracemalloc.start()
+    try:
+        again = solve_robust(Program.VII, alpha, cov, spec, gamma=1.0, g0=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again.weights, first.weights)
+    assert peak < 300 * 300 * 8 // 4
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("power", [-1000, -500, 500, 1000])
+def test_the_reconstruction_check_holds_at_any_scale(power):
+    # Its Frobenius norms square the entries: each is scaled by a power of two
+    # when a plain square over- or underflows, so a covariance near either
+    # end of the float range decomposes, with no warning.
+    entries = random_spd(np.random.default_rng(9), 5) * 2.0**power
+    cov = CovMatrix.from_entries(entries)
+    plain = CovMatrix.from_entries(entries * 2.0**-power)
+    npt.assert_allclose(cov.spectrum * 2.0**-power, plain.spectrum, rtol=1e-12)

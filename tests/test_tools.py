@@ -5,6 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "artifact_drift.py"
@@ -65,6 +66,19 @@ def test_drift_reads_an_array_leaf_normwise():
     assert norm == abs_diff / 0.5
     assert drifts["sigma_p"][1] == drifts["sigma_p"][2]
     assert set(drifts) == {"weights[*]", "sigma_p"}
+
+
+@pytest.mark.parametrize("periods", [40, 4])
+def test_drift_measures_in_kappa_eps_of_the_panel(tmp_path, periods):
+    # kappa of the sample covariance, its eigenvalues floored at 1e-10 of the
+    # largest as the program floors them: a panel with fewer periods than
+    # assets reads 1e10
+    rows = np.random.default_rng(8).standard_normal((periods, 6)) * [1, 2, 3, 4, 5, 6]
+    path = tmp_path / "panel.csv"
+    path.write_text("a,b,c,d,e,f\n" + "\n".join(",".join(map(repr, r)) for r in rows.tolist()))
+    rho = np.linalg.eigvalsh(np.cov(rows, rowvar=False))
+    expected = rho[-1] / rho[0] if periods > 6 else 1e10
+    assert drift._kappa(str(path)) == pytest.approx(expected, rel=1e-12)
 
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"

@@ -8,7 +8,7 @@ Each tree runs in its own child process,
 ``tools/artifact_digests.py --keep``, with one OpenBLAS thread. For each
 artifact whose bytes differ it prints
 
-    workload index kind  max_abs A (LEAF)  max_rel R (LEAF)  normwise N (LEAF)
+    workload index kind  max_abs A (LEAF)  max_rel R (LEAF)  normwise N (LEAF)  = K kappa eps
 
 over the numbers the two artifacts hold: the numeric leaves of a JSON
 artifact, every CSV cell (a ``weights_json`` cell is parsed as JSON), and
@@ -17,8 +17,12 @@ relative difference is |a - b| / max(|a|, |b|). The normwise difference of
 a leaf is its largest |a - b| over the whole leaf (every entry of an array,
 every cell of a CSV column) divided by its largest |a| or |b| in the same
 artifact, so that an ulp's move of a near-zero weight reads as an ulp of
-the vector, not as a large relative change. A closing table gives the same
-maxima per leaf over all artifacts.
+the vector, not as a large relative change. K is that normwise drift in
+units of kappa eps, kappa the condition number of the sample covariance of
+the request's panel (its eigenvalues floored at 1e-10 of the largest, as the
+program floors them), computed here: the yardstick of a change that only
+reorders rounding. A closing table gives the same maxima per leaf over all
+artifacts, K included.
 
 A structural difference is reported as ``STRUCTURE`` and makes the tool
 exit 1: a different exit code, JSON key, list length, CSV row or cell count,
@@ -38,7 +42,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 TOOLS = Path(__file__).resolve().parent
+EPS = float(np.finfo(float).eps)
 # A decimal number standing on its own inside text (not the 0 of "g0").
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
@@ -114,6 +121,30 @@ def _load(path: str):
     return {name: [_cell(row[j]) for row in body] for j, name in enumerate(header)}
 
 
+def _kappa(path: str) -> float:
+    """The condition number of the sample covariance of a returns CSV, its
+    eigenvalues floored at 1e-10 of the largest."""
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    rho = np.linalg.eigvalsh(np.cov(rows, rowvar=False, ddof=1))
+    return float(rho[-1] / max(rho[0], 1e-10 * rho[-1]))
+
+
+def _kappas(seed: int, directory: str) -> dict[tuple[str, str], float]:
+    """kappa of each request's panel, by (workload, index): the workloads are
+    built again over the panels ``artifact_digests.py --keep`` left in
+    ``directory``, which rewrites the same bytes and reads the script."""
+    sys.path.insert(0, str(TOOLS.parent / "perfbench"))
+    from workloads import NAMES, make_workload
+
+    kappas = {}
+    for name in NAMES:
+        workload = make_workload(name, seed, os.path.join(directory, name))
+        panels = [_kappa(path) for path in workload.panels]
+        for index, request in enumerate(workload.script):
+            kappas[name, str(index)] = panels[request.panel]
+    return kappas
+
+
 def _artifacts(root: Path, seed: int, directory: str) -> list[tuple[str, str, str, str]]:
     """``(digest or exit=CODE, workload, index, kind)`` of each request, in order."""
     run = subprocess.run(
@@ -139,11 +170,13 @@ def main(argv=None) -> int:
         if [line[1:] for line in old] != [line[1:] for line in new]:
             print(f"STRUCTURE the trees ran {len(old)} and {len(new)} requests")
             return 1
-        structural, differ, per_leaf = 0, 0, {}
+        structural, differ, per_leaf, kappas = 0, 0, {}, None
         for (a, name, index, kind), (b, *_) in zip(old, new):
             if a == b:
                 continue
             differ += 1
+            kappas = kappas or _kappas(args.seed, dirs[1])
+            keps = kappas[name, index] * EPS
             label = f"{name} {index} {kind}"
             try:
                 if a.startswith("exit=") or b.startswith("exit="):
@@ -156,19 +189,23 @@ def main(argv=None) -> int:
                 print(f"{label}  STRUCTURE {exc}")
                 continue
             worst = [(0.0, "-")] * 3
-            for leaf, maxima in _drift(leaves).items():
+            for leaf, (abs_diff, rel_diff, norm, count) in _drift(leaves).items():
+                maxima = (abs_diff, rel_diff, norm, norm / keps)
                 worst = [max(w, (m, leaf)) for w, m in zip(worst, maxima)]
                 key = f"{kind} {leaf}"
-                seen = per_leaf.get(key, (0.0, 0.0, 0.0, 0))
-                per_leaf[key] = (*map(max, seen[:3], maxima[:3]), seen[3] + maxima[3])
+                seen = per_leaf.get(key, (0.0, 0.0, 0.0, 0.0, 0))
+                per_leaf[key] = (*map(max, seen[:4], maxima), seen[4] + count)
             print(f"{label}  max_abs {worst[0][0]:.3g} ({worst[0][1]})"
                   f"  max_rel {worst[1][0]:.3g} ({worst[1][1]})"
-                  f"  normwise {worst[2][0]:.3g} ({worst[2][1]})")
+                  f"  normwise {worst[2][0]:.3g} ({worst[2][1]})"
+                  f"  = {worst[2][0] / keps:.3g} kappa eps")
     print(f"\n{differ} of {len(old)} artifacts differ, {structural} in structure")
     if per_leaf:
-        print(f"{'leaf':<48} {'max_abs':>10} {'max_rel':>10} {'normwise':>10} {'count':>6}")
-        for key, (abs_diff, rel_diff, norm, count) in sorted(per_leaf.items()):
-            print(f"{key:<48} {abs_diff:>10.3g} {rel_diff:>10.3g} {norm:>10.3g} {count:>6}")
+        print(f"{'leaf':<48} {'max_abs':>10} {'max_rel':>10} {'normwise':>10} "
+              f"{'kappa eps':>10} {'count':>6}")
+        for key, (abs_diff, rel_diff, norm, in_keps, count) in sorted(per_leaf.items()):
+            print(f"{key:<48} {abs_diff:>10.3g} {rel_diff:>10.3g} {norm:>10.3g} "
+                  f"{in_keps:>10.3g} {count:>6}")
     return 1 if structural else 0
 
 
