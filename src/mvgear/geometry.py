@@ -68,6 +68,10 @@ def alpha_angle(alpha, theta) -> float:
     t, nt, _ = _binary_scaled(t)
     if na == 0.0 or nt == 0.0:
         raise ZeroVector("angle undefined for a zero vector")
+    # a finite vector's norm is finite once scaled; refused before the product,
+    # which would warn on inf - inf
+    if not (math.isfinite(na) and math.isfinite(nt)):
+        raise NonFiniteData("angle undefined for a vector with a non-finite entry")
     return _clamp_cos(float(a @ t) / (na * nt))
 
 

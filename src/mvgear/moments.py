@@ -26,6 +26,8 @@ floor relative to the largest one.
 A process that loads the same file bytes again gets back the panel it parsed
 and, for that panel, the moments it estimated: one entry each, so a script of
 requests on one unchanged file parses it and decomposes its covariance once.
+Once the file has been seen unchanged for ``TRUST_WINDOW_S``, a load of it
+reads no bytes either (:func:`load_returns_csv`).
 """
 
 from __future__ import annotations
@@ -34,10 +36,14 @@ import csv
 import io
 import itertools
 import math
+import os
 import re
+import stat
+import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,11 +67,30 @@ EIGEN_FLOOR_RATIO = 1e-10
 DEGENERATE_ALPHA_TOL = 1e-14
 # The smallest normal float: a squared norm below it has lost digits.
 _TINY = float(np.finfo(float).tiny)
+# Seconds (on time.monotonic) between two byte-verified loads of one file
+# identity and change time before that key alone serves the panel: at least
+# the coarsest common filesystem timestamp granularity (FAT's 2 s).
+TRUST_WINDOW_S = 2.0
+# Only POSIX's st_ctime is the time of the last change to a file.
+_POSIX = os.name == "posix"
 
 
-# The memo of the last successful load, (file bytes, panel), and of the last
-# moments, (panel, spd_repair, alpha, covariance, repair warning text or None).
-_last_load: tuple[bytes, ReturnsPanel] | None = None
+class _Loaded(NamedTuple):
+    """The memo of the last successful load."""
+
+    raw: bytes
+    panel: ReturnsPanel
+    # the file's _stat_key when its bytes were last read and found equal to raw
+    key: tuple | None
+    # time.monotonic() just after the first such load with that key was stat'ed
+    seen: float
+    # whether a load with that key TRUST_WINDOW_S or more after ``seen`` matched too
+    trusted: bool
+
+
+# The memo of the last successful load, and that of the last moments:
+# (panel, spd_repair, alpha, covariance, repair warning text or None).
+_last_load: _Loaded | None = None
 _last_moments: tuple | None = None
 # The identity of the last dimension asked for (CovMatrix.identity).
 _last_identity: CovMatrix | None = None
@@ -662,18 +687,51 @@ def load_returns_csv(path) -> ReturnsPanel:
     or blank cell is a hard error -- there is no imputation.
 
     The last panel read is kept with the bytes it was parsed from: a file
-    whose bytes equal them gives back that same panel, unparsed. A load that
-    raises leaves the memo as it was.
+    whose bytes equal them gives back that same panel, unparsed. Each load
+    also takes the open file's key (device, inode, size, mtime and ctime in
+    ns, from ``fstat`` before reading). Once two loads whose bytes matched
+    have seen one key at least ``TRUST_WINDOW_S`` apart, a load with that key
+    returns the panel without reading the file; any other load reads and
+    compares, as does every load of a non-regular file or off POSIX. This
+    holds because, after trust, any change to the bytes moves the ctime,
+    given that
+      - the kernel updates ctime on every change to the content, and no
+        call can set it back;
+      - filesystem timestamps are no coarser than ``TRUST_WINDOW_S``;
+      - the filesystem clock advances over ``TRUST_WINDOW_S``, so a change
+        after the second load is stamped later than the key's ctime,
+        whatever that clock's offset from this process's clock.
+    A load that raises leaves the memo as it was.
     """
     global _last_load
-    with open(path, "rb") as handle:
-        raw = handle.read()
     last = _last_load
-    if last is not None and last[0] == raw:
-        return last[1]
+    with open(path, "rb") as handle:
+        key = _stat_key(handle)
+        now = time.monotonic()
+        if key is not None and last is not None and last.trusted and last.key == key:
+            return last.panel
+        raw = handle.read()
+    if last is not None and last.raw == raw:
+        # the memo keeps its own bytes: holding the fresh copy raised peak RSS
+        if key is None or key != last.key:
+            _last_load = last._replace(key=key, seen=now, trusted=False)
+        elif now - last.seen >= TRUST_WINDOW_S:
+            _last_load = last._replace(trusted=True)
+        return last.panel
     panel = _parse_returns(path, raw)
-    _last_load = (raw, panel)
+    _last_load = _Loaded(raw, panel, key, now, False)
     return panel
+
+
+def _stat_key(handle) -> tuple | None:
+    """(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns) of the open
+    ``handle``, or None unless it is a regular file on POSIX."""
+    if not _POSIX:
+        return None
+    st = os.fstat(handle.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
 def _parse_returns(path, raw: bytes) -> ReturnsPanel:

@@ -50,6 +50,29 @@ def loadtxt_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def csv_reads(monkeypatch):
+    """One entry per read of a file ``load_returns_csv`` opened, for the test:
+    a load served by a trusted key adds none."""
+    from mvgear import moments
+
+    reads = []
+
+    def spied_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        read = handle.read
+
+        def counting(*args):
+            reads.append(1)
+            return read(*args)
+
+        handle.read = counting
+        return handle
+
+    monkeypatch.setattr(moments, "open", spied_open, raising=False)
+    return reads
+
+
 def write_micro_csv(path):
     path.write_text("\n".join(",".join(row) for row in MICRO_CSV_ROWS) + "\n")
     return path

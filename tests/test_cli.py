@@ -1624,7 +1624,11 @@ def memo_script(k0):
     ]
 
 
-def test_cache_hits_write_the_bytes_misses_write(tmp_path, monkeypatch, loadtxt_calls):
+def check_cache_hits(tmp_path, monkeypatch, loadtxt_calls, csv_reads, trusted):
+    """Run every subcommand on one panel with an empty memo before each
+    request, then again on the memo, and compare the artifacts: every hit
+    reads and compares the bytes, or (``trusted``) is served by the file's
+    key and reads none."""
     csv = sweep_csv(tmp_path)
     script = memo_script(robust.angle_floor(*estimate_moments(load_returns_csv(csv))))
     names = [name for name, _ in script]
@@ -1641,11 +1645,26 @@ def test_cache_hits_write_the_bytes_misses_write(tmp_path, monkeypatch, loadtxt_
     loadtxt_calls.clear()
     misses = run_script(tmp_path / "misses", fresh=True)
     assert len(loadtxt_calls) == len(script)
+    monkeypatch.setattr(moments, "TRUST_WINDOW_S", 0.0 if trusted else np.inf)
+    if trusted:
+        load_returns_csv(csv)  # a second verified load of the key trusts it
     loadtxt_calls.clear()
+    csv_reads.clear()
     hits = run_script(tmp_path / "hits", fresh=False)
     assert loadtxt_calls == []
+    assert len(csv_reads) == (0 if trusted else len(script))
     assert hits == misses
     assert all(json.loads(hits[name])["passed"] for name in hits if "verify" in name)
+
+
+def test_cache_hits_write_the_bytes_misses_write(tmp_path, monkeypatch, loadtxt_calls,
+                                                 csv_reads):
+    check_cache_hits(tmp_path, monkeypatch, loadtxt_calls, csv_reads, trusted=False)
+
+
+def test_trusted_cache_hits_write_the_bytes_misses_write(tmp_path, monkeypatch,
+                                                         loadtxt_calls, csv_reads):
+    check_cache_hits(tmp_path, monkeypatch, loadtxt_calls, csv_reads, trusted=True)
 
 
 # ---------------------------------------------------------------------------

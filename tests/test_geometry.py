@@ -53,6 +53,18 @@ def test_angle_of_a_non_finite_vector_raises(theta):
         alpha_angle(theta, [0.1, 0.2])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha,theta", [
+    ([1.0, -2.0], [np.inf, np.inf]),
+    ([np.inf, 1.0], [0.0, 1.0]),
+    ([1.0, 2.0], [np.inf, -np.inf]),
+])
+def test_angle_refuses_a_non_finite_vector_before_its_product(alpha, theta):
+    # alpha'theta is inf - inf here, which numpy would warn about first
+    with pytest.raises(NonFiniteData):
+        alpha_angle(alpha, theta)
+
+
 def test_angle_zero_vector():
     with pytest.raises(ZeroVector):
         alpha_angle([0.0, 0.0], [1.0, 0.0])
@@ -431,5 +443,5 @@ def test_alpha_angles_are_each_rows_alpha_angle():
     npt.assert_allclose(cos[:8], expected * 2, rtol=0, atol=4 * np.finfo(float).eps)
     assert np.isnan(cos[8:]).all()
     for row in thetas[8:]:
-        with pytest.raises((ZeroVector, NonFiniteData)), np.errstate(invalid="ignore"):
+        with pytest.raises((ZeroVector, NonFiniteData)):
             alpha_angle(alpha, row)

@@ -1,8 +1,11 @@
 import csv
 import io
 import os
+import threading
+import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -482,20 +485,135 @@ def test_repeat_load_parses_and_decomposes_nothing(tmp_path, monkeypatch,
     assert np.array_equal(cov2.eigenpairs[1], cov.eigenpairs[1])
 
 
-def test_rewritten_file_of_the_same_size_and_mtime_is_parsed_again(
-        tmp_path, monkeypatch, loadtxt_calls):
-    forget_loads(monkeypatch)
-    path = tmp_path / "r.csv"
-    path.write_text("a,b\n0.1,0.2\n0.3,0.4\n")
+@pytest.fixture
+def clock(monkeypatch):
+    """The memo's ``time.monotonic``, which moves only when the test moves ``now``."""
+    clock = SimpleNamespace(now=1000.0)
+    monkeypatch.setattr(moments, "time", SimpleNamespace(monotonic=lambda: clock.now))
+    return clock
+
+
+def pin_stat(monkeypatch, **pinned):
+    """Make ``os.fstat`` report the ``pinned`` fields for every file, as when
+    a rewrite lands in the clock tick of the write before it."""
+    real = os.fstat
+
+    def fstat(fd):
+        st = real(fd)
+        fields = {name: getattr(st, name) for name in dir(st) if name.startswith("st_")}
+        return SimpleNamespace(**{**fields, **pinned})
+
+    monkeypatch.setattr(os, "fstat", fstat)
+
+
+def rewrite_keeping_size_and_mtime(path, text):
+    """Write ``text`` over ``path``, of the same length, and set its mtime back."""
     stamp = path.stat()
-    first = load_returns_csv(path)
-    path.write_text("a,b\n0.1,0.2\n0.3,0.5\n")
+    assert len(text.encode()) == stamp.st_size
+    path.write_text(text)
     os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
     assert (path.stat().st_size, path.stat().st_mtime_ns) == (stamp.st_size,
                                                               stamp.st_mtime_ns)
+
+
+def test_rewritten_file_of_the_same_size_and_mtime_is_parsed_again(
+        tmp_path, monkeypatch, clock, loadtxt_calls):
+    # Two loads less than the window apart do not trust the key, so a rewrite
+    # that keeps every field of it (a racily clean file) is still read.
+    forget_loads(monkeypatch)
+    path = tmp_path / "r.csv"
+    path.write_text("a,b\n0.1,0.2\n0.3,0.4\n")
+    pin_stat(monkeypatch, st_ctime_ns=path.stat().st_ctime_ns)
+    first = load_returns_csv(path)
+    clock.now += 0.9 * moments.TRUST_WINDOW_S
+    assert load_returns_csv(path) is first
+    rewrite_keeping_size_and_mtime(path, "a,b\n0.1,0.2\n0.3,0.5\n")
+    clock.now += moments.TRUST_WINDOW_S
     second = load_returns_csv(path)
     assert len(loadtxt_calls) == 2 and second is not first
     assert second.rows[1, 1] == 0.5 and first.rows[1, 1] == 0.4
+
+
+def load_until_trusted(path, clock):
+    """Load ``path`` twice, the trust window apart, so that its key is trusted."""
+    panel = load_returns_csv(path)
+    clock.now += moments.TRUST_WINDOW_S
+    assert load_returns_csv(path) is panel
+    return panel
+
+
+def test_a_trusted_key_serves_the_panel_without_reading(
+        tmp_path, monkeypatch, clock, csv_reads, loadtxt_calls):
+    forget_loads(monkeypatch)
+    path = tmp_path / "r.csv"
+    path.write_text("a,b\n0.1,0.2\n0.3,0.4\n")
+    panel = load_until_trusted(path, clock)
+    assert (len(csv_reads), len(loadtxt_calls)) == (2, 1)
+    for _ in range(3):
+        clock.now += 0.5
+        assert load_returns_csv(path) is panel
+    assert (len(csv_reads), len(loadtxt_calls)) == (2, 1)
+
+
+def test_a_rewrite_after_trust_is_read(tmp_path, monkeypatch, clock, loadtxt_calls):
+    forget_loads(monkeypatch)
+    path = tmp_path / "r.csv"
+    path.write_text("a,b\n0.1,0.2\n0.3,0.4\n")
+    first = load_until_trusted(path, clock)
+    trusted = path.stat().st_ctime_ns
+    rewrite_keeping_size_and_mtime(path, "a,b\n0.1,0.2\n0.3,0.5\n")
+    # the rewrite moves ctime unless it landed in the same clock tick: touch
+    # the file again until it has
+    stamp = path.stat()
+    while path.stat().st_ctime_ns == trusted:
+        time.sleep(0.001)
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    second = load_returns_csv(path)
+    assert len(loadtxt_calls) == 2 and second is not first
+    assert second.rows[1, 1] == 0.5 and first.rows[1, 1] == 0.4
+
+
+def test_a_rename_over_with_the_same_bytes_keeps_the_panel(
+        tmp_path, monkeypatch, clock, csv_reads, loadtxt_calls):
+    forget_loads(monkeypatch)
+    path, twin = tmp_path / "r.csv", tmp_path / "twin.csv"
+    path.write_text("a,b\n0.1,0.2\n0.3,0.4\n")
+    panel = load_until_trusted(path, clock)
+    raw = moments._last_load.raw
+    twin.write_bytes(path.read_bytes())
+    os.replace(twin, path)
+    # another file: read and compared, with the memo's own bytes kept, and
+    # trusted only once two loads of it are the window apart
+    for step, reads in [(0.0, 3), (0.5, 4), (moments.TRUST_WINDOW_S, 5), (0.5, 5)]:
+        clock.now += step
+        assert load_returns_csv(path) is panel
+        assert len(csv_reads) == reads
+    assert moments._last_load.raw is raw
+    assert len(loadtxt_calls) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
+def test_a_fifo_is_never_trusted(tmp_path, monkeypatch, clock, csv_reads, loadtxt_calls):
+    forget_loads(monkeypatch)
+    fifo = tmp_path / "r.csv"
+    os.mkfifo(fifo)
+    # a write to a pipe moves its times; pinned, only the file type refuses trust
+    stamp = fifo.stat()
+    pin_stat(monkeypatch, st_mtime_ns=stamp.st_mtime_ns, st_ctime_ns=stamp.st_ctime_ns)
+
+    def feed():
+        with open(fifo, "w") as handle:
+            handle.write("a,b\n0.1,0.2\n0.3,0.4\n")
+
+    panels = []
+    for _ in range(4):
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        panels.append(load_returns_csv(fifo))
+        writer.join(timeout=10)
+        clock.now += moments.TRUST_WINDOW_S
+    assert all(panel is panels[0] for panel in panels)
+    assert (len(csv_reads), len(loadtxt_calls)) == (4, 1)
 
 
 def test_floored_panel_warns_on_every_load_hits_included(tmp_path, monkeypatch,

@@ -2,16 +2,27 @@
 numbers and which as structure, and the flag checks every request passes."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "artifact_drift.py"
-_SPEC = importlib.util.spec_from_file_location("artifact_drift", _PATH)
-drift = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(drift)
+from conftest import forget_loads
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _module(name, path):
+    """The module the file at ``path`` defines, loaded afresh as ``name``."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+drift = _module("artifact_drift", _ROOT / "tools" / "artifact_drift.py")
 
 
 def test_drift_pairs_every_number_an_artifact_holds():
@@ -81,7 +92,16 @@ def test_drift_measures_in_kappa_eps_of_the_panel(tmp_path, periods):
     assert drift._kappa(str(path)) == pytest.approx(expected, rel=1e-12)
 
 
-_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+_WORKLOADS = _ROOT / "perfbench" / "workloads.py"
+
+
+def _workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded as ``workloads`` for the test."""
+    spec = importlib.util.spec_from_file_location("workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def _flag_checks(args):
@@ -102,10 +122,7 @@ def test_every_benchmark_request_passes_the_flag_checks(tmp_path, monkeypatch):
     # its ok_ratio; this builds each workload's script and solves nothing.
     from mvgear import cli
 
-    spec = importlib.util.spec_from_file_location("workloads", _WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
-    spec.loader.exec_module(workloads)
+    workloads = _workloads(monkeypatch)
     commands = set()
     for name in workloads.NAMES:
         workload = workloads.make_workload(name, 11, str(tmp_path / name))
@@ -114,3 +131,57 @@ def test_every_benchmark_request_passes_the_flag_checks(tmp_path, monkeypatch):
             _flag_checks(args)
             commands.add(args.command)
     assert commands == set(cli.COMMANDS)
+
+
+# Two workloads of one panel each: every load of a panel after the first two
+# of its pass is a trusted hit once the trust window is 0.
+_SINGLE_PANEL = ("wide-estimate", "sweep-surface")
+
+
+@pytest.fixture
+def digests(monkeypatch):
+    """``tools/artifact_digests.py`` on two workloads, in this process, with a
+    trust window that only its trusted-hit pass lowers."""
+    from mvgear import moments
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the tool sets it when loaded
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts the checkout first
+    monkeypatch.setattr(_workloads(monkeypatch), "NAMES", _SINGLE_PANEL)
+    monkeypatch.setattr(moments, "TRUST_WINDOW_S", math.inf)
+    forget_loads(monkeypatch)
+    return _module("artifact_digests", _ROOT / "tools" / "artifact_digests.py")
+
+
+def _script_lengths(out):
+    """The number of digest lines per workload, in order."""
+    names = [line.split()[1] for line in out.splitlines()]
+    return [names.count(name) for name in dict.fromkeys(names)]
+
+
+def test_digests_of_trusted_hits_equal_the_first_pass(digests, capsys):
+    from mvgear import moments
+
+    assert digests.main(["--seed", "11"]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        f"trusted hits: {name} {count - 2} of {count} loads"
+        for name, count in zip(_SINGLE_PANEL, _script_lengths(out))]
+    assert moments.TRUST_WINDOW_S == math.inf and not hasattr(moments, "open")
+
+
+@pytest.mark.parametrize("key,why", [
+    (None, "no trusted hit"),
+    ((0, 0, 0, 0, 0), "a key that names no one file"),
+])
+def test_digests_fail_on_a_stat_key_that_cannot_be_trusted(digests, monkeypatch,
+                                                          capsys, key, why):
+    from mvgear import moments
+
+    monkeypatch.setattr(moments, "_stat_key", lambda handle: key)
+    assert digests.main(["--seed", "11"]) == 1, why
+    err = capsys.readouterr().err
+    if key is None:
+        assert " 0 of " in err and "trusted: " not in err
+    else:
+        # sweep-surface is served wide-estimate's panel from the trusted key
+        assert "trusted: " in err and "sweep-surface" in err.split("trusted: ")[1]

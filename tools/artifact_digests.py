@@ -27,7 +27,16 @@ artifact and runs each workload's script again, in the same process. The CLI
 rewrites ``--output`` in place and cuts it to the new length, so this second
 pass checks that an artifact written over a longer file has the bytes of a
 fresh write; a digest that differs from the first pass's is named on stderr,
-and the tool then exits 1. The printed lines are the first pass's alone.
+and the tool then exits 1.
+
+A third pass runs each script once more with ``mvgear.moments``'
+``TRUST_WINDOW_S`` set to 0 in this process, so that a panel's file key is
+trusted once two loads have seen it and every later load of it reads no
+bytes. It prints the number of such trusted hits per workload on stderr; a
+digest that differs from the first pass's is named there too, and the tool
+exits 1 if one does or if no load was a trusted hit. A tree at ``--root``
+whose memo has no trust window skips this pass and says so on stderr. The
+printed lines are the first pass's alone.
 
 OpenBLAS runs single-threaded, as in the benchmark, so that BLAS reductions
 sum in one order. A request that exits nonzero prints ``exit=CODE`` in place
@@ -57,6 +66,46 @@ def _digest(cli, request) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
+def _trusted_pass(cli, moments, workloads, first) -> bool:
+    """Run every script again with the memo's trust window at 0 and print the
+    trusted hits of each workload, those loads that read no bytes of the file
+    they opened; returns whether the pass failed."""
+    unread = []  # per file the loader opened: True until that file is read
+
+    def spied_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        read, index = handle.read, len(unread)
+        unread.append(True)
+
+        def reading(*args):
+            unread[index] = False
+            return read(*args)
+
+        handle.read = reading
+        return handle
+
+    window = moments.TRUST_WINDOW_S
+    moments.TRUST_WINDOW_S, moments.open = 0.0, spied_open
+    failed, hits = False, 0
+    try:
+        for name, workload in workloads:
+            start = len(unread)
+            for index, request in enumerate(workload.script):
+                digest = _digest(cli, request)
+                if digest != first[name, index]:
+                    print(f"trusted: {digest} {name} {index} {request.kind}, "
+                          f"fresh: {first[name, index]}", file=sys.stderr, flush=True)
+                    failed = True
+            loads = unread[start:]
+            hits += sum(loads)
+            print(f"trusted hits: {name} {sum(loads)} of {len(loads)} loads",
+                  file=sys.stderr, flush=True)
+    finally:
+        moments.TRUST_WINDOW_S = window
+        del moments.open
+    return failed or hits == 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -68,7 +117,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from workloads import NAMES, make_workload
 
-    from mvgear import cli
+    from mvgear import cli, moments
 
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
@@ -94,6 +143,11 @@ def main(argv=None) -> int:
                     print(f"overwritten: {digest} {name} {index} {request.kind}, "
                           f"fresh: {first[name, index]}", file=sys.stderr, flush=True)
                     failed = True
+        if hasattr(moments, "TRUST_WINDOW_S"):
+            failed |= _trusted_pass(cli, moments, workloads, first)
+        else:
+            print("no trust window in this tree's memo: trusted-hit pass skipped",
+                  file=sys.stderr, flush=True)
     return 1 if failed else 0
 
 
