@@ -25,7 +25,6 @@ from .errors import (
     SingularKkt,
     ToleranceNotMet,
     ZeroB,
-    ZeroSum,
     ZeroVector,
 )
 from .moments import (
@@ -43,7 +42,6 @@ from .solvers import (
     Portfolio,
     Program,
     frontier_variance,
-    implied_returns,
     pareto_surface,
     solve,
 )
@@ -56,7 +54,6 @@ from .geometry import (
     angle_decomposition,
     bauer_householder_bound,
     kantorovich_bound,
-    minimax_degeneracy,
     smallest_valid_psi,
     verify_bound,
     worst_case_constrained,

@@ -65,10 +65,6 @@ class ShrinkBrokeSPD(MvgearError):
     """Defensive: a shrunk covariance lost positive definiteness."""
 
 
-class ZeroSum(MvgearError):
-    """Implied-return normalization undefined (vector sums to ~0)."""
-
-
 class InvalidPortfolio(MvgearError):
     """A portfolio argument violates the operation's precondition."""
 

@@ -234,23 +234,6 @@ def worst_case_constrained(cov: CovMatrix, eta: float) -> WorstCasePair:
     )
 
 
-def minimax_degeneracy(cov: CovMatrix) -> float:
-    """Best achievable cos(phi) for this spectrum: sqrt(rho_1 rho_n) / mean.
-
-    Algebraically identical to kantorovich_bound(kappa); the identity is
-    checked defensively.
-    """
-    rho = cov.eigenvalues
-    value = float(np.sqrt(rho[0] * rho[-1]) / (0.5 * (rho[0] + rho[-1])))
-    reference = kantorovich_bound(cov.condition_number)
-    if abs(value - reference) > 1e-12:
-        raise ToleranceNotMet(
-            f"minimax degeneracy {value!r} and Kantorovich bound {reference!r} "
-            "disagree beyond 1e-12"
-        )
-    return value
-
-
 @dataclass(frozen=True)
 class AngleDecomposition:
     """Angle of a two-fund mix split across its GMV and risky components."""

@@ -50,12 +50,12 @@ vector and alpha^ = alpha / (1'alpha):
   w~ = (alpha0 mean(alpha) - g0 mean(alpha)^2) / var(alpha).
 
 :func:`shrink_sweep` solves a grid of shrinks as one batch per frame: the
-points whose shrunk matrices share a basis and scaling.
+points whose shrunk matrices share a basis and scaling. A point the batch
+cannot vouch for is solved alone, as :func:`solve_robust` would.
 """
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -74,8 +74,7 @@ from .errors import (
 )
 from .geometry import alpha_angle, alpha_angles, kantorovich_bound
 from .moments import CovMatrix, _binary_scaled, as_vector
-from .solvers import (FrontierScalars, InefficientBranchWarning, Portfolio, Program,
-                      _portfolio)
+from .solvers import FrontierScalars, Portfolio, Program, _portfolio
 
 
 class ShrinkMode(str, Enum):
@@ -182,14 +181,8 @@ def shrink_covariance(cov: CovMatrix, alpha, spec: ShrinkageSpec) -> CovMatrix:
     w = _convex_weight(spec, alpha, cov)
     if spec.mode is not ShrinkMode.DIAGONAL:
         return cov.toward_identity(w)
-    return _kept_definite(cov.toward_diagonal, w)
-
-
-def _kept_definite(shrink, w):
-    """``shrink(w)``, its SingularCovariance (which convexity forbids) raised
-    as ShrinkBrokeSPD."""
     try:
-        return shrink(w)
+        return cov.toward_diagonal(w)
     except SingularCovariance as exc:  # pragma: no cover - convexity forbids this
         raise ShrinkBrokeSPD(f"shrunk covariance lost definiteness: {exc}") from exc
 
@@ -203,11 +196,12 @@ def solve_robust(
     this is :func:`solvers.solve` itself."""
     if spec is None:
         return solvers.solve(program, alpha, cov, **params)
-    a = as_vector(alpha)
-    frontier = FrontierScalars(a, shrink_covariance(cov, a, spec))
-    weights, args = solvers.program_weights(program, frontier, **params)
+    a, entry = as_vector(alpha), solvers.PROGRAMS[Program(program)]
+    shrunk = shrink_covariance(cov, a, spec)
+    frontier = FrontierScalars(a if entry.reads_alpha else None, shrunk)
+    weights, args = solvers.program_weights(entry.program, frontier, **params)
     args.update(shrink_mode=spec.mode.value, shrink_k=spec.k)
-    return _portfolio(weights, Program(program), args, a, cov)
+    return _portfolio(weights, entry.program, args, frontier.alpha, cov)
 
 
 @dataclass(frozen=True)
@@ -225,15 +219,6 @@ class ShrinkPath:
     weights: np.ndarray
 
 
-def _raised(fn, *args) -> MvgearError | None:
-    """The error ``fn(*args)`` raises, if any."""
-    try:
-        fn(*args)
-    except MvgearError as exc:
-        return exc
-    return None
-
-
 def _frame_groups(cov: CovMatrix, mode: ShrinkMode, w: np.ndarray):
     """(fits, stack) of each frame a shrink toward ``mode``'s target takes,
     which weights of ``w`` it holds and ``stack(v)``, their shrinks: toward
@@ -248,6 +233,20 @@ def _frame_groups(cov: CovMatrix, mode: ShrinkMode, w: np.ndarray):
             (w == 1.0, lambda v: cov.toward_diagonal(1.0).stack(0.0 * v)))
 
 
+def _sweep_point(a, cov: CovMatrix, spec: ShrinkageSpec, program, params):
+    """One point of :func:`shrink_sweep` solved alone, as :func:`solve_robust`
+    solves it, raising and warning as it does: kappa~, the cosines of RISKY
+    and ``program`` (RISKY if None), and ``program``'s weights."""
+    shrunk = shrink_covariance(cov, a, spec)
+    frontier = FrontierScalars(a, shrunk)
+    risky, _ = solvers.program_weights(Program.RISKY, frontier)
+    optimal = (risky if program is None
+               else solvers.program_weights(program, frontier, **params)[0])
+    serialize.dumps(optimal)  # refuses the non-finite weights no artifact can hold
+    kappa = shrunk.condition_number
+    return kappa, alpha_angle(a, risky), alpha_angle(a, optimal), optimal
+
+
 def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
                  /, **params) -> ShrinkPath:
     """The shrunk RISKY portfolio and ``program``'s (RISKY's if None) at each
@@ -259,93 +258,61 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
     the basis for alpha and one for all their weights. The cosines come from
     one product with alpha (:func:`geometry.alpha_angles`); the condition
     number is the stack's spectrum ratio, or one ``eigvalsh`` per point
-    inside (0, 1) toward the diagonal. Each point raises and warns what
-    solving it alone would, in grid order: InvalidK, R's decomposition,
-    RISKY's refusals, the parameter check, ``program``'s refusals, VI's
-    warning, the non-finite weights ``serialize.dumps`` refuses, the
-    eigenvalues, the angles.
+    inside (0, 1) toward the diagonal. A point the batch cannot vouch for is
+    solved alone (:func:`_sweep_point`), in grid order, and raises or warns
+    there by itself: a k out of range, a group whose stack fails (R's
+    decomposition), a refusal of RISKY or ``program``, a warning of
+    ``program`` (VI's inefficient branch), a parameter check that fails
+    (every point), or a nan cosine. Such a point costs one scalar solve,
+    and its row is :func:`solve_robust`'s.
     """
     a, ks, mode = as_vector(alpha), np.asarray(grid, dtype=float), ShrinkMode(mode)
-    entry = solvers.PROGRAMS[Program(program or Program.RISKY)]
-    risky = solvers.PROGRAMS[Program.RISKY]
-    if entry.coefficients is None:
-        raise ValueError(f"program {entry.program.value} has no closed form to sweep")
-    errors, notes, everywhere = {}, {}, np.arange(ks.size)
-
-    def refuse(positions, fails, error):
-        """error(i), if any, at positions[i] wherever fails[i], unless a check
-        failed there before."""
-        for i in fails.nonzero()[0]:
-            if positions[i] not in errors and (exc := error(i)) is not None:
-                errors[positions[i]] = exc
-
-    def refusals(positions, f, refuses):
-        for fails, value, error in f.refusals(refuses):
-            refuse(positions, fails.ravel(), lambda i: error(value.flat[i]))
-
-    def raise_first():
-        """Each point's warning, then the first error, in grid order."""
-        for j in sorted(errors.keys() | notes.keys()):
-            if j in notes:
-                warnings.warn(notes[j], InefficientBranchWarning, stacklevel=3)
-            if j in errors:
-                raise errors[j]
-
+    entries = [solvers.PROGRAMS[Program.RISKY]]
+    if program is not None:
+        entries.append(solvers.PROGRAMS[Program(program)])
+    if entries[-1].coefficients is None:
+        raise ValueError(f"program {entries[-1].program.value} has no closed form to sweep")
     if mode is ShrinkMode.ANGLE_TARGETED:
         k0 = _floor(a, cov)
-        w, valid = ks / k0, (0.0 <= ks) & (ks < k0)
+        w, alone = ks / k0, ~((0.0 <= ks) & (ks < k0))
     else:
-        w, valid = ks, (0.0 <= ks) & (ks <= 1.0)
-    refuse(everywhere, ~valid, lambda i: _raised(
-        _convex_weight, ShrinkageSpec(mode, float(ks[i])), a, cov))
-    columns = 1 if program is None else 2
-    thetas, kappa, scaled = np.empty((columns, ks.size, cov.dim)), np.empty(ks.size), []
+        w, alone = ks, ~((0.0 <= ks) & (ks <= 1.0))
+    thetas = np.empty((len(entries), ks.size, cov.dim))
+    kappa, scaled = np.empty(ks.size), np.zeros(ks.size, bool)
     with np.errstate(all="ignore"):
-        groups = []
+        try:
+            args = [entry.checked(params) for entry in entries]
+        except MvgearError:  # every point alone: the first raises it, or fails before
+            alone[:] = True
         for fits, stack in _frame_groups(cov, mode, w):
-            positions = (valid & fits).nonzero()[0]
+            positions = (fits & ~alone).nonzero()[0]
             if positions.size == 0:
                 continue
             try:
-                f = FrontierScalars(a, _kept_definite(stack, w[positions]))
-            except MvgearError as exc:  # R's decomposition, at its group's first point
-                refuse(positions, np.ones(positions.size, bool), lambda i: exc)
+                f = FrontierScalars(a, stack(w[positions]))
+            except MvgearError:  # R's decomposition
+                alone[positions] = True
                 continue
-            refusals(positions, f, risky.refuses)
-            groups.append((positions, f))
-        try:
-            args = entry.checked(params) if program is not None else {}
-        except MvgearError as exc:  # at the first point, unless it failed before
-            refuse(everywhere, everywhere == 0, lambda i: exc)
-            raise_first()
-        for positions, f in groups:
-            coefficients = [risky.coefficients(f)]
-            if program is not None:
-                refusals(positions, f, entry.refuses)
+            coords = []
+            for entry, kwargs in zip(entries, args):
+                for fails, _ in f.refusals(entry.refuses):
+                    alone[positions[fails.ravel()]] = True
                 if entry.warns is not None:
-                    below, value, text = entry.warns(f, **args)
-                    notes.update((positions[i], text(value.flat[i]))
-                                 for i in below.ravel().nonzero()[0]
-                                 if positions[i] not in errors)
-                coefficients.append(entry.coefficients(f, **args))
-            coords = np.concatenate([f.coordinates(*c) for c in coefficients])
-            thetas[:, positions] = f.cov.from_coordinates(coords).reshape(columns, -1, cov.dim)
+                    alone[positions[entry.warns(f, **kwargs)[0].ravel()]] = True
+                coords.append(f.coordinates(*entry.coefficients(f, **kwargs)))
+            thetas[:, positions] = f.cov.from_coordinates(np.concatenate(coords)).reshape(
+                len(entries), -1, cov.dim)
             if f.cov.scale is None:
                 kappa[positions] = f.cov.spectrum[:, 0] / f.cov.spectrum[:, -1]
             else:
-                scaled.extend(positions.tolist())
-        # a non-finite row has a nan cosine: dumps refuses it before kappa~ and the angles
-        cosines = alpha_angles(a, thetas.reshape(-1, cov.dim)).reshape(columns, -1)
-        optimal, unclear = thetas[-1], np.isnan(cosines)
-        refuse(everywhere, unclear[-1], lambda i: _raised(serialize.dumps, optimal[i]))
-        for j in scaled:
-            if j not in errors:
-                try:
-                    kappa[j] = cov.toward_diagonal_condition(float(w[j]))
-                except MvgearError as exc:
-                    errors[j] = exc
-        for rows, nan in zip(thetas, unclear):
-            refuse(everywhere, nan, lambda i: _raised(alpha_angle, a, rows[i]))
-    raise_first()
+                scaled[positions] = True
+        cosines = alpha_angles(a, thetas.reshape(-1, cov.dim)).reshape(len(entries), -1)
+    alone |= np.isnan(cosines).any(axis=0)
+    for j in (alone | scaled).nonzero()[0].tolist():
+        if alone[j]:
+            kappa[j], cosines[0, j], cosines[-1, j], thetas[-1, j] = _sweep_point(
+                a, cov, ShrinkageSpec(mode, float(ks[j])), program, params)
+        else:
+            kappa[j] = cov.toward_diagonal_condition(float(w[j]))
     bound = np.array([kantorovich_bound(value) for value in kappa.tolist()])
-    return ShrinkPath(ks, kappa, cosines[0], cosines[-1], bound, optimal)
+    return ShrinkPath(ks, kappa, cosines[0], cosines[-1], bound, thetas[-1])

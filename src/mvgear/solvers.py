@@ -68,10 +68,9 @@ from .errors import (
     MvgearError,
     NonFiniteData,
     ZeroB,
-    ZeroSum,
 )
 from .diversity import QoqcProblem, solve_qoqc
-from .moments import (AlphaVector, CovMatrix, _dots, _require_finite, _require_positive,
+from .moments import (CovMatrix, _dots, _require_finite, _require_positive,
                       as_vector)
 
 # B within this absolute tolerance of zero leaves the fully-invested risky
@@ -173,19 +172,22 @@ class FrontierScalars:
 
     def refusals(self, refuses):
         """The tests of :meth:`check` that ``refuses`` names, in its order, as
-        (fails, value, error): whether it fails (one bool per matrix of a
-        stack), the D or B it reads, and the exception ``error(value)``."""
+        (fails, error): whether it fails, one bool per matrix of a stack, and
+        a callable that forms its exception."""
         if DegenerateAlpha in refuses:
-            yield self.D <= DEGENERATE_D_TOL, self.D, _degenerate_alpha
+            yield self.D <= DEGENERATE_D_TOL, lambda: DegenerateAlpha(
+                f"D = AC - B^2 = {self.D:g} is not positive; "
+                "all assets share the same expected return")
         if ZeroB in refuses:
-            yield abs(self.B) <= ZERO_B_TOL, self.B, _zero_b
+            yield abs(self.B) <= ZERO_B_TOL, lambda: ZeroB(
+                f"B = 1'Sigma^-1 alpha = {self.B:g}; risky portfolio undefined")
 
     def check(self, refuses) -> None:
         """Raise the first of the errors ``refuses`` names that applies:
         DegenerateAlpha if D <= DEGENERATE_D_TOL, then ZeroB if |B| <= ZERO_B_TOL."""
-        for fails, value, error in self.refusals(refuses):
+        for fails, error in self.refusals(refuses):
             if fails:
-                raise error(value)
+                raise error()
 
     def coordinates(self, c_alpha, gearing) -> np.ndarray:
         """The coordinates (gearing/A) x + c_alpha y of :meth:`weights`, a row
@@ -201,15 +203,6 @@ class FrontierScalars:
         = S^-1 U ((gearing/A) x + c_alpha y), whose terms do not cancel: one
         product with the basis. A zero c_alpha reads no alpha."""
         return self.cov.from_coordinates(self.coordinates(c_alpha, gearing))
-
-
-def _degenerate_alpha(d) -> DegenerateAlpha:
-    return DegenerateAlpha(f"D = AC - B^2 = {d:g} is not positive; "
-                           "all assets share the same expected return")
-
-
-def _zero_b(b) -> ZeroB:
-    return ZeroB(f"B = 1'Sigma^-1 alpha = {b:g}; risky portfolio undefined")
 
 
 @dataclass(frozen=True)
@@ -269,12 +262,12 @@ def _geared_min_variance(f: FrontierScalars, alpha0: float, g0: float):
 
 def _inefficient_branch(f: FrontierScalars, alpha0: float, g0: float):
     """Whether VI's alpha0 lies below the minimum-variance return g0 B / A
-    (one bool per matrix of a stack), that return, and the
-    InefficientBranchWarning's text at it."""
+    (one bool per matrix of a stack), and a callable that forms the
+    InefficientBranchWarning's text."""
     inflection = g0 * f.B / f.A
     below = alpha0 < inflection - 1e-12 * np.maximum(1.0, abs(inflection))
-    return below, inflection, lambda value: (
-        f"return target {alpha0:g} below the minimum-variance return {value:g} "
+    return below, lambda: (
+        f"return target {alpha0:g} below the minimum-variance return {inflection:g} "
         f"at gearing {g0:g}; solution is on the inefficient branch")
 
 
@@ -389,9 +382,9 @@ def program_weights(program: Program, frontier: FrontierScalars, /, **params):
     args = entry.checked(params)
     frontier.check(entry.refuses)
     if entry.warns is not None:
-        below, value, text = entry.warns(frontier, **args)
+        below, text = entry.warns(frontier, **args)
         if below:
-            warnings.warn(text(value), InefficientBranchWarning, stacklevel=3)
+            warnings.warn(text(), InefficientBranchWarning, stacklevel=3)
     c_alpha, gearing = entry.coefficients(frontier, **args)
     if "gearing" in entry.audits:
         args["g0"] = gearing
@@ -460,23 +453,3 @@ def pareto_surface(alpha, cov: CovMatrix, alpha_p_grid, g0_grid) -> ParetoSurfac
     on_risky = (_on_line(alphas, gearings * scal.C / scal.B) if abs(scal.B) > ZERO_B_TOL
                 else np.zeros(var.shape, dtype=bool))
     return ParetoSurface(alphas, gearings, np.sqrt(var), on_gmv, on_risky)
-
-
-def implied_returns(target: Portfolio, cov: CovMatrix) -> AlphaVector:
-    """Reverse-optimize the return views implied by a fully-invested portfolio.
-
-    Any positive multiple of Sigma theta reproduces theta when pushed back
-    through theta = Sigma^-1 pi / (pi'Sigma^-1 1); the result is normalized
-    to sum to one.
-    """
-    w = as_vector(target)
-    if abs(w.sum() - 1.0) > 1e-10:
-        raise InvalidPortfolio(
-            f"target portfolio gearing {w.sum():g} != 1; reverse optimization "
-            "assumes a fully-invested target"
-        )
-    raw = cov.entries @ w
-    total = float(raw.sum())
-    if abs(total) <= 1e-14 * max(1.0, float(np.abs(raw).max(initial=0.0))):
-        raise ZeroSum("Sigma theta sums to ~0; normalization undefined")
-    return AlphaVector(raw / total)

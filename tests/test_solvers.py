@@ -10,7 +10,6 @@ from mvgear import (
     DegenerateAlpha,
     FrontierScalars,
     InefficientBranchWarning,
-    InvalidPortfolio,
     KktProblem,
     MissingParameter,
     NonFiniteData,
@@ -21,7 +20,6 @@ from mvgear import (
     alpha_angle,
     dominance_sample,
     frontier_variance,
-    implied_returns,
     pareto_surface,
     project_to_gearing,
     sharpe_objective,
@@ -754,53 +752,8 @@ def test_D_and_the_II_and_VI_weights_hold_near_a_flat_alpha():
 
 
 # ---------------------------------------------------------------------------
-# Implied returns and leverage
+# Leverage
 # ---------------------------------------------------------------------------
-
-def test_implied_returns_identity(micro_cov):
-    port = solve(Program.GMV, None, micro_cov)
-    npt.assert_allclose(implied_returns(port, micro_cov).entries, [0.5, 0.5])
-
-
-def test_implied_returns_gmv_is_flat():
-    rng = np.random.default_rng(19)
-    _, cov = random_instance(rng, 5)
-    pi = implied_returns(solve(Program.GMV, None, cov), cov).entries
-    npt.assert_allclose(pi, np.full(5, 0.2), atol=1e-12)
-
-
-def test_implied_returns_round_trip():
-    rng = np.random.default_rng(23)
-    _, cov = random_instance(rng, 4)
-    w = rng.uniform(-1.0, 1.0, 4)
-    w += (1.0 - w.sum()) / 4.0
-    port = Portfolio(
-        weights=w, program=Program.RISKY, params={},
-        gearing=float(w.sum()), leverage=float(np.abs(w).sum()),
-    )
-    pi = implied_returns(port, cov).entries
-    raw = cov.solve(pi)
-    npt.assert_allclose(raw / raw.sum(), w, atol=1e-10)
-
-
-def test_implied_returns_zero_sum():
-    from mvgear import ZeroSum
-    cov = CovMatrix.from_entries([[1.0, -0.5], [-0.5, 4.0]])
-    w = np.array([7.0 / 6.0, -1.0 / 6.0])  # fully invested, 1'Sigma theta = 0
-    port = Portfolio(weights=w, program=Program.RISKY, params={},
-                     gearing=float(w.sum()), leverage=float(np.abs(w).sum()))
-    with pytest.raises(ZeroSum):
-        implied_returns(port, cov)
-
-
-def test_implied_returns_requires_full_investment(micro_cov):
-    port = Portfolio(
-        weights=np.array([1.0, 1.0]), program=Program.RISKY, params={},
-        gearing=2.0, leverage=2.0,
-    )
-    with pytest.raises(InvalidPortfolio):
-        implied_returns(port, micro_cov)
-
 
 @pytest.mark.parametrize(
     "weights,expected",
