@@ -10,7 +10,6 @@ from .errors import (
     DegenerateAlpha,
     DimensionError,
     Infeasible,
-    InvalidEta,
     InvalidK,
     InvalidKappa,
     InvalidPortfolio,
@@ -46,18 +45,13 @@ from .solvers import (
     solve,
 )
 from .geometry import (
-    AngleDecomposition,
     BoundReport,
-    WorstCasePair,
     alpha_angle,
     alpha_angles,
-    angle_decomposition,
     bauer_householder_bound,
     kantorovich_bound,
     smallest_valid_psi,
     verify_bound,
-    worst_case_constrained,
-    worst_case_unconstrained,
 )
 from .robust import (
     ShrinkMode,

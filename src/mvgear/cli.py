@@ -32,7 +32,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import diversity, geometry, oracle, robust, serialize, solvers
-from .errors import MissingParameter, MvgearError
+from .errors import InvalidPsi, MissingParameter, MvgearError
 from .moments import estimate_moments, load_returns_csv
 from .robust import ShrinkageSpec, ShrinkMode
 from .solvers import Program
@@ -362,7 +362,8 @@ def _sharpe_audit(alpha, cov, w, args):
 
 # Each audit a table entry may name, in the order ``verify`` runs them: its
 # check, the params it reads, and its test of (alpha, Sigma, weights, flags,
-# *params). Every record also meets the angle bound, "bound".
+# *params). Every record also meets the angle bound, "bound", unless no psi is
+# admissible for it.
 AUDITS = {
     "gearing": ("gearing_constraint", ("g0",), _gearing_audit),
     "full_investment": ("gearing_constraint", (), _full_investment_audit),
@@ -431,6 +432,10 @@ def _verify_checks(args, alpha, cov, port) -> list[dict]:
                 raise entry.missing(missing[0])
             values = [float(port.params[param]) for param in reads]
             check(check_name, *test(alpha.entries, cov, w, args, *values))
+        except InvalidPsi:
+            # x'y = alpha'theta <= 0: no psi < pi/2 is admissible, and the
+            # bound, which claims nothing there, is skipped
+            continue
         except (MvgearError, ZeroDivisionError) as exc:
             check(check_name, False, f"{type(exc).__name__}: {exc}")
     return checks

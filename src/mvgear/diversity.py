@@ -131,9 +131,10 @@ class QoqcProblem:
         n = self.cov.dim
         if not 1.0 <= self.n0 <= n:
             raise Infeasible(f"n0 = {self.n0} outside [1, n = {n}]")
-        if self.g0**2 / n > 1.0 / self.n0 + 1e-12:
+        # g0 * g0 is inf past the float range, where g0**2 raises OverflowError
+        if self.g0 * self.g0 / n > 1.0 / self.n0 + 1e-12:
             raise Infeasible(
-                f"g0^2/n = {self.g0**2 / n:g} exceeds 1/n0 = {1.0 / self.n0:g}; "
+                f"g0^2/n = {self.g0 * self.g0 / n:g} exceeds 1/n0 = {1.0 / self.n0:g}; "
                 "no vector with that gearing fits the diversity sphere"
             )
 
@@ -159,7 +160,7 @@ class QoqcSolution:
 
 def on_boundary(n: int, g0: float, n0: float) -> bool:
     """Whether 1/n0 - g0^2/n <= 1e-14: the feasible set is the single point g0 e."""
-    return 1.0 / n0 - g0**2 / n <= BOUNDARY_TOL
+    return 1.0 / n0 - g0 * g0 / n <= BOUNDARY_TOL
 
 
 def stationarity_residual(alpha, cov: CovMatrix, gamma, theta, lam1, lam2) -> float:

@@ -53,10 +53,6 @@ class InvalidPsi(MvgearError):
     """Auxiliary angle outside [0, pi/2), or no admissible angle exists."""
 
 
-class InvalidEta(MvgearError):
-    """Spectral stretch factor eta below 1."""
-
-
 class InvalidK(MvgearError):
     """Shrinkage/uncertainty parameter outside its admissible range."""
 

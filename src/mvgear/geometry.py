@@ -24,37 +24,28 @@ Sigma = L L'. L = Sigma^1/2 is the paper's choice, but x'y = alpha'theta,
 |x|^2 = alpha'Sigma^-1 alpha and |y|^2 = theta'Sigma theta whatever L, so
 the angle is the same. With x and y scaled to unit length it is
 2 atan2(|x - y|, |x + y|), which keeps its digits near psi = 0.
-Both bounds are attained by explicit two-eigenvector constructions, which
-this module also provides.
+Both bounds are attained, by pairs built from the eigenvectors of rho_1
+and rho_n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionError,
-    InvalidEta,
     InvalidKappa,
     InvalidPsi,
     NonFiniteData,
-    ToleranceNotMet,
     ZeroVector,
 )
-from .moments import _TINY, AlphaVector, CovMatrix, _binary_scaled, as_vector
+from .moments import _TINY, CovMatrix, _binary_scaled, as_vector
 
 # cos(angle) at least this close to 1 counts as collinear with Sigma^-1 alpha.
 COLLINEAR_TOL = 1e-10
-
-
-def _clamp_cos(value: float) -> float:
-    """``value`` clamped to [-1, 1]; a nan, which max(-1, nan) makes -1, raises."""
-    if np.isnan(value):
-        raise NonFiniteData("cosine is nan: a vector has a non-finite entry")
-    return float(min(1.0, max(-1.0, value)))
 
 
 def alpha_angle(alpha, theta) -> float:
@@ -69,10 +60,10 @@ def alpha_angle(alpha, theta) -> float:
     if na == 0.0 or nt == 0.0:
         raise ZeroVector("angle undefined for a zero vector")
     # a finite vector's norm is finite once scaled; refused before the product,
-    # which would warn on inf - inf
+    # which would warn on inf - inf, so the cosine is never nan
     if not (math.isfinite(na) and math.isfinite(nt)):
         raise NonFiniteData("angle undefined for a vector with a non-finite entry")
-    return _clamp_cos(float(a @ t) / (na * nt))
+    return min(1.0, max(-1.0, float(a @ t) / (na * nt)))
 
 
 def alpha_angles(alpha, thetas: np.ndarray) -> np.ndarray:
@@ -184,96 +175,3 @@ def verify_bound(alpha, cov: CovMatrix, theta, psi: float | None = None) -> Boun
     return BoundReport(cos_phi=cos_phi, kappa=kappa, bound_kantorovich=bound_k,
                        psi=psi, kappa_psi=kappa_psi, bound_bh=bound_bh,
                        slack=cos_phi - (bound_k if bound_bh is None else bound_bh))
-
-
-@dataclass(frozen=True)
-class WorstCasePair:
-    """An (alpha, theta) pair attaining its spectral lower bound."""
-
-    alpha: AlphaVector
-    theta: np.ndarray
-    achieved_cos: float
-    eta: float | None = None
-
-
-def worst_case_unconstrained(cov: CovMatrix) -> WorstCasePair:
-    """Pair attaining the Kantorovich bound: the constrained pair at eta = 1.
-
-    alpha = sqrt(rho_1) q_1 + sqrt(rho_n) q_n and
-    theta = q_1 / sqrt(rho_1) + q_n / sqrt(rho_n) give
-    cos(phi) = 2 sqrt(kappa) / (kappa + 1) exactly, with theta = Sigma^-1 alpha.
-    Signs are fixed to (+, +). A flat spectrum collapses the pair to a common
-    direction with cos = 1.
-    """
-    return replace(worst_case_constrained(cov, 1.0), eta=None)
-
-
-def worst_case_constrained(cov: CovMatrix, eta: float) -> WorstCasePair:
-    """Pair attaining the Bauer-Householder bound at stretch factor eta >= 1.
-
-    With eta = (1 + sin psi) / (1 - sin psi), the pair
-    alpha = sqrt(eta rho_1) q_1 + sqrt(rho_n) q_n,
-    theta = q_1 / sqrt(eta rho_1) + q_n / sqrt(rho_n)
-    achieves cos = 2 sqrt(eta kappa) / (eta kappa + 1). eta = 1 reduces to the
-    unconstrained construction.
-    """
-    eta = float(eta)
-    if eta < 1.0 - 1e-12:
-        raise InvalidEta(f"eta = {eta} below 1")
-    eta = max(eta, 1.0)
-    rho, vecs = cov.eigenpairs
-    q1 = vecs[:, 0]
-    qn = vecs[:, -1]
-    alpha = np.sqrt(eta * rho[0]) * q1 + np.sqrt(rho[-1]) * qn
-    theta = q1 / np.sqrt(eta * rho[0]) + qn / np.sqrt(rho[-1])
-    return WorstCasePair(
-        alpha=AlphaVector(alpha),
-        theta=theta,
-        achieved_cos=alpha_angle(alpha, theta),
-        eta=eta,
-    )
-
-
-@dataclass(frozen=True)
-class AngleDecomposition:
-    """Angle of a two-fund mix split across its GMV and risky components."""
-
-    cos_phi: float
-    phi0: float
-    phi1: float
-    residual: float
-
-
-def angle_decomposition(
-    alpha, theta0, theta_alpha, g0: float, w: float
-) -> AngleDecomposition:
-    """Decompose the angle of theta = (g0 - w) theta_0 + w theta_alpha.
-
-    The identity
-        cos(phi) = (g0-w)(|theta_0|/|theta|) cos(phi_0)
-                 + w (|theta_alpha|/|theta|) cos(phi_1)
-    holds exactly; the residual is reported and required below 1e-10.
-    """
-    a = as_vector(alpha)
-    t0 = as_vector(theta0)
-    ta = as_vector(theta_alpha)
-    theta = (g0 - w) * t0 + w * ta
-    # each norm scaled by a power of two where its square would over- or underflow
-    _, norm_t, e_t = _binary_scaled(theta)
-    if norm_t == 0.0:
-        raise ZeroVector("mixed portfolio has zero length")
-    cos_phi = alpha_angle(a, theta)
-    cos0 = alpha_angle(a, t0)
-    cos1 = alpha_angle(a, ta)
-    (_, norm0, e0), (_, norm1, e1) = _binary_scaled(t0), _binary_scaled(ta)
-    recomposed = ((g0 - w) * math.ldexp(norm0 / norm_t, e0 - e_t) * cos0
-                  + w * math.ldexp(norm1 / norm_t, e1 - e_t) * cos1)
-    residual = abs(cos_phi - float(recomposed))
-    if residual >= 1e-10:
-        raise ToleranceNotMet(f"angle decomposition residual {residual:g} >= 1e-10")
-    return AngleDecomposition(
-        cos_phi=cos_phi,
-        phi0=float(np.arccos(_clamp_cos(cos0))),
-        phi1=float(np.arccos(_clamp_cos(cos1))),
-        residual=residual,
-    )

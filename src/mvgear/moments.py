@@ -18,8 +18,8 @@ kept with it: w D + (1 - w) Sigma = D^1/2 Q (w + (1 - w) Lambda) Q' D^1/2
 (:meth:`CovMatrix.toward_diagonal`). Either shrink holds only its factor
 and forms no n x n array until its entries are read. Its own eigenvalues,
 which only the diagonal shrink's condition number needs, cost one
-``eigvalsh`` when first read; its own eigenpairs, which QOQC and the
-worst-case pair need, cost one ``eigh``.
+``eigvalsh`` when first read; its own eigenpairs, which QOQC needs, cost
+one ``eigh``.
 Near-singular sample covariances are repaired by clipping eigenvalues at a
 floor relative to the largest one.
 

@@ -63,7 +63,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import serialize, solvers
+from . import solvers
 from .errors import (
     InvalidK,
     InvalidPortfolio,
@@ -242,7 +242,6 @@ def _sweep_point(a, cov: CovMatrix, spec: ShrinkageSpec, program, params):
     risky, _ = solvers.program_weights(Program.RISKY, frontier)
     optimal = (risky if program is None
                else solvers.program_weights(program, frontier, **params)[0])
-    serialize.dumps(optimal)  # refuses the non-finite weights no artifact can hold
     kappa = shrunk.condition_number
     return kappa, alpha_angle(a, risky), alpha_angle(a, optimal), optimal
 

@@ -52,6 +52,7 @@ its weights on a frontier object (:func:`program_weights`), then its record.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -236,11 +237,16 @@ class Portfolio:
 
 def _portfolio(w, program: Program, params: dict, alpha, cov: CovMatrix) -> Portfolio:
     """The record of weights ``w``, with alpha_p (None if ``alpha`` is) and
-    sigma_p on ``cov``."""
-    return Portfolio(weights=w, program=program, params=dict(params),
-                     gearing=float(w.sum()), leverage=float(np.abs(w).sum()),
-                     alpha_p=None if alpha is None else float(as_vector(alpha) @ w),
-                     sigma_p=float(np.sqrt(max(cov.quad(w), 0.0))))
+    sigma_p on ``cov``; refused if a figure overflows."""
+    with np.errstate(all="ignore"):
+        figures = dict(gearing=float(w.sum()), leverage=float(np.abs(w).sum()),
+                       alpha_p=None if alpha is None else float(as_vector(alpha) @ w),
+                       sigma_p=float(np.sqrt(max(cov.quad(w), 0.0))))
+    for name, value in figures.items():
+        if value is not None and not math.isfinite(value):
+            raise NonFiniteData(f"program {program.value} {name} is {value!r}: "
+                                "a parameter is too large or too small for these moments")
+    return Portfolio(weights=w, program=program, params=dict(params), **figures)
 
 
 def _on_ray(c_alpha: float, f: FrontierScalars) -> tuple[float, float]:
@@ -373,7 +379,8 @@ PROGRAMS: dict[Program, ProgramSpec] = {spec.program: spec for spec in (
 
 def program_weights(program: Program, frontier: FrontierScalars, /, **params):
     """The weights of ``program`` on ``frontier``, checked for what its PROGRAMS
-    entry refuses, and the params its record carries: those
+    entry refuses and refused if they leave the float range, and the params
+    its record carries: those
     :meth:`ProgramSpec.arguments` picks from ``params``, checked as the entry
     declares, and an audited gearing as g0 (QOQC's solver adds multipliers)."""
     entry = PROGRAMS[Program(program)]
@@ -385,10 +392,15 @@ def program_weights(program: Program, frontier: FrontierScalars, /, **params):
         below, text = entry.warns(frontier, **args)
         if below:
             warnings.warn(text(), InefficientBranchWarning, stacklevel=3)
-    c_alpha, gearing = entry.coefficients(frontier, **args)
+    with np.errstate(all="ignore"):
+        c_alpha, gearing = entry.coefficients(frontier, **args)
+        weights = frontier.weights(c_alpha, gearing)
+    if not np.isfinite(weights).all():
+        raise NonFiniteData(f"program {entry.program.value} weights are not finite: "
+                            "a parameter is too large or too small for these moments")
     if "gearing" in entry.audits:
         args["g0"] = gearing
-    return frontier.weights(c_alpha, gearing), args
+    return weights, args
 
 
 def solve(program: Program, alpha, cov: CovMatrix, /, **params) -> Portfolio:

@@ -1,9 +1,11 @@
 """Shared instance generators and the exact worked micro-instance."""
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 
-from mvgear import AlphaVector, CovMatrix
+from mvgear import AlphaVector, CovMatrix, alpha_angle
 
 # Five periods engineered so the sample moments are exactly
 # alpha = (0.1, 0.2) and Sigma = I (unbiased, T-1 denominator).
@@ -118,6 +120,58 @@ def random_instance(rng, n, kappa=None, scale=1.0, min_d_ratio=0.0):
             continue
         return AlphaVector(alpha), cov
     raise RuntimeError("could not draw an instance with B > 0 and D bounded away from 0")
+
+
+# ---------------------------------------------------------------------------
+# Pairs that attain the angle bounds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class WorstCasePair:
+    """An (alpha, theta) pair attaining its spectral lower bound."""
+
+    alpha: AlphaVector
+    theta: np.ndarray
+    achieved_cos: float
+    eta: float | None = None
+
+
+def worst_case_unconstrained(cov):
+    """Pair attaining the Kantorovich bound: the constrained pair at eta = 1.
+
+    alpha = sqrt(rho_1) q_1 + sqrt(rho_n) q_n and
+    theta = q_1 / sqrt(rho_1) + q_n / sqrt(rho_n) give
+    cos(phi) = 2 sqrt(kappa) / (kappa + 1) exactly, with theta = Sigma^-1 alpha.
+    Signs are fixed to (+, +). A flat spectrum collapses the pair to a common
+    direction with cos = 1.
+    """
+    return replace(worst_case_constrained(cov, 1.0), eta=None)
+
+
+def worst_case_constrained(cov, eta):
+    """Pair attaining the Bauer-Householder bound at stretch factor eta >= 1.
+
+    With eta = (1 + sin psi) / (1 - sin psi), the pair
+    alpha = sqrt(eta rho_1) q_1 + sqrt(rho_n) q_n,
+    theta = q_1 / sqrt(eta rho_1) + q_n / sqrt(rho_n)
+    achieves cos = 2 sqrt(eta kappa) / (eta kappa + 1). eta = 1 reduces to the
+    unconstrained construction.
+    """
+    eta = float(eta)
+    if eta < 1.0 - 1e-12:
+        raise ValueError(f"eta = {eta} below 1")
+    eta = max(eta, 1.0)
+    rho, vecs = cov.eigenpairs
+    q1 = vecs[:, 0]
+    qn = vecs[:, -1]
+    alpha = np.sqrt(eta * rho[0]) * q1 + np.sqrt(rho[-1]) * qn
+    theta = q1 / np.sqrt(eta * rho[0]) + qn / np.sqrt(rho[-1])
+    return WorstCasePair(
+        alpha=AlphaVector(alpha),
+        theta=theta,
+        achieved_cos=alpha_angle(alpha, theta),
+        eta=eta,
+    )
 
 
 # ---------------------------------------------------------------------------

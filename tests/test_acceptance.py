@@ -31,13 +31,12 @@ from mvgear import (
     solve_qoqc,
     solve_robust,
     solvers,
-    worst_case_constrained,
-    worst_case_unconstrained,
 )
 from mvgear.cli import main as cli_main
 from mvgear.diversity import QoqcProblem
 
-from conftest import random_cov, random_instance, write_micro_csv
+from conftest import (random_cov, random_instance, worst_case_constrained,
+                      worst_case_unconstrained, write_micro_csv)
 from test_diversity import check_solution, manifold_grid_oracle
 from test_robust import damped_implicit_iteration
 

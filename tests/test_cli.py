@@ -289,6 +289,75 @@ def test_non_finite_program_parameter_exits_3_before_any_arithmetic(
     assert captured.err == f"code=NonPositiveParameter {name} must be finite, got {value}\n"
 
 
+def negative_b_csv(path):
+    """30 periods of 4 assets drawn from N(0.001, 0.02^2): B = -0.770, with
+    A = 8133 and C = 0.0934, so the GMV return B/A is -9.5e-5."""
+    rows = np.random.default_rng(3).standard_normal((30, 4)) * 0.02 + 0.001
+    path.write_text("a,b,c,d\n" + "\n".join(",".join(map(repr, row.tolist())) for row in rows)
+                    + "\n")
+    return path
+
+
+# (value, program, parameter, whether the sweep fails too) whose weights or
+# whose sigma_p leave the float range on the negative-B panel.
+OVERFLOW_CASES = [
+    *(("1e-310", program, "gamma", True) for program in (Program.III, Program.VII)),
+    *(("1e-300", program, "gamma", False) for program in (Program.III, Program.VII)),
+    *((value, program, name, value == "1e308")
+      for value in ("1e300", "1e308")
+      for program, name in [(Program.I, "sigma0"), (Program.II, "alpha0"), (Program.IV, "g0"),
+                            (Program.V, "g0"), (Program.V, "sigma0"), (Program.VI, "alpha0"),
+                            (Program.VI, "g0"), (Program.VIII, "g0")]),
+    ("1e300", Program.VII, "g0", False), ("1e308", Program.VII, "g0", False),
+    ("-1e308", Program.VI, "alpha0", True), ("-1e308", Program.VI, "g0", True),
+    ("-1e308", Program.VII, "g0", False),
+]
+OVERFLOW_RUNS = [
+    (command, value, program, name)
+    for value, program, name, sweeps in OVERFLOW_CASES
+    for command in ("solve", "shrunk-solve", *(["shrink-sweep"] if sweeps else []))]
+
+
+def overflow_argv(csv, command, value, program, name, q=0.5):
+    others = [n for n in REQUIRED_FLAGS[program] if n != name]
+    argv = ["--input", csv, "--program", program.value, *flags(others), f"--{name}={value}"]
+    if command == "shrink-sweep":
+        return ["shrink-sweep", *argv, *SWEEP_ARGS]
+    return ["solve", *argv, *(["--shrink-mode", "simple", "--q", q]
+                              if command == "shrunk-solve" else [])]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::mvgear.InefficientBranchWarning")
+@pytest.mark.parametrize("command,value,program,name", OVERFLOW_RUNS)
+def test_an_overflowing_parameter_exits_3_with_one_non_finite_data_line(
+        tmp_path, capsys, command, value, program, name):
+    # A finite parameter whose weights, or whose sigma_p, leave the float
+    # range: one code=NonFiniteData line naming the program, and no numpy
+    # warning first. A failing sweep prints the line solve --shrink-mode
+    # simple --q prints at one of its points (a sweep records no sigma_p, so
+    # its first failing point can come after the solve's).
+    csv = negative_b_csv(tmp_path / "r.csv")
+    assert run(overflow_argv(csv, command, value, program, name)) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"code=NonFiniteData program {program.value} ")
+    if command == "shrink-sweep":
+        twins = []
+        for q in parse_grid(SWEEP_ARGS[-1]):
+            run(overflow_argv(csv, "shrunk-solve", value, program, name, q))
+            twins.append(capsys.readouterr().err)
+        assert err in twins
+
+
+@pytest.mark.parametrize("g0", ["1e300", "1e308", "-1e308"])
+def test_qoqc_at_a_gearing_whose_square_overflows_exits_3_infeasible(micro_csv, capsys, g0):
+    assert run(["qoqc", "--input", micro_csv, "--gamma", 1, f"--g0={g0}", "--n0", 2]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("code=Infeasible g0^2/n = inf exceeds 1/n0 = 0.5")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("solve", "--g0", "-1e-3"), ("solve", "--g0", "-.5e-1"),
     ("frontier", "--alpha-grid", "-1e-3:1e-3:1e-2"),
@@ -1378,6 +1447,21 @@ def test_verify_audits_a_shrunk_qoqc_record(tmp_path):
     assert all(c["passed"] for c in checks)
 
 
+def test_verify_fails_a_qoqc_record_whose_gearing_squares_past_the_float_range(
+        tmp_path, capsys):
+    csv = _three_asset_csv(tmp_path)
+    port, report = tmp_path / "q.json", tmp_path / "v.json"
+    assert run(["qoqc", "--input", csv, "--gamma", 1, "--g0", 1, "--n0", 2,
+                "--output", port]) == 0
+    doc = json.loads(port.read_text())
+    doc["params"]["g0"] = 1e300
+    port.write_text(json.dumps(doc))
+    assert run(["verify", "--input", csv, "--portfolio", port, "--output", report]) == 3
+    assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
+    checks = {c["name"]: c["passed"] for c in json.loads(report.read_text())["checks"]}
+    assert not checks["weights_resolve"] and not checks[GEARING]
+
+
 def test_verify_fails_the_return_audit_of_a_vi_record_without_alpha0(tmp_path, capsys):
     csv = _three_asset_csv(tmp_path)
     port, report = tmp_path / "p.json", tmp_path / "v.json"
@@ -1426,6 +1510,39 @@ def test_verify_passes_a_geared_sharpe_record(tmp_path, program, g0):
                 "--output", report]) == 0
     checks = {c["name"]: c["passed"] for c in json.loads(report.read_text())["checks"]}
     assert checks["sharpe_dominance"] and checks["bound_slack"] and all(checks.values())
+
+
+@pytest.mark.filterwarnings("ignore::mvgear.InefficientBranchWarning")
+@pytest.mark.parametrize("alpha0", ["0", "-1"])
+def test_verify_skips_the_bound_of_a_vi_record_whose_return_is_not_positive(
+        tmp_path, capsys, alpha0):
+    # x'y = alpha'theta = alpha0 <= 0: no psi < pi/2 is admissible and the
+    # bound claims nothing, so verify skips it; bounds, asked for a psi,
+    # still refuses the record
+    csv = negative_b_csv(tmp_path / "r.csv")
+    port, report = tmp_path / "p.json", tmp_path / "v.json"
+    assert run(["solve", "--input", csv, "--program", "VI", f"--alpha0={alpha0}",
+                "--g0", 1, "--output", port]) == 0
+    assert run(["verify", "--input", csv, "--portfolio", port, "--samples", 200,
+                "--output", report]) == 0
+    checks = json.loads(report.read_text())["checks"]
+    assert [c["name"] for c in checks] == FIELDS + [GEARING, RETURN]
+    assert all(c["passed"] for c in checks)
+    assert run(["bounds", "--input", csv, "--portfolio", port]) == 3
+    assert capsys.readouterr().err.startswith("code=InvalidPsi ")
+
+
+def test_verify_fails_a_viii_record_on_a_panel_with_negative_b(tmp_path, capsys):
+    # B < 0: g0 theta_alpha is the Sharpe minimum, which the sampler beats
+    csv = negative_b_csv(tmp_path / "r.csv")
+    port, report = tmp_path / "p.json", tmp_path / "v.json"
+    assert run(["solve", "--input", csv, "--program", "VIII", "--g0", 1,
+                "--output", port]) == 0
+    assert run(["verify", "--input", csv, "--portfolio", port, "--samples", 200,
+                "--output", report]) == 3
+    assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
+    checks = {c["name"]: c["passed"] for c in json.loads(report.read_text())["checks"]}
+    assert checks["sharpe_dominance"] is False
 
 
 @pytest.mark.parametrize("command", ["solve", "shrink-sweep"])

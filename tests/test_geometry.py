@@ -5,7 +5,7 @@ import pytest
 
 from mvgear import (
     CovMatrix,
-    InvalidEta,
+    FrontierScalars,
     InvalidKappa,
     InvalidPsi,
     NonFiniteData,
@@ -13,17 +13,16 @@ from mvgear import (
     ZeroVector,
     alpha_angle,
     alpha_angles,
-    angle_decomposition,
     bauer_householder_bound,
     kantorovich_bound,
     smallest_valid_psi,
     solve,
     verify_bound,
-    worst_case_constrained,
-    worst_case_unconstrained,
 )
+from mvgear.moments import _binary_scaled
 
-from conftest import random_cov, random_instance
+from conftest import (random_cov, random_instance, worst_case_constrained,
+                      worst_case_unconstrained)
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +341,6 @@ def test_worst_case_constrained_formula_and_monotonicity():
         previous = pair.achieved_cos
 
 
-def test_worst_case_constrained_rejects_eta_below_one(micro_cov):
-    with pytest.raises(InvalidEta):
-        worst_case_constrained(micro_cov, eta=0.5)
-
-
 # ---------------------------------------------------------------------------
 # Minimax degeneracy
 # ---------------------------------------------------------------------------
@@ -375,63 +369,74 @@ def test_minimax_degeneracy_equals_kantorovich():
 
 
 # ---------------------------------------------------------------------------
-# Angle decomposition
+# Angle decomposition on the frontier object
 # ---------------------------------------------------------------------------
 
+def frontier_split(alpha, cov, g0, w):
+    """cos(phi) of theta = (g0 - w) theta_0 + w theta_alpha, which the frontier
+    object forms as weights(w/B, g0), and the same cosine recomposed from the
+    two funds theta_0 = weights(0, 1) and theta_alpha = weights(1/B, 1):
+        (g0 - w)(|theta_0|/|theta|) cos(phi_0) + w (|theta_alpha|/|theta|) cos(phi_alpha),
+    each norm scaled by a power of two where its square would leave the
+    float range."""
+    f = FrontierScalars(alpha, cov)
+    theta = f.weights(w / f.B, g0)
+    _, norm, e = _binary_scaled(theta)
+
+    def part(fund):
+        _, fund_norm, fund_e = _binary_scaled(fund)
+        return np.ldexp(fund_norm / norm, fund_e - e) * alpha_angle(alpha, fund)
+
+    return alpha_angle(alpha, theta), ((g0 - w) * part(f.weights(0.0, 1.0))
+                                       + w * part(f.weights(1.0 / f.B, 1.0)))
+
+
 def test_decomposition_pure_risky(micro_alpha, micro_cov):
-    theta0 = solve(Program.GMV, None, micro_cov)
-    theta_a = solve(Program.RISKY, micro_alpha, micro_cov)
-    g0 = 1.0
-    dec = angle_decomposition(micro_alpha, theta0, theta_a, g0, w=g0)
-    assert dec.cos_phi == pytest.approx(np.cos(dec.phi1), abs=1e-14)
+    cos_phi, recomposed = frontier_split(micro_alpha, micro_cov, g0=1.0, w=1.0)
+    assert cos_phi == pytest.approx(
+        alpha_angle(micro_alpha, solve(Program.RISKY, micro_alpha, micro_cov)), abs=1e-14)
+    assert abs(cos_phi - recomposed) < 1e-10
 
 
 def test_decomposition_pure_gmv(micro_alpha, micro_cov):
-    theta0 = solve(Program.GMV, None, micro_cov)
-    theta_a = solve(Program.RISKY, micro_alpha, micro_cov)
-    dec = angle_decomposition(micro_alpha, theta0, theta_a, g0=1.0, w=0.0)
-    assert dec.cos_phi == pytest.approx(np.cos(dec.phi0), abs=1e-14)
+    cos_phi, recomposed = frontier_split(micro_alpha, micro_cov, g0=1.0, w=0.0)
+    assert cos_phi == pytest.approx(
+        alpha_angle(micro_alpha, solve(Program.GMV, None, micro_cov)), abs=1e-14)
+    assert abs(cos_phi - recomposed) < 1e-10
 
 
 def test_decomposition_matches_program_vii(micro_alpha, micro_cov):
-    theta0 = solve(Program.GMV, None, micro_cov)
-    theta_a = solve(Program.RISKY, micro_alpha, micro_cov)
     # mu = B / gamma = 0.3 reproduces the VII mix at gamma = 1, g0 = 1
-    dec = angle_decomposition(micro_alpha, theta0, theta_a, g0=1.0, w=0.3)
+    cos_phi, recomposed = frontier_split(micro_alpha, micro_cov, g0=1.0, w=0.3)
     port = solve(Program.VII, micro_alpha, micro_cov, gamma=1.0, g0=1.0)
-    assert dec.cos_phi == pytest.approx(
-        alpha_angle(micro_alpha, port.weights), abs=1e-14
-    )
-    assert dec.residual < 1e-12
+    assert cos_phi == pytest.approx(alpha_angle(micro_alpha, port.weights), abs=1e-14)
+    assert abs(cos_phi - recomposed) < 1e-12
 
 
 def test_decomposition_random_mixes():
     rng = np.random.default_rng(71)
     for _ in range(30):
         alpha, cov = random_instance(rng, int(rng.integers(2, 7)))
-        theta0 = solve(Program.GMV, None, cov).weights
-        theta_a = solve(Program.RISKY, alpha, cov).weights
         g0 = float(rng.uniform(0.2, 2.0))
         w = float(rng.uniform(-1.0, 2.0))
-        if np.linalg.norm((g0 - w) * theta0 + w * theta_a) < 1e-9:
+        f = FrontierScalars(alpha, cov)
+        if np.linalg.norm(f.weights(w / f.B, g0)) < 1e-9:
             continue
-        dec = angle_decomposition(alpha, theta0, theta_a, g0, w)
-        assert dec.residual < 1e-10
+        cos_phi, recomposed = frontier_split(alpha, cov, g0, w)
+        assert abs(cos_phi - recomposed) < 1e-10
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("power", [-600, 600])
-def test_decomposition_is_the_same_at_any_scale_of_the_funds(micro_alpha, power):
-    # theta0 and theta_alpha times 2^-600 or 2^600: their squares leave the
-    # float range, and each norm is scaled by a power of two first, so the
-    # cosine and the residual are the scale-1 ones, with no ZeroVector.
+def test_decomposition_is_the_same_at_any_scale_of_the_funds(power):
+    # The mix times 2^-600 or 2^600: its square leaves the float range, and
+    # each norm is scaled by a power of two first, so the cosine and its
+    # recomposition are the scale-1 ones bit for bit, with no warning and no
+    # ZeroVector.
     alpha, cov = random_instance(np.random.default_rng(13), 3)
-    theta0 = solve(Program.GMV, None, cov).weights
-    theta_a = solve(Program.RISKY, alpha, cov).weights
-    plain = angle_decomposition(alpha, theta0, theta_a, g0=1.0, w=0.3)
-    scaled = angle_decomposition(alpha, theta0 * 2.0**power, theta_a * 2.0**power,
-                                 g0=1.0, w=0.3)
-    assert scaled == plain
+    plain = frontier_split(alpha, cov, g0=1.0, w=0.3)
+    assert frontier_split(alpha, cov, g0=2.0**power, w=0.3 * 2.0**power) == plain
+    assert abs(plain[0] - plain[1]) < 1e-10
 
 
 @pytest.mark.filterwarnings("error")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import forget_loads
+from conftest import forget_loads, write_micro_csv
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -185,3 +185,34 @@ def test_digests_fail_on_a_stat_key_that_cannot_be_trusted(digests, monkeypatch,
     else:
         # sweep-surface is served wide-estimate's panel from the trusted key
         assert "trusted: " in err and "sweep-surface" in err.split("trusted: ")[1]
+
+
+def test_the_benchmark_tracer_records_a_request_and_restores_every_name(tmp_path,
+                                                                         monkeypatch):
+    # perfbench/spans.py looks up mvgear's layer modules, CovMatrix.from_entries
+    # and numpy's eigh by name, and wraps oracle.dominance_sample by its
+    # signature: a removal or a rename that breaks it fails here, not only in
+    # a traced benchmark run.
+    import mvgear
+    from mvgear import cli
+
+    spans = _module("spans", _ROOT / "perfbench" / "spans.py")
+    owners = [mvgear, *(getattr(mvgear, layer) for layer in spans.LAYERS),
+              mvgear.CovMatrix, np.linalg]
+    before = [{key: value for key, value in vars(owner).items()
+               if callable(value) or isinstance(value, classmethod)} for owner in owners]
+    csv, port = write_micro_csv(tmp_path / "r.csv"), tmp_path / "p.json"
+    forget_loads(monkeypatch)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["solve", "--input", str(csv), "--program", "RISKY",
+                         "--output", str(port)]) == 0
+        assert cli.main(["verify", "--input", str(csv), "--portfolio", str(port),
+                         "--samples", "10", "--output", str(tmp_path / "v.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert {spans.PARSE, spans.EIGH, spans.SAMPLE} <= {span[spans.NAME]
+                                                       for span in tracer.spans}
+    for owner, names in zip(owners, before):
+        assert [key for key, value in names.items() if vars(owner)[key] is not value] == []
