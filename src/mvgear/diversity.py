@@ -104,6 +104,10 @@ EPS = np.finfo(float).eps
 DEFLATION_TOL = 8.0 * EPS
 # The largest gamma rho whose square, which the secular equation forms, is finite.
 ROOT_MAX = math.sqrt(np.finfo(float).max)
+# Below this largest gamma rho the secular root and the bottom eigenvector are
+# formed on d scaled by a power of two to [1/2, 1): the reciprocals of its
+# gaps, and their squares, would leave the float range.
+SECULAR_MIN = 2.0 ** -64
 
 
 @dataclass(frozen=True)
@@ -326,7 +330,11 @@ def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
     rest = c.copy()
     rest[k] = 0.0
     kept = rest != 0.0
-    tau = (_secular_bottom(ck * ck, rest[kept] ** 2, d[kept] - d[k])
+    # tau scales with d and the bottom eigenvector not at all, so both are
+    # formed on d times 2^shift, exactly
+    shift = 0 if d[-1] >= SECULAR_MIN else -math.frexp(d[-1])[1]
+    tau = (math.ldexp(_secular_bottom(ck * ck, rest[kept] ** 2,
+                                      np.ldexp(d[kept] - d[k], shift)), -shift)
            if kept.any() else np.inf)
     # The bottom of H, h: the smallest deflated d_o, whose eigenvector is e_o,
     # or h_1 = d_k + tau, whose eigenvector is (D - h_1 I)^-1 c. Newton runs
@@ -336,7 +344,7 @@ def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
     secular = not (free.size and d[o] <= d[k] + tau)
     if secular:
         gaps = (d - d[k]) - tau
-        bottom = c / gaps
+        bottom = c / np.ldexp(gaps, shift)
         bottom /= math.sqrt(float(bottom.dot(bottom)))
         h = float(d[k]) + tau
     else:

@@ -208,8 +208,9 @@ def solve_robust(
 class ShrinkPath:
     """A shrink sweep, an entry per grid point: the shrink parameter, the
     shrunk covariance's condition number, the alpha-angles of the shrunk
-    RISKY portfolio and of the swept program's, the Kantorovich bound, and
-    the swept program's weights, a row per point."""
+    maximum-Sharpe direction (:func:`shrink_sweep`) and of the swept
+    program's portfolio, the Kantorovich bound, and the swept program's
+    weights, a row per point."""
 
     k: np.ndarray
     kappa_tilde: np.ndarray
@@ -235,11 +236,12 @@ def _frame_groups(cov: CovMatrix, mode: ShrinkMode, w: np.ndarray):
 
 def _sweep_point(a, cov: CovMatrix, spec: ShrinkageSpec, program, params):
     """One point of :func:`shrink_sweep` solved alone, as :func:`solve_robust`
-    solves it, raising and warning as it does: kappa~, the cosines of RISKY
-    and ``program`` (RISKY if None), and ``program``'s weights."""
+    solves it, raising and warning as it does: kappa~, the cosines of the
+    risky column and ``program`` (the risky column if None), and
+    ``program``'s weights."""
     shrunk = shrink_covariance(cov, a, spec)
     frontier = FrontierScalars(a, shrunk)
-    risky, _ = solvers.program_weights(Program.RISKY, frontier)
+    risky = solvers.program_weights(Program.IV, frontier, g0=float(np.sign(frontier.B)))[0]
     optimal = (risky if program is None
                else solvers.program_weights(program, frontier, **params)[0])
     kappa = shrunk.condition_number
@@ -248,9 +250,13 @@ def _sweep_point(a, cov: CovMatrix, spec: ShrinkageSpec, program, params):
 
 def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
                  /, **params) -> ShrinkPath:
-    """The shrunk RISKY portfolio and ``program``'s (RISKY's if None) at each
-    shrink parameter of ``grid``: :func:`solve_robust`'s weights to
-    rounding, and each shrunk covariance's condition number bit for bit.
+    """The shrunk maximum-Sharpe direction and ``program``'s portfolio (the
+    direction's if None) at each shrink parameter of ``grid``:
+    :func:`solve_robust`'s weights to rounding, and each shrunk covariance's
+    condition number bit for bit. The direction is sign(B) theta_alpha, IV
+    at g0 = sign(B), the one Kantorovich bounds: RISKY's portfolio bit for
+    bit where B > 0 (negation is exact), and the Sharpe maximum where RISKY
+    refuses B < 0.
 
     Points whose shrinks share a frame (:func:`_frame_groups`) run as one
     stack (:meth:`CovMatrix.stack`) and one frontier object: one product with
@@ -266,7 +272,8 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
     and its row is :func:`solve_robust`'s.
     """
     a, ks, mode = as_vector(alpha), np.asarray(grid, dtype=float), ShrinkMode(mode)
-    entries = [solvers.PROGRAMS[Program.RISKY]]
+    # the risky column first, at g0 = sign(B) per matrix of a frame group
+    entries = [solvers.PROGRAMS[Program.IV]]
     if program is not None:
         entries.append(solvers.PROGRAMS[Program(program)])
     if entries[-1].coefficients is None:
@@ -280,7 +287,7 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
     kappa, scaled = np.empty(ks.size), np.zeros(ks.size, bool)
     with np.errstate(all="ignore"):
         try:
-            args = [entry.checked(params) for entry in entries]
+            args = [entry.checked(params) for entry in entries[1:]]
         except MvgearError:  # every point alone: the first raises it, or fails before
             alone[:] = True
         for fits, stack in _frame_groups(cov, mode, w):
@@ -293,12 +300,17 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
                 alone[positions] = True
                 continue
             coords = []
-            for entry, kwargs in zip(entries, args):
+            for column, (entry, kwargs) in enumerate(zip(entries, [{"g0": np.sign(f.B)}, *args])):
                 for fails, _ in f.refusals(entry.refuses):
                     alone[positions[fails.ravel()]] = True
                 if entry.warns is not None:
                     alone[positions[entry.warns(f, **kwargs)[0].ravel()]] = True
-                coords.append(f.coordinates(*entry.coefficients(f, **kwargs)))
+                c_alpha, gearing = entry.coefficients(f, **kwargs)
+                # a Sharpe program has no maximum at c_alpha <= 0; the risky
+                # column's is 1/|B|
+                if column and "sharpe" in entry.audits:
+                    alone[positions[~(c_alpha > 0.0).ravel()]] = True
+                coords.append(f.coordinates(c_alpha, gearing))
             thetas[:, positions] = f.cov.from_coordinates(np.concatenate(coords)).reshape(
                 len(entries), -1, cov.dim)
             if f.cov.scale is None:

@@ -2,7 +2,16 @@
 Deterministic JSON/CSV emission and the portfolio wire format.
 
 Floating-point values are rendered with 17 significant digits so repeated
-runs on identical inputs produce byte-identical artifacts.
+runs on identical inputs produce byte-identical artifacts: the text of each
+is ``'%.17g' % x``. A float array row of at least :data:`KERNEL_MIN`
+values, a symmetric matrix of that many distinct entries and a surface's
+sigma_p column of that many points go through one numpy kernel
+(:mod:`mvgear._g17`) that writes exactly those bytes: for
+1e-250 <= |x| < 1e250 it rounds x 10^(16 - k) to a 17-digit integer from a
+double-double product in error by less than 2^-47, and every value it
+cannot certify (zeros, values outside that range, scaled fractions within
+2^-36 of one half) is formatted by ``%``. Smaller arrays, where the
+kernel's fixed cost loses, are formatted by one C-level ``%`` per row.
 """
 
 from __future__ import annotations
@@ -25,12 +34,27 @@ def fmt_float(value: float) -> str:
     return format(value, ".17g")
 
 
+# At least this many values (a 1-D row, the distinct entries of a symmetric
+# matrix, a surface's sigma_p) go through the array kernel of
+# :mod:`mvgear._g17`; fewer are formatted by one C-level ``%``, which was
+# faster below about 600 values in a row and 300 distinct entries of a
+# symmetric matrix (2-core host, numpy 2.4), where the kernel's fixed cost of
+# about 0.2 ms loses. The kernel is imported on first use, so that a process
+# that writes no large array, such as a fresh ``solve``, never compiles it.
+KERNEL_MIN = 1000
+
+
 def _float_rows(arr: np.ndarray) -> str:
     """JSON text of a finite float array, one C-level format per row; only
-    one row at a time is held as Python floats. A square matrix equal to its
-    transpose bit for bit (``==`` and the sign bit; the values are finite)
-    is written by :func:`_mirrored_rows`."""
+    one row at a time is held as Python floats. A row of at least
+    :data:`KERNEL_MIN` values goes through the array kernel
+    (:mod:`mvgear._g17`) instead. A square matrix equal to its transpose bit
+    for bit (``==`` and the sign bit; the values are finite) is written by
+    :func:`_mirrored_rows`."""
     if arr.ndim == 1:
+        if arr.size >= KERNEL_MIN:
+            from . import _g17
+            return _g17.joined(_g17.format_cells(arr), arr.shape)
         return "[" + ("%.17g, " * arr.size)[:-2] % tuple(arr.tolist()) + "]"
     if (arr.ndim == 2 and arr.shape[0] == arr.shape[1] and np.array_equal(arr, arr.T)
             and np.array_equal(np.signbit(arr), np.signbit(arr.T))):
@@ -39,15 +63,29 @@ def _float_rows(arr: np.ndarray) -> str:
 
 
 def _mirrored_rows(sym: np.ndarray) -> str:
-    """:func:`_float_rows` of a symmetric matrix from its upper triangle.
+    """:func:`_float_rows` of a symmetric matrix from its upper triangle,
+    each distinct entry formatted once.
 
-    Each row's entries from the diagonal on are formatted by one C-level
-    format, so each distinct entry once; row i is then column i above the
-    diagonal followed by row i from the diagonal on. The n(n + 1)/2 cell
-    strings are all held until the text is joined.
+    With at least :data:`KERNEL_MIN` distinct entries, the kernel formats the
+    upper triangle, and text row i reads entry (i, j) from the cell of
+    (min(i, j), max(i, j)). Below that, each row's entries from the diagonal
+    on are formatted by one C-level format, and row i is column i above the
+    diagonal followed by row i from the diagonal on.
     """
+    n = sym.shape[0]
+    if n * (n + 1) // 2 >= KERNEL_MIN:
+        from . import _g17
+        # the upper triangle's row j starts at cell j n - j (j - 1) / 2
+        first = np.arange(n) * n - np.arange(n) * (np.arange(n) - 1) // 2
+
+        def index(at):
+            i, j = np.divmod(at, n)
+            low = np.minimum(i, j)
+            return first[low] + (i + j - 2 * low)
+
+        return _g17.joined(_g17.format_cells(sym[np.triu_indices(n)]), sym.shape, index)
     # upper[j][k] is entry (j, j + k), so row i reads upper[j][i - j] for j < i
-    upper = [(("%.17g," * (sym.shape[0] - i)) % tuple(row[i:].tolist())).split(",")[:-1]
+    upper = [(("%.17g," * (n - i)) % tuple(row[i:].tolist())).split(",")[:-1]
              for i, row in enumerate(sym)]
     return "[" + ", ".join(
         "[" + ", ".join(chain(map(getitem, upper, range(i, 0, -1)), tail)) + "]"
@@ -104,14 +142,22 @@ _FLAGS = (",0,0\n", ",0,1\n", ",1,0\n", ",1,1\n")
 
 def _surface_lines(surface: ParetoSurface) -> str:
     """One CSV line per point, alpha_p-major: each grid value is formatted
-    once and every sigma_p by one C-level ``%.17g`` format."""
+    once and every sigma_p by one C-level ``%.17g`` format, or from
+    :data:`KERNEL_MIN` points on by the array kernel, which lays out the
+    lines too (:func:`mvgear._g17.text`)."""
     sigma = _require_finite(surface.sigma_p)
     alphas = ["%.17g," % v for v in surface.alpha_p.tolist()]
     gearings = ["%.17g," % v for v in surface.g0.tolist()]
-    codes = (2 * surface.on_gmv + surface.on_risky).ravel().tolist()
+    codes = (2 * surface.on_gmv + surface.on_risky).ravel()
+    if sigma.size >= KERNEL_MIN:
+        from . import _g17
+        k = len(gearings)
+        columns = [np.array(alphas, "S25"), np.array(gearings, "S25"),
+                   _g17.format_cells(sigma.ravel()), np.array(_FLAGS, "S5")]
+        return _g17.text(columns, lambda at: (at // k, at % k, at, codes[at]), sigma.size)
     cells = zip(chain.from_iterable(map(repeat, alphas, repeat(len(gearings)))),
                 gearings * len(alphas), sigma.ravel().tolist(),
-                map(_FLAGS.__getitem__, codes))
+                map(_FLAGS.__getitem__, codes.tolist()))
     return ("%s%s%.17g%s" * sigma.size) % tuple(chain.from_iterable(cells))
 
 

@@ -13,7 +13,7 @@ theta_0 = Sigma^-1 1 / A and the fully-invested optimal risky portfolio
 theta_alpha = Sigma^-1 alpha / B. What each program of :data:`PROGRAMS` solves:
 
     GMV    min theta'Sigma theta s.t. 1'theta = 1: theta_0
-    RISKY  max Sharpe ratio s.t. 1'theta = 1: theta_alpha
+    RISKY  max Sharpe ratio s.t. 1'theta = 1: theta_alpha (B > 0)
     I      max alpha'theta s.t. sigma_p = sigma0: (sigma0 / sqrt(C)) Sigma^-1 alpha
     II     min risk s.t. alpha'theta = alpha0: (alpha0 / C) Sigma^-1 alpha
     III    max alpha'theta - (gamma/2) theta'Sigma theta: Sigma^-1 alpha / gamma
@@ -28,7 +28,7 @@ theta_alpha = Sigma^-1 alpha / B. What each program of :data:`PROGRAMS` solves:
     VII    max alpha'theta - (gamma/2) theta'Sigma theta s.t. 1'theta = g0:
            (g0 - B/gamma) Sigma^-1 1 / A + Sigma^-1 alpha / gamma
            = (g0 - m) theta_0 + m theta_alpha, m = B / gamma
-    VIII   max Sharpe ratio s.t. 1'theta = g0: g0 theta_alpha
+    VIII   max Sharpe ratio s.t. 1'theta = g0: g0 theta_alpha (g0 B > 0)
     QOQC   VII s.t. theta'theta = 1/n0 too (:mod:`mvgear.diversity`), recording
            the multipliers lambda1 and lambda2 that certify stationarity
 
@@ -68,6 +68,7 @@ from .errors import (
     MissingParameter,
     MvgearError,
     NonFiniteData,
+    NonPositiveParameter,
     ZeroB,
 )
 from .diversity import QoqcProblem, solve_qoqc
@@ -348,26 +349,29 @@ class ProgramSpec:
 
 
 # In Program order, which is the order the CLI lists them in. I, II, V and VI
-# refuse a flat alpha (D = 0); the multiples of theta_alpha refuse B = 0. IV,
-# V and VIII refuse g0 <= 0: no maximum exists there, and g0 theta_alpha is
-# the Sharpe minimum (or zero).
+# refuse a flat alpha (D = 0); the multiples of theta_alpha refuse B = 0. The
+# Sharpe programs (audited for "sharpe": IV, V, VIII, RISKY) refuse a
+# c_alpha <= 0, that is g0 B <= 0 (B < 0 for RISKY; V at sigma0 never): on
+# 1'theta = g0 the Sharpe ratio has a maximum iff g0 B > 0, and
+# g0 theta_alpha is its minimum (or zero) otherwise (program_weights, and
+# robust.shrink_sweep per point).
 PROGRAMS: dict[Program, ProgramSpec] = {spec.program: spec for spec in (
     ProgramSpec(Program.I, lambda f, sigma0: _on_ray(sigma0 / np.sqrt(f.C), f),
                 required=("sigma0",), refuses=(DegenerateAlpha,), audits=("risk",)),
     ProgramSpec(Program.II, lambda f, alpha0: _on_ray(alpha0 / f.C, f),
                 required=("alpha0",), refuses=(DegenerateAlpha,), audits=("return",)),
     ProgramSpec(Program.III, lambda f, gamma: _on_ray(1.0 / gamma, f), required=("gamma",)),
-    ProgramSpec(Program.IV, _geared_risky, optional=("g0",), refuses=(ZeroB,),
+    ProgramSpec(Program.IV, _geared_risky, optional=("g0",), signed=("g0",), refuses=(ZeroB,),
                 audits=("gearing", "sharpe")),
-    ProgramSpec(Program.V, _geared_risky, one_of=("sigma0", "g0"),
+    ProgramSpec(Program.V, _geared_risky, one_of=("sigma0", "g0"), signed=("g0",),
                 refuses=(DegenerateAlpha, ZeroB), audits=("gearing", "risk", "sharpe")),
     ProgramSpec(Program.VI, _geared_min_variance, required=("alpha0", "g0"),
                 signed=("alpha0", "g0"), refuses=(DegenerateAlpha,),
                 warns=_inefficient_branch, audits=("gearing", "return")),
     ProgramSpec(Program.VII, lambda f, gamma, g0: (1.0 / gamma, g0),
                 required=("gamma", "g0"), signed=("g0",), audits=("gearing",)),
-    ProgramSpec(Program.VIII, _geared_risky, required=("g0",), refuses=(ZeroB,),
-                audits=("gearing", "sharpe")),
+    ProgramSpec(Program.VIII, _geared_risky, required=("g0",), signed=("g0",),
+                refuses=(ZeroB,), audits=("gearing", "sharpe")),
     ProgramSpec(Program.GMV, lambda f: (0.0, 1.0), reads_alpha=False,
                 audits=("full_investment",)),
     ProgramSpec(Program.RISKY, lambda f: (1.0 / f.B, 1.0), refuses=(ZeroB,),
@@ -379,8 +383,9 @@ PROGRAMS: dict[Program, ProgramSpec] = {spec.program: spec for spec in (
 
 def program_weights(program: Program, frontier: FrontierScalars, /, **params):
     """The weights of ``program`` on ``frontier``, checked for what its PROGRAMS
-    entry refuses and refused if they leave the float range, and the params
-    its record carries: those
+    entry refuses (and a Sharpe program for g0 B > 0, raising
+    NonPositiveParameter) and refused if they leave the float range, and the
+    params its record carries: those
     :meth:`ProgramSpec.arguments` picks from ``params``, checked as the entry
     declares, and an audited gearing as g0 (QOQC's solver adds multipliers)."""
     entry = PROGRAMS[Program(program)]
@@ -394,6 +399,10 @@ def program_weights(program: Program, frontier: FrontierScalars, /, **params):
             warnings.warn(text(), InefficientBranchWarning, stacklevel=3)
     with np.errstate(all="ignore"):
         c_alpha, gearing = entry.coefficients(frontier, **args)
+        if "sharpe" in entry.audits and not c_alpha > 0.0:
+            raise NonPositiveParameter(
+                f"g0 B must be positive for a Sharpe maximum, got g0 = {gearing!r}, "
+                f"B = {frontier.B:g}")
         weights = frontier.weights(c_alpha, gearing)
     if not np.isfinite(weights).all():
         raise NonFiniteData(f"program {entry.program.value} weights are not finite: "

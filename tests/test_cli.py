@@ -289,17 +289,27 @@ def test_non_finite_program_parameter_exits_3_before_any_arithmetic(
     assert captured.err == f"code=NonPositiveParameter {name} must be finite, got {value}\n"
 
 
-def negative_b_csv(path):
+def negative_b_csv(path, sign=1.0):
     """30 periods of 4 assets drawn from N(0.001, 0.02^2): B = -0.770, with
-    A = 8133 and C = 0.0934, so the GMV return B/A is -9.5e-5."""
-    rows = np.random.default_rng(3).standard_normal((30, 4)) * 0.02 + 0.001
+    A = 8133 and C = 0.0934, so the GMV return B/A is -9.5e-5. With
+    ``sign`` -1 the returns are negated: the same Sigma, A and C, and
+    B = +0.770."""
+    rows = sign * (np.random.default_rng(3).standard_normal((30, 4)) * 0.02 + 0.001)
     path.write_text("a,b,c,d\n" + "\n".join(",".join(map(repr, row.tolist())) for row in rows)
                     + "\n")
     return path
 
 
+# The Sharpe programs at --g0, which refuse g0 B <= 0: their overflow runs
+# on the negated panel, where B > 0, except a shrunk solve: shrinking either
+# panel halfway to the identity flips the sign of B, to 0.0028 on the
+# negative-B panel.
+SHARPE_AT_G0 = {(Program.IV, "g0"), (Program.V, "g0"), (Program.VIII, "g0")}
+
+
 # (value, program, parameter, whether the sweep fails too) whose weights or
-# whose sigma_p leave the float range on the negative-B panel.
+# whose sigma_p leave the float range on the negative-B panel (the positive-B
+# one for SHARPE_AT_G0).
 OVERFLOW_CASES = [
     *(("1e-310", program, "gamma", True) for program in (Program.III, Program.VII)),
     *(("1e-300", program, "gamma", False) for program in (Program.III, Program.VII)),
@@ -337,7 +347,8 @@ def test_an_overflowing_parameter_exits_3_with_one_non_finite_data_line(
     # warning first. A failing sweep prints the line solve --shrink-mode
     # simple --q prints at one of its points (a sweep records no sigma_p, so
     # its first failing point can come after the solve's).
-    csv = negative_b_csv(tmp_path / "r.csv")
+    negated = (program, name) in SHARPE_AT_G0 and command != "shrunk-solve"
+    csv = negative_b_csv(tmp_path / "r.csv", -1.0 if negated else 1.0)
     assert run(overflow_argv(csv, command, value, program, name)) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
@@ -348,6 +359,23 @@ def test_an_overflowing_parameter_exits_3_with_one_non_finite_data_line(
             run(overflow_argv(csv, "shrunk-solve", value, program, name, q))
             twins.append(capsys.readouterr().err)
         assert err in twins
+
+
+@pytest.mark.parametrize("gamma", ["1e-300", "1e-310"])
+def test_qoqc_at_a_tiny_gamma_runs_without_a_numpy_warning(tmp_path, capsys, gamma):
+    # gamma rho near 1e-303 (1e-313, subnormal): the secular iteration would
+    # square reciprocals of gaps that small, so it runs on d scaled by a power
+    # of two. RuntimeWarning is an error in this suite. The ridge shift
+    # dwarfs gamma Sigma there, so the weights are those at gamma = 1e-100.
+    csv = negative_b_csv(tmp_path / "r.csv")
+    ref, out, report = tmp_path / "ref.json", tmp_path / "q.json", tmp_path / "v.json"
+    for g, path in (("1e-100", ref), (gamma, out)):
+        assert run(["qoqc", "--input", csv, "--gamma", g, "--g0", 1, "--n0", 2,
+                    "--output", path]) == 0
+    assert capsys.readouterr().err == ""
+    npt.assert_allclose(json.loads(out.read_text())["weights"],
+                        json.loads(ref.read_text())["weights"], rtol=0, atol=1e-12)
+    assert run(["verify", "--input", csv, "--portfolio", out, "--output", report]) == 0
 
 
 @pytest.mark.parametrize("g0", ["1e300", "1e308", "-1e308"])
@@ -1154,7 +1182,8 @@ def flat_sum_csv(path):
 
 def solved_alone(csv, mode, grid, program, params):
     """Each point of a sweep solved alone, in grid order, up to the first that
-    raises: its shrink, RISKY's and ``program``'s weights, the artifact's
+    raises: its shrink, the maximum-Sharpe direction's weights (IV at
+    g0 = sign(B), RISKY's where B > 0) and ``program``'s, the artifact's
     text of them, kappa~ and the two angles. Returns ``program``'s weights
     of each point and the stderr line of the error ('' if none); warnings
     go to the caller's filters."""
@@ -1164,7 +1193,8 @@ def solved_alone(csv, mode, grid, program, params):
         spec = ShrinkageSpec(ShrinkMode(mode), float(k))
         try:
             shrunk = robust.shrink_covariance(cov, alpha, spec)
-            risky = robust.solve_robust(Program.RISKY, alpha, cov, spec).weights
+            sign = float(np.sign(solvers.FrontierScalars(alpha, shrunk).B))
+            risky = robust.solve_robust(Program.IV, alpha, cov, spec, g0=sign).weights
             optimal = robust.solve_robust(program, alpha, cov, spec, **params).weights
             dumps(optimal), shrunk.condition_number
             alpha_angle(alpha, risky), alpha_angle(alpha, optimal)
@@ -1226,14 +1256,16 @@ def test_a_failing_point_deep_in_the_grid_raises_after_each_earlier_warning(
     ("angle", "0:0.2:5", ["VI", "--alpha0", -1, "--g0", 1], "InvalidK"),
     ("simple", "-0.5:0.5:1", ["VII", "--gamma", -1, "--g0", 1], "InvalidK"),
     ("simple", "0:0.5:1", ["VIII", "--g0", 0], "NonPositiveParameter"),
-    ("simple", "0.499999999999999:0.5:0.999999999999999", ["RISKY"], "ZeroB"),
+    ("simple", "0.499999999999999:0.5:0.999999999999999", ["VII", "--gamma", 1, "--g0", 1],
+     "ZeroB"),
 ], ids=["past-k0", "bad-q-before-bad-gamma", "zero-g0", "tiny-b"])
 def test_a_failing_sweep_prints_its_point_solved_alone(tmp_path, capsys, mode, grid,
                                                        program, code):
     # The first failing point's line, text for text, whichever check fails
     # there: a k at or past k0 after two points that warn, an invalid q ahead
     # of an invalid gamma, a g0 the program refuses, and a B of -1.3e-15 whose
-    # weights are finite but refused.
+    # weights are finite but refused (in the risky column: at the point
+    # before it B = -0.15 < 0, which RISKY as the program would refuse).
     err, _ = check_solved_alone(tmp_path, capsys, mode, grid, program)
     assert err.startswith(f"code={code} ")
 
@@ -1532,17 +1564,53 @@ def test_verify_skips_the_bound_of_a_vi_record_whose_return_is_not_positive(
     assert capsys.readouterr().err.startswith("code=InvalidPsi ")
 
 
-def test_verify_fails_a_viii_record_on_a_panel_with_negative_b(tmp_path, capsys):
-    # B < 0: g0 theta_alpha is the Sharpe minimum, which the sampler beats
+@pytest.mark.parametrize("program", [["RISKY"], ["IV"], ["IV", "--g0", 1], ["VIII", "--g0", 1],
+                                     ["V", "--g0", 1], ["VIII", "--g0", 0]])
+def test_a_sharpe_program_at_negative_b_refuses_a_gearing_with_no_maximum(tmp_path, capsys,
+                                                                          program):
+    # B < 0: at g0 > 0 (RISKY's g0 = 1, IV's default) g0 theta_alpha is the
+    # Sharpe minimum, and no maximum exists
+    csv, out = negative_b_csv(tmp_path / "r.csv"), tmp_path / "p.json"
+    g0 = float(program[2]) if len(program) > 1 else 1.0
+    assert run(["solve", "--input", csv, "--program", *program, "--output", out]) == 3
+    assert capsys.readouterr().err == (
+        "code=NonPositiveParameter g0 B must be positive for a Sharpe maximum, "
+        f"got g0 = {g0!r}, B = -0.76977\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("program", [[], ["--program", "VII", "--gamma", 5, "--g0", 1]])
+def test_a_sweep_at_negative_b_bounds_the_maximum_sharpe_direction(tmp_path, capsys, program):
+    # B < 0 at k = 0 and B~ > 0 from k = 0.1 on: the risky column is
+    # sign(B~) theta_alpha, the direction Kantorovich bounds, so
+    # cos phi >= 2 sqrt(kappa~) / (kappa~ + 1) at every point. With no
+    # program it is the swept portfolio too, where RISKY would refuse B < 0.
+    csv, out = negative_b_csv(tmp_path / "r.csv"), tmp_path / "s.csv"
+    assert run(["shrink-sweep", "--input", csv, "--mode", "simple", "--grid", "0:0.1:1",
+                *program, "--output", out]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",")[:5] for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 11
+    for _, _, cos_risky, cos_optimal, bound in rows:
+        assert float(cos_risky) >= float(bound) - 1e-12
+        assert cos_optimal == cos_risky or program
+    assert run(["solve", "--input", csv, "--program", "RISKY", "--output", out]) == 3
+
+
+@pytest.mark.parametrize("program", [["VIII", "--g0", -1], ["IV", "--g0", -2], ["V", "--g0", -1],
+                                     ["V", "--sigma0", 0.02]])
+def test_verify_passes_a_sharpe_maximum_on_a_panel_with_negative_b(tmp_path, capsys, program):
+    # B < 0: at g0 < 0, g0 theta_alpha is the Sharpe maximum, which no sample
+    # beats; V at sigma0 is a positive multiple of Sigma^-1 alpha, g0 < 0
     csv = negative_b_csv(tmp_path / "r.csv")
     port, report = tmp_path / "p.json", tmp_path / "v.json"
-    assert run(["solve", "--input", csv, "--program", "VIII", "--g0", 1,
-                "--output", port]) == 0
-    assert run(["verify", "--input", csv, "--portfolio", port, "--samples", 200,
-                "--output", report]) == 3
-    assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
+    assert run(["solve", "--input", csv, "--program", *program, "--output", port]) == 0
+    assert json.loads(port.read_text())["params"]["g0"] < 0
+    assert run(["verify", "--input", csv, "--portfolio", port, "--samples", 2000,
+                "--output", report]) == 0
     checks = {c["name"]: c["passed"] for c in json.loads(report.read_text())["checks"]}
-    assert checks["sharpe_dominance"] is False
+    assert checks["sharpe_dominance"] is True
+    assert all(checks.values())
 
 
 @pytest.mark.parametrize("command", ["solve", "shrink-sweep"])
@@ -1557,8 +1625,9 @@ def test_a_sharpe_program_refuses_a_gearing_that_is_not_positive(
     if command == "shrink-sweep":
         argv += SWEEP_ARGS
     assert run(argv) == 3
-    assert capsys.readouterr().err == (
-        f"code=NonPositiveParameter g0 must be positive, got {float(g0)}\n")
+    assert capsys.readouterr().err.startswith(
+        "code=NonPositiveParameter g0 B must be positive for a Sharpe maximum, "
+        f"got g0 = {float(g0)!r}, B = ")
     assert not out.exists()
 
 

@@ -4,18 +4,25 @@ A float ndarray is written row by row with ``%.17g``, and a symmetric matrix
 from its upper triangle; a list of Python floats goes through ``fmt_float``
 one value at a time. Both must give the same bytes, and the same error for a
 non-finite value. A list of strings is written by one ``json.dumps``, and
-must give the bytes of one ``json.dumps`` per string.
+must give the bytes of one ``json.dumps`` per string. Arrays of at least
+``serialize.KERNEL_MIN`` values go through the numpy kernel
+``mvgear._g17``, whose text of every value must be ``'%.17g' %``'s.
 """
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mvgear import InvalidPortfolio, Portfolio, Program, SpdRepairWarning, serialize
+from mvgear import InvalidPortfolio, Portfolio, Program, SpdRepairWarning, _g17, serialize
 from mvgear.cli import main
-from mvgear.serialize import dumps, portfolio_to_dict
+from mvgear.serialize import csv_lines, dumps, portfolio_to_dict
+from mvgear.solvers import ParetoSurface
 
 EDGES = [
     -0.0, 0.0,
@@ -221,3 +228,147 @@ def test_a_record_writes_its_weights_as_the_element_wise_path_did():
                      alpha_p=0.1, sigma_p=None, assets=tuple(f"A{i}" for i in range(10)))
     record = portfolio_to_dict(port)
     assert dumps(record) == dumps({**record, "weights": record["weights"].tolist()})
+
+
+# ---------------------------------------------------------------------------
+# The array kernel: the %.17g text of float arrays, exact, with a % fallback
+# ---------------------------------------------------------------------------
+
+def kernel_text(values) -> list[bytes]:
+    """The kernel's text of each value."""
+    return _g17.format_cells(np.asarray(values, dtype=float)).tolist()
+
+
+def printf_text(values) -> list[bytes]:
+    return [b"%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+@pytest.fixture
+def fallback(monkeypatch):
+    """The values the kernel hands to its ``%`` fallback."""
+    seen = []
+    real = _g17.printf_cells
+
+    def spy(x):
+        seen.extend(x.tolist())
+        return real(x)
+
+    monkeypatch.setattr(_g17, "printf_cells", spy)
+    return seen
+
+
+@pytest.fixture
+def kernel_everywhere(monkeypatch):
+    """Every float array, however small, goes through the kernel."""
+    monkeypatch.setattr(serialize, "KERNEL_MIN", 0)
+
+
+def test_the_kernel_matches_printf_on_a_million_random_bit_patterns():
+    rng = np.random.default_rng(2026)
+    values = rng.integers(0, 2**64, size=1_050_000, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)]
+    assert values.size >= 10**6
+    assert kernel_text(values) == printf_text(values)
+
+
+def test_the_kernel_matches_printf_at_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{p}") for p in range(-300, 301)])
+    values = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
+    assert kernel_text(values) == printf_text(values)
+    assert kernel_text(-values) == printf_text(-values)
+
+
+def test_the_kernel_matches_printf_on_integers_eighths_and_edges():
+    big = np.array([2.0 ** 53, 1e16, 1e17, 99999999999999984.0])
+    values = np.concatenate([
+        np.arange(-20_000.0, 20_000.0), np.arange(-40_000, 40_000) / 8,
+        (big[:, None] + np.arange(-64, 64) * np.spacing(big)[:, None]).ravel(),
+        2.0 ** np.arange(-1074, 1024), EDGES])
+    assert kernel_text(values) == printf_text(values)
+
+
+def test_exact_ties_round_half_to_even_through_the_fallback(fallback):
+    # 17 significant digits end at the first decimal, and the second is a 5
+    ties = [2251799813685247.75, 2251799813685246.25, -2251799813685247.75]
+    assert kernel_text(ties) == [b"2251799813685247.8", b"2251799813685246.2",
+                                 b"-2251799813685247.8"]
+    assert fallback == ties
+
+
+def test_zeros_and_extreme_magnitudes_fall_back(fallback):
+    values = [0.0, -0.0, 5e-324, 1e-251, 1e250, -1.7976931348623157e308, 0.1, 1e-250]
+    assert kernel_text(values) == printf_text(values)
+    assert fallback == values[:6]
+
+
+def test_few_values_of_a_normal_array_fall_back(fallback):
+    values = np.random.default_rng(5).standard_normal(200_000) * 1e-3
+    assert kernel_text(values) == printf_text(values)
+    assert len(fallback) < values.size // 1000
+
+
+def test_small_arrays_through_the_kernel_match_the_element_wise_path(kernel_everywhere,
+                                                                     mirrored):
+    rng = np.random.default_rng(8)
+    arrays = [np.array(EDGES), np.array([1.5]), np.zeros(0), np.zeros((0, 0)), np.zeros((2, 0)),
+              np.array([[-0.0]]), symmetric(EDGES, 2), symmetric(EDGES, 19),
+              symmetric(rng.standard_normal(5050), 100), np.arange(12.0).reshape(3, 4),
+              (rng.standard_normal((4, 10, 30)) * 10.0 ** rng.integers(-30, 30, (4, 10, 30)))]
+    for arr in arrays:
+        assert dumps(arr) == element_wise(arr)
+    assert mirrored == [(0, 0), (1, 1), (2, 2), (19, 19), (100, 100)]
+
+
+def test_a_surface_through_the_kernel_has_the_bytes_of_the_element_wise_path(monkeypatch):
+    rng = np.random.default_rng(9)
+    sigma = np.abs(rng.standard_normal((7, 5))) * 10.0 ** rng.integers(-6, 20, (7, 5))
+    surface = ParetoSurface(alpha_p=np.linspace(-1e-3, 0.3, 7), g0=np.array([0.5, 1, 1.5, 2, 1e17]),
+                            sigma_p=sigma, on_gmv=rng.random((7, 5)) < 0.3,
+                            on_risky=rng.random((7, 5)) < 0.3)
+    header = ["alpha_p", "g0", "sigma_p", "is_gmv_line", "is_risky_line"]
+    rows = [[a, g, s, int(m), int(r)] for a, g_row, s_row, m_row, r_row in zip(
+        surface.alpha_p, [surface.g0] * 7, sigma, surface.on_gmv, surface.on_risky)
+        for g, s, m, r in zip(g_row, s_row, m_row, r_row)]
+    element_wise_text = csv_lines(header, rows)
+    assert csv_lines(header, surface) == element_wise_text
+    monkeypatch.setattr(serialize, "KERNEL_MIN", 0)
+    assert csv_lines(header, surface) == element_wise_text
+
+
+def test_estimate_through_the_kernel_writes_the_element_wise_bytes(tmp_path, monkeypatch,
+                                                                   mirrored):
+    # 50 assets: 1275 distinct covariance entries, at least KERNEL_MIN
+    rows = np.random.default_rng(50).normal(0.01, 0.02, (120, 50)) + np.linspace(0.0, 0.01, 50)
+    csv = write_panel(tmp_path / "returns.csv", rows)
+    fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
+    assert 50 * 51 // 2 >= serialize.KERNEL_MIN
+    assert main(["estimate", "--input", str(csv), "--output", str(fast)]) == 0
+    assert mirrored == [(50, 50)]
+    monkeypatch.setattr(serialize, "_mirrored_rows", element_wise)
+    assert main(["estimate", "--input", str(csv), "--output", str(slow)]) == 0
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_the_kernel_is_imported_and_its_tables_made_on_first_use():
+    # importing the CLI loads neither fractions (about 4.5 ms) nor decimal,
+    # and a cold solve, whose weights stay below KERNEL_MIN, neither compiles
+    # the kernel module nor builds its tables
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import mvgear.cli\n"
+        "from mvgear import serialize\n"
+        "loaded = lambda: sorted({'fractions', 'decimal', 'mvgear._g17'} & set(sys.modules))\n"
+        "print(loaded())\n"
+        "serialize.dumps(np.linspace(0.0, 1.0, serialize.KERNEL_MIN - 1))\n"
+        "print(loaded())\n"
+        "from mvgear import _g17\n"
+        "print(sorted(_g17._TABLES))\n"
+        "serialize.dumps(np.linspace(0.0, 1.0, serialize.KERNEL_MIN))\n"
+        "print(sorted(_g17._TABLES))\n")
+    src = str(Path(serialize.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["[]", "[]", "[]", "['lead', 'pow10', 'quads', 'zeros']"]
