@@ -3,15 +3,13 @@ The exact ``'%.17g' % x`` text of float arrays, with numpy operations only.
 
 :func:`format_cells` formats every value of an array at once, and
 :func:`text` lays out rows of such cells, as :func:`joined` does for the
-JSON text of a 1-D or 2-D array; both run :data:`CHUNK` values at a time.
-:mod:`mvgear.serialize` imports this module on first use, for arrays of at
-least ``serialize.KERNEL_MIN`` values, so a process that writes no large
-array neither compiles nor runs it.
+JSON text of a square matrix; both run :data:`CHUNK` values at a time.
+:mod:`mvgear.serialize` imports this module on first use, for a symmetric
+matrix or a surface of at least ``serialize.KERNEL_MIN`` values, so a
+process that writes neither never compiles or runs it.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -248,21 +246,19 @@ def text(columns: list[np.ndarray], picks, total: int) -> str:
 _SEPARATORS = np.array([b", ", b"], [", b""])
 
 
-def joined(cells: np.ndarray, shape: tuple[int, ...], index=None) -> str:
-    """JSON text of a 1-D or 2-D array of ``shape`` from cells of
-    :func:`format_cells`: "[c, c, ...]" or "[[c, ...], [c, ...]]", each
-    cell behind its separator (:func:`text`). Position i in row-major order
-    shows cell ``index(i)`` for an array of positions (cell i if index is
-    None)."""
-    depth, total, row = len(shape), math.prod(shape), shape[-1]
-    if total == 0:
+def joined(cells: np.ndarray, n: int, index) -> str:
+    """JSON text of an n x n matrix from cells of :func:`format_cells`,
+    "[[c, ...], [c, ...]]", each cell behind its separator (:func:`text`).
+    Position i in row-major order shows cell ``index(i)`` for an array of
+    positions."""
+    if n == 0:
         return "[]"
 
     def picks(at):
         kind = np.zeros(at.size, np.intp)
-        kind[-at[0] % row::row] = 1
+        kind[-at[0] % n::n] = 1
         if at[0] == 0:
             kind[0] = 2
-        return kind, at if index is None else index(at)
+        return kind, index(at)
 
-    return "[" * depth + text([_SEPARATORS, cells], picks, total) + "]" * depth
+    return "[[" + text([_SEPARATORS, cells], picks, n * n) + "]]"

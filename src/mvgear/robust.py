@@ -208,9 +208,9 @@ def solve_robust(
 class ShrinkPath:
     """A shrink sweep, an entry per grid point: the shrink parameter, the
     shrunk covariance's condition number, the alpha-angles of the shrunk
-    maximum-Sharpe direction (:func:`shrink_sweep`) and of the swept
-    program's portfolio, the Kantorovich bound, and the swept program's
-    weights, a row per point."""
+    maximum-Sharpe direction (RISKY's portfolio with no program,
+    :func:`shrink_sweep`) and of the swept program's portfolio, the
+    Kantorovich bound, and the swept program's weights, a row per point."""
 
     k: np.ndarray
     kappa_tilde: np.ndarray
@@ -237,26 +237,29 @@ def _frame_groups(cov: CovMatrix, mode: ShrinkMode, w: np.ndarray):
 def _sweep_point(a, cov: CovMatrix, spec: ShrinkageSpec, program, params):
     """One point of :func:`shrink_sweep` solved alone, as :func:`solve_robust`
     solves it, raising and warning as it does: kappa~, the cosines of the
-    risky column and ``program`` (the risky column if None), and
+    risky column and ``program`` (both RISKY's theta_alpha if None), and
     ``program``'s weights."""
     shrunk = shrink_covariance(cov, a, spec)
     frontier = FrontierScalars(a, shrunk)
-    risky = solvers.program_weights(Program.IV, frontier, g0=float(np.sign(frontier.B)))[0]
-    optimal = (risky if program is None
-               else solvers.program_weights(program, frontier, **params)[0])
+    sign = float(np.sign(frontier.B))
+    risky = solvers.program_weights(Program.IV, frontier, g0=sign)[0]
+    if program is None:  # theta_alpha, unrefused at B < 0; negation is exact
+        optimal = risky = sign * risky
+    else:
+        optimal = solvers.program_weights(program, frontier, **params)[0]
     kappa = shrunk.condition_number
     return kappa, alpha_angle(a, risky), alpha_angle(a, optimal), optimal
 
 
 def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
                  /, **params) -> ShrinkPath:
-    """The shrunk maximum-Sharpe direction and ``program``'s portfolio (the
-    direction's if None) at each shrink parameter of ``grid``:
-    :func:`solve_robust`'s weights to rounding, and each shrunk covariance's
-    condition number bit for bit. The direction is sign(B) theta_alpha, IV
-    at g0 = sign(B), the one Kantorovich bounds: RISKY's portfolio bit for
-    bit where B > 0 (negation is exact), and the Sharpe maximum where RISKY
-    refuses B < 0.
+    """The shrunk maximum-Sharpe direction and ``program``'s portfolio at
+    each shrink parameter of ``grid``: :func:`solve_robust`'s weights to
+    rounding, and each shrunk covariance's condition number bit for bit.
+    The direction is sign(B) theta_alpha, IV at g0 = sign(B), the one
+    Kantorovich bounds: RISKY's portfolio bit for bit where B > 0 (negation
+    is exact), and the Sharpe maximum where RISKY refuses B < 0. With no
+    ``program`` both columns are RISKY's theta_alpha, B < 0 included.
 
     Points whose shrinks share a frame (:func:`_frame_groups`) run as one
     stack (:meth:`CovMatrix.stack`) and one frontier object: one product with
@@ -266,13 +269,15 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
     inside (0, 1) toward the diagonal. A point the batch cannot vouch for is
     solved alone (:func:`_sweep_point`), in grid order, and raises or warns
     there by itself: a k out of range, a group whose stack fails (R's
-    decomposition), a refusal of RISKY or ``program``, a warning of
+    decomposition), a refusal of either column (``program``'s
+    :meth:`~solvers.ProgramSpec.no_maximum` included), a warning of
     ``program`` (VI's inefficient branch), a parameter check that fails
     (every point), or a nan cosine. Such a point costs one scalar solve,
     and its row is :func:`solve_robust`'s.
     """
     a, ks, mode = as_vector(alpha), np.asarray(grid, dtype=float), ShrinkMode(mode)
-    # the risky column first, at g0 = sign(B) per matrix of a frame group
+    # the risky column first: IV at g0 = sign(B) per matrix of a frame
+    # group, or at g0 = 1 (RISKY's coefficients) with no program
     entries = [solvers.PROGRAMS[Program.IV]]
     if program is not None:
         entries.append(solvers.PROGRAMS[Program(program)])
@@ -300,16 +305,15 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
                 alone[positions] = True
                 continue
             coords = []
-            for column, (entry, kwargs) in enumerate(zip(entries, [{"g0": np.sign(f.B)}, *args])):
+            risky = {"g0": 1.0 if program is None else np.sign(f.B)}
+            for column, (entry, kwargs) in enumerate(zip(entries, [risky, *args])):
                 for fails, _ in f.refusals(entry.refuses):
                     alone[positions[fails.ravel()]] = True
                 if entry.warns is not None:
                     alone[positions[entry.warns(f, **kwargs)[0].ravel()]] = True
                 c_alpha, gearing = entry.coefficients(f, **kwargs)
-                # a Sharpe program has no maximum at c_alpha <= 0; the risky
-                # column's is 1/|B|
-                if column and "sharpe" in entry.audits:
-                    alone[positions[~(c_alpha > 0.0).ravel()]] = True
+                if column:  # the risky column's c_alpha is 1/|B|, or RISKY's 1/B
+                    alone[positions] |= np.ravel(entry.no_maximum(f, c_alpha, gearing)[0])
                 coords.append(f.coordinates(c_alpha, gearing))
             thetas[:, positions] = f.cov.from_coordinates(np.concatenate(coords)).reshape(
                 len(entries), -1, cov.dim)

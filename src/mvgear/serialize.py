@@ -3,15 +3,15 @@ Deterministic JSON/CSV emission and the portfolio wire format.
 
 Floating-point values are rendered with 17 significant digits so repeated
 runs on identical inputs produce byte-identical artifacts: the text of each
-is ``'%.17g' % x``. A float array row of at least :data:`KERNEL_MIN`
-values, a symmetric matrix of that many distinct entries and a surface's
-sigma_p column of that many points go through one numpy kernel
-(:mod:`mvgear._g17`) that writes exactly those bytes: for
-1e-250 <= |x| < 1e250 it rounds x 10^(16 - k) to a 17-digit integer from a
-double-double product in error by less than 2^-47, and every value it
-cannot certify (zeros, values outside that range, scaled fractions within
-2^-36 of one half) is formatted by ``%``. Smaller arrays, where the
-kernel's fixed cost loses, are formatted by one C-level ``%`` per row.
+is ``'%.17g' % x``. A symmetric matrix of at least :data:`KERNEL_MIN`
+distinct entries and a surface's sigma_p column of that many points go
+through one numpy kernel (:mod:`mvgear._g17`) that writes exactly those
+bytes: for 1e-250 <= |x| < 1e250 it rounds x 10^(16 - k) to a 17-digit
+integer from a double-double product in error by less than 2^-47, and every
+value it cannot certify (zeros, values outside that range, scaled fractions
+within 2^-36 of one half) is formatted by ``%``. Everything else, smaller
+matrices and surfaces and every other float array, is formatted by one
+C-level ``%`` per row.
 """
 
 from __future__ import annotations
@@ -34,27 +34,22 @@ def fmt_float(value: float) -> str:
     return format(value, ".17g")
 
 
-# At least this many values (a 1-D row, the distinct entries of a symmetric
-# matrix, a surface's sigma_p) go through the array kernel of
-# :mod:`mvgear._g17`; fewer are formatted by one C-level ``%``, which was
-# faster below about 600 values in a row and 300 distinct entries of a
-# symmetric matrix (2-core host, numpy 2.4), where the kernel's fixed cost of
-# about 0.2 ms loses. The kernel is imported on first use, so that a process
-# that writes no large array, such as a fresh ``solve``, never compiles it.
+# At least this many values (the distinct entries of a symmetric matrix, a
+# surface's sigma_p) go through the array kernel of :mod:`mvgear._g17`;
+# fewer are formatted by one C-level ``%``, which was faster below about 300
+# distinct entries of a symmetric matrix (2-core host, numpy 2.4), where the
+# kernel's fixed cost of about 0.2 ms loses. The kernel is imported on first
+# use, so that a process that writes no large matrix or surface, such as a
+# fresh ``solve``, never compiles it.
 KERNEL_MIN = 1000
 
 
 def _float_rows(arr: np.ndarray) -> str:
     """JSON text of a finite float array, one C-level format per row; only
-    one row at a time is held as Python floats. A row of at least
-    :data:`KERNEL_MIN` values goes through the array kernel
-    (:mod:`mvgear._g17`) instead. A square matrix equal to its transpose bit
-    for bit (``==`` and the sign bit; the values are finite) is written by
-    :func:`_mirrored_rows`."""
+    one row at a time is held as Python floats. A square matrix equal to its
+    transpose bit for bit (``==`` and the sign bit; the values are finite)
+    is written by :func:`_mirrored_rows`."""
     if arr.ndim == 1:
-        if arr.size >= KERNEL_MIN:
-            from . import _g17
-            return _g17.joined(_g17.format_cells(arr), arr.shape)
         return "[" + ("%.17g, " * arr.size)[:-2] % tuple(arr.tolist()) + "]"
     if (arr.ndim == 2 and arr.shape[0] == arr.shape[1] and np.array_equal(arr, arr.T)
             and np.array_equal(np.signbit(arr), np.signbit(arr.T))):
@@ -83,7 +78,7 @@ def _mirrored_rows(sym: np.ndarray) -> str:
             low = np.minimum(i, j)
             return first[low] + (i + j - 2 * low)
 
-        return _g17.joined(_g17.format_cells(sym[np.triu_indices(n)]), sym.shape, index)
+        return _g17.joined(_g17.format_cells(sym[np.triu_indices(n)]), n, index)
     # upper[j][k] is entry (j, j + k), so row i reads upper[j][i - j] for j < i
     upper = [(("%.17g," * (n - i)) % tuple(row[i:].tolist())).split(",")[:-1]
              for i, row in enumerate(sym)]

@@ -340,6 +340,17 @@ class ProgramSpec:
         return {name: (_require_finite if name in self.signed else _require_positive)(
             name, value) for name, value in self.arguments(params).items()}
 
+    def no_maximum(self, frontier: FrontierScalars, c_alpha, gearing):
+        """Whether a Sharpe program's (c_alpha, gearing) has no maximum to
+        solve for (one bool per matrix of a stack), and a callable that forms
+        its NonPositiveParameter. On 1'theta = g0 the Sharpe ratio has a
+        maximum iff c_alpha = g0 / B > 0; a program not audited for "sharpe"
+        never fails (one False)."""
+        fails = ~np.greater(c_alpha, 0.0) if "sharpe" in self.audits else np.False_
+        return fails, lambda: NonPositiveParameter(
+            f"g0 B must be positive for a Sharpe maximum, got g0 = {float(gearing)!r}, "
+            f"B = {frontier.B:g}")
+
     def missing(self, name: str) -> MissingParameter:
         return MissingParameter(f"program {self.program.value} requires --{name}")
 
@@ -353,8 +364,7 @@ class ProgramSpec:
 # Sharpe programs (audited for "sharpe": IV, V, VIII, RISKY) refuse a
 # c_alpha <= 0, that is g0 B <= 0 (B < 0 for RISKY; V at sigma0 never): on
 # 1'theta = g0 the Sharpe ratio has a maximum iff g0 B > 0, and
-# g0 theta_alpha is its minimum (or zero) otherwise (program_weights, and
-# robust.shrink_sweep per point).
+# g0 theta_alpha is its minimum (or zero) otherwise (ProgramSpec.no_maximum).
 PROGRAMS: dict[Program, ProgramSpec] = {spec.program: spec for spec in (
     ProgramSpec(Program.I, lambda f, sigma0: _on_ray(sigma0 / np.sqrt(f.C), f),
                 required=("sigma0",), refuses=(DegenerateAlpha,), audits=("risk",)),
@@ -383,8 +393,8 @@ PROGRAMS: dict[Program, ProgramSpec] = {spec.program: spec for spec in (
 
 def program_weights(program: Program, frontier: FrontierScalars, /, **params):
     """The weights of ``program`` on ``frontier``, checked for what its PROGRAMS
-    entry refuses (and a Sharpe program for g0 B > 0, raising
-    NonPositiveParameter) and refused if they leave the float range, and the
+    entry refuses (and for a maximum, :meth:`ProgramSpec.no_maximum`) and
+    refused if they leave the float range, and the
     params its record carries: those
     :meth:`ProgramSpec.arguments` picks from ``params``, checked as the entry
     declares, and an audited gearing as g0 (QOQC's solver adds multipliers)."""
@@ -399,10 +409,9 @@ def program_weights(program: Program, frontier: FrontierScalars, /, **params):
             warnings.warn(text(), InefficientBranchWarning, stacklevel=3)
     with np.errstate(all="ignore"):
         c_alpha, gearing = entry.coefficients(frontier, **args)
-        if "sharpe" in entry.audits and not c_alpha > 0.0:
-            raise NonPositiveParameter(
-                f"g0 B must be positive for a Sharpe maximum, got g0 = {gearing!r}, "
-                f"B = {frontier.B:g}")
+        fails, error = entry.no_maximum(frontier, c_alpha, gearing)
+        if fails:
+            raise error()
         weights = frontier.weights(c_alpha, gearing)
     if not np.isfinite(weights).all():
         raise NonFiniteData(f"program {entry.program.value} weights are not finite: "

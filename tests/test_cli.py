@@ -1579,21 +1579,38 @@ def test_a_sharpe_program_at_negative_b_refuses_a_gearing_with_no_maximum(tmp_pa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("program", [[], ["--program", "VII", "--gamma", 5, "--g0", 1]])
-def test_a_sweep_at_negative_b_bounds_the_maximum_sharpe_direction(tmp_path, capsys, program):
+def test_a_sweep_at_negative_b_bounds_the_maximum_sharpe_direction(tmp_path, capsys):
     # B < 0 at k = 0 and B~ > 0 from k = 0.1 on: the risky column is
     # sign(B~) theta_alpha, the direction Kantorovich bounds, so
-    # cos phi >= 2 sqrt(kappa~) / (kappa~ + 1) at every point. With no
-    # program it is the swept portfolio too, where RISKY would refuse B < 0.
+    # cos phi >= 2 sqrt(kappa~) / (kappa~ + 1) at every point
     csv, out = negative_b_csv(tmp_path / "r.csv"), tmp_path / "s.csv"
     assert run(["shrink-sweep", "--input", csv, "--mode", "simple", "--grid", "0:0.1:1",
-                *program, "--output", out]) == 0
+                "--program", "VII", "--gamma", 5, "--g0", 1, "--output", out]) == 0
     assert capsys.readouterr().err == ""
     rows = [line.split(",")[:5] for line in out.read_text().splitlines()[1:]]
     assert len(rows) == 11
-    for _, _, cos_risky, cos_optimal, bound in rows:
+    for _, _, cos_risky, _, bound in rows:
         assert float(cos_risky) >= float(bound) - 1e-12
-        assert cos_optimal == cos_risky or program
+
+
+def test_a_sweep_with_no_program_at_negative_b_keeps_riskys_portfolio(tmp_path, capsys):
+    # With no program both columns are theta_alpha = Sigma~^-1 alpha / B~ at
+    # every point, 1'theta = 1, also at k = 0, where B < 0 makes it the
+    # Sharpe minimum (cos phi < 0) that solve --program RISKY refuses
+    csv, out = negative_b_csv(tmp_path / "r.csv"), tmp_path / "s.csv"
+    assert run(["shrink-sweep", "--input", csv, "--mode", "simple", "--grid", "0:0.1:1",
+                "--output", out]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",", 5) for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 11
+    for _, _, cos_risky, cos_optimal, _, weights in rows:
+        assert cos_optimal == cos_risky
+        npt.assert_allclose(sum(json.loads(weights.strip('"'))), 1.0, rtol=0, atol=1e-12)
+    assert float(rows[0][2]) < 0
+    frontier = solvers.FrontierScalars(*estimate_moments(load_returns_csv(csv)))
+    assert frontier.B < 0
+    npt.assert_allclose(json.loads(rows[0][5].strip('"')),
+                        frontier.weights(1.0 / frontier.B, 1.0), rtol=1e-12)
     assert run(["solve", "--input", csv, "--program", "RISKY", "--output", out]) == 3
 
 
@@ -1618,16 +1635,17 @@ def test_verify_passes_a_sharpe_maximum_on_a_panel_with_negative_b(tmp_path, cap
 @pytest.mark.parametrize("g0", ["-1", "0"])
 def test_a_sharpe_program_refuses_a_gearing_that_is_not_positive(
         tmp_path, capsys, command, program, g0):
-    # On 1'theta = g0 < 0, g0 theta_alpha is the Sharpe minimum and no maximum
-    # exists; at g0 = 0 it is the zero portfolio.
+    # B > 0: on 1'theta = g0 < 0, g0 theta_alpha is the Sharpe minimum and no
+    # maximum exists; at g0 = 0 it is the zero portfolio. A sweep fails at
+    # its first point, k = 0, where B~ = B.
     csv, out = _three_asset_csv(tmp_path), tmp_path / "out"
     argv = [command, "--input", csv, "--program", program, f"--g0={g0}", "--output", out]
     if command == "shrink-sweep":
         argv += SWEEP_ARGS
     assert run(argv) == 3
-    assert capsys.readouterr().err.startswith(
+    assert capsys.readouterr().err == (
         "code=NonPositiveParameter g0 B must be positive for a Sharpe maximum, "
-        f"got g0 = {float(g0)!r}, B = ")
+        f"got g0 = {float(g0)!r}, B = 0.00214083\n")
     assert not out.exists()
 
 

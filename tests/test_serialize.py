@@ -4,9 +4,9 @@ A float ndarray is written row by row with ``%.17g``, and a symmetric matrix
 from its upper triangle; a list of Python floats goes through ``fmt_float``
 one value at a time. Both must give the same bytes, and the same error for a
 non-finite value. A list of strings is written by one ``json.dumps``, and
-must give the bytes of one ``json.dumps`` per string. Arrays of at least
-``serialize.KERNEL_MIN`` values go through the numpy kernel
-``mvgear._g17``, whose text of every value must be ``'%.17g' %``'s.
+must give the bytes of one ``json.dumps`` per string. Symmetric matrices and
+surfaces of at least ``serialize.KERNEL_MIN`` values go through the numpy
+kernel ``mvgear._g17``, whose text of every value must be ``'%.17g' %``'s.
 """
 
 import json
@@ -259,7 +259,8 @@ def fallback(monkeypatch):
 
 @pytest.fixture
 def kernel_everywhere(monkeypatch):
-    """Every float array, however small, goes through the kernel."""
+    """Every symmetric matrix and surface, however small, goes through the
+    kernel."""
     monkeypatch.setattr(serialize, "KERNEL_MIN", 0)
 
 
@@ -307,13 +308,11 @@ def test_few_values_of_a_normal_array_fall_back(fallback):
     assert len(fallback) < values.size // 1000
 
 
-def test_small_arrays_through_the_kernel_match_the_element_wise_path(kernel_everywhere,
-                                                                     mirrored):
+def test_small_symmetric_matrices_through_the_kernel_match_the_element_wise_path(
+        kernel_everywhere, mirrored):
     rng = np.random.default_rng(8)
-    arrays = [np.array(EDGES), np.array([1.5]), np.zeros(0), np.zeros((0, 0)), np.zeros((2, 0)),
-              np.array([[-0.0]]), symmetric(EDGES, 2), symmetric(EDGES, 19),
-              symmetric(rng.standard_normal(5050), 100), np.arange(12.0).reshape(3, 4),
-              (rng.standard_normal((4, 10, 30)) * 10.0 ** rng.integers(-30, 30, (4, 10, 30)))]
+    arrays = [np.zeros((0, 0)), np.array([[-0.0]]), symmetric(EDGES, 2), symmetric(EDGES, 19),
+              symmetric(rng.standard_normal(5050), 100)]
     for arr in arrays:
         assert dumps(arr) == element_wise(arr)
     assert mirrored == [(0, 0), (1, 1), (2, 2), (19, 19), (100, 100)]
@@ -351,20 +350,25 @@ def test_estimate_through_the_kernel_writes_the_element_wise_bytes(tmp_path, mon
 
 def test_the_kernel_is_imported_and_its_tables_made_on_first_use():
     # importing the CLI loads neither fractions (about 4.5 ms) nor decimal,
-    # and a cold solve, whose weights stay below KERNEL_MIN, neither compiles
-    # the kernel module nor builds its tables
+    # and a cold solve, whose weights are a 1-D row, neither compiles the
+    # kernel module nor builds its tables, however long the row; nor does a
+    # symmetric matrix of fewer than KERNEL_MIN distinct entries (n = 44),
+    # while one of KERNEL_MIN or more (n = 45) does
+    assert 44 * 45 // 2 < serialize.KERNEL_MIN <= 45 * 46 // 2
     code = (
         "import sys\n"
         "import numpy as np\n"
         "import mvgear.cli\n"
         "from mvgear import serialize\n"
         "loaded = lambda: sorted({'fractions', 'decimal', 'mvgear._g17'} & set(sys.modules))\n"
+        "sym = lambda n: (lambda m: m + m.T)(np.random.default_rng(n).random((n, n)))\n"
         "print(loaded())\n"
-        "serialize.dumps(np.linspace(0.0, 1.0, serialize.KERNEL_MIN - 1))\n"
+        "serialize.dumps(np.linspace(0.0, 1.0, 10 * serialize.KERNEL_MIN))\n"
+        "serialize.dumps(sym(44))\n"
         "print(loaded())\n"
         "from mvgear import _g17\n"
         "print(sorted(_g17._TABLES))\n"
-        "serialize.dumps(np.linspace(0.0, 1.0, serialize.KERNEL_MIN))\n"
+        "serialize.dumps(sym(45))\n"
         "print(sorted(_g17._TABLES))\n")
     src = str(Path(serialize.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
