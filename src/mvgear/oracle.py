@@ -14,6 +14,8 @@ path, and they operate on raw arrays only.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +27,12 @@ from .errors import DimensionError, RankDeficientConstraints, SingularKkt
 BACKWARD_TOL_PER_UNKNOWN = 8.0 * np.finfo(float).eps
 
 # Byte budget for one block of float64 samples in dominance_sample; it bounds
-# the sampler's working set whatever the sample count.
+# the sampler's working set whatever the sample count: two blocks (one being
+# drawn while the other is scored) plus the objective's scratch.
 SAMPLE_BLOCK_BYTES = 2 * 1024 * 1024
+
+# The variables that fix the BLAS thread count, in the order they are read.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -161,15 +167,79 @@ def sharpe_objective(alpha: np.ndarray, cov_entries: np.ndarray):
     return objective
 
 
+def _spare_cpu() -> bool:
+    """Whether this process may use more CPUs than BLAS takes.
+
+    The first of ``BLAS_THREAD_VARIABLES`` holding a positive integer fixes
+    BLAS's threads; with none, BLAS takes every CPU and none is spare. Drawing
+    beside a BLAS thread pool that spins on every CPU is slower than not
+    overlapping at all.
+    """
+    for name in BLAS_THREAD_VARIABLES:
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity mask on this platform
+                cpus = os.cpu_count() or 1
+            return cpus > threads
+    return False
+
+
+def _drawn_ahead(rng, sizes, dim, score) -> list:
+    """``score`` of each block of ``sizes`` rows drawn from ``rng``, in order,
+    on the calling thread, while one helper thread draws the next block into
+    the other of two buffers (numpy's fills release the GIL). The helper is
+    joined before this returns or raises, and its exception is raised here."""
+    buffers = [np.empty((sizes[0], dim)) for _ in range(2)]
+    ready, free = threading.Semaphore(0), threading.Semaphore(len(buffers))
+    failure, stop = [], threading.Event()
+
+    def draw():
+        try:
+            for i, size in enumerate(sizes):
+                free.acquire()
+                if stop.is_set():
+                    return
+                rng.standard_normal(out=buffers[i % 2][:size])
+                ready.release()
+        except BaseException as exc:  # raised again on the calling thread
+            failure.append(exc)
+            ready.release()
+
+    helper = threading.Thread(target=draw, name="mvgear-sampler")
+    helper.start()
+    peaks = []
+    try:
+        for i, size in enumerate(sizes):
+            ready.acquire()
+            if failure:
+                raise failure[0]
+            peaks.append(score(buffers[i % 2][:size]))
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        helper.join()
+    return peaks
+
+
 def dominance_sample(objective, projector, dim: int, count: int, seed: int) -> float:
     """Best objective over ``count`` seeded samples projected to the set.
 
     The samples are the rows of ``default_rng(seed).standard_normal((count,
     dim))``, drawn in order but in blocks of ``SAMPLE_BLOCK_BYTES // (8 * dim)``
-    rows (at least one), each into the same buffer. Each block is projected
-    and scored before the next is drawn, so memory does not grow with
-    ``count``; ``projector`` and ``objective`` are called once per block, see
-    every row exactly once, and may overwrite the block they are given.
+    rows (at least one), so memory does not grow with ``count``. When there
+    are two blocks or more and a CPU is spare (:func:`_spare_cpu`), a helper
+    thread draws the next block into a second buffer while the current one is
+    scored; otherwise each block is drawn into one buffer and scored before
+    the next is drawn. The blocks, and so the result, are the same bits
+    either way. ``projector`` and ``objective`` run on the calling thread,
+    once per block, in order; they see every row exactly once and may
+    overwrite the block they are given.
     """
     if count < 1:
         raise DimensionError(f"count must be >= 1, got {count}")
@@ -177,9 +247,14 @@ def dominance_sample(objective, projector, dim: int, count: int, seed: int) -> f
         raise DimensionError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     rows = max(1, SAMPLE_BLOCK_BYTES // (8 * dim))
-    block = np.empty((min(rows, count), dim))
-    peaks = []
-    for start in range(0, count, rows):
-        batch = rng.standard_normal(out=block[:min(rows, count - start)])
-        peaks.append(np.asarray(objective(projector(batch)), dtype=float).max())
+    sizes = [min(rows, count - start) for start in range(0, count, rows)]
+
+    def score(batch):
+        return np.asarray(objective(projector(batch)), dtype=float).max()
+
+    if len(sizes) > 1 and _spare_cpu():
+        peaks = _drawn_ahead(rng, sizes, dim, score)
+    else:
+        block = np.empty((sizes[0], dim))
+        peaks = [score(rng.standard_normal(out=block[:size])) for size in sizes]
     return float(np.max(peaks))

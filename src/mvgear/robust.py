@@ -56,6 +56,7 @@ cannot vouch for is solved alone, as :func:`solve_robust` would.
 
 from __future__ import annotations
 
+import math
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -234,11 +235,31 @@ def _frame_groups(cov: CovMatrix, mode: ShrinkMode, w: np.ndarray):
             (w == 1.0, lambda v: cov.toward_diagonal(1.0).stack(0.0 * v)))
 
 
+# A sweep row all of whose figures on Sigma stay below this, by the bound of
+# _may_overflow, is written from the batch.
+_FIGURE_LIMIT = 2.0**1000
+
+
+def _may_overflow(a, cov: CovMatrix, rows: np.ndarray) -> np.ndarray:
+    """Whether a figure :func:`solvers._figures` forms of each row theta could
+    overflow, by an O(n) bound per row on t = max|theta|: the leverage is at
+    most n t, alpha_p and its partial sums at most |alpha| sqrt(n) t, and
+    theta'Sigma theta and its partial sums at most (n t)^2 max|Sigma_ij| <=
+    (n t)^2 rho_1 max(s)^2. ``t_max`` is the largest t that keeps all three
+    within the limit."""
+    n = cov.dim
+    rho = float(cov.spectrum[0]) * (1.0 if cov.scale is None else float(cov.scale.max()) ** 2)
+    t_max = min(_FIGURE_LIMIT / max(n, math.sqrt(n * float(a @ a))),
+                math.sqrt(_FIGURE_LIMIT / rho) / n)
+    return ~(np.abs(rows).max(axis=1) <= t_max)
+
+
 def _sweep_point(a, cov: CovMatrix, spec: ShrinkageSpec, program, params):
     """One point of :func:`shrink_sweep` solved alone, as :func:`solve_robust`
-    solves it, raising and warning as it does: kappa~, the cosines of the
-    risky column and ``program`` (both RISKY's theta_alpha if None), and
-    ``program``'s weights."""
+    solves it, raising and warning as it does (an overflowing figure of the
+    written weights included): kappa~, the cosines of the risky column and
+    ``program`` (both RISKY's theta_alpha if None), and ``program``'s
+    weights."""
     shrunk = shrink_covariance(cov, a, spec)
     frontier = FrontierScalars(a, shrunk)
     sign = float(np.sign(frontier.B))
@@ -247,6 +268,8 @@ def _sweep_point(a, cov: CovMatrix, spec: ShrinkageSpec, program, params):
         optimal = risky = sign * risky
     else:
         optimal = solvers.program_weights(program, frontier, **params)[0]
+    entry = solvers.PROGRAMS[Program.RISKY if program is None else Program(program)]
+    solvers._figures(optimal, entry.program, a if entry.reads_alpha else None, cov)
     kappa = shrunk.condition_number
     return kappa, alpha_angle(a, risky), alpha_angle(a, optimal), optimal
 
@@ -272,8 +295,9 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
     decomposition), a refusal of either column (``program``'s
     :meth:`~solvers.ProgramSpec.no_maximum` included), a warning of
     ``program`` (VI's inefficient branch), a parameter check that fails
-    (every point), or a nan cosine. Such a point costs one scalar solve,
-    and its row is :func:`solve_robust`'s.
+    (every point), a nan cosine, or weights whose sigma_p or other figure
+    on Sigma could overflow (:func:`_may_overflow`). Such a point costs one
+    scalar solve, and its row is :func:`solve_robust`'s.
     """
     a, ks, mode = as_vector(alpha), np.asarray(grid, dtype=float), ShrinkMode(mode)
     # the risky column first: IV at g0 = sign(B) per matrix of a frame
@@ -322,7 +346,7 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
             else:
                 scaled[positions] = True
         cosines = alpha_angles(a, thetas.reshape(-1, cov.dim)).reshape(len(entries), -1)
-    alone |= np.isnan(cosines).any(axis=0)
+        alone |= np.isnan(cosines).any(axis=0) | _may_overflow(a, cov, thetas[-1])
     for j in (alone | scaled).nonzero()[0].tolist():
         if alone[j]:
             kappa[j], cosines[0, j], cosines[-1, j], thetas[-1, j] = _sweep_point(

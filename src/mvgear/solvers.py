@@ -236,9 +236,9 @@ class Portfolio:
         return self.weights.size
 
 
-def _portfolio(w, program: Program, params: dict, alpha, cov: CovMatrix) -> Portfolio:
-    """The record of weights ``w``, with alpha_p (None if ``alpha`` is) and
-    sigma_p on ``cov``; refused if a figure overflows."""
+def _figures(w, program: Program, alpha, cov: CovMatrix) -> dict:
+    """The gearing, leverage, alpha_p (None if ``alpha`` is) and sigma_p on
+    ``cov`` of weights ``w``; NonFiniteData names the first that overflows."""
     with np.errstate(all="ignore"):
         figures = dict(gearing=float(w.sum()), leverage=float(np.abs(w).sum()),
                        alpha_p=None if alpha is None else float(as_vector(alpha) @ w),
@@ -247,7 +247,14 @@ def _portfolio(w, program: Program, params: dict, alpha, cov: CovMatrix) -> Port
         if value is not None and not math.isfinite(value):
             raise NonFiniteData(f"program {program.value} {name} is {value!r}: "
                                 "a parameter is too large or too small for these moments")
-    return Portfolio(weights=w, program=program, params=dict(params), **figures)
+    return figures
+
+
+def _portfolio(w, program: Program, params: dict, alpha, cov: CovMatrix) -> Portfolio:
+    """The record of weights ``w`` with their :func:`_figures`; refused if a
+    figure overflows."""
+    return Portfolio(weights=w, program=program, params=dict(params),
+                     **_figures(w, program, alpha, cov))
 
 
 def _on_ray(c_alpha: float, f: FrontierScalars) -> tuple[float, float]:

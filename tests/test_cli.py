@@ -307,25 +307,22 @@ def negative_b_csv(path, sign=1.0):
 SHARPE_AT_G0 = {(Program.IV, "g0"), (Program.V, "g0"), (Program.VIII, "g0")}
 
 
-# (value, program, parameter, whether the sweep fails too) whose weights or
-# whose sigma_p leave the float range on the negative-B panel (the positive-B
-# one for SHARPE_AT_G0).
+# (value, program, parameter) whose weights or whose sigma_p leave the float
+# range on the negative-B panel (the positive-B one for SHARPE_AT_G0).
 OVERFLOW_CASES = [
-    *(("1e-310", program, "gamma", True) for program in (Program.III, Program.VII)),
-    *(("1e-300", program, "gamma", False) for program in (Program.III, Program.VII)),
-    *((value, program, name, value == "1e308")
+    *((gamma, program, "gamma") for gamma in ("1e-310", "1e-300")
+      for program in (Program.III, Program.VII)),
+    *((value, program, name)
       for value in ("1e300", "1e308")
       for program, name in [(Program.I, "sigma0"), (Program.II, "alpha0"), (Program.IV, "g0"),
                             (Program.V, "g0"), (Program.V, "sigma0"), (Program.VI, "alpha0"),
                             (Program.VI, "g0"), (Program.VIII, "g0")]),
-    ("1e300", Program.VII, "g0", False), ("1e308", Program.VII, "g0", False),
-    ("-1e308", Program.VI, "alpha0", True), ("-1e308", Program.VI, "g0", True),
-    ("-1e308", Program.VII, "g0", False),
+    ("1e300", Program.VII, "g0"), ("1e308", Program.VII, "g0"),
+    ("-1e308", Program.VI, "alpha0"), ("-1e308", Program.VI, "g0"),
+    ("-1e308", Program.VII, "g0"),
 ]
-OVERFLOW_RUNS = [
-    (command, value, program, name)
-    for value, program, name, sweeps in OVERFLOW_CASES
-    for command in ("solve", "shrunk-solve", *(["shrink-sweep"] if sweeps else []))]
+OVERFLOW_RUNS = [(command, *case) for case in OVERFLOW_CASES
+                 for command in ("solve", "shrunk-solve", "shrink-sweep")]
 
 
 def overflow_argv(csv, command, value, program, name, q=0.5):
@@ -344,9 +341,8 @@ def test_an_overflowing_parameter_exits_3_with_one_non_finite_data_line(
         tmp_path, capsys, command, value, program, name):
     # A finite parameter whose weights, or whose sigma_p, leave the float
     # range: one code=NonFiniteData line naming the program, and no numpy
-    # warning first. A failing sweep prints the line solve --shrink-mode
-    # simple --q prints at one of its points (a sweep records no sigma_p, so
-    # its first failing point can come after the solve's).
+    # warning first. The sweep fails too, with the line solve --shrink-mode
+    # simple --q prints at one of its points.
     negated = (program, name) in SHARPE_AT_G0 and command != "shrunk-solve"
     csv = negative_b_csv(tmp_path / "r.csv", -1.0 if negated else 1.0)
     assert run(overflow_argv(csv, command, value, program, name)) == 3
@@ -359,6 +355,49 @@ def test_an_overflowing_parameter_exits_3_with_one_non_finite_data_line(
             run(overflow_argv(csv, "shrunk-solve", value, program, name, q))
             twins.append(capsys.readouterr().err)
         assert err in twins
+
+
+def wide_return_csv(path):
+    """30 periods of 4 assets drawn from N(0.5, 3^2): program III's weights
+    at gamma are about 7e-2 / gamma."""
+    rows = np.random.default_rng(1).standard_normal((30, 4)) * 3 + 0.5
+    path.write_text("a,b,c,d\n" + "\n".join(",".join(map(repr, row)) for row in rows.tolist())
+                    + "\n")
+    return path
+
+
+def test_a_sweep_point_whose_sigma_p_overflows_fails_as_its_solve_does(tmp_path, capsys):
+    # gamma = 1e-300: the weights are near 1e299, finite, but theta'Sigma
+    # theta overflows; the sweep refuses its first point with solve's line.
+    csv = wide_return_csv(tmp_path / "r.csv")
+    params = ["--input", csv, "--program", "III", "--gamma", "1e-300"]
+    assert run(["shrink-sweep", *params, "--mode", "simple", "--grid", "0:0.5:1"]) == 3
+    swept = capsys.readouterr()
+    assert run(["solve", *params, "--shrink-mode", "simple", "--q", "0"]) == 3
+    solved = capsys.readouterr()
+    assert swept.out == solved.out == ""
+    assert swept.err == solved.err == (
+        "code=NonFiniteData program III sigma_p is inf: "
+        "a parameter is too large or too small for these moments\n")
+
+
+def test_sweep_points_near_the_overflow_bound_are_solved_alone_and_written(
+        tmp_path, monkeypatch):
+    # gamma = 1e-151: weights near 7e150 pass no overflow bound, but every
+    # figure is finite, so each point is solved alone and writes solve's weights.
+    csv, out = wide_return_csv(tmp_path / "r.csv"), tmp_path / "s.csv"
+    alone, real = [], robust._sweep_point
+    monkeypatch.setattr(robust, "_sweep_point", lambda *args: alone.append(1) or real(*args))
+    params = ["--input", csv, "--program", "III", "--gamma", "1e-151"]
+    assert run(["shrink-sweep", *params, "--mode", "simple", "--grid", "0:0.5:1",
+                "--output", out]) == 0
+    assert len(alone) == 3
+    lines = out.read_text().splitlines()[1:]
+    for q, line in zip(["0", "0.5", "1"], lines):
+        assert run(["solve", *params, "--shrink-mode", "simple", "--q", q,
+                    "--output", tmp_path / "p.json"]) == 0
+        solved = json.loads((tmp_path / "p.json").read_text())["weights"]
+        assert json.loads(line.split(',"')[1].rstrip('"')) == solved
 
 
 @pytest.mark.parametrize("gamma", ["1e-300", "1e-310"])

@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from mvgear import (
     KktProblem,
+    oracle,
     RankDeficientConstraints,
     SingularKkt,
     dominance_sample,
@@ -14,9 +18,11 @@ from mvgear import (
     solve_kkt,
 )
 
-from mvgear.oracle import BACKWARD_TOL_PER_UNKNOWN, SAMPLE_BLOCK_BYTES, _row_quadratic
+from mvgear.cli import main
+from mvgear.oracle import (BACKWARD_TOL_PER_UNKNOWN, BLAS_THREAD_VARIABLES,
+                           SAMPLE_BLOCK_BYTES, _row_quadratic)
 
-from conftest import random_instance, random_spd
+from conftest import random_instance, random_spd, write_micro_csv
 
 BLOCK_DIM = 20
 BLOCK_ROWS = SAMPLE_BLOCK_BYTES // (8 * BLOCK_DIM)
@@ -274,7 +280,14 @@ def test_dominance_same_seed_is_bit_identical(sharpe_on_gearing_plane, count):
     assert a == b
 
 
-def test_dominance_memory_does_not_grow_with_count():
+@pytest.fixture(params=[False, True], ids=["serial", "overlapped"])
+def overlap(request, monkeypatch):
+    """The sampler's gate forced off, then on, for the test."""
+    monkeypatch.setattr(oracle, "_spare_cpu", lambda: request.param)
+    return request.param
+
+
+def test_dominance_memory_does_not_grow_with_count(overlap):
     alpha, cov = random_instance(np.random.default_rng(101), 100)
     objective = sharpe_objective(alpha.entries, cov.entries)
     projector = project_to_gearing(1.0)
@@ -286,3 +299,201 @@ def test_dominance_memory_does_not_grow_with_count():
         tracemalloc.stop()
     # One unblocked 100k x 100 draw alone is 80 MB.
     assert peak < 32e6
+
+
+def serial_sample(objective, projector, dim, count, seed):
+    """The sampler as one thread runs it: each block drawn into one buffer,
+    then projected and scored."""
+    rng = np.random.default_rng(seed)
+    rows = max(1, SAMPLE_BLOCK_BYTES // (8 * dim))
+    block = np.empty((min(rows, count), dim))
+    peaks = []
+    for start in range(0, count, rows):
+        batch = rng.standard_normal(out=block[:min(rows, count - start)])
+        peaks.append(np.asarray(objective(projector(batch)), dtype=float).max())
+    return float(np.max(peaks))
+
+
+def sharpe_at(dim, g0, seed=0):
+    rng = np.random.default_rng([dim, seed])
+    f = rng.standard_normal((dim, dim))
+    cov = f @ f.T / dim + 0.1 * np.eye(dim)
+    return sharpe_objective(rng.uniform(0.02, 0.2, size=dim), cov), project_to_gearing(g0)
+
+
+def block_counts(dim):
+    rows = SAMPLE_BLOCK_BYTES // (8 * dim)
+    return [1, rows - 1, rows, rows + 1, 2 * rows, 3 * rows + 7]
+
+
+@pytest.mark.parametrize("g0", [1.0, -0.5])
+@pytest.mark.parametrize("dim", [1, 7, 100])
+def test_dominance_either_way_equals_the_serial_loop(overlap, dim, g0):
+    objective, projector = sharpe_at(dim, g0)
+    for count in block_counts(dim):
+        assert (dominance_sample(objective, projector, dim, count, 17)
+                == serial_sample(objective, projector, dim, count, 17)), count
+
+
+def test_a_sampling_verify_writes_the_same_bytes_either_way(tmp_path, monkeypatch):
+    rows = np.random.default_rng(5).standard_normal((60, 20)) * 0.05 + 0.01
+    csv, port = tmp_path / "r.csv", tmp_path / "viii.json"
+    csv.write_text(",".join(f"a{j}" for j in range(20)) + "\n"
+                   + "\n".join(",".join(map(repr, row)) for row in rows.tolist()) + "\n")
+    assert main(["solve", "--input", str(csv), "--program", "VIII", "--g0", "1",
+                 "--output", str(port)]) == 0
+    reports = []
+    for spare in (False, True):
+        monkeypatch.setattr(oracle, "_spare_cpu", lambda: spare)
+        report = tmp_path / f"verify-{spare}.json"
+        assert main(["verify", "--input", str(csv), "--portfolio", str(port),
+                     "--samples", "100000", "--output", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    assert b"best sampled" in reports[0]
+
+
+def test_an_objective_error_propagates_and_leaves_no_thread(overlap):
+    objective, projector = sharpe_at(100, 1.0)
+    calls = []
+
+    def failing(batch):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ArithmeticError("block 3")
+        return objective(batch)
+
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="block 3"):
+        dominance_sample(failing, projector, 100, 100_000, 0)
+    assert len(calls) == 3
+    assert threading.active_count() == before
+
+
+def test_a_drawing_error_is_raised_on_the_caller_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(oracle, "_spare_cpu", lambda: True)
+    real = np.random.default_rng
+
+    class Failing:
+        def __init__(self, seed):
+            self.rng, self.draws = real(seed), 0
+
+        def standard_normal(self, out):
+            self.draws += 1
+            if self.draws == 3:
+                raise MemoryError("draw 3")
+            return self.rng.standard_normal(out=out)
+
+    objective, projector = sharpe_at(100, 1.0)
+    monkeypatch.setattr(np.random, "default_rng", Failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="draw 3"):
+        dominance_sample(objective, projector, 100, 100_000, 0)
+    assert threading.active_count() == before
+
+
+def test_callbacks_run_on_the_calling_thread_only(overlap):
+    objective, projector = sharpe_at(100, 1.0)
+    seen, alive = set(), []
+
+    def on_caller(callback):
+        def call(batch):
+            seen.add(threading.get_ident())
+            alive.append(threading.active_count())
+            return callback(batch)
+        return call
+
+    before = threading.active_count()
+    dominance_sample(on_caller(objective), on_caller(projector), 100,
+                     3 * (SAMPLE_BLOCK_BYTES // 800) + 7, 0)
+    assert seen == {threading.get_ident()}
+    # four blocks: while the first is scored the helper waits to draw the third
+    assert alive[0] == before + overlap
+
+
+def test_concurrent_overlapped_samples_each_equal_the_serial_loop(monkeypatch):
+    # Four callers, each with its helper, on a shortened switch interval: a
+    # block scored before it is drawn, or drawn over while scored, changes
+    # some caller's result.
+    monkeypatch.setattr(oracle, "_spare_cpu", lambda: True)
+    count = 3 * (SAMPLE_BLOCK_BYTES // 800) + 7
+    results = {}
+
+    def sample(seed):
+        objective, projector = sharpe_at(100, 1.0, seed)
+        results[seed] = (dominance_sample(objective, projector, 100, count, seed),
+                         serial_sample(objective, projector, 100, count, seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=sample, args=(seed,)) for seed in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert sorted(results) == list(range(4))
+    for sampled, reference in results.values():
+        assert sampled == reference
+
+
+@pytest.fixture
+def no_threads(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+
+
+def test_a_one_block_sample_starts_no_thread(monkeypatch, no_threads, tmp_path):
+    monkeypatch.setattr(oracle, "_spare_cpu", lambda: True)
+    objective, projector = sharpe_at(100, 1.0)
+    rows = SAMPLE_BLOCK_BYTES // 800
+    assert (dominance_sample(objective, projector, 100, rows, 3)
+            == serial_sample(objective, projector, 100, rows, 3))
+    # the token verify of a Sharpe-family record: 64 samples, one block
+    csv, port = write_micro_csv(tmp_path / "r.csv"), tmp_path / "risky.json"
+    assert main(["solve", "--input", str(csv), "--program", "RISKY",
+                 "--output", str(port)]) == 0
+    assert main(["verify", "--input", str(csv), "--portfolio", str(port),
+                 "--samples", "64", "--output", str(tmp_path / "v.json")]) == 0
+
+
+@pytest.fixture
+def blas_env(monkeypatch):
+    """Two usable CPUs and no BLAS thread variable, for the test to change."""
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return monkeypatch
+
+
+@pytest.mark.parametrize("variables,cpus,spare", [
+    ("OPENBLAS_NUM_THREADS=1", 2, True),
+    ("OPENBLAS_NUM_THREADS=1", 1, False),
+    ("OPENBLAS_NUM_THREADS=2", 2, False),
+    ("", 2, False),
+    ("OMP_NUM_THREADS=1", 2, True),
+    ("MKL_NUM_THREADS=1 OMP_NUM_THREADS=2", 2, True),
+    ("OPENBLAS_NUM_THREADS=2 OMP_NUM_THREADS=1", 2, False),
+    ("OPENBLAS_NUM_THREADS=one OMP_NUM_THREADS=1", 2, True),
+    ("OPENBLAS_NUM_THREADS=one OMP_NUM_THREADS=2", 2, False),
+    ("OPENBLAS_NUM_THREADS=0 MKL_NUM_THREADS=1", 2, True),
+])
+def test_the_gate_reads_the_first_blas_thread_count(blas_env, no_threads, variables, cpus,
+                                                     spare):
+    for pair in variables.split():
+        blas_env.setenv(*pair.split("="))
+    blas_env.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert oracle._spare_cpu() is spare
+
+
+def test_with_no_blas_thread_variable_the_sample_is_serial(blas_env, no_threads):
+    objective, projector = sharpe_at(100, 1.0)
+    count = 3 * (SAMPLE_BLOCK_BYTES // 800) + 7
+    assert (dominance_sample(objective, projector, 100, count, 2)
+            == serial_sample(objective, projector, 100, count, 2))
+
