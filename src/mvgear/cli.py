@@ -310,66 +310,59 @@ def _cmd_shrink_sweep(args) -> str:
                                               for row, weights in zip(cells, path.weights)])
 
 
-def _gearing_audit(alpha, cov, w, args, g0):
-    gearing = float(w.sum())
-    return (abs(gearing - g0) <= 1e-10 * max(1.0, abs(g0)),
-            f"1'theta = {gearing!r} vs g0 = {g0!r}")
+def _agrees(value: float, target: float, rtol: float) -> bool:
+    """``verify``'s one comparison of a value with its target:
+    |value - target| <= rtol max(1, |target|). A non-finite value or target
+    fails."""
+    return math.isfinite(target) and abs(value - target) <= rtol * max(1.0, abs(target))
 
 
-def _full_investment_audit(alpha, cov, w, args):
-    gearing = float(w.sum())
-    return abs(gearing - 1.0) <= 1e-10, f"1'theta = {gearing!r} vs 1"
+def _constraint(value, target, detail, rtol=1e-10):
+    """The audit that ``value(w, figures)`` agrees with ``target(*params)``;
+    ``detail`` is formatted with the two."""
+    def test(alpha, cov, w, figures, args, *params):
+        got, want = value(w, figures), target(*params)
+        return _agrees(got, want, rtol), detail.format(got, want)
+    return test
 
 
-def _return_audit(alpha, cov, w, args, alpha0):
-    ret = float(alpha @ w)
-    return (abs(ret - alpha0) <= 1e-10 * max(1.0, abs(alpha0)),
-            f"alpha'theta = {ret!r} vs alpha0 = {alpha0!r}")
-
-
-def _risk_audit(alpha, cov, w, args, sigma0):
-    risk = float(np.sqrt(max(cov.quad(w), 0.0)))
-    return (abs(risk - sigma0) <= 1e-10 * max(1.0, sigma0),
-            f"sigma_p = {risk!r} vs sigma0 = {sigma0!r}")
-
-
-def _diversity_audit(alpha, cov, w, args, n0):
-    value, target = float(w @ w), 1.0 / n0
-    return abs(value - target) <= 1e-8, f"theta'theta = {value!r} vs 1/n0 = {target!r}"
-
-
-def _stationarity_audit(alpha, cov, w, args, gamma, lam1, lam2):
+def _stationarity_audit(alpha, cov, w, figures, args, gamma, lam1, lam2):
     res = diversity.stationarity_residual(alpha, cov, gamma, w, lam1, lam2)
-    return res <= 1e-8, f"residual {res:g}"
+    return res <= diversity.STATIONARITY_TOL, f"residual {res:g}"
 
 
-def _bound_audit(alpha, cov, w, args):
+def _bound_audit(alpha, cov, w, figures, args):
     report = geometry.verify_bound(alpha, cov, w)
     return (report.slack >= -1e-10,
             f"cos_phi = {float(report.cos_phi)!r}, slack = {float(report.slack)!r}")
 
 
-def _sharpe_audit(alpha, cov, w, args):
-    gearing = float(w.sum())
+def _sharpe_audit(alpha, cov, w, figures, args):
     best = oracle.dominance_sample(
         oracle.sharpe_objective(alpha, cov.entries),
-        oracle.project_to_gearing(gearing if gearing != 0.0 else 1.0),
+        oracle.project_to_gearing(figures["gearing"] or 1.0),
         dim=w.size, count=args.samples, seed=args.seed,
     )
-    mine = float(alpha @ w) / float(np.sqrt(cov.quad(w)))
+    mine = figures["alpha_p"] / figures["sigma_p"]
     return best <= mine + 1e-9, f"best sampled {best!r} vs solved {mine!r}"
 
 
 # Each audit a table entry may name, in the order ``verify`` runs them: its
-# check, the params it reads, and its test of (alpha, Sigma, weights, flags,
-# *params). Every record also meets the angle bound, "bound", unless no psi is
-# admissible for it.
+# check, the params it reads, and its test of (alpha, Sigma, weights, their
+# figures, flags, *params). Every record also meets the angle bound, "bound",
+# unless no psi is admissible for it.
 AUDITS = {
-    "gearing": ("gearing_constraint", ("g0",), _gearing_audit),
-    "full_investment": ("gearing_constraint", (), _full_investment_audit),
-    "return": ("return_constraint", ("alpha0",), _return_audit),
-    "risk": ("risk_constraint", ("sigma0",), _risk_audit),
-    "diversity": ("diversity_constraint", ("n0",), _diversity_audit),
+    "gearing": ("gearing_constraint", ("g0",), _constraint(
+        lambda w, f: f["gearing"], float, "1'theta = {0!r} vs g0 = {1!r}")),
+    "full_investment": ("gearing_constraint", (), _constraint(
+        lambda w, f: f["gearing"], lambda: 1.0, "1'theta = {0!r} vs 1")),
+    "return": ("return_constraint", ("alpha0",), _constraint(
+        lambda w, f: f["alpha_p"], float, "alpha'theta = {0!r} vs alpha0 = {1!r}")),
+    "risk": ("risk_constraint", ("sigma0",), _constraint(
+        lambda w, f: f["sigma_p"], float, "sigma_p = {0!r} vs sigma0 = {1!r}")),
+    "diversity": ("diversity_constraint", ("n0",), _constraint(
+        lambda w, f: float(w @ w), lambda n0: 1.0 / n0, "theta'theta = {0!r} vs 1/n0 = {1!r}",
+        diversity.SPHERE_TOL)),
     "stationarity": ("stationarity", ("gamma", "lambda1", "lambda2"),
                      _stationarity_audit),
     "bound": ("bound_slack", (), _bound_audit),
@@ -385,22 +378,15 @@ def _verify_checks(args, alpha, cov, port) -> list[dict]:
     def check(name, passed, detail):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    w = port.weights
-    gearing = float(w.sum())
-    check("gearing_field", abs(gearing - port.gearing) <= 1e-12 * max(1.0, abs(gearing)),
-          f"stored {port.gearing!r} vs recomputed {gearing!r}")
-    lev = float(np.abs(w).sum())
-    check("leverage_field", abs(lev - port.leverage) <= 1e-12 * max(1.0, lev),
-          f"stored {port.leverage!r} vs recomputed {lev!r}")
-
-    if port.alpha_p is not None:
-        ret = float(alpha.entries @ w)
-        check("alpha_p", abs(ret - port.alpha_p) <= 1e-10 * max(1.0, abs(ret)),
-              f"stored {port.alpha_p!r} vs recomputed {ret!r}")
-    if port.sigma_p is not None:
-        risk = float(np.sqrt(max(cov.quad(w), 0.0)))
-        check("sigma_p", abs(risk - port.sigma_p) <= 1e-10 * max(1.0, risk),
-              f"stored {port.sigma_p!r} vs recomputed {risk!r}")
+    w, figures = port.weights, solvers._measure(port.weights, alpha, cov)
+    for name, check_name, rtol in (("gearing", "gearing_field", 1e-12),
+                                   ("leverage", "leverage_field", 1e-12),
+                                   ("alpha_p", "alpha_p", 1e-10),
+                                   ("sigma_p", "sigma_p", 1e-10)):
+        stored = getattr(port, name)
+        if stored is not None:
+            check(check_name, _agrees(figures[name], stored, rtol),
+                  f"stored {stored!r} vs recomputed {figures[name]!r}")
 
     entry = solvers.PROGRAMS[port.program]
     shrunk = True  # a shrink record that cannot be read skips the unshrunk audits
@@ -431,7 +417,7 @@ def _verify_checks(args, alpha, cov, port) -> list[dict]:
             if missing:
                 raise entry.missing(missing[0])
             values = [float(port.params[param]) for param in reads]
-            check(check_name, *test(alpha.entries, cov, w, args, *values))
+            check(check_name, *test(alpha.entries, cov, w, figures, args, *values))
         except InvalidPsi:
             # x'y = alpha'theta <= 0: no psi < pi/2 is admissible, and the
             # bound, which claims nothing there, is skipped

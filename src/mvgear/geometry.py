@@ -160,7 +160,9 @@ def verify_bound(alpha, cov: CovMatrix, theta, psi: float | None = None) -> Boun
     If theta is collinear with Sigma^-1 alpha the Kantorovich bound applies
     directly. Otherwise the slack is reported against the Bauer-Householder
     bound, using the supplied psi or, when omitted, the smallest admissible
-    one for the transformed pair.
+    one for the transformed pair. Below that one (by more than a few ulps)
+    the bound need not hold, and a supplied psi raises InvalidPsi, unless
+    theta is collinear, where every psi bounds no higher than Kantorovich.
     """
     a = as_vector(alpha)
     t = as_vector(theta)
@@ -170,7 +172,10 @@ def verify_bound(alpha, cov: CovMatrix, theta, psi: float | None = None) -> Boun
     unconstrained = abs(alpha_angle(cov.solve(a), t)) >= 1.0 - COLLINEAR_TOL
     kappa_psi = bound_bh = None
     if psi is not None or not unconstrained:
-        psi = smallest_valid_psi(a, cov, t) if psi is None else float(psi)
+        smallest = smallest_valid_psi(a, cov, t)
+        psi = smallest if psi is None else float(psi)
+        if not unconstrained and psi < smallest - 4.0 * math.ulp(smallest):
+            raise InvalidPsi(f"psi = {psi!r} below the smallest admissible angle {smallest!r}")
         kappa_psi, bound_bh = bauer_householder_bound(kappa, psi)
     return BoundReport(cos_phi=cos_phi, kappa=kappa, bound_kantorovich=bound_k,
                        psi=psi, kappa_psi=kappa_psi, bound_bh=bound_bh,

@@ -240,16 +240,17 @@ def portfolio_from_dict(data: dict) -> Portfolio:
     if assets is not None and not (
             isinstance(assets, list) and all(isinstance(a, str) for a in assets)):
         raise InvalidPortfolio(f"assets must be null or a list of strings, got {assets!r}")
-    return Portfolio(
-        weights=weights,
-        program=program,
-        params=dict(params),
-        gearing=float(data.get("gearing", weights.sum())),
-        leverage=float(data.get("leverage", np.abs(weights).sum())),
-        alpha_p=None if data.get("alpha_p") is None else float(data["alpha_p"]),
-        sigma_p=None if data.get("sigma_p") is None else float(data["sigma_p"]),
-        assets=tuple(assets) if assets is not None else None,
-    )
+    with np.errstate(all="ignore"):  # a weight sum past the float range reads inf
+        return Portfolio(
+            weights=weights,
+            program=program,
+            params=dict(params),
+            gearing=float(data["gearing"] if "gearing" in data else weights.sum()),
+            leverage=float(data["leverage"] if "leverage" in data else np.abs(weights).sum()),
+            alpha_p=None if data.get("alpha_p") is None else float(data["alpha_p"]),
+            sigma_p=None if data.get("sigma_p") is None else float(data["sigma_p"]),
+            assets=tuple(assets) if assets is not None else None,
+        )
 
 
 def load_portfolio_json(path) -> Portfolio:

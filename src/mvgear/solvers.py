@@ -236,13 +236,19 @@ class Portfolio:
         return self.weights.size
 
 
-def _figures(w, program: Program, alpha, cov: CovMatrix) -> dict:
+def _measure(w, alpha, cov: CovMatrix) -> dict:
     """The gearing, leverage, alpha_p (None if ``alpha`` is) and sigma_p on
-    ``cov`` of weights ``w``; NonFiniteData names the first that overflows."""
+    ``cov`` of weights ``w``; one that overflows reads inf or nan, unwarned."""
     with np.errstate(all="ignore"):
-        figures = dict(gearing=float(w.sum()), leverage=float(np.abs(w).sum()),
-                       alpha_p=None if alpha is None else float(as_vector(alpha) @ w),
-                       sigma_p=float(np.sqrt(max(cov.quad(w), 0.0))))
+        return dict(gearing=float(w.sum()), leverage=float(np.abs(w).sum()),
+                    alpha_p=None if alpha is None else float(as_vector(alpha) @ w),
+                    sigma_p=float(np.sqrt(max(cov.quad(w), 0.0))))
+
+
+def _figures(w, program: Program, alpha, cov: CovMatrix) -> dict:
+    """:func:`_measure`'s figures of weights ``w``; NonFiniteData names the
+    first that overflows."""
+    figures = _measure(w, alpha, cov)
     for name, value in figures.items():
         if value is not None and not math.isfinite(value):
             raise NonFiniteData(f"program {program.value} {name} is {value!r}: "

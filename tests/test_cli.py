@@ -14,7 +14,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mvgear import AlphaVector, CovMatrix, cli, diversity, moments, robust, solvers
+from mvgear import (AlphaVector, CovMatrix, cli, diversity, moments, robust, serialize,
+                    solvers)
 from mvgear.cli import MAX_GRID_POINTS, SWEEP_HEADER, main, parse_grid
 from mvgear.cli import CliError
 from mvgear.errors import MvgearError
@@ -804,6 +805,27 @@ def test_bounds_from_portfolio_file(micro_csv, tmp_path):
     assert doc["slack"] >= -1e-10
 
 
+def test_bounds_refuses_a_psi_below_the_smallest_admissible_angle(tmp_path, capsys):
+    # below the angle of the pair x = L^-1 alpha, y = L'theta the
+    # Bauer-Householder bound need not hold: at psi = 0 it would read
+    # 0.6109 > cos phi = 0.4483, a slack of -0.1626
+    rows = np.random.default_rng(1).standard_normal((8, 3)) * 0.05 + [0.01, 0.03, 0.02]
+    csv, port = tmp_path / "r.csv", tmp_path / "p.json"
+    csv.write_text("a,b,c\n" + "\n".join(",".join(map(repr, row.tolist())) for row in rows)
+                   + "\n")
+    assert run(["solve", "--input", csv, "--program", "VII", "--gamma", 1, "--g0", 1,
+                "--output", port]) == 0
+    assert run(["bounds", "--input", csv, "--portfolio", port]) == 0
+    text = capsys.readouterr().out
+    smallest = json.loads(text)["psi"]
+    assert json.loads(text)["slack"] > 0.14
+    assert run(["bounds", "--input", csv, "--portfolio", port, "--psi", 0]) == 3
+    assert capsys.readouterr().err == (
+        f"code=InvalidPsi psi = 0.0 below the smallest admissible angle {smallest!r}\n")
+    assert run(["bounds", "--input", csv, "--portfolio", port, "--psi", smallest]) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_bounds_requires_exactly_one_source(micro_csv, capsys):
     assert run(["bounds", "--input", micro_csv]) == 2
     assert capsys.readouterr().err.startswith("code=MissingParameter")
@@ -1406,7 +1428,8 @@ GEARING, RETURN, RISK = "gearing_constraint", "return_constraint", "risk_constra
 SHRINK = ["--shrink-mode", "simple", "--q", 0.4]
 
 
-@pytest.mark.parametrize("command,expected", [
+# A record of each program of the table, and the checks verify runs on it.
+VERIFIED = [
     (["solve", "--program", "GMV"],
      ["gearing_field", "leverage_field", "sigma_p", "weights_resolve", GEARING,
       "bound_slack"]),
@@ -1434,7 +1457,10 @@ SHRINK = ["--shrink-mode", "simple", "--q", 0.4]
      FIELDS + [GEARING, "bound_slack"]),
     (["qoqc", "--gamma", 1, "--g0", 1, "--n0", 2],
      FIELDS + [GEARING, "diversity_constraint", "stationarity", "bound_slack"]),
-])
+]
+
+
+@pytest.mark.parametrize("command,expected", VERIFIED)
 def test_verify_audits_each_program(tmp_path, command, expected):
     csv = tmp_path / "r.csv"
     rng = np.random.default_rng(8)
@@ -1466,6 +1492,123 @@ def _three_asset_csv(tmp_path):
     csv.write_text("a,b,c\n" + "\n".join(
         ",".join(repr(float(v)) for v in row) for row in base) + "\n")
     return csv
+
+
+@pytest.mark.parametrize("command", [command for command, _ in VERIFIED])
+def test_a_record_stores_the_figures_verify_measures_bit_for_bit(tmp_path, command):
+    # solve and verify form the four figures by one function, so a written
+    # record, read back, matches its measurement to the last bit
+    csv, port = _three_asset_csv(tmp_path), tmp_path / "p.json"
+    assert run([command[0], "--input", csv, *command[1:], "--output", port]) == 0
+    record = serialize.load_portfolio_json(port)
+    alpha, cov = estimate_moments(load_returns_csv(csv))
+    measured = solvers._measure(record.weights, alpha, cov)
+    for name, value in measured.items():
+        stored = getattr(record, name)
+        if stored is not None:
+            assert stored.hex() == value.hex(), name
+
+
+def test_verify_measures_the_record_once(tmp_path, monkeypatch):
+    # the field checks and the gearing, risk and Sharpe audits all read one
+    # measurement of the record's weights; the re-solve measures its own
+    csv, port = _three_asset_csv(tmp_path), tmp_path / "p.json"
+    assert run(["solve", "--input", csv, "--program", "V", "--sigma0", 0.9,
+                "--output", port]) == 0
+    loaded, measured = [], []
+    load, measure = cli._load_portfolio, solvers._measure
+    monkeypatch.setattr(cli, "_load_portfolio",
+                        lambda *args: loaded.append(load(*args)) or loaded[-1])
+    monkeypatch.setattr(solvers, "_measure",
+                        lambda w, *args: measured.append(w) or measure(w, *args))
+    assert run(["verify", "--input", csv, "--portfolio", port, "--samples", 200,
+                "--output", tmp_path / "v.json"]) == 0
+    assert [w is loaded[0].weights for w in measured].count(True) == 1
+
+
+def _edited_record(tmp_path, csv, solve_args, edit):
+    """A solved record, with ``edit`` applied to its JSON, and its verify checks."""
+    port, report = tmp_path / "p.json", tmp_path / "v.json"
+    assert run(["solve", "--input", csv, *solve_args, "--output", port]) == 0
+    doc = json.loads(port.read_text())
+    edit(doc)
+    port.write_text(json.dumps(doc))
+    run(["verify", "--input", csv, "--portfolio", port, "--output", report])
+    return {c["name"]: c["passed"] for c in json.loads(report.read_text())["checks"]}
+
+
+@pytest.mark.parametrize("factor,passed", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("g0", [1e-3, 1e3])
+def test_verify_compares_within_rtol_of_the_target(tmp_path, factor, passed, g0):
+    # one rule for a field and a constraint: |value - target| <= rtol
+    # max(1, |target|), here with rtol 1e-12 on the stored leverage and 1e-10
+    # on the recorded g0, each moved by half or twice that from its value
+    csv, args = _three_asset_csv(tmp_path), ["--program", "VII", "--gamma", 1, "--g0", g0]
+
+    def move_leverage(doc):
+        doc["leverage"] += factor * 1e-12 * max(1.0, doc["leverage"])
+
+    def move_g0(doc):
+        doc["params"]["g0"] = doc["gearing"] + factor * 1e-10 * max(1.0, g0)
+
+    assert _edited_record(tmp_path, csv, args, move_leverage)["leverage_field"] is passed
+    assert _edited_record(tmp_path, csv, args, move_g0)[GEARING] is passed
+
+
+def _overflow_csv(tmp_path):
+    """30 periods of 4 assets on which weights of about 1e160 or more have a
+    variance past the float range."""
+    rows = np.random.default_rng(1).standard_normal((30, 4)) * 0.02 + 0.01
+    path = tmp_path / "r.csv"
+    path.write_text("a,b,c,d\n" + "\n".join(",".join(map(repr, row.tolist())) for row in rows)
+                    + "\n")
+    return path
+
+
+def _overflow_record(tmp_path, weights, leverage):
+    """A VII record at g0 = 0 with ``weights``, whose stored figures are finite."""
+    port = tmp_path / "p.json"
+    port.write_text(json.dumps({
+        "program": "VII", "params": {"gamma": 1, "g0": 0}, "assets": list("abcd"),
+        "weights": weights, "gearing": 0.0, "leverage": leverage, "alpha_p": 0.0,
+        "sigma_p": 1.0}))
+    return port
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale,leverage,failed", [
+    (1e160, 4e160, "sigma_p"), (1e308, 4.0, "leverage_field")])
+def test_verify_fails_a_figure_recomputed_past_the_float_range(tmp_path, capsys, scale,
+                                                               leverage, failed):
+    # theta' Sigma theta (and at 1e308 the leverage) overflows: the stored
+    # finite figure does not match it, and no numpy warning is printed
+    csv, report = _overflow_csv(tmp_path), tmp_path / "v.json"
+    port = _overflow_record(tmp_path, [scale, -scale, scale, -scale], leverage)
+    assert run(["verify", "--input", csv, "--portfolio", port, "--output", report]) == 3
+    assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert checks[failed]["passed"] is False
+    assert checks[failed]["detail"].endswith(" vs recomputed inf")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+@pytest.mark.parametrize("signs", [[1, -1, 1, -1], [1, 1, 1, 1]])
+def test_a_record_whose_weight_sums_overflow_loads_without_a_warning(tmp_path, capsys,
+                                                                     command, signs):
+    # the record holds gearing and leverage, so the load forms no default
+    # sum; the weight sum it checks the gearing against reads inf, and refuses
+    csv = _overflow_csv(tmp_path)
+    port = _overflow_record(tmp_path, [1e308 * sign for sign in signs], 4.0)
+    code = run([command, "--input", csv, "--portfolio", port, "--output", tmp_path / "o"])
+    err = capsys.readouterr().err
+    if sum(signs):
+        assert (code, err) == (3, "code=InvalidPortfolio gearing field does not equal the "
+                                  "weight sum\n")
+    elif command == "bounds":
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (3, "code=VerificationFailed one or more checks failed\n")
 
 
 def test_verify_passes_a_qoqc_record_on_the_boundary(tmp_path):
@@ -1599,8 +1742,9 @@ def test_verify_skips_the_bound_of_a_vi_record_whose_return_is_not_positive(
     checks = json.loads(report.read_text())["checks"]
     assert [c["name"] for c in checks] == FIELDS + [GEARING, RETURN]
     assert all(c["passed"] for c in checks)
-    assert run(["bounds", "--input", csv, "--portfolio", port]) == 3
-    assert capsys.readouterr().err.startswith("code=InvalidPsi ")
+    for psi in ([], ["--psi", 1]):
+        assert run(["bounds", "--input", csv, "--portfolio", port, *psi]) == 3
+        assert capsys.readouterr().err.startswith("code=InvalidPsi ")
 
 
 @pytest.mark.parametrize("program", [["RISKY"], ["IV"], ["IV", "--g0", 1], ["VIII", "--g0", 1],

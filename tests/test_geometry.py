@@ -199,6 +199,32 @@ def test_verify_bound_explicit_psi(micro_alpha, micro_cov):
     assert report.bound_bh is not None
 
 
+def test_verify_bound_refuses_a_psi_below_the_smallest_admissible(micro_alpha, micro_cov):
+    port = solve(Program.VI, micro_alpha, micro_cov, alpha0=0.2, g0=1.0)
+    smallest = smallest_valid_psi(micro_alpha, micro_cov, port)
+    default = verify_bound(micro_alpha, micro_cov, port)
+    assert default.psi == smallest
+    # rounding a few ulps under the smallest angle is not a refusal
+    for psi in (smallest, smallest - 2 * np.spacing(smallest)):
+        report = verify_bound(micro_alpha, micro_cov, port, psi=psi)
+        assert report.bound_bh == pytest.approx(default.bound_bh, rel=1e-14)
+    for psi in (0.0, smallest - 1e-9, -1.0):
+        with pytest.raises(InvalidPsi, match=f"below the smallest admissible angle "
+                                             f"{smallest!r}"):
+            verify_bound(micro_alpha, micro_cov, port, psi=psi)
+
+
+def test_verify_bound_keeps_any_psi_of_a_collinear_portfolio():
+    # theta_alpha's smallest angle is 0 but computes as rounding, ~1e-14 at
+    # kappa 1e4; at psi = 0 Bauer-Householder is Kantorovich, which holds
+    for seed in range(5):
+        alpha, cov = random_instance(np.random.default_rng(seed), 8, kappa=1e4)
+        port = solve(Program.RISKY, alpha, cov)
+        assert smallest_valid_psi(alpha, cov, port) > 0.0
+        report = verify_bound(alpha, cov, port, psi=0.0)
+        assert report.bound_bh == report.bound_kantorovich and report.slack >= 0.0
+
+
 EPS = np.finfo(float).eps
 
 

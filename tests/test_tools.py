@@ -3,8 +3,10 @@ numbers and which as structure, and the flag checks every request passes."""
 
 import importlib.util
 import math
+import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,6 +152,27 @@ def digests(monkeypatch):
     monkeypatch.setattr(moments, "TRUST_WINDOW_S", math.inf)
     forget_loads(monkeypatch)
     return _module("artifact_digests", _ROOT / "tools" / "artifact_digests.py")
+
+
+@pytest.mark.parametrize("caller,threads", [(None, "1"), ("2", "2")])
+def test_digests_run_one_blas_thread_unless_the_caller_sets_a_count(monkeypatch, caller,
+                                                                     threads):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset")  # restored after the test
+    if caller is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
+    _module("artifact_digests", _ROOT / "tools" / "artifact_digests.py")
+    assert os.environ["OPENBLAS_NUM_THREADS"] == threads
+
+
+def test_drift_runs_each_tree_on_one_blas_thread(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(drift.subprocess, "run", lambda argv, **kwargs: calls.append(
+        kwargs) or SimpleNamespace(stdout="", stderr=""))
+    assert drift._artifacts(_ROOT, 11, str(tmp_path)) == []
+    assert [kwargs["env"]["OPENBLAS_NUM_THREADS"] for kwargs in calls] == ["1"]
 
 
 def _script_lengths(out):

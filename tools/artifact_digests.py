@@ -39,7 +39,10 @@ whose memo has no trust window skips this pass and says so on stderr. The
 printed lines are the first pass's alone.
 
 OpenBLAS runs single-threaded, as in the benchmark, so that BLAS reductions
-sum in one order. A request that exits nonzero prints ``exit=CODE`` in place
+sum in one order, unless the caller sets ``OPENBLAS_NUM_THREADS``: set to
+the number of CPUs, it leaves none spare, so ``verify``'s sampler draws its
+blocks in turn rather than overlapped and a digest diff checks that path
+too. A request that exits nonzero prints ``exit=CODE`` in place
 of the digest, and the tool then exits 1.
 """
 
@@ -52,7 +55,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 ROOT = Path(__file__).resolve().parent.parent
 

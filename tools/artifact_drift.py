@@ -150,7 +150,7 @@ def _artifacts(root: Path, seed: int, directory: str) -> list[tuple[str, str, st
     run = subprocess.run(
         [sys.executable, str(TOOLS / "artifact_digests.py"), "--seed", str(seed),
          "--root", str(root), "--keep", directory],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
     lines = [tuple(line.split()) for line in run.stdout.splitlines()]
     if "Traceback" in run.stderr:
         print(f"{root} stopped after {len(lines)} requests:\n{run.stderr.rstrip()}")
