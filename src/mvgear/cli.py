@@ -14,7 +14,7 @@ failure. Both error paths print one machine-parseable line to stderr:
 truncated to zero first: on ext4, a file truncated to zero and rewritten has
 its freed blocks discarded, and ``auto_da_alloc`` makes ``close`` allocate
 and flush the new ones at once. A request that fails before it emits leaves
-the old file untouched. Writes are neither atomic nor fsynced, as before.
+the old file untouched. Writes are neither atomic nor fsynced.
 """
 
 from __future__ import annotations

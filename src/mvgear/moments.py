@@ -9,17 +9,17 @@ covariance. Every covariance handed to the solvers is wrapped in a
     Sigma = V diag(rho_1, ..., rho_n) V',   rho_1 >= ... >= rho_n > 0,
 
 so that all downstream linear solves reuse the same eigendata that the
-angle bounds need. A shrink toward the identity, w I + (1 - w) Sigma, keeps
-V and maps each rho to w + (1 - w) rho (:meth:`CovMatrix.toward_identity`),
-so it costs O(n) and no second decomposition. A shrink toward the
-diagonal D = diag(Sigma) does the same through the correlation matrix
+angle bounds need. A shrink w T + (1 - w) Sigma toward T = I or
+T = D = diag(Sigma) follows one rule (:meth:`CovMatrix.shrink`): w lands on
+one frame, whose factor maps its spectrum mu to w + (1 - w) mu. Toward I
+that frame is Sigma's own, V, so the shrink costs O(n) and no second
+decomposition; toward D it is the correlation matrix
 R = D^-1/2 Sigma D^-1/2 = Q Lambda Q', decomposed once per covariance and
-kept with it: w D + (1 - w) Sigma = D^1/2 Q (w + (1 - w) Lambda) Q' D^1/2
-(:meth:`CovMatrix.toward_diagonal`). Either shrink holds only its factor
-and forms no n x n array until its entries are read. Its own eigenvalues,
-which only the diagonal shrink's condition number needs, cost one
-``eigvalsh`` when first read; its own eigenpairs, which QOQC needs, cost
-one ``eigh``.
+kept with it: w D + (1 - w) Sigma = D^1/2 Q (w + (1 - w) Lambda) Q' D^1/2.
+A shrink holds only its factor and forms no n x n array until its entries
+are read. Its own eigenvalues, which only the diagonal shrink's condition
+number needs, cost one ``eigvalsh`` when first read; its own eigenpairs,
+which QOQC needs, cost one ``eigh``.
 Near-singular sample covariances are repaired by clipping eigenvalues at a
 floor relative to the largest one.
 
@@ -52,6 +52,7 @@ from .errors import (
     ConvergenceFailure,
     DegenerateAlpha,
     DimensionError,
+    InvalidK,
     NonFiniteData,
     NonPositiveParameter,
     SingularCovariance,
@@ -277,12 +278,12 @@ class CovMatrix:
     (one ``eigh``) are computed when first read. Either way :meth:`solve`
     and the factor L = S U diag(sqrt(mu)), Sigma = L L', cost O(n^2).
 
-    A shrink (:meth:`toward_identity`, :meth:`toward_diagonal`) holds only
-    its factor: it forms no n x n array until its ``entries`` are read, and
-    then forms them once, with the convex combination's own bits. Shrinks
-    on one frame can also be held as one stack (:meth:`stack`), whose
-    ``spectrum`` is (k, n), one row per matrix: a frontier object on a stack
-    (``solvers.FrontierScalars``) solves all k at once.
+    A shrink (:meth:`shrink`) holds only its factor: it forms no n x n array
+    until its ``entries`` are read, and then forms them once, with the
+    convex combination's own bits. Shrinks on one frame can also be held as
+    one stack (:meth:`stack`), whose ``spectrum`` is (k, n), one row per
+    matrix: a frontier object on a stack (``solvers.FrontierScalars``)
+    solves all k at once.
 
     :meth:`coordinates` and :meth:`from_coordinates` are the two halves of a
     solve, one product with the basis each. Sigma^-1 1, its coordinates and
@@ -378,70 +379,71 @@ class CovMatrix:
         """The matrices S U diag(w_j + (1 - w_j) mu) U' S of this matrix's
         factor S U diag(mu) U' S, one for each weight w_j of ``w``, held as one
         stack on its frame, with no entries: row j of its (k, n) ``spectrum``
-        is w_j + (1 - w_j) mu. So ``toward_identity(0).stack(w)`` holds
-        :meth:`toward_identity` at each w_j < 1, ``on_correlation.stack(w)``
-        :meth:`toward_diagonal` at each w_j in (0, 1), and ``stack(0)`` this
-        matrix: each spectrum bit for bit."""
+        is w_j + (1 - w_j) mu. Each frame of :meth:`shrink_frames` stacks its
+        shrinks so, and :meth:`shrink` is one row of such a stack."""
         w = np.asarray(w, dtype=float)[:, None]
         return CovMatrix._factored(_frozen(w + (1.0 - w) * self.spectrum), self._frame, None)
 
-    def toward_identity(self, w: float) -> "CovMatrix":
-        """w I + (1 - w) Sigma for w in [0, 1], from Sigma's own spectrum.
+    def shrink_frames(self, w, diagonal: bool = False):
+        """The frame each shrink w T + (1 - w) Sigma of weights ``w`` lands on,
+        toward T = I, or T = D = diag(Sigma) if ``diagonal``: per frame
+        (fits, base, mapped), the mask of the weights it holds, the matrix
+        ``base()`` whose factor holds them, and whether their stack is
+        ``base().stack(w)``, or at an end point base itself, ``stack(0)``.
+        Toward I, 0 <= w < 1 lands on Sigma's own frame and w = 1 on the identity;
+        toward D, w = 0 on Sigma, 0 < w < 1 on R's frame scaled by d^1/2
+        (:attr:`on_correlation`) and w = 1 on D, the sorted variances on the
+        unit vectors. A weight outside [0, 1], or nan, lands on none."""
+        w = np.asarray(w, dtype=float)
+        if not diagonal:
+            return (((0.0 <= w) & (w < 1.0), lambda: self._own, True),
+                    (w == 1.0, lambda: CovMatrix.identity(self.dim), False))
+        return ((w == 0.0, lambda: self, False),
+                ((0.0 < w) & (w < 1.0), lambda: self.on_correlation, True),
+                (w == 1.0, lambda: self._diagonal, False))
 
-        The eigenvectors are Sigma's own (shared, not copied, with U'1) and
-        each eigenvalue maps to w + (1 - w) rho, so no ``eigh`` and no
-        reconstruction check run once Sigma's spectrum is known, and the
-        entries are formed only when read; w = 0 gives back that spectrum
-        bit for bit and w = 1 gives :meth:`identity`.
-        """
-        if w == 1.0:
-            return self.identity(self.dim)
-        own = self._own
-        return CovMatrix._factored(
-            _frozen(w + (1.0 - w) * own.spectrum), own._frame,
-            lambda: w * np.eye(self.dim) + (1.0 - w) * self.entries)
+    def shrink(self, w: float, diagonal: bool = False) -> "CovMatrix":
+        """w T + (1 - w) Sigma for w in [0, 1], toward T = I, or T = diag(Sigma)
+        if ``diagonal``: the row at w of its frame's stack
+        (:meth:`shrink_frames`), with the entries :meth:`_shrunk_entries`
+        forms when first read, or at an end point the identity, Sigma or D
+        itself. No ``eigh`` runs once the frame is known."""
+        for fits, base, mapped in self.shrink_frames(w, diagonal):
+            if fits:
+                base = base()
+                if not mapped:
+                    return base
+                return CovMatrix._factored(base.stack([w]).spectrum[0], base._frame,
+                                           lambda: self._shrunk_entries(w, diagonal))
+        raise InvalidK(f"shrink weight {w} outside [0, 1]")
+
+    def toward_identity(self, w: float) -> "CovMatrix":
+        """w I + (1 - w) Sigma: :meth:`shrink` toward the identity."""
+        return self.shrink(w)
 
     def toward_diagonal(self, w: float) -> "CovMatrix":
-        """w diag(Sigma) + (1 - w) Sigma for w in [0, 1], through the spectrum
-        of the correlation matrix.
+        """w diag(Sigma) + (1 - w) Sigma: :meth:`shrink` toward the diagonal (the
+        pencil Sigma x = lambda D x; Golub & Van Loan, *Matrix Computations*, 8.7)."""
+        return self.shrink(w, diagonal=True)
 
-        With D = diag(Sigma) and R = D^-1/2 Sigma D^-1/2 = Q Lambda Q', the
-        shrunk matrix is D^1/2 (w I + (1 - w) R) D^1/2: the factor of
-        ``R.toward_identity(w)`` scaled by d^1/2, so it solves in O(n^2) (the
-        symmetric-definite pencil Sigma x = lambda D x; Golub & Van Loan,
-        *Matrix Computations*, 8.7). R is decomposed by :meth:`from_entries`,
-        with its checks, at the first 0 < w < 1, and its spectrum and frame
-        (Q, d^1/2) are kept with this matrix. The entries, formed when first
-        read, are the convex combination's own bits; the shrunk matrix's
-        ``eigenvalues`` and ``eigenpairs`` are computed when first read.
-        w = 0 gives back this matrix, and w = 1 gives D with its own
-        spectrum: the sorted variances and the unit vectors.
-        """
-        if w == 0.0:
-            return self
-        if w == 1.0:
-            return self._diagonal
-        corr = self.on_correlation
-        return CovMatrix._factored(_frozen(w + (1.0 - w) * corr.spectrum), corr._frame,
-                                   lambda: self._toward_diagonal_entries(w))
+    def _shrunk_entries(self, w: float, diagonal: bool) -> np.ndarray:
+        """w T + (1 - w) Sigma, formed, T = diag(Sigma) if ``diagonal`` else I."""
+        target = np.diag(np.diag(self.entries)) if diagonal else np.eye(self.dim)
+        return w * target + (1.0 - w) * self.entries
 
     @cached_property
     def _diagonal(self) -> "CovMatrix":
-        """:meth:`toward_diagonal` at 1, kept: D with its own spectrum."""
+        """The shrink toward the diagonal at 1, kept: D with its own spectrum."""
         diagonal = np.diag(self.entries)
         order = np.argsort(-diagonal, kind="stable")  # ties as in from_entries
         return CovMatrix._factored(_frozen(diagonal[order]),
                                    _Frame(_frozen(np.eye(self.dim)[:, order])),
-                                   lambda: self._toward_diagonal_entries(1.0))
-
-    def _toward_diagonal_entries(self, w: float) -> np.ndarray:
-        """w diag(Sigma) + (1 - w) Sigma, formed."""
-        return w * np.diag(np.diag(self.entries)) + (1.0 - w) * self.entries
+                                   lambda: self._shrunk_entries(1.0, True))
 
     def toward_diagonal_condition(self, w: float) -> float:
         """The condition number of :meth:`toward_diagonal` at w in (0, 1),
         from one ``eigvalsh`` of its entries, which are formed and not kept."""
-        rho = _descending_eigenvalues(self._toward_diagonal_entries(w))
+        rho = _descending_eigenvalues(self._shrunk_entries(w, True))
         return float(rho[0] / rho[-1])
 
     @cached_property

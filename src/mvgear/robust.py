@@ -26,14 +26,11 @@ portfolio is ``solve_robust(Program.RISKY, alpha, cov,
 ShrinkageSpec(ShrinkMode.ANGLE_TARGETED, k))``. The plain convex forms
 q I + (1-q) Sigma and q diag(Sigma) + (1-q) Sigma are exposed alongside.
 
-Both identity-target shrinks keep Sigma's eigenvectors and map each
-eigenvalue rho to w + (1 - w) rho, so they reuse the cached spectrum, and
-U'1 with it. The diagonal target does the same with the spectrum of the
-correlation matrix R = D^-1/2 Sigma D^-1/2, decomposed once per covariance:
-w D + (1 - w) Sigma = D^1/2 (w I + (1 - w) R) D^1/2. A shrunk matrix forms
-no n x n array until its entries are read: QOQC's stationarity terms read
-them, and the diagonal target's condition number, the only reader of the
-shrunk matrix's own eigenvalues (one ``eigvalsh``, when first read).
+Each mode names a convex weight w, k / cos phi or q, and a target T, I or
+diag(Sigma); this module maps k to w (:func:`_shrink_weights`) and
+``moments.CovMatrix.shrink`` forms w T + (1 - w) Sigma by its one rule,
+which frame w lands on and how that frame's spectrum maps. A single solve
+and a sweep's batch take the same frames, so their rows agree.
 
 Shrinking never worsens the condition number and never breaks the gearing
 constraints (the GMV/risky mix stays cash neutral). :func:`solve_robust`
@@ -57,7 +54,6 @@ cannot vouch for is solved alone, as :func:`solve_robust` would.
 from __future__ import annotations
 
 import math
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -123,29 +119,15 @@ def angle_floor(alpha, cov: CovMatrix) -> float:
     return alpha_angle(a, cov.solve(a))
 
 
-# k0 of the last (alpha, Sigma) shrunk toward its angle, Sigma held weakly: a
-# sweep shrinks one pair at every grid point, and k0 costs a solve with Sigma.
-_last_floor: tuple[weakref.ref, bytes, float] | None = None
-
-
-def _floor(alpha, cov: CovMatrix) -> float:
-    """:func:`angle_floor`, kept for the last pair it was asked for."""
-    global _last_floor
-    key = as_vector(alpha).tobytes()
-    if not (_last_floor and _last_floor[0]() is cov and _last_floor[1] == key):
-        _last_floor = weakref.ref(cov), key, angle_floor(alpha, cov)
-    return _last_floor[2]
-
-
-def _convex_weight(spec: ShrinkageSpec, alpha, cov: CovMatrix) -> float:
-    if spec.mode is ShrinkMode.ANGLE_TARGETED:
-        k0 = _floor(alpha, cov)
-        if not 0.0 <= spec.k < k0:
-            raise InvalidK(f"k = {spec.k} outside [0, k0 = {k0:g})")
-        return spec.k / k0
-    if not 0.0 <= spec.k <= 1.0:
-        raise InvalidK(f"q = {spec.k} outside [0, 1]")
-    return spec.k
+def _shrink_weights(mode: ShrinkMode, ks, alpha, cov: CovMatrix):
+    """(w, inside, refusal) of shrink parameters ``ks``, a float or an array:
+    the convex weight toward ``mode``'s target, k / k0 for an angle shrink and
+    q itself otherwise, whether each parameter lies in its range, [0, k0) or
+    [0, 1], and the text that refuses one outside it."""
+    if mode is ShrinkMode.ANGLE_TARGETED:
+        k0 = angle_floor(alpha, cov)
+        return ks / k0, (0.0 <= ks) & (ks < k0), f"k = {{}} outside [0, k0 = {k0:g})"
+    return ks, (0.0 <= ks) & (ks <= 1.0), "q = {} outside [0, 1]"
 
 
 def robust_alpha(alpha, theta, k: float) -> float:
@@ -168,22 +150,18 @@ def robust_alpha(alpha, theta, k: float) -> float:
 
 
 def shrink_covariance(cov: CovMatrix, alpha, spec: ShrinkageSpec) -> CovMatrix:
-    """Convex combination of Sigma with its shrink target.
+    """Convex combination of Sigma with its shrink target
+    (:meth:`CovMatrix.shrink`).
 
     ANGLE_TARGETED uses weight k / cos phi toward the identity; SIMPLE uses
     q toward the identity; DIAGONAL uses q toward diag(Sigma). All three
-    can only improve (or preserve) the condition number. The two identity
-    shrinks keep Sigma's eigenvectors and map its cached spectrum in O(n)
-    (:meth:`CovMatrix.toward_identity`); DIAGONAL maps the spectrum of
-    Sigma's correlation matrix, decomposed once per covariance, and solves
-    in O(n^2) too (:meth:`CovMatrix.toward_diagonal`). Neither forms the
-    shrunk entries until they are read.
+    can only improve (or preserve) the condition number.
     """
-    w = _convex_weight(spec, alpha, cov)
-    if spec.mode is not ShrinkMode.DIAGONAL:
-        return cov.toward_identity(w)
+    w, inside, refusal = _shrink_weights(spec.mode, spec.k, alpha, cov)
+    if not inside:
+        raise InvalidK(refusal.format(spec.k))
     try:
-        return cov.toward_diagonal(w)
+        return cov.shrink(w, diagonal=spec.mode is ShrinkMode.DIAGONAL)
     except SingularCovariance as exc:  # pragma: no cover - convexity forbids this
         raise ShrinkBrokeSPD(f"shrunk covariance lost definiteness: {exc}") from exc
 
@@ -219,20 +197,6 @@ class ShrinkPath:
     cos_phi_optimal: np.ndarray
     bound_kantorovich: np.ndarray
     weights: np.ndarray
-
-
-def _frame_groups(cov: CovMatrix, mode: ShrinkMode, w: np.ndarray):
-    """(fits, stack) of each frame a shrink toward ``mode``'s target takes,
-    which weights of ``w`` it holds and ``stack(v)``, their shrinks: toward
-    the identity, w < 1 on Sigma's frame and w = 1 on the identity's; toward
-    the diagonal, w = 0 on Sigma's, 0 < w < 1 on R's with d^1/2 and w = 1 on
-    the sorted unit vectors."""
-    if mode is not ShrinkMode.DIAGONAL:
-        return ((w < 1.0, cov.toward_identity(0.0).stack),
-                (w == 1.0, lambda v: CovMatrix.identity(cov.dim).stack(v)))
-    return ((w == 0.0, cov.stack),
-            ((0.0 < w) & (w < 1.0), lambda v: cov.on_correlation.stack(v)),
-            (w == 1.0, lambda v: cov.toward_diagonal(1.0).stack(0.0 * v)))
 
 
 # A sweep row all of whose figures on Sigma stay below this, by the bound of
@@ -284,10 +248,11 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
     is exact), and the Sharpe maximum where RISKY refuses B < 0. With no
     ``program`` both columns are RISKY's theta_alpha, B < 0 included.
 
-    Points whose shrinks share a frame (:func:`_frame_groups`) run as one
-    stack (:meth:`CovMatrix.stack`) and one frontier object: one product with
-    the basis for alpha and one for all their weights. The cosines come from
-    one product with alpha (:func:`geometry.alpha_angles`); the condition
+    Points whose shrinks share a frame (:meth:`CovMatrix.shrink_frames`, as
+    :func:`solve_robust`'s do) run as one stack (:meth:`CovMatrix.stack`) and
+    one frontier object: one product with the basis for alpha and one for all
+    their weights; k0 costs one solve with Sigma per sweep. The cosines come
+    from one product with alpha (:func:`geometry.alpha_angles`); the condition
     number is the stack's spectrum ratio, or one ``eigvalsh`` per point
     inside (0, 1) toward the diagonal. A point the batch cannot vouch for is
     solved alone (:func:`_sweep_point`), in grid order, and raises or warns
@@ -307,11 +272,8 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
         entries.append(solvers.PROGRAMS[Program(program)])
     if entries[-1].coefficients is None:
         raise ValueError(f"program {entries[-1].program.value} has no closed form to sweep")
-    if mode is ShrinkMode.ANGLE_TARGETED:
-        k0 = _floor(a, cov)
-        w, alone = ks / k0, ~((0.0 <= ks) & (ks < k0))
-    else:
-        w, alone = ks, ~((0.0 <= ks) & (ks <= 1.0))
+    w, inside, _ = _shrink_weights(mode, ks, a, cov)
+    alone = ~inside
     thetas = np.empty((len(entries), ks.size, cov.dim))
     kappa, scaled = np.empty(ks.size), np.zeros(ks.size, bool)
     with np.errstate(all="ignore"):
@@ -319,12 +281,13 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
             args = [entry.checked(params) for entry in entries[1:]]
         except MvgearError:  # every point alone: the first raises it, or fails before
             alone[:] = True
-        for fits, stack in _frame_groups(cov, mode, w):
+        for fits, base, mapped in cov.shrink_frames(w, mode is ShrinkMode.DIAGONAL):
             positions = (fits & ~alone).nonzero()[0]
             if positions.size == 0:
                 continue
             try:
-                f = FrontierScalars(a, stack(w[positions]))
+                f = FrontierScalars(a, base().stack(
+                    w[positions] if mapped else np.zeros(positions.size)))
             except MvgearError:  # R's decomposition
                 alone[positions] = True
                 continue

@@ -226,6 +226,9 @@ class Portfolio:
             raise DimensionError(f"weights must be 1-D, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise NonFiniteData("weights contain non-finite entries")
+        for name in ("gearing", "leverage"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidPortfolio(f"{name} must be finite, got {getattr(self, name)!r}")
         if abs(self.gearing - float(w.sum())) > 1e-12 * max(1.0, abs(self.gearing)):
             raise InvalidPortfolio("gearing field does not equal the weight sum")
         w.setflags(write=False)
@@ -416,11 +419,11 @@ def program_weights(program: Program, frontier: FrontierScalars, /, **params):
         return entry.solver(frontier.alpha, frontier.cov, **entry.arguments(params))
     args = entry.checked(params)
     frontier.check(entry.refuses)
-    if entry.warns is not None:
-        below, text = entry.warns(frontier, **args)
-        if below:
-            warnings.warn(text(), InefficientBranchWarning, stacklevel=3)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # an inflection past the float range warns of no branch
+        if entry.warns is not None:
+            below, text = entry.warns(frontier, **args)
+            if below:
+                warnings.warn(text(), InefficientBranchWarning, stacklevel=3)
         c_alpha, gearing = entry.coefficients(frontier, **args)
         fails, error = entry.no_maximum(frontier, c_alpha, gearing)
         if fails:

@@ -1109,7 +1109,6 @@ def test_an_angle_sweep_solves_for_k0_once(tmp_path, monkeypatch, capsys):
         return real(self, x)
 
     monkeypatch.setattr(CovMatrix, "solve", counting)
-    monkeypatch.setattr(robust, "_last_floor", None)
     grid = f"0:{k0 / 11!r}:{10 * k0 / 11!r}"
     assert parse_grid(grid).size == 11
     assert run(["shrink-sweep", "--input", csv, "--mode", "angle", "--grid", grid,
@@ -1212,7 +1211,8 @@ def test_a_sweep_solves_each_frame_group_with_two_products(tmp_path, monkeypatch
     # simple ones add the identity at w = 1; diagonal ones take Sigma's frame
     # at 0, R's inside (0, 1) and the sorted unit vectors at 1. No per-point
     # covariance, frontier object or shrink_covariance call: at most two
-    # matrices per group, a shrink and its stack.
+    # matrices per group, a shrink and its stack. An angle sweep adds k0's
+    # one solve with Sigma: a product for alpha and one for its weights.
     csv = sweep_csv(tmp_path)
     grid = "0:0.1:1"
     if mode == "angle":
@@ -1220,13 +1220,13 @@ def test_a_sweep_solves_each_frame_group_with_two_products(tmp_path, monkeypatch
         grid = f"0:{k0 / 11!r}:{10 * k0 / 11!r}"
     argv = ["shrink-sweep", "--input", csv, "--mode", mode, "--grid", grid, *program,
             "--output", tmp_path / "s.csv"]
-    assert run(argv) == 0  # the load, k0 and R's decomposition, once per covariance
+    assert run(argv) == 0  # the load and R's decomposition, once per covariance
     work = count_sweep_work(monkeypatch)
     assert run(argv) == 0
     assert parse_grid(grid).size == 11
-    cov = work.pop("cov")
-    assert work == {"alpha": groups, "ones": 0, "weights": groups, "frontier": groups,
-                    "shrink": 0}
+    cov, k0_solves = work.pop("cov"), int(mode == "angle")
+    assert work == {"alpha": groups + k0_solves, "ones": 0, "weights": groups + k0_solves,
+                    "frontier": groups, "shrink": 0}
     assert cov <= 2 * groups
 
 
@@ -1609,6 +1609,22 @@ def test_a_record_whose_weight_sums_overflow_loads_without_a_warning(tmp_path, c
         assert (code, err) == (0, "")
     else:
         assert (code, err) == (3, "code=VerificationFailed one or more checks failed\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_a_record_whose_weight_sums_overflow_and_that_stores_no_gearing_is_refused(
+        tmp_path, capsys, command):
+    # with no gearing or leverage field the load forms both from the weights,
+    # whose sums read inf: refused, not taken into the record as if stored
+    csv = _overflow_csv(tmp_path)
+    port = _overflow_record(tmp_path, [1e308] * 4, 4.0)
+    doc = json.loads(port.read_text())
+    del doc["gearing"], doc["leverage"]
+    port.write_text(json.dumps(doc))
+    code = run([command, "--input", csv, "--portfolio", port, "--output", tmp_path / "o"])
+    assert (code, capsys.readouterr().err) == (
+        3, "code=InvalidPortfolio gearing must be finite, got inf\n")
 
 
 def test_verify_passes_a_qoqc_record_on_the_boundary(tmp_path):

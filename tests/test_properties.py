@@ -1,7 +1,8 @@
 """Property tests of the robust path over every table program, QOQC included,
 of the condition number along the shrinks toward the identity and toward the
-diagonal, of linearity in the gearing, and of the Kantorovich and
-Bauer-Householder bounds on the alpha-weight angle.
+diagonal, of one frame rule for a single shrink and a sweep's batch, of
+linearity in the gearing, and of the Kantorovich and Bauer-Householder
+bounds on the alpha-weight angle.
 
 Instances run from n = 2 to 200 assets and condition numbers from 1 to 1e6.
 Each weight tolerance is a multiple of kappa * eps, with kappa the condition
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from mvgear import (AlphaVector, CovMatrix, Program, ShrinkageSpec, ShrinkMode,
+from mvgear import (AlphaVector, CovMatrix, Program, ShrinkageSpec, ShrinkMode, robust,
                     shrink_covariance, solve_robust, solvers)
 from mvgear.geometry import alpha_angle, kantorovich_bound, verify_bound
 
@@ -218,3 +219,52 @@ def test_geared_solutions_meet_the_bauer_householder_bound(instance):
                        [program for program, _ in GEARED])
     for program, weights in geared.items():
         assert verify_bound(alpha, cov, weights).slack >= -4.0 * kappa * EPS, program.value
+
+
+def _batched_stacks(alpha, cov, mode, grid):
+    """The (weights, stack) of each :meth:`CovMatrix.stack` a shrink sweep of
+    ``grid`` builds, in the order it builds them."""
+    stacks, real = [], CovMatrix.stack
+
+    def recording(self, w):
+        stacked = real(self, w)
+        stacks.append((np.asarray(w, dtype=float), stacked))
+        return stacked
+
+    CovMatrix.stack = recording
+    try:
+        robust.shrink_sweep(alpha, cov, mode, grid)
+    finally:
+        CovMatrix.stack = real
+    return stacks
+
+
+@PROPERTY
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+       st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1,
+                max_size=4))
+def test_a_single_shrink_is_the_row_of_the_stack_its_sweep_solves(n, seed, scaled,
+                                                                  diagonal, interior):
+    # CovMatrix.shrink and shrink_sweep's batch take their frames from one
+    # rule: each weight in [0, 1] lands in exactly one frame, a batch builds
+    # one stack per frame it uses, and the single shrink at w shares that
+    # stack's frame and has its row as spectrum, bit for bit, with the
+    # entries w T + (1 - w) Sigma. Sigma is unscaled or itself shrunk toward
+    # its diagonal, and both targets run.
+    alpha, cov = random_instance(np.random.default_rng(seed), n)
+    if scaled:
+        cov = cov.toward_diagonal(0.4)
+    w = np.array([0.0, *interior, 1.0])
+    fits = np.array([mask for mask, _, _ in cov.shrink_frames(w, diagonal)])
+    assert (fits.sum(axis=0) == 1).all()
+    mode = ShrinkMode.DIAGONAL if diagonal else ShrinkMode.SIMPLE
+    stacks = _batched_stacks(alpha, cov, mode, w)
+    assert len(stacks) == int(fits.any(axis=1).sum())
+    target = np.diag(np.diag(cov.entries)) if diagonal else np.eye(n)
+    for weight in w.tolist():
+        single = cov.shrink(weight, diagonal)
+        (weights, stacked), = [(v, s) for v, s in stacks if s._frame is single._frame]
+        row = weights.tolist().index(weight) if weight in weights else 0
+        assert stacked.spectrum[row].tobytes() == single.spectrum.tobytes()
+        expected = weight * target + (1.0 - weight) * cov.entries
+        assert single.entries.tobytes() == expected.tobytes()

@@ -10,6 +10,7 @@ from mvgear import (
     DegenerateAlpha,
     FrontierScalars,
     InefficientBranchWarning,
+    InvalidPortfolio,
     KktProblem,
     MissingParameter,
     NonFiniteData,
@@ -766,3 +767,13 @@ def test_leverage(weights, expected):
         gearing=float(w.sum()), leverage=float(np.abs(w).sum()),
     )
     assert (port.gearing, port.leverage) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("name", ["gearing", "leverage"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_portfolio_refuses_a_gearing_or_leverage_that_is_not_finite(name, value):
+    # inf - inf is nan, so the gearing's own check against the weight sum
+    # cannot refuse an infinite gearing
+    figures = {"gearing": 1.0, "leverage": 1.0, name: value}
+    with pytest.raises(InvalidPortfolio, match=f"{name} must be finite"):
+        Portfolio(weights=np.array([0.5, 0.5]), program=Program.RISKY, params={}, **figures)

@@ -135,6 +135,34 @@ def test_every_benchmark_request_passes_the_flag_checks(tmp_path, monkeypatch):
     assert commands == set(cli.COMMANDS)
 
 
+def test_digests_follow_each_script_with_shrunk_solves_and_their_verifies(tmp_path,
+                                                                          monkeypatch):
+    # no benchmark request runs solve --shrink-mode: the tool appends GMV, VI
+    # and VII at seven shrinks each on the first panel, a verify after each
+    from mvgear import cli
+
+    workloads = _workloads(monkeypatch)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the tool sets it when loaded
+    tool = _module("artifact_digests", _ROOT / "tools" / "artifact_digests.py")
+    bench = workloads.make_workload("sweep-surface", 11, str(tmp_path / "bench"))
+    workload = tool.make_workload("sweep-surface", 11, str(tmp_path / "tool"))
+    added = workload.script[len(bench.script):]
+    assert [r.kind for r in workload.script[:len(bench.script)]] == [
+        r.kind for r in bench.script]
+    assert len(added) == 42 and {r.panel for r in added} == {0}
+    shrinks = []
+    for solved, verified in zip(added[::2], added[1::2]):
+        args = cli._build_parser().parse_args(solved.argv)
+        _flag_checks(args)
+        shrinks.append((args.program, args.mode, args.k if args.mode == "angle" else args.q))
+        assert verified.argv[verified.argv.index("--portfolio") + 1] == solved.output
+    k = workload.moments[0].angle_floor() / 2
+    assert shrinks == [(program, mode, value) for program in ("GMV", "VI", "VII")
+                       for mode, value in [("angle", float(f"{k:.6g}")),
+                                           *((m, q) for m in ("simple", "diagonal")
+                                             for q in (0.0, 0.5, 1.0))]]
+
+
 # Two workloads of one panel each: every load of a panel after the first two
 # of its pass is a trusted hit once the trust window is 0.
 _SINGLE_PANEL = ("wide-estimate", "sweep-surface")

@@ -17,6 +17,11 @@ there: request ``index`` of ``workload`` writes its artifact to
 ``DIR/workload/out/r{index:04d}-{kind}.{json,csv}``
 (``tools/artifact_drift.py`` reads them from there).
 
+No benchmark request runs ``solve --shrink-mode``, so each workload's script
+is followed by shrunk solves of GMV, VI and VII on its first panel, each
+with a ``verify`` of its record (:func:`make_workload`); every pass runs
+them, and their lines follow the benchmark's.
+
 All requests run in this one process, so every request after the first on a
 panel finds that panel and its moments in ``mvgear.moments``' one-entry memo:
 a digest diff against a tree that parsed every request afresh also shows that
@@ -58,6 +63,32 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def make_workload(name: str, seed: int, directory: str):
+    """``workloads.make_workload``, with GMV, VI (alpha0 of
+    ``workloads._vi_alpha0``) and VII (gamma 10, g0 1) solved on the first
+    panel at each shrink, angle at k = k0/2 and simple and diagonal at
+    q = 0, 0.5 and 1, each followed by a ``verify`` of its record: requests
+    appended to the script, so every pass runs them."""
+    import workloads
+
+    workload = workloads.make_workload(name, seed, directory)
+    script = workloads._Script(workload.panels, os.path.dirname(workload.script[0].output))
+    script.requests = workload.script
+    m = workload.moments[0]
+    shrinks = [("angle", "--k", m.angle_floor() / 2)] + [
+        (mode, "--q", q) for mode in ("simple", "diagonal") for q in (0.0, 0.5, 1.0)]
+    programs = [("GMV", {}), ("VI", {"alpha0": workloads._vi_alpha0(m), "g0": 1.0}),
+                ("VII", {"gamma": workloads.GAMMA, "g0": 1.0})]
+    for program, params in programs:
+        flags = [text for key, value in params.items()
+                 for text in (f"--{key}", workloads._num(value))]
+        for mode, flag, value in shrinks:
+            solved = script.add("solve", 0, ["--program", program, *flags, "--shrink-mode",
+                                             mode, flag, workloads._num(value)])
+            script.verify(0, solved)
+    return workload
 
 
 def _digest(cli, request) -> str:
@@ -118,7 +149,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    from workloads import NAMES, make_workload
+    from workloads import NAMES
 
     from mvgear import cli, moments
 

@@ -132,9 +132,11 @@ def _kappa(path: str) -> float:
 def _kappas(seed: int, directory: str) -> dict[tuple[str, str], float]:
     """kappa of each request's panel, by (workload, index): the workloads are
     built again over the panels ``artifact_digests.py --keep`` left in
-    ``directory``, which rewrites the same bytes and reads the script."""
-    sys.path.insert(0, str(TOOLS.parent / "perfbench"))
-    from workloads import NAMES, make_workload
+    ``directory``, which rewrites the same bytes and reads the script, the
+    shrunk solves it appends included."""
+    sys.path[:0] = [str(TOOLS), str(TOOLS.parent / "perfbench")]
+    from artifact_digests import make_workload
+    from workloads import NAMES
 
     kappas = {}
     for name in NAMES:
