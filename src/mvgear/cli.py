@@ -33,7 +33,7 @@ import numpy as np
 
 from . import diversity, geometry, oracle, robust, serialize, solvers
 from .errors import InvalidPsi, MissingParameter, MvgearError
-from .moments import estimate_moments, load_returns_csv
+from .moments import _square, estimate_moments, load_returns_csv
 from .robust import ShrinkageSpec, ShrinkMode
 from .solvers import Program
 
@@ -132,7 +132,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--input", required=True, help="returns CSV path")
         p.add_argument("--output", default=None, help="artifact path (default stdout)")
-        p.add_argument("--format", default=None, choices=["json", "csv"])
 
     def program_flags(p, required):
         """--program, and the flag of each parameter a program it names takes."""
@@ -361,7 +360,7 @@ AUDITS = {
     "risk": ("risk_constraint", ("sigma0",), _constraint(
         lambda w, f: f["sigma_p"], float, "sigma_p = {0!r} vs sigma0 = {1!r}")),
     "diversity": ("diversity_constraint", ("n0",), _constraint(
-        lambda w, f: float(w @ w), lambda n0: 1.0 / n0, "theta'theta = {0!r} vs 1/n0 = {1!r}",
+        lambda w, f: _square(w), lambda n0: 1.0 / n0, "theta'theta = {0!r} vs 1/n0 = {1!r}",
         diversity.SPHERE_TOL)),
     "stationarity": ("stationarity", ("gamma", "lambda1", "lambda2"),
                      _stationarity_audit),
@@ -465,16 +464,16 @@ def _emit(args, text: str) -> None:
         os.close(fd)
 
 
-# Each subcommand's handler and the format of the artifact it emits.
+# Each subcommand's handler.
 COMMANDS = {
-    "estimate": (_cmd_estimate, "json"),
-    "solve": (_cmd_solve, "json"),
-    "frontier": (_cmd_frontier, "csv"),
-    "surface": (_cmd_surface, "csv"),
-    "bounds": (_cmd_bounds, "json"),
-    "shrink-sweep": (_cmd_shrink_sweep, "csv"),
-    "qoqc": (_cmd_solve, "json"),
-    "verify": (_cmd_verify, "json"),
+    "estimate": _cmd_estimate,
+    "solve": _cmd_solve,
+    "frontier": _cmd_frontier,
+    "surface": _cmd_surface,
+    "bounds": _cmd_bounds,
+    "shrink-sweep": _cmd_shrink_sweep,
+    "qoqc": _cmd_solve,
+    "verify": _cmd_verify,
 }
 
 
@@ -482,11 +481,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        handler, natural = COMMANDS[args.command]
-        if args.format not in (None, natural):
-            raise CliError("BadArguments",
-                           f"command {args.command} emits {natural} artifacts")
-        _emit(args, handler(args))
+        _emit(args, COMMANDS[args.command](args))
     except CliError as exc:
         print(f"code={exc.code} {exc}", file=sys.stderr)
         return 2

@@ -316,9 +316,10 @@ def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
 
     # Sigma's eigenpairs in ascending order: d = gamma rho, c = V'1, a = V'r.
     rho, vecs = problem.cov.eigenpairs
+    top = problem.gamma * float(rho[0])  # a Python float overflows unwarned
+    if not top <= ROOT_MAX:
+        raise NonFiniteData(f"gamma rho_max = {top:g} squares past the float range")
     d = problem.gamma * rho[::-1]
-    if not d[-1] <= ROOT_MAX:
-        raise NonFiniteData(f"gamma rho_max = {d[-1]:g} squares past the float range")
     c = vecs.sum(axis=0)[::-1]
     a = (problem.alpha @ vecs)[::-1] - (problem.g0 / n) * d * c
     k, rotations = _deflate(d, c, a)

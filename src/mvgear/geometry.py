@@ -47,6 +47,9 @@ from .moments import _TINY, CovMatrix, _binary_scaled, as_vector
 # cos(angle) at least this close to 1 counts as collinear with Sigma^-1 alpha.
 COLLINEAR_TOL = 1e-10
 
+# pi/2 less its nearest float.
+_HALF_PI_TAIL = 6.123233995736766e-17
+
 
 def alpha_angle(alpha, theta) -> float:
     """cos of the angle between alpha and theta, clamped to [-1, 1]; the
@@ -109,7 +112,10 @@ def bauer_householder_bound(kappa: float, psi: float) -> tuple[float, float]:
         raise InvalidPsi(f"psi = {psi} outside [0, pi/2)")
     kappa = _checked_kappa(kappa)
     sin_psi = np.sin(psi)
-    kappa_psi = kappa * (1.0 + sin_psi) / (1.0 - sin_psi)
+    # 1 - sin psi rounds to 0 within about 1e-8 of pi/2; 2 sin^2(pi/4 - psi/2)
+    # is the same number, formed from pi/2 - psi, exact there, and pi/2's tail
+    gap = 1.0 - sin_psi or 2.0 * math.sin((math.pi / 2.0 - psi + _HALF_PI_TAIL) / 2.0) ** 2
+    kappa_psi = kappa * (1.0 + sin_psi) / gap
     return float(kappa_psi), kantorovich_bound(kappa_psi)
 
 
@@ -127,11 +133,13 @@ def smallest_valid_psi(alpha, cov: CovMatrix, theta) -> float:
     factor L the covariance holds (:meth:`CovMatrix.whiten`,
     :meth:`CovMatrix.risk_coordinates`). For unit x and y it is
     2 atan2(|x - y|, |x + y|) (Kahan 2006), accurate near psi = 0, where
-    arccos of their cosine loses half the digits. A pair whose x and y are
-    not acute has none.
+    arccos of their cosine loses half the digits. An alpha or theta whose
+    squared norm leaves the float range is first scaled by a power of two,
+    which leaves psi as it is, so that neither product overflows. A pair
+    whose x and y are not acute has none.
     """
-    x = _unit(cov.whiten(alpha))
-    y = _unit(cov.risk_coordinates(theta))
+    x = _unit(cov.whiten(_binary_scaled(as_vector(alpha))[0]))
+    y = _unit(cov.risk_coordinates(_binary_scaled(as_vector(theta))[0]))
     if not float(x @ y) > 0.0:
         raise InvalidPsi(
             "transformed vectors are not acute; no admissible psi in [0, pi/2)"

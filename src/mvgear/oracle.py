@@ -14,8 +14,8 @@ path, and they operate on raw arrays only.
 
 from __future__ import annotations
 
+import contextlib
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +26,8 @@ from .errors import DimensionError, RankDeficientConstraints, SingularKkt
 # in units of eps; a backward-stable solve leaves about one.
 BACKWARD_TOL_PER_UNKNOWN = 8.0 * np.finfo(float).eps
 
-# Byte budget for one block of float64 samples in dominance_sample; it bounds
-# the sampler's working set whatever the sample count: two blocks (one being
-# drawn while the other is scored) plus the objective's scratch.
+# Bytes in one block of float64 samples in dominance_sample, whose working set
+# is two blocks (one drawn while the other is scored) and the objective's scratch.
 SAMPLE_BLOCK_BYTES = 2 * 1024 * 1024
 
 # The variables that fix the BLAS thread count, in the order they are read.
@@ -189,72 +188,42 @@ def _spare_cpu() -> bool:
     return False
 
 
-def _drawn_ahead(rng, sizes, dim, score) -> list:
-    """``score`` of each block of ``sizes`` rows drawn from ``rng``, in order,
-    on the calling thread, while one helper thread draws the next block into
-    the other of two buffers (numpy's fills release the GIL). The helper is
-    joined before this returns or raises, and its exception is raised here."""
-    buffers = [np.empty((sizes[0], dim)) for _ in range(2)]
-    ready, free = threading.Semaphore(0), threading.Semaphore(len(buffers))
-    failure, stop = [], threading.Event()
-
-    def draw():
-        try:
-            for i, size in enumerate(sizes):
-                free.acquire()
-                if stop.is_set():
-                    return
-                rng.standard_normal(out=buffers[i % 2][:size])
-                ready.release()
-        except BaseException as exc:  # raised again on the calling thread
-            failure.append(exc)
-            ready.release()
-
-    helper = threading.Thread(target=draw, name="mvgear-sampler")
-    helper.start()
-    peaks = []
-    try:
-        for i, size in enumerate(sizes):
-            ready.acquire()
-            if failure:
-                raise failure[0]
-            peaks.append(score(buffers[i % 2][:size]))
-            free.release()
-    finally:
-        stop.set()
-        free.release()
-        helper.join()
-    return peaks
-
-
 def dominance_sample(objective, projector, dim: int, count: int, seed: int) -> float:
     """Best objective over ``count`` seeded samples projected to the set.
 
     The samples are the rows of ``default_rng(seed).standard_normal((count,
     dim))``, drawn in order but in blocks of ``SAMPLE_BLOCK_BYTES // (8 * dim)``
-    rows (at least one), so memory does not grow with ``count``. When there
-    are two blocks or more and a CPU is spare (:func:`_spare_cpu`), a helper
-    thread draws the next block into a second buffer while the current one is
-    scored; otherwise each block is drawn into one buffer and scored before
-    the next is drawn. The blocks, and so the result, are the same bits
+    rows (at least one), so memory does not grow with ``count``. With two
+    blocks or more and a spare CPU (:func:`_spare_cpu`), a one-worker executor
+    draws the next block into a second buffer while the current one is scored
+    (numpy's fills release the GIL); otherwise each block is drawn once the
+    one before is scored. The blocks, and so the result, are the same bits
     either way. ``projector`` and ``objective`` run on the calling thread,
     once per block, in order; they see every row exactly once and may
     overwrite the block they are given.
     """
-    if count < 1:
-        raise DimensionError(f"count must be >= 1, got {count}")
-    if dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
+    if count < 1 or dim < 1:
+        raise DimensionError(f"count and dim must be >= 1, got {count} and {dim}")
     rng = np.random.default_rng(seed)
     rows = max(1, SAMPLE_BLOCK_BYTES // (8 * dim))
     sizes = [min(rows, count - start) for start in range(0, count, rows)]
+    pool = None
+    if len(sizes) > 1 and _spare_cpu():
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: only here
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mvgear-sampler")
+    buffers = [np.empty((sizes[0], dim)) for _ in range(1 if pool is None else 2)]
+
+    def draw(i):
+        return rng.standard_normal(out=buffers[i % len(buffers)][:sizes[i]])
 
     def score(batch):
         return np.asarray(objective(projector(batch)), dtype=float).max()
 
-    if len(sizes) > 1 and _spare_cpu():
-        peaks = _drawn_ahead(rng, sizes, dim, score)
-    else:
-        block = np.empty((sizes[0], dim))
-        peaks = [score(rng.standard_normal(out=block[:size])) for size in sizes]
+    with pool or contextlib.nullcontext():
+        batch, peaks = draw(0), []
+        for i in range(1, len(sizes)):
+            ahead = None if pool is None else pool.submit(draw, i)
+            peaks.append(score(batch))
+            batch = draw(i) if ahead is None else ahead.result()
+        peaks.append(score(batch))
     return float(np.max(peaks))

@@ -241,11 +241,14 @@ class Portfolio:
 
 def _measure(w, alpha, cov: CovMatrix) -> dict:
     """The gearing, leverage, alpha_p (None if ``alpha`` is) and sigma_p on
-    ``cov`` of weights ``w``; one that overflows reads inf or nan, unwarned."""
+    ``cov`` of weights ``w``; one that overflows reads inf or nan, unwarned.
+    A rounding-level negative theta'Sigma theta reads sigma_p 0, a non-finite
+    one (an overflow whose terms cancel to -inf or nan) reads inf."""
     with np.errstate(all="ignore"):
+        quad = cov.quad(w)
         return dict(gearing=float(w.sum()), leverage=float(np.abs(w).sum()),
                     alpha_p=None if alpha is None else float(as_vector(alpha) @ w),
-                    sigma_p=float(np.sqrt(max(cov.quad(w), 0.0))))
+                    sigma_p=math.sqrt(max(quad, 0.0)) if math.isfinite(quad) else math.inf)
 
 
 def _figures(w, program: Program, alpha, cov: CovMatrix) -> dict:

@@ -580,7 +580,7 @@ def test_each_subcommand_accepts_its_flags():
     assert set(commands) == set(cli.COMMANDS) == set(SUBCOMMAND_FLAGS)
     for command, sub in commands.items():
         accepted = {flag for a in sub._actions for flag in a.option_strings}
-        assert accepted == {"-h", "--help", "--input", "--output", "--format",
+        assert accepted == {"-h", "--help", "--input", "--output",
                             *SUBCOMMAND_FLAGS[command]}, command
 
 

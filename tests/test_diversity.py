@@ -193,6 +193,17 @@ def test_non_finite_alpha(micro_cov, bad):
         QoqcProblem(alpha=[bad, 0.2], cov=micro_cov, gamma=1.0, g0=1.0, n0=1.5)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", [1e308, 1e100])
+def test_an_overflowing_gamma_rho_max_is_refused_unwarned(gamma):
+    # rho_max = 4e108: gamma rho_max passes the float range at 1e308, and only
+    # its square does at 1e100
+    cov = CovMatrix.from_entries(np.diag([4e108, 1e108, 2e108]))
+    problem = QoqcProblem(alpha=[0.1, 0.2, 0.3], cov=cov, gamma=gamma, g0=1.0, n0=2.0)
+    with pytest.raises(NonFiniteData, match="gamma rho_max = .* squares past the float"):
+        solve_qoqc(problem)
+
+
 def test_boundary_returns_geared_equal_weight_exactly():
     rng = np.random.default_rng(107)
     alpha, cov = random_instance(rng, 4)

@@ -142,6 +142,27 @@ def test_bh_rejects_psi_outside_domain():
         bauer_householder_bound(2.0, np.pi / 2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("psi", [np.pi / 2 - 1e-8, 1.57079632679,
+                                 np.nextafter(np.pi / 2, 0.0)])
+def test_bh_stays_finite_where_one_minus_sin_psi_rounds_to_zero(psi):
+    assert 1.0 - np.sin(psi) == 0.0
+    kappa_psi, bound = bauer_householder_bound(3.0, psi)
+    with mpmath.workdps(50):
+        sin_psi = mpmath.sin(mpmath.mpf(psi))
+        expected = 3 * (1 + sin_psi) / (1 - sin_psi)
+        assert abs(kappa_psi / expected - 1) <= 1e-14
+    assert 0.0 < bound < 1e-7
+
+
+def test_bh_keeps_its_bits_where_one_minus_sin_psi_is_nonzero():
+    for psi in [0.0, 0.3, 1.5, np.pi / 2 - 1e-7]:
+        sin_psi = np.sin(psi)
+        assert 1.0 - sin_psi > 0.0
+        kappa_psi = 3.0 * (1.0 + sin_psi) / (1.0 - sin_psi)
+        assert bauer_householder_bound(3.0, psi) == (kappa_psi, kantorovich_bound(kappa_psi))
+
+
 def test_bh_never_beats_kantorovich():
     rng = np.random.default_rng(6)
     for _ in range(50):
@@ -273,6 +294,21 @@ def test_smallest_psi_is_exact_for_a_near_collinear_pair():
     assert abs(psi - reference) <= cov.condition_number * EPS
     target = float(mpmath.cos(reference))
     assert psi - _lowest_psi_by_bisection(target) > 1e3 * np.spacing(psi)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha_power", [-1000, 0, 900])
+@pytest.mark.parametrize("theta_power", [-1000, 0, 800])
+def test_smallest_psi_is_the_same_at_any_scale_of_alpha_and_theta(alpha_power, theta_power):
+    # on Sigma times 2^600, L'theta passes the float range at theta times
+    # 2^800, and L^-1 alpha falls below the normal range at alpha times 2^-1000
+    rng = np.random.default_rng(47)
+    alpha, cov = random_instance(rng, 4)
+    theta = solve(Program.VI, alpha, cov, alpha0=0.15, g0=1.0).weights
+    cov = CovMatrix.from_entries(np.ldexp(cov.entries, 600))
+    assert (smallest_valid_psi(np.ldexp(alpha.entries, alpha_power), cov,
+                               np.ldexp(theta, theta_power))
+            == smallest_valid_psi(alpha, cov, theta))
 
 
 @pytest.mark.parametrize("kappa", [10.0, 1e3, 1e6])

@@ -27,7 +27,7 @@ from mvgear import (
     solve_kkt,
     solve_qoqc,
 )
-from mvgear import AlphaVector, QoqcProblem, moments
+from mvgear import AlphaVector, QoqcProblem, moments, solvers
 from mvgear.solvers import PROGRAMS, solve
 
 from conftest import (odd_surface_instance, random_instance, random_spd,
@@ -655,6 +655,21 @@ def test_surface_names_the_first_point_whose_variance_is_not_finite(
     with pytest.raises(NonFiniteData) as info:
         pareto_surface(micro_alpha, micro_cov, alphas, gearings)
     assert str(info.value) == f"variance at {point} is inf"
+
+
+def test_a_variance_that_cancels_to_minus_inf_reads_sigma_p_inf():
+    # theta'Sigma theta is 14.5e308, past the float range; its terms overflow
+    # and cancel to -inf, which a clamp at 0 read as sigma_p = 0
+    cov = CovMatrix.from_entries([[18.0, -8.0, -11.0], [-8.0, 10.0, 2.0],
+                                  [-11.0, 2.0, 15.0]])
+    w = 1e154 * np.array([-0.5, -1.0, -1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cov.quad(w) == -np.inf
+    assert solvers._measure(w, None, cov)["sigma_p"] == np.inf
+    assert solvers._measure(w / 1e150, None, cov)["sigma_p"] == pytest.approx(
+        np.sqrt(14.5) * 1e4, rel=1e-15)
+    with pytest.raises(NonFiniteData, match="sigma_p is inf"):
+        solvers._figures(w, Program.GMV, None, cov)
 
 
 def test_frontier_variance_overflows_to_inf(micro_alpha, micro_cov):
