@@ -17,9 +17,12 @@ decomposition; toward D it is the correlation matrix
 R = D^-1/2 Sigma D^-1/2 = Q Lambda Q', decomposed once per covariance and
 kept with it: w D + (1 - w) Sigma = D^1/2 Q (w + (1 - w) Lambda) Q' D^1/2.
 A shrink holds only its factor and forms no n x n array until its entries
-are read. Its own eigenvalues, which only the diagonal shrink's condition
-number needs, cost one ``eigvalsh`` when first read; its own eigenpairs,
-which QOQC needs, cost one ``eigh``.
+are read. Its own eigenvalues cost one ``eigvalsh`` when first read, and
+its own eigenpairs, which QOQC needs, one ``eigh``. The diagonal shrink's
+condition number kappa~(w) costs one ``eigvalsh`` per weight per
+covariance: it is kept with Sigma, beside R's decomposition and D, and a
+sweep bounds what is kept to its own grid
+(:meth:`CovMatrix.toward_diagonal_condition`).
 Near-singular sample covariances are repaired by clipping eigenvalues at a
 floor relative to the largest one.
 
@@ -141,10 +144,16 @@ def _binary_scaled(v: np.ndarray) -> tuple[np.ndarray, float, int]:
     """
     square = _square(v)
     if not _TINY <= square < math.inf and np.any(v) and np.isfinite(v).all():
-        e = int(np.frexp(np.abs(v).max())[1])
-        v = np.ldexp(v, -e)
+        v, e = _unit_scaled(v)
         return v, math.sqrt(_square(v)), e
     return v, math.sqrt(square), 0
+
+
+def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(u, e) with v = 2^e u and u's largest entry in [1/2, 1) in magnitude,
+    for a finite nonzero float array v: a scale by a power of two."""
+    e = int(np.frexp(np.abs(v).max())[1])
+    return np.ldexp(v, -e), e
 
 
 def _dots(u: np.ndarray, v: np.ndarray):
@@ -441,10 +450,28 @@ class CovMatrix:
                                    lambda: self._shrunk_entries(1.0, True))
 
     def toward_diagonal_condition(self, w: float) -> float:
-        """The condition number of :meth:`toward_diagonal` at w in (0, 1),
-        from one ``eigvalsh`` of its entries, which are formed and not kept."""
-        rho = _descending_eigenvalues(self._shrunk_entries(w, True))
-        return float(rho[0] / rho[-1])
+        """The condition number kappa~ of :meth:`toward_diagonal` at w in (0, 1),
+        from one ``eigvalsh`` of its entries, which are formed and not kept.
+        kappa~ is kept with this matrix, per weight, beside
+        :attr:`on_correlation` and :attr:`_diagonal`, so w asked for again
+        costs no ``eigvalsh``; :meth:`keep_diagonal_conditions` bounds the
+        weights kept. A kappa~ that raises is not kept."""
+        w = float(w)
+        kept = self.__dict__.setdefault("_diagonal_conditions", {})
+        kappa = kept.get(w)
+        if kappa is None:
+            rho = _descending_eigenvalues(self._shrunk_entries(w, True))
+            kappa = kept[w] = float(rho[0] / rho[-1])
+        return kappa
+
+    def keep_diagonal_conditions(self, weights) -> None:
+        """Forget the kappa~ kept (:meth:`toward_diagonal_condition`) at each
+        weight not in ``weights``: a sweep keeps at most its own grid's."""
+        kept = self.__dict__.get("_diagonal_conditions")
+        if kept:
+            keep = set(np.asarray(weights, dtype=float).ravel().tolist())
+            self.__dict__["_diagonal_conditions"] = {
+                w: kappa for w, kappa in kept.items() if w in keep}
 
     @cached_property
     def on_correlation(self) -> "CovMatrix":

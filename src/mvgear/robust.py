@@ -234,7 +234,10 @@ def _sweep_point(a, cov: CovMatrix, spec: ShrinkageSpec, program, params):
         optimal = solvers.program_weights(program, frontier, **params)[0]
     entry = solvers.PROGRAMS[Program.RISKY if program is None else Program(program)]
     solvers._figures(optimal, entry.program, a if entry.reads_alpha else None, cov)
-    kappa = shrunk.condition_number
+    # a scaled shrink is toward the diagonal at w = q inside (0, 1): its kappa~
+    # is the one the batch reads, kept with cov
+    kappa = (shrunk.condition_number if shrunk.scale is None
+             else cov.toward_diagonal_condition(spec.k))
     return kappa, alpha_angle(a, risky), alpha_angle(a, optimal), optimal
 
 
@@ -253,8 +256,11 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
     one frontier object: one product with the basis for alpha and one for all
     their weights; k0 costs one solve with Sigma per sweep. The cosines come
     from one product with alpha (:func:`geometry.alpha_angles`); the condition
-    number is the stack's spectrum ratio, or one ``eigvalsh`` per point
-    inside (0, 1) toward the diagonal. A point the batch cannot vouch for is
+    number is the stack's spectrum ratio, or toward the diagonal inside
+    (0, 1) :meth:`CovMatrix.toward_diagonal_condition`: one ``eigvalsh`` per
+    weight per covariance, kept with it, and a sweep keeps only its own
+    grid's, so a sweep of a grid already swept on that covariance, for any
+    ``program``, costs none. A point the batch cannot vouch for is
     solved alone (:func:`_sweep_point`), in grid order, and raises or warns
     there by itself: a k out of range, a group whose stack fails (R's
     decomposition), a refusal of either column (``program``'s
@@ -273,6 +279,8 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
     if entries[-1].coefficients is None:
         raise ValueError(f"program {entries[-1].program.value} has no closed form to sweep")
     w, inside, _ = _shrink_weights(mode, ks, a, cov)
+    if mode is ShrinkMode.DIAGONAL:
+        cov.keep_diagonal_conditions(w)
     alone = ~inside
     thetas = np.empty((len(entries), ks.size, cov.dim))
     kappa, scaled = np.empty(ks.size), np.zeros(ks.size, bool)

@@ -73,7 +73,7 @@ from .errors import (
 )
 from .diversity import QoqcProblem, solve_qoqc
 from .moments import (CovMatrix, _dots, _require_finite, _require_positive,
-                      as_vector)
+                      _unit_scaled, as_vector)
 
 # B within this absolute tolerance of zero leaves the fully-invested risky
 # portfolio undefined.
@@ -242,13 +242,19 @@ class Portfolio:
 def _measure(w, alpha, cov: CovMatrix) -> dict:
     """The gearing, leverage, alpha_p (None if ``alpha`` is) and sigma_p on
     ``cov`` of weights ``w``; one that overflows reads inf or nan, unwarned.
-    A rounding-level negative theta'Sigma theta reads sigma_p 0, a non-finite
-    one (an overflow whose terms cancel to -inf or nan) reads inf."""
+    A rounding-level negative theta'Sigma theta reads sigma_p 0. Where
+    theta'Sigma theta leaves the float range (its terms may even cancel to
+    -inf or nan) but ``w`` is finite, sigma_p is 2^e sqrt(u'Sigma u) of
+    w = 2^e u, u's largest entry in [1/2, 1): inf only if sigma_p is."""
     with np.errstate(all="ignore"):
-        quad = cov.quad(w)
+        quad, e = cov.quad(w), 0
+        if not math.isfinite(quad) and np.isfinite(w).all():
+            u, e = _unit_scaled(w)
+            quad = cov.quad(u)
+        sigma_p = math.sqrt(max(quad, 0.0)) if math.isfinite(quad) else math.inf
         return dict(gearing=float(w.sum()), leverage=float(np.abs(w).sum()),
                     alpha_p=None if alpha is None else float(as_vector(alpha) @ w),
-                    sigma_p=math.sqrt(max(quad, 0.0)) if math.isfinite(quad) else math.inf)
+                    sigma_p=float(np.ldexp(sigma_p, e)) if e else sigma_p)
 
 
 def _figures(w, program: Program, alpha, cov: CovMatrix) -> dict:

@@ -1,11 +1,14 @@
 """Shared instance generators and the exact worked micro-instance."""
 
+import warnings
 from dataclasses import dataclass, replace
 
+import mpmath
 import numpy as np
 import pytest
 
-from mvgear import AlphaVector, CovMatrix, alpha_angle
+from mvgear import (AlphaVector, CovMatrix, SpdRepairWarning, alpha_angle, estimate_moments,
+                    load_returns_csv)
 
 # Five periods engineered so the sample moments are exactly
 # alpha = (0.1, 0.2) and Sigma = I (unbiased, T-1 denominator).
@@ -73,6 +76,17 @@ def csv_reads(monkeypatch):
 
     monkeypatch.setattr(moments, "open", spied_open, raising=False)
     return reads
+
+
+def true_sigma_p(panel, weights) -> mpmath.mpf:
+    """sqrt(theta'Sigma theta) of ``weights`` on the panel's covariance, in
+    arbitrary precision, so that it does not overflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpdRepairWarning)  # verify printed it
+        _, cov = estimate_moments(load_returns_csv(panel))
+    with mpmath.workdps(60):
+        w = mpmath.matrix(weights)
+        return mpmath.sqrt(max(0, (w.T * mpmath.matrix(cov.entries.tolist()) * w)[0]))
 
 
 def write_micro_csv(path):

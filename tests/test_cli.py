@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import stat
 import subprocess
@@ -26,7 +27,7 @@ from mvgear.serialize import dumps, fmt_float, portfolio_to_dict
 from mvgear.solvers import PROGRAMS, Program
 
 from conftest import (forget_loads, odd_surface_instance, reference_csv,
-                      reference_surface, write_micro_csv)
+                      reference_surface, true_sigma_p, write_micro_csv)
 
 
 @pytest.fixture
@@ -308,22 +309,35 @@ def negative_b_csv(path, sign=1.0):
 SHARPE_AT_G0 = {(Program.IV, "g0"), (Program.V, "g0"), (Program.VIII, "g0")}
 
 
-# (value, program, parameter) whose weights or whose sigma_p leave the float
-# range on the negative-B panel (the positive-B one for SHARPE_AT_G0).
+# (value, program, parameter) whose weights leave the float range on the
+# negative-B panel (the positive-B one for SHARPE_AT_G0): solved, shrunk
+# halfway to the identity, or both.
 OVERFLOW_CASES = [
-    *((gamma, program, "gamma") for gamma in ("1e-310", "1e-300")
-      for program in (Program.III, Program.VII)),
-    *((value, program, name)
-      for value in ("1e300", "1e308")
+    *(("1e-310", program, "gamma") for program in (Program.III, Program.VII)),
+    *(("1e308", program, name)
       for program, name in [(Program.I, "sigma0"), (Program.II, "alpha0"), (Program.IV, "g0"),
                             (Program.V, "g0"), (Program.V, "sigma0"), (Program.VI, "alpha0"),
-                            (Program.VI, "g0"), (Program.VIII, "g0")]),
-    ("1e300", Program.VII, "g0"), ("1e308", Program.VII, "g0"),
-    ("-1e308", Program.VI, "alpha0"), ("-1e308", Program.VI, "g0"),
-    ("-1e308", Program.VII, "g0"),
+                            (Program.VIII, "g0")]),
+    ("-1e308", Program.VI, "alpha0"),
 ]
-OVERFLOW_RUNS = [(command, *case) for case in OVERFLOW_CASES
-                 for command in ("solve", "shrunk-solve", "shrink-sweep")]
+OVERFLOW_RUNS = [*((command, *case) for case in OVERFLOW_CASES
+                   for command in ("solve", "shrunk-solve", "shrink-sweep")),
+                 *((command, value, Program.VI, "g0") for value in ("1e308", "-1e308")
+                   for command in ("shrunk-solve", "shrink-sweep"))]
+# (command, value, program, parameter) whose weights stay finite, and whose
+# theta'Sigma theta leaves the float range though sigma_p does not.
+PAST_SQUARE_RUNS = [
+    *((command, value, program, name) for command in ("solve", "shrunk-solve")
+      for value, program, name in [
+          *(("1e-300", program, "gamma") for program in (Program.III, Program.VII)),
+          *(("1e300", program, name)
+            for program, name in [(Program.I, "sigma0"), (Program.II, "alpha0"),
+                                  (Program.IV, "g0"), (Program.V, "g0"), (Program.V, "sigma0"),
+                                  (Program.VI, "alpha0"), (Program.VI, "g0"),
+                                  (Program.VII, "g0"), (Program.VIII, "g0")]),
+          ("1e308", Program.VII, "g0"), ("-1e308", Program.VII, "g0")]),
+    ("solve", "1e308", Program.VI, "g0"), ("solve", "-1e308", Program.VI, "g0"),
+]
 
 
 def overflow_argv(csv, command, value, program, name, q=0.5):
@@ -358,6 +372,30 @@ def test_an_overflowing_parameter_exits_3_with_one_non_finite_data_line(
         assert err in twins
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::mvgear.InefficientBranchWarning")
+@pytest.mark.parametrize("command,value,program,name", PAST_SQUARE_RUNS)
+def test_a_sigma_p_past_the_squares_range_is_written_and_verified(
+        tmp_path, capsys, command, value, program, name):
+    # theta'Sigma theta overflows, but sigma_p, formed on the weights scaled
+    # by a power of two, is finite: the record is written with the true
+    # sigma_p, and verify's sigma_p row passes it. (A constraint row may
+    # fail: its tolerance is absolute, and these weights are near 1e300.)
+    negated = (program, name) in SHARPE_AT_G0 and command != "shrunk-solve"
+    csv = negative_b_csv(tmp_path / "r.csv", -1.0 if negated else 1.0)
+    out, report = tmp_path / "p.json", tmp_path / "v.json"
+    assert run([*overflow_argv(csv, command, value, program, name), "--output", out]) == 0
+    record = json.loads(out.read_text())
+    _, cov = estimate_moments(load_returns_csv(csv))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(cov.quad(np.array(record["weights"])))
+    assert record["sigma_p"] == pytest.approx(float(true_sigma_p(csv, record["weights"])),
+                                              rel=1e-13)
+    run(["verify", "--input", csv, "--portfolio", out, "--output", report])
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert checks["sigma_p"]["passed"] is True
+
+
 def wide_return_csv(path):
     """30 periods of 4 assets drawn from N(0.5, 3^2): program III's weights
     at gamma are about 7e-2 / gamma."""
@@ -367,29 +405,17 @@ def wide_return_csv(path):
     return path
 
 
-def test_a_sweep_point_whose_sigma_p_overflows_fails_as_its_solve_does(tmp_path, capsys):
-    # gamma = 1e-300: the weights are near 1e299, finite, but theta'Sigma
-    # theta overflows; the sweep refuses its first point with solve's line.
-    csv = wide_return_csv(tmp_path / "r.csv")
-    params = ["--input", csv, "--program", "III", "--gamma", "1e-300"]
-    assert run(["shrink-sweep", *params, "--mode", "simple", "--grid", "0:0.5:1"]) == 3
-    swept = capsys.readouterr()
-    assert run(["solve", *params, "--shrink-mode", "simple", "--q", "0"]) == 3
-    solved = capsys.readouterr()
-    assert swept.out == solved.out == ""
-    assert swept.err == solved.err == (
-        "code=NonFiniteData program III sigma_p is inf: "
-        "a parameter is too large or too small for these moments\n")
-
-
+@pytest.mark.parametrize("gamma", ["1e-151", "1e-300"])
 def test_sweep_points_near_the_overflow_bound_are_solved_alone_and_written(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, gamma):
     # gamma = 1e-151: weights near 7e150 pass no overflow bound, but every
-    # figure is finite, so each point is solved alone and writes solve's weights.
+    # figure is finite, so each point is solved alone and writes solve's
+    # weights; so too at gamma = 1e-300, whose weights near 1e299 have
+    # theta'Sigma theta past the float range, and sigma_p near 3.5e299.
     csv, out = wide_return_csv(tmp_path / "r.csv"), tmp_path / "s.csv"
     alone, real = [], robust._sweep_point
     monkeypatch.setattr(robust, "_sweep_point", lambda *args: alone.append(1) or real(*args))
-    params = ["--input", csv, "--program", "III", "--gamma", "1e-151"]
+    params = ["--input", csv, "--program", "III", "--gamma", gamma]
     assert run(["shrink-sweep", *params, "--mode", "simple", "--grid", "0:0.5:1",
                 "--output", out]) == 0
     assert len(alone) == 3
@@ -1023,7 +1049,7 @@ def count_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize("mode,fresh,warm", [
-    ("simple", (1, 0), (0, 0)), ("angle", (1, 0), (0, 0)), ("diagonal", (2, 9), (0, 9)),
+    ("simple", (1, 0), (0, 0)), ("angle", (1, 0), (0, 0)), ("diagonal", (2, 9), (0, 0)),
 ], ids=["simple", "angle", "diagonal"])
 def test_shrink_sweep_decomposes_each_covariance_once(tmp_path, monkeypatch, mode,
                                                       fresh, warm):
@@ -1032,7 +1058,7 @@ def test_shrink_sweep_decomposes_each_covariance_once(tmp_path, monkeypatch, mod
     # Sigma's correlation matrix R, decomposed once, and each of the 9
     # interior points reads its own eigenvalues for kappa~ (q = 0 is Sigma and
     # q = 1 is D, whose spectra are known). A warm request on the same bytes
-    # reuses both decompositions and writes the same bytes.
+    # reuses both decompositions and the kept kappa~, and writes the same bytes.
     csv = sweep_csv(tmp_path)
     grid = "0:0.1:1"
     if mode == "angle":
@@ -1555,10 +1581,10 @@ def test_verify_compares_within_rtol_of_the_target(tmp_path, factor, passed, g0)
     assert _edited_record(tmp_path, csv, args, move_g0)[GEARING] is passed
 
 
-def _overflow_csv(tmp_path):
+def _overflow_csv(tmp_path, scale=1.0):
     """30 periods of 4 assets on which weights of about 1e160 or more have a
-    variance past the float range."""
-    rows = np.random.default_rng(1).standard_normal((30, 4)) * 0.02 + 0.01
+    variance past the float range; returns times ``scale``."""
+    rows = scale * (np.random.default_rng(1).standard_normal((30, 4)) * 0.02 + 0.01)
     path = tmp_path / "r.csv"
     path.write_text("a,b,c,d\n" + "\n".join(",".join(map(repr, row.tolist())) for row in rows)
                     + "\n")
@@ -1576,19 +1602,26 @@ def _overflow_record(tmp_path, weights, leverage):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale,leverage,failed", [
-    (1e160, 4e160, "sigma_p"), (1e308, 4.0, "leverage_field")])
-def test_verify_fails_a_figure_recomputed_past_the_float_range(tmp_path, capsys, scale,
-                                                               leverage, failed):
+@pytest.mark.parametrize("returns,scale,leverage,failed", [
+    (1.0, 1e160, 4e160, "sigma_p"), (1e5, 1e306, 4e306, "sigma_p"),
+    (1.0, 1e308, 4.0, "leverage_field")])
+def test_verify_fails_a_figure_recomputed_past_the_float_range(tmp_path, capsys, returns,
+                                                               scale, leverage, failed):
     # theta' Sigma theta (and at 1e308 the leverage) overflows: the stored
-    # finite figure does not match it, and no numpy warning is printed
-    csv, report = _overflow_csv(tmp_path), tmp_path / "v.json"
-    port = _overflow_record(tmp_path, [scale, -scale, scale, -scale], leverage)
+    # finite figure does not match the one recomputed, and no numpy warning
+    # is printed. sigma_p is recomputed on the weights scaled by a power of
+    # two: near 4e158 at 1e160, and past the float range on returns 1e5 times
+    # as large.
+    csv, report = _overflow_csv(tmp_path, returns), tmp_path / "v.json"
+    weights = [scale, -scale, scale, -scale]
+    port = _overflow_record(tmp_path, weights, leverage)
     assert run(["verify", "--input", csv, "--portfolio", port, "--output", report]) == 3
     assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
     checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
     assert checks[failed]["passed"] is False
-    assert checks[failed]["detail"].endswith(" vs recomputed inf")
+    recomputed = float(checks[failed]["detail"].rsplit(" vs recomputed ", 1)[1])
+    true = true_sigma_p(csv, weights) if failed == "sigma_p" else math.inf
+    assert recomputed == (pytest.approx(float(true), rel=1e-13) if true < 1e308 else math.inf)
 
 
 @pytest.mark.filterwarnings("error")

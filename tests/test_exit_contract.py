@@ -12,7 +12,10 @@ to 8 periods at magnitudes 1e-160 to 1e150, some with a repeated column;
 ``bounds --portfolio`` and ``verify`` read a record that ``solve`` or
 ``qoqc`` wrote, with its weights scaled by 1e300 or 1e-300, or one field
 replaced, or both. A ``verify`` report that passes its sigma_p row must not
-be wildly off the true sigma_p of the record's weights. Hypothesis runs
+be wildly off the true sigma_p of the record's weights. ``estimate`` and the
+diagonal shrink paths also run on panels with an all-zero or a constant
+column, under header variants: quoted names, a byte-order mark, spaces
+around names, and blank names. Hypothesis runs
 derandomized with a bounded example count, so every run tests the same
 requests. Other warnings are printed to stderr, as the command line prints
 them; a floored panel's SpdRepairWarning, printed before the ``code=``
@@ -29,16 +32,14 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import mpmath
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mvgear import SpdRepairWarning, cli, solvers
-from mvgear.moments import estimate_moments, load_returns_csv
+from mvgear import cli, solvers
 from mvgear.robust import ShrinkMode
 
-from conftest import forget_loads
+from conftest import forget_loads, true_sigma_p
 
 PLAIN_EXAMPLES = 2000
 CONTRACT = settings(max_examples=250, derandomize=True, database=None, deadline=None,
@@ -157,6 +158,59 @@ def test_a_shrink_request_exits_0_2_or_3_with_one_code_line(monkeypatch, panel, 
         run(Path(tmp), argv)
 
 
+# The header variants a degenerate panel is written with: names as written,
+# quoted, after a byte-order mark, with spaces around them, one blank and
+# all blank.
+HEADERS = ["plain", "quoted", "bom", "spaced", "one blank", "all blank"]
+
+
+def header(n: int, variant: str) -> str:
+    names = [f"a{j}" for j in range(n)]
+    if variant == "one blank":
+        names[-1] = ""
+    elif variant == "all blank":
+        names = [""] * n
+    elif variant == "quoted":
+        names = [f'"{name}"' for name in names]
+    elif variant == "spaced":
+        names = [f" {name} " for name in names]
+    return ("\ufeff" if variant == "bom" else "") + ",".join(names)
+
+
+@st.composite
+def degenerate_cases(draw):
+    """(panel text, argv): an ``estimate``, a diagonal shrunk ``solve`` or a
+    diagonal ``shrink-sweep``, less --input and --output, on a panel of n in
+    [2, 6] assets and T in [2, 8] periods at one magnitude, one of whose
+    columns is all zero or constant, under one of the ``HEADERS``: D has a
+    zero or floored entry there, where R's frame and the kept kappa~ meet it."""
+    n, t = draw(st.integers(2, 6)), draw(st.integers(2, 8))
+    rows = panel_rows(draw, n, t, [1e-140, 1.0, 1e140])
+    column = draw(st.integers(0, n - 1))
+    rows[:, column] = draw(st.sampled_from([0.0, rows[0, column], 0.01, 1.0]))
+    text = header(n, draw(st.sampled_from(HEADERS))) + "\n" + "\n".join(
+        ",".join(map(repr, row)) for row in rows.tolist()) + "\n"
+    kind = draw(st.sampled_from(["estimate", "solve", "shrink-sweep"]))
+    if kind == "estimate":
+        return text, ["estimate"]
+    program = program_flags(draw, draw(st.sampled_from(cli.PROGRAM_CHOICES)))
+    if kind == "solve":
+        return text, ["solve", *program, "--shrink-mode", "diagonal",
+                      "--q", draw(st.sampled_from(WEIGHTS))]
+    return text, ["shrink-sweep", "--mode", "diagonal", "--grid", draw(st.sampled_from(GRIDS)),
+                  *(program if draw(st.booleans()) else [])]
+
+
+@CONTRACT
+@given(degenerate_cases())
+def test_a_degenerate_column_or_header_exits_0_2_or_3_with_one_code_line(monkeypatch, case):
+    panel, argv = case
+    forget_loads(monkeypatch)
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "r.csv").write_text(panel, encoding="utf-8")
+        run(Path(tmp), argv)
+
+
 MAGNITUDES = [1e-160, 1e-20, 1.0, 1e100, 1e150]
 # The parameters of a record's solve: mostly in range, so that most solve.
 RECORD_VALUES = ["-0.5", "0.001", "0.5", "1", "2", "10"]
@@ -232,17 +286,6 @@ def edited(record: dict, scale, field, value) -> dict:
     if field is not None:
         (record if field in record else record["params"])[field] = value
     return record
-
-
-def true_sigma_p(panel: Path, weights) -> mpmath.mpf:
-    """sqrt(theta'Sigma theta) of ``weights`` on the panel's covariance, in
-    arbitrary precision, so that it does not overflow."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SpdRepairWarning)  # verify printed it
-        _, cov = estimate_moments(load_returns_csv(panel))
-    with mpmath.workdps(60):
-        w = mpmath.matrix(weights)
-        return mpmath.sqrt(max(0, (w.T * mpmath.matrix(cov.entries.tolist()) * w)[0]))
 
 
 # A 3-asset panel at 1e148: theta = 1e200 (1, 1, 1), or GMV's weights times

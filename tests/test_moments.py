@@ -788,6 +788,53 @@ def test_a_diagonal_shrunk_qoqc_solve_pairs_one_decomposition(eigh_calls, eigval
     assert shrunk.eigenpairs[0] is rho
 
 
+def test_kappa_tilde_is_kept_per_weight_with_the_eigvalsh_bits(eigvalsh_calls):
+    cov = random_cov(np.random.default_rng(35), 6, kappa=1e3)
+    kappas = [cov.toward_diagonal_condition(w) for w in (0.3, 0.7, 0.3, np.float64(0.7))]
+    assert eigvalsh_calls == [(6, 6)] * 2
+    assert kappas[:2] == kappas[2:] == [cov.toward_diagonal(w).condition_number
+                                        for w in (0.3, 0.7)]
+    cov.keep_diagonal_conditions(np.array([0.7, 0.9]))
+    cov.toward_diagonal_condition(0.7)
+    assert len(eigvalsh_calls) == 4  # the two shrinks' own, and no new kappa~
+    cov.toward_diagonal_condition(0.3)
+    assert len(eigvalsh_calls) == 5
+
+
+def test_a_kappa_tilde_that_raises_is_not_kept(eigvalsh_calls):
+    # entries that are not definite: at w = 1/2 their shrink [[1, 1.5], [1.5, 1]]
+    # has the eigenvalues 2.5 and -0.5
+    cov = CovMatrix(np.array([[1.0, 3.0], [3.0, 1.0]]), np.array([4.0, 1.0]), np.eye(2))
+    for _ in range(2):
+        with pytest.raises(SingularCovariance):
+            cov.toward_diagonal_condition(0.5)
+    assert len(eigvalsh_calls) == 2
+    assert cov.__dict__["_diagonal_conditions"] == {}
+
+
+def test_a_sweep_after_an_edit_reads_the_new_panels_kappa_tilde(tmp_path, monkeypatch):
+    # the kept kappa~ lives on the covariance of the bytes it was formed from:
+    # the same grid swept on an edited file reads the new panel's
+    forget_loads(monkeypatch)
+    path, out = tmp_path / "r.csv", tmp_path / "s.csv"
+    rng = np.random.default_rng(44)
+    swept = []
+    for spread in ([1.0, 2.0, 0.5, 1.5], [3.0, 0.2, 1.0, 0.7]):
+        rows = rng.normal(0.01, 0.05, size=(40, 4)) * spread
+        path.write_text("a,b,c,d\n" + "\n".join(",".join(map(repr, row))
+                                                for row in rows.tolist()) + "\n")
+        assert cli.main(["shrink-sweep", "--input", str(path), "--mode", "diagonal",
+                         "--grid", "0.25:0.25:0.75", "--output", str(out)]) == 0
+        _, cov = estimate_moments(load_returns_csv(path))
+        expected = []
+        for w in (0.25, 0.5, 0.75):
+            rho = np.linalg.eigvalsh(toward_diagonal_entries(cov, w))
+            expected.append(float(rho[-1] / rho[0]))
+        swept.append([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]])
+        assert swept[-1] == expected
+    assert swept[0] != swept[1]
+
+
 def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 

@@ -18,6 +18,7 @@ from mvgear import (
     ShrinkMode,
     alpha_angle,
     angle_floor,
+    robust,
     robust_alpha,
     shrink_covariance,
     solve,
@@ -565,3 +566,76 @@ def test_alignment_monotone_in_shrink():
         cosines = [alpha_angle(alpha, p.weights) for p in ports]
         assert all(b >= a - 1e-12 for a, b in zip(cosines, cosines[1:]))
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# kappa~ of a diagonal shrink: one eigvalsh per weight per covariance
+# ---------------------------------------------------------------------------
+
+def counted_eigvalsh(monkeypatch):
+    """One entry per ``numpy.linalg.eigvalsh`` call from now on."""
+    real, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+def fresh_kappa(cov, w):
+    """kappa~(w) from one eigvalsh of w D + (1 - w) Sigma, formed afresh."""
+    sigma = np.asarray(cov.entries)
+    rho = np.linalg.eigvalsh(w * np.diag(np.diag(sigma)) + (1.0 - w) * sigma)[::-1]
+    return float(rho[0] / rho[-1])
+
+
+def kept_weights(cov):
+    return set(cov.__dict__.get("_diagonal_conditions", {}))
+
+
+def test_a_diagonal_sweep_reads_kappa_once_per_weight_bit_for_bit(monkeypatch):
+    # a miss, the same sweep repeated and a sweep of the same grid for
+    # another program all write one kappa~ column, the fresh eigvalsh's bits;
+    # only the miss calls eigvalsh, once per point inside (0, 1)
+    alpha, cov = random_instance(np.random.default_rng(61), 12)
+    grid = np.linspace(0.0, 1.0, 11)
+    expected = [float(cov.condition_number),
+                *(fresh_kappa(cov, float(q)) for q in grid[1:-1]),
+                float(cov._diagonal.condition_number)]
+    calls = counted_eigvalsh(monkeypatch)
+    for program, params, eigvalsh in [(None, {}, 9), (None, {}, 0),
+                                      (Program.VII, {"gamma": 1.0, "g0": 1.0}, 0)]:
+        calls.clear()
+        path = robust.shrink_sweep(alpha, cov, ShrinkMode.DIAGONAL, grid, program, **params)
+        assert path.kappa_tilde.tolist() == expected
+        assert len(calls) == eigvalsh
+    assert kept_weights(cov) == set(grid[1:-1].tolist())
+
+
+def test_a_point_solved_alone_reads_the_batch_kappa(monkeypatch):
+    # _sweep_point and the batch read one memoized kappa~: each alone, on its
+    # own copy of the covariance, forms the same bits; after the batch a point
+    # solved alone calls no eigvalsh
+    alpha, cov = random_instance(np.random.default_rng(67), 8)
+    a, twin = as_vector(alpha), CovMatrix.from_entries(cov.entries)
+    for q in (0.1, 0.5, 0.9):
+        spec = ShrinkageSpec(ShrinkMode.DIAGONAL, q)
+        batch = robust.shrink_sweep(a, cov, ShrinkMode.DIAGONAL, [q]).kappa_tilde[0]
+        alone = robust._sweep_point(a, twin, spec, None, {})[0]
+        assert alone == batch == fresh_kappa(cov, q)
+        calls = counted_eigvalsh(monkeypatch)
+        assert robust._sweep_point(a, cov, spec, None, {})[0] == batch
+        assert calls == []
+        monkeypatch.undo()
+
+
+def test_a_sweep_keeps_no_weight_outside_its_grid():
+    alpha, cov = random_instance(np.random.default_rng(71), 6)
+    first = np.linspace(0.0, 1.0, 6)
+    second = np.array([0.4, 0.5, 0.6, 1.0])
+    robust.shrink_sweep(alpha, cov, ShrinkMode.DIAGONAL, first)
+    assert kept_weights(cov) == {0.2, 0.4, 0.6000000000000001, 0.8}
+    robust.shrink_sweep(alpha, cov, ShrinkMode.DIAGONAL, second)
+    assert kept_weights(cov) == {0.4, 0.5, 0.6}
+    robust.shrink_sweep(alpha, cov, ShrinkMode.SIMPLE, first)  # no kappa~ read
+    assert kept_weights(cov) == {0.4, 0.5, 0.6}
+    robust.shrink_sweep(alpha, cov, ShrinkMode.DIAGONAL, [0.0, 1.0])
+    assert kept_weights(cov) == set()

@@ -657,19 +657,32 @@ def test_surface_names_the_first_point_whose_variance_is_not_finite(
     assert str(info.value) == f"variance at {point} is inf"
 
 
-def test_a_variance_that_cancels_to_minus_inf_reads_sigma_p_inf():
+def test_a_variance_past_the_float_range_reads_the_finite_sigma_p():
     # theta'Sigma theta is 14.5e308, past the float range; its terms overflow
-    # and cancel to -inf, which a clamp at 0 read as sigma_p = 0
-    cov = CovMatrix.from_entries([[18.0, -8.0, -11.0], [-8.0, 10.0, 2.0],
-                                  [-11.0, 2.0, 15.0]])
-    w = 1e154 * np.array([-0.5, -1.0, -1.0])
+    # and cancel to -inf. sigma_p = sqrt(14.5) 1e154 is formed on the weights
+    # scaled by a power of two, as solve forms it: IV at g0 = -2.5e154 on
+    # alpha = S d, B = 1'd = -2.5, has the weights 1e154 d. At 5e307 d sigma_p
+    # itself is past the float range, and refused.
+    entries = [[18.0, -8.0, -11.0], [-8.0, 10.0, 2.0], [-11.0, 2.0, 15.0]]
+    cov, d = CovMatrix.from_entries(entries), np.array([-0.5, -1.0, -1.0])
     with np.errstate(over="ignore", invalid="ignore"):
-        assert cov.quad(w) == -np.inf
-    assert solvers._measure(w, None, cov)["sigma_p"] == np.inf
-    assert solvers._measure(w / 1e150, None, cov)["sigma_p"] == pytest.approx(
-        np.sqrt(14.5) * 1e4, rel=1e-15)
+        assert cov.quad(1e154 * d) == -np.inf
+    with mpmath.workdps(50):
+        exact = mpmath.sqrt(14.5) * mpmath.mpf(10) ** 154
+    solved = solve(Program.IV, np.array(entries) @ d, cov, g0=-2.5e154)
+    for w, sigma_p in [(1e154 * d, solvers._measure(1e154 * d, None, cov)["sigma_p"]),
+                       (solved.weights, solved.sigma_p)]:
+        with mpmath.workdps(50):
+            m = mpmath.matrix(w.tolist())
+            true = mpmath.sqrt((m.T * mpmath.matrix(entries) * m)[0])
+        assert abs(sigma_p - true) <= 4 * np.finfo(float).eps * true
+        assert abs(sigma_p - exact) <= 1e-13 * exact
+    e = moments._unit_scaled(1e154 * d)[1]
+    assert solvers._measure(1e154 * d, None, cov)["sigma_p"] == np.ldexp(
+        solvers._measure(np.ldexp(1e154 * d, -e), None, cov)["sigma_p"], e)
+    assert solvers._measure(5e307 * d, None, cov)["sigma_p"] == np.inf
     with pytest.raises(NonFiniteData, match="sigma_p is inf"):
-        solvers._figures(w, Program.GMV, None, cov)
+        solvers._figures(5e307 * d, Program.GMV, None, cov)
 
 
 def test_frontier_variance_overflows_to_inf(micro_alpha, micro_cov):

@@ -138,7 +138,9 @@ def test_every_benchmark_request_passes_the_flag_checks(tmp_path, monkeypatch):
 def test_digests_follow_each_script_with_shrunk_solves_and_their_verifies(tmp_path,
                                                                           monkeypatch):
     # no benchmark request runs solve --shrink-mode: the tool appends GMV, VI
-    # and VII at seven shrinks each on the first panel, a verify after each
+    # and VII at seven shrinks each on the first panel, a verify after each,
+    # then a diagonal sweep of VII over 0:0.1:1, which reads the kappa~ kept
+    # from the benchmark's own diagonal sweep of that grid
     from mvgear import cli
 
     workloads = _workloads(monkeypatch)
@@ -149,9 +151,15 @@ def test_digests_follow_each_script_with_shrunk_solves_and_their_verifies(tmp_pa
     added = workload.script[len(bench.script):]
     assert [r.kind for r in workload.script[:len(bench.script)]] == [
         r.kind for r in bench.script]
-    assert len(added) == 42 and {r.panel for r in added} == {0}
+    assert len(added) == 43 and {r.panel for r in added} == {0}
+    sweep = cli._build_parser().parse_args(added[-1].argv)
+    _flag_checks(sweep)
+    assert (sweep.command, sweep.mode, sweep.grid, sweep.program, sweep.gamma, sweep.g0) == (
+        "shrink-sweep", "diagonal", "0:0.1:1", "VII", 10.0, 1.0)
+    assert any(r.kind == "shrink-sweep" and "diagonal" in r.argv and "0:0.1:1" in r.argv
+               and "--program" not in r.argv for r in bench.script)
     shrinks = []
-    for solved, verified in zip(added[::2], added[1::2]):
+    for solved, verified in zip(added[:-1:2], added[1::2]):
         args = cli._build_parser().parse_args(solved.argv)
         _flag_checks(args)
         shrinks.append((args.program, args.mode, args.k if args.mode == "angle" else args.q))
