@@ -326,8 +326,10 @@ OVERFLOW_RUNS = [*((command, *case) for case in OVERFLOW_CASES
                    for command in ("shrunk-solve", "shrink-sweep"))]
 # (command, value, program, parameter) whose weights stay finite, and whose
 # theta'Sigma theta leaves the float range though sigma_p does not.
+# A sweep over q = 0, 0.5 and 1 of a Sharpe program at --g0 meets B of both
+# signs, and is refused for that; it has no run here.
 PAST_SQUARE_RUNS = [
-    *((command, value, program, name) for command in ("solve", "shrunk-solve")
+    *((command, value, program, name)
       for value, program, name in [
           *(("1e-300", program, "gamma") for program in (Program.III, Program.VII)),
           *(("1e300", program, name)
@@ -335,7 +337,9 @@ PAST_SQUARE_RUNS = [
                                   (Program.IV, "g0"), (Program.V, "g0"), (Program.V, "sigma0"),
                                   (Program.VI, "alpha0"), (Program.VI, "g0"),
                                   (Program.VII, "g0"), (Program.VIII, "g0")]),
-          ("1e308", Program.VII, "g0"), ("-1e308", Program.VII, "g0")]),
+          ("1e308", Program.VII, "g0"), ("-1e308", Program.VII, "g0")]
+      for command in ("solve", "shrunk-solve", "shrink-sweep")
+      if command != "shrink-sweep" or (program, name) not in SHARPE_AT_G0),
     ("solve", "1e308", Program.VI, "g0"), ("solve", "-1e308", Program.VI, "g0"),
 ]
 
@@ -381,9 +385,29 @@ def test_a_sigma_p_past_the_squares_range_is_written_and_verified(
     # by a power of two, is finite: the record is written with the true
     # sigma_p, and verify's sigma_p row passes it. (A constraint row may
     # fail: its tolerance is absolute, and these weights are near 1e300.)
+    # The sweep writes each point's weights as solve --shrink-mode simple --q
+    # writes them.
     negated = (program, name) in SHARPE_AT_G0 and command != "shrunk-solve"
     csv = negative_b_csv(tmp_path / "r.csv", -1.0 if negated else 1.0)
     out, report = tmp_path / "p.json", tmp_path / "v.json"
+    if command == "shrink-sweep":
+        swept = tmp_path / "s.csv"
+        assert run([*overflow_argv(csv, command, value, program, name), "--output", swept]) == 0
+        lines = swept.read_text().splitlines()[1:]
+        grid = parse_grid(SWEEP_ARGS[-1])
+        assert len(lines) == len(grid)
+        _, cov = estimate_moments(load_returns_csv(csv))
+        past = []
+        for q, line in zip(grid, lines):
+            assert run([*overflow_argv(csv, "shrunk-solve", value, program, name, q),
+                        "--output", out]) == 0
+            solved = json.loads(out.read_text())["weights"]
+            assert json.loads(line.split(',"')[1].rstrip('"')) == solved
+            with np.errstate(over="ignore", invalid="ignore"):
+                past.append(not np.isfinite(cov.quad(np.array(solved))))
+        assert any(past)
+        capsys.readouterr()
+        return
     assert run([*overflow_argv(csv, command, value, program, name), "--output", out]) == 0
     record = json.loads(out.read_text())
     _, cov = estimate_moments(load_returns_csv(csv))
@@ -403,6 +427,22 @@ def wide_return_csv(path):
     path.write_text("a,b,c,d\n" + "\n".join(",".join(map(repr, row)) for row in rows.tolist())
                     + "\n")
     return path
+
+
+def test_a_sweep_point_whose_sigma_p_overflows_fails_as_its_solve_does(tmp_path, capsys):
+    # gamma = 1e-308: the weights are near 1e307, finite, but at q = 1 sigma_p
+    # itself is past the float range; the sweep refuses that point with
+    # solve's line.
+    csv = wide_return_csv(tmp_path / "r.csv")
+    params = ["--input", csv, "--program", "III", "--gamma", "1e-308"]
+    assert run(["shrink-sweep", *params, "--mode", "simple", "--grid", "0:0.5:1"]) == 3
+    swept = capsys.readouterr()
+    assert run(["solve", *params, "--shrink-mode", "simple", "--q", "1"]) == 3
+    solved = capsys.readouterr()
+    assert swept.out == solved.out == ""
+    assert swept.err == solved.err == (
+        "code=NonFiniteData program III sigma_p is inf: "
+        "a parameter is too large or too small for these moments\n")
 
 
 @pytest.mark.parametrize("gamma", ["1e-151", "1e-300"])
