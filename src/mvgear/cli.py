@@ -15,6 +15,12 @@ truncated to zero first: on ext4, a file truncated to zero and rewritten has
 its freed blocks discarded, and ``auto_da_alloc`` makes ``close`` allocate
 and flush the new ones at once. A request that fails before it emits leaves
 the old file untouched. Writes are neither atomic nor fsynced.
+
+An ``estimate`` keeps the text of its artifact with the covariance it was
+written from, one entry for the process: a later ``estimate`` that
+``mvgear.moments``' memo serves the same covariance writes that text and
+formats nothing. The entry goes with that covariance, so a changed or
+another file, or a new load, formats afresh.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import os
 import re
 import stat
 import sys
+import weakref
 from dataclasses import replace
 from itertools import zip_longest
 
@@ -239,16 +246,29 @@ def _shrink_spec(args) -> ShrinkageSpec | None:
     return ShrinkageSpec(mode=mode, k=getattr(args, name))
 
 
+# The text of the last ``estimate`` artifact, keyed by the covariance it was
+# written from: it holds no reference to the covariance, so it dies with it
+# once ``mvgear.moments``' memo lets the covariance go.
+_estimates: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _cmd_estimate(args) -> str:
+    """The moments' artifact, or the text kept with their covariance: one
+    ``CovMatrix`` belongs to one panel and its alpha (``estimate_moments``)."""
     panel, alpha, cov = _moments(args)
-    doc = {
-        "assets": list(panel.assets),
-        "alpha": alpha.entries,
-        "covariance": cov.entries,
-        "eigenvalues": cov.eigenvalues,
-        "condition_number": cov.condition_number,
-    }
-    return serialize.dumps(doc) + "\n"
+    text = _estimates.get(cov)
+    if text is None:
+        doc = {
+            "assets": list(panel.assets),
+            "alpha": alpha.entries,
+            "covariance": cov.entries,
+            "eigenvalues": cov.eigenvalues,
+            "condition_number": cov.condition_number,
+        }
+        text = serialize.dumps(doc) + "\n"
+        _estimates.clear()
+        _estimates[cov] = text
+    return text
 
 
 def _cmd_solve(args) -> str:

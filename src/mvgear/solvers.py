@@ -193,11 +193,20 @@ class FrontierScalars:
 
     def coordinates(self, c_alpha, gearing) -> np.ndarray:
         """The coordinates (gearing/A) x + c_alpha y of :meth:`weights`, a row
-        per matrix of a stack."""
-        coords = (gearing / self.A) * self.cov.inverse_ones[0]
+        per matrix of a stack. Where gearing is finite but gearing/A is not
+        (a small A), gearing and c_alpha are first scaled by 2^-e, e the
+        exponent of gearing, and those coordinates by 2^e after, which is
+        exact; every other row has the bits of the formula itself."""
+        ratio = gearing / self.A
+        scaled = not np.isfinite(ratio).all()
+        if scaled:
+            past = np.isfinite(gearing) & ~np.isfinite(ratio)
+            e = np.where(past, np.frexp(gearing)[1], 0)
+            ratio = np.ldexp(gearing, -e) / self.A
+        coords = ratio * self.cov.inverse_ones[0]
         if isinstance(c_alpha, np.ndarray) or c_alpha != 0.0:
-            coords += c_alpha * self._split[2]
-        return coords
+            coords += (np.ldexp(c_alpha, -e) if scaled else c_alpha) * self._split[2]
+        return np.ldexp(coords, e) if scaled else coords
 
     def weights(self, c_alpha: float, gearing: float) -> np.ndarray:
         """c_alpha Sigma^-1 alpha + c_1 Sigma^-1 1 with 1'theta = gearing, that is

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -427,6 +429,54 @@ def wide_return_csv(path):
     path.write_text("a,b,c,d\n" + "\n".join(",".join(map(repr, row)) for row in rows.tolist())
                     + "\n")
     return path
+
+
+def _longdouble_solve(matrix, rhs):
+    """matrix^-1 rhs by Gaussian elimination with partial pivoting in
+    ``np.longdouble``, whose exponent range holds these weights' products."""
+    a, b = np.array(matrix, np.longdouble), np.array(rhs, np.longdouble)
+    n = b.size
+    for k in range(n):
+        pivot = k + int(np.argmax(np.abs(a[k:, k])))
+        a[[k, pivot]], b[[k, pivot]] = a[[pivot, k]], b[[pivot, k]]
+        factors = a[k + 1:, k] / a[k, k]
+        a[k + 1:] -= factors[:, None] * a[k]
+        b[k + 1:] -= factors * b[k]
+    x = np.zeros(n, np.longdouble)
+    for i in reversed(range(n)):
+        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
+    return x
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mean,argv", [
+    (5e2, ["VII", "--gamma", "1", "--g0", "1e305"]),
+    (5e2, ["VII", "--gamma", "1", "--g0", "-1e305"]),
+    (5e2, ["VII", "--gamma", "1e-300", "--g0", "1e305"]),
+    (3e3, ["III", "--gamma", "1e-305"]),
+])
+def test_a_gearing_past_the_float_range_over_a_is_solved_and_verified(tmp_path, mean, argv):
+    # 30 periods of 4 assets from N(mean, 3000^2): A = 1'Sigma^-1 1 is
+    # 6.4e-7, so gearing / A overflows though the weights, about gearing / 4,
+    # do not. The record's weights agree with Sigma^-1 (c_alpha alpha + c_1 1)
+    # formed in long double within n kappa eps, and verify passes it.
+    csv, out = tmp_path / "r.csv", tmp_path / "p.json"
+    rows = np.random.default_rng(1).standard_normal((30, 4)) * 3e3 + mean
+    csv.write_text("a,b,c,d\n" + "\n".join(",".join(map(repr, row)) for row in rows.tolist())
+                   + "\n")
+    assert run(["solve", "--input", csv, "--program", *argv, "--output", out]) == 0
+    weights = np.array(json.loads(out.read_text())["weights"])
+    alpha, cov = estimate_moments(load_returns_csv(csv))
+    to_alpha = _longdouble_solve(cov.entries, alpha.entries)
+    to_ones = _longdouble_solve(cov.entries, np.ones(4))
+    c_alpha = 1 / np.longdouble(argv[2])
+    c_ones = ((np.longdouble(argv[4]) - c_alpha * to_alpha.sum()) / to_ones.sum()
+              if argv[0] == "VII" else 0)
+    reference = c_alpha * to_alpha + c_ones * to_ones
+    scale = np.abs(reference).max()
+    assert np.abs(weights - reference).max() <= 4 * cov.condition_number * 2.0**-52 * scale
+    assert run(["verify", "--input", csv, "--portfolio", out, "--output", tmp_path / "v.json"]) == 0
+    assert json.loads((tmp_path / "v.json").read_text())["passed"] is True
 
 
 def test_a_sweep_point_whose_sigma_p_overflows_fails_as_its_solve_does(tmp_path, capsys):
@@ -2207,6 +2257,150 @@ def test_cache_hits_write_the_bytes_misses_write(tmp_path, monkeypatch, loadtxt_
 def test_trusted_cache_hits_write_the_bytes_misses_write(tmp_path, monkeypatch,
                                                          loadtxt_calls, csv_reads):
     check_cache_hits(tmp_path, monkeypatch, loadtxt_calls, csv_reads, trusted=True)
+
+
+# ---------------------------------------------------------------------------
+# The estimate artifact kept with its covariance
+# ---------------------------------------------------------------------------
+
+def wide_csv(path, seed=0, n=50, periods=120):
+    """A panel whose n(n+1)/2 covariance cells go through ``_g17``'s kernel."""
+    rows = np.random.default_rng(seed).normal(0.001, 0.02, (periods, n))
+    path.write_text(",".join(f"a{j}" for j in range(n)) + "\n" + "\n".join(
+        ",".join(map(repr, row)) for row in rows.tolist()) + "\n")
+    return path
+
+
+@pytest.fixture
+def formatting(monkeypatch):
+    """One entry per ``serialize.dumps`` and ``_g17.format_cells`` call, by name."""
+    from mvgear import _g17
+
+    calls = []
+    for module, name in ((serialize, "dumps"), (_g17, "format_cells")):
+        real = getattr(module, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def estimate(csv, out) -> bytes:
+    assert run(["estimate", "--input", csv, "--output", out]) == 0
+    return out.read_bytes()
+
+
+def test_an_estimate_hit_writes_the_bytes_of_a_miss_and_of_a_fresh_process(
+        tmp_path, monkeypatch, formatting):
+    csv = wide_csv(tmp_path / "r.csv")
+    forget_loads(monkeypatch)
+    miss = estimate(csv, tmp_path / "miss.json")
+    assert formatting.count("format_cells") == 1
+    formatting.clear()
+    hit = estimate(csv, tmp_path / "hit.json")
+    assert formatting == []
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-m", "mvgear.cli", "estimate", "--input", str(csv),
+                    "--output", str(tmp_path / "fresh.json")], check=True, env=env, timeout=60)
+    assert hit == miss == (tmp_path / "fresh.json").read_bytes()
+
+
+def test_an_estimate_between_solves_on_one_file_formats_nothing(tmp_path, formatting):
+    csv = wide_csv(tmp_path / "r.csv")
+    miss = estimate(csv, tmp_path / "e.json")
+    assert run(["solve", "--input", csv, "--program", "VII", "--gamma", 2, "--g0", 1,
+                "--shrink-mode", "diagonal", "--q", 0.5, "--output", tmp_path / "p.json"]) == 0
+    assert run(["shrink-sweep", "--input", csv, "--mode", "diagonal", "--grid", "0:0.5:1",
+                "--output", tmp_path / "s.csv"]) == 0
+    formatting.clear()
+    assert estimate(csv, tmp_path / "e.json") == miss
+    assert formatting == []
+
+
+def test_a_rewritten_csv_is_estimated_afresh(tmp_path, formatting):
+    csv, twin = tmp_path / "r.csv", tmp_path / "twin.csv"
+    first = estimate(wide_csv(csv, seed=1), tmp_path / "e.json")
+    wide_csv(csv, seed=2)
+    formatting.clear()
+    second = estimate(csv, tmp_path / "e.json")
+    assert "dumps" in formatting
+    assert second != first
+    assert second == estimate(wide_csv(twin, seed=2), tmp_path / "twin.json")
+
+
+def test_an_estimate_of_another_file_drops_the_kept_text(tmp_path, monkeypatch, formatting):
+    # A's covariance dies once a solve of B loads another: the kept text
+    # keeps it alive no longer than the memo of the moments does.
+    a, b = wide_csv(tmp_path / "a.csv", seed=1), wide_csv(tmp_path / "b.csv", seed=2)
+    forget_loads(monkeypatch)
+    first = estimate(a, tmp_path / "a.json")
+    kept = weakref.ref(moments._last_moments[3])
+    assert list(cli._estimates) == [kept()]
+    assert run(["solve", "--input", b, "--program", "GMV", "--output", tmp_path / "p.json"]) == 0
+    gc.collect()
+    assert kept() is None and len(cli._estimates) == 0
+    formatting.clear()
+    estimate(b, tmp_path / "b.json")
+    assert "dumps" in formatting
+    kept = weakref.ref(moments._last_moments[3])
+    assert list(cli._estimates) == [kept()]
+    formatting.clear()
+    assert estimate(a, tmp_path / "a.json") == first
+    assert "dumps" in formatting
+    gc.collect()
+    assert kept() is None
+    assert list(cli._estimates) == [moments._last_moments[3]]
+
+
+def test_forgetting_the_loads_misses_the_kept_text(tmp_path, monkeypatch, formatting):
+    csv = wide_csv(tmp_path / "r.csv")
+    first = estimate(csv, tmp_path / "e.json")
+    forget_loads(monkeypatch)
+    formatting.clear()
+    assert estimate(csv, tmp_path / "e.json") == first
+    assert "dumps" in formatting
+
+
+def test_a_floored_panel_warns_on_the_hit_too(tmp_path, formatting):
+    csv = wide_csv(tmp_path / "r.csv", n=50, periods=20)
+    with pytest.warns(moments.SpdRepairWarning):
+        miss = estimate(csv, tmp_path / "e.json")
+    formatting.clear()
+    with pytest.warns(moments.SpdRepairWarning):
+        assert estimate(csv, tmp_path / "e.json") == miss
+    assert formatting == []
+
+
+def test_a_failing_estimate_leaves_the_kept_text(tmp_path, monkeypatch, capsys, formatting):
+    csv, bad = wide_csv(tmp_path / "r.csv"), tmp_path / "bad.csv"
+    first = estimate(csv, tmp_path / "e.json")
+    kept = dict(cli._estimates)
+    bad.write_text("a,b\n0.1,nan\n0.2,0.3\n")
+    assert run(["estimate", "--input", bad]) == 3
+    assert run(["estimate", "--input", tmp_path / "missing.csv"]) == 2
+    capsys.readouterr()
+    assert dict(cli._estimates) == kept
+    formatting.clear()
+    assert estimate(csv, tmp_path / "e.json") == first
+    assert formatting == []
+
+
+def test_an_estimate_whose_formatting_raises_keeps_no_text(tmp_path, monkeypatch, capsys):
+    def refuse(obj):
+        raise MvgearError("formatting refused")
+
+    csv = wide_csv(tmp_path / "r.csv")
+    forget_loads(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(serialize, "dumps", refuse)
+        assert run(["estimate", "--input", csv]) == 3
+    assert capsys.readouterr().err == "code=MvgearError formatting refused\n"
+    assert moments._last_moments[3] not in cli._estimates
+    assert run(["estimate", "--input", csv, "--output", tmp_path / "e.json"]) == 0
+    assert moments._last_moments[3] in cli._estimates
 
 
 # ---------------------------------------------------------------------------

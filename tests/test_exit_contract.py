@@ -15,7 +15,9 @@ replaced, or both. A ``verify`` report that passes its sigma_p row must not
 be wildly off the true sigma_p of the record's weights. ``estimate`` and the
 diagonal shrink paths also run on panels with an all-zero or a constant
 column, under header variants: quoted names, a byte-order mark, spaces
-around names, and blank names. Hypothesis runs
+around names, and blank names. Each ``estimate`` runs twice, and the
+second, which writes the text the first kept, must exit and write as the
+first did. Hypothesis runs
 derandomized with a bounded example count, so every run tests the same
 requests. Other warnings are printed to stderr, as the command line prints
 them; a floored panel's SpdRepairWarning, printed before the ``code=``
@@ -118,6 +120,11 @@ VI_ARGS = ["--program", "VI", "--alpha0", "-1", "--g0", "1e300"]
 def run(tmp: Path, argv) -> int:
     """``argv`` on the panel ``tmp/r.csv``, written to ``tmp/out``, held to the
     contract; returns its exit code."""
+    return outcome(tmp, argv)[0]
+
+
+def outcome(tmp: Path, argv) -> tuple[int, list[str]]:
+    """:func:`run`'s request: its exit code and its ``code=`` lines."""
     stderr = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
         warnings.showwarning = _to_stderr
@@ -130,7 +137,19 @@ def run(tmp: Path, argv) -> int:
     assert codes == ([] if code == 0 else lines[-1:]), argv
     if code == 0:
         assert_parses(argv[0], (tmp / "out").read_text())
-    return code
+    return code, codes
+
+
+def run_estimate_twice(tmp: Path) -> None:
+    """``estimate`` twice on one panel: the second, served the text the first
+    kept with its covariance, exits with the first's code and ``code=`` line
+    and writes the first's bytes."""
+    written = []
+    for _ in range(2):
+        (tmp / "out").unlink(missing_ok=True)
+        written.append((*outcome(tmp, ["estimate"]),
+                        (tmp / "out").read_bytes() if (tmp / "out").exists() else None))
+    assert written[0] == written[1]
 
 
 def _refuse(constant):
@@ -208,7 +227,10 @@ def test_a_degenerate_column_or_header_exits_0_2_or_3_with_one_code_line(monkeyp
     forget_loads(monkeypatch)
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "r.csv").write_text(panel, encoding="utf-8")
-        run(Path(tmp), argv)
+        if argv == ["estimate"]:
+            run_estimate_twice(Path(tmp))
+        else:
+            run(Path(tmp), argv)
 
 
 MAGNITUDES = [1e-160, 1e-20, 1.0, 1e100, 1e150]
@@ -328,6 +350,9 @@ def test_every_request_exits_0_2_or_3_with_one_code_line(monkeypatch, case):
             (tmp / "out").unlink()
             (tmp / "record.json").write_text(json.dumps(data))
             argv = [*argv, "--portfolio", str(tmp / "record.json")]
+        if argv == ["estimate"]:
+            run_estimate_twice(tmp)
+            return
         code = run(tmp, argv)
         if argv[0] != "verify" or code == 2 or not (tmp / "out").exists():
             return

@@ -140,7 +140,8 @@ def test_digests_follow_each_script_with_shrunk_solves_and_their_verifies(tmp_pa
     # no benchmark request runs solve --shrink-mode: the tool appends GMV, VI
     # and VII at seven shrinks each on the first panel, a verify after each,
     # then a diagonal sweep of VII over 0:0.1:1, which reads the kappa~ kept
-    # from the benchmark's own diagonal sweep of that grid
+    # from the benchmark's own diagonal sweep of that grid, and last an
+    # estimate, which writes the text kept from the benchmark's own estimate
     from mvgear import cli
 
     workloads = _workloads(monkeypatch)
@@ -151,15 +152,17 @@ def test_digests_follow_each_script_with_shrunk_solves_and_their_verifies(tmp_pa
     added = workload.script[len(bench.script):]
     assert [r.kind for r in workload.script[:len(bench.script)]] == [
         r.kind for r in bench.script]
-    assert len(added) == 43 and {r.panel for r in added} == {0}
-    sweep = cli._build_parser().parse_args(added[-1].argv)
+    assert len(added) == 44 and {r.panel for r in added} == {0}
+    assert cli._build_parser().parse_args(added[-1].argv).command == "estimate"
+    assert any(r.kind == "estimate" and r.panel == 0 for r in bench.script)
+    sweep = cli._build_parser().parse_args(added[-2].argv)
     _flag_checks(sweep)
     assert (sweep.command, sweep.mode, sweep.grid, sweep.program, sweep.gamma, sweep.g0) == (
         "shrink-sweep", "diagonal", "0:0.1:1", "VII", 10.0, 1.0)
     assert any(r.kind == "shrink-sweep" and "diagonal" in r.argv and "0:0.1:1" in r.argv
                and "--program" not in r.argv for r in bench.script)
     shrinks = []
-    for solved, verified in zip(added[:-1:2], added[1::2]):
+    for solved, verified in zip(added[:-2:2], added[1:-1:2]):
         args = cli._build_parser().parse_args(solved.argv)
         _flag_checks(args)
         shrinks.append((args.program, args.mode, args.k if args.mode == "angle" else args.q))

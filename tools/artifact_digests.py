@@ -19,13 +19,18 @@ there: request ``index`` of ``workload`` writes its artifact to
 
 No benchmark request runs ``solve --shrink-mode``, so each workload's script
 is followed by shrunk solves of GMV, VI and VII on its first panel, each
-with a ``verify`` of its record, and then by a diagonal ``shrink-sweep`` of
-VII over ``0:0.1:1`` (:func:`make_workload`); every pass runs them, and
-their lines follow the benchmark's. On sweep-surface, whose script sweeps
-that grid toward the diagonal with no ``--program``, that sweep reads every
-kappa~ the covariance kept from the other one, so a digest diff against a
-tree that formed each kappa~ afresh also shows that a kappa~ kept from
-another request writes the bytes of a fresh one.
+with a ``verify`` of its record, then by a diagonal ``shrink-sweep`` of
+VII over ``0:0.1:1``, and last by an ``estimate`` of that panel
+(:func:`make_workload`); every pass runs them, and their lines follow the
+benchmark's. On sweep-surface, whose script sweeps that grid toward the
+diagonal with no ``--program``, that sweep reads every kappa~ the
+covariance kept from the other one, so a digest diff against a tree that
+formed each kappa~ afresh also shows that a kappa~ kept from another
+request writes the bytes of a fresh one. Every script but small-fresh's
+estimates its first panel before, so that last ``estimate`` writes the text
+``mvgear.cli`` kept with the covariance, after the sweeps and solves in
+between: a digest diff against a tree that formatted every estimate afresh
+shows that the kept text has the bytes of a fresh one.
 
 All requests run in this one process, so every request after the first on a
 panel finds that panel and its moments in ``mvgear.moments``' one-entry memo:
@@ -74,9 +79,9 @@ def make_workload(name: str, seed: int, directory: str):
     """``workloads.make_workload``, with GMV, VI (alpha0 of
     ``workloads._vi_alpha0``) and VII (gamma 10, g0 1) solved on the first
     panel at each shrink, angle at k = k0/2 and simple and diagonal at
-    q = 0, 0.5 and 1, each followed by a ``verify`` of its record, and then
-    a diagonal sweep of VII over ``0:0.1:1``: requests appended to the
-    script, so every pass runs them."""
+    q = 0, 0.5 and 1, each followed by a ``verify`` of its record, then a
+    diagonal sweep of VII over ``0:0.1:1`` and an ``estimate``: requests
+    appended to the script, so every pass runs them."""
     import workloads
 
     workload = workloads.make_workload(name, seed, directory)
@@ -96,6 +101,7 @@ def make_workload(name: str, seed: int, directory: str):
             script.verify(0, solved)
     script.sweep(0, "diagonal", "0:0.1:1", 11,
                  ["--program", "VII", "--gamma", workloads._num(workloads.GAMMA), "--g0", "1"])
+    script.add("estimate", 0, [])
     return workload
 
 
