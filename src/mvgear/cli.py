@@ -16,11 +16,11 @@ its freed blocks discarded, and ``auto_da_alloc`` makes ``close`` allocate
 and flush the new ones at once. A request that fails before it emits leaves
 the old file untouched. Writes are neither atomic nor fsynced.
 
-An ``estimate`` keeps the text of its artifact with the covariance it was
-written from, one entry for the process: a later ``estimate`` that
-``mvgear.moments``' memo serves the same covariance writes that text and
-formats nothing. The entry goes with that covariance, so a changed or
-another file, or a new load, formats afresh.
+An ``estimate`` keeps the UTF-8 bytes of its artifact with the covariance
+it was written from, one entry for the process: a later ``estimate`` that
+``mvgear.moments``' memo serves the same covariance writes those bytes, and
+formats and encodes nothing. The entry goes with that covariance, so a
+changed or another file, or a new load, formats afresh.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n0", type=float, required=True)
     p.set_defaults(program=Program.QOQC.value, mode=None)
 
-    p = sub.add_parser("verify", help="re-derive and audit a solved portfolio")
+    p = sub.add_parser("verify", help="certify and audit a solved portfolio")
     common(p)
     p.add_argument("--portfolio", required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED)
@@ -246,18 +246,18 @@ def _shrink_spec(args) -> ShrinkageSpec | None:
     return ShrinkageSpec(mode=mode, k=getattr(args, name))
 
 
-# The text of the last ``estimate`` artifact, keyed by the covariance it was
-# written from: it holds no reference to the covariance, so it dies with it
+# The bytes of the last ``estimate`` artifact, keyed by the covariance it was
+# written from: they hold no reference to the covariance, so they die with it
 # once ``mvgear.moments``' memo lets the covariance go.
 _estimates: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _cmd_estimate(args) -> str:
-    """The moments' artifact, or the text kept with their covariance: one
+def _cmd_estimate(args) -> bytes:
+    """The moments' artifact, or the bytes kept with their covariance: one
     ``CovMatrix`` belongs to one panel and its alpha (``estimate_moments``)."""
     panel, alpha, cov = _moments(args)
-    text = _estimates.get(cov)
-    if text is None:
+    data = _estimates.get(cov)
+    if data is None:
         doc = {
             "assets": list(panel.assets),
             "alpha": alpha.entries,
@@ -265,10 +265,10 @@ def _cmd_estimate(args) -> str:
             "eigenvalues": cov.eigenvalues,
             "condition_number": cov.condition_number,
         }
-        text = serialize.dumps(doc) + "\n"
+        data = (serialize.dumps(doc) + "\n").encode("utf-8")
         _estimates.clear()
-        _estimates[cov] = text
-    return text
+        _estimates[cov] = data
+    return data
 
 
 def _cmd_solve(args) -> str:
@@ -345,11 +345,6 @@ def _constraint(value, target, detail, rtol=1e-10):
     return test
 
 
-def _stationarity_audit(alpha, cov, w, figures, args, gamma, lam1, lam2):
-    res = diversity.stationarity_residual(alpha, cov, gamma, w, lam1, lam2)
-    return res <= diversity.STATIONARITY_TOL, f"residual {res:g}"
-
-
 def _bound_audit(alpha, cov, w, figures, args):
     report = geometry.verify_bound(alpha, cov, w)
     return (report.slack >= -1e-10,
@@ -382,13 +377,11 @@ AUDITS = {
     "diversity": ("diversity_constraint", ("n0",), _constraint(
         lambda w, f: _square(w), lambda n0: 1.0 / n0, "theta'theta = {0!r} vs 1/n0 = {1!r}",
         diversity.SPHERE_TOL)),
-    "stationarity": ("stationarity", ("gamma", "lambda1", "lambda2"),
-                     _stationarity_audit),
     "bound": ("bound_slack", (), _bound_audit),
     "sharpe": ("sharpe_dominance", (), _sharpe_audit),
 }
 # A shrunk solution meets these on the shrunk covariance only.
-UNSHRUNK_AUDITS = {"risk", "stationarity", "sharpe"}
+UNSHRUNK_AUDITS = {"risk", "sharpe"}
 
 
 def _verify_checks(args, alpha, cov, port) -> list[dict]:
@@ -412,22 +405,19 @@ def _verify_checks(args, alpha, cov, port) -> list[dict]:
     try:
         spec = ShrinkageSpec.from_params(port.params)
         shrunk = spec is not None
-        resolved = robust.solve_robust(port.program, alpha, cov, spec,
-                                       **port.params).weights
-        err = float(np.abs(resolved - w).max())
-        check("weights_resolve", err <= 1e-8, f"max weight deviation {err:g}")
+        # a shrunk record is certified on w T + (1 - w) Sigma, formed: no eigh
+        sigma = cov.entries if spec is None else cov._shrunk_entries(
+            robust._shrink_weight(cov, alpha, spec), spec.mode is ShrinkMode.DIAGONAL)
+        check("stationarity", *solvers._certificate(w, alpha.entries, cov, sigma,
+                                                    port.program, port.params))
     except MvgearError as exc:
-        check("weights_resolve", False, f"{type(exc).__name__}: {exc}")
+        check("stationarity", False, f"{type(exc).__name__}: {exc}")
 
     # An audit is skipped when it reads a param the entry may go without and
     # the record lacks it; any other param the record lacks fails the audit.
-    # Where g0 e is the only feasible point, no multipliers are certified.
-    g0, n0 = port.params.get("g0"), port.params.get("n0")
-    single_point = g0 is not None and bool(n0) and diversity.on_boundary(w.size, g0, n0)
     for name, (check_name, reads, test) in AUDITS.items():
         if ((name != "bound" and name not in entry.audits)
-                or (shrunk and name in UNSHRUNK_AUDITS)
-                or (single_point and name == "stationarity")):
+                or (shrunk and name in UNSHRUNK_AUDITS)):
             continue
         missing = [param for param in reads if port.params.get(param) is None]
         if any(param in entry.optional + entry.one_of for param in missing):
@@ -464,14 +454,16 @@ def _cmd_verify(args) -> str:
     return text
 
 
-def _emit(args, text: str) -> None:
-    """Write the artifact to stdout, or over ``--output`` in place: opened
-    without ``O_TRUNC`` and cut to the new length only when it was a longer
-    regular file (a pipe or a device cannot be cut)."""
+def _emit(args, artifact: str | bytes) -> None:
+    """Write the artifact, or its UTF-8 bytes as given, to stdout's byte
+    stream, or over ``--output`` in place: opened without ``O_TRUNC`` and cut
+    to the new length only when it was a longer regular file (a pipe or a
+    device cannot be cut)."""
+    data = artifact.encode("utf-8") if isinstance(artifact, str) else artifact
     if args.output is None:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
         return
-    data = text.encode("utf-8")
     fd = os.open(args.output, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
         old = os.fstat(fd)

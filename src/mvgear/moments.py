@@ -282,7 +282,7 @@ class CovMatrix:
     ``spectrum`` mu is descending and positive, and S = diag(``scale``) is a
     positive diagonal scaling, the identity when ``scale`` is None. Unscaled,
     U and mu are Sigma's own eigenvectors and eigenvalues. Scaled (see
-    :meth:`toward_diagonal`), they are the spectrum of S^-1 Sigma S^-1, and
+    :meth:`shrink`), they are the spectrum of S^-1 Sigma S^-1, and
     Sigma's own ``eigenvalues`` (one ``eigvalsh``) and :attr:`eigenpairs`
     (one ``eigh``) are computed when first read. Either way :meth:`solve`
     and the factor L = S U diag(sqrt(mu)), Sigma = L L', cost O(n^2).
@@ -412,8 +412,9 @@ class CovMatrix:
                 (w == 1.0, lambda: self._diagonal, False))
 
     def shrink(self, w: float, diagonal: bool = False) -> "CovMatrix":
-        """w T + (1 - w) Sigma for w in [0, 1], toward T = I, or T = diag(Sigma)
-        if ``diagonal``: the row at w of its frame's stack
+        """w T + (1 - w) Sigma for w in [0, 1], toward T = I, or T = D = diag(Sigma)
+        if ``diagonal`` (the pencil Sigma x = lambda D x; Golub & Van Loan,
+        *Matrix Computations*, 8.7): the row at w of its frame's stack
         (:meth:`shrink_frames`), with the entries :meth:`_shrunk_entries`
         forms when first read, or at an end point the identity, Sigma or D
         itself. No ``eigh`` runs once the frame is known."""
@@ -425,15 +426,6 @@ class CovMatrix:
                 return CovMatrix._factored(base.stack([w]).spectrum[0], base._frame,
                                            lambda: self._shrunk_entries(w, diagonal))
         raise InvalidK(f"shrink weight {w} outside [0, 1]")
-
-    def toward_identity(self, w: float) -> "CovMatrix":
-        """w I + (1 - w) Sigma: :meth:`shrink` toward the identity."""
-        return self.shrink(w)
-
-    def toward_diagonal(self, w: float) -> "CovMatrix":
-        """w diag(Sigma) + (1 - w) Sigma: :meth:`shrink` toward the diagonal (the
-        pencil Sigma x = lambda D x; Golub & Van Loan, *Matrix Computations*, 8.7)."""
-        return self.shrink(w, diagonal=True)
 
     def _shrunk_entries(self, w: float, diagonal: bool) -> np.ndarray:
         """w T + (1 - w) Sigma, formed, T = diag(Sigma) if ``diagonal`` else I."""
@@ -450,8 +442,8 @@ class CovMatrix:
                                    lambda: self._shrunk_entries(1.0, True))
 
     def toward_diagonal_condition(self, w: float) -> float:
-        """The condition number kappa~ of :meth:`toward_diagonal` at w in (0, 1),
-        from one ``eigvalsh`` of its entries, which are formed and not kept.
+        """The condition number kappa~ of :meth:`shrink` toward the diagonal at
+        w in (0, 1), from one ``eigvalsh`` of its entries, formed and not kept.
         kappa~ is kept with this matrix, per weight, beside
         :attr:`on_correlation` and :attr:`_diagonal`, so w asked for again
         costs no ``eigvalsh``; :meth:`keep_diagonal_conditions` bounds the
@@ -478,7 +470,7 @@ class CovMatrix:
         """This matrix factored through its correlation matrix: with
         D = diag(Sigma) and R = D^-1/2 Sigma D^-1/2 = Q Lambda Q', it is
         D^1/2 Q Lambda Q' D^1/2, whose :meth:`stack` at w is the stack of
-        :meth:`toward_diagonal` at w. R is decomposed once, here."""
+        :meth:`shrink` toward the diagonal at w. R is decomposed once, here."""
         root = np.sqrt(np.diag(self.entries))
         r = CovMatrix.from_entries(self.entries / np.outer(root, root))
         return CovMatrix(self.entries, r.spectrum, r.basis, _frozen(root))

@@ -149,6 +149,15 @@ def robust_alpha(alpha, theta, k: float) -> float:
     return direct
 
 
+def _shrink_weight(cov: CovMatrix, alpha, spec: ShrinkageSpec) -> float:
+    """The convex weight of ``spec`` (:func:`_shrink_weights`), whose k0 costs
+    one solve; InvalidK refuses a parameter outside its range."""
+    w, inside, refusal = _shrink_weights(spec.mode, spec.k, alpha, cov)
+    if not inside:
+        raise InvalidK(refusal.format(spec.k))
+    return w
+
+
 def shrink_covariance(cov: CovMatrix, alpha, spec: ShrinkageSpec) -> CovMatrix:
     """Convex combination of Sigma with its shrink target
     (:meth:`CovMatrix.shrink`).
@@ -157,9 +166,7 @@ def shrink_covariance(cov: CovMatrix, alpha, spec: ShrinkageSpec) -> CovMatrix:
     q toward the identity; DIAGONAL uses q toward diag(Sigma). All three
     can only improve (or preserve) the condition number.
     """
-    w, inside, refusal = _shrink_weights(spec.mode, spec.k, alpha, cov)
-    if not inside:
-        raise InvalidK(refusal.format(spec.k))
+    w = _shrink_weight(cov, alpha, spec)
     try:
         return cov.shrink(w, diagonal=spec.mode is ShrinkMode.DIAGONAL)
     except SingularCovariance as exc:  # pragma: no cover - convexity forbids this

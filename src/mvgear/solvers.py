@@ -45,8 +45,9 @@ square, whose non-negative terms do not cancel near that minimum.
 such portfolio in the coordinates of the covariance's cached factor, with no
 inverse: alpha adds one product with its basis, and each weight vector one
 more. :data:`PROGRAMS` gives each closed form as c_alpha and the gearing
-1'theta, with its parameters, the degeneracies it refuses and the audits its
-solution must pass, and QOQC with its solver. :func:`solve` runs a program:
+1'theta, with its parameters, the degeneracies it refuses, the stationarity
+that certifies its solution and the audits its solution must pass, and QOQC
+with its solver. :func:`solve` runs a program:
 its weights on a frontier object (:func:`program_weights`), then its record.
 """
 
@@ -71,8 +72,8 @@ from .errors import (
     NonPositiveParameter,
     ZeroB,
 )
-from .diversity import QoqcProblem, solve_qoqc
-from .moments import (CovMatrix, _dots, _require_finite, _require_positive,
+from .diversity import QoqcProblem, on_boundary, solve_qoqc
+from .moments import (_TINY, CovMatrix, _dots, _require_finite, _require_positive,
                       _unit_scaled, as_vector)
 
 # B within this absolute tolerance of zero leaves the fully-invested risky
@@ -82,6 +83,9 @@ ZERO_B_TOL = 1e-14
 DEGENERATE_D_TOL = 1e-14
 # Relative tolerance for flagging surface points on the GMV / risky lines.
 LINE_FLAG_RTOL = 1e-9
+# The normwise backward error a certified record may leave, per asset: each
+# closed form and QOQC leaves under 0.2 eps per asset up to kappa = 1e10.
+CERTIFICATE_TOL_PER_ASSET = 8.0 * np.finfo(float).eps
 
 
 class InefficientBranchWarning(UserWarning):
@@ -266,6 +270,44 @@ def _measure(w, alpha, cov: CovMatrix) -> dict:
                     sigma_p=float(np.ldexp(sigma_p, e)) if e else sigma_p)
 
 
+def _certificate(w, alpha, cov: CovMatrix, entries, program: Program, params: Mapping):
+    """(passed, detail) of ``program``'s stationarity c Sigma theta = nu_alpha
+    alpha + nu_1 1 + nu_theta theta at weights ``w`` on the covariance of
+    ``entries``, with c and the nu of its ``multipliers`` (None: fitted by
+    least squares on [alpha, 1]). It passes on a max-norm normwise backward
+    error (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 7)
+    of at most CERTIFICATE_TOL_PER_ASSET n, and a Sharpe program on
+    nu_alpha > 0. It runs on u = 2^-e theta, u's largest entry in [1/2, 1),
+    where nu_alpha and nu_1 scale by s = 2^-e to a and b and nothing
+    overflows; params are checked as in a solve."""
+    entry = PROGRAMS[Program(program)]
+    stationarity = (entry.multipliers(**entry.checked(params)) if entry.solver is None
+                    else entry.multipliers(alpha, cov, params))
+    if stationarity is None:
+        return True, "g0 e is the only feasible point: no multipliers to certify"
+    (u, e), (c, nu_alpha, nu_1, nu_theta) = _unit_scaled(w), stationarity
+    s = np.ldexp(1.0, -e)
+    with np.errstate(all="ignore"):  # a record past the float range fails unwarned
+        a, b = (None if nu is None else s * nu for nu in (nu_alpha, nu_1))
+        residual = c * (entries @ u) - nu_theta * u - (b or 0.0)
+        if a is None:  # least squares on alpha, centred if 1 is fitted too
+            x = alpha - alpha.mean() if b is None else alpha
+            a = x @ residual / (x @ x)
+        residual -= a * alpha
+        if b is None:
+            b = residual.mean()
+            residual -= b
+        scale = ((c * np.abs(entries).sum(axis=1).max() + abs(nu_theta)) * np.abs(u).max()
+                 + abs(a) * np.abs(alpha).max() + abs(b))
+        error = float(np.abs(residual).max() / max(scale, _TINY))
+        nu_alpha, nu_1 = float(a / s), float(b / s)
+    tolerance = CERTIFICATE_TOL_PER_ASSET * w.size
+    positive = nu_alpha > 0.0 or "sharpe" not in entry.audits
+    return error <= tolerance and positive, (
+        f"backward error {error:g} vs {tolerance:g} at nu_alpha = {nu_alpha!r}, "
+        f"nu_1 = {nu_1!r}" + ("" if positive else ": a Sharpe maximum needs nu_alpha > 0"))
+
+
 def _figures(w, program: Program, alpha, cov: CovMatrix) -> dict:
     """:func:`_measure`'s figures of weights ``w``; NonFiniteData names the
     first that overflows."""
@@ -321,6 +363,19 @@ def _solve_QOQC(alpha, cov: CovMatrix, gamma: float, g0: float, n0: float):
                               "lambda1": solution.lambda1, "lambda2": solution.lambda2}
 
 
+def _QOQC_multipliers(alpha, cov: CovMatrix, params: Mapping):
+    """(gamma, 1, lambda2, 2 lambda1), from its record's checked params; None
+    where g0 e is the only feasible point, whose multipliers certify nothing."""
+    entry = PROGRAMS[Program.QOQC]
+    problem = QoqcProblem(alpha=alpha, cov=cov, **entry.arguments(params))
+    for name in ("lambda1", "lambda2"):
+        if params.get(name) is None:
+            raise entry.missing(name)
+    if on_boundary(problem.dim, problem.g0, problem.n0):
+        return None
+    return problem.gamma, 1.0, params["lambda2"], 2.0 * params["lambda1"]
+
+
 @dataclass(frozen=True)
 class ProgramSpec:
     """One program: its closed form, its parameters, what its solution must pass.
@@ -334,13 +389,18 @@ class ProgramSpec:
     :func:`_inefficient_branch` does; one that does not ``reads_alpha``
     records no alpha_p. QOQC runs its own ``solver``.
 
+    ``multipliers(**params)`` is (c, nu_alpha, nu_1, nu_theta) of the
+    stationarity c Sigma theta = nu_alpha alpha + nu_1 1 + nu_theta theta its
+    solution meets on the covariance it was solved on, None where fitted
+    (:func:`_certificate`): each closed form lies on Merton's frontier,
+    nu_theta = 0. QOQC's, ``multipliers(alpha, cov, params)``, reads its record.
+
     ``audits`` names, in the order ``verify`` runs them, the checks its
-    solution passes:
+    solution passes besides that certificate:
     ``"gearing"`` (1'theta = g0), ``"full_investment"`` (1'theta = 1),
     ``"return"`` (alpha'theta = alpha0), ``"risk"`` (sigma_p = sigma0),
-    ``"diversity"`` (theta'theta = 1/n0), ``"stationarity"`` (the recorded
-    multipliers make the Lagrangian's gradient vanish) and ``"sharpe"`` (no
-    portfolio of its gearing beats its Sharpe ratio).
+    ``"diversity"`` (theta'theta = 1/n0) and ``"sharpe"`` (no portfolio of
+    its gearing beats its Sharpe ratio).
     """
 
     program: Program
@@ -354,6 +414,7 @@ class ProgramSpec:
     reads_alpha: bool = True
     solver: Callable[..., tuple[np.ndarray, dict]] | None = None
     audits: tuple[str, ...] = ()
+    multipliers: Callable[..., tuple | None] = lambda **params: (1.0, None, 0.0, 0.0)
 
     def arguments(self, values: Mapping) -> dict:
         """The solver's parameters among ``values`` (None means unset); raises
@@ -404,24 +465,27 @@ PROGRAMS: dict[Program, ProgramSpec] = {spec.program: spec for spec in (
                 required=("sigma0",), refuses=(DegenerateAlpha,), audits=("risk",)),
     ProgramSpec(Program.II, lambda f, alpha0: _on_ray(alpha0 / f.C, f),
                 required=("alpha0",), refuses=(DegenerateAlpha,), audits=("return",)),
-    ProgramSpec(Program.III, lambda f, gamma: _on_ray(1.0 / gamma, f), required=("gamma",)),
+    ProgramSpec(Program.III, lambda f, gamma: _on_ray(1.0 / gamma, f), required=("gamma",),
+                multipliers=lambda gamma: (gamma, 1.0, 0.0, 0.0)),
     ProgramSpec(Program.IV, _geared_risky, optional=("g0",), signed=("g0",), refuses=(ZeroB,),
                 audits=("gearing", "sharpe")),
     ProgramSpec(Program.V, _geared_risky, one_of=("sigma0", "g0"), signed=("g0",),
                 refuses=(DegenerateAlpha, ZeroB), audits=("gearing", "risk", "sharpe")),
     ProgramSpec(Program.VI, _geared_min_variance, required=("alpha0", "g0"),
                 signed=("alpha0", "g0"), refuses=(DegenerateAlpha,),
-                warns=_inefficient_branch, audits=("gearing", "return")),
+                warns=_inefficient_branch, audits=("gearing", "return"),
+                multipliers=lambda alpha0, g0: (1.0, None, None, 0.0)),
     ProgramSpec(Program.VII, lambda f, gamma, g0: (1.0 / gamma, g0),
-                required=("gamma", "g0"), signed=("g0",), audits=("gearing",)),
+                required=("gamma", "g0"), signed=("g0",), audits=("gearing",),
+                multipliers=lambda gamma, g0: (gamma, 1.0, None, 0.0)),
     ProgramSpec(Program.VIII, _geared_risky, required=("g0",), signed=("g0",),
                 refuses=(ZeroB,), audits=("gearing", "sharpe")),
     ProgramSpec(Program.GMV, lambda f: (0.0, 1.0), reads_alpha=False,
-                audits=("full_investment",)),
+                audits=("full_investment",), multipliers=lambda: (1.0, 0.0, None, 0.0)),
     ProgramSpec(Program.RISKY, lambda f: (1.0 / f.B, 1.0), refuses=(ZeroB,),
                 audits=("full_investment", "sharpe")),
     ProgramSpec(Program.QOQC, solver=_solve_QOQC, required=("gamma", "g0", "n0"),
-                audits=("gearing", "diversity", "stationarity")),
+                audits=("gearing", "diversity"), multipliers=_QOQC_multipliers),
 )}
 
 

@@ -1178,6 +1178,12 @@ def test_diagonal_shrunk_solve_and_verify_read_no_shrunk_spectrum(tmp_path, monk
     assert (len(eigh), len(eigvalsh)) == (2, 0)
     assert run(["verify", "--input", csv, "--portfolio", out]) == 0
     assert (len(eigh), len(eigvalsh)) == (2, 0)
+    # verify on a fresh load decomposes Sigma alone: it certifies the record
+    # on the shrunk entries, and solves nothing on R's spectrum
+    forget_loads(monkeypatch)
+    eigh.clear()
+    assert run(["verify", "--input", csv, "--portfolio", out]) == 0
+    assert (len(eigh), len(eigvalsh)) == (1, 0)
 
 
 def test_the_ones_column_is_formed_once_per_covariance(tmp_path, monkeypatch):
@@ -1539,7 +1545,7 @@ def test_verify_qoqc_round_trip(micro_csv, tmp_path):
     assert json.loads(report.read_text())["passed"] is True
 
 
-FIELDS = ["gearing_field", "leverage_field", "alpha_p", "sigma_p", "weights_resolve"]
+FIELDS = ["gearing_field", "leverage_field", "alpha_p", "sigma_p", "stationarity"]
 GEARING, RETURN, RISK = "gearing_constraint", "return_constraint", "risk_constraint"
 SHRINK = ["--shrink-mode", "simple", "--q", 0.4]
 
@@ -1547,7 +1553,7 @@ SHRINK = ["--shrink-mode", "simple", "--q", 0.4]
 # A record of each program of the table, and the checks verify runs on it.
 VERIFIED = [
     (["solve", "--program", "GMV"],
-     ["gearing_field", "leverage_field", "sigma_p", "weights_resolve", GEARING,
+     ["gearing_field", "leverage_field", "sigma_p", "stationarity", GEARING,
       "bound_slack"]),
     (["solve", "--program", "RISKY"],
      FIELDS + [GEARING, "bound_slack", "sharpe_dominance"]),
@@ -1572,7 +1578,7 @@ VERIFIED = [
     (["solve", "--program", "V", "--sigma0", 0.9, *SHRINK],
      FIELDS + [GEARING, "bound_slack"]),
     (["qoqc", "--gamma", 1, "--g0", 1, "--n0", 2],
-     FIELDS + [GEARING, "diversity_constraint", "stationarity", "bound_slack"]),
+     FIELDS + [GEARING, "diversity_constraint", "bound_slack"]),
 ]
 
 
@@ -1627,7 +1633,7 @@ def test_a_record_stores_the_figures_verify_measures_bit_for_bit(tmp_path, comma
 
 def test_verify_measures_the_record_once(tmp_path, monkeypatch):
     # the field checks and the gearing, risk and Sharpe audits all read one
-    # measurement of the record's weights; the re-solve measures its own
+    # measurement of the record's weights
     csv, port = _three_asset_csv(tmp_path), tmp_path / "p.json"
     assert run(["solve", "--input", csv, "--program", "V", "--sigma0", 0.9,
                 "--output", port]) == 0
@@ -1669,6 +1675,70 @@ def test_verify_compares_within_rtol_of_the_target(tmp_path, factor, passed, g0)
 
     assert _edited_record(tmp_path, csv, args, move_leverage)["leverage_field"] is passed
     assert _edited_record(tmp_path, csv, args, move_g0)[GEARING] is passed
+
+
+def _negated(doc):
+    doc["weights"] = [-w for w in doc["weights"]]
+    doc.update(gearing=-doc["gearing"], alpha_p=-doc["alpha_p"])
+
+
+@pytest.mark.parametrize("solve_args,edit,failed", [
+    (["--program", "VII", "--gamma", 1, "--g0", 1],
+     lambda doc: doc["params"].update(gamma=1.01), "stationarity"),
+    (["--program", "III", "--gamma", 2],
+     lambda doc: doc["params"].update(gamma=2.02), "stationarity"),
+    (["--program", "VII", "--gamma", 1, "--g0", 1, *SHRINK],
+     lambda doc: doc["params"].update(shrink_k=0.404), "stationarity"),
+    (["--program", "VII", "--gamma", 1, "--g0", 1, "--shrink-mode", "diagonal", "--q", 0.4],
+     lambda doc: doc["params"].update(shrink_k=0.404), "stationarity"),
+    (["--program", "RISKY"], _negated, "stationarity"),
+    (["--program", "VI", "--alpha0", 0.02, "--g0", 1],
+     lambda doc: doc["params"].update(alpha0=0.0202), RETURN),
+])
+def test_verify_fails_a_record_one_parameter_off(tmp_path, solve_args, edit, failed):
+    # the certificate checks the optimum the record's params state, not the
+    # solve that wrote it: gamma or q off by 1% is a point off the program's
+    # frontier, and RISKY negated (B > 0) is the Sharpe minimum, nu_alpha < 0.
+    # VI's alpha0 moves the point along the frontier, where its return fails.
+    csv = _three_asset_csv(tmp_path)
+    assert all(_edited_record(tmp_path, csv, solve_args, lambda doc: None).values())
+    checks = _edited_record(tmp_path, csv, solve_args, edit)
+    assert checks[failed] is False
+    assert checks["stationarity"] is (failed != "stationarity")
+
+
+def test_verify_reaches_no_solver(tmp_path, monkeypatch):
+    # records of every program, unshrunk and at each shrink, written by the
+    # library, pass verify with every solver refusing to run
+    csv = _three_asset_csv(tmp_path)
+    alpha, cov = estimate_moments(load_returns_csv(csv))
+    params = {Program.I: {"sigma0": 0.5}, Program.II: {"alpha0": 0.02},
+              Program.III: {"gamma": 2.0}, Program.V: {"sigma0": 0.9},
+              Program.VI: {"alpha0": 0.02, "g0": 1.0}, Program.VII: {"gamma": 1.0, "g0": 1.0},
+              Program.VIII: {"g0": 2.0}, Program.QOQC: {"gamma": 1.0, "g0": 1.0, "n0": 2.0}}
+    specs = [None, ShrinkageSpec(ShrinkMode.SIMPLE, 0.4), ShrinkageSpec(ShrinkMode.DIAGONAL, 0.4),
+             ShrinkageSpec(ShrinkMode.ANGLE_TARGETED, 0.5 * robust.angle_floor(alpha, cov))]
+    records = []
+    for program in PROGRAMS:
+        for spec in specs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", solvers.InefficientBranchWarning)
+                port = robust.solve_robust(program, alpha, cov, spec, **params.get(program, {}))
+            records.append(tmp_path / f"{program.value}-{len(records)}.json")
+            records[-1].write_text(dumps(portfolio_to_dict(port)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify reached a solver")
+
+    for module, name in ((robust, "solve_robust"), (solvers, "solve"),
+                         (solvers, "program_weights"), (solvers, "solve_qoqc"),
+                         (diversity, "solve_qoqc")):
+        monkeypatch.setattr(module, name, refuse)
+    for record in records:
+        report = tmp_path / "v.json"
+        assert run(["verify", "--input", csv, "--portfolio", record, "--samples", 200,
+                    "--output", report]) == 0, record.name
+        assert json.loads(report.read_text())["passed"] is True
 
 
 def _overflow_csv(tmp_path, scale=1.0):
@@ -1752,8 +1822,8 @@ def test_a_record_whose_weight_sums_overflow_and_that_stores_no_gearing_is_refus
 
 def test_verify_passes_a_qoqc_record_on_the_boundary(tmp_path):
     # n0 = n/g0^2: g0 e is the only feasible point, and the multipliers the
-    # record carries certify nothing, so stationarity is not audited; the
-    # constraints still are
+    # record carries certify nothing, so the stationarity row says so and
+    # passes; the constraints are still audited
     csv = _three_asset_csv(tmp_path)
     port, report = tmp_path / "q.json", tmp_path / "v.json"
     assert run(["qoqc", "--input", csv, "--gamma", 1, "--g0", 1, "--n0", 3,
@@ -1764,9 +1834,14 @@ def test_verify_passes_a_qoqc_record_on_the_boundary(tmp_path):
     assert [c["name"] for c in checks] == FIELDS + [
         GEARING, "diversity_constraint", "bound_slack"]
     assert all(c["passed"] for c in checks)
+    assert checks[FIELDS.index("stationarity")]["detail"] == (
+        "g0 e is the only feasible point: no multipliers to certify")
 
 
 def test_verify_audits_stationarity_off_the_boundary(tmp_path):
+    # gamma Sigma theta - alpha - 2 lambda1 theta - lambda2 1 = 0 with the
+    # recorded multipliers, to a backward error of at most 8 n eps, as
+    # diversity.stationarity_residual measures it, relative to the data
     csv = _three_asset_csv(tmp_path)
     port, report = tmp_path / "q.json", tmp_path / "v.json"
     assert run(["qoqc", "--input", csv, "--gamma", 1, "--g0", 1, "--n0", 2.999,
@@ -1776,12 +1851,16 @@ def test_verify_audits_stationarity_off_the_boundary(tmp_path):
     checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
     _, alpha, cov = cli._moments(argparse.Namespace(input=csv))
     doc = json.loads(port.read_text())
-    params = doc["params"]
+    params, theta = doc["params"], np.array(doc["weights"])
     residual = diversity.stationarity_residual(
-        alpha.entries, cov, params["gamma"], np.array(doc["weights"]),
-        params["lambda1"], params["lambda2"])
-    assert checks["stationarity"] == {
-        "name": "stationarity", "passed": True, "detail": f"residual {residual:g}"}
+        alpha.entries, cov, params["gamma"], theta, params["lambda1"], params["lambda2"])
+    scale = (params["gamma"] * np.abs(cov.entries).sum(axis=1).max() * np.abs(theta).max()
+             + np.abs(alpha.entries).max() + abs(params["lambda2"])
+             + 2 * abs(params["lambda1"]) * np.abs(theta).max())
+    error = float(checks["stationarity"]["detail"].split()[2])
+    tolerance = 8 * 3 * np.finfo(float).eps
+    assert checks["stationarity"]["passed"] and error <= tolerance
+    assert residual / scale <= tolerance
 
 
 def test_verify_audits_a_shrunk_qoqc_record(tmp_path):
@@ -1794,10 +1873,11 @@ def test_verify_audits_a_shrunk_qoqc_record(tmp_path):
     path.write_text(dumps(portfolio_to_dict(port)))
     assert run(["verify", "--input", csv, "--portfolio", path, "--output", report]) == 0
     checks = json.loads(report.read_text())["checks"]
-    # stationarity holds on the shrunk covariance only, so it is skipped
+    # stationarity holds on the shrunk covariance, and is certified there
     assert [c["name"] for c in checks] == FIELDS + [
         GEARING, "diversity_constraint", "bound_slack"]
     assert all(c["passed"] for c in checks)
+    assert checks[FIELDS.index("stationarity")]["detail"].startswith("backward error ")
 
 
 def test_verify_fails_a_qoqc_record_whose_gearing_squares_past_the_float_range(
@@ -1812,7 +1892,7 @@ def test_verify_fails_a_qoqc_record_whose_gearing_squares_past_the_float_range(
     assert run(["verify", "--input", csv, "--portfolio", port, "--output", report]) == 3
     assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
     checks = {c["name"]: c["passed"] for c in json.loads(report.read_text())["checks"]}
-    assert not checks["weights_resolve"] and not checks[GEARING]
+    assert not checks["stationarity"] and not checks[GEARING]
 
 
 def test_verify_fails_the_return_audit_of_a_vi_record_without_alpha0(tmp_path, capsys):
@@ -1829,7 +1909,7 @@ def test_verify_fails_the_return_audit_of_a_vi_record_without_alpha0(tmp_path, c
     assert [c["name"] for c in checks] == FIELDS + [GEARING, RETURN, "bound_slack"]
     missing = "MissingParameter: program VI requires --alpha0"
     for c in checks:
-        if c["name"] in ("weights_resolve", RETURN):
+        if c["name"] in ("stationarity", RETURN):
             assert c == {"name": c["name"], "passed": False, "detail": missing}
         else:
             assert c["passed"] is True
@@ -1987,7 +2067,7 @@ def test_verify_flags_tampered_weights(micro_csv, tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert not doc["passed"]
     failed = {c["name"] for c in doc["checks"] if not c["passed"]}
-    assert "weights_resolve" in failed
+    assert "stationarity" in failed
 
 
 @pytest.mark.parametrize("solve_args,edit,detail", [
@@ -2012,8 +2092,8 @@ def test_verify_fails_a_file_its_program_cannot_resolve(
                 "--samples", 200, "--output", report]) == 3
     assert capsys.readouterr().err.startswith("code=VerificationFailed")
     checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
-    assert checks["weights_resolve"] == {
-        "name": "weights_resolve", "passed": False, "detail": detail}
+    assert checks["stationarity"] == {
+        "name": "stationarity", "passed": False, "detail": detail}
 
 
 @pytest.mark.parametrize("name", ["gamma", "g0", "n0", "lambda1", "lambda2"])
@@ -2028,11 +2108,11 @@ def test_verify_fails_a_qoqc_file_without_a_param(micro_csv, tmp_path, capsys, n
                 "--output", report]) == 3
     assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
     checks = json.loads(report.read_text())["checks"]
-    # every audit still runs; the re-solve and each audit that reads the name fail
+    # every audit still runs; the certificate and each audit that reads the name fail
     assert [c["name"] for c in checks] == FIELDS + [
-        GEARING, "diversity_constraint", "stationarity", "bound_slack"]
-    needs = {"weights_resolve": {"gamma", "g0", "n0"}, GEARING: {"g0"}, "diversity_constraint": {"n0"},
-             "stationarity": {"gamma", "lambda1", "lambda2"}}
+        GEARING, "diversity_constraint", "bound_slack"]
+    needs = {"stationarity": {"gamma", "g0", "n0", "lambda1", "lambda2"}, GEARING: {"g0"},
+             "diversity_constraint": {"n0"}}
     missing = f"MissingParameter: program QOQC requires --{name}"
     for c in checks:
         if name in needs.get(c["name"], ()):
@@ -2052,7 +2132,7 @@ def test_verify_fails_a_qoqc_file_with_zero_n0(micro_csv, tmp_path, capsys):
                 "--output", report]) == 3
     assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
     checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
-    assert checks["weights_resolve"]["detail"].startswith("Infeasible: ")
+    assert checks["stationarity"]["detail"].startswith("Infeasible: ")
     assert checks["diversity_constraint"] == {
         "name": "diversity_constraint", "passed": False,
         "detail": "ZeroDivisionError: float division by zero"}
@@ -2114,7 +2194,7 @@ def test_mistyped_portfolio_field_exits_3(micro_csv, tmp_path, capsys, command, 
     (lambda params: params.update(shrink_mode="max"),
      "InvalidPortfolio: unknown shrink mode 'max'; expected one of angle, simple, diagonal"),
 ])
-def test_unreadable_shrink_record_fails_weights_resolve(
+def test_unreadable_shrink_record_fails_stationarity(
         micro_csv, tmp_path, capsys, command, edit, detail):
     port = _solved_record(tmp_path, micro_csv, lambda doc: edit(doc["params"]))
     report = tmp_path / "out.json"
@@ -2127,9 +2207,9 @@ def test_unreadable_shrink_record_fails_weights_resolve(
                 "--output", report]) == 3
     assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
     checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
-    assert checks["weights_resolve"] == {
-        "name": "weights_resolve", "passed": False, "detail": detail}
-    assert all(c["passed"] for name, c in checks.items() if name != "weights_resolve")
+    assert checks["stationarity"] == {
+        "name": "stationarity", "passed": False, "detail": detail}
+    assert all(c["passed"] for name, c in checks.items() if name != "stationarity")
 
 
 def test_verify_reads_params_named_like_solver_arguments(micro_csv, tmp_path):
@@ -2306,6 +2386,25 @@ def test_an_estimate_hit_writes_the_bytes_of_a_miss_and_of_a_fresh_process(
     subprocess.run([sys.executable, "-m", "mvgear.cli", "estimate", "--input", str(csv),
                     "--output", str(tmp_path / "fresh.json")], check=True, env=env, timeout=60)
     assert hit == miss == (tmp_path / "fresh.json").read_bytes()
+
+
+def test_an_estimate_hit_writes_the_kept_bytes_to_stdout_and_over_output(
+        tmp_path, monkeypatch, capsysbinary, formatting):
+    # the artifact is kept encoded: a hit hands the very bytes kept to the
+    # writer, and stdout and --output get the bytes of the miss
+    csv = wide_csv(tmp_path / "r.csv", n=8)
+    forget_loads(monkeypatch)
+    assert run(["estimate", "--input", csv]) == 0
+    miss = capsysbinary.readouterr().out
+    kept = cli._estimates[moments._last_moments[3]]
+    assert kept == miss and "dumps" in formatting
+    formatting.clear()
+    assert run(["estimate", "--input", csv]) == 0
+    assert capsysbinary.readouterr().out == miss
+    assert estimate(csv, tmp_path / "e.json") == miss
+    assert cli._cmd_estimate(cli._build_parser().parse_args(["estimate", "--input", str(csv)])) \
+        is kept
+    assert formatting == []
 
 
 def test_an_estimate_between_solves_on_one_file_formats_nothing(tmp_path, formatting):

@@ -686,7 +686,7 @@ def test_toward_identity_maps_the_spectrum_without_decomposing(eigh_calls):
     cov = random_cov(np.random.default_rng(33), 6, kappa=1e3)
     eigh_calls.clear()
     w = 0.37
-    shrunk = cov.toward_identity(w)
+    shrunk = cov.shrink(w)
     assert eigh_calls == []
     # the entries are the bits the convex combination has always had
     assert np.array_equal(shrunk.entries, w * np.eye(6) + (1.0 - w) * cov.entries)
@@ -698,7 +698,7 @@ def test_toward_identity_maps_the_spectrum_without_decomposing(eigh_calls):
 
 def test_toward_identity_at_zero_is_the_spectrum_bit_for_bit():
     cov = random_cov(np.random.default_rng(31), 7, kappa=1e4)
-    shrunk = cov.toward_identity(0.0)
+    shrunk = cov.shrink(0.0)
     assert np.array_equal(shrunk.entries, cov.entries)
     assert np.array_equal(shrunk.eigenvalues, cov.eigenvalues)
     assert shrunk.eigenpairs[1] is cov.eigenpairs[1]
@@ -706,7 +706,7 @@ def test_toward_identity_at_zero_is_the_spectrum_bit_for_bit():
 
 def test_toward_identity_at_one_is_the_identity_bit_for_bit():
     cov = random_cov(np.random.default_rng(32), 7, kappa=1e4)
-    shrunk, identity = cov.toward_identity(1.0), CovMatrix.identity(7)
+    shrunk, identity = cov.shrink(1.0), CovMatrix.identity(7)
     for field in ("entries", "spectrum", "basis"):
         assert np.array_equal(getattr(shrunk, field), getattr(identity, field))
 
@@ -719,7 +719,7 @@ def test_toward_identity_matches_a_fresh_decomposition(n):
     rng = np.random.default_rng(40 + n)
     for w in [*10.0 ** rng.uniform(-8.0, -1.0, 3), *rng.uniform(0.0, 1.0, 3)]:
         cov = random_cov(rng, n, kappa=10.0 ** rng.uniform(0.0, 6.0))
-        mapped = cov.toward_identity(float(w))
+        mapped = cov.shrink(float(w))
         fresh = CovMatrix.from_entries(mapped.entries)
         tolerance = 32.0 * fresh.condition_number * EPS
         npt.assert_allclose(mapped.eigenvalues, fresh.eigenvalues, rtol=tolerance, atol=0)
@@ -752,7 +752,7 @@ def toward_diagonal_entries(cov, w):
 def test_toward_diagonal_decomposes_the_correlation_once(eigh_calls, eigvalsh_calls):
     cov = random_cov(np.random.default_rng(34), 6, kappa=1e3)
     eigh_calls.clear()
-    shrunk = [cov.toward_diagonal(w) for w in (0.3, 0.7, 0.3)]
+    shrunk = [cov.shrink(w, diagonal=True) for w in (0.3, 0.7, 0.3)]
     assert eigh_calls == [(6, 6)] and eigvalsh_calls == []
     for w, matrix in zip((0.3, 0.7, 0.3), shrunk):
         assert np.array_equal(matrix.entries, toward_diagonal_entries(cov, w))
@@ -774,12 +774,12 @@ def test_a_diagonal_shrunk_qoqc_solve_pairs_one_decomposition(eigh_calls, eigval
     n = 30
     cov = random_cov(rng, n, kappa=1e3)
     alpha = AlphaVector(rng.uniform(0.02, 0.2, n))
-    cov.toward_diagonal(0.5)  # R's eigh, kept with cov
+    cov.shrink(0.5, diagonal=True)  # R's eigh, kept with cov
     eigh_calls.clear()
     spec = ShrinkageSpec(mode=ShrinkMode.DIAGONAL, k=0.3)
     solve_robust(Program.QOQC, alpha, cov, spec, gamma=2.0, g0=1.0, n0=10.0)
     assert (eigh_calls, eigvalsh_calls) == ([(n, n)], [])
-    shrunk = cov.toward_diagonal(0.3)
+    shrunk = cov.shrink(0.3, diagonal=True)
     rho, vecs = shrunk.eigenpairs
     residual = np.linalg.norm(shrunk.entries @ vecs - vecs * rho, axis=0)
     assert residual.max() <= 8.0 * n * EPS * rho[0]
@@ -792,7 +792,7 @@ def test_kappa_tilde_is_kept_per_weight_with_the_eigvalsh_bits(eigvalsh_calls):
     cov = random_cov(np.random.default_rng(35), 6, kappa=1e3)
     kappas = [cov.toward_diagonal_condition(w) for w in (0.3, 0.7, 0.3, np.float64(0.7))]
     assert eigvalsh_calls == [(6, 6)] * 2
-    assert kappas[:2] == kappas[2:] == [cov.toward_diagonal(w).condition_number
+    assert kappas[:2] == kappas[2:] == [cov.shrink(w, diagonal=True).condition_number
                                         for w in (0.3, 0.7)]
     cov.keep_diagonal_conditions(np.array([0.7, 0.9]))
     cov.toward_diagonal_condition(0.7)
@@ -859,8 +859,9 @@ def test_a_shrink_forms_its_entries_when_read_with_the_eager_bits(monkeypatch, r
         # the identity itself at w = 1, and Sigma itself at w = 0, are eager
         identity = np.eye(n) if w == 1.0 else w * np.eye(n) + (1.0 - w) * cov.entries
         for shrunk, eager, lazy in (
-                (cov.toward_identity(w), identity, w != 1.0),
-                (cov.toward_diagonal(w), w * variances + (1.0 - w) * cov.entries, w != 0.0)):
+                (cov.shrink(w), identity, w != 1.0),
+                (cov.shrink(w, diagonal=True), w * variances + (1.0 - w) * cov.entries,
+                 w != 0.0)):
             assert ("entries" not in vars(shrunk)) == lazy
             assert shrunk.dim == n
             assert same_bits(shrunk.entries, eager)
@@ -875,7 +876,7 @@ def test_a_diagonal_shrunk_qoqc_solve_keeps_the_eager_weights():
     n, w = 30, 0.3
     cov = random_cov(rng, n, kappa=1e3)
     alpha = AlphaVector(rng.uniform(0.02, 0.2, n))
-    shrunk = cov.toward_diagonal(w)
+    shrunk = cov.shrink(w, diagonal=True)
     assert "entries" not in vars(shrunk)
     eager = CovMatrix(entries=w * np.diag(np.diag(cov.entries)) + (1.0 - w) * cov.entries,
                       spectrum=shrunk.spectrum, basis=shrunk.basis, scale=shrunk.scale)
@@ -891,8 +892,8 @@ def test_a_diagonal_shrunk_qoqc_solve_keeps_the_eager_weights():
 def test_toward_diagonal_endpoints_decompose_nothing(eigh_calls, eigvalsh_calls):
     cov = random_cov(np.random.default_rng(35), 7, kappa=1e4)
     eigh_calls.clear()
-    assert cov.toward_diagonal(0.0) is cov
-    full = cov.toward_diagonal(1.0)
+    assert cov.shrink(0.0, diagonal=True) is cov
+    full = cov.shrink(1.0, diagonal=True)
     d = np.diag(cov.entries)
     assert np.array_equal(full.entries, np.diag(d))
     assert np.array_equal(full.eigenvalues, np.sort(d)[::-1])
@@ -913,7 +914,7 @@ def test_toward_diagonal_matches_a_fresh_decomposition(n):
     rng = np.random.default_rng(140 + n)
     for w in [*10.0 ** rng.uniform(-8.0, -1.0, 3), *rng.uniform(0.0, 1.0, 3)]:
         cov = random_cov(rng, n, kappa=10.0 ** rng.uniform(0.0, 6.0))
-        shrunk = cov.toward_diagonal(float(w))
+        shrunk = cov.shrink(float(w), diagonal=True)
         fresh = CovMatrix.from_entries(shrunk.entries)
         tolerance = 32.0 * n * fresh.condition_number * EPS
         npt.assert_allclose(shrunk.eigenvalues, fresh.eigenvalues, rtol=tolerance, atol=0)
@@ -931,17 +932,17 @@ def test_toward_diagonal_matches_a_fresh_decomposition(n):
 
 def test_a_scaled_matrix_shrinks_again_through_its_own_entries():
     cov = random_cov(np.random.default_rng(37), 8, kappa=1e3)
-    shrunk = cov.toward_diagonal(0.4)
+    shrunk = cov.shrink(0.4, diagonal=True)
     x = np.random.default_rng(38).standard_normal(8)
-    for again in (shrunk.toward_identity(0.5), shrunk.toward_diagonal(0.5)):
+    for again in (shrunk.shrink(0.5), shrunk.shrink(0.5, diagonal=True)):
         fresh = CovMatrix.from_entries(again.entries)
         tolerance = 256.0 * fresh.condition_number * EPS
         npt.assert_allclose(again.eigenvalues, fresh.eigenvalues, rtol=tolerance, atol=0)
         npt.assert_allclose(again.solve(x), fresh.solve(x), rtol=0,
                             atol=tolerance * np.abs(fresh.solve(x)).max())
-    assert np.array_equal(shrunk.toward_identity(0.5).entries,
+    assert np.array_equal(shrunk.shrink(0.5).entries,
                           0.5 * np.eye(8) + 0.5 * shrunk.entries)
-    assert np.array_equal(shrunk.toward_diagonal(0.5).entries,
+    assert np.array_equal(shrunk.shrink(0.5, diagonal=True).entries,
                           toward_diagonal_entries(shrunk, 0.5))
 
 
@@ -986,7 +987,7 @@ def test_a_repeated_eigenvalue_gets_one_factor_however_it_is_formed():
     off = 0.01 * rng.standard_normal((40, 40))
     off += off.T
     np.fill_diagonal(off, 0.0)
-    shrunk = CovMatrix.from_entries(np.diag(d) + off).toward_diagonal(1.0)
+    shrunk = CovMatrix.from_entries(np.diag(d) + off).shrink(1.0, diagonal=True)
     assert np.array_equal(shrunk.entries, fresh.entries)
     assert np.array_equal(fresh.spectrum, np.sort(d)[::-1])
     assert np.array_equal(shrunk.spectrum, fresh.spectrum)

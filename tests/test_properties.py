@@ -253,7 +253,7 @@ def test_a_single_shrink_is_the_row_of_the_stack_its_sweep_solves(n, seed, scale
     # its diagonal, and both targets run.
     alpha, cov = random_instance(np.random.default_rng(seed), n)
     if scaled:
-        cov = cov.toward_diagonal(0.4)
+        cov = cov.shrink(0.4, diagonal=True)
     w = np.array([0.0, *interior, 1.0])
     fits = np.array([mask for mask, _, _ in cov.shrink_frames(w, diagonal)])
     assert (fits.sum(axis=0) == 1).all()

@@ -236,11 +236,11 @@ def test_each_program_solves_each_product_once(monkeypatch, program, products):
     assert len(again) == products and ones_products(again) == 0
     assert [label for label, _ in again].count("U") == 1
     for w in (0.0, 0.3, 0.9):
-        shrunk = solved(cov.toward_identity(w))
+        shrunk = solved(cov.shrink(w))
         assert len(shrunk) == products + 1 and ones_products(shrunk) == 0
-    first = solved(cov.toward_diagonal(0.3))
+    first = solved(cov.shrink(0.3, diagonal=True))
     assert len(first) == products + 2 and ones_products(first) == 1
-    shrunk = solved(cov.toward_diagonal(0.6))
+    shrunk = solved(cov.shrink(0.6, diagonal=True))
     assert len(shrunk) == products + 1 and ones_products(shrunk) == 0
 
 

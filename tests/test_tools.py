@@ -137,9 +137,10 @@ def test_every_benchmark_request_passes_the_flag_checks(tmp_path, monkeypatch):
 
 def test_digests_follow_each_script_with_shrunk_solves_and_their_verifies(tmp_path,
                                                                           monkeypatch):
-    # no benchmark request runs solve --shrink-mode: the tool appends GMV, VI
-    # and VII at seven shrinks each on the first panel, a verify after each,
-    # then a diagonal sweep of VII over 0:0.1:1, which reads the kappa~ kept
+    # no benchmark request runs solve --shrink-mode or verifies a QOQC record:
+    # the tool appends GMV, VI and VII at seven shrinks each on the first
+    # panel, a qoqc and VII at the angle shrink k = 0.9 k0, a verify after
+    # each, then a diagonal sweep of VII over 0:0.1:1, which reads the kappa~ kept
     # from the benchmark's own diagonal sweep of that grid, and last an
     # estimate, which writes the text kept from the benchmark's own estimate
     from mvgear import cli
@@ -152,7 +153,7 @@ def test_digests_follow_each_script_with_shrunk_solves_and_their_verifies(tmp_pa
     added = workload.script[len(bench.script):]
     assert [r.kind for r in workload.script[:len(bench.script)]] == [
         r.kind for r in bench.script]
-    assert len(added) == 44 and {r.panel for r in added} == {0}
+    assert len(added) == 48 and {r.panel for r in added} == {0}
     assert cli._build_parser().parse_args(added[-1].argv).command == "estimate"
     assert any(r.kind == "estimate" and r.panel == 0 for r in bench.script)
     sweep = cli._build_parser().parse_args(added[-2].argv)
@@ -165,13 +166,15 @@ def test_digests_follow_each_script_with_shrunk_solves_and_their_verifies(tmp_pa
     for solved, verified in zip(added[:-2:2], added[1:-1:2]):
         args = cli._build_parser().parse_args(solved.argv)
         _flag_checks(args)
-        shrinks.append((args.program, args.mode, args.k if args.mode == "angle" else args.q))
+        shrinks.append((args.program, args.mode,
+                        getattr(args, "k" if args.mode == "angle" else "q", None)))
         assert verified.argv[verified.argv.index("--portfolio") + 1] == solved.output
     k = workload.moments[0].angle_floor() / 2
     assert shrinks == [(program, mode, value) for program in ("GMV", "VI", "VII")
                        for mode, value in [("angle", float(f"{k:.6g}")),
                                            *((m, q) for m in ("simple", "diagonal")
-                                             for q in (0.0, 0.5, 1.0))]]
+                                             for q in (0.0, 0.5, 1.0))]] + [
+        ("QOQC", None, None), ("VII", "angle", float(f"{1.8 * k:.6g}"))]
 
 
 # Two workloads of one panel each: every load of a panel after the first two

@@ -17,12 +17,13 @@ there: request ``index`` of ``workload`` writes its artifact to
 ``DIR/workload/out/r{index:04d}-{kind}.{json,csv}``
 (``tools/artifact_drift.py`` reads them from there).
 
-No benchmark request runs ``solve --shrink-mode``, so each workload's script
-is followed by shrunk solves of GMV, VI and VII on its first panel, each
-with a ``verify`` of its record, then by a diagonal ``shrink-sweep`` of
-VII over ``0:0.1:1``, and last by an ``estimate`` of that panel
-(:func:`make_workload`); every pass runs them, and their lines follow the
-benchmark's. On sweep-surface, whose script sweeps that grid toward the
+No benchmark request runs ``solve --shrink-mode`` or verifies a QOQC
+record, so each workload's script is followed by shrunk solves of GMV, VI
+and VII on its first panel, a ``qoqc`` and a VII shrunk toward the identity
+at k = 0.9 k0, each with a ``verify`` of its record, then by a diagonal
+``shrink-sweep`` of VII over ``0:0.1:1``, and last by an ``estimate`` of
+that panel (:func:`make_workload`); every pass runs them, and their lines
+follow the benchmark's. On sweep-surface, whose script sweeps that grid toward the
 diagonal with no ``--program``, that sweep reads every kappa~ the
 covariance kept from the other one, so a digest diff against a tree that
 formed each kappa~ afresh also shows that a kappa~ kept from another
@@ -79,16 +80,19 @@ def make_workload(name: str, seed: int, directory: str):
     """``workloads.make_workload``, with GMV, VI (alpha0 of
     ``workloads._vi_alpha0``) and VII (gamma 10, g0 1) solved on the first
     panel at each shrink, angle at k = k0/2 and simple and diagonal at
-    q = 0, 0.5 and 1, each followed by a ``verify`` of its record, then a
-    diagonal sweep of VII over ``0:0.1:1`` and an ``estimate``: requests
-    appended to the script, so every pass runs them."""
+    q = 0, 0.5 and 1, then the benchmark's ``qoqc`` (n0 = n/4) and VII at
+    the angle shrink k = 0.9 k0, where the benchmark's angle grid ends, each
+    followed by a ``verify`` of its record, then a diagonal sweep of VII
+    over ``0:0.1:1`` and an ``estimate``: requests appended to the script,
+    so every pass runs them."""
     import workloads
 
     workload = workloads.make_workload(name, seed, directory)
     script = workloads._Script(workload.panels, os.path.dirname(workload.script[0].output))
     script.requests = workload.script
     m = workload.moments[0]
-    shrinks = [("angle", "--k", m.angle_floor() / 2)] + [
+    k0 = m.angle_floor()
+    shrinks = [("angle", "--k", k0 / 2)] + [
         (mode, "--q", q) for mode in ("simple", "diagonal") for q in (0.0, 0.5, 1.0)]
     programs = [("GMV", {}), ("VI", {"alpha0": workloads._vi_alpha0(m), "g0": 1.0}),
                 ("VII", {"gamma": workloads.GAMMA, "g0": 1.0})]
@@ -99,6 +103,10 @@ def make_workload(name: str, seed: int, directory: str):
             solved = script.add("solve", 0, ["--program", program, *flags, "--shrink-mode",
                                              mode, flag, workloads._num(value)])
             script.verify(0, solved)
+    script.verify(0, script.qoqc(0, m))
+    script.verify(0, script.add("solve", 0, [
+        "--program", "VII", "--gamma", workloads._num(workloads.GAMMA), "--g0", "1",
+        "--shrink-mode", "angle", "--k", workloads._num(0.9 * k0)]))
     script.sweep(0, "diagonal", "0:0.1:1", 11,
                  ["--program", "VII", "--gamma", workloads._num(workloads.GAMMA), "--g0", "1"])
     script.add("estimate", 0, [])
