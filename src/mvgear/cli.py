@@ -380,7 +380,8 @@ AUDITS = {
     "bound": ("bound_slack", (), _bound_audit),
     "sharpe": ("sharpe_dominance", (), _sharpe_audit),
 }
-# A shrunk solution meets these on the shrunk covariance only.
+# A shrunk solution meets these on the shrunk covariance only: its risk is
+# audited there, once it is certified, and its Sharpe ratio is not.
 UNSHRUNK_AUDITS = {"risk", "sharpe"}
 
 
@@ -401,23 +402,23 @@ def _verify_checks(args, alpha, cov, port) -> list[dict]:
                   f"stored {stored!r} vs recomputed {figures[name]!r}")
 
     entry = solvers.PROGRAMS[port.program]
-    shrunk = True  # a shrink record that cannot be read skips the unshrunk audits
+    skipped = UNSHRUNK_AUDITS  # a shrink record that cannot be read skips them
     try:
-        spec = ShrinkageSpec.from_params(port.params)
-        shrunk = spec is not None
-        # a shrunk record is certified on w T + (1 - w) Sigma, formed: no eigh
-        sigma = cov.entries if spec is None else cov._shrunk_entries(
-            robust._shrink_weight(cov, alpha, spec), spec.mode is ShrinkMode.DIAGONAL)
-        check("stationarity", *solvers._certificate(w, alpha.entries, cov, sigma,
-                                                    port.program, port.params))
+        if ShrinkageSpec.from_params(port.params) is None:
+            skipped = set()
+        # a shrunk record is certified, and its risk read, on w T + (1 - w) Sigma
+        passed, detail, sigma_p = robust.certificate(w, alpha.entries, cov, port.program,
+                                                     port.params)
+        check("stationarity", passed, detail)
+        if skipped:
+            figures, skipped = {**figures, "sigma_p": sigma_p}, {"sharpe"}
     except MvgearError as exc:
         check("stationarity", False, f"{type(exc).__name__}: {exc}")
 
     # An audit is skipped when it reads a param the entry may go without and
     # the record lacks it; any other param the record lacks fails the audit.
     for name, (check_name, reads, test) in AUDITS.items():
-        if ((name != "bound" and name not in entry.audits)
-                or (shrunk and name in UNSHRUNK_AUDITS)):
+        if (name != "bound" and name not in entry.audits) or name in skipped:
             continue
         missing = [param for param in reads if port.params.get(param) is None]
         if any(param in entry.optional + entry.one_of for param in missing):
@@ -455,15 +456,19 @@ def _cmd_verify(args) -> str:
 
 
 def _emit(args, artifact: str | bytes) -> None:
-    """Write the artifact, or its UTF-8 bytes as given, to stdout's byte
-    stream, or over ``--output`` in place: opened without ``O_TRUNC`` and cut
-    to the new length only when it was a longer regular file (a pipe or a
-    device cannot be cut)."""
-    data = artifact.encode("utf-8") if isinstance(artifact, str) else artifact
+    """Write the artifact to stdout, text through its text layer and UTF-8
+    bytes as given to its byte stream (decoded where it has none), or over
+    ``--output`` in place: opened without ``O_TRUNC`` and cut to the new
+    length only when it was a longer regular file (a pipe or a device cannot
+    be cut)."""
     if args.output is None:
-        sys.stdout.flush()
-        sys.stdout.buffer.write(data)
+        if isinstance(artifact, str) or not hasattr(sys.stdout, "buffer"):
+            sys.stdout.write(artifact if isinstance(artifact, str) else artifact.decode())
+        else:
+            sys.stdout.flush()
+            sys.stdout.buffer.write(artifact)
         return
+    data = artifact.encode("utf-8") if isinstance(artifact, str) else artifact
     fd = os.open(args.output, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
         old = os.fstat(fd)

@@ -158,6 +158,16 @@ def _shrink_weight(cov: CovMatrix, alpha, spec: ShrinkageSpec) -> float:
     return w
 
 
+def certificate(w, alpha, cov: CovMatrix, program: Program, params: Mapping):
+    """:func:`solvers._certificate` of a record on the covariance it was
+    solved on: Sigma, or w T + (1 - w) Sigma of its shrink params
+    (:meth:`ShrinkageSpec.from_params`), formed with no decomposition."""
+    spec = ShrinkageSpec.from_params(params)
+    entries = cov.entries if spec is None else cov._shrunk_entries(
+        _shrink_weight(cov, alpha, spec), spec.mode is ShrinkMode.DIAGONAL)
+    return solvers._certificate(w, alpha, cov, entries, program, params)
+
+
 def shrink_covariance(cov: CovMatrix, alpha, spec: ShrinkageSpec) -> CovMatrix:
     """Convex combination of Sigma with its shrink target
     (:meth:`CovMatrix.shrink`).

@@ -83,8 +83,10 @@ ZERO_B_TOL = 1e-14
 DEGENERATE_D_TOL = 1e-14
 # Relative tolerance for flagging surface points on the GMV / risky lines.
 LINE_FLAG_RTOL = 1e-9
-# The normwise backward error a certified record may leave, per asset: each
-# closed form and QOQC leaves under 0.2 eps per asset up to kappa = 1e10.
+# The normwise backward error a certified record may leave, per asset, and its
+# misfit of a stated nu_alpha, per root asset (:func:`_certificate`): each
+# closed form and QOQC leaves under 0.2 eps per asset up to kappa = 1e10 and a
+# misfit under 1.5 eps up to kappa = 1e12; gamma off by 1% misfits 1e-2 / kappa.
 CERTIFICATE_TOL_PER_ASSET = 8.0 * np.finfo(float).eps
 
 
@@ -271,41 +273,49 @@ def _measure(w, alpha, cov: CovMatrix) -> dict:
 
 
 def _certificate(w, alpha, cov: CovMatrix, entries, program: Program, params: Mapping):
-    """(passed, detail) of ``program``'s stationarity c Sigma theta = nu_alpha
-    alpha + nu_1 1 + nu_theta theta at weights ``w`` on the covariance of
-    ``entries``, with c and the nu of its ``multipliers`` (None: fitted by
-    least squares on [alpha, 1]). It passes on a max-norm normwise backward
-    error (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 7)
-    of at most CERTIFICATE_TOL_PER_ASSET n, and a Sharpe program on
-    nu_alpha > 0. It runs on u = 2^-e theta, u's largest entry in [1/2, 1),
-    where nu_alpha and nu_1 scale by s = 2^-e to a and b and nothing
-    overflows; params are checked as in a solve."""
+    """(passed, detail, sigma_p) of ``program``'s stationarity c Sigma theta =
+    nu_alpha alpha + nu_1 1 + nu_theta theta at weights ``w`` on the
+    covariance of ``entries``, with c and the nu of its ``multipliers`` (None:
+    fitted by least squares on [alpha, 1]), and sqrt(theta'Sigma theta) there.
+    It passes on a max-norm normwise backward error (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 7) of at most
+    CERTIFICATE_TOL_PER_ASSET n, where a stated nu_alpha off by d reads only
+    d / kappa; on a misfit, |fit - nu_alpha| max|x| over the error's scale, x
+    the alpha nu_alpha is fitted on, of at most CERTIFICATE_TOL_PER_ASSET
+    sqrt(n); and a Sharpe program on nu_alpha > 0. It runs on u = 2^-e theta,
+    u's largest entry in [1/2, 1), where nu_alpha and nu_1 scale by s = 2^-e
+    to a and b and nothing overflows; params are checked as in a solve."""
     entry = PROGRAMS[Program(program)]
-    stationarity = (entry.multipliers(**entry.checked(params)) if entry.solver is None
-                    else entry.multipliers(alpha, cov, params))
-    if stationarity is None:
-        return True, "g0 e is the only feasible point: no multipliers to certify"
-    (u, e), (c, nu_alpha, nu_1, nu_theta) = _unit_scaled(w), stationarity
-    s = np.ldexp(1.0, -e)
+    stationarity = entry.multipliers(alpha, cov, **entry.checked(params, *entry.records))
+    u, e = _unit_scaled(w)
     with np.errstate(all="ignore"):  # a record past the float range fails unwarned
+        product = entries @ u
+        sigma_p = float(np.ldexp(math.sqrt(max(u @ product, 0.0)), e))
+        if stationarity is None:
+            return True, "g0 e is the only feasible point: no multipliers to certify", sigma_p
+        c, nu_alpha, nu_1, nu_theta = stationarity
+        s = np.ldexp(1.0, -e)
         a, b = (None if nu is None else s * nu for nu in (nu_alpha, nu_1))
-        residual = c * (entries @ u) - nu_theta * u - (b or 0.0)
-        if a is None:  # least squares on alpha, centred if 1 is fitted too
-            x = alpha - alpha.mean() if b is None else alpha
-            a = x @ residual / (x @ x)
+        residual = c * product - nu_theta * u - (b or 0.0)
+        x = alpha - alpha.mean() if b is None else alpha  # centred if 1 is fitted too
+        fit = x @ residual / max(x @ x, _TINY)
+        stated, a = a, fit if a is None else a
         residual -= a * alpha
         if b is None:
             b = residual.mean()
             residual -= b
-        scale = ((c * np.abs(entries).sum(axis=1).max() + abs(nu_theta)) * np.abs(u).max()
-                 + abs(a) * np.abs(alpha).max() + abs(b))
-        error = float(np.abs(residual).max() / max(scale, _TINY))
-        nu_alpha, nu_1 = float(a / s), float(b / s)
+        scale = max((c * np.abs(entries).sum(axis=1).max() + abs(nu_theta)) * np.abs(u).max()
+                    + abs(a) * np.abs(alpha).max() + abs(b), _TINY)
+        error = float(np.abs(residual).max() / scale)
+        misfit = 0.0 if stated is None else float(abs(fit - a) * np.abs(x).max() / scale)
+        nu_alpha, nu_1, fit = float(a / s), float(b / s), float(fit / s)
     tolerance = CERTIFICATE_TOL_PER_ASSET * w.size
+    fits = misfit <= CERTIFICATE_TOL_PER_ASSET * math.sqrt(w.size)
     positive = nu_alpha > 0.0 or "sharpe" not in entry.audits
-    return error <= tolerance and positive, (
+    return error <= tolerance and fits and positive, (
         f"backward error {error:g} vs {tolerance:g} at nu_alpha = {nu_alpha!r}, "
-        f"nu_1 = {nu_1!r}" + ("" if positive else ": a Sharpe maximum needs nu_alpha > 0"))
+        f"nu_1 = {nu_1!r}" + ("" if fits else f": nu_alpha fits {fit!r}")
+        + ("" if positive else ": a Sharpe maximum needs nu_alpha > 0")), sigma_p
 
 
 def _figures(w, program: Program, alpha, cov: CovMatrix) -> dict:
@@ -363,17 +373,12 @@ def _solve_QOQC(alpha, cov: CovMatrix, gamma: float, g0: float, n0: float):
                               "lambda1": solution.lambda1, "lambda2": solution.lambda2}
 
 
-def _QOQC_multipliers(alpha, cov: CovMatrix, params: Mapping):
-    """(gamma, 1, lambda2, 2 lambda1), from its record's checked params; None
-    where g0 e is the only feasible point, whose multipliers certify nothing."""
-    entry = PROGRAMS[Program.QOQC]
-    problem = QoqcProblem(alpha=alpha, cov=cov, **entry.arguments(params))
-    for name in ("lambda1", "lambda2"):
-        if params.get(name) is None:
-            raise entry.missing(name)
-    if on_boundary(problem.dim, problem.g0, problem.n0):
-        return None
-    return problem.gamma, 1.0, params["lambda2"], 2.0 * params["lambda1"]
+def _QOQC_multipliers(alpha, cov: CovMatrix, gamma, g0, n0, lambda1, lambda2):
+    """(gamma, 1, lambda2, 2 lambda1) of a feasible record (Infeasible
+    otherwise); None where g0 e is the only feasible point, whose multipliers
+    certify nothing."""
+    QoqcProblem(alpha, cov, gamma, g0, n0)
+    return None if on_boundary(cov.dim, g0, n0) else (gamma, 1.0, lambda2, 2.0 * lambda1)
 
 
 @dataclass(frozen=True)
@@ -389,11 +394,12 @@ class ProgramSpec:
     :func:`_inefficient_branch` does; one that does not ``reads_alpha``
     records no alpha_p. QOQC runs its own ``solver``.
 
-    ``multipliers(**params)`` is (c, nu_alpha, nu_1, nu_theta) of the
+    ``multipliers(alpha, cov, **params)``, of its checked params and those
+    its solver ``records``, is (c, nu_alpha, nu_1, nu_theta) of the
     stationarity c Sigma theta = nu_alpha alpha + nu_1 1 + nu_theta theta its
     solution meets on the covariance it was solved on, None where fitted
     (:func:`_certificate`): each closed form lies on Merton's frontier,
-    nu_theta = 0. QOQC's, ``multipliers(alpha, cov, params)``, reads its record.
+    nu_theta = 0; QOQC's reads the multipliers it records.
 
     ``audits`` names, in the order ``verify`` runs them, the checks its
     solution passes besides that certificate:
@@ -414,26 +420,31 @@ class ProgramSpec:
     reads_alpha: bool = True
     solver: Callable[..., tuple[np.ndarray, dict]] | None = None
     audits: tuple[str, ...] = ()
-    multipliers: Callable[..., tuple | None] = lambda **params: (1.0, None, 0.0, 0.0)
+    multipliers: Callable[..., tuple | None] = lambda alpha, cov, **params: (1.0, None, 0.0, 0.0)
+    records: tuple[str, ...] = ()
 
-    def arguments(self, values: Mapping) -> dict:
-        """The solver's parameters among ``values`` (None means unset); raises
-        MissingParameter unless every required name and one of ``one_of`` is
-        set. The first of ``one_of`` wins: a solved V records both."""
+    def arguments(self, values: Mapping, *recorded: str) -> dict:
+        """The solver's parameters among ``values`` (None means unset), and the
+        ``recorded`` names; raises MissingParameter unless every required or
+        recorded name and one of ``one_of`` is set. The first of ``one_of``
+        wins: a solved V records both."""
         given = {name: value for name, value in values.items() if value is not None}
-        for name in self.required:
+        for name in (*self.required, *recorded):
             if name not in given:
                 raise self.missing(name)
         chosen = [name for name in self.one_of if name in given][:1]
         if self.one_of and not chosen:
             raise MissingParameter(self.one_of_text())
         optional = [name for name in self.optional if name in given]
-        return {name: given[name] for name in [*self.required, *optional, *chosen]}
+        return {name: given[name] for name in [*self.required, *recorded, *optional, *chosen]}
 
-    def checked(self, params: Mapping) -> dict:
-        """:meth:`arguments`, each positive, or finite if ``signed`` names it."""
-        return {name: (_require_finite if name in self.signed else _require_positive)(
-            name, value) for name, value in self.arguments(params).items()}
+    def checked(self, params: Mapping, *recorded: str) -> dict:
+        """:meth:`arguments`, each positive, or finite if ``signed`` names it;
+        a ``solver`` checks its own."""
+        args = self.arguments(params, *recorded)
+        return args if self.solver else {name: (
+            _require_finite if name in self.signed else _require_positive)(name, value)
+            for name, value in args.items()}
 
     def no_maximum(self, frontier: FrontierScalars, c_alpha, gearing):
         """Whether a Sharpe program's (c_alpha, gearing) has no maximum to
@@ -466,7 +477,7 @@ PROGRAMS: dict[Program, ProgramSpec] = {spec.program: spec for spec in (
     ProgramSpec(Program.II, lambda f, alpha0: _on_ray(alpha0 / f.C, f),
                 required=("alpha0",), refuses=(DegenerateAlpha,), audits=("return",)),
     ProgramSpec(Program.III, lambda f, gamma: _on_ray(1.0 / gamma, f), required=("gamma",),
-                multipliers=lambda gamma: (gamma, 1.0, 0.0, 0.0)),
+                multipliers=lambda alpha, cov, gamma: (gamma, 1.0, 0.0, 0.0)),
     ProgramSpec(Program.IV, _geared_risky, optional=("g0",), signed=("g0",), refuses=(ZeroB,),
                 audits=("gearing", "sharpe")),
     ProgramSpec(Program.V, _geared_risky, one_of=("sigma0", "g0"), signed=("g0",),
@@ -474,18 +485,20 @@ PROGRAMS: dict[Program, ProgramSpec] = {spec.program: spec for spec in (
     ProgramSpec(Program.VI, _geared_min_variance, required=("alpha0", "g0"),
                 signed=("alpha0", "g0"), refuses=(DegenerateAlpha,),
                 warns=_inefficient_branch, audits=("gearing", "return"),
-                multipliers=lambda alpha0, g0: (1.0, None, None, 0.0)),
+                multipliers=lambda alpha, cov, alpha0, g0: (1.0, None, None, 0.0)),
     ProgramSpec(Program.VII, lambda f, gamma, g0: (1.0 / gamma, g0),
                 required=("gamma", "g0"), signed=("g0",), audits=("gearing",),
-                multipliers=lambda gamma, g0: (gamma, 1.0, None, 0.0)),
+                multipliers=lambda alpha, cov, gamma, g0: (gamma, 1.0, None, 0.0)),
     ProgramSpec(Program.VIII, _geared_risky, required=("g0",), signed=("g0",),
                 refuses=(ZeroB,), audits=("gearing", "sharpe")),
     ProgramSpec(Program.GMV, lambda f: (0.0, 1.0), reads_alpha=False,
-                audits=("full_investment",), multipliers=lambda: (1.0, 0.0, None, 0.0)),
+                audits=("full_investment",),
+                multipliers=lambda alpha, cov: (1.0, 0.0, None, 0.0)),
     ProgramSpec(Program.RISKY, lambda f: (1.0 / f.B, 1.0), refuses=(ZeroB,),
                 audits=("full_investment", "sharpe")),
     ProgramSpec(Program.QOQC, solver=_solve_QOQC, required=("gamma", "g0", "n0"),
-                audits=("gearing", "diversity"), multipliers=_QOQC_multipliers),
+                audits=("gearing", "diversity"), multipliers=_QOQC_multipliers,
+                records=("lambda1", "lambda2")),
 )}
 
 
@@ -497,9 +510,9 @@ def program_weights(program: Program, frontier: FrontierScalars, /, **params):
     :meth:`ProgramSpec.arguments` picks from ``params``, checked as the entry
     declares, and an audited gearing as g0 (QOQC's solver adds multipliers)."""
     entry = PROGRAMS[Program(program)]
-    if entry.solver is not None:
-        return entry.solver(frontier.alpha, frontier.cov, **entry.arguments(params))
     args = entry.checked(params)
+    if entry.solver is not None:
+        return entry.solver(frontier.alpha, frontier.cov, **args)
     frontier.check(entry.refuses)
     with np.errstate(all="ignore"):  # an inflection past the float range warns of no branch
         if entry.warns is not None:

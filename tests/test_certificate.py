@@ -1,20 +1,20 @@
 """The stationarity certificate ``verify`` gates each record on, at realistic
 size and conditioning: every program of the table, QOQC and a shrunk record
 of each mode pass it at n up to 1000 and kappa up to 1e10, and a record
-whose gamma is off by 1% fails it at every size at kappa = 1e6.
+whose gamma is off by 1% fails it at every size and kappa.
 
-The certificate is normwise: a 1% error in gamma reads about 1e-2 / kappa
+The normwise backward error of a 1% error in gamma is about 1e-2 / kappa
 (2.6e-12 at n = 50 and kappa = 1e10, 1.3e-12 at n = 1000, where the
-tolerance 8 n eps is 1.8e-12), so past kappa ~ 1e10 it cannot tell such an
-error from rounding. A 1% error in a shrink's q or k reads 3e-5 or more at
-every kappa here."""
+tolerance 8 n eps is 1.8e-12), so past kappa ~ 1e9 only the comparison of
+the stated nu_alpha with the fitted one, within 8 kappa eps, sees it. A 1%
+error in a shrink's q or k reads 3e-5 or more at every kappa here."""
 
 import numpy as np
 import pytest
 
 from mvgear import CovMatrix, robust
 from mvgear.robust import ShrinkageSpec, ShrinkMode
-from mvgear.solvers import CERTIFICATE_TOL_PER_ASSET, PROGRAMS, Program, _certificate
+from mvgear.solvers import CERTIFICATE_TOL_PER_ASSET, PROGRAMS, Program
 
 from conftest import random_spd
 
@@ -40,14 +40,11 @@ def _params(program, alpha):
             "alpha0": float(alpha.max()) / 2, "sigma0": 0.5, "n0": alpha.size / 4}
 
 
-def _certified(port, alpha, cov, spec=None, **edits):
+def _certified(port, alpha, cov, **edits):
     """The certificate of ``port``'s record with ``edits`` to its params:
     (passed, backward error)."""
-    params = {**port.params, **edits}
-    spec = ShrinkageSpec.from_params(params)
-    entries = cov.entries if spec is None else cov._shrunk_entries(
-        robust._shrink_weight(cov, alpha, spec), spec.mode is ShrinkMode.DIAGONAL)
-    passed, detail = _certificate(port.weights, alpha, cov, entries, port.program, params)
+    passed, detail, _ = robust.certificate(port.weights, alpha, cov, port.program,
+                                           {**port.params, **edits})
     return passed, float(detail.split()[2])
 
 
@@ -80,11 +77,11 @@ def test_a_shrunk_record_is_certified_on_its_shrunk_covariance(instances, n, kap
     assert not _certified(port, alpha, cov, shrink_k=1.01 * k)[0]
 
 
-@pytest.mark.parametrize("n", [50, 200, 1000])
-@pytest.mark.parametrize("program", [Program.III, Program.VII])
-def test_a_record_with_gamma_off_by_one_percent_fails(instances, n, program):
-    alpha, cov = instances[n, 1e6]
-    params = {"gamma": 5.0, "g0": 1.0} if program is Program.VII else {"gamma": 5.0}
+@pytest.mark.parametrize("n,kappa", [case for case in CASES if case[1] > 1e2])
+@pytest.mark.parametrize("program", [Program.III, Program.VII, Program.QOQC])
+def test_a_record_with_gamma_off_by_one_percent_fails(instances, n, kappa, program):
+    alpha, cov = instances[n, kappa]
+    params = PROGRAMS[program].arguments(_params(program, alpha))
     port = robust.solve_robust(program, alpha, cov, None, **params)
     assert _certified(port, alpha, cov)[0]
     assert not _certified(port, alpha, cov, gamma=5.05)[0]

@@ -1,5 +1,6 @@
 import argparse
 import gc
+import io
 import json
 import math
 import os
@@ -1576,7 +1577,7 @@ VERIFIED = [
     (["solve", "--program", "VII", "--gamma", 1, "--g0", 1, *SHRINK],
      FIELDS + [GEARING, "bound_slack"]),
     (["solve", "--program", "V", "--sigma0", 0.9, *SHRINK],
-     FIELDS + [GEARING, "bound_slack"]),
+     FIELDS + [GEARING, RISK, "bound_slack"]),
     (["qoqc", "--gamma", 1, "--g0", 1, "--n0", 2],
      FIELDS + [GEARING, "diversity_constraint", "bound_slack"]),
 ]
@@ -1682,6 +1683,11 @@ def _negated(doc):
     doc.update(gearing=-doc["gearing"], alpha_p=-doc["alpha_p"])
 
 
+def _zeroed(doc):
+    doc["weights"] = [0.0 for _ in doc["weights"]]
+    doc.update(gearing=0.0, leverage=0.0, alpha_p=0.0, sigma_p=0.0)
+
+
 @pytest.mark.parametrize("solve_args,edit,failed", [
     (["--program", "VII", "--gamma", 1, "--g0", 1],
      lambda doc: doc["params"].update(gamma=1.01), "stationarity"),
@@ -1694,12 +1700,18 @@ def _negated(doc):
     (["--program", "RISKY"], _negated, "stationarity"),
     (["--program", "VI", "--alpha0", 0.02, "--g0", 1],
      lambda doc: doc["params"].update(alpha0=0.0202), RETURN),
+    (["--program", "I", "--sigma0", 0.5, *SHRINK],
+     lambda doc: doc["params"].update(sigma0=0.505), RISK),
+    (["--program", "V", "--sigma0", 0.9, *SHRINK],
+     lambda doc: doc["params"].update(sigma0=0.909), RISK),
+    (["--program", "I", "--sigma0", 0.5, *SHRINK], _zeroed, RISK),
 ])
 def test_verify_fails_a_record_one_parameter_off(tmp_path, solve_args, edit, failed):
     # the certificate checks the optimum the record's params state, not the
     # solve that wrote it: gamma or q off by 1% is a point off the program's
     # frontier, and RISKY negated (B > 0) is the Sharpe minimum, nu_alpha < 0.
-    # VI's alpha0 moves the point along the frontier, where its return fails.
+    # VI's alpha0 moves the point along the frontier, where its return fails,
+    # and a shrunk sigma0, or zero weights, moves it off the shrunk risk.
     csv = _three_asset_csv(tmp_path)
     assert all(_edited_record(tmp_path, csv, solve_args, lambda doc: None).values())
     checks = _edited_record(tmp_path, csv, solve_args, edit)
@@ -2405,6 +2417,33 @@ def test_an_estimate_hit_writes_the_kept_bytes_to_stdout_and_over_output(
     assert cli._cmd_estimate(cli._build_parser().parse_args(["estimate", "--input", str(csv)])) \
         is kept
     assert formatting == []
+
+
+def test_stdout_gets_the_utf8_bytes_of_an_estimate_and_the_text_of_other_artifacts(
+        tmp_path, monkeypatch):
+    # an estimate, kept encoded, goes to stdout's byte stream as the UTF-8
+    # bytes that --output gets, whatever stdout's encoding and newline; other
+    # artifacts go through its text layer; a stdout with no byte stream gets
+    # the estimate's text
+    csv = tmp_path / "r.csv"
+    rows = np.random.default_rng(0).normal(0.001, 0.02, (12, 3))
+    csv.write_text("é,ü,c\n" + "\n".join(",".join(map(repr, row)) for row in rows.tolist())
+                   + "\n", encoding="utf-8")
+    forget_loads(monkeypatch)
+    expected = estimate(csv, tmp_path / "e.json")
+    assert '"é"'.encode() in expected
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="cp1252", newline="\r\n"))
+    assert run(["estimate", "--input", csv]) == 0
+    assert raw.getvalue() == expected
+    assert run(["solve", "--input", csv, "--program", "GMV", "--output", tmp_path / "p.json"]) == 0
+    assert run(["solve", "--input", csv, "--program", "GMV"]) == 0
+    sys.stdout.flush()
+    text = (tmp_path / "p.json").read_text(encoding="utf-8")
+    assert raw.getvalue() == expected + text.replace("\n", "\r\n").encode("cp1252")
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert run(["estimate", "--input", csv]) == 0
+    assert sys.stdout.getvalue() == expected.decode("utf-8")
 
 
 def test_an_estimate_between_solves_on_one_file_formats_nothing(tmp_path, formatting):
