@@ -75,7 +75,10 @@ via nu = -2 lambda1; nu is surfaced in the diagnostics as ``ridge_shift``.
 
 QOQC is a table program like the closed forms: ``solvers.solve`` runs it
 through its ``solvers.PROGRAMS`` entry, whose solver passes :func:`solve_qoqc`'s
-weights and multipliers on to the shared Portfolio record. ``solvers`` imports
+weights and multipliers on to the shared Portfolio record. The tolerances
+stated here are the sphere's and the gearing's only; the stationarity above
+is certified, relative to the data, by that entry (``solvers._certificate``),
+before the record is written and again by ``verify``. ``solvers`` imports
 this module, so this module imports nothing from ``solvers``.
 """
 
@@ -89,10 +92,9 @@ import numpy as np
 from .errors import DimensionError, Infeasible, NonFiniteData, ToleranceNotMet
 from .moments import CovMatrix, _require_finite, _require_positive, as_vector
 
-# Stated solution tolerances.
+# Stated constraint tolerances.
 SPHERE_TOL = 1e-8
 GEARING_TOL = 1e-10
-STATIONARITY_TOL = 1e-8
 # Squared sphere radius 1/n0 - g0^2/n at or below which only g0 e is feasible.
 BOUNDARY_TOL = 1e-14
 # Outer root: Newton step cap.
@@ -146,31 +148,20 @@ class QoqcProblem:
     def dim(self) -> int:
         return self.cov.dim
 
-    def objective(self, theta: np.ndarray) -> float:
-        return float(self.alpha @ theta - 0.5 * self.gamma * self.cov.quad(theta))
-
 
 @dataclass(frozen=True)
 class QoqcSolution:
-    """Solution with multipliers, objective, and KKT residual."""
+    """Solution with its multipliers."""
 
     weights: np.ndarray
     lambda1: float
     lambda2: float
-    objective: float
-    kkt_residual: float
     diagnostics: dict = field(default_factory=dict)
 
 
 def on_boundary(n: int, g0: float, n0: float) -> bool:
     """Whether 1/n0 - g0^2/n <= 1e-14: the feasible set is the single point g0 e."""
     return 1.0 / n0 - g0 * g0 / n <= BOUNDARY_TOL
-
-
-def stationarity_residual(alpha, cov: CovMatrix, gamma, theta, lam1, lam2) -> float:
-    """Max-norm of the Lagrangian gradient at theta with multipliers (lam1, lam2)."""
-    grad = -alpha + gamma * (cov.entries @ theta) - 2.0 * lam1 * theta - lam2
-    return float(np.abs(grad).max())
 
 
 def _boundary_solution(problem: QoqcProblem) -> QoqcSolution:
@@ -181,14 +172,10 @@ def _boundary_solution(problem: QoqcProblem) -> QoqcSolution:
     rhs = problem.gamma * (problem.cov.entries @ theta) - problem.alpha
     basis = np.column_stack([2.0 * theta, np.ones(n)])
     sol, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
-    lam1, lam2 = float(sol[0]), float(sol[1])
     return QoqcSolution(
         weights=theta,
-        lambda1=lam1,
-        lambda2=lam2,
-        objective=problem.objective(theta),
-        kkt_residual=stationarity_residual(problem.alpha, problem.cov, problem.gamma,
-                                           theta, lam1, lam2),
+        lambda1=float(sol[0]),
+        lambda2=float(sol[1]),
         diagnostics={"boundary": True, "hard_case": False},
     )
 
@@ -307,7 +294,7 @@ def _pole_resolvent(c: np.ndarray, gaps: np.ndarray, bottom: np.ndarray, s: floa
 
 
 def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
-    """Solve the diversity-constrained program to its stated tolerances."""
+    """Solve the diversity-constrained program to its sphere and gearing tolerances."""
     n = problem.dim
     if on_boundary(n, problem.g0, problem.n0):
         return _boundary_solution(problem)
@@ -378,9 +365,16 @@ def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
         # the side).
         s = 0.0
         at_pole = (c == 0.0) & (np.abs(gaps) <= 1e-12 * scale)
-        y = resolvent(0.0, np.where(at_pole, 1.0, gaps))(np.where(at_pole, 0.0, a))
-        y += math.copysign(math.sqrt(max(delta2 - float(y @ y), 0.0)),
-                           bottom @ a) * bottom
+        with np.errstate(all="ignore"):  # refused below if past the float range
+            y = resolvent(0.0, np.where(at_pole, 1.0, gaps))(np.where(at_pole, 0.0, a))
+            # that solution is orthogonal to the bottom eigenvector, but formed
+            # next to a secular pole it keeps rounding along it, amplified
+            y -= float(bottom @ y) * bottom
+            fill2 = delta2 - float(y @ y)
+        if not math.isfinite(fill2):
+            raise ToleranceNotMet(f"the solution at the pole nu = {-h:g} is not finite: "
+                                  f"the root may lie within {near:g} of it, left of Newton")
+        y += math.copysign(math.sqrt(max(fill2, 0.0)), bottom @ a) * bottom
         diagnostics["hard_case"] = True
     else:
         # Newton on 1/|y(nu)| - 1/Delta from left of the root; each step is
@@ -419,11 +413,6 @@ def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
     theta = vecs @ y[::-1] + problem.g0 / n  # g0 e + V y
     nu = s - h
 
-    lam1 = -nu / 2.0
-    lam2 = float(np.mean(-problem.alpha + problem.gamma * (problem.cov.entries @ theta)
-                         + nu * theta))
-    residual = stationarity_residual(problem.alpha, problem.cov, problem.gamma,
-                                     theta, lam1, lam2)
     sphere_err = abs(float(theta @ theta) - 1.0 / problem.n0)
     gearing_err = abs(float(theta.sum()) - problem.g0)
     if not (sphere_err <= SPHERE_TOL and gearing_err <= GEARING_TOL):
@@ -431,14 +420,11 @@ def solve_qoqc(problem: QoqcProblem) -> QoqcSolution:
             f"constraint residuals too large: |theta'theta - 1/n0| = {sphere_err:g}, "
             f"|1'theta - g0| = {gearing_err:g}"
         )
-    if not residual <= STATIONARITY_TOL:
-        raise ToleranceNotMet(f"stationarity residual {residual:g} > {STATIONARITY_TOL:g}")
     diagnostics["ridge_shift"] = float(nu)
     return QoqcSolution(
         weights=theta,
-        lambda1=lam1,
-        lambda2=lam2,
-        objective=problem.objective(theta),
-        kkt_residual=residual,
+        lambda1=-nu / 2.0,
+        lambda2=float(np.mean(-problem.alpha + problem.gamma * (problem.cov.entries @ theta)
+                              + nu * theta)),
         diagnostics=diagnostics,
     )

@@ -15,7 +15,7 @@ number kappa = rho_1 / rho_n:
 Gearing-constrained solutions have theta proportional to Sigma^-1 z for a
 mixed vector z, and the bound weakens to the Bauer-Householder form with
 
-    kappa_psi = kappa (1 + sin psi) / (1 - sin psi),
+    kappa_psi = kappa (1 + sin psi) / (1 - sin psi) = kappa ((1 + sin psi) / cos psi)^2,
     cos(phi) >= 2 sqrt(kappa_psi) / (kappa_psi + 1),
 
 valid for any auxiliary angle psi in [0, pi/2) no smaller than the angle
@@ -46,9 +46,6 @@ from .moments import _TINY, CovMatrix, _binary_scaled, as_vector
 
 # cos(angle) at least this close to 1 counts as collinear with Sigma^-1 alpha.
 COLLINEAR_TOL = 1e-10
-
-# pi/2 less its nearest float.
-_HALF_PI_TAIL = 6.123233995736766e-17
 
 
 def alpha_angle(alpha, theta) -> float:
@@ -104,19 +101,15 @@ def kantorovich_bound(kappa: float) -> float:
 def bauer_householder_bound(kappa: float, psi: float) -> tuple[float, float]:
     """Weakened bound for vectors separated by auxiliary angle psi.
 
-    Returns (kappa_psi, bound) with kappa_psi = kappa (1+sin psi)/(1-sin psi).
-    psi = 0 reduces to the Kantorovich bound.
+    Returns (kappa_psi, bound), kappa_psi = kappa ((1+sin psi)/cos psi)^2: unlike
+    1 - sin psi, cos psi keeps its digits next to pi/2. psi = 0 gives Kantorovich's.
     """
     psi = float(psi)
     if not (0.0 <= psi < np.pi / 2.0):
         raise InvalidPsi(f"psi = {psi} outside [0, pi/2)")
     kappa = _checked_kappa(kappa)
-    sin_psi = np.sin(psi)
-    # 1 - sin psi rounds to 0 within about 1e-8 of pi/2; 2 sin^2(pi/4 - psi/2)
-    # is the same number, formed from pi/2 - psi, exact there, and pi/2's tail
-    gap = 1.0 - sin_psi or 2.0 * math.sin((math.pi / 2.0 - psi + _HALF_PI_TAIL) / 2.0) ** 2
-    kappa_psi = kappa * (1.0 + sin_psi) / gap
-    return float(kappa_psi), kantorovich_bound(kappa_psi)
+    kappa_psi = kappa * ((1.0 + math.sin(psi)) / math.cos(psi)) ** 2
+    return kappa_psi, kantorovich_bound(kappa_psi)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -53,7 +53,6 @@ import numpy as np
 from .errors import (
     AsymmetricCovariance,
     ConvergenceFailure,
-    DegenerateAlpha,
     DimensionError,
     InvalidK,
     NonFiniteData,
@@ -67,8 +66,6 @@ SYMMETRY_RTOL = 1e-12
 RECONSTRUCTION_RTOL = 1e-10
 # Eigenvalue floor, relative to rho_1, below which repair/rejection kicks in.
 EIGEN_FLOOR_RATIO = 1e-10
-# Column means closer than this are considered degenerate (all equal).
-DEGENERATE_ALPHA_TOL = 1e-14
 # The smallest normal float: a squared norm below it has lost digits.
 _TINY = float(np.finfo(float).tiny)
 # Seconds (on time.monotonic) between two byte-verified loads of one file
@@ -579,7 +576,8 @@ def estimate_moments(
     covariance below ``EIGEN_FLOOR_RATIO * rho_1`` is clipped to that floor
     and the matrix reconstructed; a :class:`SpdRepairWarning` records the
     intervention. With repair disabled the same situation raises
-    :class:`SingularCovariance`.
+    :class:`SingularCovariance`. A kept eigenvalue below the smallest normal
+    float raises :class:`NonFiniteData`: the covariance has lost its digits.
 
     The last result is kept with its panel: a call on that same panel object
     with the same ``spd_repair`` returns the same (read-only) pair without
@@ -599,11 +597,6 @@ def estimate_moments(
 def _estimate(panel: ReturnsPanel, spd_repair: bool):
     """:func:`estimate_moments`' pair, and its repair warning's text or None."""
     alpha = panel.rows.mean(axis=0)
-    if np.ptp(alpha) <= DEGENERATE_ALPHA_TOL:
-        raise DegenerateAlpha(
-            "all column means equal within "
-            f"{DEGENERATE_ALPHA_TOL:g}; frontier scalars would degenerate"
-        )
     with np.errstate(over="ignore", invalid="ignore"):
         sample = np.cov(panel.rows, rowvar=False, ddof=1)
     # two reductions, no array: a NaN or an infinity reaches the max or the min
@@ -629,6 +622,9 @@ def _estimate(panel: ReturnsPanel, spd_repair: bool):
                   f"(smallest was {rho[0]:g})")
         rho = np.maximum(rho, floor)
         sample = (vecs * rho) @ vecs.T
+    if rho[0] < _TINY:
+        raise NonFiniteData(f"sample covariance underflows: its eigenvalue {rho[0]:g} is "
+                            "below the normal floats; the returns are too small to square")
     # ``_symmetrized`` returns the exactly symmetric sample's bits unchanged,
     # and averages a floored one with its transpose; either way ``_from_eigh``
     # checks that (rho, vecs) reconstructs the entries.

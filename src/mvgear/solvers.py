@@ -70,6 +70,7 @@ from .errors import (
     MvgearError,
     NonFiniteData,
     NonPositiveParameter,
+    ToleranceNotMet,
     ZeroB,
 )
 from .diversity import QoqcProblem, on_boundary, solve_qoqc
@@ -366,11 +367,17 @@ def _inefficient_branch(f: FrontierScalars, alpha0: float, g0: float):
 
 def _solve_QOQC(alpha, cov: CovMatrix, gamma: float, g0: float, n0: float):
     """QOQC's weights and the params its record carries: its own and the
-    multipliers of :func:`mvgear.diversity.solve_qoqc`."""
+    multipliers of :func:`mvgear.diversity.solve_qoqc`; ToleranceNotMet unless
+    :func:`_certificate` certifies them on ``cov``, as ``verify`` will."""
     problem = QoqcProblem(alpha=alpha, cov=cov, gamma=gamma, g0=g0, n0=n0)
     solution = solve_qoqc(problem)
-    return solution.weights, {"gamma": problem.gamma, "g0": problem.g0, "n0": problem.n0,
-                              "lambda1": solution.lambda1, "lambda2": solution.lambda2}
+    params = {"gamma": problem.gamma, "g0": problem.g0, "n0": problem.n0,
+              "lambda1": solution.lambda1, "lambda2": solution.lambda2}
+    passed, detail, _ = _certificate(solution.weights, problem.alpha, cov, cov.entries,
+                                     Program.QOQC, params)
+    if not passed:
+        raise ToleranceNotMet(f"QOQC solution not certified: {detail}")
+    return solution.weights, params
 
 
 def _QOQC_multipliers(alpha, cov: CovMatrix, gamma, g0, n0, lambda1, lambda2):
@@ -392,7 +399,7 @@ class ProgramSpec:
     :meth:`FrontierScalars.check` raises for it; ``warns``, if set, tells
     where its solution takes an InefficientBranchWarning, as
     :func:`_inefficient_branch` does; one that does not ``reads_alpha``
-    records no alpha_p. QOQC runs its own ``solver``.
+    records no alpha_p. QOQC runs its own ``solver``, which certifies its solution.
 
     ``multipliers(alpha, cov, **params)``, of its checked params and those
     its solver ``records``, is (c, nu_alpha, nu_1, nu_theta) of the

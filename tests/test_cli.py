@@ -1852,8 +1852,8 @@ def test_verify_passes_a_qoqc_record_on_the_boundary(tmp_path):
 
 def test_verify_audits_stationarity_off_the_boundary(tmp_path):
     # gamma Sigma theta - alpha - 2 lambda1 theta - lambda2 1 = 0 with the
-    # recorded multipliers, to a backward error of at most 8 n eps, as
-    # diversity.stationarity_residual measures it, relative to the data
+    # recorded multipliers, to a backward error of at most 8 n eps, as the
+    # Lagrangian gradient formed here measures it, relative to the data
     csv = _three_asset_csv(tmp_path)
     port, report = tmp_path / "q.json", tmp_path / "v.json"
     assert run(["qoqc", "--input", csv, "--gamma", 1, "--g0", 1, "--n0", 2.999,
@@ -1864,8 +1864,8 @@ def test_verify_audits_stationarity_off_the_boundary(tmp_path):
     _, alpha, cov = cli._moments(argparse.Namespace(input=csv))
     doc = json.loads(port.read_text())
     params, theta = doc["params"], np.array(doc["weights"])
-    residual = diversity.stationarity_residual(
-        alpha.entries, cov, params["gamma"], theta, params["lambda1"], params["lambda2"])
+    residual = np.abs(-alpha.entries + params["gamma"] * (cov.entries @ theta)
+                      - 2 * params["lambda1"] * theta - params["lambda2"]).max()
     scale = (params["gamma"] * np.abs(cov.entries).sum(axis=1).max() * np.abs(theta).max()
              + np.abs(alpha.entries).max() + abs(params["lambda2"])
              + 2 * abs(params["lambda1"]) * np.abs(theta).max())
@@ -2670,6 +2670,121 @@ def test_a_new_artifact_gets_the_mode_open_gives(micro_csv, tmp_path):
         os.umask(umask)
     assert (stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
             == 0o666 & ~0o027)
+
+
+# ---------------------------------------------------------------------------
+# A flat alpha, and a panel at 2^-66
+# ---------------------------------------------------------------------------
+
+def _binary_panel(path, slope=0.0, scale=1.0):
+    """An 8 x 4 panel of multiples of 2^-7 whose column means are 2^-10 plus
+    ``slope`` j 2^-7, exactly, and whose covariance has kappa about 9; times
+    ``scale``, a power of two, which scales its moments exactly."""
+    rng = np.random.default_rng(5)
+    rows = rng.integers(-8, 9, size=(8, 4)).astype(float)
+    rows[-1] = 1.0 - rows[:-1].sum(axis=0)
+    rows = (rows + slope * np.arange(4)) / 128 * scale
+    path.write_text("a,b,c,d\n" + "\n".join(",".join(map(repr, row))
+                                            for row in rows.tolist()) + "\n")
+    return path
+
+
+def _outcome(capsys, argv):
+    """The exit code of ``argv`` and its stderr lines."""
+    capsys.readouterr()
+    code = run(argv)
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate"], ["solve", "--program", "GMV"], ["solve", "--program", "III", "--gamma", 2],
+    ["solve", "--program", "IV"], ["solve", "--program", "VII", "--gamma", 2, "--g0", 1],
+    ["solve", "--program", "VIII", "--g0", 1], ["solve", "--program", "RISKY"],
+    ["qoqc", "--gamma", 5, "--g0", 1, "--n0", 2], ["bounds", "--theta", "0.25,0.25,0.25,0.25"],
+    ["shrink-sweep", "--mode", "simple", "--grid", "0:0.5:1"],
+    ["solve", "--program", "I", "--sigma0", 0.05],
+    ["solve", "--program", "II", "--alpha0", 0.01], ["solve", "--program", "V", "--g0", 1],
+    ["solve", "--program", "VI", "--alpha0", 0.01, "--g0", 1],
+    ["frontier", "--alpha-grid", "0:0.01:0.02"], ["surface", "--g0", 1, "--alpha-grid", 0.01],
+], ids=lambda argv: " ".join(map(str, argv[:3])))
+def test_a_flat_alpha_is_refused_only_by_what_divides_by_d(tmp_path, capsys, argv):
+    # equal column means and a nondegenerate Sigma load; only the programs
+    # that divide by D (I, II, V, VI) and the frontier and surface refuse them
+    csv = _binary_panel(tmp_path / "flat.csv")
+    code, lines = _outcome(capsys, [*argv, "--input", csv, "--output", tmp_path / "o"])
+    program = argv[2] if argv[0] == "solve" else None
+    if argv[0] in ("frontier", "surface") or program in ("I", "II", "V", "VI"):
+        assert (code, len(lines)) == (3, 1)
+        assert lines[0].startswith("code=DegenerateAlpha D = AC - B^2 = 0 "), lines
+    else:
+        assert (code, lines) == (0, [])
+
+
+@pytest.mark.parametrize("slope", [0.0, 1.0], ids=["flat", "sloped"])
+def test_a_panel_at_two_to_the_minus_66_gives_the_same_weights(tmp_path, capsys, slope):
+    # the panel times 2^-66 has alpha times 2^-66 and Sigma times 2^-132,
+    # exactly: estimate scales with it, and GMV, VII at gamma 2^66 and I at
+    # sigma0 2^-66 (refused on a flat alpha at both scales) keep their weights
+    c = 2.0**-66
+    plain, small = (_binary_panel(tmp_path / f"{name}.csv", slope, scale)
+                    for name, scale in (("plain", 1.0), ("small", c)))
+
+    def record(csv, argv):
+        out = tmp_path / "o.json"
+        code, lines = _outcome(capsys, [*argv, "--input", csv, "--output", out])
+        return (code, lines, json.loads(out.read_text()) if code == 0 else None)
+
+    (_, _, estimate), (code, _, scaled) = (record(csv, ["estimate"]) for csv in (plain, small))
+    kappa, eps = estimate["condition_number"], np.finfo(float).eps
+    assert code == 0 and scaled["condition_number"] == pytest.approx(kappa, rel=kappa * eps)
+    for name, power in (("alpha", -1), ("covariance", -2)):
+        npt.assert_allclose(np.ldexp(scaled[name], -66 * power), estimate[name],
+                            rtol=0, atol=kappa * eps * np.abs(estimate[name]).max())
+    for flag, value, power in ((None, None, 0), ("--gamma", 2.0, 1), ("--sigma0", 0.05, -1)):
+        program = {None: "GMV", "--gamma": "VII", "--sigma0": "I"}[flag]
+        argv = ["solve", "--program", program] + (["--g0", 1] if program == "VII" else [])
+        unscaled = record(plain, argv + ([flag, value] if flag else []))
+        at_scale = record(small, argv + ([flag, np.ldexp(value, 66 * power)] if flag else []))
+        if program == "I" and slope == 0.0:
+            for code, lines, _ in (unscaled, at_scale):
+                assert (code, len(lines)) == (3, 1) and "code=DegenerateAlpha" in lines[0]
+            continue
+        assert unscaled[:2] == at_scale[:2] == (0, [])
+        weights = np.array(unscaled[2]["weights"])
+        npt.assert_allclose(at_scale[2]["weights"], weights, rtol=0,
+                            atol=kappa * eps * np.abs(weights).max())
+
+
+def test_qoqc_on_a_flat_alpha_at_a_tiny_gamma_exits_3_unwarned(tmp_path, capsys):
+    # gamma rho near 1e-303 lies far below QOQC's absolute Newton start,
+    # 1e-13, so a flat alpha (a near 1e-19, its rounding) takes the hard case,
+    # whose solution at the pole is past the float range: refused with one
+    # line and no RuntimeWarning, an error in this suite
+    csv = tmp_path / "r.csv"
+    csv.write_text("a0,a1\n0.046875,0.015625\n0.0,-0.03125\n-0.0439453125,0.0185546875\n")
+    code, lines = _outcome(capsys, ["qoqc", "--input", csv, "--gamma", "1e-300",
+                                    "--g0", -1, "--n0", 1, "--output", tmp_path / "q.json"])
+    assert (code, len(lines)) == (3, 1)
+    assert lines[0].startswith("code=ToleranceNotMet the solution at the pole nu = "), lines
+
+
+@pytest.mark.parametrize("gamma", [5.0, 5.0 * 2.0**66])
+@pytest.mark.parametrize("slope", [0.0, 1.0], ids=["flat", "sloped"])
+def test_qoqc_at_two_to_the_minus_66_writes_only_a_certified_record(tmp_path, capsys,
+                                                                    slope, gamma):
+    # QOQC's absolute floors leave it uncertified at this scale: it exits 3
+    # with one ToleranceNotMet line, and a record it does write verify passes
+    csv = _binary_panel(tmp_path / "small.csv", slope, 2.0**-66)
+    port = tmp_path / "q.json"
+    code, lines = _outcome(capsys, ["qoqc", "--input", csv, "--gamma", gamma, "--g0", 1,
+                                    "--n0", 2, "--output", port])
+    if code == 0:
+        assert run(["verify", "--input", csv, "--portfolio", port,
+                    "--output", tmp_path / "v.json"]) == 0
+    else:
+        assert (code, len(lines)) == (3, 1)
+        assert lines[0].startswith("code=ToleranceNotMet QOQC solution not certified: ")
+        assert not port.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,13 +18,19 @@ from mvgear import (
     diversity,
     solve,
     solve_qoqc,
+    solvers,
 )
 from mvgear.cli import main
-from mvgear.diversity import GEARING_TOL, SPHERE_TOL, STATIONARITY_TOL
+from mvgear.diversity import GEARING_TOL, SPHERE_TOL
 
 from conftest import random_cov, random_instance, random_orthogonal
 
 EPS = np.finfo(float).eps
+
+
+def objective(problem, theta) -> float:
+    """alpha'theta - (gamma/2) theta'Sigma theta, the objective QOQC maximizes."""
+    return float(problem.alpha @ theta - 0.5 * problem.gamma * problem.cov.quad(theta))
 
 
 def manifold_grid_oracle(problem, samples=1_000_000):
@@ -51,7 +59,7 @@ def manifold_grid_oracle(problem, samples=1_000_000):
     best = int(np.argmax(values))
     step = 2.0 * np.pi / samples
     result = minimize_scalar(
-        lambda t: -problem.objective(point(t)),
+        lambda t: -objective(problem, point(t)),
         bounds=(ts[best] - 2 * step, ts[best] + 2 * step),
         method="bounded",
         options={"xatol": 1e-14},
@@ -95,18 +103,34 @@ def reference_qoqc(problem):
     return problem.g0 * e + basis @ u
 
 
-def check_solution(problem, sol):
+def certificate(problem, sol):
+    """(passed, detail) of the program table's certificate of ``sol``, the
+    check a QOQC solve and ``verify`` run."""
+    params = {"gamma": problem.gamma, "g0": problem.g0, "n0": problem.n0,
+              "lambda1": sol.lambda1, "lambda2": sol.lambda2}
+    passed, detail, _ = solvers._certificate(sol.weights, problem.alpha, problem.cov,
+                                             problem.cov.entries, Program.QOQC, params)
+    return passed, detail
+
+
+def check_solution(problem, sol) -> float:
+    """Assert the constraints, the certificate and an absolute 1e-8 on the
+    Lagrangian gradient (these instances are of unit scale); returns the
+    gradient's max-norm."""
     theta = sol.weights
     assert abs(float(theta @ theta) - 1.0 / problem.n0) <= SPHERE_TOL
     assert abs(float(theta.sum()) - problem.g0) <= GEARING_TOL
-    assert sol.kkt_residual <= STATIONARITY_TOL
+    passed, detail = certificate(problem, sol)
+    assert passed, detail
     grad = (
         -problem.alpha
         + problem.gamma * problem.cov.entries @ theta
         - 2.0 * sol.lambda1 * theta
         - sol.lambda2 * np.ones(problem.dim)
     )
-    assert np.abs(grad).max() <= STATIONARITY_TOL
+    residual = float(np.abs(grad).max())
+    assert residual <= 1e-8
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +152,7 @@ def test_two_point_feasible_set(micro_alpha, micro_cov):
                           gamma=1.0, g0=1.0, n0=1.0)
     sol = solve_qoqc(problem)
     npt.assert_allclose(sol.weights, [0.0, 1.0], atol=1e-10)
-    assert sol.objective > problem.objective(np.array([1.0, 0.0]))
+    assert objective(problem, sol.weights) > objective(problem, np.array([1.0, 0.0]))
     check_solution(problem, sol)
 
 
@@ -140,7 +164,7 @@ def test_matches_manifold_grid_oracle():
     check_solution(problem, sol)
     oracle = manifold_grid_oracle(problem)
     npt.assert_allclose(sol.weights, oracle, atol=1e-6)
-    assert sol.objective >= problem.objective(oracle) - 1e-10
+    assert objective(problem, sol.weights) >= objective(problem, oracle) - 1e-10
 
 
 def test_matches_manifold_grid_oracle_more_instances():
@@ -288,7 +312,7 @@ def test_near_hard_case_converges(bottom, ratio):
         reference = reference_qoqc(problem)
         npt.assert_allclose(sol.weights, reference, rtol=0.0,
                             atol=1e-7 * np.abs(reference).max())
-        assert sol.objective >= problem.objective(reference) - 1e-15
+        assert objective(problem, sol.weights) >= objective(problem, reference) - 1e-15
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -465,8 +489,7 @@ def test_root_at_the_pole_of_an_ill_conditioned_covariance(n, kappa, seed, botto
     alpha = pole_instance(rng, cov, gamma, g0, n0, bottom=bottom, ratio=0.5)
     problem = QoqcProblem(alpha=alpha, cov=cov, gamma=gamma, g0=g0, n0=n0)
     sol = solve_qoqc(problem)
-    check_solution(problem, sol)
-    assert sol.kkt_residual <= 1e-13
+    assert check_solution(problem, sol) <= 1e-13
     assert second_order_gap(problem, sol) >= -1e-12
 
 
@@ -506,13 +529,33 @@ def test_newton_step_cap_raises_tolerance_not_met(monkeypatch):
         solve_qoqc(problem)
 
 
-def test_nan_stationarity_residual_raises_tolerance_not_met(monkeypatch):
+@pytest.mark.parametrize("spoil", [
+    lambda sol: dataclasses.replace(sol, lambda2=sol.lambda2 * (1.0 + 1e-6)),
+    lambda sol: dataclasses.replace(sol, lambda1=np.nan, lambda2=np.nan),
+], ids=["lambda2-off-by-1e-6", "nan-multipliers"])
+def test_qoqc_refuses_a_solution_its_certificate_fails(tmp_path, monkeypatch, capsys, spoil):
+    # qoqc writes only what the program table's certificate, verify's check,
+    # certifies: a solution whose multipliers fail it exits 3 with one
+    # ToleranceNotMet line and leaves --output as it was
     rng = np.random.default_rng(131)
-    alpha, cov = random_instance(rng, 6)
-    problem = QoqcProblem(alpha=alpha.entries, cov=cov, gamma=2.0, g0=1.0, n0=3.0)
-    monkeypatch.setattr(diversity, "stationarity_residual", lambda *args: np.nan)
-    with pytest.raises(ToleranceNotMet, match="stationarity residual nan"):
-        solve_qoqc(problem)
+    n = 6
+    rows = 0.01 + 0.05 * rng.standard_normal((30, n))
+    csv = tmp_path / "returns.csv"
+    csv.write_text(",".join(f"a{i}" for i in range(n)) + "\n" + "\n".join(
+        ",".join(repr(float(v)) for v in row) for row in rows) + "\n")
+    port = tmp_path / "q.json"
+    argv = ["qoqc", "--input", str(csv), "--gamma", "2", "--g0", "1", "--n0", "3",
+            "--output", str(port)]
+    assert main(argv) == 0
+    first = port.read_bytes()
+    capsys.readouterr()
+    solved = solvers.solve_qoqc
+    monkeypatch.setattr(solvers, "solve_qoqc", lambda problem: spoil(solved(problem)))
+    assert main(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("code=ToleranceNotMet QOQC solution not certified: "), lines
+    assert port.read_bytes() == first
 
 
 def test_nan_weights_raise_tolerance_not_met():

@@ -256,18 +256,12 @@ def qoqc_flags(draw, values) -> list:
                                            for name in ("gamma", "g0", "n0"))]
 
 
-@st.composite
-def plain_cases(draw):
-    """(panel text, record, argv): any request but a shrunk one, less --input
-    and --output, on a panel of n in [1, 6] assets and T in [1, 8] periods at
-    one magnitude, its last column maybe a copy of its first. ``record`` is
-    None, or what ``bounds --portfolio`` or ``verify`` reads: the argv of the
-    solve or qoqc that writes it, the factor its weights are scaled by (or
-    None) and the field replaced in it and the value put there (or None)."""
-    n, t = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    rows = panel_rows(draw, n, t, MAGNITUDES)
-    if n > 1 and draw(st.booleans()):
-        rows[:, -1] = rows[:, 0]
+def plain_request(draw, n) -> tuple:
+    """(record, argv): any request but a shrunk one on n assets, less --input
+    and --output. ``record`` is None, or what ``bounds --portfolio`` or
+    ``verify`` reads: the argv of the solve or qoqc that writes it, the factor
+    its weights are scaled by (or None) and the field replaced in it and the
+    value put there (or None)."""
     kind = draw(st.sampled_from(["estimate", "solve", "frontier", "surface", "qoqc",
                                  "bounds", "verify"]))
     record = None
@@ -295,7 +289,38 @@ def plain_cases(draw):
                   None if field is None else draw(st.sampled_from(FIELD_VALUES)))
         argv = (["bounds", *maybe(draw, "--psi", PSIS)] if kind == "bounds"
                 else ["verify", "--samples", draw(st.sampled_from(["1", "64"]))])
-    return csv_text(rows), record, argv
+    return record, argv
+
+
+@st.composite
+def plain_cases(draw):
+    """(panel text, record, argv): a :func:`plain_request` on a panel of n in
+    [1, 6] assets and T in [1, 8] periods at one magnitude, its last column
+    maybe a copy of its first."""
+    n, t = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rows = panel_rows(draw, n, t, MAGNITUDES)
+    if n > 1 and draw(st.booleans()):
+        rows[:, -1] = rows[:, 0]
+    return (csv_text(rows), *plain_request(draw, n))
+
+
+# Powers of two near the plain magnitudes, which keep a flat panel flat.
+FLAT_EXPONENTS = [-530, -66, 0, 332, 498]
+
+
+@st.composite
+def flat_cases(draw):
+    """(panel text, record, argv): a :func:`plain_request` on a panel of n in
+    [2, 6] assets and T in [n + 1, 8] periods of multiples of 2^-7 times a
+    power of two, each column of which has the same mean, exactly, and whose
+    covariance is (almost always) nonsingular."""
+    n = draw(st.integers(2, 6))
+    t = draw(st.integers(n + 1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(-8, 9, size=(t, n)).astype(float)
+    rows[-1] = t / 8 - rows[:-1].sum(axis=0)
+    rows = np.ldexp(rows / 128, draw(st.sampled_from(FLAT_EXPONENTS)))
+    return (csv_text(rows), *plain_request(draw, n))
 
 
 def edited(record: dict, scale, field, value) -> dict:
@@ -337,6 +362,18 @@ KILO_PANEL = ("a,b,c\n1000,2000,1500\n3000,-1000,2000\n-2000,4000,1000\n"
 @example((TWO_PERIODS, (["qoqc", "--gamma", "0.001", "--g0", "-0.5", "--n0", "1"], 1e300,
                         None, None), ["verify", "--samples", "1"]))
 def test_every_request_exits_0_2_or_3_with_one_code_line(monkeypatch, case):
+    check_plain_case(monkeypatch, case)
+
+
+@CONTRACT
+@given(flat_cases())
+def test_a_flat_alpha_exits_0_2_or_3_with_one_code_line(monkeypatch, case):
+    check_plain_case(monkeypatch, case)
+
+
+def check_plain_case(monkeypatch, case):
+    """``case``'s request, and the record it reads, held to the contract; a
+    passed sigma_p row of a ``verify`` report is not wildly off."""
     panel, record, argv = case
     forget_loads(monkeypatch)
     with tempfile.TemporaryDirectory() as tmp:

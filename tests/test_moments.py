@@ -16,7 +16,6 @@ from mvgear import (
     AsymmetricCovariance,
     ConvergenceFailure,
     CovMatrix,
-    DegenerateAlpha,
     DimensionError,
     NonFiniteData,
     Program,
@@ -108,10 +107,14 @@ def test_duplicated_column_triggers_repair():
     assert cov.eigenvalues[-1] >= floor * (1 - 1e-9)
 
 
-def test_equal_column_means_degenerate():
-    rows = np.array([[0.1, 0.3], [0.3, 0.1], [0.2, 0.2]])
-    panel = ReturnsPanel(assets=("a", "b"), rows=rows)
-    with pytest.raises(DegenerateAlpha):
+@pytest.mark.parametrize("scale", [1e-160, 1e-152])
+def test_a_covariance_below_the_normal_range_is_refused(scale):
+    # returns near 1e-160 square to subnormals; near 1e-152 the eigenvalue
+    # floor, 1e-10 of the largest, is subnormal
+    rng = np.random.default_rng(4)
+    panel = ReturnsPanel(assets=("a", "b", "c"),
+                         rows=scale * (0.01 + 0.02 * rng.standard_normal((6, 3))))
+    with pytest.raises(NonFiniteData, match="sample covariance underflows"):
         estimate_moments(panel)
 
 
