@@ -248,7 +248,7 @@ def _shrink_spec(args) -> ShrinkageSpec | None:
 
 # The bytes of the last ``estimate`` artifact, keyed by the covariance it was
 # written from: they hold no reference to the covariance, so they die with it
-# once ``mvgear.moments``' memo lets the covariance go.
+# once ``mvgear.moments``' load memo lets its panel go.
 _estimates: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -329,19 +329,19 @@ def _cmd_shrink_sweep(args) -> str:
                                               for row, weights in zip(cells, path.weights)])
 
 
-def _agrees(value: float, target: float, rtol: float) -> bool:
+def _agrees(value: float, target: float, rtol: float, scale: float = 1.0) -> bool:
     """``verify``'s one comparison of a value with its target:
-    |value - target| <= rtol max(1, |target|). A non-finite value or target
-    fails."""
-    return math.isfinite(target) and abs(value - target) <= rtol * max(1.0, abs(target))
+    |value - target| <= rtol max(1, |target|, ``scale``). A non-finite value
+    or target fails."""
+    return math.isfinite(target) and abs(value - target) <= rtol * max(1.0, abs(target), scale)
 
 
-def _constraint(value, target, detail, rtol=1e-10):
-    """The audit that ``value(w, figures)`` agrees with ``target(*params)``;
-    ``detail`` is formatted with the two."""
+def _constraint(value, target, detail, rtol=1e-10, scale=lambda f: 1.0):
+    """The audit that ``value(w, figures)`` agrees with ``target(*params)``
+    on the scale ``scale(figures)`` too; ``detail`` is formatted with the two."""
     def test(alpha, cov, w, figures, args, *params):
         got, want = value(w, figures), target(*params)
-        return _agrees(got, want, rtol), detail.format(got, want)
+        return _agrees(got, want, rtol, scale(figures)), detail.format(got, want)
     return test
 
 
@@ -364,12 +364,15 @@ def _sharpe_audit(alpha, cov, w, figures, args):
 # Each audit a table entry may name, in the order ``verify`` runs them: its
 # check, the params it reads, and its test of (alpha, Sigma, weights, their
 # figures, flags, *params). Every record also meets the angle bound, "bound",
-# unless no psi is admissible for it.
+# unless no psi is admissible for it. 1'theta rounds on the scale of
+# |theta|_1, the leverage, so the two gearing audits judge it on that scale.
 AUDITS = {
     "gearing": ("gearing_constraint", ("g0",), _constraint(
-        lambda w, f: f["gearing"], float, "1'theta = {0!r} vs g0 = {1!r}")),
+        lambda w, f: f["gearing"], float, "1'theta = {0!r} vs g0 = {1!r}",
+        scale=lambda f: f["leverage"])),
     "full_investment": ("gearing_constraint", (), _constraint(
-        lambda w, f: f["gearing"], lambda: 1.0, "1'theta = {0!r} vs 1")),
+        lambda w, f: f["gearing"], lambda: 1.0, "1'theta = {0!r} vs 1",
+        scale=lambda f: f["leverage"])),
     "return": ("return_constraint", ("alpha0",), _constraint(
         lambda w, f: f["alpha_p"], float, "alpha'theta = {0!r} vs alpha0 = {1!r}")),
     "risk": ("risk_constraint", ("sigma0",), _constraint(

@@ -169,7 +169,10 @@ def _boundary_solution(problem: QoqcProblem) -> QoqcSolution:
     # multipliers are least-squares certificates only.
     n = problem.dim
     theta = problem.g0 * np.ones(n) / n
-    rhs = problem.gamma * (problem.cov.entries @ theta) - problem.alpha
+    with np.errstate(all="ignore"):
+        rhs = problem.gamma * (problem.cov.entries @ theta) - problem.alpha
+    if not np.isfinite(rhs).all():
+        raise NonFiniteData("gamma Sigma theta overflows at the boundary point g0 e")
     basis = np.column_stack([2.0 * theta, np.ones(n)])
     sol, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
     return QoqcSolution(

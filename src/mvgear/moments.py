@@ -20,15 +20,14 @@ A shrink holds only its factor and forms no n x n array until its entries
 are read. Its own eigenvalues cost one ``eigvalsh`` when first read, and
 its own eigenpairs, which QOQC needs, one ``eigh``. The diagonal shrink's
 condition number kappa~(w) costs one ``eigvalsh`` per weight per
-covariance: it is kept with Sigma, beside R's decomposition and D, and a
-sweep bounds what is kept to its own grid
+covariance: it is kept with Sigma, beside R's decomposition and D
 (:meth:`CovMatrix.toward_diagonal_condition`).
 Near-singular sample covariances are repaired by clipping eigenvalues at a
 floor relative to the largest one.
 
-A process that loads the same file bytes again gets back the panel it parsed
-and, for that panel, the moments it estimated: one entry each, so a script of
-requests on one unchanged file parses it and decomposes its covariance once.
+A process that loads the same file bytes again gets back the panel it parsed,
+one entry deep, and a panel keeps the moments estimated from it, so a script
+of requests on one unchanged file parses it and decomposes its covariance once.
 Once the file has been seen unchanged for ``TRUST_WINDOW_S``, a load of it
 reads no bytes either (:func:`load_returns_csv`).
 """
@@ -89,10 +88,8 @@ class _Loaded(NamedTuple):
     trusted: bool
 
 
-# The memo of the last successful load, and that of the last moments:
-# (panel, spd_repair, alpha, covariance, repair warning text or None).
+# The memo of the last successful load.
 _last_load: _Loaded | None = None
-_last_moments: tuple | None = None
 # The identity of the last dimension asked for (CovMatrix.identity).
 _last_identity: CovMatrix | None = None
 
@@ -201,6 +198,12 @@ class ReturnsPanel:
             raise NonFiniteData("returns panel contains non-finite entries")
         object.__setattr__(self, "assets", tuple(str(a) for a in self.assets))
         object.__setattr__(self, "rows", _frozen_array(rows))
+
+    @cached_property
+    def _moments(self):
+        """(alpha, Sigma, repair warning text or None), formed on first read
+        and kept with this panel (:func:`estimate_moments`)."""
+        return _estimate(self)
 
 
 @dataclass(frozen=True)
@@ -343,7 +346,8 @@ class CovMatrix:
 
     @classmethod
     def _from_eigh(cls, sym, ascending, vectors) -> "CovMatrix":
-        """Wrap ``sym`` (from :func:`_symmetrized`) and the ``eigh`` of it."""
+        """Wrap the symmetric ``sym`` and the ``eigh`` pairs (ascending,
+        vectors) that this checks reconstruct it."""
         order = np.argsort(ascending)[::-1]
         rho = ascending[order]
         vecs = _sign_fix_columns(vectors[:, order])
@@ -443,8 +447,7 @@ class CovMatrix:
         w in (0, 1), from one ``eigvalsh`` of its entries, formed and not kept.
         kappa~ is kept with this matrix, per weight, beside
         :attr:`on_correlation` and :attr:`_diagonal`, so w asked for again
-        costs no ``eigvalsh``; :meth:`keep_diagonal_conditions` bounds the
-        weights kept. A kappa~ that raises is not kept."""
+        costs no ``eigvalsh``. A kappa~ that raises is not kept."""
         w = float(w)
         kept = self.__dict__.setdefault("_diagonal_conditions", {})
         kappa = kept.get(w)
@@ -452,15 +455,6 @@ class CovMatrix:
             rho = _descending_eigenvalues(self._shrunk_entries(w, True))
             kappa = kept[w] = float(rho[0] / rho[-1])
         return kappa
-
-    def keep_diagonal_conditions(self, weights) -> None:
-        """Forget the kappa~ kept (:meth:`toward_diagonal_condition`) at each
-        weight not in ``weights``: a sweep keeps at most its own grid's."""
-        kept = self.__dict__.get("_diagonal_conditions")
-        if kept:
-            keep = set(np.asarray(weights, dtype=float).ravel().tolist())
-            self.__dict__["_diagonal_conditions"] = {
-                w: kappa for w, kappa in kept.items() if w in keep}
 
     @cached_property
     def on_correlation(self) -> "CovMatrix":
@@ -567,34 +561,26 @@ def _descending_eigenvalues(entries: np.ndarray) -> np.ndarray:
     return _frozen_array(rho)
 
 
-def estimate_moments(
-    panel: ReturnsPanel, spd_repair: bool = True
-) -> tuple[AlphaVector, CovMatrix]:
+def estimate_moments(panel: ReturnsPanel) -> tuple[AlphaVector, CovMatrix]:
     """Sample mean and unbiased sample covariance, SPD-repaired if needed.
 
-    With ``spd_repair`` enabled (the default) any eigenvalue of the sample
-    covariance below ``EIGEN_FLOOR_RATIO * rho_1`` is clipped to that floor
-    and the matrix reconstructed; a :class:`SpdRepairWarning` records the
-    intervention. With repair disabled the same situation raises
-    :class:`SingularCovariance`. A kept eigenvalue below the smallest normal
-    float raises :class:`NonFiniteData`: the covariance has lost its digits.
+    Any eigenvalue of the sample covariance below ``EIGEN_FLOOR_RATIO * rho_1``
+    is clipped to that floor and the matrix reconstructed; a
+    :class:`SpdRepairWarning` records the intervention. A kept eigenvalue
+    below the smallest normal float raises :class:`NonFiniteData`: the
+    covariance has lost its digits.
 
-    The last result is kept with its panel: a call on that same panel object
-    with the same ``spd_repair`` returns the same (read-only) pair without
-    decomposing again, and warns again if the repair did.
+    The pair is kept with ``panel`` and dies with it: each call on that panel
+    object returns the same (read-only) pair without decomposing again, and
+    warns again if the repair did.
     """
-    global _last_moments
-    memo = _last_moments
-    if memo is None or memo[0] is not panel or memo[1] != bool(spd_repair):
-        memo = (panel, bool(spd_repair), *_estimate(panel, spd_repair))
-        _last_moments = memo
-    _, _, alpha, cov, repair = memo
+    alpha, cov, repair = panel._moments
     if repair is not None:
         warnings.warn(repair, SpdRepairWarning, stacklevel=2)
     return alpha, cov
 
 
-def _estimate(panel: ReturnsPanel, spd_repair: bool):
+def _estimate(panel: ReturnsPanel):
     """:func:`estimate_moments`' pair, and its repair warning's text or None."""
     alpha = panel.rows.mean(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -613,22 +599,15 @@ def _estimate(panel: ReturnsPanel, spd_repair: bool):
     floor = EIGEN_FLOOR_RATIO * rho[-1]
     repair = None
     if rho[0] <= floor:
-        if not spd_repair:
-            raise SingularCovariance(
-                f"smallest eigenvalue {rho[0]:g} below floor {floor:g} "
-                "and SPD repair is disabled"
-            )
         repair = (f"sample covariance eigenvalues clipped at {floor:g} "
                   f"(smallest was {rho[0]:g})")
         rho = np.maximum(rho, floor)
         sample = (vecs * rho) @ vecs.T
+        sample = 0.5 * (sample + sample.T)
     if rho[0] < _TINY:
         raise NonFiniteData(f"sample covariance underflows: its eigenvalue {rho[0]:g} is "
                             "below the normal floats; the returns are too small to square")
-    # ``_symmetrized`` returns the exactly symmetric sample's bits unchanged,
-    # and averages a floored one with its transpose; either way ``_from_eigh``
-    # checks that (rho, vecs) reconstructs the entries.
-    return AlphaVector(alpha), CovMatrix._from_eigh(_symmetrized(sample), rho, vecs), repair
+    return AlphaVector(alpha), CovMatrix._from_eigh(sample, rho, vecs), repair
 
 
 # One record as the csv module reads it: fields split at commas, the record

@@ -275,12 +275,11 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
     from one product with alpha (:func:`geometry.alpha_angles`); the condition
     number is the stack's spectrum ratio, or toward the diagonal inside
     (0, 1) :meth:`CovMatrix.toward_diagonal_condition`: one ``eigvalsh`` per
-    weight per covariance, kept with it, and a sweep keeps only its own
-    grid's, so a sweep of a grid already swept on that covariance, for any
-    ``program``, costs none. A point the batch cannot vouch for is
-    solved alone (:func:`_sweep_point`), in grid order, and raises or warns
-    there by itself: a k out of range, a group whose stack fails (R's
-    decomposition), a refusal of either column (``program``'s
+    weight per covariance, kept with it, so a weight already swept on that
+    covariance, for any ``program``, costs none. A point the batch cannot
+    vouch for is solved alone (:func:`_sweep_point`), in grid order, and
+    raises or warns there by itself: a k out of range, a group whose stack
+    fails (R's decomposition), a refusal of either column (``program``'s
     :meth:`~solvers.ProgramSpec.no_maximum` included), a warning of
     ``program`` (VI's inefficient branch), a parameter check that fails
     (every point), a nan cosine, or weights whose sigma_p or other figure
@@ -296,8 +295,6 @@ def shrink_sweep(alpha, cov: CovMatrix, mode: ShrinkMode, grid, program=None,
     if entries[-1].coefficients is None:
         raise ValueError(f"program {entries[-1].program.value} has no closed form to sweep")
     w, inside, _ = _shrink_weights(mode, ks, a, cov)
-    if mode is ShrinkMode.DIAGONAL:
-        cov.keep_diagonal_conditions(w)
     alone = ~inside
     thetas = np.empty((len(entries), ks.size, cov.dim))
     kappa, scaled = np.empty(ks.size), np.zeros(ks.size, bool)

@@ -33,12 +33,11 @@ def micro_cov():
 
 
 def forget_loads(monkeypatch):
-    """Empty the one-entry memo of ``load_returns_csv`` and ``estimate_moments``
-    for the rest of the test, so that the next request parses and decomposes."""
+    """Empty the one-entry memo of ``load_returns_csv`` for the rest of the
+    test, so that the next request parses, and decomposes its new panel."""
     from mvgear import moments
 
     monkeypatch.setattr(moments, "_last_load", None)
-    monkeypatch.setattr(moments, "_last_moments", None)
 
 
 @pytest.fixture

@@ -543,6 +543,23 @@ def test_qoqc_at_a_gearing_whose_square_overflows_exits_3_infeasible(micro_csv, 
     assert len(err.splitlines()) == 1
 
 
+def test_qoqc_on_the_boundary_whose_gamma_sigma_theta_overflows_exits_3(tmp_path, capsys):
+    # n0 = n/g0^2: g0 e is the only feasible point, and gamma Sigma theta there
+    # is past the float range; refused with one line before any least squares,
+    # with no numpy warning (an error in this suite) and --output untouched
+    csv, out = tmp_path / "r.csv", tmp_path / "q.json"
+    rows = np.random.default_rng(0).standard_normal((6, 2)) * 1e98
+    csv.write_text("a,b\n" + "\n".join(",".join(map(repr, row)) for row in rows.tolist()))
+    out.write_text("kept")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["qoqc", "--input", csv, "--gamma", "1e300", "--g0", -1, "--n0", 2,
+                    "--output", out]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("code=NonFiniteData gamma Sigma theta")
+    assert out.read_text() == "kept"
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("solve", "--g0", "-1e-3"), ("solve", "--g0", "-.5e-1"),
     ("frontier", "--alpha-grid", "-1e-3:1e-3:1e-2"),
@@ -1907,6 +1924,27 @@ def test_verify_fails_a_qoqc_record_whose_gearing_squares_past_the_float_range(
     assert not checks["stationarity"] and not checks[GEARING]
 
 
+def test_verify_judges_the_gearing_of_a_floored_vii_record_on_its_leverage(tmp_path, capsys):
+    # T < n: the floored covariance gives VII weights of leverage near 7e10,
+    # whose sum is off from g0 by rounding on that scale (about 1e-17 of it);
+    # the gearing audit passes that, and fails a g0 off by 2e-10 of it
+    csv = wide_csv(tmp_path / "r.csv", n=60, periods=20)
+    port, report = tmp_path / "p.json", tmp_path / "v.json"
+    with pytest.warns(moments.SpdRepairWarning):
+        assert run(["solve", "--input", csv, "--program", "VII", "--gamma", 10, "--g0", 1,
+                    "--output", port]) == 0
+        assert run(["verify", "--input", csv, "--portfolio", port, "--output", report]) == 0
+    doc = json.loads(port.read_text())
+    assert doc["gearing"] != 1.0 and doc["leverage"] > 1e10
+    doc["params"]["g0"] = 1.0 + 2e-10 * doc["leverage"]
+    port.write_text(json.dumps(doc))
+    with pytest.warns(moments.SpdRepairWarning):
+        assert run(["verify", "--input", csv, "--portfolio", port, "--output", report]) == 3
+    assert capsys.readouterr().err == "code=VerificationFailed one or more checks failed\n"
+    checks = {c["name"]: c["passed"] for c in json.loads(report.read_text())["checks"]}
+    assert not checks[GEARING]
+
+
 def test_verify_fails_the_return_audit_of_a_vi_record_without_alpha0(tmp_path, capsys):
     csv = _three_asset_csv(tmp_path)
     port, report = tmp_path / "p.json", tmp_path / "v.json"
@@ -2385,6 +2423,11 @@ def estimate(csv, out) -> bytes:
     return out.read_bytes()
 
 
+def kept_cov():
+    """The covariance of the panel that ``mvgear.moments``' load memo holds."""
+    return estimate_moments(moments._last_load.panel)[1]
+
+
 def test_an_estimate_hit_writes_the_bytes_of_a_miss_and_of_a_fresh_process(
         tmp_path, monkeypatch, formatting):
     csv = wide_csv(tmp_path / "r.csv")
@@ -2408,7 +2451,7 @@ def test_an_estimate_hit_writes_the_kept_bytes_to_stdout_and_over_output(
     forget_loads(monkeypatch)
     assert run(["estimate", "--input", csv]) == 0
     miss = capsysbinary.readouterr().out
-    kept = cli._estimates[moments._last_moments[3]]
+    kept = cli._estimates[kept_cov()]
     assert kept == miss and "dumps" in formatting
     formatting.clear()
     assert run(["estimate", "--input", csv]) == 0
@@ -2475,7 +2518,7 @@ def test_an_estimate_of_another_file_drops_the_kept_text(tmp_path, monkeypatch, 
     a, b = wide_csv(tmp_path / "a.csv", seed=1), wide_csv(tmp_path / "b.csv", seed=2)
     forget_loads(monkeypatch)
     first = estimate(a, tmp_path / "a.json")
-    kept = weakref.ref(moments._last_moments[3])
+    kept = weakref.ref(kept_cov())
     assert list(cli._estimates) == [kept()]
     assert run(["solve", "--input", b, "--program", "GMV", "--output", tmp_path / "p.json"]) == 0
     gc.collect()
@@ -2483,14 +2526,14 @@ def test_an_estimate_of_another_file_drops_the_kept_text(tmp_path, monkeypatch, 
     formatting.clear()
     estimate(b, tmp_path / "b.json")
     assert "dumps" in formatting
-    kept = weakref.ref(moments._last_moments[3])
+    kept = weakref.ref(kept_cov())
     assert list(cli._estimates) == [kept()]
     formatting.clear()
     assert estimate(a, tmp_path / "a.json") == first
     assert "dumps" in formatting
     gc.collect()
     assert kept() is None
-    assert list(cli._estimates) == [moments._last_moments[3]]
+    assert list(cli._estimates) == [kept_cov()]
 
 
 def test_forgetting_the_loads_misses_the_kept_text(tmp_path, monkeypatch, formatting):
@@ -2536,9 +2579,9 @@ def test_an_estimate_whose_formatting_raises_keeps_no_text(tmp_path, monkeypatch
         patch.setattr(serialize, "dumps", refuse)
         assert run(["estimate", "--input", csv]) == 3
     assert capsys.readouterr().err == "code=MvgearError formatting refused\n"
-    assert moments._last_moments[3] not in cli._estimates
+    assert kept_cov() not in cli._estimates
     assert run(["estimate", "--input", csv, "--output", tmp_path / "e.json"]) == 0
-    assert moments._last_moments[3] in cli._estimates
+    assert kept_cov() in cli._estimates
 
 
 # ---------------------------------------------------------------------------

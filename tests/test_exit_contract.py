@@ -251,9 +251,15 @@ def maybe(draw, flag, values) -> list:
     return [flag, draw(st.sampled_from(values))] if draw(st.booleans()) else []
 
 
-def qoqc_flags(draw, values) -> list:
-    return [*itertools.chain.from_iterable((f"--{name}", draw(st.sampled_from(values)))
-                                           for name in ("gamma", "g0", "n0"))]
+def qoqc_flags(draw, values, n=None) -> list:
+    """--gamma, --g0 and --n0 from ``values``; given the panel's ``n``, maybe
+    g0 = -1, 1 or 2 and n0 = n/g0^2, where g0 e is the only feasible point."""
+    flags = [*itertools.chain.from_iterable((f"--{name}", draw(st.sampled_from(values)))
+                                            for name in ("gamma", "g0", "n0"))]
+    if n is not None and draw(st.booleans()):
+        g0 = draw(st.sampled_from([-1, 1, 2]))
+        flags[3:] = [str(g0), repr(n / g0**2)]
+    return flags
 
 
 def plain_request(draw, n) -> tuple:
@@ -276,7 +282,7 @@ def plain_request(draw, n) -> tuple:
         argv = ["surface", "--g0", draw(st.sampled_from(LINE_GRIDS)),
                 "--alpha-grid", draw(st.sampled_from(LINE_GRIDS))]
     elif kind == "qoqc":
-        argv = ["qoqc", *qoqc_flags(draw, VALUES)]
+        argv = ["qoqc", *qoqc_flags(draw, VALUES, n)]
     elif kind == "bounds" and draw(st.booleans()):
         theta = draw(st.lists(st.sampled_from(THETAS), min_size=n, max_size=n))
         argv = ["bounds", "--theta", ",".join(theta), *maybe(draw, "--psi", PSIS)]
@@ -346,6 +352,8 @@ DAILY_PANEL = ("a,b,c\n0.01,0.02,0.015\n0.03,-0.01,0.02\n-0.02,0.04,0.01\n"
 # theta'theta of QOQC's weights times 1e300 overflows in verify's diversity audit.
 TWO_PERIODS = ("a0,a1\n0.012514604421867866,0.0073579027341739624\n"
                "0.022808453008865644,0.012098002343060795\n")
+# On the boundary n0 = n/g0^2, gamma Sigma theta at gamma = 1e300 overflows.
+HUGE_PAIR = csv_text(np.random.default_rng(0).standard_normal((6, 2)) * 1e98)
 KILO_PANEL = ("a,b,c\n1000,2000,1500\n3000,-1000,2000\n-2000,4000,1000\n"
               "1500,1000,-500\n2000,3000,2500\n")
 
@@ -359,6 +367,7 @@ KILO_PANEL = ("a,b,c\n1000,2000,1500\n3000,-1000,2000\n-2000,4000,1000\n"
 @example((DAILY_PANEL, (["solve", "--program", "VII", "--gamma", "10", "--g0", "1"], 1e300,
                         "sigma_p", 0), ["verify", "--samples", "1"]))
 @example((KILO_PANEL, None, ["qoqc", "--gamma", "1e308", "--g0", "1", "--n0", "2"]))
+@example((HUGE_PAIR, None, ["qoqc", "--gamma", "1e300", "--g0", "-1", "--n0", "2"]))
 @example((TWO_PERIODS, (["qoqc", "--gamma", "0.001", "--g0", "-0.5", "--n0", "1"], 1e300,
                         None, None), ["verify", "--samples", "1"]))
 def test_every_request_exits_0_2_or_3_with_one_code_line(monkeypatch, case):

@@ -1,10 +1,12 @@
 import csv
+import gc
 import io
 import os
 import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -88,12 +90,6 @@ def test_two_point_panel_triggers_repair():
     # column a: ((0.1-0.2)^2 + (0.3-0.2)^2) / 1 = 0.02; column b repaired
     npt.assert_allclose(cov.entries[0, 0], 0.02, rtol=1e-12)
     assert cov.eigenvalues[-1] >= EIGEN_FLOOR_RATIO * cov.eigenvalues[0] * (1 - 1e-9)
-
-
-def test_repair_disabled_raises():
-    panel = ReturnsPanel(assets=("a", "b"), rows=np.array([[0.1, 0.0], [0.3, 0.0]]))
-    with pytest.raises(SingularCovariance):
-        estimate_moments(panel, spd_repair=False)
 
 
 def test_duplicated_column_triggers_repair():
@@ -488,6 +484,36 @@ def test_repeat_load_parses_and_decomposes_nothing(tmp_path, monkeypatch,
     assert np.array_equal(cov2.eigenpairs[1], cov.eigenpairs[1])
 
 
+def test_a_panels_moments_come_from_one_eigh_and_die_with_it(eigh_calls):
+    panel = ReturnsPanel(tuple("abcde"), np.random.default_rng(22).normal(0.01, 0.02, (30, 5)))
+    alpha, cov = estimate_moments(panel)
+    for _ in range(2):
+        assert estimate_moments(panel) == (alpha, cov)
+    assert len(eigh_calls) == 1
+    kept = weakref.ref(cov)
+    del panel, alpha, cov
+    gc.collect()
+    assert kept() is None
+
+
+def test_two_live_panels_estimated_in_turn_decompose_once_each(eigh_calls):
+    rng = np.random.default_rng(23)
+    panels = [ReturnsPanel(tuple("abcd"), rng.normal(0.01, 0.02, (20, 4))) for _ in range(2)]
+    covs = [estimate_moments(panel)[1] for panel in panels]
+    for _ in range(3):
+        for panel, cov in zip(panels, covs):
+            assert estimate_moments(panel)[1] is cov
+    assert len(eigh_calls) == 2
+
+
+def test_a_panel_whose_moments_raise_keeps_nothing(eigh_calls):
+    panel = ReturnsPanel(("a", "b"), np.array([[1e300, 0.0], [-1e300, 1.0]]))
+    for _ in range(2):
+        with pytest.raises(NonFiniteData, match="overflows"):
+            estimate_moments(panel)
+    assert "_moments" not in vars(panel) and eigh_calls == []
+
+
 @pytest.fixture
 def clock(monkeypatch):
     """The memo's ``time.monotonic``, which moves only when the test moves ``now``."""
@@ -633,19 +659,6 @@ def test_floored_panel_warns_on_every_load_hits_included(tmp_path, monkeypatch,
     assert len(set(messages)) == 1 and messages[0].startswith("sample covariance")
     assert covs[1] is covs[0] and covs[2] is covs[0]
     assert len(eigh_calls) == 1  # one load: the sample, floored in its own eigenbasis
-
-
-def test_floored_panel_without_repair_still_raises_after_a_repair(tmp_path):
-    path = tmp_path / "r.csv"
-    path.write_text(FLOORED_CSV)
-    panel = load_returns_csv(path)
-    with pytest.warns(SpdRepairWarning):
-        estimate_moments(panel, spd_repair=True)
-    for _ in range(2):
-        with pytest.raises(SingularCovariance, match="SPD repair is disabled"):
-            estimate_moments(panel, spd_repair=False)
-    with pytest.warns(SpdRepairWarning):
-        estimate_moments(panel, spd_repair=True)
 
 
 def test_failing_csv_is_never_cached(tmp_path, monkeypatch, capsys, loadtxt_calls):
@@ -797,11 +810,9 @@ def test_kappa_tilde_is_kept_per_weight_with_the_eigvalsh_bits(eigvalsh_calls):
     assert eigvalsh_calls == [(6, 6)] * 2
     assert kappas[:2] == kappas[2:] == [cov.shrink(w, diagonal=True).condition_number
                                         for w in (0.3, 0.7)]
-    cov.keep_diagonal_conditions(np.array([0.7, 0.9]))
-    cov.toward_diagonal_condition(0.7)
+    for w in (0.7, 0.3):
+        cov.toward_diagonal_condition(w)
     assert len(eigvalsh_calls) == 4  # the two shrinks' own, and no new kappa~
-    cov.toward_diagonal_condition(0.3)
-    assert len(eigvalsh_calls) == 5
 
 
 def test_a_kappa_tilde_that_raises_is_not_kept(eigvalsh_calls):

@@ -627,15 +627,17 @@ def test_a_point_solved_alone_reads_the_batch_kappa(monkeypatch):
         monkeypatch.undo()
 
 
-def test_a_sweep_keeps_no_weight_outside_its_grid():
+def test_a_diagonal_sweep_of_a_second_grid_keeps_the_first_grids_kappa(monkeypatch):
+    # kappa~ is kept per weight inside (0, 1) for the covariance's life, so
+    # either grid swept again calls no eigvalsh
     alpha, cov = random_instance(np.random.default_rng(71), 6)
     first = np.linspace(0.0, 1.0, 6)
     second = np.array([0.4, 0.5, 0.6, 1.0])
-    robust.shrink_sweep(alpha, cov, ShrinkMode.DIAGONAL, first)
-    assert kept_weights(cov) == {0.2, 0.4, 0.6000000000000001, 0.8}
-    robust.shrink_sweep(alpha, cov, ShrinkMode.DIAGONAL, second)
-    assert kept_weights(cov) == {0.4, 0.5, 0.6}
-    robust.shrink_sweep(alpha, cov, ShrinkMode.SIMPLE, first)  # no kappa~ read
-    assert kept_weights(cov) == {0.4, 0.5, 0.6}
-    robust.shrink_sweep(alpha, cov, ShrinkMode.DIAGONAL, [0.0, 1.0])
-    assert kept_weights(cov) == set()
+    paths = [robust.shrink_sweep(alpha, cov, ShrinkMode.DIAGONAL, grid)
+             for grid in (first, second)]
+    assert kept_weights(cov) == {0.2, 0.4, 0.5, 0.6, 0.6000000000000001, 0.8}
+    calls = counted_eigvalsh(monkeypatch)
+    for grid, path in zip((first, second), paths):
+        again = robust.shrink_sweep(alpha, cov, ShrinkMode.DIAGONAL, grid)
+        assert again.kappa_tilde.tolist() == path.kappa_tilde.tolist()
+    assert calls == []

@@ -141,9 +141,10 @@ def test_digests_follow_each_script_with_shrunk_solves_and_their_verifies(tmp_pa
     # the tool appends GMV, VI and VII at seven shrinks each on the first
     # panel, a qoqc and VII at the angle shrink k = 0.9 k0, a verify after
     # each, then a diagonal sweep of VII over 0:0.1:1, which reads the kappa~ kept
-    # from the benchmark's own diagonal sweep of that grid, and last an
-    # estimate, which writes the text kept from the benchmark's own estimate
-    from mvgear import cli
+    # from the benchmark's own diagonal sweep of that grid, and an estimate,
+    # which writes the text kept from the benchmark's own estimate; last come
+    # requests on a floored panel, which no benchmark panel is
+    from mvgear import cli, moments
 
     workloads = _workloads(monkeypatch)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the tool sets it when loaded
@@ -153,7 +154,8 @@ def test_digests_follow_each_script_with_shrunk_solves_and_their_verifies(tmp_pa
     added = workload.script[len(bench.script):]
     assert [r.kind for r in workload.script[:len(bench.script)]] == [
         r.kind for r in bench.script]
-    assert len(added) == 48 and {r.panel for r in added} == {0}
+    added, floored = added[:48], added[48:]
+    assert {r.panel for r in added} == {0}
     assert cli._build_parser().parse_args(added[-1].argv).command == "estimate"
     assert any(r.kind == "estimate" and r.panel == 0 for r in bench.script)
     sweep = cli._build_parser().parse_args(added[-2].argv)
@@ -176,9 +178,28 @@ def test_digests_follow_each_script_with_shrunk_solves_and_their_verifies(tmp_pa
                                              for q in (0.0, 0.5, 1.0))]] + [
         ("QOQC", None, None), ("VII", "angle", float(f"{1.8 * k:.6g}"))]
 
+    path = tmp_path / "tool" / "floored.csv"
+    assert workload.panels[1:] == [str(path)] and len(bench.panels) == 1
+    assert {r.panel for r in floored} == {1}
+    expected = tmp_path / "expected.csv"
+    workloads.write_panel(str(expected), workloads.factor_returns(
+        np.random.default_rng([11, 99]), 60, 20))
+    assert path.read_bytes() == expected.read_bytes()
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    with pytest.warns(moments.SpdRepairWarning):
+        moments.estimate_moments(moments.ReturnsPanel(tuple(map(str, range(60))), rows))
+    requests = [cli._build_parser().parse_args(r.argv) for r in floored]
+    assert [(args.command, getattr(args, "program", None)) for args in requests] == [
+        ("estimate", None), ("solve", "GMV"), ("solve", "VI"), ("solve", "VII"),
+        ("verify", None)]
+    assert (requests[2].alpha0, requests[2].g0, requests[3].gamma, requests[3].g0) == (
+        0.002, 1.0, 10.0, 1.0)
+    assert requests[4].portfolio == floored[1].output
 
-# Two workloads of one panel each: every load of a panel after the first two
-# of its pass is a trusted hit once the trust window is 0.
+
+# Two workloads of one panel each, whose scripts the tool ends with requests
+# on a floored panel: every load of either panel after the first two of its
+# run in a pass is a trusted hit once the trust window is 0.
 _SINGLE_PANEL = ("wide-estimate", "sweep-surface")
 
 
@@ -229,7 +250,7 @@ def test_digests_of_trusted_hits_equal_the_first_pass(digests, capsys):
     assert digests.main(["--seed", "11"]) == 0
     out, err = capsys.readouterr()
     assert err.splitlines() == [
-        f"trusted hits: {name} {count - 2} of {count} loads"
+        f"trusted hits: {name} {count - 4} of {count} loads"
         for name, count in zip(_SINGLE_PANEL, _script_lengths(out))]
     assert moments.TRUST_WINDOW_S == math.inf and not hasattr(moments, "open")
 
@@ -248,8 +269,8 @@ def test_digests_fail_on_a_stat_key_that_cannot_be_trusted(digests, monkeypatch,
     if key is None:
         assert " 0 of " in err and "trusted: " not in err
     else:
-        # sweep-surface is served wide-estimate's panel from the trusted key
-        assert "trusted: " in err and "sweep-surface" in err.split("trusted: ")[1]
+        # the floored panel is served the panel loaded before it from the trusted key
+        assert "trusted: " in err and " wide-estimate " in err.split("trusted: ")[1]
 
 
 def test_the_benchmark_tracer_records_a_request_and_restores_every_name(tmp_path,

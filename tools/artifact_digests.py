@@ -21,22 +21,25 @@ No benchmark request runs ``solve --shrink-mode`` or verifies a QOQC
 record, so each workload's script is followed by shrunk solves of GMV, VI
 and VII on its first panel, a ``qoqc`` and a VII shrunk toward the identity
 at k = 0.9 k0, each with a ``verify`` of its record, then by a diagonal
-``shrink-sweep`` of VII over ``0:0.1:1``, and last by an ``estimate`` of
-that panel (:func:`make_workload`); every pass runs them, and their lines
-follow the benchmark's. On sweep-surface, whose script sweeps that grid toward the
-diagonal with no ``--program``, that sweep reads every kappa~ the
-covariance kept from the other one, so a digest diff against a tree that
-formed each kappa~ afresh also shows that a kappa~ kept from another
-request writes the bytes of a fresh one. Every script but small-fresh's
-estimates its first panel before, so that last ``estimate`` writes the text
-``mvgear.cli`` kept with the covariance, after the sweeps and solves in
-between: a digest diff against a tree that formatted every estimate afresh
-shows that the kept text has the bytes of a fresh one.
+``shrink-sweep`` of VII over ``0:0.1:1`` and an ``estimate`` of that panel.
+No benchmark panel has T < n either, so each script ends with requests on a
+panel whose covariance the load floors: an ``estimate``, GMV, VI and VII
+solves and a ``verify`` of GMV (:func:`make_workload`). Every pass runs
+them, and their lines follow the benchmark's. On sweep-surface, whose
+script sweeps that grid toward the diagonal with no ``--program``, that
+sweep reads every kappa~ the covariance kept from the other one, so a digest
+diff against a tree that formed each kappa~ afresh also shows that a kappa~
+kept from another request writes the bytes of a fresh one. Every script but
+small-fresh's estimates its first panel before, so the ``estimate`` after
+the sweep writes the text ``mvgear.cli`` kept with the covariance, after the
+sweeps and solves in between: a digest diff against a tree that formatted
+every estimate afresh shows that the kept text has the bytes of a fresh one.
 
-All requests run in this one process, so every request after the first on a
-panel finds that panel and its moments in ``mvgear.moments``' one-entry memo:
-a digest diff against a tree that parsed every request afresh also shows that
-cache hits write the bytes a miss writes.
+All requests run in this one process, so every request on a panel after the
+first of a run of requests on it finds that panel in ``mvgear.moments``'
+one-entry load memo, and its moments kept with it: a digest diff against a
+tree that parsed every request afresh also shows that cache hits write the
+bytes a miss writes.
 
 After that pass the tool overwrites every artifact with junk longer than the
 artifact and runs each workload's script again, in the same process. The CLI
@@ -71,9 +74,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 ROOT = Path(__file__).resolve().parent.parent
+# (n, T) of the floored panel each workload's script ends with.
+FLOORED_SHAPE = (60, 20)
 
 
 def make_workload(name: str, seed: int, directory: str):
@@ -83,8 +90,11 @@ def make_workload(name: str, seed: int, directory: str):
     q = 0, 0.5 and 1, then the benchmark's ``qoqc`` (n0 = n/4) and VII at
     the angle shrink k = 0.9 k0, where the benchmark's angle grid ends, each
     followed by a ``verify`` of its record, then a diagonal sweep of VII
-    over ``0:0.1:1`` and an ``estimate``: requests appended to the script,
-    so every pass runs them."""
+    over ``0:0.1:1`` and an ``estimate``, and last, on a floored panel
+    (``workloads.factor_returns`` of ``FLOORED_SHAPE`` drawn at
+    (seed, 99), appended to the workload's panels), an ``estimate``, GMV, VI
+    (alpha0 0.002, g0 1) and VII (gamma 10, g0 1) and a ``verify`` of GMV:
+    requests appended to the script, so every pass runs them."""
     import workloads
 
     workload = workloads.make_workload(name, seed, directory)
@@ -110,6 +120,17 @@ def make_workload(name: str, seed: int, directory: str):
     script.sweep(0, "diagonal", "0:0.1:1", 11,
                  ["--program", "VII", "--gamma", workloads._num(workloads.GAMMA), "--g0", "1"])
     script.add("estimate", 0, [])
+    # a panel of T < n, whose covariance the load floors
+    floored = os.path.join(os.path.dirname(script.outdir), "floored.csv")
+    workloads.write_panel(floored, workloads.factor_returns(np.random.default_rng([seed, 99]),
+                                                            *FLOORED_SHAPE))
+    workload.panels.append(floored)
+    p = len(workload.panels) - 1
+    script.add("estimate", p, [])
+    gmv = script.solve(p, "GMV")
+    script.solve(p, "VI", alpha0=0.002, g0=1.0)
+    script.solve(p, "VII", gamma=workloads.GAMMA, g0=1.0)
+    script.verify(p, gmv)
     return workload
 
 
